@@ -52,6 +52,7 @@ from .reliability import (
 )
 from .security import (
     BINS_PER_PAIR,
+    DivergenceProfile,
     detection_bias_bound,
     min_pairs_for_budget,
     per_mode_relative_entropy,
@@ -77,6 +78,7 @@ __all__ = [
     "ClickProbabilities",
     "CovertLinkError",
     "DistinguisherResult",
+    "DivergenceProfile",
     "FockDistribution",
     "FormatError",
     "InfeasibleError",

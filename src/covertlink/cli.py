@@ -51,7 +51,9 @@ _OPTIONAL_KEYS = (
 _REQUIRED_KEYS = ("message", "epsilon", "target_error", "channel", "rep_rate_hz")
 
 
-def _as_float(value, key: str, lo: float, hi: float, open_hi: bool = True) -> float:
+def _as_float(
+    value, key: str, lo: float, hi: float, open_hi: bool = True, open_lo: bool = True
+) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         # plain YAML parses 5.0e8 as a string; the exponent needs a sign
         raise ParameterError(
@@ -60,7 +62,8 @@ def _as_float(value, key: str, lo: float, hi: float, open_hi: bool = True) -> fl
         )
     value = float(value)
     above = value < hi if open_hi else value <= hi
-    if not (lo < value and above):
+    below = lo < value if open_lo else lo <= value
+    if not (below and above):
         raise ParameterError(f"config key {key!r} = {value!r} is out of range")
     return value
 
@@ -102,8 +105,14 @@ def load_config(path: Path) -> dict:
         )
     cfg["channel"] = {
         "tau": _as_float(channel["tau"], "channel.tau", 0.0, 1.0, open_hi=False),
-        "n_bar_a": _as_float(channel["n_bar_a"], "channel.n_bar_a", 0.0, float("inf")),
-        "n_bar_b": _as_float(channel["n_bar_b"], "channel.n_bar_b", 0.0, float("inf")),
+        # a noiseless channel is a valid input; the planner says why it
+        # cannot be covert
+        "n_bar_a": _as_float(
+            channel["n_bar_a"], "channel.n_bar_a", 0.0, float("inf"), open_lo=False
+        ),
+        "n_bar_b": _as_float(
+            channel["n_bar_b"], "channel.n_bar_b", 0.0, float("inf"), open_lo=False
+        ),
     }
     cfg["rep_rate_hz"] = _as_float(raw["rep_rate_hz"], "rep_rate_hz", 0.0, float("inf"))
 

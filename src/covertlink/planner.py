@@ -3,10 +3,12 @@
 For each candidate pulse intensity mu, the planner derives the smallest
 repetition count meeting the message-error target, the resulting signal
 count d, and then the smallest pair count N meeting the covertness
-budget. The returned plan is the grid point minimizing N (equivalently
-the total number of time bins, and hence the running time at a fixed
-repetition rate), refined once by golden-section search around the best
-grid point.
+budget. Each repetition search starts from the k already found at the
+nearest dimmer pulse, since a brighter pulse never needs more. The
+returned plan is the grid point minimizing N (equivalently the total
+number of time bins, and hence the running time at a fixed repetition
+rate), refined once by golden-section search around the best grid
+point.
 """
 
 from __future__ import annotations
@@ -168,28 +170,38 @@ class PlanReport:
         return all(c.passed for c in self.checks)
 
 
-def _evaluate_mu(mu: float, req: PlanRequest) -> GridPoint:
+def _dimmer_k(known_k: dict[float, int], mu: float) -> int | None:
+    """k found at the nearest evaluated mu not above this one, if any.
+
+    A brighter pulse on the same channel never needs more repetitions,
+    so this bounds the answer at mu from above; min_repetitions verifies
+    the bound before it relies on it.
+    """
+    dimmer = [m for m in known_k if m <= mu]
+    return known_k[max(dimmer)] if dimmer else None
+
+
+def _evaluate_mu(mu: float, req: PlanRequest, known_k: dict[float, int]) -> GridPoint:
+    """Evaluate one pulse intensity; known_k collects every k found, by mu."""
     cp = click_probs(mu, req.channel)
     try:
-        k = min_repetitions(req.target_e, req.b, cp)
+        k = min_repetitions(req.target_e, req.b, cp, _dimmer_k(known_k, mu))
     except InfeasibleError as exc:
         return GridPoint(mu=mu, feasible=False, reason=f"reliability: {exc}")
+    known_k[mu] = int(k)
     d = k * req.b
     try:
         pair = min_pairs_for_budget(req.epsilon, d, mu, req.channel.n_bar_a)
     except InfeasibleError as exc:
         return GridPoint(mu=mu, feasible=False, reason=f"covertness: {exc}")
-    n = pair.n_pairs
     return GridPoint(
         mu=mu,
         feasible=True,
-        k=k,
+        k=int(k),
         d=d,
-        n_pairs=n,
-        predicted_epsilon=detection_bias_bound(
-            n, per_mode_relative_entropy(mu, req.channel.n_bar_a, d / n)
-        ),
-        predicted_e=message_error_prob(bit_error_prob(k, cp), req.b),
+        n_pairs=pair.n_pairs,
+        predicted_epsilon=pair.bias_bound,
+        predicted_e=message_error_prob(k.bit_error, req.b),
     )
 
 
@@ -201,7 +213,10 @@ def _better(a: GridPoint, b: GridPoint | None) -> bool:
 
 
 def _dimmest_within(
-    floor: GridPoint, points: list[GridPoint], req: PlanRequest
+    floor: GridPoint,
+    points: list[GridPoint],
+    req: PlanRequest,
+    known_k: dict[float, int],
 ) -> GridPoint:
     """Smallest-mu point whose pair count is within the flatness tolerance.
 
@@ -222,7 +237,7 @@ def _dimmest_within(
         if (hi - lo) <= 1e-4 * hi:
             break
         mid = math.sqrt(lo * hi)
-        p = _evaluate_mu(mid, req)
+        p = _evaluate_mu(mid, req, known_k)
         points.append(p)
         if p.feasible and p.n_pairs <= budget:
             chosen, hi = p, mid
@@ -254,7 +269,8 @@ def plan(req: PlanRequest) -> ProtocolParams:
 
 def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint, ...]]:
     grid = np.sort(req.mu_grid)
-    points = [_evaluate_mu(float(mu), req) for mu in grid]
+    known_k: dict[float, int] = {}
+    points = [_evaluate_mu(float(mu), req, known_k) for mu in grid]
     feasible = [p for p in points if p.feasible]
     if not feasible:
         # reasons embed point-specific numbers: group them by failure
@@ -282,7 +298,7 @@ def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint,
         a, b_ = lo, hi
         x1 = b_ - GOLDEN * (b_ - a)
         x2 = a + GOLDEN * (b_ - a)
-        p1, p2 = _evaluate_mu(x1, req), _evaluate_mu(x2, req)
+        p1, p2 = _evaluate_mu(x1, req, known_k), _evaluate_mu(x2, req, known_k)
         points.extend((p1, p2))
         for _ in range(40):
             f1 = p1.n_pairs if p1.feasible else math.inf
@@ -290,12 +306,12 @@ def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint,
             if (f1, x1) <= (f2, x2):
                 b_, x2, p2 = x2, x1, p1
                 x1 = b_ - GOLDEN * (b_ - a)
-                p1 = _evaluate_mu(x1, req)
+                p1 = _evaluate_mu(x1, req, known_k)
                 points.append(p1)
             else:
                 a, x1, p1 = x1, x2, p2
                 x2 = a + GOLDEN * (b_ - a)
-                p2 = _evaluate_mu(x2, req)
+                p2 = _evaluate_mu(x2, req, known_k)
                 points.append(p2)
             if (b_ - a) <= 1e-4 * b_:
                 break
@@ -304,7 +320,7 @@ def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint,
                 best = p
 
     if req.flatness_tolerance > 0.0:
-        best = _dimmest_within(best, points, req)
+        best = _dimmest_within(best, points, req, known_k)
 
     n = best.n_pairs
     params = ProtocolParams(

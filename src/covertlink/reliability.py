@@ -139,10 +139,6 @@ def message_error_prob(delta: float, b: int) -> float:
     return -math.expm1(b * math.log1p(-delta))
 
 
-def _message_error_for_k(k: int, b: int, cp: ClickProbabilities) -> float:
-    return message_error_prob(bit_error_prob(k, cp), b)
-
-
 def _estimate_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     """Normal-approximation guess for the needed k; only seeds the bracket.
 
@@ -160,17 +156,71 @@ def _estimate_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> in
     return max(1, int(z * z * var / (m1 * m1)) + 1)
 
 
-def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
+class Repetitions(int):
+    """A repetition count carrying the bit error the search computed at it.
+
+    Behaves as a plain int; bit_error is bit_error_prob(k, cp) for the
+    click probabilities the search ran on, so callers need not recompute
+    the sum at the answer.
+    """
+
+    bit_error: float
+
+    def __new__(cls, k: int, bit_error: float):
+        obj = super().__new__(cls, k)
+        obj.bit_error = float(bit_error)
+        return obj
+
+
+class _Probe:
+    """Memoized message error per k for one search; bit_errors holds every probe."""
+
+    def __init__(self, target_e: float, b: int, cp: ClickProbabilities):
+        self.target_e = target_e
+        self.b = b
+        self.cp = cp
+        self.bit_errors: dict[int, float] = {}
+
+    def error(self, k: int) -> float:
+        if k not in self.bit_errors:
+            self.bit_errors[k] = bit_error_prob(k, self.cp)
+        return message_error_prob(self.bit_errors[k], self.b)
+
+    def fails(self, k: int) -> bool:
+        return self.error(k) > self.target_e
+
+    def answer(self, k: int) -> Repetitions:
+        return Repetitions(k, self.bit_errors[k])
+
+
+def min_repetitions(
+    target_e: float,
+    b: int,
+    cp: ClickProbabilities,
+    k_hint: int | None = None,
+) -> Repetitions:
     """Smallest repetition count k meeting the message-error target.
 
     Majority voting converges only when a click is more likely correct
     than wrong (p_good_given_click > 1/2); otherwise the target is
     unreachable and InfeasibleError is raised.
 
-    The bit error is found by exponential bracketing plus binary search.
-    Because an even k can decode slightly worse than k - 1 (ties lose),
-    the candidate is then walked downward checking both k - 1 and k - 2,
-    which covers the parity sawtooth riding the decreasing envelope.
+    k_hint is an optional upper bound on the answer, such as the k found
+    for a dimmer pulse on the same channel (a brighter pulse never needs
+    more repetitions). The hint is tested first; if it meets the target,
+    regula falsi on the log message error, between the hint and a
+    failing k, closes in on the threshold in a few probes (the log error
+    is nearly linear in k). If the hint fails the target, or the warm
+    search runs past the probe count of a cold search, the cold search
+    runs: exponential bracketing from a normal-approximation guess plus
+    binary search. Both end with the same walk: because an even k can
+    decode slightly worse than k - 1 (ties lose), the candidate is walked
+    downward checking both k - 1 and k - 2, which covers the parity
+    sawtooth riding the decreasing envelope. So both return the smallest
+    passing k as long as odd and even k each decode better as k grows.
+
+    Returns:
+        Repetitions (an int subclass) carrying the bit error at k.
     """
     if not 0.0 < target_e < 1.0:
         raise ParameterError(f"target_e must lie in (0, 1), got {target_e!r}")
@@ -182,8 +232,73 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
             "majority vote cannot converge: correct clicks are not more "
             "likely than wrong ones"
         )
-    if _message_error_for_k(1, b, cp) <= target_e:
-        return 1
+    probe = _Probe(target_e, b, cp)
+    k = None
+    if k_hint is not None and 1 <= k_hint <= MAX_REPETITIONS and not probe.fails(k_hint):
+        k = _warm_threshold(probe, int(k_hint))
+    if k is None:
+        if not probe.fails(1):
+            return probe.answer(1)
+        k = _cold_threshold(probe)
+    while k > 1:
+        if not probe.fails(k - 1):
+            k -= 1
+        elif k > 2 and not probe.fails(k - 2):
+            k -= 2
+        else:
+            break
+    return probe.answer(k)
+
+
+def _log_excess(probe: _Probe, k: int) -> float:
+    """log(message error / target): > 0 fails, <= 0 passes."""
+    return math.log(max(probe.error(k), 1e-300)) - math.log(probe.target_e)
+
+
+def _warm_threshold(probe: _Probe, hint: int) -> int | None:
+    """Adjacent (failing k - 1, passing k) pair below a passing hint.
+
+    Regula falsi with the Illinois weighting on f(k) = log excess. Until
+    a failing k is known, the next point comes from the slope of the
+    Chernoff exponent, log error ~ -k I with
+    I = -log(1 - p + 2 sqrt(p_correct p_wrong)). Returns None once the
+    probes exceed what the cold search would spend.
+    """
+    cp = probe.cp
+    budget = hint.bit_length() + 4
+    silent = 1.0 - (cp.p_correct + cp.p_wrong)
+    rate = -math.log(max(silent + 2.0 * math.sqrt(cp.p_correct * cp.p_wrong), 1e-300))
+    hi, f_hi = hint, _log_excess(probe, hint)
+    lo, f_lo = None, 0.0
+    side = 0
+    while lo is None or hi - lo > 1:
+        if len(probe.bit_errors) > budget:
+            return None
+        if lo is None:
+            est = hi + f_hi / (rate + 0.5 / hi)
+        else:
+            est = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+        floor = 1 if lo is None else lo + 1
+        if hi <= floor:
+            break
+        k = min(max(int(round(est)), floor), hi - 1)
+        f_k = _log_excess(probe, k)
+        if f_k > 0.0:
+            lo, f_lo = k, f_k
+            if side == -1:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = k, f_k
+            if side == 1:
+                f_lo *= 0.5
+            side = 1
+    return hi
+
+
+def _cold_threshold(probe: _Probe) -> int:
+    """Passing k whose k - 1 fails, found without a hint; k = 1 fails."""
+    target_e, b, cp = probe.target_e, probe.b, probe.cp
     guess = _estimate_repetitions(target_e, b, cp)
     if guess >= 4 * MAX_REPETITIONS:
         # the normal approximation is reliable to a few percent at this
@@ -194,7 +309,7 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     if guess >= MAX_REPETITIONS // 2:
         # borderline channels get a single exact check at the cap instead
         # of a whole doubling ladder of wide evaluations
-        if _message_error_for_k(MAX_REPETITIONS, b, cp) > target_e:
+        if probe.fails(MAX_REPETITIONS):
             raise InfeasibleError(
                 f"no repetition count up to {MAX_REPETITIONS:.1e} meets the "
                 f"message-error target {target_e}"
@@ -202,7 +317,7 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     # exponential search outward from the guess for a verified bracket
     # with lo failing the target and hi meeting it
     hi = min(max(2, guess), MAX_REPETITIONS)
-    while _message_error_for_k(hi, b, cp) > target_e:
+    while probe.fails(hi):
         if hi >= MAX_REPETITIONS:
             raise InfeasibleError(
                 f"no repetition count up to {MAX_REPETITIONS:.1e} meets the "
@@ -210,21 +325,13 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
             )
         hi = min(2 * hi, MAX_REPETITIONS)
     lo = hi // 2
-    while lo >= 1 and _message_error_for_k(lo, b, cp) <= target_e:
+    while lo >= 1 and not probe.fails(lo):
         hi = lo
         lo //= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _message_error_for_k(mid, b, cp) > target_e:
+        if probe.fails(mid):
             lo = mid
         else:
             hi = mid
-    k = hi
-    while k > 1:
-        if _message_error_for_k(k - 1, b, cp) <= target_e:
-            k -= 1
-        elif k > 2 and _message_error_for_k(k - 2, b, cp) <= target_e:
-            k -= 2
-        else:
-            break
-    return k
+    return hi

@@ -14,7 +14,10 @@ BINS_PER_PAIR raw time bins when converted to wall-clock duration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy import special
 
 from .exceptions import InfeasibleError, ParameterError
 from .fock_stats import (
@@ -22,9 +25,10 @@ from .fock_stats import (
     RelativeEntropy,
     convolve,
     mix,
+    mixture_relative_entropy,
     poisson_pmf,
-    relative_entropy,
     thermal_pmf,
+    thermal_weights,
 )
 
 BINS_PER_PAIR = 2
@@ -36,12 +40,22 @@ SECURITY_TRUNC_TOL = 1e-30
 
 DEFAULT_PAIR_CEILING = 10**16
 
+# Newton refinement of the square-root-law start: at most this many
+# steps, each moving N by at most a factor e**_MAX_LOG_STEP
+_NEWTON_STEPS = 8
+_MAX_LOG_STEP = 8.0
+
 
 @dataclass(frozen=True)
 class ModePair:
-    """Count of time-bin pairs; bins_total is the raw bin count."""
+    """Count of time-bin pairs; bins_total is the raw bin count.
+
+    bias_bound is the detection-bias bound the search computed at
+    n_pairs (nan when the pair count was made by hand).
+    """
 
     n_pairs: int
+    bias_bound: float = field(default=math.nan, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n_pairs, int) or self.n_pairs < 1:
@@ -50,6 +64,99 @@ class ModePair:
     @property
     def bins_total(self) -> int:
         return BINS_PER_PAIR * self.n_pairs
+
+
+@dataclass(frozen=True, eq=False)
+class DivergenceProfile:
+    """What D(q) = D(rho || (1 - q) rho + q rho_s) needs, for one (mu, n_bar_a).
+
+    rho is thermal(n_bar_a) over its support at trunc_tol; rho_s is
+    Poisson(mu) convolved with the same thermal law. On that support
+    rho_s(n) / rho(n) = e^-mu sum_{j<=n} a^j / j! with a = mu / r and
+    r = n_bar_a / (1 + n_bar_a), so x = rho_s/rho - 1 comes in closed
+    form. Built once, the profile evaluates D at any q for the cost of
+    one pass over a few dozen terms.
+
+    Attributes:
+        rho, x: weights and ratios on the support n = 0..n_max.
+        tail_rho, tail_s: mass of rho and of rho_s beyond the support.
+        chi2: sum(rho x^2), the small-q curvature, 2 D(q) / q^2 -> chi2.
+        uncovered: rho_s mass where rho has none at all. It is nonzero
+            only for a vacuum background (n_bar_a = 0), where D grows
+            linearly in q and no square-root law holds.
+    """
+
+    mu: float
+    n_bar_a: float
+    rho: np.ndarray
+    x: np.ndarray
+    tail_rho: float
+    tail_s: float
+    chi2: float
+    uncovered: float
+
+    @classmethod
+    def build(
+        cls, mu: float, n_bar_a: float, trunc_tol: float = SECURITY_TRUNC_TOL
+    ) -> "DivergenceProfile":
+        mu = float(mu)
+        if not math.isfinite(mu) or mu < 0.0:
+            raise ParameterError(f"mu must be finite and >= 0, got {mu!r}")
+        rho, tail_rho = thermal_weights(n_bar_a, trunc_tol)
+        n_max = rho.size - 1
+        # x_0 = e^-mu - 1; for n >= 1 the j >= 1 part of the partial
+        # exponential sum is added to it, so no term cancels against 1
+        x = np.full(rho.size, math.expm1(-mu))
+        if n_max > 0:
+            a = mu * (1.0 + n_bar_a) / n_bar_a
+            with np.errstate(over="ignore"):
+                partial = np.cumsum(np.cumprod(a / np.arange(1, n_max + 1)))
+                x[1:] += math.exp(-mu) * partial
+            if not np.all(np.isfinite(x)):
+                raise ParameterError(
+                    f"mu = {mu!r} is too bright against n_bar_a = {n_bar_a!r} "
+                    "for the divergence to be represented in doubles"
+                )
+        uncovered = -math.expm1(-mu) if n_bar_a == 0.0 else 0.0
+        chi2 = math.inf if uncovered > 0.0 else math.fsum(rho * x * x)
+        return cls(
+            mu=mu,
+            n_bar_a=float(n_bar_a),
+            rho=rho,
+            x=x,
+            tail_rho=tail_rho,
+            tail_s=_signal_tail(mu, n_bar_a, n_max),
+            chi2=chi2,
+            uncovered=uncovered,
+        )
+
+    def divergence(self, q: float) -> RelativeEntropy:
+        """Per-mode relative entropy D(q) in nats, with its error bar."""
+        q = float(q)
+        if not 0.0 <= q <= 1.0:
+            raise ParameterError(f"q must lie in [0, 1], got {q!r}")
+        return mixture_relative_entropy(self.rho, self.x, q, self.tail_rho, self.tail_s)
+
+    def slope(self, q: float) -> float:
+        """dD/dq: sum(rho x y / (1 + y)) plus the linear tail term."""
+        y = q * self.x
+        return math.fsum(self.rho * self.x * y / (1.0 + y)) - (self.tail_rho - self.tail_s)
+
+
+def _signal_tail(mu: float, n_bar_a: float, n_max: int) -> float:
+    """P(X + Y > n_max) for X ~ Poisson(mu), Y ~ thermal(n_bar_a).
+
+    Split on X = j: for j <= n_max the thermal tail r^(n_max + 1 - j) is
+    closed form; X > n_max is the Poisson tail, a regularized incomplete
+    gamma function. Both pieces are free of cancellation.
+    """
+    r = n_bar_a / (1.0 + n_bar_a)
+    pois = math.exp(-mu)
+    below = [pois * r ** (n_max + 1)]
+    for j in range(1, n_max + 1):
+        pois *= mu / j
+        below.append(pois * r ** (n_max + 1 - j))
+    return math.fsum(below) + float(special.gammainc(n_max + 1, mu))
 
 
 def per_mode_states(
@@ -81,8 +188,8 @@ def per_mode_relative_entropy(
     q: float,
     trunc_tol: float = SECURITY_TRUNC_TOL,
 ) -> RelativeEntropy:
-    rho, sigma = per_mode_states(mu, n_bar_a, q, trunc_tol)
-    return relative_entropy(rho, sigma)
+    """D(rho || (1 - q) rho + q rho_s) for one pulse intensity, via its profile."""
+    return DivergenceProfile.build(mu, n_bar_a, trunc_tol).divergence(q)
 
 
 def detection_bias_bound(n_pairs: int, d_per_mode: float) -> float:
@@ -122,10 +229,25 @@ def min_pairs_for_budget(
 ) -> ModePair:
     """Smallest pair count N whose detection-bias bound meets the budget.
 
-    The bound evaluated at q = d/N is non-increasing in N: the per-mode
-    divergence is convex in q with D(0) = 0, so N * D(d/N) cannot grow
-    with N. Integer bisection on [d, ceiling] is therefore exact; the
-    returned N is verified against N - 1.
+    The bound at q = d/N is non-increasing in N: the per-mode divergence
+    is convex in q with D(0) = 0, so N D(d/N) = d D(q)/q cannot grow
+    with N. The computed bound keeps that order at single-pair
+    resolution because the profile's D is accurate to a few units in
+    the last place (see fock_stats): one pair moves the bound by about
+    1/(2N) relative, which stays above that noise up to N ~ 1e15. The
+    former double-precision sum carried ~1e-9 relative noise, so the
+    computed bound reversed thousands of times near the answer and the
+    returned N depended on the bisection path.
+
+    The search starts from the square-root law: as q -> 0,
+    D(q) = q^2 chi2 / 2, so N0 = d^2 chi2 / (16 epsilon^2). Newton steps
+    on log(D(q)/q) against log q (slope 1 in the quadratic regime, 0
+    where terms saturate) refine N0 to within a pair or two, usually in
+    one step. Galloping outward from there brackets the answer between
+    a failing and a passing N, and bisection closes the bracket. A
+    search costs a handful of divergence evaluations, each at an
+    integer N and kept for reuse; the returned N is verified against
+    N - 1.
 
     Args:
         epsilon: covertness budget, in (0, 0.5).
@@ -134,42 +256,94 @@ def min_pairs_for_budget(
         n_bar_a: background mean photon number at the sender's output.
         ceiling: largest N considered before declaring infeasibility.
 
+    Returns:
+        ModePair with the bound at N in bias_bound. N >= d, since
+        q = d/N is a probability.
+
     Raises:
-        InfeasibleError: no N <= ceiling satisfies the budget.
+        InfeasibleError: no N <= ceiling satisfies the budget, or the
+            background is the vacuum and the bound's limit as N grows,
+            sqrt(d (1 - e^-mu) / 8), is not below the budget.
     """
     epsilon = _check_budget(epsilon)
     if d_signals < 0:
         raise ParameterError(f"d_signals must be >= 0, got {d_signals!r}")
     if d_signals == 0:
-        return ModePair(1)
+        return ModePair(1, 0.0)
 
-    rho = thermal_pmf(n_bar_a, SECURITY_TRUNC_TOL)
-    rho_s = convolve(
-        poisson_pmf(mu, SECURITY_TRUNC_TOL), thermal_pmf(n_bar_a, SECURITY_TRUNC_TOL)
-    )
+    profile = DivergenceProfile.build(mu, n_bar_a)
+    floor = d_signals
+    divergences: dict[int, float] = {}
+
+    def divergence_at(n_pairs: int) -> float:
+        if n_pairs not in divergences:
+            divergences[n_pairs] = float(profile.divergence(d_signals / n_pairs))
+        return divergences[n_pairs]
 
     def bound(n_pairs: int) -> float:
-        sigma = mix(rho, rho_s, d_signals / n_pairs)
-        return detection_bias_bound(n_pairs, relative_entropy(rho, sigma))
+        return detection_bias_bound(n_pairs, divergence_at(n_pairs))
 
-    lo = max(1, d_signals)  # q = d/N is a probability, so N >= d
-    if bound(lo) <= epsilon:
-        return ModePair(lo)
-    hi = lo
-    while bound(hi) > epsilon:
-        if hi >= ceiling:
+    def clamp(n_pairs: float) -> int:
+        return int(min(max(math.ceil(n_pairs), floor), ceiling))
+
+    if profile.uncovered > 0.0:
+        limit = math.sqrt(d_signals * profile.uncovered / 8.0)
+        if limit >= epsilon:
             raise InfeasibleError(
-                f"no pair count up to {ceiling:.3g} meets detection-bias budget "
-                f"{epsilon} for d={d_signals}, mu={mu}"
+                "vacuum background (n_bar_a = 0): the pulse puts photons where "
+                "the idle channel has none, so the divergence grows linearly in q, "
+                "no square-root law holds, and the bound only falls to "
+                f"{limit:.3g} >= budget {epsilon} for d={d_signals}, mu={mu}"
             )
-        hi = min(2 * hi, ceiling)
-    # invariant: bound(lo) > epsilon >= bound(hi)
+        n = floor
+    elif profile.chi2 == 0.0:
+        n = floor
+    else:
+        target = 8.0 * epsilon**2 / d_signals  # the answer has D(q)/q = target
+        n = clamp(d_signals**2 * profile.chi2 / (16.0 * epsilon**2))
+        for _ in range(_NEWTON_STEPS):
+            q = d_signals / n
+            d_mode = divergence_at(n)
+            if d_mode == 0.0:
+                break
+            # slope of log(D/q) against log q
+            slope = q * profile.slope(q) / d_mode - 1.0
+            if not slope > 0.0:
+                break
+            step = (math.log(d_mode / q) - math.log(target)) / slope
+            new_n = clamp(n * math.exp(min(max(step, -_MAX_LOG_STEP), _MAX_LOG_STEP)))
+            if abs(new_n - n) <= 1:
+                n = new_n
+                break
+            n = new_n
+
+    # gallop outward from n to a bracket: bound(lo) > epsilon >= bound(hi);
+    # lo = floor - 1 stands for "every allowed N below hi"
+    if bound(n) <= epsilon:
+        hi, step = n, 1
+        lo = hi - step
+        while lo >= floor and bound(lo) <= epsilon:
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, floor - 1)
+    else:
+        lo, step = n, 1
+        while True:
+            hi = min(lo + step, ceiling)
+            if bound(hi) <= epsilon:
+                break
+            if hi >= ceiling:
+                raise InfeasibleError(
+                    f"no pair count up to {ceiling:.3g} meets detection-bias budget "
+                    f"{epsilon} for d={d_signals}, mu={mu}"
+                )
+            lo, step = hi, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if bound(mid) > epsilon:
             lo = mid
         else:
             hi = mid
-    if bound(hi) > epsilon or (hi > max(1, d_signals) and bound(hi - 1) <= epsilon):
+    if bound(hi) > epsilon or (hi > floor and bound(hi - 1) <= epsilon):
         raise InfeasibleError("bisection postcondition failed; bound not monotone here")
-    return ModePair(hi)
+    return ModePair(hi, bound(hi))

@@ -1,4 +1,11 @@
+import time
+
+import pytest
 from hypothesis import HealthCheck, settings
+
+import reference_scenarios as ref
+from covertlink.planner import PlanRequest, plan_with_report
+from covertlink.reliability import ChannelModel
 
 # scipy warm-up on first call can trip the per-example deadline
 settings.register_profile(
@@ -7,3 +14,29 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("covertlink")
+
+
+def fiber_request(op: ref.OperatingPoint) -> PlanRequest:
+    """The default-grid plan request of one fiber reference scenario."""
+    return PlanRequest(
+        b=op.bits,
+        epsilon=op.epsilon,
+        target_e=ref.TARGET_ERROR,
+        channel=ChannelModel(tau=ref.TAU, n_bar_a=op.n_bar_a, n_bar_b=op.n_bar_b),
+        rep_rate_hz=op.rep_rate_hz,
+    )
+
+
+@pytest.fixture(scope="session")
+def fiber_plan_reports():
+    """Plan every fiber reference scenario once per session.
+
+    Maps scenario name to (request, params, grid report, seconds).
+    """
+    out = {}
+    for op in ref.FIBER:
+        req = fiber_request(op)
+        start = time.perf_counter()
+        params, points = plan_with_report(req)
+        out[op.name] = (req, params, points, time.perf_counter() - start)
+    return out

@@ -22,7 +22,7 @@ import oracles
 import reference_scenarios as ref
 from covertlink.cli import EXIT_OK, main
 from covertlink.codec import SharedRandomness, choose_positions, encode_message
-from covertlink.planner import PlanRequest, ProtocolParams, plan
+from covertlink.planner import ProtocolParams
 from covertlink.reliability import (
     ChannelModel,
     ClickProbabilities,
@@ -79,20 +79,12 @@ def report(capsys, number: int, label: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def full_plans():
-    """Plan every bundled fiber scenario once; values reused by 2/3/7/8."""
-    out = {}
-    for op in ref.FIBER:
-        req = PlanRequest(
-            b=op.bits,
-            epsilon=op.epsilon,
-            target_e=ref.TARGET_ERROR,
-            channel=ChannelModel(tau=ref.TAU, n_bar_a=op.n_bar_a, n_bar_b=op.n_bar_b),
-            rep_rate_hz=op.rep_rate_hz,
-        )
-        start = time.perf_counter()
-        out[op.name] = (plan(req), time.perf_counter() - start)
-    return out
+def full_plans(fiber_plan_reports):
+    """Every bundled fiber scenario, planned once; values reused by 2/3/7/8."""
+    return {
+        name: (params, elapsed)
+        for name, (_, params, _, elapsed) in fiber_plan_reports.items()
+    }
 
 
 @pytest.fixture(scope="module")

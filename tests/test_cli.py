@@ -197,6 +197,16 @@ def test_infeasible_targets_exit_code(tmp_path):
     assert rc == EXIT_INFEASIBLE
 
 
+def test_vacuum_background_is_infeasible_with_reason(tmp_path, capsys):
+    cfg = tmp_path / "vacuum.yaml"
+    cfg.write_text(FAST_CONFIG.replace("n_bar_a: 1.0e-2", "n_bar_a: 0.0"))
+    rc = main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "vacuum background (n_bar_a = 0)" in err
+    assert "no square-root law holds" in err
+
+
 @pytest.mark.parametrize(
     "mutation",
     [

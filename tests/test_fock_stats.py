@@ -3,6 +3,7 @@ extended-precision cross-checks for the photon-number statistics."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from covertlink.exceptions import ParameterError
 from covertlink.fock_stats import (
     FockDistribution,
     convolve,
+    _log1p_gap,
     mix,
     poisson_pmf,
     relative_entropy,
@@ -170,6 +172,27 @@ def test_relative_entropy_stable_where_naive_fails():
     n = rho.pmf.size
     naive = math.fsum(rho.pmf * (np.log(rho.pmf) - np.log(sigma.pmf[:n])))
     assert abs(naive - frozen) / frozen > 1e-3
+
+
+def test_log1p_gap_accurate_on_both_sides_of_series_cutoff():
+    ys = [-0.9, -0.1000001, -0.1, -1e-3, -1e-9, 1e-12, 1e-6]
+    ys += [0.0999999, 0.1, 0.1000001, 2.0, 1e6]
+    got = _log1p_gap(np.array(ys))
+    with mp.workdps(50):
+        for y, value in zip(ys, got):
+            exact = mp.mpf(y) - mp.log1p(mp.mpf(y))
+            assert abs(value - exact) <= 4e-15 * exact, y
+
+
+def test_mixture_branch_agrees_with_profile():
+    # relative_entropy on mixed FockDistributions and the security profile
+    # share one term kernel; only their pmf roundings differ
+    q = CQTUSTC.q
+    rho, sigma = per_mode_states(CQTUSTC.mu, CQTUSTC.n_bar_a, q)
+    d_mix = relative_entropy(rho, sigma)
+    d_profile = per_mode_relative_entropy(CQTUSTC.mu, CQTUSTC.n_bar_a, q)
+    assert d_mix == pytest.approx(d_profile, rel=1e-12)
+    assert d_profile == pytest.approx(ref.KL_PER_MODE_NATS["CQTUSTC"], rel=1e-13)
 
 
 def test_small_q_curvature_limit():

@@ -1,0 +1,80 @@
+"""Planner answers on every bundled config against the recorded golden file.
+
+tests/data/plan_golden.json was written by tests/make_plan_golden.py.
+Every recorded integer, the chosen mu, the predicted message error, both
+grid counts and each grid value's (mu, feasible, k) must match exactly;
+the pair count N may move by 2e-7 relative, the size of the rounding
+noise the earlier double-precision divergence carried. Each returned N
+must also be the exact minimum under the 80-digit oracle.
+"""
+
+import json
+from pathlib import Path
+
+import mpmath as mp
+import pytest
+
+import oracles
+from make_plan_golden import bundled_configs, golden_record, request_for, request_key
+from covertlink.planner import plan_with_report
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "plan_golden.json").read_text("utf-8")
+)
+N_REL_TOL = 2e-7
+ORACLE_REL_TOL = 1e-13
+
+
+@pytest.fixture(scope="module")
+def fresh(fiber_plan_reports):
+    """{config name: (request, params, record)}, each distinct plan made once.
+
+    Configs that request a fiber reference scenario reuse its session plan.
+    """
+    made = {
+        request_key(req): (req, params, points)
+        for req, params, points, _ in fiber_plan_reports.values()
+    }
+    out = {}
+    for path in bundled_configs():
+        req = request_for(path)
+        key = request_key(req)
+        if key not in made:
+            made[key] = (req, *plan_with_report(req))
+        req, params, points = made[key]
+        out[path.name] = (req, params, golden_record(req, params, points))
+    return out
+
+
+def test_golden_covers_every_bundled_config():
+    assert sorted(GOLDEN) == sorted(p.name for p in bundled_configs())
+    assert len(GOLDEN) == 8
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_plan_matches_golden(fresh, name):
+    _, _, record = fresh[name]
+    gold = GOLDEN[name]
+    assert len(record["grid"]) == 400
+    exact = {key: value for key, value in record.items() if key != "n_pairs"}
+    assert exact == {key: value for key, value in gold.items() if key != "n_pairs"}
+    assert abs(record["n_pairs"] - gold["n_pairs"]) <= N_REL_TOL * gold["n_pairs"]
+
+
+def oracle_bound(params, n_pairs: int):
+    with mp.workdps(80):
+        q = mp.mpf(params.d) / n_pairs
+        d_mode = oracles.kl_divergence_highprec(params.mu, params.channel.n_bar_a, q)
+        return mp.sqrt(n_pairs * d_mode / 8)
+
+
+@pytest.mark.parametrize(
+    "name", ["cw_cqtustc.yaml", "cw_prtysat.yaml", "cw_qpqi.yaml",
+             "fiber_cqtustc.yaml", "fiber_prtysat.yaml", "fiber_qpqi.yaml"]
+)
+def test_plan_pair_count_is_exact_minimum_under_oracle(fresh, name):
+    _, params, _ = fresh[name]
+    eps = params.epsilon_target
+    n = params.n_pairs
+    assert oracle_bound(params, n) <= eps * (1 + ORACLE_REL_TOL)
+    assert oracle_bound(params, n - 1) > eps * (1 - ORACLE_REL_TOL)

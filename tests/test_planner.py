@@ -40,8 +40,9 @@ def reference_request(point, **overrides) -> PlanRequest:
 
 
 @pytest.fixture(scope="module")
-def cqtustc_plan() -> ProtocolParams:
-    return plan(reference_request(CQTUSTC))
+def cqtustc_plan(fiber_plan_reports) -> ProtocolParams:
+    # the session plan of reference_request(CQTUSTC)
+    return fiber_plan_reports["CQTUSTC"][1]
 
 
 def single_point_pairs(mu: float, req: PlanRequest):

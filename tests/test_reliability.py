@@ -207,6 +207,46 @@ def test_min_repetitions_is_minimal():
         assert k == scan
 
 
+def test_min_repetitions_carries_bit_error_at_answer():
+    cp = model_clicks(CQTUSTC)
+    k = min_repetitions(ref.TARGET_ERROR, CQTUSTC.bits, cp)
+    assert k.bit_error == bit_error_prob(int(k), cp)
+
+
+@pytest.mark.parametrize(
+    "target, b, p_c, p_w",
+    [
+        (0.01, 5, 0.30, 0.05),
+        (0.05, 3, 0.70, 0.25),
+        (0.02, 8, 0.08, 0.02),
+        (0.10, 1, 0.55, 0.40),
+        (0.01, 35, 0.006884429230653025, 0.0005720725456748557),
+        (0.01, 20, 0.15070547933464734, 0.1090520313613685),
+    ],
+)
+def test_min_repetitions_warm_start_matches_cold(target, b, p_c, p_w):
+    # hints above the answer, at it, and below it (a failing hint falls
+    # back to the cold search) all return the cold answer
+    cp = make_cp(p_c, p_w)
+    cold = min_repetitions(target, b, cp)
+    for hint in {1, max(1, cold - 1), cold, cold + 1, 2 * cold + 1, 10 * cold, 10**6}:
+        warm = min_repetitions(target, b, cp, k_hint=hint)
+        assert warm == cold, hint
+        assert warm.bit_error == cold.bit_error
+
+
+def test_min_repetitions_warm_start_along_mu_grid():
+    # the planner's use: each search hinted with the k of the next dimmer mu
+    channel = ChannelModel(tau=ref.TAU, n_bar_a=CQTUSTC.n_bar_a, n_bar_b=CQTUSTC.n_bar_b)
+    hint = None
+    for mu in np.geomspace(5e-3, 1.0, 60):
+        cp = click_probs(float(mu), channel)
+        warm = min_repetitions(ref.TARGET_ERROR, CQTUSTC.bits, cp, k_hint=hint)
+        assert warm == min_repetitions(ref.TARGET_ERROR, CQTUSTC.bits, cp)
+        assert hint is None or warm <= hint
+        hint = int(warm)
+
+
 def test_min_repetitions_infeasible_majority():
     with pytest.raises(InfeasibleError):
         min_repetitions(0.01, 35, make_cp(0.01, 0.01))

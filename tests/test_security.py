@@ -1,16 +1,21 @@
 """Detection-bias bound: spot values, inversion correctness, and the
 quadratic pair-count scaling that reflects the square-root law."""
 
+import json
 import math
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from covertlink.exceptions import InfeasibleError, ParameterError
+from covertlink.planner import default_mu_grid
 from covertlink.security import (
     BINS_PER_PAIR,
+    DivergenceProfile,
     ModePair,
     bias_for_protocol,
     detection_bias_bound,
@@ -18,9 +23,18 @@ from covertlink.security import (
     per_mode_relative_entropy,
 )
 
+import oracles
 import reference_scenarios as ref
 
 CQTUSTC = ref.FIBER_BY_NAME["CQTUSTC"]
+
+# the default fiber CQTUSTC plan, as recorded in the golden file
+_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "plan_golden.json").read_text("utf-8")
+)["fiber_cqtustc.yaml"]
+PLAN_MU = _GOLDEN["mu"]
+PLAN_D = _GOLDEN["d"]
+PLAN_N = _GOLDEN["n_pairs"]
 
 
 def test_bound_zero_divergence():
@@ -138,3 +152,63 @@ def test_divergence_error_bar_small_at_reference_scale(mu, n_bar):
     d = per_mode_relative_entropy(mu, n_bar, 1e-7)
     if d > 0.0:
         assert d.error_bound < 1e-6 * d
+
+
+def oracle_bound(n_pairs: int, d: int, mu: float, n_bar: float):
+    with mp.workdps(80):
+        q = mp.mpf(d) / n_pairs
+        return mp.sqrt(n_pairs * oracles.kl_divergence_highprec(mu, n_bar, q) / 8)
+
+
+@pytest.mark.parametrize("q", [PLAN_D / PLAN_N, 1.6e-9])
+def test_divergence_matches_oracle_to_1e13(q):
+    # the plain -rho log1p(q x) sum was low by 1.9e-9 and 1.1e-7 here
+    value = per_mode_relative_entropy(PLAN_MU, CQTUSTC.n_bar_a, q)
+    exact = oracles.kl_divergence_highprec(PLAN_MU, CQTUSTC.n_bar_a, q)
+    assert abs(value - exact) <= 1e-13 * exact
+    assert value.error_bound <= 1e-13 * exact
+
+
+def test_bias_never_rises_near_the_plan():
+    bias = [
+        bias_for_protocol(n, PLAN_D, PLAN_MU, CQTUSTC.n_bar_a)
+        for n in range(PLAN_N - 2000, PLAN_N + 2001)
+    ]
+    assert all(later <= earlier for earlier, later in zip(bias, bias[1:]))
+
+
+def test_dim_point_pair_count_exact_under_oracle():
+    grid = default_mu_grid()
+    mu = float(grid[np.argmin(np.abs(grid - 2.09e-4))])
+    d = 9_907_515 * 35
+    n = min_pairs_for_budget(0.014, d, mu, CQTUSTC.n_bar_a).n_pairs
+    assert oracle_bound(n, d, mu, CQTUSTC.n_bar_a) <= 0.014 * (1 + 1e-13)
+    assert oracle_bound(n - 1, d, mu, CQTUSTC.n_bar_a) > 0.014 * (1 - 1e-13)
+
+
+def test_profile_chi_square_matches_oracle():
+    profile = DivergenceProfile.build(CQTUSTC.mu, CQTUSTC.n_bar_a)
+    assert profile.chi2 == pytest.approx(ref.CHI_SQUARE["CQTUSTC"], rel=1e-13)
+    assert profile.uncovered == 0.0
+
+
+def test_min_pairs_returns_bound_at_answer():
+    found = min_pairs_for_budget(0.014, 68651, 3.52e-2, 2.30e-3)
+    assert found.bias_bound == bias_for_protocol(found.n_pairs, 68651, 3.52e-2, 2.30e-3)
+
+
+def test_vacuum_background_names_the_cause():
+    with pytest.raises(InfeasibleError, match="vacuum background"):
+        min_pairs_for_budget(0.014, 68651, 3.52e-2, 0.0)
+    profile = DivergenceProfile.build(3.52e-2, 0.0)
+    assert profile.uncovered == pytest.approx(-math.expm1(-3.52e-2), rel=1e-15)
+    assert math.isinf(profile.chi2)
+
+
+def test_vacuum_background_feasible_below_its_limit():
+    # limit sqrt(d (1 - e^-mu) / 8) = 0.345 < 0.35 < 0.354 = bound at N = d:
+    # the answer lies strictly above the N >= d floor
+    n = min_pairs_for_budget(0.35, 10, 0.1, 0.0).n_pairs
+    assert n > 10
+    assert bias_for_protocol(n, 10, 0.1, 0.0) <= 0.35
+    assert bias_for_protocol(n - 1, 10, 0.1, 0.0) > 0.35
