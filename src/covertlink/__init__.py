@@ -1,8 +1,9 @@
 """Covert optical communication over a noisy channel: planning and simulation.
 
-The package is organized around one workflow: model the photon-number
-statistics of pulse and background (fock_stats), bound how detectable a
-transmission is (security), predict how reliably it decodes
+The package is organized around one workflow: bound how detectable a
+transmission is from the relative entropy between the idle thermal
+background and the background carrying rare pulses (security, on the
+divergence kernel in fock_stats), predict how reliably it decodes
 (reliability), search for the cheapest parameters meeting both targets
 (planner), lay message bits onto secret time-bin positions (codec), and
 exercise the whole thing, including the adversary, with seeded
@@ -19,6 +20,7 @@ from .codec import (
     decode_bits,
     encode_message,
     majority_decode,
+    vote_counts,
 )
 from .exceptions import (
     CovertLinkError,
@@ -26,14 +28,6 @@ from .exceptions import (
     InfeasibleError,
     ParameterError,
     SecurityCheckError,
-)
-from .fock_stats import (
-    FockDistribution,
-    convolve,
-    mix,
-    poisson_pmf,
-    relative_entropy,
-    thermal_pmf,
 )
 from .planner import (
     PlanRequest,
@@ -56,7 +50,6 @@ from .security import (
     detection_bias_bound,
     min_pairs_for_budget,
     per_mode_relative_entropy,
-    per_mode_states,
 )
 from .simulator import (
     DistinguisherResult,
@@ -79,7 +72,6 @@ __all__ = [
     "CovertLinkError",
     "DistinguisherResult",
     "DivergenceProfile",
-    "FockDistribution",
     "FormatError",
     "InfeasibleError",
     "MonitorTrace",
@@ -93,7 +85,6 @@ __all__ = [
     "bit_error_prob",
     "choose_positions",
     "click_probs",
-    "convolve",
     "decode_bits",
     "detection_bias_bound",
     "encode_message",
@@ -101,18 +92,13 @@ __all__ = [
     "message_error_prob",
     "min_pairs_for_budget",
     "min_repetitions",
-    "mix",
     "per_mode_relative_entropy",
-    "per_mode_states",
     "plan",
     "plan_with_report",
-    "poisson_pmf",
-    "relative_entropy",
     "rescale_plan",
     "run_distinguisher",
     "simulate_monitoring",
     "simulate_transmission",
-    "thermal_pmf",
     "validate_plan",
-    "__version__",
+    "vote_counts",
 ]

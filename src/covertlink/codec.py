@@ -235,45 +235,60 @@ class BitTally:
     correct: bool
 
 
+def vote_counts(plan: PositionPlan, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-message-bit vote counts (zeros, ones) from per-position click outcomes.
+
+    A vote is a click in exactly one bin at a message position; dummy
+    positions, no-click and both-bin outcomes cast none. Each count is
+    one bincount over the message positions, so the tally is O(d').
+    """
+    outcomes = np.asarray(outcomes)
+    if outcomes.shape != (plan.d_prime,):
+        raise ParameterError("outcomes must have one entry per plan position")
+    message = plan.bit_index >= 0
+    bit_index = plan.bit_index[message]
+    outcomes = outcomes[message]
+    zeros = np.bincount(bit_index[outcomes == OUTCOME_ZERO], minlength=plan.b)
+    ones = np.bincount(bit_index[outcomes == OUTCOME_ONE], minlength=plan.b)
+    return zeros, ones
+
+
 def majority_decode(
     plan: PositionPlan, outcomes: np.ndarray
 ) -> tuple[str, tuple[BitTally, ...]]:
     """Majority-vote each message bit from per-position click outcomes.
 
-    Votes are clicks in exactly one bin; no-click and both-bin outcomes
-    are discarded. A tie (including zero votes) decodes to the sentinel
-    value 0 and is flagged, matching the closed-form error convention
-    where ties count as errors.
+    Votes come from vote_counts. A tie (including zero votes) decodes
+    to the sentinel value 0 and is flagged, matching the closed-form
+    error convention where ties count as errors.
 
     Returns:
         (decoded text, per-bit tallies). Correctness in the tallies is
         judged against the bit values recorded in the plan.
     """
-    outcomes = np.asarray(outcomes)
-    if outcomes.shape != (plan.d_prime,):
-        raise ParameterError("outcomes must have one entry per plan position")
+    zeros, ones = vote_counts(plan, outcomes)
     if plan.b % BITS_PER_CHAR != 0:
         raise ParameterError("bit count must be a multiple of 5 to decode text")
-    sent_bits = plan.message_bits()
-    decoded_bits = np.zeros(plan.b, dtype=np.uint8)
-    tallies = []
-    for i in range(plan.b):
-        sel = plan.bit_index == i
-        zeros = int(np.sum(outcomes[sel] == OUTCOME_ZERO))
-        ones = int(np.sum(outcomes[sel] == OUTCOME_ONE))
-        tie = zeros == ones
-        decoded = 0 if tie else int(ones > zeros)
-        decoded_bits[i] = decoded
-        sent = int(sent_bits[i])
-        tallies.append(
-            BitTally(
-                bit_index=i,
-                zero_votes=zeros,
-                one_votes=ones,
-                decoded=decoded,
-                tie=tie,
-                sent=sent,
-                correct=(not tie) and decoded == sent,
-            )
+    ties = zeros == ones
+    # a tie decodes to 0: ones > zeros is False there
+    decoded_bits = (ones > zeros).astype(np.uint8)
+    columns = zip(
+        zeros.tolist(),
+        ones.tolist(),
+        decoded_bits.tolist(),
+        ties.tolist(),
+        plan.message_bits().tolist(),
+    )
+    tallies = tuple(
+        BitTally(
+            bit_index=i,
+            zero_votes=zero_votes,
+            one_votes=one_votes,
+            decoded=decoded,
+            tie=tie,
+            sent=sent,
+            correct=(not tie) and decoded == sent,
         )
-    return decode_bits(decoded_bits), tuple(tallies)
+        for i, (zero_votes, one_votes, decoded, tie, sent) in enumerate(columns)
+    )
+    return decode_bits(decoded_bits), tallies

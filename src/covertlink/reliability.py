@@ -101,8 +101,9 @@ def bit_error_prob(k: int, cp: ClickProbabilities) -> float:
     (ties and i = 0 both count as errors).
 
     Binomial terms come from scipy's regularized-beta implementations,
-    never factorials, and the outer sum is restricted to a 40-sigma
-    window so k up to 1e5 costs a few thousand terms.
+    never factorials, and the outer sum is restricted to a window of
+    +-_WINDOW_SIGMAS (16) standard deviations around k p, at least 30
+    counts wide on each side, so k up to 1e5 costs a few thousand terms.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"k must be an integer >= 1, got {k!r}")

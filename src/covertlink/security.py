@@ -2,10 +2,12 @@
 
 The adversary's advantage over random guessing is bounded by
 sqrt(n_pairs * D / 8), where D is the per-mode relative entropy between
-the channel's idle state and its state during covert transmission. This
-module assembles those two states from protocol parameters, evaluates
-the bound, and inverts it to find the smallest number of time-bin pairs
-meeting a covertness budget.
+the channel's idle thermal state and its state during covert
+transmission, a mixture of the idle state and the pulse on top of it.
+This module builds what D needs for one pulse intensity and background
+(DivergenceProfile, in closed form), evaluates the bound, and inverts
+it to find the smallest number of time-bin pairs meeting a covertness
+budget.
 
 Convention: counts here are time-bin PAIRS; each pair contributes
 BINS_PER_PAIR raw time bins when converted to wall-clock duration.
@@ -20,22 +22,13 @@ import numpy as np
 from scipy import special
 
 from .exceptions import InfeasibleError, ParameterError
-from .fock_stats import (
-    FockDistribution,
-    RelativeEntropy,
-    convolve,
-    mix,
-    mixture_relative_entropy,
-    poisson_pmf,
-    thermal_pmf,
-    thermal_weights,
-)
+from .fock_stats import RelativeEntropy, mixture_relative_entropy, thermal_weights
 
 BINS_PER_PAIR = 2
 
-# States entering the security bound are truncated far below the default
-# tolerance: the bound lives at D ~ 1e-16 and a 1e-15 tail would shift
-# its sixth significant figure.
+# Tail mass at which the thermal background is truncated: the bound
+# lives at D ~ 1e-16, and a 1e-15 tail would shift its sixth
+# significant figure.
 SECURITY_TRUNC_TOL = 1e-30
 
 DEFAULT_PAIR_CEILING = 10**16
@@ -70,8 +63,9 @@ class ModePair:
 class DivergenceProfile:
     """What D(q) = D(rho || (1 - q) rho + q rho_s) needs, for one (mu, n_bar_a).
 
-    rho is thermal(n_bar_a) over its support at trunc_tol; rho_s is
-    Poisson(mu) convolved with the same thermal law. On that support
+    rho is thermal(n_bar_a) over its support at SECURITY_TRUNC_TOL;
+    rho_s is Poisson(mu) convolved with the same thermal law, the pulse
+    riding on the background. On that support
     rho_s(n) / rho(n) = e^-mu sum_{j<=n} a^j / j! with a = mu / r and
     r = n_bar_a / (1 + n_bar_a), so x = rho_s/rho - 1 comes in closed
     form. Built once, the profile evaluates D at any q for the cost of
@@ -96,13 +90,11 @@ class DivergenceProfile:
     uncovered: float
 
     @classmethod
-    def build(
-        cls, mu: float, n_bar_a: float, trunc_tol: float = SECURITY_TRUNC_TOL
-    ) -> "DivergenceProfile":
+    def build(cls, mu: float, n_bar_a: float) -> "DivergenceProfile":
         mu = float(mu)
         if not math.isfinite(mu) or mu < 0.0:
             raise ParameterError(f"mu must be finite and >= 0, got {mu!r}")
-        rho, tail_rho = thermal_weights(n_bar_a, trunc_tol)
+        rho, tail_rho = thermal_weights(n_bar_a, SECURITY_TRUNC_TOL)
         n_max = rho.size - 1
         # x_0 = e^-mu - 1; for n >= 1 the j >= 1 part of the partial
         # exponential sum is added to it, so no term cancels against 1
@@ -159,37 +151,9 @@ def _signal_tail(mu: float, n_bar_a: float, n_max: int) -> float:
     return math.fsum(below) + float(special.gammainc(n_max + 1, mu))
 
 
-def per_mode_states(
-    mu: float,
-    n_bar_a: float,
-    q: float,
-    trunc_tol: float = SECURITY_TRUNC_TOL,
-) -> tuple[FockDistribution, FockDistribution]:
-    """Idle and in-protocol per-mode states seen on the channel.
-
-    Args:
-        mu: mean photon number of the covert pulse.
-        n_bar_a: mean photon number of the background at the sender's output.
-        q: per-pair probability of sending a signal.
-        trunc_tol: truncation tolerance for the underlying distributions.
-
-    Returns:
-        (rho, sigma): rho is the background state; sigma mixes in the
-        signal-plus-background state with weight q.
-    """
-    rho = thermal_pmf(n_bar_a, trunc_tol)
-    rho_s = convolve(poisson_pmf(mu, trunc_tol), thermal_pmf(n_bar_a, trunc_tol))
-    return rho, mix(rho, rho_s, q)
-
-
-def per_mode_relative_entropy(
-    mu: float,
-    n_bar_a: float,
-    q: float,
-    trunc_tol: float = SECURITY_TRUNC_TOL,
-) -> RelativeEntropy:
+def per_mode_relative_entropy(mu: float, n_bar_a: float, q: float) -> RelativeEntropy:
     """D(rho || (1 - q) rho + q rho_s) for one pulse intensity, via its profile."""
-    return DivergenceProfile.build(mu, n_bar_a, trunc_tol).divergence(q)
+    return DivergenceProfile.build(mu, n_bar_a).divergence(q)
 
 
 def detection_bias_bound(n_pairs: int, d_per_mode: float) -> float:

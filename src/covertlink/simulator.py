@@ -27,6 +27,7 @@ from .codec import (
     BitTally,
     PositionPlan,
     majority_decode,
+    vote_counts,
 )
 from .exceptions import ParameterError
 from .planner import ProtocolParams
@@ -37,6 +38,10 @@ from .security import BINS_PER_PAIR, detection_bias_bound, per_mode_relative_ent
 _DOMAIN_TRANSMIT = 0
 _DOMAIN_MONITOR = 1
 _DOMAIN_DISTINGUISH = 2
+
+# each monitoring interval is one seeded draw in a Python loop; the
+# bundled default asks for 20
+MAX_MONITOR_INTERVALS = 10**5
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -170,18 +175,9 @@ def compute_stats(plan: PositionPlan, outcomes: np.ndarray) -> TransmissionStats
     total_votes = int(np.sum(vote))
     wrong_votes = int(np.sum(wrong_vote))
 
-    sent_bits = plan.message_bits()
-    bit_errors = 0
-    vote_count_message = 0
-    for i in range(plan.b):
-        sel = plan.bit_index == i
-        zeros = int(np.sum(is_zero & sel))
-        ones = int(np.sum(is_one & sel))
-        vote_count_message += zeros + ones
-        if zeros == ones:
-            bit_errors += 1
-        elif int(ones > zeros) != int(sent_bits[i]):
-            bit_errors += 1
+    zeros, ones = vote_counts(plan, outcomes)
+    # a tie is an error whatever was sent
+    wrong_bit = (zeros == ones) | ((ones > zeros) != (plan.message_bits() == 1))
     return TransmissionStats(
         signal_bin_click_rate=float(np.mean(signal_bin)),
         noise_bin_click_rate=float(np.mean(noise_bin)),
@@ -189,8 +185,8 @@ def compute_stats(plan: PositionPlan, outcomes: np.ndarray) -> TransmissionStats
         vote_error_rate=(wrong_votes / total_votes) if total_votes else math.nan,
         total_votes=total_votes,
         wrong_votes=wrong_votes,
-        clicks_per_bit=vote_count_message / plan.b,
-        message_bit_error_rate=bit_errors / plan.b,
+        clicks_per_bit=int(np.sum(zeros) + np.sum(ones)) / plan.b,
+        message_bit_error_rate=int(np.sum(wrong_bit)) / plan.b,
     )
 
 
@@ -215,10 +211,22 @@ def simulate_monitoring(
     clicks follow with the idle/signal per-bin probabilities. With
     communicating=False (or q = 0) the signal count is forced to zero
     through the same code path, so equal seeds give equal traces.
+
+    Raises:
+        ParameterError: fewer than 10 or more than MAX_MONITOR_INTERVALS
+            intervals, or an interval shorter than one time-bin pair.
     """
     if interval_s <= 0.0:
         raise ParameterError("interval_s must be > 0")
-    n_intervals = int(duration_s / interval_s)
+    ratio = duration_s / interval_s
+    # int(ratio) > MAX exactly when ratio >= MAX + 1; the float comparison
+    # also rejects an infinite ratio, and nothing is allocated before it
+    if not ratio < MAX_MONITOR_INTERVALS + 1:
+        raise ParameterError(
+            f"monitoring {duration_s:.6g} s in intervals of {interval_s:.6g} s asks "
+            f"for {ratio:.3g} intervals; at most {MAX_MONITOR_INTERVALS} are allowed"
+        )
+    n_intervals = int(ratio)
     if n_intervals < 10:
         raise ParameterError("duration must cover at least 10 intervals")
     pairs = int(round(p.rep_rate_hz * interval_s / BINS_PER_PAIR))

@@ -25,6 +25,19 @@ def poisson_term(n: int, mu) -> "mp.mpf":
     return mp.e ** (-mu) * mu**n / mp.factorial(n)
 
 
+def _convolve(a, b):
+    """Distribution of the sum of two counts, term by term, truncated to len(a)."""
+    return [mp.fsum(a[j] * b[n - j] for j in range(n + 1)) for n in range(len(a))]
+
+
+def pulse_on_background_highprec(mu, n_bar, n_terms: int, dps: int = 50):
+    """rho_S(n), n < n_terms: Poisson(mu) convolved with thermal(n_bar)."""
+    with mp.workdps(dps):
+        rho = [thermal_term(n, n_bar) for n in range(n_terms)]
+        pois = [poisson_term(n, mu) for n in range(n_terms)]
+        return _convolve(pois, rho)
+
+
 def kl_divergence_highprec(mu, n_bar, q, n_terms: int = 400, dps: int = 80):
     """Brute-force KL divergence D(rho || (1-q) rho + q rho_S) in nats.
 
@@ -35,9 +48,7 @@ def kl_divergence_highprec(mu, n_bar, q, n_terms: int = 400, dps: int = 80):
         q = mp.mpf(q)
         rho = [thermal_term(n, n_bar) for n in range(n_terms)]
         pois = [poisson_term(n, mu) for n in range(n_terms)]
-        rho_s = [
-            mp.fsum(pois[j] * rho[n - j] for j in range(n + 1)) for n in range(n_terms)
-        ]
+        rho_s = _convolve(pois, rho)
         total = mp.mpf(0)
         for n in range(n_terms):
             sigma = (1 - q) * rho[n] + q * rho_s[n]
@@ -50,9 +61,7 @@ def chi_square_highprec(mu, n_bar, n_terms: int = 400, dps: int = 80):
     with mp.workdps(dps):
         rho = [thermal_term(n, n_bar) for n in range(n_terms)]
         pois = [poisson_term(n, mu) for n in range(n_terms)]
-        rho_s = [
-            mp.fsum(pois[j] * rho[n - j] for j in range(n + 1)) for n in range(n_terms)
-        ]
+        rho_s = _convolve(pois, rho)
         return mp.fsum(rho_s[n] ** 2 / rho[n] for n in range(n_terms)) - 1
 
 

@@ -2,6 +2,7 @@
 and byte-level reproducibility."""
 
 import json
+import time
 from importlib.resources import files
 
 import pytest
@@ -205,6 +206,19 @@ def test_vacuum_background_is_infeasible_with_reason(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "vacuum background (n_bar_a = 0)" in err
     assert "no square-root law holds" in err
+
+
+def test_eavesdrop_tiny_monitor_interval_is_config_error(tmp_path, capsys):
+    # far more monitoring intervals than the cap: refused before any is allocated
+    cfg = tmp_path / "tiny.yaml"
+    cfg.write_text(FAST_CONFIG + "monitor_interval_s: 1.0e-9\n")
+    start = time.perf_counter()
+    rc = main(
+        ["eavesdrop", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "1"]
+    )
+    assert rc == EXIT_CONFIG
+    assert time.perf_counter() - start < 60.0
+    assert "intervals; at most 100000 are allowed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

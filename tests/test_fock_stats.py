@@ -1,5 +1,6 @@
-"""Closed-form spot checks, algebraic identities, and frozen
-extended-precision cross-checks for the photon-number statistics."""
+"""Closed-form spot checks and frozen extended-precision cross-checks for
+the thermal background, the pulse riding on it (as held by
+security.DivergenceProfile), and the divergence kernel."""
 
 import math
 
@@ -8,19 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from covertlink.exceptions import ParameterError
-from covertlink.fock_stats import (
-    FockDistribution,
-    convolve,
-    _log1p_gap,
-    mix,
-    poisson_pmf,
-    relative_entropy,
-    thermal_pmf,
+from covertlink.fock_stats import _log1p_gap, mixture_relative_entropy, thermal_weights
+from covertlink.security import (
+    SECURITY_TRUNC_TOL,
+    DivergenceProfile,
+    per_mode_relative_entropy,
 )
-from covertlink.security import per_mode_relative_entropy, per_mode_states
 
+import oracles
 import reference_scenarios as ref
 
 CQTUSTC = ref.FIBER_BY_NAME["CQTUSTC"]
@@ -29,128 +28,152 @@ means = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
 positive_means = st.floats(min_value=1e-6, max_value=5.0, allow_nan=False)
 
 
+def pulse(profile: DivergenceProfile) -> np.ndarray:
+    """The pulse-on-background law rho_s over the profile's support."""
+    return profile.rho * (1.0 + profile.x)
+
+
 def test_thermal_vacuum():
-    d = thermal_pmf(0.0)
-    assert d.pmf.tolist() == [1.0]
-    assert d.tail_mass == 0.0
+    pmf, tail = thermal_weights(0.0, 1e-15)
+    assert pmf.tolist() == [1.0]
+    assert tail == 0.0
 
 
 def test_thermal_zero_term_at_reference_noise():
-    d = thermal_pmf(CQTUSTC.n_bar_a)
-    assert d.prob(0) == pytest.approx(1.0 / (1.0 + 2.30e-3), rel=1e-15)
+    pmf, _ = thermal_weights(CQTUSTC.n_bar_a, 1e-15)
+    assert pmf[0] == pytest.approx(1.0 / (1.0 + 2.30e-3), rel=1e-15)
 
 
 def test_thermal_mean_one_is_halving():
-    d = thermal_pmf(1.0, trunc_tol=1e-12)
+    pmf, _ = thermal_weights(1.0, 1e-12)
     for n in range(21):
-        assert d.prob(n) == pytest.approx(2.0 ** -(n + 1), rel=1e-13)
+        assert pmf[n] == pytest.approx(2.0 ** -(n + 1), rel=1e-13)
 
 
 def test_thermal_cutoff_is_smallest():
     # n_bar = 1: tail after n_max is 0.5^(n_max+1); smallest n_max with
     # tail <= 1e-6 is 19
-    d = thermal_pmf(1.0, trunc_tol=1e-6)
-    assert d.n_max == 19
-    assert d.tail_mass == pytest.approx(0.5**20, rel=1e-12)
+    pmf, tail = thermal_weights(1.0, 1e-6)
+    assert pmf.size - 1 == 19
+    assert tail == pytest.approx(0.5**20, rel=1e-12)
 
 
 def test_thermal_rejects_bad_inputs():
     with pytest.raises(ParameterError):
-        thermal_pmf(-1e-9)
+        thermal_weights(-1e-9, 1e-15)
     with pytest.raises(ParameterError):
-        thermal_pmf(0.1, trunc_tol=0.0)
+        thermal_weights(0.1, 0.0)
     with pytest.raises(ParameterError):
-        thermal_pmf(0.1, trunc_tol=1.0)
+        thermal_weights(0.1, 1.0)
 
 
 def test_poisson_vacuum():
-    d = poisson_pmf(0.0)
-    assert d.pmf.tolist() == [1.0]
-    assert d.tail_mass == 0.0
+    # a pulse of mean zero leaves the background as it is
+    profile = DivergenceProfile.build(0.0, 0.3)
+    assert profile.x.tolist() == [0.0] * profile.x.size
+    assert profile.tail_s == pytest.approx(profile.tail_rho, rel=1e-12)
+    assert profile.chi2 == 0.0
 
 
 def test_poisson_reference_terms():
-    d = poisson_pmf(CQTUSTC.mu)
-    assert d.prob(0) == pytest.approx(math.exp(-3.52e-2), rel=1e-14)
-    assert d.prob(1) == pytest.approx(3.52e-2 * math.exp(-3.52e-2), rel=1e-14)
+    # rho_s(0) = e^-mu rho(0) and rho_s(1) = e^-mu (rho(1) + mu rho(0))
+    profile = DivergenceProfile.build(CQTUSTC.mu, CQTUSTC.n_bar_a)
+    rho, rho_s = profile.rho, pulse(profile)
+    assert rho_s[0] / rho[0] == pytest.approx(math.exp(-3.52e-2), rel=1e-14)
+    poisson_one = (rho_s[1] - math.exp(-3.52e-2) * rho[1]) / rho[0]
+    assert poisson_one == pytest.approx(3.52e-2 * math.exp(-3.52e-2), rel=1e-12)
 
 
 def test_poisson_mean_one_cumulative_sum():
-    d = poisson_pmf(1.0, trunc_tol=1e-30)
-    assert d.n_max >= 25
-    assert math.fsum(d.pmf[:30]) == pytest.approx(1.0, abs=1e-12)
+    profile = DivergenceProfile.build(1.0, 0.5)
+    assert profile.rho.size >= 25
+    assert math.fsum(pulse(profile)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_poisson_rejects_negative_mean():
-    with pytest.raises(ParameterError):
-        poisson_pmf(-0.5)
+    for mu in (-0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            DivergenceProfile.build(mu, 0.1)
 
 
 def test_convolve_with_vacuum_is_identity():
-    for x in (thermal_pmf(0.7), poisson_pmf(0.3)):
-        out = convolve(x, poisson_pmf(0.0))
-        np.testing.assert_array_equal(out.pmf, x.pmf)
-        assert out.tail_mass <= x.tail_mass + 1e-18
-
-
-def test_convolve_poisson_additivity():
-    out = convolve(poisson_pmf(0.5, 1e-15), poisson_pmf(0.5, 1e-15))
-    direct = poisson_pmf(1.0, 1e-15)
-    n = min(out.pmf.size, direct.pmf.size)
-    np.testing.assert_allclose(out.pmf[:n], direct.pmf[:n], rtol=0, atol=1e-12)
+    # on a vacuum background the pulse is Poisson alone: rho = [1], and
+    # all its mass beyond n = 0 is uncovered
+    profile = DivergenceProfile.build(0.3, 0.0)
+    assert profile.rho.tolist() == [1.0]
+    assert profile.tail_rho == 0.0
+    assert pulse(profile)[0] == pytest.approx(math.exp(-0.3), rel=1e-15)
+    assert profile.tail_s == pytest.approx(-math.expm1(-0.3), rel=1e-14)
+    assert profile.uncovered == pytest.approx(-math.expm1(-0.3), rel=1e-15)
 
 
 def test_convolve_zero_term_reference():
-    out = convolve(poisson_pmf(CQTUSTC.mu), thermal_pmf(CQTUSTC.n_bar_a))
-    assert out.prob(0) == pytest.approx(math.exp(-3.52e-2) / 1.0023, rel=1e-13)
+    profile = DivergenceProfile.build(CQTUSTC.mu, CQTUSTC.n_bar_a)
+    assert pulse(profile)[0] == pytest.approx(math.exp(-3.52e-2) / 1.0023, rel=1e-13)
 
 
 @given(positive_means, positive_means)
 def test_convolve_tail_bound(m1, m2):
-    a, b = poisson_pmf(m1, 1e-9), thermal_pmf(m2, 1e-9)
-    out = convolve(a, b)
-    assert out.tail_mass <= a.tail_mass + b.tail_mass + 1e-18
+    # P(X + Y > n_max) = sum_j P(X = j) r^(n_max + 1 - j) + P(X > n_max)
+    # for X ~ Poisson(m1), Y ~ thermal(m2) with ratio r; the sum lies
+    # between its j = 0 term and r^(n_max + 1) E[r^-X] = tail_rho e^(m1/m2)
+    profile = DivergenceProfile.build(m1, m2)
+    n_max = profile.rho.size - 1
+    poisson_tail = float(stats.poisson.sf(n_max, m1))
+    with np.errstate(over="ignore"):
+        generating = profile.tail_rho * float(np.exp(m1 / m2))
+    lower = math.exp(-m1) * profile.tail_rho + poisson_tail
+    assert profile.tail_s >= lower * (1.0 - 1e-12)
+    assert profile.tail_s <= (generating + poisson_tail) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("mu, n_bar", [(CQTUSTC.mu, CQTUSTC.n_bar_a), (0.266, 0.60)])
+def test_pulse_on_background_matches_oracle_convolution(mu, n_bar):
+    profile = DivergenceProfile.build(mu, n_bar)
+    exact = oracles.pulse_on_background_highprec(mu, n_bar, profile.rho.size)
+    for n, value in enumerate(pulse(profile)):
+        assert value == pytest.approx(float(exact[n]), rel=1e-13), n
 
 
 def test_mix_endpoints_exact():
-    rho = thermal_pmf(0.002)
-    rho_s = convolve(poisson_pmf(0.03), rho)
-    assert mix(rho, rho_s, 0.0) is rho
-    assert mix(rho, rho_s, 1.0) is rho_s
-
-
-def test_mix_symmetric_two_point():
-    zero = FockDistribution(np.array([1.0, 0.0]), 0.0)
-    one = FockDistribution(np.array([0.0, 1.0]), 0.0)
-    assert mix(zero, one, 0.5).pmf.tolist() == [0.5, 0.5]
+    profile = DivergenceProfile.build(0.266, 0.60)
+    assert profile.divergence(0.0) == 0.0
+    # q = 1 is D(rho || rho_s) itself
+    full = profile.divergence(1.0)
+    exact = oracles.kl_divergence_highprec(0.266, 0.60, 1.0, n_terms=200, dps=40)
+    assert full == pytest.approx(float(exact), rel=1e-13)
 
 
 def test_mix_rejects_bad_weight():
-    rho = thermal_pmf(0.1)
+    profile = DivergenceProfile.build(0.03, 0.1)
     for q in (-0.1, 1.1, math.nan):
         with pytest.raises(ParameterError):
-            mix(rho, rho, q)
+            profile.divergence(q)
 
 
 def test_relative_entropy_self_is_zero():
-    for x in (thermal_pmf(0.4), poisson_pmf(1.3)):
-        assert relative_entropy(x, x) == 0.0
-    rho = thermal_pmf(0.002)
-    rho_s = convolve(poisson_pmf(0.03), rho)
-    assert relative_entropy(rho, mix(rho, rho_s, 0.0)) == 0.0
+    rho, tail = thermal_weights(0.4, 1e-15)
+    for q in (0.0, 1e-8, 0.5, 1.0):
+        assert mixture_relative_entropy(rho, np.zeros(rho.size), q, tail, tail) == 0.0
+    profile = DivergenceProfile.build(0.03, 0.002)
+    assert profile.divergence(0.0) == 0.0
 
 
 def test_relative_entropy_two_point_closed_form():
-    a = FockDistribution(np.array([0.9, 0.1]), 0.0)
-    b = FockDistribution(np.array([0.8, 0.2]), 0.0)
+    # rho = (0.9, 0.1) against (0.8, 0.2), the q = 1/2 mix with (0.7, 0.3)
+    rho = np.array([0.9, 0.1])
+    x = np.array([0.7, 0.3]) / rho - 1.0
     expected = 0.9 * math.log(0.9 / 0.8) + 0.1 * math.log(0.1 / 0.2)
-    assert relative_entropy(a, b) == pytest.approx(expected, rel=1e-14)
+    d = mixture_relative_entropy(rho, x, 0.5, 0.0, 0.0)
+    assert d == pytest.approx(expected, rel=1e-14)
 
 
 def test_relative_entropy_infinite_off_support():
-    a = FockDistribution(np.array([0.5, 0.5]), 0.0)
-    b = FockDistribution(np.array([1.0]), 0.0)
-    assert math.isinf(relative_entropy(a, b))
+    # at q = 1, background mass where the pulse has none makes D infinite
+    rho = np.array([0.5, 0.5])
+    x = np.array([1.0, -1.0])
+    with np.errstate(divide="ignore"):
+        assert math.isinf(mixture_relative_entropy(rho, x, 1.0, 0.0, 0.0))
 
 
 def test_relative_entropy_reference_point_vs_frozen_oracle():
@@ -164,13 +187,14 @@ def test_relative_entropy_reference_point_vs_frozen_oracle():
 def test_relative_entropy_stable_where_naive_fails():
     q = 1e-8
     frozen = 2.9690252193915015e-17  # kl_divergence_highprec, 80 digits
-    d = per_mode_relative_entropy(CQTUSTC.mu, CQTUSTC.n_bar_a, q)
+    profile = DivergenceProfile.build(CQTUSTC.mu, CQTUSTC.n_bar_a)
+    d = profile.divergence(q)
     assert abs(d - frozen) / frozen < 1e-6
 
     # same truncated states, log-of-ratio form: cancellation destroys it
-    rho, sigma = per_mode_states(CQTUSTC.mu, CQTUSTC.n_bar_a, q)
-    n = rho.pmf.size
-    naive = math.fsum(rho.pmf * (np.log(rho.pmf) - np.log(sigma.pmf[:n])))
+    rho = profile.rho
+    sigma = (1.0 - q) * rho + q * pulse(profile)
+    naive = math.fsum(rho * (np.log(rho) - np.log(sigma)))
     assert abs(naive - frozen) / frozen > 1e-3
 
 
@@ -185,13 +209,20 @@ def test_log1p_gap_accurate_on_both_sides_of_series_cutoff():
 
 
 def test_mixture_branch_agrees_with_profile():
-    # relative_entropy on mixed FockDistributions and the security profile
-    # share one term kernel; only their pmf roundings differ
+    # the kernel fed states built the obvious way (scipy Poisson pmf,
+    # numpy convolution, the pulse tail summed past the support) agrees
+    # with the profile's closed form
     q = CQTUSTC.q
-    rho, sigma = per_mode_states(CQTUSTC.mu, CQTUSTC.n_bar_a, q)
-    d_mix = relative_entropy(rho, sigma)
+    rho, tail_rho = thermal_weights(CQTUSTC.n_bar_a, SECURITY_TRUNC_TOL)
+    n = np.arange(4 * rho.size + 40)
+    thermal = np.exp(n * math.log(CQTUSTC.n_bar_a / (1.0 + CQTUSTC.n_bar_a)))
+    thermal /= 1.0 + CQTUSTC.n_bar_a
+    rho_s = np.convolve(stats.poisson.pmf(n, CQTUSTC.mu), thermal)[: n.size]
+    tail_s = math.fsum(rho_s[rho.size :])
+    x = rho_s[: rho.size] / rho - 1.0
+    d_kernel = mixture_relative_entropy(rho, x, q, tail_rho, tail_s)
     d_profile = per_mode_relative_entropy(CQTUSTC.mu, CQTUSTC.n_bar_a, q)
-    assert d_mix == pytest.approx(d_profile, rel=1e-12)
+    assert d_kernel == pytest.approx(d_profile, rel=1e-12)
     assert d_profile == pytest.approx(ref.KL_PER_MODE_NATS["CQTUSTC"], rel=1e-13)
 
 
@@ -214,44 +245,31 @@ def test_divergence_monotone_in_mixing_weight():
 
 @given(means, st.sampled_from([1e-9, 1e-12, 1e-15]))
 def test_normalization_thermal(n_bar, tol):
-    d = thermal_pmf(n_bar, tol)
-    assert math.fsum(d.pmf) + d.tail_mass == pytest.approx(1.0, abs=1e-12)
+    pmf, tail = thermal_weights(n_bar, tol)
+    assert math.fsum(pmf) + tail == pytest.approx(1.0, abs=1e-12)
 
 
-@given(means, st.sampled_from([1e-9, 1e-12, 1e-15]))
-def test_normalization_poisson(mu, tol):
-    d = poisson_pmf(mu, tol)
-    assert math.fsum(d.pmf) + d.tail_mass == pytest.approx(1.0, abs=1e-12)
+@given(means, positive_means)
+def test_normalization_poisson(mu, n_bar):
+    profile = DivergenceProfile.build(mu, n_bar)
+    assert math.fsum(pulse(profile)) + profile.tail_s == pytest.approx(1.0, abs=1e-12)
 
 
 @given(positive_means, positive_means)
 def test_normalization_convolution(m1, m2):
-    d = convolve(poisson_pmf(m1), thermal_pmf(m2))
-    assert math.fsum(d.pmf) + d.tail_mass == pytest.approx(1.0, abs=1e-12)
+    # the closed-form pulse is the convolution of Poisson(m1) and thermal(m2)
+    profile = DivergenceProfile.build(m1, m2)
+    rho = profile.rho
+    direct = np.convolve(stats.poisson.pmf(np.arange(rho.size), m1), rho)[: rho.size]
+    np.testing.assert_allclose(pulse(profile), direct, rtol=0, atol=1e-12)
 
 
 @given(positive_means, positive_means, st.floats(min_value=0.0, max_value=1.0))
 def test_gibbs_nonnegative(m1, m2, q):
-    rho = thermal_pmf(m1)
-    sigma = mix(rho, poisson_pmf(m2), q)
-    assert relative_entropy(rho, sigma) >= 0.0
+    assert DivergenceProfile.build(m2, m1).divergence(q) >= 0.0
 
 
 def test_gibbs_positive_for_distinct_states():
-    assert relative_entropy(thermal_pmf(0.5), poisson_pmf(0.5)) > 0.0
-
-
-@given(positive_means, positive_means)
-def test_convolution_commutative(m1, m2):
-    a, b = poisson_pmf(m1), thermal_pmf(m2)
-    ab, ba = convolve(a, b), convolve(b, a)
-    np.testing.assert_allclose(ab.pmf, ba.pmf, rtol=0, atol=1e-12)
-
-
-@given(positive_means, positive_means, positive_means)
-def test_convolution_associative(m1, m2, m3):
-    a, b, c = poisson_pmf(m1), thermal_pmf(m2), poisson_pmf(m3)
-    left = convolve(convolve(a, b), c)
-    right = convolve(a, convolve(b, c))
-    n = min(left.pmf.size, right.pmf.size)
-    np.testing.assert_allclose(left.pmf[:n], right.pmf[:n], rtol=0, atol=1e-12)
+    profile = DivergenceProfile.build(0.5, 0.5)
+    assert profile.divergence(1.0) > 0.0
+    assert profile.divergence(1e-8) > 0.0

@@ -7,7 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from covertlink.codec import SharedRandomness, choose_positions, encode_message
+from covertlink.codec import (
+    OUTCOME_BOTH,
+    OUTCOME_NONE,
+    OUTCOME_ONE,
+    OUTCOME_ZERO,
+    SharedRandomness,
+    choose_positions,
+    encode_message,
+    majority_decode,
+    vote_counts,
+)
 from covertlink.exceptions import ParameterError
 from covertlink.planner import ProtocolParams
 from covertlink.reliability import (
@@ -18,6 +28,7 @@ from covertlink.reliability import (
 )
 from covertlink.security import BINS_PER_PAIR, bias_for_protocol
 from covertlink.simulator import (
+    MAX_MONITOR_INTERVALS,
     MonitorTrace,
     adversary_click_probs,
     compute_stats,
@@ -145,6 +156,61 @@ def test_stats_recomputable_from_outcomes(stats_setup):
     assert compute_stats(plan, tr.outcomes) == tr.stats
 
 
+def reference_tally(plan, outcomes):
+    """Per-bit (zeros, ones, decoded, tie, sent, correct), one mask per bit."""
+    rows = []
+    for i in range(plan.b):
+        sel = plan.bit_index == i
+        zeros = int(np.sum(outcomes[sel] == OUTCOME_ZERO))
+        ones = int(np.sum(outcomes[sel] == OUTCOME_ONE))
+        tie = zeros == ones
+        decoded = 0 if tie else int(ones > zeros)
+        sent = int(plan.bit_value[sel][0])
+        rows.append((zeros, ones, decoded, tie, sent, (not tie) and decoded == sent))
+    return rows
+
+
+def test_one_tally_feeds_decoding_and_stats():
+    plan = choose_positions(
+        SharedRandomness(seed=31), 200_000, 2e-3, encode_message("OK")
+    )
+    dummies = plan.bit_index < 0
+    assert np.any(dummies)
+    rng = np.random.default_rng(5)
+    outcomes = rng.integers(0, 4, size=plan.d_prime).astype(np.uint8)
+    # bit 0 gets no votes at all, bit 1 a tie between votes
+    first = np.flatnonzero(plan.bit_index == 0)
+    second = np.flatnonzero(plan.bit_index == 1)
+    outcomes[first] = np.where(np.arange(first.size) % 2, OUTCOME_NONE, OUTCOME_BOTH)
+    outcomes[second] = np.where(np.arange(second.size) % 2, OUTCOME_ZERO, OUTCOME_ONE)
+    message = outcomes[~dummies]
+    for kind in (OUTCOME_NONE, OUTCOME_ZERO, OUTCOME_ONE, OUTCOME_BOTH):
+        assert np.any(message == kind)
+
+    expected = reference_tally(plan, outcomes)
+    votes = sum(row[0] + row[1] for row in expected)
+    errors = sum(not row[5] for row in expected)
+    assert expected[0][3] and expected[1][3]
+    for dummy_outcome in (None, OUTCOME_ZERO, OUTCOME_ONE, OUTCOME_BOTH):
+        clicked = outcomes.copy()
+        if dummy_outcome is not None:
+            clicked[dummies] = dummy_outcome
+        zero_votes, one_votes = vote_counts(plan, clicked)
+        assert zero_votes.tolist() == [row[0] for row in expected]
+        assert one_votes.tolist() == [row[1] for row in expected]
+        _, tallies = majority_decode(plan, clicked)
+        got = [
+            (t.zero_votes, t.one_votes, t.decoded, t.tie, t.sent, t.correct)
+            for t in tallies
+        ]
+        assert got == expected
+        assert [t.bit_index for t in tallies] == list(range(plan.b))
+        assert all(type(t.tie) is bool and type(t.correct) is bool for t in tallies)
+        stats = compute_stats(plan, clicked)
+        assert stats.clicks_per_bit == votes / plan.b
+        assert stats.message_bit_error_rate == errors / plan.b
+
+
 def test_adversary_click_probs_closed_form():
     ch = ChannelModel(tau=0.18, n_bar_a=0.05, n_bar_b=0.1)
     p = make_params(5, 10, 10_000, 0.3, ch, 1e6)
@@ -202,6 +268,18 @@ def test_monitoring_validation():
         simulate_monitoring(slow, True, 0.1, 1e-3, rng_seed=1)  # < 1 pair
     with pytest.raises(ParameterError):
         MonitorTrace(1.0, np.array([3, -1]), True, 10)
+
+
+def test_monitoring_rejects_too_many_intervals():
+    p = make_params(35, 1961, 68_635_000, CQTUSTC.mu, CQ_CHANNEL, 5e8)
+    cases = [
+        (2 * MAX_MONITOR_INTERVALS * 1e-6, 1e-6),  # twice the cap
+        (1.0, 1e-300),  # 1e300 intervals
+        (1e10, 5e-324),  # a ratio that overflows to inf
+    ]
+    for duration, interval in cases:
+        with pytest.raises(ParameterError, match="intervals; at most 100000"):
+            simulate_monitoring(p, True, duration, interval, rng_seed=1)
 
 
 def test_monitoring_honest_shift_is_buried_in_noise():
