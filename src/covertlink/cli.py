@@ -23,6 +23,7 @@ from .exceptions import FormatError, InfeasibleError, ParameterError
 from .planner import PlanRequest, ProtocolParams, plan_with_report, validate_plan
 from .reliability import ChannelModel
 from .simulator import (
+    monitor_interval_count,
     predicted_vote_error_rate,
     rescale_plan,
     run_distinguisher,
@@ -296,6 +297,9 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
 def cmd_eavesdrop(cfg: dict, out_dir: Path) -> int:
     """Simulate the adversary: monitoring traces plus best-detector error."""
     seed = _require_seed(cfg)
+    if "monitor_duration_s" in cfg and "monitor_interval_s" in cfg:
+        # both come from the config: refuse a bad interval count before planning
+        monitor_interval_count(cfg["monitor_duration_s"], cfg["monitor_interval_s"])
     params, _, _ = _planned_params(cfg)
     duration = cfg.get(
         "monitor_duration_s",

@@ -3,8 +3,8 @@
 For each candidate pulse intensity mu, the planner derives the smallest
 repetition count meeting the message-error target, the resulting signal
 count d, and then the smallest pair count N meeting the covertness
-budget. Each repetition search starts from the k already found at the
-nearest dimmer pulse, since a brighter pulse never needs more. The
+budget. Each mu is evaluated on its own, as a pure function of the
+request; nothing found at one mu is carried to the next. The
 returned plan is the grid point minimizing N (equivalently the total
 number of time bins, and hence the running time at a fixed repetition
 rate), refined once by golden-section search around the best grid
@@ -27,12 +27,7 @@ from .reliability import (
     message_error_prob,
     min_repetitions,
 )
-from .security import (
-    BINS_PER_PAIR,
-    detection_bias_bound,
-    min_pairs_for_budget,
-    per_mode_relative_entropy,
-)
+from .security import BINS_PER_PAIR, bias_for_protocol, min_pairs_for_budget
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -170,25 +165,13 @@ class PlanReport:
         return all(c.passed for c in self.checks)
 
 
-def _dimmer_k(known_k: dict[float, int], mu: float) -> int | None:
-    """k found at the nearest evaluated mu not above this one, if any.
-
-    A brighter pulse on the same channel never needs more repetitions,
-    so this bounds the answer at mu from above; min_repetitions verifies
-    the bound before it relies on it.
-    """
-    dimmer = [m for m in known_k if m <= mu]
-    return known_k[max(dimmer)] if dimmer else None
-
-
-def _evaluate_mu(mu: float, req: PlanRequest, known_k: dict[float, int]) -> GridPoint:
-    """Evaluate one pulse intensity; known_k collects every k found, by mu."""
+def _evaluate_mu(mu: float, req: PlanRequest) -> GridPoint:
+    """Evaluate one pulse intensity."""
     cp = click_probs(mu, req.channel)
     try:
-        k = min_repetitions(req.target_e, req.b, cp, _dimmer_k(known_k, mu))
+        k = min_repetitions(req.target_e, req.b, cp)
     except InfeasibleError as exc:
         return GridPoint(mu=mu, feasible=False, reason=f"reliability: {exc}")
-    known_k[mu] = int(k)
     d = k * req.b
     try:
         pair = min_pairs_for_budget(req.epsilon, d, mu, req.channel.n_bar_a)
@@ -212,12 +195,7 @@ def _better(a: GridPoint, b: GridPoint | None) -> bool:
     return (a.n_pairs, a.mu) < (b.n_pairs, b.mu)
 
 
-def _dimmest_within(
-    floor: GridPoint,
-    points: list[GridPoint],
-    req: PlanRequest,
-    known_k: dict[float, int],
-) -> GridPoint:
+def _dimmest_within(floor: GridPoint, points: list[GridPoint], req: PlanRequest) -> GridPoint:
     """Smallest-mu point whose pair count is within the flatness tolerance.
 
     Starts from the leftmost already-evaluated point under the budget,
@@ -237,7 +215,7 @@ def _dimmest_within(
         if (hi - lo) <= 1e-4 * hi:
             break
         mid = math.sqrt(lo * hi)
-        p = _evaluate_mu(mid, req, known_k)
+        p = _evaluate_mu(mid, req)
         points.append(p)
         if p.feasible and p.n_pairs <= budget:
             chosen, hi = p, mid
@@ -269,8 +247,7 @@ def plan(req: PlanRequest) -> ProtocolParams:
 
 def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint, ...]]:
     grid = np.sort(req.mu_grid)
-    known_k: dict[float, int] = {}
-    points = [_evaluate_mu(float(mu), req, known_k) for mu in grid]
+    points = [_evaluate_mu(float(mu), req) for mu in grid]
     feasible = [p for p in points if p.feasible]
     if not feasible:
         # reasons embed point-specific numbers: group them by failure
@@ -298,7 +275,7 @@ def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint,
         a, b_ = lo, hi
         x1 = b_ - GOLDEN * (b_ - a)
         x2 = a + GOLDEN * (b_ - a)
-        p1, p2 = _evaluate_mu(x1, req, known_k), _evaluate_mu(x2, req, known_k)
+        p1, p2 = _evaluate_mu(x1, req), _evaluate_mu(x2, req)
         points.extend((p1, p2))
         for _ in range(40):
             f1 = p1.n_pairs if p1.feasible else math.inf
@@ -306,12 +283,12 @@ def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint,
             if (f1, x1) <= (f2, x2):
                 b_, x2, p2 = x2, x1, p1
                 x1 = b_ - GOLDEN * (b_ - a)
-                p1 = _evaluate_mu(x1, req, known_k)
+                p1 = _evaluate_mu(x1, req)
                 points.append(p1)
             else:
                 a, x1, p1 = x1, x2, p2
                 x2 = a + GOLDEN * (b_ - a)
-                p2 = _evaluate_mu(x2, req, known_k)
+                p2 = _evaluate_mu(x2, req)
                 points.append(p2)
             if (b_ - a) <= 1e-4 * b_:
                 break
@@ -320,7 +297,7 @@ def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint,
                 best = p
 
     if req.flatness_tolerance > 0.0:
-        best = _dimmest_within(best, points, req, known_k)
+        best = _dimmest_within(best, points, req)
 
     n = best.n_pairs
     params = ProtocolParams(
@@ -353,9 +330,7 @@ def validate_plan(p: ProtocolParams, req: PlanRequest) -> PlanReport:
         cp = click_probs(p.mu, req.channel)
         pred_e = message_error_prob(bit_error_prob(p.k, cp), p.b)
         q = p.d / p.n_pairs
-        pred_eps = detection_bias_bound(
-            p.n_pairs, per_mode_relative_entropy(p.mu, req.channel.n_bar_a, q)
-        )
+        pred_eps = bias_for_protocol(p.n_pairs, p.d, p.mu, req.channel.n_bar_a)
         checks.append(CheckResult("detection_bias", pred_eps <= req.epsilon, pred_eps, req.epsilon))
         checks.append(CheckResult("message_error", pred_e <= req.target_e, pred_e, req.target_e))
         checks.append(CheckResult("d_equals_k_times_b", p.d == p.k * p.b, p.d, p.k * p.b))

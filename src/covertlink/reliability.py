@@ -141,7 +141,7 @@ def message_error_prob(delta: float, b: int) -> float:
 
 
 def _estimate_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
-    """Normal-approximation guess for the needed k; only seeds the bracket.
+    """Normal-approximation guess for the needed k; only seeds the search.
 
     One repetition moves the vote tally by +1 with probability p_correct,
     -1 with p_wrong, 0 otherwise, so the tally is approximately normal
@@ -194,31 +194,26 @@ class _Probe:
         return Repetitions(k, self.bit_errors[k])
 
 
-def min_repetitions(
-    target_e: float,
-    b: int,
-    cp: ClickProbabilities,
-    k_hint: int | None = None,
-) -> Repetitions:
+def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> Repetitions:
     """Smallest repetition count k meeting the message-error target.
 
     Majority voting converges only when a click is more likely correct
     than wrong (p_good_given_click > 1/2); otherwise the target is
-    unreachable and InfeasibleError is raised.
+    unreachable and InfeasibleError is raised, as it is when the
+    normal-approximation guess exceeds 4 * MAX_REPETITIONS or k =
+    MAX_REPETITIONS itself fails.
 
-    k_hint is an optional upper bound on the answer, such as the k found
-    for a dimmer pulse on the same channel (a brighter pulse never needs
-    more repetitions). The hint is tested first; if it meets the target,
-    regula falsi on the log message error, between the hint and a
-    failing k, closes in on the threshold in a few probes (the log error
-    is nearly linear in k). If the hint fails the target, or the warm
-    search runs past the probe count of a cold search, the cold search
-    runs: exponential bracketing from a normal-approximation guess plus
-    binary search. Both end with the same walk: because an even k can
-    decode slightly worse than k - 1 (ties lose), the candidate is walked
-    downward checking both k - 1 and k - 2, which covers the parity
-    sawtooth riding the decreasing envelope. So both return the smallest
-    passing k as long as odd and even k each decode better as k grows.
+    One search on f(k) = log(message error / target), which is nearly
+    linear in k: starting from the normal-approximation guess, failing
+    points step upward along the slope of the Chernoff exponent,
+    log error ~ -k I - log(k) / 2 with I = -log(1 - p + 2 sqrt(p_correct
+    p_wrong)), until a passing k is found; Illinois regula falsi then
+    closes the bracket to an adjacent (failing, passing) pair. Because an
+    even k can decode slightly worse than k - 1 (ties lose), the passing
+    end is finally walked downward checking both k - 1 and k - 2, which
+    covers the parity sawtooth riding the decreasing envelope. So the
+    smallest passing k is returned as long as odd and even k each decode
+    better as k grows.
 
     Returns:
         Repetitions (an int subclass) carrying the bit error at k.
@@ -234,13 +229,44 @@ def min_repetitions(
             "likely than wrong ones"
         )
     probe = _Probe(target_e, b, cp)
-    k = None
-    if k_hint is not None and 1 <= k_hint <= MAX_REPETITIONS and not probe.fails(k_hint):
-        k = _warm_threshold(probe, int(k_hint))
-    if k is None:
-        if not probe.fails(1):
-            return probe.answer(1)
-        k = _cold_threshold(probe)
+    if not probe.fails(1):
+        return probe.answer(1)
+    guess = _estimate_repetitions(target_e, b, cp)
+    if guess >= 4 * MAX_REPETITIONS:
+        # the normal approximation is reliable to a few percent at this
+        # scale, so a 4x margin over the cap cannot misclassify
+        raise InfeasibleError(
+            f"estimated repetitions {guess:.1e} exceed the cap {MAX_REPETITIONS:.1e}"
+        )
+    rate = -math.log(max(1.0 - p + 2.0 * math.sqrt(cp.p_correct * cp.p_wrong), 1e-300))
+    lo, f_lo = 1, _log_excess(probe, 1)
+    hi, f_hi = None, 0.0
+    k = min(max(2, guess), MAX_REPETITIONS)
+    side = 0
+    while hi is None or hi - lo > 1:
+        f_k = _log_excess(probe, k)
+        if f_k > 0.0:
+            if k >= MAX_REPETITIONS:
+                raise InfeasibleError(
+                    f"no repetition count up to {MAX_REPETITIONS:.1e} meets the "
+                    f"message-error target {target_e}"
+                )
+            lo, f_lo = k, f_k
+            if side == -1:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = k, f_k
+            if side == 1:
+                f_lo *= 0.5
+            side = 1
+        if hi is None:
+            est = k + f_k / (rate + 0.5 / k)
+            k = min(max(int(round(est)), k + 1), MAX_REPETITIONS)
+        elif hi - lo > 1:
+            est = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            k = min(max(int(round(est)), lo + 1), hi - 1)
+    k = hi
     while k > 1:
         if not probe.fails(k - 1):
             k -= 1
@@ -254,85 +280,3 @@ def min_repetitions(
 def _log_excess(probe: _Probe, k: int) -> float:
     """log(message error / target): > 0 fails, <= 0 passes."""
     return math.log(max(probe.error(k), 1e-300)) - math.log(probe.target_e)
-
-
-def _warm_threshold(probe: _Probe, hint: int) -> int | None:
-    """Adjacent (failing k - 1, passing k) pair below a passing hint.
-
-    Regula falsi with the Illinois weighting on f(k) = log excess. Until
-    a failing k is known, the next point comes from the slope of the
-    Chernoff exponent, log error ~ -k I with
-    I = -log(1 - p + 2 sqrt(p_correct p_wrong)). Returns None once the
-    probes exceed what the cold search would spend.
-    """
-    cp = probe.cp
-    budget = hint.bit_length() + 4
-    silent = 1.0 - (cp.p_correct + cp.p_wrong)
-    rate = -math.log(max(silent + 2.0 * math.sqrt(cp.p_correct * cp.p_wrong), 1e-300))
-    hi, f_hi = hint, _log_excess(probe, hint)
-    lo, f_lo = None, 0.0
-    side = 0
-    while lo is None or hi - lo > 1:
-        if len(probe.bit_errors) > budget:
-            return None
-        if lo is None:
-            est = hi + f_hi / (rate + 0.5 / hi)
-        else:
-            est = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-        floor = 1 if lo is None else lo + 1
-        if hi <= floor:
-            break
-        k = min(max(int(round(est)), floor), hi - 1)
-        f_k = _log_excess(probe, k)
-        if f_k > 0.0:
-            lo, f_lo = k, f_k
-            if side == -1:
-                f_hi *= 0.5
-            side = -1
-        else:
-            hi, f_hi = k, f_k
-            if side == 1:
-                f_lo *= 0.5
-            side = 1
-    return hi
-
-
-def _cold_threshold(probe: _Probe) -> int:
-    """Passing k whose k - 1 fails, found without a hint; k = 1 fails."""
-    target_e, b, cp = probe.target_e, probe.b, probe.cp
-    guess = _estimate_repetitions(target_e, b, cp)
-    if guess >= 4 * MAX_REPETITIONS:
-        # the normal approximation is reliable to a few percent at this
-        # scale, so a 4x margin over the cap cannot misclassify
-        raise InfeasibleError(
-            f"estimated repetitions {guess:.1e} exceed the cap {MAX_REPETITIONS:.1e}"
-        )
-    if guess >= MAX_REPETITIONS // 2:
-        # borderline channels get a single exact check at the cap instead
-        # of a whole doubling ladder of wide evaluations
-        if probe.fails(MAX_REPETITIONS):
-            raise InfeasibleError(
-                f"no repetition count up to {MAX_REPETITIONS:.1e} meets the "
-                f"message-error target {target_e}"
-            )
-    # exponential search outward from the guess for a verified bracket
-    # with lo failing the target and hi meeting it
-    hi = min(max(2, guess), MAX_REPETITIONS)
-    while probe.fails(hi):
-        if hi >= MAX_REPETITIONS:
-            raise InfeasibleError(
-                f"no repetition count up to {MAX_REPETITIONS:.1e} meets the "
-                f"message-error target {target_e}"
-            )
-        hi = min(2 * hi, MAX_REPETITIONS)
-    lo = hi // 2
-    while lo >= 1 and not probe.fails(lo):
-        hi = lo
-        lo //= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if probe.fails(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi

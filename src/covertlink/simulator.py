@@ -32,7 +32,7 @@ from .codec import (
 from .exceptions import ParameterError
 from .planner import ProtocolParams
 from .reliability import bit_error_prob, click_probs, message_error_prob
-from .security import BINS_PER_PAIR, detection_bias_bound, per_mode_relative_entropy
+from .security import BINS_PER_PAIR, bias_for_protocol
 
 # spawn-key domains keeping the three simulation families independent
 _DOMAIN_TRANSMIT = 0
@@ -196,6 +196,29 @@ def predicted_vote_error_rate(p: ProtocolParams) -> float:
     return cp.p_wrong / (cp.p_correct + cp.p_wrong)
 
 
+def monitor_interval_count(duration_s: float, interval_s: float) -> int:
+    """Number of whole monitoring intervals of interval_s in duration_s.
+
+    Raises:
+        ParameterError: interval_s <= 0, or fewer than 10 or more than
+            MAX_MONITOR_INTERVALS intervals.
+    """
+    if interval_s <= 0.0:
+        raise ParameterError("interval_s must be > 0")
+    ratio = duration_s / interval_s
+    # int(ratio) > MAX exactly when ratio >= MAX + 1; the float comparison
+    # also rejects an infinite ratio
+    if not ratio < MAX_MONITOR_INTERVALS + 1:
+        raise ParameterError(
+            f"monitoring {duration_s:.6g} s in intervals of {interval_s:.6g} s asks "
+            f"for {ratio:.3g} intervals; at most {MAX_MONITOR_INTERVALS} are allowed"
+        )
+    n_intervals = int(ratio)
+    if n_intervals < 10:
+        raise ParameterError("duration must cover at least 10 intervals")
+    return n_intervals
+
+
 def simulate_monitoring(
     p: ProtocolParams,
     communicating: bool,
@@ -213,22 +236,11 @@ def simulate_monitoring(
     through the same code path, so equal seeds give equal traces.
 
     Raises:
-        ParameterError: fewer than 10 or more than MAX_MONITOR_INTERVALS
-            intervals, or an interval shorter than one time-bin pair.
+        ParameterError: an interval count refused by monitor_interval_count
+            (checked before anything is allocated), or an interval shorter
+            than one time-bin pair.
     """
-    if interval_s <= 0.0:
-        raise ParameterError("interval_s must be > 0")
-    ratio = duration_s / interval_s
-    # int(ratio) > MAX exactly when ratio >= MAX + 1; the float comparison
-    # also rejects an infinite ratio, and nothing is allocated before it
-    if not ratio < MAX_MONITOR_INTERVALS + 1:
-        raise ParameterError(
-            f"monitoring {duration_s:.6g} s in intervals of {interval_s:.6g} s asks "
-            f"for {ratio:.3g} intervals; at most {MAX_MONITOR_INTERVALS} are allowed"
-        )
-    n_intervals = int(ratio)
-    if n_intervals < 10:
-        raise ParameterError("duration must cover at least 10 intervals")
+    n_intervals = monitor_interval_count(duration_s, interval_s)
     pairs = int(round(p.rep_rate_hz * interval_s / BINS_PER_PAIR))
     if pairs < 1:
         raise ParameterError("interval too short for even one time-bin pair")
@@ -310,14 +322,12 @@ def run_distinguisher(p: ProtocolParams, trials: int, rng_seed: int) -> Distingu
 
     half = trials // 2
     threshold = _best_count_threshold(total_clicks[:half], labels[:half])
-    pe_count = _balanced_error(total_clicks[half:] > threshold, labels[half:])
-    pe_llr = _balanced_error(llr > 0.0, labels)
+    pe_count, se_count = _balanced_error(total_clicks[half:] > threshold, labels[half:])
+    pe_llr, se_llr = _balanced_error(llr > 0.0, labels)
     if pe_count <= pe_llr:
-        empirical_pe, se = pe_count, _balanced_error_se(
-            total_clicks[half:] > threshold, labels[half:]
-        )
+        empirical_pe, se = pe_count, se_count
     else:
-        empirical_pe, se = pe_llr, _balanced_error_se(llr > 0.0, labels)
+        empirical_pe, se = pe_llr, se_llr
     return DistinguisherResult(
         empirical_pe=empirical_pe,
         empirical_bias=0.5 - empirical_pe,
@@ -350,20 +360,16 @@ def _best_count_threshold(counts: np.ndarray, labels: np.ndarray) -> float:
     return -np.inf if best == 0 else float(unique_counts[best - 1])
 
 
-def _balanced_error(declared_present: np.ndarray, labels: np.ndarray) -> float:
-    """(false-alarm rate + missed-detection rate) / 2."""
-    fa = float(np.mean(declared_present[~labels])) if np.any(~labels) else 0.0
-    md = float(np.mean(~declared_present[labels])) if np.any(labels) else 0.0
-    return 0.5 * (fa + md)
-
-
-def _balanced_error_se(declared_present: np.ndarray, labels: np.ndarray) -> float:
+def _balanced_error(
+    declared_present: np.ndarray, labels: np.ndarray
+) -> tuple[float, float]:
+    """(false-alarm rate + missed-detection rate) / 2 and its standard error."""
     fa_n = max(int(np.sum(~labels)), 1)
     md_n = max(int(np.sum(labels)), 1)
     fa = float(np.mean(declared_present[~labels])) if np.any(~labels) else 0.0
     md = float(np.mean(~declared_present[labels])) if np.any(labels) else 0.0
     var = fa * (1.0 - fa) / fa_n + md * (1.0 - md) / md_n
-    return 0.5 * math.sqrt(var)
+    return 0.5 * (fa + md), 0.5 * math.sqrt(var)
 
 
 def rescale_plan(p: ProtocolParams, factor: float) -> ProtocolParams:
@@ -390,9 +396,7 @@ def rescale_plan(p: ProtocolParams, factor: float) -> ProtocolParams:
         d=d_new,
         n_pairs=n_new,
         q=q_new,
-        predicted_epsilon=detection_bias_bound(
-            n_new, per_mode_relative_entropy(p.mu, p.channel.n_bar_a, q_new)
-        ),
+        predicted_epsilon=bias_for_protocol(n_new, d_new, p.mu, p.channel.n_bar_a),
         predicted_e=message_error_prob(bit_error_prob(k_new, cp), p.b),
         running_time_s=BINS_PER_PAIR * n_new / p.rep_rate_hz,
     )

@@ -7,6 +7,7 @@ from importlib.resources import files
 
 import pytest
 
+from covertlink import cli
 from covertlink.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -219,6 +220,25 @@ def test_eavesdrop_tiny_monitor_interval_is_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert time.perf_counter() - start < 60.0
     assert "intervals; at most 100000 are allowed" in capsys.readouterr().err
+
+
+def test_eavesdrop_bad_interval_count_refused_before_planning(tmp_path, capsys, monkeypatch):
+    # with both monitoring times in the config the count is known up front
+    def no_plan(req):
+        raise AssertionError("planner called")
+
+    monkeypatch.setattr(cli, "plan_with_report", no_plan)
+    for times, cause in [
+        ("monitor_duration_s: 1.0\nmonitor_interval_s: 1.0e-9\n", "at most 100000"),
+        ("monitor_duration_s: 1.0\nmonitor_interval_s: 0.5\n", "at least 10 intervals"),
+    ]:
+        cfg = tmp_path / "times.yaml"
+        cfg.write_text(FAST_CONFIG + times)
+        rc = main(
+            ["eavesdrop", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "1"]
+        )
+        assert rc == EXIT_CONFIG
+        assert cause in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from covertlink.exceptions import InfeasibleError, ParameterError
 from covertlink.reliability import (
+    MAX_REPETITIONS,
     ChannelModel,
     ClickProbabilities,
     bit_error_prob,
     click_probs,
     message_error_prob,
+    _estimate_repetitions,
     min_repetitions,
 )
 
@@ -190,20 +192,37 @@ def test_min_repetitions_reference_vicinity():
     assert abs(k - CQTUSTC.repetitions) / CQTUSTC.repetitions <= 0.30
 
 
+def _message_error(j: int, b: int, cp: ClickProbabilities) -> float:
+    return message_error_prob(bit_error_prob(j, cp), b)
+
+
+def _assert_threshold(k: int, target: float, b: int, cp: ClickProbabilities):
+    # k passes and both k - 1 and k - 2 fail, which the parity sawtooth needs
+    assert _message_error(k, b, cp) <= target
+    for j in (k - 1, k - 2):
+        if j >= 1:
+            assert _message_error(j, b, cp) > target, (k, j)
+
+
 def test_min_repetitions_is_minimal():
-    # includes a near-saturated pair where the error sawtooths with parity
+    # includes near-saturated and saturated pairs where the error sawtooths
+    # with parity (the last two close their bracket at a passing k whose
+    # even k - 1 fails but k - 2 passes), the CQTUSTC plan's clicks and a
+    # loud channel needing hundreds of k
     cases = [
         (0.01, 5, make_cp(0.30, 0.05)),
         (0.05, 3, make_cp(0.70, 0.25)),
         (0.02, 8, make_cp(0.08, 0.02)),
         (0.10, 1, make_cp(0.55, 0.40)),
+        (0.01, 35, make_cp(0.006884429230653025, 0.0005720725456748557)),
+        (0.01, 20, make_cp(0.15070547933464734, 0.1090520313613685)),
+        (0.00177, 2, make_cp(0.85, 0.15)),
+        (9.3e-6, 214, make_cp(0.72, 0.28)),
     ]
     for target, b, cp in cases:
         k = min_repetitions(target, b, cp)
-        def err(j):
-            return message_error_prob(bit_error_prob(j, cp), b)
-        assert err(k) <= target
-        scan = next(j for j in range(1, k + 1) if err(j) <= target)
+        assert _message_error(k, b, cp) <= target
+        scan = next(j for j in range(1, k + 1) if _message_error(j, b, cp) <= target)
         assert k == scan
 
 
@@ -213,38 +232,38 @@ def test_min_repetitions_carries_bit_error_at_answer():
     assert k.bit_error == bit_error_prob(int(k), cp)
 
 
-@pytest.mark.parametrize(
-    "target, b, p_c, p_w",
-    [
-        (0.01, 5, 0.30, 0.05),
-        (0.05, 3, 0.70, 0.25),
-        (0.02, 8, 0.08, 0.02),
-        (0.10, 1, 0.55, 0.40),
-        (0.01, 35, 0.006884429230653025, 0.0005720725456748557),
-        (0.01, 20, 0.15070547933464734, 0.1090520313613685),
-    ],
-)
-def test_min_repetitions_warm_start_matches_cold(target, b, p_c, p_w):
-    # hints above the answer, at it, and below it (a failing hint falls
-    # back to the cold search) all return the cold answer
-    cp = make_cp(p_c, p_w)
-    cold = min_repetitions(target, b, cp)
-    for hint in {1, max(1, cold - 1), cold, cold + 1, 2 * cold + 1, 10 * cold, 10**6}:
-        warm = min_repetitions(target, b, cp, k_hint=hint)
-        assert warm == cold, hint
-        assert warm.bit_error == cold.bit_error
-
-
-def test_min_repetitions_warm_start_along_mu_grid():
-    # the planner's use: each search hinted with the k of the next dimmer mu
+def test_min_repetitions_along_mu_grid():
+    # a brighter pulse never needs more repetitions, and each answer is
+    # the threshold of its own search
     channel = ChannelModel(tau=ref.TAU, n_bar_a=CQTUSTC.n_bar_a, n_bar_b=CQTUSTC.n_bar_b)
-    hint = None
+    previous = None
     for mu in np.geomspace(5e-3, 1.0, 60):
         cp = click_probs(float(mu), channel)
-        warm = min_repetitions(ref.TARGET_ERROR, CQTUSTC.bits, cp, k_hint=hint)
-        assert warm == min_repetitions(ref.TARGET_ERROR, CQTUSTC.bits, cp)
-        assert hint is None or warm <= hint
-        hint = int(warm)
+        k = min_repetitions(ref.TARGET_ERROR, CQTUSTC.bits, cp)
+        assert previous is None or k <= previous
+        _assert_threshold(k, ref.TARGET_ERROR, CQTUSTC.bits, cp)
+        previous = k
+
+
+def test_min_repetitions_random_channels_across_decades():
+    rng = np.random.default_rng(20261018)
+    feasible = 0
+    for _ in range(150):
+        p_w = 10 ** rng.uniform(-6, math.log10(0.3))
+        p_c = min(p_w * (1 + 10 ** rng.uniform(-3, 2)), 1.0 - p_w)
+        target = 10 ** rng.uniform(-6, math.log10(0.5))
+        b = int(10 ** rng.uniform(0, math.log10(1125)))
+        cp = make_cp(p_c, p_w)
+        try:
+            k = min_repetitions(target, b, cp)
+        except InfeasibleError as exc:
+            if "no repetition count" in str(exc):
+                assert _message_error(MAX_REPETITIONS, b, cp) > target
+            continue
+        assert k.bit_error == bit_error_prob(int(k), cp)
+        _assert_threshold(k, target, b, cp)
+        feasible += 1
+    assert feasible >= 75
 
 
 def test_min_repetitions_infeasible_majority():
@@ -258,6 +277,20 @@ def test_min_repetitions_infeasible_cap():
     # vanishing correct-wrong margin drives the needed k past the cap
     with pytest.raises(InfeasibleError):
         min_repetitions(0.01, 35, make_cp(1.0e-4, 9.9e-5))
+
+
+def test_min_repetitions_borderline_cap_is_checked_exactly():
+    # the normal guess lies between half the cap and the 4x pre-check, so
+    # the search itself must reach the cap and find it failing
+    cp = make_cp(0.1004, 0.1)
+    guess = _estimate_repetitions(0.01, 35, cp)
+    assert MAX_REPETITIONS // 2 <= guess < 4 * MAX_REPETITIONS
+    with pytest.raises(InfeasibleError, match="no repetition count up to"):
+        min_repetitions(0.01, 35, cp)
+    # a guess in the same range whose answer fits under the cap
+    cp = make_cp(0.1006, 0.1)
+    assert MAX_REPETITIONS // 2 <= _estimate_repetitions(0.01, 35, cp)
+    _assert_threshold(min_repetitions(0.01, 35, cp), 0.01, 35, cp)
 
 
 def test_channel_model_rejects_bad_inputs():
