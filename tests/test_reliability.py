@@ -232,6 +232,33 @@ def test_min_repetitions_carries_bit_error_at_answer():
     assert k.bit_error == bit_error_prob(int(k), cp)
 
 
+_SEARCH_CHANNELS = [
+    (0.01, 5, 0.30, 0.05),
+    (0.05, 3, 0.70, 0.25),
+    (0.02, 8, 0.08, 0.02),
+    (0.10, 1, 0.55, 0.40),
+    (0.01, 35, 0.006884429230653025, 0.0005720725456748557),
+    (0.01, 20, 0.15070547933464734, 0.1090520313613685),
+]
+
+
+@pytest.mark.parametrize("target, b, p_c, p_w", _SEARCH_CHANNELS)
+def test_min_repetitions_warm_start_matches_cold(target, b, p_c, p_w):
+    # no search state carries over between calls: the answer after
+    # searches on the other channels (warm) equals the first call and the
+    # linear scan up from k = 1 (cold)
+    cp = make_cp(p_c, p_w)
+    first = min_repetitions(target, b, cp)
+    for other in _SEARCH_CHANNELS:
+        min_repetitions(other[0], other[1], make_cp(other[2], other[3]))
+    warm = min_repetitions(target, b, cp)
+    assert warm == first
+    assert warm.bit_error == first.bit_error
+    cold = next(j for j in range(1, warm + 1) if _message_error(j, b, cp) <= target)
+    assert warm == cold
+    assert warm.bit_error == bit_error_prob(cold, cp)
+
+
 def test_min_repetitions_along_mu_grid():
     # a brighter pulse never needs more repetitions, and each answer is
     # the threshold of its own search
