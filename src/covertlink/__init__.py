@@ -27,7 +27,6 @@ from .exceptions import (
     FormatError,
     InfeasibleError,
     ParameterError,
-    SecurityCheckError,
 )
 from .planner import (
     PlanRequest,
@@ -79,7 +78,6 @@ __all__ = [
     "PlanRequest",
     "PositionPlan",
     "ProtocolParams",
-    "SecurityCheckError",
     "SharedRandomness",
     "Transcript",
     "bit_error_prob",

@@ -151,9 +151,7 @@ def resolve_config(cfg: dict, args: argparse.Namespace) -> dict:
             raise ParameterError("--seed must lie in [0, 2^64)")
         resolved["seed"] = args.seed
     if getattr(args, "rescale", None) is not None:
-        if args.rescale <= 0:
-            raise ParameterError("--rescale must be > 0")
-        resolved["rescale"] = args.rescale
+        resolved["rescale"] = _as_float(args.rescale, "--rescale", 0.0, float("inf"))
     if getattr(args, "trials", None) is not None:
         if args.trials < 100:
             raise ParameterError("--trials must be >= 100")

@@ -2,11 +2,12 @@
 
 Characters come from a 32-symbol alphabet and map to 5 bits each
 (most-significant bit first). Signal positions are chosen so that each
-time-bin pair is selected independently with probability q; the first
-b * k' selected positions (in time order) carry the message bits in
-contiguous blocks of k', and any leftover positions carry uniformly
-random dummy bits so the emission statistics stay exactly Bernoulli(q)
-per pair, as the security analysis assumes.
+time-bin pair is selected independently with probability q. The layout
+is one rule, built and enforced by PositionPlan: message bit j sits at
+the selected positions j*k' .. (j+1)*k' - 1 (in time order), and every
+later position is a dummy carrying a uniformly random bit, so the
+emission statistics stay exactly Bernoulli(q) per pair, as the security
+analysis assumes.
 """
 
 from __future__ import annotations
@@ -126,13 +127,10 @@ class PositionPlan:
             raise ParameterError("positions must be strictly increasing")
         if int(positions[-1]) >= self.n_pairs:
             raise ParameterError("positions must lie in [0, n_pairs)")
-        if self.k_prime != d_prime // self.b:
-            raise ParameterError("k_prime must equal d_prime // b")
-        counts = np.bincount(bit_index[bit_index >= 0], minlength=self.b)
-        if bit_index.max(initial=-1) >= self.b or np.any(counts != self.k_prime):
-            raise ParameterError("each message bit needs exactly k_prime positions")
-        if np.any(bit_index[self.b * self.k_prime:] != -1):
-            raise ParameterError("positions after the first b * k_prime must be dummies")
+        if self.k_prime != d_prime // self.b or self.k_prime < 1:
+            raise ParameterError("k_prime must equal d_prime // b and be >= 1")
+        if not np.array_equal(bit_index, _bit_layout(self.b, self.k_prime, d_prime)):
+            raise ParameterError("bit_index must put bit j at j*k' .. (j+1)*k' - 1, then -1")
         if np.any(bit_value > 1):
             raise ParameterError("bit values must be 0 or 1")
 
@@ -144,6 +142,13 @@ class PositionPlan:
         """The b message bit values, recovered from the assignment."""
         first = np.arange(self.b) * self.k_prime
         return self.bit_value[first].copy()
+
+
+def _bit_layout(b: int, k_prime: int, d_prime: int) -> np.ndarray:
+    """Message-bit index per position: blocks of k_prime per bit, then -1."""
+    bit_index = np.full(d_prime, -1, dtype=np.int32)
+    bit_index[: b * k_prime] = np.repeat(np.arange(b, dtype=np.int32), k_prime)
+    return bit_index
 
 
 def _draw_distinct_indices(
@@ -205,19 +210,15 @@ def choose_positions(
         )
     positions = _draw_distinct_indices(rng, n_pairs, d_prime)
     k_prime = d_prime // b
-    assigned = b * k_prime
-    bit_index = np.full(d_prime, -1, dtype=np.int32)
-    bit_index[:assigned] = np.repeat(np.arange(b, dtype=np.int32), k_prime)
-    bit_value = np.empty(d_prime, dtype=np.uint8)
-    bit_value[:assigned] = np.repeat(bits, k_prime)
-    dummy_rng = shared.generator("dummy_bits")
-    bit_value[assigned:] = dummy_rng.integers(0, 2, size=d_prime - assigned, dtype=np.uint8)
+    dummies = shared.generator("dummy_bits").integers(
+        0, 2, size=d_prime - b * k_prime, dtype=np.uint8
+    )
     return PositionPlan(
         n_pairs=n_pairs,
         b=b,
         positions=positions,
-        bit_index=bit_index,
-        bit_value=bit_value,
+        bit_index=_bit_layout(b, k_prime, d_prime),
+        bit_value=np.concatenate((np.repeat(bits, k_prime), dummies)),
         k_prime=k_prime,
     )
 
@@ -239,18 +240,16 @@ def vote_counts(plan: PositionPlan, outcomes: np.ndarray) -> tuple[np.ndarray, n
     """Per-message-bit vote counts (zeros, ones) from per-position click outcomes.
 
     A vote is a click in exactly one bin at a message position; dummy
-    positions, no-click and both-bin outcomes cast none. Each count is
-    one bincount over the message positions, so the tally is O(d').
+    positions, no-click and both-bin outcomes cast none. By the plan's
+    layout the message positions are the first b * k' and form a
+    (b, k') block, one row per bit, so the tally is O(d').
     """
     outcomes = np.asarray(outcomes)
-    if outcomes.shape != (plan.d_prime,):
-        raise ParameterError("outcomes must have one entry per plan position")
-    message = plan.bit_index >= 0
-    bit_index = plan.bit_index[message]
-    outcomes = outcomes[message]
-    zeros = np.bincount(bit_index[outcomes == OUTCOME_ZERO], minlength=plan.b)
-    ones = np.bincount(bit_index[outcomes == OUTCOME_ONE], minlength=plan.b)
-    return zeros, ones
+    valid = (outcomes >= OUTCOME_NONE) & (outcomes <= OUTCOME_BOTH)
+    if outcomes.shape != (plan.d_prime,) or not np.all(valid):
+        raise ParameterError("outcomes must hold one click code 0..3 per plan position")
+    votes = outcomes[: plan.b * plan.k_prime].reshape(plan.b, plan.k_prime)
+    return (votes == OUTCOME_ZERO).sum(axis=1), (votes == OUTCOME_ONE).sum(axis=1)
 
 
 def majority_decode(

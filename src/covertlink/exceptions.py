@@ -13,9 +13,5 @@ class InfeasibleError(CovertLinkError):
     """No protocol configuration satisfies the requested constraints."""
 
 
-class SecurityCheckError(CovertLinkError):
-    """A covertness requirement failed verification."""
-
-
 class FormatError(CovertLinkError):
     """A serialized artifact is malformed or has an unsupported version."""

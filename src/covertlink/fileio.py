@@ -149,64 +149,30 @@ def read_json_document(path: Path, kind: str) -> dict:
 
 
 def params_to_document(p: ProtocolParams) -> dict:
-    return {
-        "b": p.b,
-        "d": p.d,
-        "k": p.k,
-        "q": p.q,
-        "n_pairs": p.n_pairs,
-        "bins_total": p.bins_total,
-        "mu": p.mu,
-        "predicted_epsilon": p.predicted_epsilon,
-        "predicted_e": p.predicted_e,
-        "running_time_s": p.running_time_s,
-        "channel": {
-            "tau": p.channel.tau,
-            "n_bar_a": p.channel.n_bar_a,
-            "n_bar_b": p.channel.n_bar_b,
-        },
-        "rep_rate_hz": p.rep_rate_hz,
-        "epsilon_target": p.epsilon_target,
-        "target_e": p.target_e,
-    }
+    return dataclasses.asdict(p) | {"bins_total": p.bins_total}
+
+
+def _from_fields(cls, doc: dict, **given):
+    """Build dataclass cls from doc, one key per field not already given."""
+    fields = {f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name not in given}
+    return cls(**fields, **given)
 
 
 def params_from_document(doc: dict) -> ProtocolParams:
     try:
-        channel = ChannelModel(
-            tau=doc["channel"]["tau"],
-            n_bar_a=doc["channel"]["n_bar_a"],
-            n_bar_b=doc["channel"]["n_bar_b"],
-        )
-        return ProtocolParams(
-            b=doc["b"],
-            d=doc["d"],
-            k=doc["k"],
-            q=doc["q"],
-            n_pairs=doc["n_pairs"],
-            mu=doc["mu"],
-            predicted_epsilon=doc["predicted_epsilon"],
-            predicted_e=doc["predicted_e"],
-            running_time_s=doc["running_time_s"],
-            channel=channel,
-            rep_rate_hz=doc["rep_rate_hz"],
-            epsilon_target=doc["epsilon_target"],
-            target_e=doc["target_e"],
-        )
+        channel = _from_fields(ChannelModel, doc["channel"])
+        return _from_fields(ProtocolParams, doc, channel=channel)
     except KeyError as exc:
         raise FormatError(f"parameter document is missing field {exc}") from exc
 
 
-def transcript_rows(t: Transcript):
-    for pos, idx, val, outcome in zip(
-        t.plan.positions, t.plan.bit_index, t.plan.bit_value, t.outcomes
-    ):
-        yield int(pos), int(idx), int(val), int(outcome)
-
-
 def write_transcript_csv(path: Path, t: Transcript) -> None:
+    plan = t.plan
     lines = ["position,bit_index,bit_value,outcome"]
-    lines.extend(f"{p},{i},{v},{o}" for p, i, v, o in transcript_rows(t))
+    lines.extend(
+        f"{int(p)},{int(i)},{int(v)},{int(o)}"
+        for p, i, v, o in zip(plan.positions, plan.bit_index, plan.bit_value, t.outcomes)
+    )
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

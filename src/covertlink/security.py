@@ -109,6 +109,11 @@ class DivergenceProfile:
                     f"mu = {mu!r} is too bright against n_bar_a = {n_bar_a!r} "
                     "for the divergence to be represented in doubles"
                 )
+        # tail_s = P(X + Y > n_max), X ~ Poisson(mu), Y ~ thermal, split on
+        # X = j: the j <= n_max thermal tails r^(n_max + 1 - j) sum to
+        # tail_rho * rho_s(n_max) / rho(n_max); X > n_max is the Poisson
+        # tail, a regularized incomplete gamma. Neither piece cancels.
+        tail_s = float(tail_rho * (1.0 + x[-1]) + special.gammainc(n_max + 1, mu))
         uncovered = -math.expm1(-mu) if n_bar_a == 0.0 else 0.0
         chi2 = math.inf if uncovered > 0.0 else math.fsum(rho * x * x)
         return cls(
@@ -117,7 +122,7 @@ class DivergenceProfile:
             rho=rho,
             x=x,
             tail_rho=tail_rho,
-            tail_s=_signal_tail(mu, n_bar_a, n_max),
+            tail_s=tail_s,
             chi2=chi2,
             uncovered=uncovered,
         )
@@ -133,22 +138,6 @@ class DivergenceProfile:
         """dD/dq: sum(rho x y / (1 + y)) plus the linear tail term."""
         y = q * self.x
         return math.fsum(self.rho * self.x * y / (1.0 + y)) - (self.tail_rho - self.tail_s)
-
-
-def _signal_tail(mu: float, n_bar_a: float, n_max: int) -> float:
-    """P(X + Y > n_max) for X ~ Poisson(mu), Y ~ thermal(n_bar_a).
-
-    Split on X = j: for j <= n_max the thermal tail r^(n_max + 1 - j) is
-    closed form; X > n_max is the Poisson tail, a regularized incomplete
-    gamma function. Both pieces are free of cancellation.
-    """
-    r = n_bar_a / (1.0 + n_bar_a)
-    pois = math.exp(-mu)
-    below = [pois * r ** (n_max + 1)]
-    for j in range(1, n_max + 1):
-        pois *= mu / j
-        below.append(pois * r ** (n_max + 1 - j))
-    return math.fsum(below) + float(special.gammainc(n_max + 1, mu))
 
 
 def per_mode_relative_entropy(mu: float, n_bar_a: float, q: float) -> RelativeEntropy:

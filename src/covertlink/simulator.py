@@ -1,10 +1,13 @@
 """Monte-Carlo simulation of the covert link and of the adversary.
 
 The receiver-side simulation works position by position (O(d') for d'
-sent signals) and never touches the ~1e12 idle bins; idle bins only
+sent signals) and never touches the ~1e12 idle bins. Its statistics
+come from two tallies: codec.vote_counts per message bit, and one
+(sent bit x outcome) count table over all positions. Idle bins only
 matter to the adversary, whose view is simulated through exact aggregate
-binomial and multinomial sampling. All outputs are pure functions of
-(inputs, seed) via counter-style derived seeds, so parallel and
+binomial draws and numpy's multinomial (conditional binomials, exact for
+the ~1e11 pairs of a full-scale trial). All outputs are pure functions
+of (inputs, seed) via counter-style derived seeds, so parallel and
 sequential evaluation orders agree.
 
 The adversary taps the channel at the sender's output with unit
@@ -162,26 +165,24 @@ def simulate_transmission(
 
 
 def compute_stats(plan: PositionPlan, outcomes: np.ndarray) -> TransmissionStats:
-    """Recompute every Transcript statistic from the raw outcomes."""
-    outcomes = np.asarray(outcomes)
-    sent_one = plan.bit_value == 1
-    is_zero = outcomes == OUTCOME_ZERO
-    is_one = outcomes == OUTCOME_ONE
-    is_both = outcomes == OUTCOME_BOTH
-    signal_bin = np.where(sent_one, is_one | is_both, is_zero | is_both)
-    noise_bin = np.where(sent_one, is_zero | is_both, is_one | is_both)
-    vote = is_zero | is_one
-    wrong_vote = vote & np.where(sent_one, is_zero, is_one)
-    total_votes = int(np.sum(vote))
-    wrong_votes = int(np.sum(wrong_vote))
+    """Recompute every Transcript statistic from the raw outcomes.
 
+    One (sent bit x outcome) count table over all positions gives the
+    click and vote figures; the message-bit error comes from vote_counts.
+    """
     zeros, ones = vote_counts(plan, outcomes)
+    # row = sent bit, column = outcome code (0..3, checked by vote_counts)
+    table = np.bincount(4 * plan.bit_value + np.asarray(outcomes), minlength=8).reshape(2, 4)
+    both = int(table[:, OUTCOME_BOTH].sum())
+    right_votes = int(table[0, OUTCOME_ZERO] + table[1, OUTCOME_ONE])
+    wrong_votes = int(table[0, OUTCOME_ONE] + table[1, OUTCOME_ZERO])
+    total_votes = right_votes + wrong_votes
     # a tie is an error whatever was sent
     wrong_bit = (zeros == ones) | ((ones > zeros) != (plan.message_bits() == 1))
     return TransmissionStats(
-        signal_bin_click_rate=float(np.mean(signal_bin)),
-        noise_bin_click_rate=float(np.mean(noise_bin)),
-        vote_rate_per_pulse=float(np.mean(vote)),
+        signal_bin_click_rate=(right_votes + both) / plan.d_prime,
+        noise_bin_click_rate=(wrong_votes + both) / plan.d_prime,
+        vote_rate_per_pulse=total_votes / plan.d_prime,
         vote_error_rate=(wrong_votes / total_votes) if total_votes else math.nan,
         total_votes=total_votes,
         wrong_votes=wrong_votes,
@@ -268,22 +269,6 @@ def _pair_click_distribution(p_a: float, p_b: float) -> np.ndarray:
     return np.array([none, one, max(0.0, 1.0 - none - one)])
 
 
-def _multinomial3(rng: np.random.Generator, n: int, dist: np.ndarray) -> np.ndarray:
-    """Multinomial draw over three categories via conditional binomials.
-
-    Written out explicitly because n reaches ~1e11 pairs per trial.
-    """
-    if n == 0:
-        return np.zeros(3, dtype=np.int64)
-    x0 = int(rng.binomial(n, dist[0]))
-    rest = n - x0
-    remaining = 1.0 - dist[0]
-    if rest == 0 or remaining <= 0.0:
-        return np.array([x0, 0, n - x0], dtype=np.int64)
-    x1 = int(rng.binomial(rest, min(1.0, dist[1] / remaining)))
-    return np.array([x0, x1, rest - x1], dtype=np.int64)
-
-
 def run_distinguisher(p: ProtocolParams, trials: int, rng_seed: int) -> DistinguisherResult:
     """Estimate the adversary's best error probability over two detectors.
 
@@ -314,9 +299,7 @@ def run_distinguisher(p: ProtocolParams, trials: int, rng_seed: int) -> Distingu
     for t in range(trials):
         rng = _rng(rng_seed, _DOMAIN_DISTINGUISH, t)
         m = int(rng.binomial(n_pairs, q)) if labels[t] else 0
-        from_signal = _multinomial3(rng, m, signal_dist)
-        from_noise = _multinomial3(rng, n_pairs - m, noise_dist)
-        tallies = from_signal + from_noise
+        tallies = rng.multinomial(m, signal_dist) + rng.multinomial(n_pairs - m, noise_dist)
         total_clicks[t] = tallies[1] + 2.0 * tallies[2]
         llr[t] = float(tallies @ llr_weight)
 

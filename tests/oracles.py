@@ -38,6 +38,24 @@ def pulse_on_background_highprec(mu, n_bar, n_terms: int, dps: int = 50):
         return _convolve(pois, rho)
 
 
+def pulse_on_background_tail_highprec(mu, n_bar, n_max: int, dps: int = 50):
+    """P(X + Y > n_max) for X ~ Poisson(mu), Y ~ thermal(n_bar).
+
+    Summed over X = j: P(X = j) P(Y > n_max - j), with the thermal tail
+    P(Y > m) = (n_bar / (1 + n_bar))^(m + 1), plus P(X > n_max). The j
+    sum stops once its terms fall below 10^-dps of the running total.
+    """
+    with mp.workdps(dps):
+        r = mp.mpf(n_bar) / (1 + mp.mpf(n_bar))
+        total = mp.mpf(0)
+        for j in range(n_max + 1):
+            term = poisson_term(j, mu) * r ** (n_max + 1 - j)
+            total += term
+            if j > mu and term < total * mp.mpf(10) ** -dps:
+                break
+        return total + mp.gammainc(n_max + 1, 0, mu, regularized=True)
+
+
 def kl_divergence_highprec(mu, n_bar, q, n_terms: int = 400, dps: int = 80):
     """Brute-force KL divergence D(rho || (1-q) rho + q rho_S) in nats.
 

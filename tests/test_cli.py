@@ -241,6 +241,21 @@ def test_eavesdrop_bad_interval_count_refused_before_planning(tmp_path, capsys, 
         assert cause in capsys.readouterr().err
 
 
+def test_bad_rescale_flag_refused_before_planning(fast_config, tmp_path, capsys, monkeypatch):
+    def no_plan(req):
+        raise AssertionError("planner called")
+
+    monkeypatch.setattr(cli, "plan_with_report", no_plan)
+    for command in ("simulate", "eavesdrop"):
+        for factor in ("nan", "inf", "0", "-2"):
+            rc = main(
+                [command, "--config", str(fast_config), "--out", str(tmp_path / "o"),
+                 "--seed", "1", "--rescale", factor]
+            )
+            assert rc == EXIT_CONFIG
+            assert "'--rescale'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "mutation",
     [

@@ -186,6 +186,35 @@ def test_position_plan_validation():
         )
 
 
+def test_position_plan_rejects_scrambled_blocks():
+    # each bit has its k' = 1 position, but bit 1 comes first: message_bits()
+    # would read bit 0 as 0 although it is sent as 1
+    with pytest.raises(ParameterError, match="bit_index"):
+        PositionPlan(n_pairs=10, b=2, positions=[0, 1], bit_index=[1, 0],
+                     bit_value=[0, 1], k_prime=1)
+    good = small_plan(encode_message("AB"), k_prime=3)
+    interleaved = np.tile(np.arange(good.b, dtype=np.int32), good.k_prime)
+    dummy_inside = good.bit_index.copy()
+    dummy_inside[1] = -1
+    out_of_range = good.bit_index.copy()
+    out_of_range[-1] = good.b
+    for bit_index in (interleaved, dummy_inside, out_of_range):
+        with pytest.raises(ParameterError, match="bit_index"):
+            PositionPlan(
+                n_pairs=good.n_pairs,
+                b=good.b,
+                positions=good.positions,
+                bit_index=bit_index,
+                bit_value=good.bit_value,
+                k_prime=good.k_prime,
+            )
+    # fewer positions than bits: no bit is sent, yet message_bits() would
+    # read five values
+    with pytest.raises(ParameterError, match="k_prime"):
+        PositionPlan(n_pairs=10, b=5, positions=[0, 1], bit_index=[-1, -1],
+                     bit_value=[1, 0], k_prime=0)
+
+
 def test_majority_decode_clean_votes():
     bits = encode_message("HELLO")
     plan = small_plan(bits, k_prime=3)
@@ -249,6 +278,11 @@ def test_majority_decode_shape_checks():
     )
     with pytest.raises(ParameterError):
         majority_decode(three_bit, np.zeros(3, dtype=np.uint8))
+    for bad in (OUTCOME_BOTH + 1, -1):
+        outcomes = np.zeros(plan.d_prime, dtype=np.int64)
+        outcomes[-1] = bad
+        with pytest.raises(ParameterError, match="click code"):
+            majority_decode(plan, outcomes)
 
 
 def test_majority_decode_matches_closed_form_error_rate():

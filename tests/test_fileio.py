@@ -101,6 +101,24 @@ def test_plan_invariant_violation_detected():
     assert payload[:4] == PLAN_MAGIC  # corruption was past the header
 
 
+def test_plan_with_scrambled_blocks_rejected(tmp_path):
+    # swap the bit indices of the first position of bit 0 and of bit 1:
+    # every bit still has k' positions, but not in its own block
+    plan = sample_plan()
+    payload = bytearray(plan_to_bytes(plan))
+    index_start = len(payload) - plan.d_prime * 5
+    first = index_start
+    second = index_start + 4 * plan.k_prime
+    payload[first : first + 4], payload[second : second + 4] = (
+        payload[second : second + 4],
+        payload[first : first + 4],
+    )
+    path = tmp_path / "scrambled.cvpl"
+    path.write_bytes(bytes(payload))
+    with pytest.raises(FormatError, match="bit_index"):
+        read_plan(path)
+
+
 def test_json_document_round_trip(tmp_path):
     path = tmp_path / "report.json"
     write_json_document(path, "report", {"value": np.float64(1.5), "n": np.int64(3)})
@@ -137,9 +155,17 @@ def test_params_document_round_trip():
     p = sample_params()
     doc = params_to_document(p)
     assert params_from_document(doc) == p
-    doc.pop("mu")
-    with pytest.raises(FormatError):
-        params_from_document(doc)
+    assert doc["bins_total"] == p.bins_total
+    assert doc["channel"] == {"tau": p.channel.tau, "n_bar_a": p.channel.n_bar_a,
+                              "n_bar_b": p.channel.n_bar_b}
+    for missing in ("mu", "target_e", "channel"):
+        broken = dict(doc)
+        broken.pop(missing)
+        with pytest.raises(FormatError, match=missing):
+            params_from_document(broken)
+    broken = dict(doc, channel={"tau": p.channel.tau, "n_bar_a": p.channel.n_bar_a})
+    with pytest.raises(FormatError, match="n_bar_b"):
+        params_from_document(broken)
 
 
 def test_csv_outputs(tmp_path):

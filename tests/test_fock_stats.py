@@ -127,6 +127,20 @@ def test_convolve_tail_bound(m1, m2):
     assert profile.tail_s <= (generating + poisson_tail) * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize(
+    "mu, n_bar", [(CQTUSTC.mu, CQTUSTC.n_bar_a), (0.956, 0.60), (0.5, 1.0e4)]
+)
+def test_signal_tail_matches_oracle(mu, n_bar):
+    # tail_s rests on the closed-form ratio at n_max; n_bar = 1e4 puts
+    # n_max near 7e5. r = n_bar / (1 + n_bar) is rounded once in doubles,
+    # and r^(n_max + 1) carries that rounding n_max times over.
+    profile = DivergenceProfile.build(mu, n_bar)
+    n_max = profile.rho.size - 1
+    exact = oracles.pulse_on_background_tail_highprec(mu, n_bar, n_max)
+    rel = 1e-13 + n_max * np.finfo(float).eps
+    assert profile.tail_s == pytest.approx(float(exact), rel=rel, abs=0.0)
+
+
 @pytest.mark.parametrize("mu, n_bar", [(CQTUSTC.mu, CQTUSTC.n_bar_a), (0.266, 0.60)])
 def test_pulse_on_background_matches_oracle_convolution(mu, n_bar):
     profile = DivergenceProfile.build(mu, n_bar)

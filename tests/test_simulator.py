@@ -30,6 +30,7 @@ from covertlink.security import BINS_PER_PAIR, bias_for_protocol
 from covertlink.simulator import (
     MAX_MONITOR_INTERVALS,
     MonitorTrace,
+    TransmissionStats,
     adversary_click_probs,
     compute_stats,
     predicted_vote_error_rate,
@@ -207,8 +208,30 @@ def test_one_tally_feeds_decoding_and_stats():
         assert [t.bit_index for t in tallies] == list(range(plan.b))
         assert all(type(t.tie) is bool and type(t.correct) is bool for t in tallies)
         stats = compute_stats(plan, clicked)
+        assert stats == reference_stats(plan, clicked)
         assert stats.clicks_per_bit == votes / plan.b
         assert stats.message_bit_error_rate == errors / plan.b
+
+
+def reference_stats(plan, outcomes):
+    """Every TransmissionStats field from per-position masks."""
+    sent_one = plan.bit_value == 1
+    in_zero = (outcomes == OUTCOME_ZERO) | (outcomes == OUTCOME_BOTH)
+    in_one = (outcomes == OUTCOME_ONE) | (outcomes == OUTCOME_BOTH)
+    vote = (outcomes == OUTCOME_ZERO) | (outcomes == OUTCOME_ONE)
+    wrong = vote & np.where(sent_one, outcomes == OUTCOME_ZERO, outcomes == OUTCOME_ONE)
+    rows = reference_tally(plan, outcomes)
+    total, n_wrong = int(np.sum(vote)), int(np.sum(wrong))
+    return TransmissionStats(
+        signal_bin_click_rate=float(np.mean(np.where(sent_one, in_one, in_zero))),
+        noise_bin_click_rate=float(np.mean(np.where(sent_one, in_zero, in_one))),
+        vote_rate_per_pulse=float(np.mean(vote)),
+        vote_error_rate=n_wrong / total,
+        total_votes=total,
+        wrong_votes=n_wrong,
+        clicks_per_bit=sum(row[0] + row[1] for row in rows) / plan.b,
+        message_bit_error_rate=sum(not row[5] for row in rows) / plan.b,
+    )
 
 
 def test_adversary_click_probs_closed_form():
