@@ -123,7 +123,7 @@ class PositionPlan:
             raise ParameterError("positions, bit_index and bit_value must align")
         if d_prime == 0:
             raise ParameterError("plan must contain at least one position")
-        if np.any(np.diff(positions.astype(np.int64)) <= 0):
+        if np.any(positions[1:] <= positions[:-1]):
             raise ParameterError("positions must be strictly increasing")
         if int(positions[-1]) >= self.n_pairs:
             raise ParameterError("positions must lie in [0, n_pairs)")
@@ -147,7 +147,7 @@ class PositionPlan:
 def _bit_layout(b: int, k_prime: int, d_prime: int) -> np.ndarray:
     """Message-bit index per position: blocks of k_prime per bit, then -1."""
     bit_index = np.full(d_prime, -1, dtype=np.int32)
-    bit_index[: b * k_prime] = np.repeat(np.arange(b, dtype=np.int32), k_prime)
+    bit_index[: b * k_prime].reshape(b, k_prime)[:] = np.arange(b, dtype=np.int32)[:, None]
     return bit_index
 
 
@@ -156,28 +156,31 @@ def _draw_distinct_indices(
 ) -> np.ndarray:
     """count distinct uniform indices in [0, n_pairs), sorted ascending.
 
-    For sparse draws, iid uniforms are deduplicated and topped up one at
-    a time; the first `count` distinct values of an iid uniform stream
-    are a uniformly distributed count-subset, so no O(n_pairs) work is
-    ever needed. Dense draws (count > n_pairs / 2) fall back to a
-    partial permutation.
+    Sparse draws return the first `count` distinct values of an iid
+    uniform stream, which are a uniformly distributed count-subset, so
+    no O(n_pairs) work is ever needed. The stream comes in batches of
+    max(16, still missing) values. When the first `count` values of the
+    first batch hold no repeat they are the answer, at the cost of one
+    sort; otherwise each batch is deduplicated in stream order against
+    the values already picked. Dense draws (count > n_pairs / 2) fall
+    back to a partial permutation.
     """
     if count > n_pairs:
         raise ParameterError("cannot draw more distinct indices than pairs")
     if count > n_pairs // 2:
         return np.sort(rng.permutation(n_pairs)[:count].astype(np.uint64))
-    chosen: set[int] = set()
-    picked: list[int] = []
-    while len(picked) < count:
-        batch = rng.integers(0, n_pairs, size=max(16, count - len(picked)), dtype=np.uint64)
-        for value in batch:
-            v = int(value)
-            if v not in chosen:
-                chosen.add(v)
-                picked.append(v)
-                if len(picked) == count:
-                    break
-    return np.sort(np.asarray(picked, dtype=np.uint64))
+    picked = np.empty(0, dtype=np.uint64)
+    while picked.size < count:
+        need = count - picked.size
+        batch = rng.integers(0, n_pairs, size=max(16, need), dtype=np.uint64)
+        if picked.size == 0:
+            head = np.sort(batch[:need])
+            if not np.any(head[1:] == head[:-1]):
+                return head
+        values, first = np.unique(batch, return_index=True)
+        fresh = np.sort(first[~np.isin(values, picked, assume_unique=True)])[:need]
+        picked = np.sort(np.concatenate((picked, batch[fresh])))
+    return picked
 
 
 def choose_positions(
@@ -210,7 +213,9 @@ def choose_positions(
         )
     positions = _draw_distinct_indices(rng, n_pairs, d_prime)
     k_prime = d_prime // b
-    dummies = shared.generator("dummy_bits").integers(
+    bit_value = np.empty(d_prime, dtype=np.uint8)
+    bit_value[: b * k_prime].reshape(b, k_prime)[:] = bits[:, None]
+    bit_value[b * k_prime :] = shared.generator("dummy_bits").integers(
         0, 2, size=d_prime - b * k_prime, dtype=np.uint8
     )
     return PositionPlan(
@@ -218,7 +223,7 @@ def choose_positions(
         b=b,
         positions=positions,
         bit_index=_bit_layout(b, k_prime, d_prime),
-        bit_value=np.concatenate((np.repeat(bits, k_prime), dummies)),
+        bit_value=bit_value,
         k_prime=k_prime,
     )
 

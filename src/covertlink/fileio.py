@@ -3,7 +3,14 @@
 Formats are chosen for byte-level reproducibility: a fixed little-endian
 binary layout for position plans, plain CSV for columnar data, and JSON
 with sorted keys for structured documents. Nothing embeds timestamps.
-All writers go through an atomic temp-then-rename step.
+All writers go through an atomic temp-then-rename step, one call per
+file.
+
+The integer CSVs (transcript and tally) are encoded a column at a time,
+not a row at a time: each column becomes right-aligned ASCII digits in
+a uint8 matrix through a four-digit lookup table, and the matrix is read
+line by line with the padding dropped. The bytes are those of str() on
+each value, joined with commas.
 """
 
 from __future__ import annotations
@@ -92,9 +99,9 @@ def plan_from_bytes(payload: bytes) -> PositionPlan:
         return PositionPlan(
             n_pairs=n_pairs,
             b=b,
-            positions=positions.copy(),
-            bit_index=bit_index.copy(),
-            bit_value=bit_value.copy(),
+            positions=positions,
+            bit_index=bit_index,
+            bit_value=bit_value,
             k_prime=k_prime,
         )
     except Exception as exc:
@@ -166,25 +173,104 @@ def params_from_document(doc: dict) -> ProtocolParams:
         raise FormatError(f"parameter document is missing field {exc}") from exc
 
 
+# the four ASCII digits of 0..9999, zero-padded, one uint32 each
+_DIGIT_QUADS = (
+    (np.arange(10_000, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10 + ord("0"))
+    .astype(np.uint8)
+    .view(np.uint32)
+    .ravel()
+)
+# 10**1 .. 10**19: a uint64 has one digit more than the powers it reaches
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+# fills the places left of a number; never a byte of the CSV
+_BLANK = 0
+# CSV lines transposed and stripped at a time: a block stays in cache
+_LINES_PER_BLOCK = 1 << 16
+
+
+def _ascii_column(values: np.ndarray, out: np.ndarray) -> None:
+    """Write integers as right-aligned ASCII decimals, one per column of out.
+
+    out holds one row per character place and is as tall as the widest
+    value, sign included; the places left of each value are set to
+    _BLANK.
+    """
+    width = out.shape[0]
+    negative = values < 0
+    magnitude = np.abs(values).astype(np.uint64, copy=False)
+    digits = 1 + np.searchsorted(_POWERS_OF_TEN, magnitude, side="right")
+    first = width - int(digits.max())
+    end = width
+    while end > first:
+        magnitude, quad = np.divmod(magnitude, 10_000)
+        chars = np.take(_DIGIT_QUADS, quad).view(np.uint8).reshape(-1, 4)
+        taken = min(4, end - first)
+        out[end - taken : end] = chars[:, 4 - taken :].T
+        end -= taken
+    lead = width - digits - negative
+    for place in range(int(lead.max())):
+        out[place][lead > place] = _BLANK
+    out[lead[negative], np.flatnonzero(negative)] = ord("-")
+
+
+def _ascii_places(columns: list[np.ndarray]) -> np.ndarray:
+    """The CSV lines of integer columns, one blank-padded line per matrix column.
+
+    Row j of the matrix holds character place j of every line, so each
+    column of values is formatted whole. A column of single digits needs
+    only the ASCII offset.
+    """
+    bounds = [(int(c.min()), int(c.max())) for c in columns]
+    widths = [len(str(max(hi, -lo))) + (lo < 0) for lo, hi in bounds]
+    places = np.empty((sum(widths) + len(widths), columns[0].size), dtype=np.uint8)
+    start = 0
+    for column, width in zip(columns, widths):
+        if width == 1:
+            np.add(column, ord("0"), out=places[start], casting="unsafe")
+        else:
+            _ascii_column(column, places[start : start + width])
+        places[start + width] = ord(",")
+        start += width + 1
+    places[-1] = ord("\n")
+    return places
+
+
+def _int_columns_csv(header: str, columns: list[np.ndarray]) -> bytearray:
+    """CSV bytes of integer columns: the header line, then one line per row.
+
+    The padded lines are transposed and stripped of their blanks a block
+    at a time, straight into the payload, which holds the same bytes as
+    joining str() of each value with commas, row by row.
+    """
+    places = _ascii_places(columns)
+    head = (header + "\n").encode("ascii")
+    payload = bytearray(len(head) + np.count_nonzero(places))
+    payload[: len(head)] = head
+    chars = np.frombuffer(payload, dtype=np.uint8)
+    end = len(head)
+    for start in range(0, places.shape[1], _LINES_PER_BLOCK):
+        lines = places[:, start : start + _LINES_PER_BLOCK].T.copy()
+        kept = lines[lines != _BLANK]
+        chars[end : end + kept.size] = kept
+        end += kept.size
+    return payload
+
+
 def write_transcript_csv(path: Path, t: Transcript) -> None:
     plan = t.plan
-    lines = ["position,bit_index,bit_value,outcome"]
-    lines.extend(
-        f"{int(p)},{int(i)},{int(v)},{int(o)}"
-        for p, i, v, o in zip(plan.positions, plan.bit_index, plan.bit_value, t.outcomes)
-    )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = [plan.positions, plan.bit_index, plan.bit_value, t.outcomes]
+    atomic_write_bytes(path, _int_columns_csv("position,bit_index,bit_value,outcome", columns))
 
 
 def write_tally_csv(path: Path, t: Transcript) -> None:
     """Per-bit vote counts: the bar-chart data, exactly b rows."""
-    lines = ["bit_index,zero_votes,one_votes,decoded,sent,tie,correct"]
-    lines.extend(
-        f"{y.bit_index},{y.zero_votes},{y.one_votes},{y.decoded},{y.sent},"
-        f"{int(y.tie)},{int(y.correct)}"
-        for y in t.tallies
+    table = np.array(
+        [(y.bit_index, y.zero_votes, y.one_votes, y.decoded, y.sent, y.tie, y.correct)
+         for y in t.tallies],
+        dtype=np.int64,
     )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = "bit_index,zero_votes,one_votes,decoded,sent,tie,correct"
+    atomic_write_bytes(path, _int_columns_csv(header, list(table.T)))
 
 
 def write_monitor_csv(path: Path, trace: MonitorTrace) -> None:

@@ -188,3 +188,29 @@ def majority_error_lgamma(k: int, p_c: float, p_w: float) -> float:
                 log_term += w * log_pw
             terms.append(math.exp(log_term))
     return math.fsum(terms)
+
+
+def draw_distinct_indices_loop(rng: np.random.Generator, n_pairs: int, count: int) -> np.ndarray:
+    """count distinct uniform indices in [0, n_pairs), one stream value at a time.
+
+    The first `count` distinct values of the iid batch stream (batches of
+    max(16, still missing) values), sorted; dense draws take a partial
+    permutation. This is the set-and-list loop the position draw used
+    before it was vectorised, kept as the reference for its semantics.
+    """
+    if count > n_pairs:
+        raise ValueError("cannot draw more distinct indices than pairs")
+    if count > n_pairs // 2:
+        return np.sort(rng.permutation(n_pairs)[:count].astype(np.uint64))
+    chosen: set[int] = set()
+    picked: list[int] = []
+    while len(picked) < count:
+        batch = rng.integers(0, n_pairs, size=max(16, count - len(picked)), dtype=np.uint64)
+        for value in batch:
+            v = int(value)
+            if v not in chosen:
+                chosen.add(v)
+                picked.append(v)
+                if len(picked) == count:
+                    break
+    return np.sort(np.asarray(picked, dtype=np.uint64))

@@ -4,6 +4,7 @@ majority decoding."""
 import numpy as np
 import pytest
 
+import oracles
 from covertlink.codec import (
     ALPHABET,
     BITS_PER_CHAR,
@@ -13,6 +14,7 @@ from covertlink.codec import (
     OUTCOME_ZERO,
     PositionPlan,
     SharedRandomness,
+    _draw_distinct_indices,
     choose_positions,
     decode_bits,
     encode_message,
@@ -131,6 +133,40 @@ def test_choose_positions_too_few_draws():
         choose_positions(SharedRandomness(seed=1), 100, 0.0, encode_message("A"))
     with pytest.raises(ParameterError):
         choose_positions(SharedRandomness(seed=1), 100, 1.5, encode_message("A"))
+
+
+def draw_equivalence_cases() -> list[tuple[int, int]]:
+    """Seeded (n_pairs, count) pairs that reach every branch of the draw."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    # under 300 pairs repeats are certain and the dedupe path runs
+    for _ in range(500):
+        n_pairs = int(rng.integers(2, 300))
+        cases.append((n_pairs, int(rng.integers(1, n_pairs // 2 + 1))))
+    # a few repeats in the first batch leave top-ups below 16
+    for _ in range(400):
+        count = int(rng.integers(20, 200))
+        cases.append((int(rng.integers(count**2 // 4, count**2 * 2)), count))
+    # either side of the dense-branch boundary
+    for _ in range(60):
+        n_pairs = int(rng.integers(2, 20_000))
+        cases += [(n_pairs, n_pairs // 2), (n_pairs, n_pairs // 2 + 1)]
+    # sparse, at the receiver's scale: about two repeats among 2e5 draws
+    cases.append((10**10, 200_000))
+    return cases
+
+
+def test_draw_matches_loop_oracle():
+    cases = draw_equivalence_cases()
+    assert len(cases) >= 1000
+    for seed, (n_pairs, count) in enumerate(cases):
+        fast, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = _draw_distinct_indices(fast, n_pairs, count)
+        expected = oracles.draw_distinct_indices_loop(loop, n_pairs, count)
+        assert drawn.dtype == np.uint64
+        assert np.array_equal(drawn, expected), (seed, n_pairs, count)
+        # the same batches were drawn, so the stream continues identically
+        assert fast.integers(2**62) == loop.integers(2**62), (seed, n_pairs, count)
 
 
 def test_position_plan_structure_from_sampler():

@@ -1,14 +1,18 @@
 """Serialization round-trips and corruption detection."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference_scenarios as ref
 from covertlink.codec import SharedRandomness, choose_positions, encode_message
 from covertlink.exceptions import FormatError
 from covertlink.fileio import (
     PLAN_MAGIC,
+    _int_columns_csv,
     params_from_document,
     params_to_document,
     plan_from_bytes,
@@ -24,6 +28,11 @@ from covertlink.fileio import (
 from covertlink.planner import ProtocolParams
 from covertlink.reliability import ChannelModel
 from covertlink.simulator import simulate_monitoring, simulate_transmission
+from make_receiver_golden import SYNTHETIC_NAME, golden_cases, receiver_digests
+
+RECEIVER_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "receiver_golden.json").read_text("utf-8")
+)
 
 
 def sample_plan():
@@ -178,7 +187,8 @@ def test_csv_outputs(tmp_path):
     write_transcript_csv(tmp_path / "transcript.csv", tr)
     lines = (tmp_path / "transcript.csv").read_text().splitlines()
     assert lines[0] == "position,bit_index,bit_value,outcome"
-    assert len(lines) == 1 + plan.d_prime
+    columns = (plan.positions, plan.bit_index, plan.bit_value, tr.outcomes)
+    assert lines[1:] == [f"{p},{i},{v},{o}" for p, i, v, o in zip(*(c.tolist() for c in columns))]
 
     write_tally_csv(tmp_path / "tally.csv", tr)
     lines = (tmp_path / "tally.csv").read_text().splitlines()
@@ -188,6 +198,49 @@ def test_csv_outputs(tmp_path):
     write_monitor_csv(tmp_path / "monitor.csv", trace)
     lines = (tmp_path / "monitor.csv").read_text().splitlines()
     assert len(lines) == 1 + trace.counts.size
+
+
+def f_string_csv(header: str, columns) -> bytes:
+    """The CSV bytes one f-string per row gives."""
+    rows = (",".join(f"{int(v)}" for v in row) for row in zip(*columns))
+    return "".join(f"{line}\n" for line in (header, *rows)).encode("ascii")
+
+
+# 0, 9, 10, every 10**k and 10**k - 1, 2**53 + 1, around 1e16 and the uint64 maximum
+EDGE_VALUES = sorted(
+    {0, 9, 10, 2**53 + 1, 10**16 - 1, 10**16 + 1, 2**64 - 1}
+    | {10**k for k in range(20)}
+    | {10**k - 1 for k in range(1, 20)}
+)
+
+
+@pytest.mark.parametrize("width", range(1, 21))
+def test_csv_encoder_matches_f_strings_in_every_width(width):
+    column = np.array([v % 10**width for v in EDGE_VALUES], dtype=np.uint64)
+    assert len(str(int(column.max()))) == width
+    assert _int_columns_csv("value", [column]) == f_string_csv("value", [column])
+    # the same digits signed (one fewer where they pass int64), beside bit_index's -1
+    signed = (column if width < 19 else column // 10).astype(np.int64)
+    marks = np.where(np.arange(column.size) % 3 == 0, -1, np.arange(column.size)).astype(np.int32)
+    columns = [marks, signed, -signed, column]
+    assert _int_columns_csv("i,s,n,u", columns) == f_string_csv("i,s,n,u", columns)
+    last_row = [c[-1:] for c in columns]
+    assert _int_columns_csv("i,s,n,u", last_row) == f_string_csv("i,s,n,u", last_row)
+
+
+def test_receiver_golden_covers_the_reference_plans():
+    assert sorted(RECEIVER_GOLDEN) == sorted([op.name for op in ref.FIBER] + [SYNTHETIC_NAME])
+    assert all(record["dummies"] > 0 for record in RECEIVER_GOLDEN.values())
+
+
+@pytest.mark.parametrize("name", sorted(RECEIVER_GOLDEN))
+def test_receiver_outputs_match_golden(fiber_plan_reports, tmp_path, name):
+    reference = {scenario: params for scenario, (_, params, _, _) in fiber_plan_reports.items()}
+    params, message = golden_cases(reference)[name]
+    assert receiver_digests(params, message, tmp_path) == RECEIVER_GOLDEN[name]
+    if name == SYNTHETIC_NAME:
+        last = (tmp_path / "transcript.csv").read_text().splitlines()[-1]
+        assert len(last.split(",")[0]) == 16
 
 
 def test_atomic_overwrite(tmp_path):
