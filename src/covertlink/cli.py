@@ -344,6 +344,8 @@ def cmd_validate(cfg: dict, out_dir: Path) -> int:
     """Re-check a previously written plan document against the config targets."""
     req, _ = _request_from_config(cfg)
     doc = fileio.read_json_document(out_dir / "plan.json", "protocol_params")
+    if "params" not in doc:
+        raise FormatError("plan document has no 'params' field")
     params = fileio.params_from_document(doc["params"])
     if params.b != req.b:
         raise ParameterError(

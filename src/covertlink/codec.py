@@ -3,11 +3,12 @@
 Characters come from a 32-symbol alphabet and map to 5 bits each
 (most-significant bit first). Signal positions are chosen so that each
 time-bin pair is selected independently with probability q. The layout
-is one rule, built and enforced by PositionPlan: message bit j sits at
-the selected positions j*k' .. (j+1)*k' - 1 (in time order), and every
-later position is a dummy carrying a uniformly random bit, so the
-emission statistics stay exactly Bernoulli(q) per pair, as the security
-analysis assumes.
+is one rule, derived from b and d' rather than stored: message bit j
+sits at the selected positions j*k' .. (j+1)*k' - 1 (in time order,
+k' = d' // b), and every later position is a dummy carrying a uniformly
+random bit, so the emission statistics stay exactly Bernoulli(q) per
+pair, as the security analysis assumes. A .cvpl file carries a copy of
+the layout, which is checked against the rule when the file is read.
 """
 
 from __future__ import annotations
@@ -92,45 +93,43 @@ class SharedRandomness:
 
 @dataclass(frozen=True, eq=False)
 class PositionPlan:
-    """Selected pair indices and their bit assignment.
+    """Selected pair indices and the bit each one carries.
+
+    Only what was drawn is stored. k_prime, d_prime and bit_index are
+    derived from b and the positions by the module's layout rule, so a
+    plan cannot hold any other layout. Layouts from outside arrive only
+    through .cvpl files, whose k' header and bit_index column
+    fileio.plan_from_bytes checks against the derived ones.
 
     Attributes:
         n_pairs: size of the index space the positions were drawn from.
         b: message bit count.
         positions: strictly increasing pair indices, length d_prime.
-        bit_index: message-bit index per position, -1 for dummy positions.
         bit_value: transmitted bit per position (dummies carry random bits).
-        k_prime: repetitions actually used per message bit, d_prime // b.
     """
 
     n_pairs: int
     b: int
     positions: np.ndarray
-    bit_index: np.ndarray
     bit_value: np.ndarray
-    k_prime: int
 
     def __post_init__(self):
         positions = np.asarray(self.positions, dtype=np.uint64)
-        bit_index = np.asarray(self.bit_index, dtype=np.int32)
         bit_value = np.asarray(self.bit_value, dtype=np.uint8)
-        for name, arr in (("positions", positions), ("bit_index", bit_index),
-                          ("bit_value", bit_value)):
+        for name, arr in (("positions", positions), ("bit_value", bit_value)):
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
-        d_prime = positions.size
-        if bit_index.size != d_prime or bit_value.size != d_prime:
-            raise ParameterError("positions, bit_index and bit_value must align")
-        if d_prime == 0:
-            raise ParameterError("plan must contain at least one position")
+        if bit_value.size != positions.size:
+            raise ParameterError("positions and bit_value must align")
+        if self.b < 1 or positions.size < self.b:
+            raise ParameterError(
+                "a plan needs b >= 1 and at least one position per bit; "
+                f"got b = {self.b} and {positions.size} positions"
+            )
         if np.any(positions[1:] <= positions[:-1]):
             raise ParameterError("positions must be strictly increasing")
         if int(positions[-1]) >= self.n_pairs:
             raise ParameterError("positions must lie in [0, n_pairs)")
-        if self.k_prime != d_prime // self.b or self.k_prime < 1:
-            raise ParameterError("k_prime must equal d_prime // b and be >= 1")
-        if not np.array_equal(bit_index, _bit_layout(self.b, self.k_prime, d_prime)):
-            raise ParameterError("bit_index must put bit j at j*k' .. (j+1)*k' - 1, then -1")
         if np.any(bit_value > 1):
             raise ParameterError("bit values must be 0 or 1")
 
@@ -138,17 +137,27 @@ class PositionPlan:
     def d_prime(self) -> int:
         return self.positions.size
 
+    @property
+    def k_prime(self) -> int:
+        """Repetitions per message bit."""
+        return self.d_prime // self.b
+
+    @property
+    def bit_index(self) -> np.ndarray:
+        """Message-bit index per position, -1 for dummies (built on each call)."""
+        bit_index = np.full(self.d_prime, -1, dtype=np.int32)
+        _message_block(bit_index, self.b)[:] = np.arange(self.b, dtype=np.int32)[:, None]
+        return bit_index
+
     def message_bits(self) -> np.ndarray:
-        """The b message bit values, recovered from the assignment."""
-        first = np.arange(self.b) * self.k_prime
-        return self.bit_value[first].copy()
+        """The b message bit values, one from each bit's block."""
+        return _message_block(self.bit_value, self.b)[:, 0].copy()
 
 
-def _bit_layout(b: int, k_prime: int, d_prime: int) -> np.ndarray:
-    """Message-bit index per position: blocks of k_prime per bit, then -1."""
-    bit_index = np.full(d_prime, -1, dtype=np.int32)
-    bit_index[: b * k_prime].reshape(b, k_prime)[:] = np.arange(b, dtype=np.int32)[:, None]
-    return bit_index
+def _message_block(per_position: np.ndarray, b: int) -> np.ndarray:
+    """The (b, k') view of the first b*k' entries, k' = len // b: row j is bit j."""
+    k_prime = per_position.size // b
+    return per_position[: b * k_prime].reshape(b, k_prime)
 
 
 def _draw_distinct_indices(
@@ -212,20 +221,13 @@ def choose_positions(
             "comfortably exceed the bit count"
         )
     positions = _draw_distinct_indices(rng, n_pairs, d_prime)
-    k_prime = d_prime // b
     bit_value = np.empty(d_prime, dtype=np.uint8)
-    bit_value[: b * k_prime].reshape(b, k_prime)[:] = bits[:, None]
-    bit_value[b * k_prime :] = shared.generator("dummy_bits").integers(
-        0, 2, size=d_prime - b * k_prime, dtype=np.uint8
+    block = _message_block(bit_value, b)
+    block[:] = bits[:, None]
+    bit_value[block.size :] = shared.generator("dummy_bits").integers(
+        0, 2, size=d_prime - block.size, dtype=np.uint8
     )
-    return PositionPlan(
-        n_pairs=n_pairs,
-        b=b,
-        positions=positions,
-        bit_index=_bit_layout(b, k_prime, d_prime),
-        bit_value=bit_value,
-        k_prime=k_prime,
-    )
+    return PositionPlan(n_pairs=n_pairs, b=b, positions=positions, bit_value=bit_value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,19 +243,24 @@ class BitTally:
     correct: bool
 
 
-def vote_counts(plan: PositionPlan, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-message-bit vote counts (zeros, ones) from per-position click outcomes.
-
-    A vote is a click in exactly one bin at a message position; dummy
-    positions, no-click and both-bin outcomes cast none. By the plan's
-    layout the message positions are the first b * k' and form a
-    (b, k') block, one row per bit, so the tally is O(d').
-    """
+def _checked_outcomes(plan: PositionPlan, outcomes: np.ndarray) -> np.ndarray:
+    """outcomes as an array, refused unless it holds one code 0..3 per plan position."""
     outcomes = np.asarray(outcomes)
     valid = (outcomes >= OUTCOME_NONE) & (outcomes <= OUTCOME_BOTH)
     if outcomes.shape != (plan.d_prime,) or not np.all(valid):
         raise ParameterError("outcomes must hold one click code 0..3 per plan position")
-    votes = outcomes[: plan.b * plan.k_prime].reshape(plan.b, plan.k_prime)
+    return outcomes
+
+
+def vote_counts(plan: PositionPlan, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-message-bit vote counts (zeros, ones) from per-position click outcomes.
+
+    A vote is a click in exactly one bin at a message position; dummy
+    positions, no-click and both-bin outcomes cast none. The message
+    positions form the plan's (b, k') block, one row per bit, so the
+    tally is O(d').
+    """
+    votes = _message_block(_checked_outcomes(plan, outcomes), plan.b)
     return (votes == OUTCOME_ZERO).sum(axis=1), (votes == OUTCOME_ONE).sum(axis=1)
 
 
@@ -264,35 +271,19 @@ def majority_decode(
 
     Votes come from vote_counts. A tie (including zero votes) decodes
     to the sentinel value 0 and is flagged, matching the closed-form
-    error convention where ties count as errors.
+    error convention where ties count as errors. The rule is applied
+    here only; compute_stats sums the tallies made here.
 
     Returns:
         (decoded text, per-bit tallies). Correctness in the tallies is
         judged against the bit values recorded in the plan.
     """
     zeros, ones = vote_counts(plan, outcomes)
-    if plan.b % BITS_PER_CHAR != 0:
-        raise ParameterError("bit count must be a multiple of 5 to decode text")
-    ties = zeros == ones
-    # a tie decodes to 0: ones > zeros is False there
+    sent = plan.message_bits()
     decoded_bits = (ones > zeros).astype(np.uint8)
-    columns = zip(
-        zeros.tolist(),
-        ones.tolist(),
-        decoded_bits.tolist(),
-        ties.tolist(),
-        plan.message_bits().tolist(),
-    )
-    tallies = tuple(
-        BitTally(
-            bit_index=i,
-            zero_votes=zero_votes,
-            one_votes=one_votes,
-            decoded=decoded,
-            tie=tie,
-            sent=sent,
-            correct=(not tie) and decoded == sent,
-        )
-        for i, (zero_votes, one_votes, decoded, tie, sent) in enumerate(columns)
-    )
+    ties = zeros == ones
+    correct = ~ties & (decoded_bits == sent)
+    # one row per bit, in BitTally's field order after bit_index
+    rows = zip(*(c.tolist() for c in (zeros, ones, decoded_bits, ties, sent, correct)))
+    tallies = tuple(BitTally(i, *row) for i, row in enumerate(rows))
     return decode_bits(decoded_bits), tallies

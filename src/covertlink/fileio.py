@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import PositionPlan
-from .exceptions import FormatError
+from .exceptions import FormatError, ParameterError
 from .planner import ProtocolParams
 from .reliability import ChannelModel
 from .simulator import MonitorTrace, Transcript
@@ -96,16 +96,15 @@ def plan_from_bytes(payload: bytes) -> PositionPlan:
     offset += 4 * d_prime
     bit_value = np.frombuffer(payload, dtype="u1", count=d_prime, offset=offset)
     try:
-        return PositionPlan(
-            n_pairs=n_pairs,
-            b=b,
-            positions=positions,
-            bit_index=bit_index,
-            bit_value=bit_value,
-            k_prime=k_prime,
-        )
-    except Exception as exc:
+        plan = PositionPlan(n_pairs=n_pairs, b=b, positions=positions, bit_value=bit_value)
+    except ParameterError as exc:
         raise FormatError(f"plan payload fails invariants: {exc}") from exc
+    # the layout is derived from b and d'; the file's copy of it must agree
+    if k_prime != plan.k_prime:
+        raise FormatError(f"plan header gives k' = {k_prime}, but d' // b = {plan.k_prime}")
+    if not np.array_equal(bit_index, plan.bit_index):
+        raise FormatError("plan bit_index must put bit j at j*k' .. (j+1)*k' - 1, then -1")
+    return plan
 
 
 def write_plan(path: Path, plan: PositionPlan) -> None:
@@ -148,6 +147,8 @@ def read_json_document(path: Path, kind: str) -> dict:
         document = json.loads(Path(path).read_text("utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read {kind} document: {exc}") from exc
+    if not isinstance(document, dict):
+        raise FormatError(f"{path} holds no JSON object, so no {kind} document")
     if document.get("schema_version") != DOCUMENT_SCHEMA_VERSION:
         raise FormatError(f"unsupported schema_version in {path}")
     if document.get("kind") != kind:
@@ -171,6 +172,8 @@ def params_from_document(doc: dict) -> ProtocolParams:
         return _from_fields(ProtocolParams, doc, channel=channel)
     except KeyError as exc:
         raise FormatError(f"parameter document is missing field {exc}") from exc
+    except TypeError as exc:
+        raise FormatError(f"parameter document holds a value of the wrong type: {exc}") from exc
 
 
 # the four ASCII digits of 0..9999, zero-padded, one uint32 each

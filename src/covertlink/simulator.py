@@ -2,11 +2,12 @@
 
 The receiver-side simulation works position by position (O(d') for d'
 sent signals) and never touches the ~1e12 idle bins. Its statistics
-come from two tallies: codec.vote_counts per message bit, and one
-(sent bit x outcome) count table over all positions. Idle bins only
-matter to the adversary, whose view is simulated through exact aggregate
-binomial draws and numpy's multinomial (conditional binomials, exact for
-the ~1e11 pairs of a full-scale trial). All outputs are pure functions
+come from two tallies, each made once: the per-bit votes that
+codec.majority_decode counts and decides, and one (sent bit x outcome)
+count table over all positions. Idle bins only matter to the
+adversary, whose view is simulated through exact aggregate binomial
+draws and numpy's multinomial (conditional binomials, exact for the
+~1e11 pairs of a full-scale trial). All outputs are pure functions
 of (inputs, seed) via counter-style derived seeds, so parallel and
 sequential evaluation orders agree.
 
@@ -24,13 +25,12 @@ import numpy as np
 
 from .codec import (
     OUTCOME_BOTH,
-    OUTCOME_NONE,
     OUTCOME_ONE,
     OUTCOME_ZERO,
     BitTally,
     PositionPlan,
+    _checked_outcomes,
     majority_decode,
-    vote_counts,
 )
 from .exceptions import ParameterError
 from .planner import ProtocolParams
@@ -145,14 +145,10 @@ def simulate_transmission(
     d = plan.d_prime
     click_signal = rng.random(d) < cp.p_correct
     click_noise = rng.random(d) < cp.p_wrong
-    sent_one = plan.bit_value == 1
-    bin_zero = (click_signal & ~sent_one) | (click_noise & sent_one)
-    bin_one = (click_signal & sent_one) | (click_noise & ~sent_one)
-    outcomes = np.select(
-        [bin_zero & bin_one, bin_zero, bin_one],
-        [OUTCOME_BOTH, OUTCOME_ZERO, OUTCOME_ONE],
-        default=OUTCOME_NONE,
-    ).astype(np.uint8)
+    # bit j of an outcome code is a click in the bin that encodes j: the
+    # signal clicks in the bin of the sent bit, the noise in the other one
+    sent = plan.bit_value
+    outcomes = click_signal.view(np.uint8) << sent | click_noise.view(np.uint8) << (1 - sent)
     decoded, tallies = majority_decode(plan, outcomes)
     return Transcript(
         protocol=p,
@@ -160,25 +156,29 @@ def simulate_transmission(
         outcomes=outcomes,
         decoded=decoded,
         tallies=tallies,
-        stats=compute_stats(plan, outcomes),
+        stats=compute_stats(plan, outcomes, tallies),
     )
 
 
-def compute_stats(plan: PositionPlan, outcomes: np.ndarray) -> TransmissionStats:
-    """Recompute every Transcript statistic from the raw outcomes.
+def compute_stats(
+    plan: PositionPlan, outcomes: np.ndarray, tallies: tuple[BitTally, ...]
+) -> TransmissionStats:
+    """Summarise a transmission from its outcomes and their per-bit tallies.
 
     One (sent bit x outcome) count table over all positions gives the
-    click and vote figures; the message-bit error comes from vote_counts.
+    click and vote figures; the per-bit figures sum the tallies that
+    majority_decode made of the same outcomes.
     """
-    zeros, ones = vote_counts(plan, outcomes)
-    # row = sent bit, column = outcome code (0..3, checked by vote_counts)
-    table = np.bincount(4 * plan.bit_value + np.asarray(outcomes), minlength=8).reshape(2, 4)
+    if len(tallies) != plan.b:
+        raise ParameterError("tallies must hold one entry per message bit")
+    # row = sent bit, column = outcome code
+    table = np.bincount(
+        4 * plan.bit_value + _checked_outcomes(plan, outcomes), minlength=8
+    ).reshape(2, 4)
     both = int(table[:, OUTCOME_BOTH].sum())
     right_votes = int(table[0, OUTCOME_ZERO] + table[1, OUTCOME_ONE])
     wrong_votes = int(table[0, OUTCOME_ONE] + table[1, OUTCOME_ZERO])
     total_votes = right_votes + wrong_votes
-    # a tie is an error whatever was sent
-    wrong_bit = (zeros == ones) | ((ones > zeros) != (plan.message_bits() == 1))
     return TransmissionStats(
         signal_bin_click_rate=(right_votes + both) / plan.d_prime,
         noise_bin_click_rate=(wrong_votes + both) / plan.d_prime,
@@ -186,8 +186,8 @@ def compute_stats(plan: PositionPlan, outcomes: np.ndarray) -> TransmissionStats
         vote_error_rate=(wrong_votes / total_votes) if total_votes else math.nan,
         total_votes=total_votes,
         wrong_votes=wrong_votes,
-        clicks_per_bit=int(np.sum(zeros) + np.sum(ones)) / plan.b,
-        message_bit_error_rate=int(np.sum(wrong_bit)) / plan.b,
+        clicks_per_bit=sum(t.zero_votes + t.one_votes for t in tallies) / plan.b,
+        message_bit_error_rate=sum(not t.correct for t in tallies) / plan.b,
     )
 
 

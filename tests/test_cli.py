@@ -112,6 +112,31 @@ def test_validate_missing_plan_is_config_error(fast_config, tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def _break_plan_document(doc: dict, breakage: str):
+    if breakage == "no params":
+        del doc["params"]
+    elif breakage == "channel is a string":
+        doc["params"]["channel"] = "x"
+    elif breakage == "tau is a string":
+        doc["params"]["channel"]["tau"] = "x"
+    else:
+        return [doc]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "breakage", ["no params", "channel is a string", "tau is a string", "top-level array"]
+)
+def test_validate_malformed_plan_is_config_error(
+    fast_config, planned_dir, tmp_path, capsys, breakage
+):
+    doc = json.loads((planned_dir / "plan.json").read_text())
+    (tmp_path / "plan.json").write_text(json.dumps(_break_plan_document(doc, breakage)))
+    rc = main(["validate", "--config", str(fast_config), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_simulate_outputs(simulated_dir):
     for name in SIM_FILES:
         assert (simulated_dir / name).exists()

@@ -1,6 +1,8 @@
 """Codec: text <-> bits, shared-randomness position selection, and
 majority decoding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,9 +37,7 @@ def small_plan(bits, k_prime: int, n_pairs: int | None = None) -> PositionPlan:
         n_pairs=n_pairs,
         b=b,
         positions=np.arange(d, dtype=np.uint64),
-        bit_index=np.repeat(np.arange(b, dtype=np.int32), k_prime),
         bit_value=np.repeat(bits, k_prime),
-        k_prime=k_prime,
     )
 
 
@@ -189,66 +189,55 @@ def test_position_plan_validation():
             n_pairs=good.n_pairs,
             b=good.b,
             positions=good.positions[::-1].copy(),
-            bit_index=good.bit_index,
             bit_value=good.bit_value,
-            k_prime=good.k_prime,
         )
     with pytest.raises(ParameterError):
         PositionPlan(
             n_pairs=5,  # positions run past n_pairs
             b=good.b,
             positions=good.positions,
-            bit_index=good.bit_index,
             bit_value=good.bit_value,
-            k_prime=good.k_prime,
         )
     with pytest.raises(ParameterError):
         PositionPlan(
             n_pairs=good.n_pairs,
             b=good.b,
             positions=good.positions,
-            bit_index=good.bit_index,
-            bit_value=good.bit_value,
-            k_prime=3,
-        )
-    with pytest.raises(ParameterError):
-        PositionPlan(
-            n_pairs=good.n_pairs,
-            b=good.b,
-            positions=good.positions,
-            bit_index=good.bit_index,
             bit_value=np.full(good.d_prime, 2, dtype=np.uint8),
-            k_prime=good.k_prime,
+        )
+    with pytest.raises(ParameterError):
+        PositionPlan(
+            n_pairs=good.n_pairs,
+            b=good.b,
+            positions=good.positions,
+            bit_value=good.bit_value[1:],
+        )
+    with pytest.raises(ParameterError, match="b >= 1"):
+        PositionPlan(
+            n_pairs=good.n_pairs,
+            b=0,
+            positions=good.positions,
+            bit_value=good.bit_value,
         )
 
 
 def test_position_plan_rejects_scrambled_blocks():
-    # each bit has its k' = 1 position, but bit 1 comes first: message_bits()
-    # would read bit 0 as 0 although it is sent as 1
-    with pytest.raises(ParameterError, match="bit_index"):
+    # a plan stores only what was drawn, so no other layout can be given
+    fields = [f.name for f in dataclasses.fields(PositionPlan)]
+    assert fields == ["n_pairs", "b", "positions", "bit_value"]
+    with pytest.raises(TypeError, match="bit_index"):
         PositionPlan(n_pairs=10, b=2, positions=[0, 1], bit_index=[1, 0],
-                     bit_value=[0, 1], k_prime=1)
-    good = small_plan(encode_message("AB"), k_prime=3)
-    interleaved = np.tile(np.arange(good.b, dtype=np.int32), good.k_prime)
-    dummy_inside = good.bit_index.copy()
-    dummy_inside[1] = -1
-    out_of_range = good.bit_index.copy()
-    out_of_range[-1] = good.b
-    for bit_index in (interleaved, dummy_inside, out_of_range):
-        with pytest.raises(ParameterError, match="bit_index"):
-            PositionPlan(
-                n_pairs=good.n_pairs,
-                b=good.b,
-                positions=good.positions,
-                bit_index=bit_index,
-                bit_value=good.bit_value,
-                k_prime=good.k_prime,
-            )
+                     bit_value=[0, 1])
+    # the derived layout: bit j at j*k' .. (j+1)*k' - 1, then dummies
+    plan = PositionPlan(n_pairs=10, b=2, positions=np.arange(7),
+                        bit_value=[1, 1, 1, 0, 0, 0, 1])
+    assert plan.k_prime == 3
+    assert plan.bit_index.tolist() == [0, 0, 0, 1, 1, 1, -1]
+    assert plan.message_bits().tolist() == [1, 0]
     # fewer positions than bits: no bit is sent, yet message_bits() would
     # read five values
-    with pytest.raises(ParameterError, match="k_prime"):
-        PositionPlan(n_pairs=10, b=5, positions=[0, 1], bit_index=[-1, -1],
-                     bit_value=[1, 0], k_prime=0)
+    with pytest.raises(ParameterError, match="at least one position per bit"):
+        PositionPlan(n_pairs=10, b=5, positions=[0, 1], bit_value=[1, 0])
 
 
 def test_majority_decode_clean_votes():
@@ -308,9 +297,7 @@ def test_majority_decode_shape_checks():
         n_pairs=3,
         b=3,
         positions=np.arange(3, dtype=np.uint64),
-        bit_index=np.arange(3, dtype=np.int32),
         bit_value=np.zeros(3, dtype=np.uint8),
-        k_prime=1,
     )
     with pytest.raises(ParameterError):
         majority_decode(three_bit, np.zeros(3, dtype=np.uint8))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,12 @@ def test_plan_corruption_detected():
         plan_from_bytes(bytes(payload[:-3]))
     with pytest.raises(FormatError):
         plan_from_bytes(bytes(payload) + b"\x00")
+    # the header's k' must equal d' // b; header: magic, version, N, b, k', d'
+    bad_k = bytearray(payload)
+    k_prime = struct.unpack_from("<I", bad_k, 20)[0]
+    struct.pack_into("<I", bad_k, 20, k_prime + 1)
+    with pytest.raises(FormatError, match="k'"):
+        plan_from_bytes(bytes(bad_k))
 
 
 def test_plan_invariant_violation_detected():

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import covertlink.codec
+import covertlink.simulator
 from covertlink.codec import (
     OUTCOME_BOTH,
     OUTCOME_NONE,
@@ -154,7 +156,26 @@ def test_transmission_stats_match_channel_model(stats_setup):
 
 def test_stats_recomputable_from_outcomes(stats_setup):
     _, plan, tr = stats_setup
-    assert compute_stats(plan, tr.outcomes) == tr.stats
+    _, tallies = majority_decode(plan, tr.outcomes)
+    assert compute_stats(plan, tr.outcomes, tallies) == tr.stats
+    with pytest.raises(ParameterError):
+        compute_stats(plan, tr.outcomes, tallies[1:])
+
+
+def test_votes_tallied_once_per_transmission(stats_setup, monkeypatch):
+    p, plan, tr = stats_setup
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return vote_counts(*args)
+
+    # every name a caller could look the tally up by
+    for module in (covertlink.codec, covertlink.simulator):
+        monkeypatch.setattr(module, "vote_counts", counted, raising=False)
+    again = simulate_transmission(p, plan, rng_seed=11)
+    assert len(calls) == 1
+    assert again.decoded == tr.decoded and again.stats == tr.stats
 
 
 def reference_tally(plan, outcomes):
@@ -207,7 +228,7 @@ def test_one_tally_feeds_decoding_and_stats():
         assert got == expected
         assert [t.bit_index for t in tallies] == list(range(plan.b))
         assert all(type(t.tie) is bool and type(t.correct) is bool for t in tallies)
-        stats = compute_stats(plan, clicked)
+        stats = compute_stats(plan, clicked, tallies)
         assert stats == reference_stats(plan, clicked)
         assert stats.clicks_per_bit == votes / plan.b
         assert stats.message_bit_error_rate == errors / plan.b
