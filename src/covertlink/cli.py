@@ -4,6 +4,11 @@ Every command is a pure function of (config, seed) to its output files:
 no timestamps, no hidden defaults for physical constants, atomic writes,
 and deterministic JSON/CSV layout, so reruns are byte-identical.
 
+Each config key has one rule in _RULES. The flags --seed, --rescale and
+--trials override the key of the same name and are checked by that
+key's rule, before any planning. The subcommands, with their help text
+and extra flags, are listed once, in _COMMANDS.
+
 Exit codes: 0 ok, 2 config error, 3 infeasible targets, 4 security or
 validation check failed.
 """
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -39,34 +45,87 @@ EXIT_CHECK_FAILED = 4
 DEFAULT_TRIALS = 1000
 DEFAULT_MONITOR_INTERVALS = 20
 
-_CHANNEL_KEYS = ("tau", "n_bar_a", "n_bar_b")
-_OPTIONAL_KEYS = (
-    "seed",
-    "rescale",
-    "trials",
-    "mu_multiplier",
-    "no_signals",
-    "monitor_duration_s",
-    "monitor_interval_s",
-)
-_REQUIRED_KEYS = ("message", "epsilon", "target_error", "channel", "rep_rate_hz")
+
+def _number(lo: float = 0.0, hi: float = math.inf, lo_ok: bool = False, hi_ok: bool = False):
+    """Rule: a real number between lo and hi, each end included only if asked."""
+
+    def rule(value, name: str) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            # plain YAML parses 5.0e8 as a string; the exponent needs a sign
+            raise ParameterError(
+                f"{name} must be a number (scientific notation "
+                "needs a signed exponent, e.g. 5.0e+8)"
+            )
+        value = float(value)
+        above = lo <= value if lo_ok else lo < value
+        below = value <= hi if hi_ok else value < hi
+        if not (above and below):
+            raise ParameterError(f"{name} = {value!r} is out of range")
+        return value
+
+    return rule
 
 
-def _as_float(
-    value, key: str, lo: float, hi: float, open_hi: bool = True, open_lo: bool = True
-) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        # plain YAML parses 5.0e8 as a string; the exponent needs a sign
-        raise ParameterError(
-            f"config key {key!r} must be a number (scientific notation "
-            "needs a signed exponent, e.g. 5.0e+8)"
-        )
-    value = float(value)
-    above = value < hi if open_hi else value <= hi
-    below = lo < value if open_lo else lo <= value
-    if not (below and above):
-        raise ParameterError(f"config key {key!r} = {value!r} is out of range")
+def _integer(lo: int, hi: float, span: str):
+    """Rule: an integer in [lo, hi), described as span in the message."""
+
+    def rule(value, name: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or not lo <= value < hi:
+            raise ParameterError(f"{name} must be an integer {span}")
+        return value
+
+    return rule
+
+
+def _message(value, name: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ParameterError(f"{name} must be a non-empty string")
     return value
+
+
+def _boolean(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParameterError(f"{name} must be a boolean")
+    return value
+
+
+_CHANNEL_RULES = {
+    "tau": _number(0.0, 1.0, hi_ok=True),
+    # a noiseless channel is a valid input; the planner says why it
+    # cannot be covert
+    "n_bar_a": _number(lo_ok=True),
+    "n_bar_b": _number(lo_ok=True),
+}
+
+
+def _channel(value, name: str) -> dict:
+    if not isinstance(value, dict) or set(value) != set(_CHANNEL_RULES):
+        raise ParameterError(
+            f"{name} must be a mapping with exactly the keys " + ", ".join(_CHANNEL_RULES)
+        )
+    return {
+        key: rule(value[key], f"config key 'channel.{key}'")
+        for key, rule in _CHANNEL_RULES.items()
+    }
+
+
+# config key -> rule(value, name to report), applied in this order; the
+# keys that flags override (_FLAGS) are checked by the same rules
+_RULES = {
+    "message": _message,
+    "epsilon": _number(0.0, 0.5),
+    "target_error": _number(0.0, 1.0),
+    "channel": _channel,
+    "rep_rate_hz": _number(),
+    "seed": _integer(0, 2**64, "in [0, 2^64)"),
+    "rescale": _number(),
+    "trials": _integer(100, math.inf, ">= 100"),
+    "mu_multiplier": _number(),
+    "no_signals": _boolean,
+    "monitor_duration_s": _number(),
+    "monitor_interval_s": _number(),
+}
+_REQUIRED_KEYS = ("message", "epsilon", "target_error", "channel", "rep_rate_hz")
 
 
 def load_config(path: Path) -> dict:
@@ -83,79 +142,23 @@ def load_config(path: Path) -> dict:
         raise ParameterError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParameterError("config must be a key/value mapping")
-    allowed = set(_REQUIRED_KEYS) | set(_OPTIONAL_KEYS)
-    unknown = sorted(set(raw) - allowed)
+    unknown = sorted(set(raw) - set(_RULES))
     if unknown:
         raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
     missing = sorted(k for k in _REQUIRED_KEYS if k not in raw)
     if missing:
         raise ParameterError(f"missing config keys: {', '.join(missing)}")
-
-    cfg: dict = {}
-    message = raw["message"]
-    if not isinstance(message, str) or not message:
-        raise ParameterError("config key 'message' must be a non-empty string")
-    cfg["message"] = message
-    cfg["epsilon"] = _as_float(raw["epsilon"], "epsilon", 0.0, 0.5)
-    cfg["target_error"] = _as_float(raw["target_error"], "target_error", 0.0, 1.0)
-    channel = raw["channel"]
-    if not isinstance(channel, dict) or set(channel) != set(_CHANNEL_KEYS):
-        raise ParameterError(
-            "config key 'channel' must be a mapping with exactly the keys "
-            + ", ".join(_CHANNEL_KEYS)
-        )
-    cfg["channel"] = {
-        "tau": _as_float(channel["tau"], "channel.tau", 0.0, 1.0, open_hi=False),
-        # a noiseless channel is a valid input; the planner says why it
-        # cannot be covert
-        "n_bar_a": _as_float(
-            channel["n_bar_a"], "channel.n_bar_a", 0.0, float("inf"), open_lo=False
-        ),
-        "n_bar_b": _as_float(
-            channel["n_bar_b"], "channel.n_bar_b", 0.0, float("inf"), open_lo=False
-        ),
+    return {
+        key: rule(raw[key], f"config key {key!r}") for key, rule in _RULES.items() if key in raw
     }
-    cfg["rep_rate_hz"] = _as_float(raw["rep_rate_hz"], "rep_rate_hz", 0.0, float("inf"))
-
-    if "seed" in raw:
-        seed = raw["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise ParameterError("config key 'seed' must be an integer in [0, 2^64)")
-        cfg["seed"] = seed
-    if "rescale" in raw:
-        cfg["rescale"] = _as_float(raw["rescale"], "rescale", 0.0, float("inf"))
-    if "trials" in raw:
-        trials = raw["trials"]
-        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 100:
-            raise ParameterError("config key 'trials' must be an integer >= 100")
-        cfg["trials"] = trials
-    if "mu_multiplier" in raw:
-        cfg["mu_multiplier"] = _as_float(
-            raw["mu_multiplier"], "mu_multiplier", 0.0, float("inf")
-        )
-    if "no_signals" in raw:
-        if not isinstance(raw["no_signals"], bool):
-            raise ParameterError("config key 'no_signals' must be a boolean")
-        cfg["no_signals"] = raw["no_signals"]
-    for key in ("monitor_duration_s", "monitor_interval_s"):
-        if key in raw:
-            cfg[key] = _as_float(raw[key], key, 0.0, float("inf"))
-    return cfg
 
 
 def resolve_config(cfg: dict, args: argparse.Namespace) -> dict:
-    """Overlay command-line flags onto the file config."""
+    """Overlay command-line flags onto the file config, each by its key's rule."""
     resolved = dict(cfg)
-    if getattr(args, "seed", None) is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ParameterError("--seed must lie in [0, 2^64)")
-        resolved["seed"] = args.seed
-    if getattr(args, "rescale", None) is not None:
-        resolved["rescale"] = _as_float(args.rescale, "--rescale", 0.0, float("inf"))
-    if getattr(args, "trials", None) is not None:
-        if args.trials < 100:
-            raise ParameterError("--trials must be >= 100")
-        resolved["trials"] = args.trials
+    for key in _FLAGS:
+        if (value := getattr(args, key, None)) is not None:
+            resolved[key] = _RULES[key](value, f"flag '--{key}'")
     return resolved
 
 
@@ -299,10 +302,7 @@ def cmd_eavesdrop(cfg: dict, out_dir: Path) -> int:
         # both come from the config: refuse a bad interval count before planning
         monitor_interval_count(cfg["monitor_duration_s"], cfg["monitor_interval_s"])
     params, _, _ = _planned_params(cfg)
-    duration = cfg.get(
-        "monitor_duration_s",
-        params.running_time_s,
-    )
+    duration = cfg.get("monitor_duration_s", params.running_time_s)
     interval = cfg.get("monitor_interval_s", duration / DEFAULT_MONITOR_INTERVALS)
     trace_on = simulate_monitoring(params, True, duration, interval, seed)
     trace_off = simulate_monitoring(params, False, duration, interval, seed)
@@ -316,17 +316,10 @@ def cmd_eavesdrop(cfg: dict, out_dir: Path) -> int:
     fileio.write_json_document(
         out_dir / "report.json",
         "eavesdrop_report",
-        {
+        dataclasses.asdict(result)
+        | {
             "verdict": "PASS" if passed else "FAIL",
-            "empirical_pe": result.empirical_pe,
             "empirical_pe_ci95": [result.empirical_pe - ci, result.empirical_pe + ci],
-            "empirical_bias": result.empirical_bias,
-            "std_error": result.std_error,
-            "bound_epsilon": result.bound_epsilon,
-            "trials": result.trials,
-            "pe_count_threshold": result.pe_count_threshold,
-            "pe_likelihood_ratio": result.pe_likelihood_ratio,
-            "count_threshold": result.count_threshold,
             "resolved_config": cfg,
             "params": fileio.params_to_document(params),
         },
@@ -356,30 +349,29 @@ def cmd_validate(cfg: dict, out_dir: Path) -> int:
     fileio.write_json_document(
         out_dir / "validate.json",
         "validation_report",
-        {
-            "passed": report.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "value": c.value,
-                    "limit": c.limit,
-                }
-                for c in report.checks
-            ],
-            "resolved_config": cfg,
-        },
+        {"passed": report.passed, "checks": report.checks, "resolved_config": cfg},
     )
     for c in report.checks:
         print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.value:.6g} vs {c.limit:.6g}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+# name -> (function, help text, flags besides --config, --out and --seed)
 _COMMANDS = {
-    "plan": cmd_plan,
-    "simulate": cmd_simulate,
-    "eavesdrop": cmd_eavesdrop,
-    "validate": cmd_validate,
+    "plan": (cmd_plan, "compute protocol parameters for a config", ()),
+    "simulate": (cmd_simulate, "run one seeded transmission and decode it", ("rescale",)),
+    "eavesdrop": (
+        cmd_eavesdrop,
+        "simulate the adversary and check the bias bound",
+        ("rescale", "trials"),
+    ),
+    "validate": (cmd_validate, "re-check a written plan document against its targets", ()),
+}
+# flags that override the config key of the same name
+_FLAGS = {
+    "seed": (int, "master seed (overrides the config; required by simulate/eavesdrop)"),
+    "rescale": (float, "desk-scale shrink factor applied to the plan"),
+    "trials": (int, "distinguisher Monte-Carlo trials (>= 100)"),
 }
 
 
@@ -389,39 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Covert optical communication planning and simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "plan": "compute protocol parameters for a config",
-        "simulate": "run one seeded transmission and decode it",
-        "eavesdrop": "simulate the adversary and check the bias bound",
-        "validate": "re-check a written plan document against its targets",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, extra) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, type=Path, help="YAML run config")
-        p.add_argument(
-            "--out", type=Path, default=Path("out"), help="output directory"
-        )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="master seed (overrides the config; required by "
-            "simulate/eavesdrop)",
-        )
-        if name in ("simulate", "eavesdrop"):
-            p.add_argument(
-                "--rescale",
-                type=float,
-                default=None,
-                help="desk-scale shrink factor applied to the plan",
-            )
-        if name == "eavesdrop":
-            p.add_argument(
-                "--trials",
-                type=int,
-                default=None,
-                help="distinguisher Monte-Carlo trials (>= 100)",
-            )
+        p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+        for flag in ("seed", *extra):
+            kind, flag_help = _FLAGS[flag]
+            p.add_argument(f"--{flag}", type=kind, help=flag_help)
     return parser
 
 
@@ -429,7 +395,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(load_config(args.config), args)
-        return _COMMANDS[args.command](cfg, args.out)
+        return _COMMANDS[args.command][0](cfg, args.out)
     except (ParameterError, FormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

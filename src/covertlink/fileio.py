@@ -169,11 +169,19 @@ def _from_fields(cls, doc: dict, **given):
 def params_from_document(doc: dict) -> ProtocolParams:
     try:
         channel = _from_fields(ChannelModel, doc["channel"])
-        return _from_fields(ProtocolParams, doc, channel=channel)
+        params = _from_fields(ProtocolParams, doc, channel=channel)
+        bins_total = doc["bins_total"]
     except KeyError as exc:
         raise FormatError(f"parameter document is missing field {exc}") from exc
     except TypeError as exc:
         raise FormatError(f"parameter document holds a value of the wrong type: {exc}") from exc
+    # bins_total is derived from n_pairs; the document's copy must agree
+    if bins_total != params.bins_total:
+        raise FormatError(
+            f"parameter document gives bins_total = {bins_total!r}, "
+            f"but 2 * n_pairs = {params.bins_total}"
+        )
+    return params
 
 
 # the four ASCII digits of 0..9999, zero-padded, one uint32 each

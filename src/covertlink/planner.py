@@ -14,6 +14,7 @@ point.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -111,6 +112,10 @@ class ProtocolParams:
     def __post_init__(self):
         if self.b < 1 or self.n_pairs < 1:
             raise ParameterError("b and n_pairs must be >= 1")
+        # any finite mu >= 0 may be stored, an inflated-mu attack's too
+        real = isinstance(self.mu, numbers.Real) and not isinstance(self.mu, bool)
+        if not (real and 0.0 <= self.mu < math.inf):
+            raise ParameterError(f"mu must be a finite real number >= 0, got {self.mu!r}")
         if self.d == 0:
             if self.k != 0 or self.q != 0.0:
                 raise ParameterError("d = 0 requires k = 0 and q = 0")

@@ -2,10 +2,13 @@
 and byte-level reproducibility."""
 
 import json
+import math
 import time
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
+import yaml
 
 from covertlink import cli
 from covertlink.cli import (
@@ -15,6 +18,9 @@ from covertlink.cli import (
     EXIT_OK,
     main,
 )
+from make_cli_golden import bundled_config, cli_record
+
+CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text("utf-8"))
 
 FAST_CONFIG = """\
 message: "HI"
@@ -112,8 +118,25 @@ def test_validate_missing_plan_is_config_error(fast_config, tmp_path):
     assert rc == EXIT_CONFIG
 
 
+# breakage -> (params field, value written there)
+FIELD_BREAKAGES = {
+    "mu is 'x'": ("mu", "x"),
+    "mu is null": ("mu", None),
+    "mu is [1]": ("mu", [1]),
+    "mu is {}": ("mu", {}),
+    "mu is 'nan'": ("mu", "nan"),
+    "mu is inf": ("mu", math.inf),
+    "bins_total is 'x'": ("bins_total", "x"),
+    "bins_total is -1": ("bins_total", -1),
+    "bins_total is inf": ("bins_total", math.inf),
+}
+
+
 def _break_plan_document(doc: dict, breakage: str):
-    if breakage == "no params":
+    if breakage in FIELD_BREAKAGES:
+        field, value = FIELD_BREAKAGES[breakage]
+        doc["params"][field] = value
+    elif breakage == "no params":
         del doc["params"]
     elif breakage == "channel is a string":
         doc["params"]["channel"] = "x"
@@ -125,7 +148,8 @@ def _break_plan_document(doc: dict, breakage: str):
 
 
 @pytest.mark.parametrize(
-    "breakage", ["no params", "channel is a string", "tau is a string", "top-level array"]
+    "breakage",
+    ["no params", "channel is a string", "tau is a string", "top-level array", *FIELD_BREAKAGES],
 )
 def test_validate_malformed_plan_is_config_error(
     fast_config, planned_dir, tmp_path, capsys, breakage
@@ -134,7 +158,10 @@ def test_validate_malformed_plan_is_config_error(
     (tmp_path / "plan.json").write_text(json.dumps(_break_plan_document(doc, breakage)))
     rc = main(["validate", "--config", str(fast_config), "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    if breakage in FIELD_BREAKAGES:
+        assert FIELD_BREAKAGES[breakage][0] in err
 
 
 def test_simulate_outputs(simulated_dir):
@@ -310,30 +337,40 @@ def test_unsigned_exponent_message_has_hint(tmp_path, capsys):
     assert "signed exponent" in capsys.readouterr().err
 
 
-def test_flag_validation(fast_config, tmp_path):
-    rc = main(
-        [
-            "eavesdrop",
-            "--config",
-            str(fast_config),
-            "--out",
-            str(tmp_path),
-            "--seed",
-            "1",
-            "--trials",
-            "50",
-        ]
-    )
-    assert rc == EXIT_CONFIG
-    rc = main(
-        [
-            "simulate",
-            "--config",
-            str(fast_config),
-            "--out",
-            str(tmp_path),
-            "--seed",
-            "-3",
-        ]
-    )
-    assert rc == EXIT_CONFIG
+# each bad value fails as a config key and as the flag that overrides it
+BAD_FLAG_VALUES = [
+    ("seed", -3),
+    ("seed", 2**64),
+    ("trials", 50),
+    ("trials", 99),
+    ("rescale", 0),
+    ("rescale", -2.0),
+    ("rescale", math.nan),
+    ("rescale", math.inf),
+]
+
+
+@pytest.mark.parametrize("given_as", ["key", "flag"])
+@pytest.mark.parametrize("key, value", BAD_FLAG_VALUES)
+def test_flag_validation(fast_config, tmp_path, capsys, monkeypatch, key, value, given_as):
+    def no_plan(req):
+        raise AssertionError("planner called")
+
+    monkeypatch.setattr(cli, "plan_with_report", no_plan)
+    argv = ["eavesdrop", "--out", str(tmp_path / "o")]
+    if given_as == "key":
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(FAST_CONFIG + yaml.safe_dump({key: value}))
+        argv += ["--config", str(cfg)]
+        named = f"config key '{key}'"
+    else:
+        argv += ["--config", str(fast_config), f"--{key}", str(value)]
+        argv += ["--seed", "1"] if key != "seed" else []
+        named = f"flag '--{key}'"
+    assert main(argv) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", CLI_GOLDEN)
+def test_cli_outputs_match_golden(tmp_path, config):
+    assert cli_record(bundled_config(config), tmp_path) == CLI_GOLDEN[config]

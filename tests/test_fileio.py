@@ -174,7 +174,7 @@ def test_params_document_round_trip():
     assert doc["bins_total"] == p.bins_total
     assert doc["channel"] == {"tau": p.channel.tau, "n_bar_a": p.channel.n_bar_a,
                               "n_bar_b": p.channel.n_bar_b}
-    for missing in ("mu", "target_e", "channel"):
+    for missing in ("mu", "target_e", "channel", "bins_total"):
         broken = dict(doc)
         broken.pop(missing)
         with pytest.raises(FormatError, match=missing):
