@@ -340,11 +340,17 @@ def cmd_validate(cfg: dict, out_dir: Path) -> int:
     if "params" not in doc:
         raise FormatError("plan document has no 'params' field")
     params = fileio.params_from_document(doc["params"])
-    if params.b != req.b:
-        raise ParameterError(
-            f"plan document carries b = {params.b} but the config message "
-            f"needs b = {req.b}"
-        )
+    # a plan made for another message, channel or targets is not this config's
+    for name, planned, wanted in (
+        ("b", params.b, req.b),
+        ("channel", params.channel, req.channel),
+        ("epsilon_target", params.epsilon_target, req.epsilon),
+        ("target_e", params.target_e, req.target_e),
+    ):
+        if planned != wanted:
+            raise ParameterError(
+                f"plan document carries {name} = {planned!r} but the config gives {wanted!r}"
+            )
     report = validate_plan(params, req)
     fileio.write_json_document(
         out_dir / "validate.json",

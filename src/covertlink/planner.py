@@ -80,6 +80,10 @@ class PlanRequest:
         object.__setattr__(self, "mu_grid", grid)
 
 
+def _finite_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """A fully planned parameter set.
@@ -89,10 +93,10 @@ class ProtocolParams:
     (with k = 0, q = 0) is allowed so that no-transmission diagnostics
     can be represented; the planner itself never emits it.
 
-    predicted_epsilon and predicted_e are the planner's claims; whether
-    they still hold for the stored parameters is validate_plan's job, so
-    constructing an out-of-budget instance (e.g. an inflated-mu attack
-    configuration) is deliberately possible.
+    predicted_epsilon and predicted_e are the planner's claims and must be
+    finite reals; whether they still hold for the stored parameters is
+    validate_plan's job, so constructing an out-of-budget instance (e.g.
+    an inflated-mu attack configuration) is deliberately possible.
     """
 
     b: int
@@ -113,9 +117,17 @@ class ProtocolParams:
         if self.b < 1 or self.n_pairs < 1:
             raise ParameterError("b and n_pairs must be >= 1")
         # any finite mu >= 0 may be stored, an inflated-mu attack's too
-        real = isinstance(self.mu, numbers.Real) and not isinstance(self.mu, bool)
-        if not (real and 0.0 <= self.mu < math.inf):
+        if not (_finite_real(self.mu) and self.mu >= 0.0):
             raise ParameterError(f"mu must be a finite real number >= 0, got {self.mu!r}")
+        if not (_finite_real(self.rep_rate_hz) and self.rep_rate_hz > 0.0):
+            raise ParameterError(
+                f"rep_rate_hz must be a finite real number > 0, got {self.rep_rate_hz!r}"
+            )
+        for name in ("predicted_epsilon", "predicted_e"):
+            if not _finite_real(getattr(self, name)):
+                raise ParameterError(
+                    f"{name} must be a finite real number, got {getattr(self, name)!r}"
+                )
         if self.d == 0:
             if self.k != 0 or self.q != 0.0:
                 raise ParameterError("d = 0 requires k = 0 and q = 0")

@@ -14,6 +14,16 @@ import math
 import mpmath as mp
 import numpy as np
 
+from covertlink.exceptions import InfeasibleError, ParameterError
+from covertlink.reliability import (
+    MAX_REPETITIONS,
+    ClickProbabilities,
+    Repetitions,
+    _estimate_repetitions,
+    bit_error_prob,
+    message_error_prob,
+)
+
 
 def thermal_term(n: int, n_bar) -> "mp.mpf":
     n_bar = mp.mpf(n_bar)
@@ -214,3 +224,117 @@ def draw_distinct_indices_loop(rng: np.random.Generator, n_pairs: int, count: in
                 if len(picked) == count:
                     break
     return np.sort(np.asarray(picked, dtype=np.uint64))
+
+
+class _Probe:
+    """Memoized message error per k for one search; bit_errors holds every probe."""
+
+    def __init__(self, target_e: float, b: int, cp: ClickProbabilities):
+        self.target_e = target_e
+        self.b = b
+        self.cp = cp
+        self.bit_errors: dict[int, float] = {}
+
+    def error(self, k: int) -> float:
+        if k not in self.bit_errors:
+            self.bit_errors[k] = bit_error_prob(k, self.cp)
+        return message_error_prob(self.bit_errors[k], self.b)
+
+    def fails(self, k: int) -> bool:
+        return self.error(k) > self.target_e
+
+    def answer(self, k: int) -> Repetitions:
+        return Repetitions(k, self.bit_errors[k])
+
+
+def min_repetitions_all_exact(target_e: float, b: int, cp: ClickProbabilities) -> Repetitions:
+    """Smallest repetition count k meeting the message-error target.
+
+    The repetition search as it was before its probes were bounded: every
+    probe runs the exact sum bit_error_prob. Kept verbatim as the
+    reference the bounded search must agree with, k for k, bit for bit
+    and message for message.
+
+    Majority voting converges only when a click is more likely correct
+    than wrong (p_good_given_click > 1/2); otherwise the target is
+    unreachable and InfeasibleError is raised, as it is when the
+    normal-approximation guess exceeds 4 * MAX_REPETITIONS or k =
+    MAX_REPETITIONS itself fails.
+
+    One search on f(k) = log(message error / target), which is nearly
+    linear in k: starting from the normal-approximation guess, failing
+    points step upward along the slope of the Chernoff exponent,
+    log error ~ -k I - log(k) / 2 with I = -log(1 - p + 2 sqrt(p_correct
+    p_wrong)), until a passing k is found; Illinois regula falsi then
+    closes the bracket to an adjacent (failing, passing) pair. Because an
+    even k can decode slightly worse than k - 1 (ties lose), the passing
+    end is finally walked downward checking both k - 1 and k - 2, which
+    covers the parity sawtooth riding the decreasing envelope. So the
+    smallest passing k is returned as long as odd and even k each decode
+    better as k grows.
+
+    Returns:
+        Repetitions (an int subclass) carrying the bit error at k.
+    """
+    if not 0.0 < target_e < 1.0:
+        raise ParameterError(f"target_e must lie in (0, 1), got {target_e!r}")
+    if b < 1:
+        raise ParameterError(f"b must be >= 1, got {b!r}")
+    p = cp.p_correct + cp.p_wrong
+    if p == 0.0 or math.isnan(cp.p_good_given_click) or cp.p_good_given_click <= 0.5:
+        raise InfeasibleError(
+            "majority vote cannot converge: correct clicks are not more "
+            "likely than wrong ones"
+        )
+    probe = _Probe(target_e, b, cp)
+    if not probe.fails(1):
+        return probe.answer(1)
+    guess = _estimate_repetitions(target_e, b, cp)
+    if guess >= 4 * MAX_REPETITIONS:
+        # the normal approximation is reliable to a few percent at this
+        # scale, so a 4x margin over the cap cannot misclassify
+        raise InfeasibleError(
+            f"estimated repetitions {guess:.1e} exceed the cap {MAX_REPETITIONS:.1e}"
+        )
+    rate = -math.log(max(1.0 - p + 2.0 * math.sqrt(cp.p_correct * cp.p_wrong), 1e-300))
+    lo, f_lo = 1, _log_excess(probe, 1)
+    hi, f_hi = None, 0.0
+    k = min(max(2, guess), MAX_REPETITIONS)
+    side = 0
+    while hi is None or hi - lo > 1:
+        f_k = _log_excess(probe, k)
+        if f_k > 0.0:
+            if k >= MAX_REPETITIONS:
+                raise InfeasibleError(
+                    f"no repetition count up to {MAX_REPETITIONS:.1e} meets the "
+                    f"message-error target {target_e}"
+                )
+            lo, f_lo = k, f_k
+            if side == -1:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = k, f_k
+            if side == 1:
+                f_lo *= 0.5
+            side = 1
+        if hi is None:
+            est = k + f_k / (rate + 0.5 / k)
+            k = min(max(int(round(est)), k + 1), MAX_REPETITIONS)
+        elif hi - lo > 1:
+            est = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            k = min(max(int(round(est)), lo + 1), hi - 1)
+    k = hi
+    while k > 1:
+        if not probe.fails(k - 1):
+            k -= 1
+        elif k > 2 and not probe.fails(k - 2):
+            k -= 2
+        else:
+            break
+    return probe.answer(k)
+
+
+def _log_excess(probe: _Probe, k: int) -> float:
+    """log(message error / target): > 0 fails, <= 0 passes."""
+    return math.log(max(probe.error(k), 1e-300)) - math.log(probe.target_e)

@@ -129,6 +129,24 @@ FIELD_BREAKAGES = {
     "bins_total is 'x'": ("bins_total", "x"),
     "bins_total is -1": ("bins_total", -1),
     "bins_total is inf": ("bins_total", math.inf),
+    "rep_rate_hz is 0": ("rep_rate_hz", 0),
+    "rep_rate_hz is -1": ("rep_rate_hz", -1),
+    "rep_rate_hz is inf": ("rep_rate_hz", math.inf),
+    "rep_rate_hz is 'x'": ("rep_rate_hz", "x"),
+    "predicted_epsilon is 'x'": ("predicted_epsilon", "x"),
+    "predicted_epsilon is 'nan'": ("predicted_epsilon", "nan"),
+    "predicted_e is null": ("predicted_e", None),
+    "predicted_e is inf": ("predicted_e", math.inf),
+    # a plan made for other targets than the config's
+    "epsilon_target is 0.1": ("epsilon_target", 0.1),
+    "target_e is 0.5": ("target_e", 0.5),
+}
+
+# breakage -> (channel key, value written there); stderr names "channel"
+CHANNEL_BREAKAGES = {
+    "n_bar_a is inf": ("n_bar_a", math.inf),
+    "tau is 0": ("tau", 0),
+    "n_bar_b is 0.02": ("n_bar_b", 0.02),
 }
 
 
@@ -136,6 +154,9 @@ def _break_plan_document(doc: dict, breakage: str):
     if breakage in FIELD_BREAKAGES:
         field, value = FIELD_BREAKAGES[breakage]
         doc["params"][field] = value
+    elif breakage in CHANNEL_BREAKAGES:
+        key, value = CHANNEL_BREAKAGES[breakage]
+        doc["params"]["channel"][key] = value
     elif breakage == "no params":
         del doc["params"]
     elif breakage == "channel is a string":
@@ -149,7 +170,14 @@ def _break_plan_document(doc: dict, breakage: str):
 
 @pytest.mark.parametrize(
     "breakage",
-    ["no params", "channel is a string", "tau is a string", "top-level array", *FIELD_BREAKAGES],
+    [
+        "no params",
+        "channel is a string",
+        "tau is a string",
+        "top-level array",
+        *FIELD_BREAKAGES,
+        *CHANNEL_BREAKAGES,
+    ],
 )
 def test_validate_malformed_plan_is_config_error(
     fast_config, planned_dir, tmp_path, capsys, breakage
@@ -162,6 +190,8 @@ def test_validate_malformed_plan_is_config_error(
     assert err.startswith("config error: ")
     if breakage in FIELD_BREAKAGES:
         assert FIELD_BREAKAGES[breakage][0] in err
+    if breakage in CHANNEL_BREAKAGES:
+        assert "channel" in err
 
 
 def test_simulate_outputs(simulated_dir):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import covertlink.reliability as reliability
 from covertlink.exceptions import InfeasibleError, ParameterError
 from covertlink.reliability import (
     MAX_REPETITIONS,
@@ -16,6 +17,7 @@ from covertlink.reliability import (
     bit_error_prob,
     click_probs,
     message_error_prob,
+    _error_bounds,
     _estimate_repetitions,
     min_repetitions,
 )
@@ -259,6 +261,22 @@ def test_min_repetitions_warm_start_matches_cold(target, b, p_c, p_w):
     assert warm.bit_error == bit_error_prob(cold, cp)
 
 
+def _search_outcome(search, target: float, b: int, cp: ClickProbabilities):
+    """(k, bit error) of a search, or the text of its InfeasibleError."""
+    try:
+        k = search(target, b, cp)
+    except InfeasibleError as exc:
+        return str(exc)
+    return int(k), k.bit_error
+
+
+def _assert_same_as_all_exact(target: float, b: int, cp: ClickProbabilities):
+    # same k, the identical bit error, or the same InfeasibleError text
+    assert _search_outcome(min_repetitions, target, b, cp) == _search_outcome(
+        oracles.min_repetitions_all_exact, target, b, cp
+    )
+
+
 def test_min_repetitions_along_mu_grid():
     # a brighter pulse never needs more repetitions, and each answer is
     # the threshold of its own search
@@ -269,6 +287,7 @@ def test_min_repetitions_along_mu_grid():
         k = min_repetitions(ref.TARGET_ERROR, CQTUSTC.bits, cp)
         assert previous is None or k <= previous
         _assert_threshold(k, ref.TARGET_ERROR, CQTUSTC.bits, cp)
+        _assert_same_as_all_exact(ref.TARGET_ERROR, CQTUSTC.bits, cp)
         previous = k
 
 
@@ -281,6 +300,7 @@ def test_min_repetitions_random_channels_across_decades():
         target = 10 ** rng.uniform(-6, math.log10(0.5))
         b = int(10 ** rng.uniform(0, math.log10(1125)))
         cp = make_cp(p_c, p_w)
+        _assert_same_as_all_exact(target, b, cp)
         try:
             k = min_repetitions(target, b, cp)
         except InfeasibleError as exc:
@@ -293,11 +313,132 @@ def test_min_repetitions_random_channels_across_decades():
     assert feasible >= 75
 
 
+QPQI_CHANNEL = ChannelModel(tau=0.18, n_bar_a=0.60, n_bar_b=0.68)
+
+
+def _bracketed(bounds, value: float, rel: float) -> bool:
+    low, _, high = bounds
+    return low <= value * (1.0 + rel) and high >= value * (1.0 - rel)
+
+
+def test_error_bounds_bracket_enumeration_small_k():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        k = int(rng.integers(1, 13))
+        p_c = float(rng.uniform(1e-3, 0.6))
+        p_w = float(rng.uniform(1e-4, min(0.4, 0.99 - p_c)))
+        expected = oracles.majority_error_enumeration(k, p_c, p_w)
+        bounds = _error_bounds(k, make_cp(p_c, p_w))
+        assert _bracketed(bounds, expected, 1e-12), (k, p_c, p_w)
+        assert bounds[1] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "k, p_c, p_w",
+    [
+        (50, 0.3, 0.1),
+        (200, 0.2, 0.15),
+        (300, 0.5, 0.3),
+        (400, 0.05, 0.01),
+        (600, 0.15070547933464734, 0.1090520313613685),
+        (900, 0.02, 0.001),
+        (1000, 0.006884429230653025, 0.0005720725456748557),
+        (300, 0.05, 0.2),  # more wrong clicks than correct ones
+    ],
+)
+def test_error_bounds_bracket_lgamma_moderate_k(k, p_c, p_w):
+    expected = oracles.majority_error_lgamma(k, p_c, p_w)
+    bounds = _error_bounds(k, make_cp(p_c, p_w))
+    assert _bracketed(bounds, expected, 1e-12)
+    # tight enough that a probe falls back only within ~1e-9 of its target
+    assert bounds[2] - bounds[0] <= 1e-9 * bounds[1]
+
+
+def test_error_bounds_bracket_exact_sum_in_deep_tail():
+    # the error lives far above the typical wrong-vote count (a window of
+    # +-16 sd around k p_wrong would give 1.8e-202 here), so the window is
+    # placed by the tail bounds
+    cp = click_probs(0.3, QPQI_CHANNEL)
+    exact = bit_error_prob(10**5, cp)
+    assert 3.8e-184 < exact < 4.0e-184
+    bounds = _error_bounds(10**5, cp)
+    assert bounds[0] <= exact <= bounds[2]
+    assert bounds[1] == pytest.approx(exact, rel=1e-11)
+
+
+@pytest.mark.parametrize("k", [2 * 10**4, 10**5, 10**6, 10**7])
+def test_error_bounds_bracket_exact_sum_on_loud_channel(k):
+    for mu in (0.0031897702154663216, 0.05, 0.956):
+        cp = click_probs(mu, QPQI_CHANNEL)
+        exact = bit_error_prob(k, cp)
+        bounds = _error_bounds(k, cp)
+        assert bounds[0] <= exact <= bounds[2], (k, mu)
+        # tight, or settled by the Chernoff bound alone below 1e-300
+        assert bounds[2] - bounds[0] <= 1e-9 * bounds[1] or bounds[2] < 1e-300
+
+
+def _estimate_above_exact(cp: ClickProbabilities) -> int:
+    # an odd k near 1e5 whose bounded estimate lies above its exact sum
+    return next(
+        k for k in range(100_001, 100_201, 2) if _error_bounds(k, cp)[1] > bit_error_prob(k, cp)
+    )
+
+
+@pytest.mark.parametrize("shift", [0.0, -1e-11])
+def test_min_repetitions_falls_back_to_exact_sum_within_margin(shift):
+    # a target within _EXACT_REL of the message error at k0 leaves the
+    # bounds undecided: only the exact sum can say whether k0 passes (it
+    # does at the target itself, where the estimate says it fails, and
+    # not 1e-11 below it)
+    cp = click_probs(0.05, QPQI_CHANNEL)
+    b = 20
+    k0 = _estimate_above_exact(cp)
+    target = message_error_prob(bit_error_prob(k0, cp), b) * (1.0 + shift)
+    low, _, high = _error_bounds(k0, cp)
+    assert message_error_prob(low * (1.0 - reliability._EXACT_REL), b) <= target
+    assert message_error_prob(high * (1.0 + reliability._EXACT_REL), b) > target
+    k = min_repetitions(target, b, cp)
+    assert (k == k0) == (shift == 0.0)
+    _assert_threshold(k, target, b, cp)
+    _assert_same_as_all_exact(target, b, cp)
+
+
+def _exact_sums_in_search(monkeypatch, mu: float) -> tuple[list[int], object]:
+    calls = []
+    exact = reliability.bit_error_prob
+
+    def counted(k, cp):
+        calls.append(k)
+        return exact(k, cp)
+
+    monkeypatch.setattr(reliability, "bit_error_prob", counted)
+    outcome = _search_outcome(min_repetitions, 0.01, 20, click_probs(mu, QPQI_CHANNEL))
+    return calls, outcome
+
+
+def test_exact_sums_only_where_they_decide(monkeypatch):
+    # QPQI's plan (b = 20, target 0.01) at a dim grid value: the answer is
+    # near 9e6, and at most k = 1, the answer and one fallback are exact
+    calls, outcome = _exact_sums_in_search(monkeypatch, 0.0031897702154663216)
+    assert outcome[0] == 9045475
+    assert len(calls) <= 3 and calls[0] == 1 and calls[-1] == 9045475
+    # dimmer still: k = 1e7 fails on its bounds alone, with no exact sum
+    # past the two-term one at k = 1
+    calls, outcome = _exact_sums_in_search(monkeypatch, 0.002976351441631319)
+    assert outcome.startswith("no repetition count up to")
+    assert calls == [1]
+
+
 def test_min_repetitions_infeasible_majority():
     with pytest.raises(InfeasibleError):
         min_repetitions(0.01, 35, make_cp(0.01, 0.01))
     with pytest.raises(InfeasibleError):
         min_repetitions(0.01, 35, make_cp(0.005, 0.01))
+
+
+def test_min_repetitions_rejects_more_than_one_click_per_slot():
+    with pytest.raises(ParameterError, match="exceeds 1"):
+        min_repetitions(0.01, 5, make_cp(0.7, 0.4))
 
 
 def test_min_repetitions_infeasible_cap():
