@@ -5,9 +5,9 @@ transmissivity tau (detector efficiency included) on top of thermal
 background noise. Closed forms are provided for the per-bin click
 probabilities, the per-bit majority-vote error of a k-repetition code,
 and the whole-message error, plus the inversion that finds the smallest
-k meeting a message-error target. The inversion decides most probes on
-cheap certified bounds and runs the exact sum only at its answer and
-where the bounds cannot settle a probe.
+k meeting a message-error target. The inversion bounds every probe
+cheaply, on the same boost binomial pmf as the exact sum, and runs the
+exact sum only at its answer and where the bounds cannot settle a probe.
 
 Conventions baked into the formulas (and mirrored by the simulator):
 an exact vote tie counts as a bit error, and a bit with no clicks at
@@ -45,12 +45,9 @@ _WINDOW_SIGMAS = 16.0
 _EXACT_REL = 1e-9
 
 # Relative rounding allowance of the bounded evaluator's window sum; the
-# largest disagreement measured against the exact sum is about 1e-12.
+# largest disagreement measured against the exact sum is 1.4e-12 (every
+# probe of four bundled plans and of 3000 random channels).
 _BOUNDS_REL = 1e-10
-
-# Exact sums over at most this many click counts cost less than the
-# bounded evaluator, so such probes skip the bounds.
-_CHEAP_TERMS = 1000
 
 # The wrong-vote window leaves out mass below exp(-_TAIL_NATS) times the
 # Chernoff bound (times sqrt(k), the factor the sum may fall below it).
@@ -60,16 +57,6 @@ _TAIL_NATS = 30.0
 # search clamps message errors at 1e-300 anyway); above it, the window
 # stays within about 40 standard deviations.
 _LOG_TINY = math.log(1e-300)
-
-# stirlerr(n) = log n! - log(sqrt(2 pi n) (n/e)^n) for n <= 15, where
-# Stirling's series has not converged yet
-_STIRLERR_SMALL = np.array(
-    [0.0]
-    + [
-        math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2.0 * math.pi)
-        for n in range(1, 16)
-    ]
-)
 
 
 @dataclass(frozen=True)
@@ -161,21 +148,12 @@ def bit_error_prob(k: int, cp: ClickProbabilities) -> float:
         return 1.0  # no clicks ever: only the i = 0 (error) term survives
     # Bernstein/Poisson tail bounds put the mass outside this window
     # below ~1e-20, far under the 1e-12 agreement the tests demand
-    lo, hi = _click_window(k, p)
-    i = np.arange(lo, hi + 1)
+    half = max(_WINDOW_SIGMAS * math.sqrt(k * p * (1.0 - p)), 30.0)
+    i = np.arange(max(0, int(k * p - half)), min(k, math.ceil(k * p + half)) + 1)
     outer = np.clip(_binom_pmf(i, k, p), 0.0, 1.0)
     wrong_majority = np.clip(_binom_cdf(i // 2, i, cp.p_good_given_click), 0.0, 1.0)
     delta = float(np.sum(outer * wrong_majority))
     return min(max(delta, 0.0), 1.0)
-
-
-def _click_window(k: int, p: float) -> tuple[int, int]:
-    """Click counts the exact sum runs over: +-16 sd around k p, at least 30.
-
-    A p above 1 gets the 30-count floor; bit_error_prob refuses it.
-    """
-    half = max(_WINDOW_SIGMAS * math.sqrt(max(k * p * (1.0 - p), 0.0)), 30.0)
-    return max(0, int(k * p - half)), min(k, int(math.ceil(k * p + half)))
 
 
 def _error_bounds(k: int, cp: ClickProbabilities) -> tuple[float, float, float] | None:
@@ -187,13 +165,14 @@ def _error_bounds(k: int, cp: ClickProbabilities) -> tuple[float, float, float] 
     pi) <= w). F(w + 1) = F(w) + pmf(w; k - w - 1) (pi + (k - 2w - 1) pi /
     ((w + 1)(1 - pi))), so across a window [a, top] F is one exact start
     value F(a) plus a cumulative sum of positive terms: nothing cancels.
-    The pmfs are Loader's saddle-point form. The window sits around the
-    dominant w* = k sqrt(p_c p_w) / z, z = 1 - p + 2 sqrt(p_c p_w), and
-    reaches out until the Chernoff tail bounds of what it leaves out,
-    F(a) P(W < a) below and P(W > top) above, fall _TAIL_NATS below the
-    Chernoff bound z^k of the whole error. The lower bound is the window
-    sum less _BOUNDS_REL; the upper adds both tail bounds. Where z^k is
-    below 1e-300 nothing is summed: the bounds are 0 and z^k.
+    The pmfs come from the boost ufunc the exact sum uses. The window
+    sits around the dominant w* = k sqrt(p_c p_w) / z, z = 1 - p + 2
+    sqrt(p_c p_w), and reaches out until the Chernoff tail bounds of what
+    it leaves out, F(a) P(W < a) below and P(W > top) above, fall
+    _TAIL_NATS below the Chernoff bound z^k of the whole error. The lower
+    bound is the window sum less _BOUNDS_REL; the upper adds both tail
+    bounds. Where z^k is below 1e-300 nothing is summed: the bounds are 0
+    and z^k.
 
     None where the split does not apply: no wrong clicks, or no silent
     slots (pi = 1).
@@ -213,12 +192,14 @@ def _error_bounds(k: int, cp: ClickProbabilities) -> tuple[float, float, float] 
     start = float(_binom_cdf(a, k - a, pi))
     before = w[:-1]
     n = k - 1.0 - before
-    steps = _loader_pmf(before, n, pi) * (pi + (n - before) * pi / ((1.0 - pi) * (before + 1.0)))
+    # boost gives nan past n, where F has reached 1 and stops growing
+    pmf = np.where(before <= n, _binom_pmf(before, n, pi), 0.0)
+    steps = pmf * (pi + (n - before) * pi / ((1.0 - pi) * (before + 1.0)))
     f = np.empty_like(w)
     f[0] = 0.0
     np.cumsum(steps, out=f[1:])
     f += start
-    total = float(np.sum(_loader_pmf(w, float(k), p_w) * f))
+    total = float(np.sum(_binom_pmf(w, k, p_w) * f))
     tails = _chernoff(k, top + 1, p_w)
     if a > 0:
         tails += start * (_chernoff(k, a - 1, p_w) if a - 1 < k * p_w else 1.0)
@@ -275,62 +256,6 @@ def _chernoff(k: int, m: int, p: float) -> float:
     return math.exp(-k * _kl(m / k, p))
 
 
-def _stirlerr(n: np.ndarray) -> np.ndarray:
-    """log n! - log(sqrt(2 pi n) (n/e)^n) for integer-valued n >= 0.
-
-    As in Loader's code: tabulated up to n = 15, five terms of Stirling's
-    series above, two past n = 500 (the next term is below 1e-16 there).
-    """
-    inv = 1.0 / np.maximum(n, 1.0)
-    i2 = inv * inv
-    if np.min(n) > 500.0:
-        return (1 / 12 - i2 / 360) * inv
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - i2 / 1188) * i2) * i2) * i2) * inv
-    return np.where(n <= 15.0, _STIRLERR_SMALL[np.clip(n, 0.0, 15.0).astype(np.int64)], series)
-
-
-def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x log(x / m) + m - x, by Loader's series in v = (x - m)/(x + m) where |v| < 0.1."""
-    d = x - m
-    v = d / (x + m)
-    size = np.abs(v)
-    near = size < 0.1
-    out = d * v
-    v_max = float(np.max(size, where=near, initial=0.0))
-    if v_max > 0.0:
-        # terms 2 x v^(2j+1) / (2j+1) until v_max^(2j) < 1e-17
-        v2 = v * v
-        term = 2.0 * x * v
-        for j in range(1, max(1, math.ceil(-17.0 / (2.0 * math.log10(v_max)))) + 1):
-            term = term * v2
-            out = out + term / (2 * j + 1)
-    if near.all():
-        return out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        far = np.where(x > 0.0, x * np.log(x / m), 0.0) + m - x
-    return np.where(near, out, far)
-
-
-def _loader_pmf(x: np.ndarray, n, p: float) -> np.ndarray:
-    """Binomial pmf at counts x of n trials (float arrays), 0 < p < 1, in Loader's form.
-
-    C. Loader, "Fast and accurate computation of binomial probabilities"
-    (2000): exp(stirlerr(n) - stirlerr(x) - stirlerr(n - x) - bd0(x, n p)
-    - bd0(n - x, n (1 - p))) / sqrt(2 pi x (n - x) / n).
-    """
-    y = n - x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pmf = (
-            _stirlerr(n) - _stirlerr(x) - _stirlerr(y) - _bd0(x, n * p) - _bd0(y, n * (1.0 - p))
-            - 0.5 * np.log(2.0 * math.pi * x * y / n)
-        )
-        if np.min(x) > 0.0 and np.min(y) > 0.0:
-            return np.exp(log_pmf)
-        log_pmf = np.where(y == 0.0, n * math.log(p), log_pmf)
-        log_pmf = np.where(x == 0.0, n * math.log1p(-p), log_pmf)
-    return np.where(y < 0.0, 0.0, np.exp(log_pmf))
-
-
 def message_error_prob(delta: float, b: int) -> float:
     """Probability 1 - (1 - delta)^b that any of b bits decodes wrongly."""
     if not 0.0 <= delta <= 1.0:
@@ -378,9 +303,8 @@ class Repetitions(int):
 class _Probe:
     """Memoized message error per k for one search.
 
-    bit_errors holds every probe's bit error: the exact sum where it was
-    run (listed in exact), else the bounded estimate, used only where
-    its bounds put the verdict beyond doubt.
+    bit_errors holds every probe's bit error: the bounded estimate where
+    its bounds put the verdict beyond doubt, else the exact sum.
     """
 
     def __init__(self, target_e: float, b: int, cp: ClickProbabilities):
@@ -388,7 +312,6 @@ class _Probe:
         self.b = b
         self.cp = cp
         self.bit_errors: dict[int, float] = {}
-        self.exact: set[int] = set()
 
     def error(self, k: int) -> float:
         if k not in self.bit_errors:
@@ -396,24 +319,20 @@ class _Probe:
         return message_error_prob(self.bit_errors[k], self.b)
 
     def _bit_error(self, k: int) -> float:
-        lo, hi = _click_window(k, self.cp.p_correct + self.cp.p_wrong)
-        bounds = None if hi - lo + 1 <= _CHEAP_TERMS else _error_bounds(k, self.cp)
+        bounds = _error_bounds(k, self.cp)
         if bounds is not None:
             low, estimate, high = bounds
             if message_error_prob(low * (1.0 - _EXACT_REL), self.b) > self.target_e:
                 return estimate
             if message_error_prob(min(high * (1.0 + _EXACT_REL), 1.0), self.b) <= self.target_e:
                 return estimate
-        self.exact.add(k)
         return bit_error_prob(k, self.cp)
 
     def fails(self, k: int) -> bool:
         return self.error(k) > self.target_e
 
     def answer(self, k: int) -> Repetitions:
-        if k not in self.exact:
-            return Repetitions(k, bit_error_prob(k, self.cp))
-        return Repetitions(k, self.bit_errors[k])
+        return Repetitions(k, bit_error_prob(k, self.cp))
 
 
 def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> Repetitions:
@@ -437,21 +356,20 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> Repetiti
     smallest passing k is returned as long as odd and even k each decode
     better as k grows.
 
-    Which probes are exact: a probe whose exact sum spans at most
-    _CHEAP_TERMS click counts runs bit_error_prob. Any other probe is
-    bounded by the wrong-vote split (_error_bounds: a window sum less a
-    relative rounding allowance below, plus Chernoff bounds on the mass
-    outside the window above) and steers with the window sum. Its
-    verdict stands only when the target lies outside [lower (1 -
-    _EXACT_REL), upper (1 + _EXACT_REL)] in message error, where the
-    relative margin _EXACT_REL = 1e-9 covers the exact sum's own rounding;
-    otherwise the probe falls back to bit_error_prob. So every pass/fail
-    verdict is the one the exact sum gives, and the search returns the
-    same k as an all-exact search, wherever the exact sum is itself
-    within _EXACT_REL of the error: for errors above about 1e-100 (further
-    down, its click window can miss where the error lives, and the bounds
-    follow the true error). The answer's bit error is always the exact
-    sum's.
+    Which probes are exact: every probe is first bounded by the
+    wrong-vote split (_error_bounds: a window sum less a relative
+    rounding allowance below, plus Chernoff bounds on the mass outside
+    the window above) and steers with the window sum. Its verdict stands
+    only when the target lies outside [lower (1 - _EXACT_REL), upper (1 +
+    _EXACT_REL)] in message error, where the relative margin _EXACT_REL =
+    1e-9 covers the exact sum's own rounding; otherwise, or where the
+    split does not apply (no wrong clicks), the probe falls back to
+    bit_error_prob. So every pass/fail verdict is the one the exact sum
+    gives, and the search returns the same k as an all-exact search,
+    wherever the exact sum is itself within _EXACT_REL of the error: for
+    errors above about 1e-100 (further down, its click window can miss
+    where the error lives, and the bounds follow the true error). The
+    answer's bit error is always the exact sum's.
 
     Returns:
         Repetitions (an int subclass) carrying the bit error at k.

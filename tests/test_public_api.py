@@ -1,12 +1,16 @@
-"""The package's exported names stay in step with its code, and importing
-it stays light."""
+"""The package's exported names stay in step with its code, importing it
+stays light, and its import-guard fallback gives the same numbers."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import covertlink
+from covertlink import reliability
 
 
 def test_all_names_are_unique():
@@ -22,16 +26,64 @@ def test_all_names_are_public():
     assert [name for name in covertlink.__all__ if name.startswith("_")] == []
 
 
+def _run_python(code: str, *args: str) -> str:
+    """Stdout of a fresh interpreter running code, with this covertlink importable."""
+    src = str(Path(covertlink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return run.stdout
+
+
 def test_import_leaves_scipy_stats_out():
     # scipy.stats takes most of a second to import; the library reaches the
     # binomial ufuncs and ndtri through scipy.special alone
-    src = str(Path(covertlink.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, covertlink; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
     )
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert run.stdout.strip() == "[]"
+    assert _run_python(code).strip() == "[]"
+
+
+# (click probabilities, b, target): QPQI's channel at mu = 0.00319 (k
+# near 9e6), CQTUSTC's low-noise channel, and a small-k channel (k = 35)
+# whose wrong-vote windows reach past (k - 1) / 2, where boost's pmf is nan
+_GUARD_CASES = [
+    (reliability.click_probs(0.00319, reliability.ChannelModel(0.18, 0.60, 0.68)), 20, 0.01),
+    (reliability.click_probs(3.52e-2, reliability.ChannelModel(0.18, 2.30e-3, 3.18e-3)), 35, 0.01),
+    (reliability.ClickProbabilities(0.5, 0.1, 0.5 / 0.6), 20, 0.01),
+]
+
+_GUARDED_RUN = """
+import json, sys
+import scipy.special._ufuncs as ufuncs
+from scipy.stats import binom  # its import and its methods call the ufuncs
+saved = {name: getattr(ufuncs, name) for name in ("_binom_pmf", "_binom_cdf")}
+for name in saved:
+    delattr(ufuncs, name)
+from covertlink import reliability
+for name, ufunc in saved.items():
+    setattr(ufuncs, name, ufunc)
+out = {"fallback": reliability._binom_pmf == binom.pmf and reliability._binom_cdf == binom.cdf}
+out["answers"] = []
+for p_c, p_w, p_g, b, target in json.loads(sys.argv[1]):
+    cp = reliability.ClickProbabilities(p_c, p_w, p_g)
+    k = reliability.min_repetitions(target, b, cp)
+    out["answers"].append([int(k), k.bit_error, reliability.bit_error_prob(int(k) // 2 + 1, cp)])
+print(json.dumps(out))
+"""
+
+
+def test_import_guard_fallback_gives_the_same_numbers():
+    # a scipy without the private binomial ufuncs sends every pmf and cdf,
+    # the exact sum's and the bounds', through scipy.stats.binom instead
+    cases = [[cp.p_correct, cp.p_wrong, cp.p_good_given_click, b, t] for cp, b, t in _GUARD_CASES]
+    out = json.loads(_run_python(_GUARDED_RUN, json.dumps(cases)))
+    assert out["fallback"]
+    for (cp, b, target), (k, bit_error, half_k_error) in zip(_GUARD_CASES, out["answers"]):
+        primary = reliability.min_repetitions(target, b, cp)
+        assert k == primary
+        assert bit_error == pytest.approx(primary.bit_error, rel=1e-15, abs=0.0)
+        expected = reliability.bit_error_prob(k // 2 + 1, cp)
+        assert half_k_error == pytest.approx(expected, rel=1e-15, abs=0.0)

@@ -418,15 +418,14 @@ def _exact_sums_in_search(monkeypatch, mu: float) -> tuple[list[int], object]:
 
 def test_exact_sums_only_where_they_decide(monkeypatch):
     # QPQI's plan (b = 20, target 0.01) at a dim grid value: the answer is
-    # near 9e6, and at most k = 1, the answer and one fallback are exact
+    # near 9e6, and only the answer and at most one fallback are exact
     calls, outcome = _exact_sums_in_search(monkeypatch, 0.0031897702154663216)
     assert outcome[0] == 9045475
-    assert len(calls) <= 3 and calls[0] == 1 and calls[-1] == 9045475
+    assert len(calls) <= 2 and calls[-1] == 9045475
     # dimmer still: k = 1e7 fails on its bounds alone, with no exact sum
-    # past the two-term one at k = 1
     calls, outcome = _exact_sums_in_search(monkeypatch, 0.002976351441631319)
     assert outcome.startswith("no repetition count up to")
-    assert calls == [1]
+    assert calls == []
 
 
 def test_min_repetitions_infeasible_majority():
