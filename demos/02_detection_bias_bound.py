@@ -9,6 +9,7 @@ how that cost scales with the number of covert signals.
 """
 
 from covertlink.security import (
+    BINS_PER_PAIR,
     bias_for_protocol,
     detection_bias_bound,
     min_pairs_for_budget,
@@ -32,7 +33,7 @@ for n_pairs in (10**10, 10**11, 10**12):
 budget = 0.014
 needed = min_pairs_for_budget(budget, D_SIGNALS, MU, NOISE)
 print(f"\nbudget {budget}: need N = {needed.n_pairs:.4e} pairs"
-      f" ({needed.bins_total:.4e} raw bins)")
+      f" ({BINS_PER_PAIR * needed.n_pairs:.4e} raw bins)")
 print(f"  check: bound at N    = {bias_for_protocol(needed.n_pairs, D_SIGNALS, MU, NOISE):.6f}")
 print(f"  check: bound at N-1  = {bias_for_protocol(needed.n_pairs - 1, D_SIGNALS, MU, NOISE):.6f}")
 

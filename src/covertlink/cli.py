@@ -21,6 +21,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import fileio
@@ -171,7 +172,7 @@ def _require_seed(cfg: dict) -> int:
     return cfg["seed"]
 
 
-def _request_from_config(cfg: dict) -> tuple[PlanRequest, "np.ndarray"]:
+def _request_from_config(cfg: dict) -> tuple[PlanRequest, np.ndarray]:
     bits = encode_message(cfg["message"])
     channel = ChannelModel(**cfg["channel"])
     req = PlanRequest(
@@ -184,7 +185,7 @@ def _request_from_config(cfg: dict) -> tuple[PlanRequest, "np.ndarray"]:
     return req, bits
 
 
-def _planned_params(cfg: dict) -> tuple[ProtocolParams, PlanRequest, "np.ndarray"]:
+def _planned_params(cfg: dict) -> tuple[ProtocolParams, PlanRequest, np.ndarray]:
     """Plan from the config, then apply rescale / mu_multiplier / no_signals."""
     req, bits = _request_from_config(cfg)
     params, _ = plan_with_report(req)

@@ -8,7 +8,8 @@ request; nothing found at one mu is carried to the next. The
 returned plan is the grid point minimizing N (equivalently the total
 number of time bins, and hence the running time at a fixed repetition
 rate), refined once by golden-section search around the best grid
-point.
+point. Grid points carry k, d, N and the bias bound; the message error
+is summed exactly once, at the chosen point.
 """
 
 from __future__ import annotations
@@ -158,7 +159,6 @@ class GridPoint:
     d: int = 0
     n_pairs: int = 0
     predicted_epsilon: float = math.nan
-    predicted_e: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -197,11 +197,10 @@ def _evaluate_mu(mu: float, req: PlanRequest) -> GridPoint:
     return GridPoint(
         mu=mu,
         feasible=True,
-        k=int(k),
+        k=k,
         d=d,
         n_pairs=pair.n_pairs,
         predicted_epsilon=pair.bias_bound,
-        predicted_e=message_error_prob(k.bit_error, req.b),
     )
 
 
@@ -325,7 +324,9 @@ def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint,
         n_pairs=n,
         mu=best.mu,
         predicted_epsilon=best.predicted_epsilon,
-        predicted_e=best.predicted_e,
+        predicted_e=message_error_prob(
+            bit_error_prob(best.k, click_probs(best.mu, req.channel)), req.b
+        ),
         running_time_s=BINS_PER_PAIR * n / req.rep_rate_hz,
         channel=req.channel,
         rep_rate_hz=req.rep_rate_hz,

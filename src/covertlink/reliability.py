@@ -6,8 +6,9 @@ background noise. Closed forms are provided for the per-bin click
 probabilities, the per-bit majority-vote error of a k-repetition code,
 and the whole-message error, plus the inversion that finds the smallest
 k meeting a message-error target. The inversion bounds every probe
-cheaply, on the same boost binomial pmf as the exact sum, and runs the
-exact sum only at its answer and where the bounds cannot settle a probe.
+cheaply, on the same boost binomial pmf as the exact sum, runs the
+exact sum only where the bounds cannot settle a probe, and returns a
+plain k: a caller that reports the error at k runs the exact sum there.
 
 Conventions baked into the formulas (and mirrored by the simulator):
 an exact vote tie counts as a bit error, and a bit with no clicks at
@@ -133,8 +134,14 @@ def bit_error_prob(k: int, cp: ClickProbabilities) -> float:
     factorials), the ones scipy.stats.binom.pmf and .cdf call, and the
     outer sum is restricted to a window of +-_WINDOW_SIGMAS (16) standard
     deviations around k p, at least 30 counts wide on each side, so k up
-    to 1e5 costs a few thousand terms. min_repetitions calls it only at
-    its answer and where its cheaper bounds cannot settle a probe.
+    to 1e5 costs a few thousand terms. The error itself lives near i = k
+    s clicks, s = 2 r / (1 - p + 2 r) with r = sqrt(p_correct p_wrong):
+    the dominant error splits its clicks evenly between correct and
+    wrong. k s lies below k p, and for deep errors (below about 1e-40 on
+    skewed channels) near or below the window's start, so there the
+    start moves down to 16 standard deviations of Binomial(k, s) below k
+    s. min_repetitions calls it only where its cheaper bounds cannot
+    settle a probe.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"k must be an integer >= 1, got {k!r}")
@@ -149,7 +156,15 @@ def bit_error_prob(k: int, cp: ClickProbabilities) -> float:
     # Bernstein/Poisson tail bounds put the mass outside this window
     # below ~1e-20, far under the 1e-12 agreement the tests demand
     half = max(_WINDOW_SIGMAS * math.sqrt(k * p * (1.0 - p)), 30.0)
-    i = np.arange(max(0, int(k * p - half)), min(k, math.ceil(k * p + half)) + 1)
+    lo = max(0, int(k * p - half))
+    root = math.sqrt(cp.p_correct * cp.p_wrong)
+    s = 2.0 * root / (1.0 - p + 2.0 * root) if root > 0.0 else 0.0
+    half_s = max(_WINDOW_SIGMAS * math.sqrt(k * s * (1.0 - s)), 30.0)
+    # a start less than 8 sd below k s cuts into the error's peak; one
+    # further down misses under 1e-15 of it and stays where it is
+    if lo > k * s - 0.5 * half_s:
+        lo = max(0, int(k * s - half_s))
+    i = np.arange(lo, min(k, math.ceil(k * p + half)) + 1)
     outer = np.clip(_binom_pmf(i, k, p), 0.0, 1.0)
     wrong_majority = np.clip(_binom_cdf(i // 2, i, cp.p_good_given_click), 0.0, 1.0)
     delta = float(np.sum(outer * wrong_majority))
@@ -284,22 +299,6 @@ def _estimate_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> in
     return max(1, int(z * z * var / (m1 * m1)) + 1)
 
 
-class Repetitions(int):
-    """A repetition count carrying the bit error the search computed at it.
-
-    Behaves as a plain int; bit_error is bit_error_prob(k, cp) for the
-    click probabilities the search ran on, so callers need not recompute
-    the sum at the answer.
-    """
-
-    bit_error: float
-
-    def __new__(cls, k: int, bit_error: float):
-        obj = super().__new__(cls, k)
-        obj.bit_error = float(bit_error)
-        return obj
-
-
 class _Probe:
     """Memoized message error per k for one search.
 
@@ -331,11 +330,8 @@ class _Probe:
     def fails(self, k: int) -> bool:
         return self.error(k) > self.target_e
 
-    def answer(self, k: int) -> Repetitions:
-        return Repetitions(k, bit_error_prob(k, self.cp))
 
-
-def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> Repetitions:
+def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     """Smallest repetition count k meeting the message-error target.
 
     Majority voting converges only when a click is more likely correct
@@ -366,13 +362,12 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> Repetiti
     split does not apply (no wrong clicks), the probe falls back to
     bit_error_prob. So every pass/fail verdict is the one the exact sum
     gives, and the search returns the same k as an all-exact search,
-    wherever the exact sum is itself within _EXACT_REL of the error: for
-    errors above about 1e-100 (further down, its click window can miss
-    where the error lives, and the bounds follow the true error). The
-    answer's bit error is always the exact sum's.
+    wherever the exact sum is itself within _EXACT_REL of the error. The
+    answer itself gets no exact sum: a search whose probes all settle on
+    their bounds runs none.
 
     Returns:
-        Repetitions (an int subclass) carrying the bit error at k.
+        The repetition count k, a plain int.
     """
     if not 0.0 < target_e < 1.0:
         raise ParameterError(f"target_e must lie in (0, 1), got {target_e!r}")
@@ -386,7 +381,7 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> Repetiti
         )
     probe = _Probe(target_e, b, cp)
     if not probe.fails(1):
-        return probe.answer(1)
+        return 1
     guess = _estimate_repetitions(target_e, b, cp)
     if guess >= 4 * MAX_REPETITIONS:
         # the normal approximation is reliable to a few percent at this
@@ -430,7 +425,7 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> Repetiti
             k -= 2
         else:
             break
-    return probe.answer(k)
+    return k
 
 
 def _log_excess(probe: _Probe, k: int) -> float:

@@ -41,7 +41,7 @@ _MAX_LOG_STEP = 8.0
 
 @dataclass(frozen=True)
 class ModePair:
-    """Count of time-bin pairs; bins_total is the raw bin count.
+    """Count of time-bin pairs.
 
     bias_bound is the detection-bias bound the search computed at
     n_pairs (nan when the pair count was made by hand).
@@ -53,10 +53,6 @@ class ModePair:
     def __post_init__(self):
         if not isinstance(self.n_pairs, int) or self.n_pairs < 1:
             raise ParameterError(f"n_pairs must be an integer >= 1, got {self.n_pairs!r}")
-
-    @property
-    def bins_total(self) -> int:
-        return BINS_PER_PAIR * self.n_pairs
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,6 @@ from covertlink.exceptions import InfeasibleError, ParameterError
 from covertlink.reliability import (
     MAX_REPETITIONS,
     ClickProbabilities,
-    Repetitions,
     _estimate_repetitions,
     bit_error_prob,
     message_error_prob,
@@ -116,6 +115,25 @@ def majority_error_enumeration(k: int, p_c: float, p_w: float) -> float:
             coef = math.comb(k, c) * math.comb(k - c, w)
             terms.append(coef * p_c**c * p_w**w * r ** (k - c - w))
     return math.fsum(terms)
+
+
+def majority_error_highprec(k: int, p_c: float, p_w: float, w_max: int, dps: int = 40) -> float:
+    """Majority-vote error over c <= w <= w_max, exact binomials at dps digits.
+
+    The enumeration of majority_error_enumeration, with integer
+    multinomial coefficients and mpmath powers, so that deep errors (1e-150
+    and below), where majority_error_lgamma's rounded log terms lose about
+    2e-12 relative, keep every digit. The caller picks w_max past where
+    the error's mass lives.
+    """
+    with mp.workdps(dps):
+        r = 1 - mp.mpf(p_c) - mp.mpf(p_w)
+        total = mp.mpf(0)
+        for w in range(min(w_max, k) + 1):
+            for c in range(min(w, k - w) + 1):
+                coef = math.comb(k, c) * math.comb(k - c, w)
+                total += coef * mp.mpf(p_c) ** c * mp.mpf(p_w) ** w * r ** (k - c - w)
+        return float(total)
 
 
 def majority_error_bruteforce(k: int, p_c: float, p_w: float) -> float:
@@ -243,17 +261,14 @@ class _Probe:
     def fails(self, k: int) -> bool:
         return self.error(k) > self.target_e
 
-    def answer(self, k: int) -> Repetitions:
-        return Repetitions(k, self.bit_errors[k])
 
-
-def min_repetitions_all_exact(target_e: float, b: int, cp: ClickProbabilities) -> Repetitions:
+def min_repetitions_all_exact(target_e: float, b: int, cp: ClickProbabilities) -> int:
     """Smallest repetition count k meeting the message-error target.
 
     The repetition search as it was before its probes were bounded: every
     probe runs the exact sum bit_error_prob. Kept verbatim as the
-    reference the bounded search must agree with, k for k, bit for bit
-    and message for message.
+    reference the bounded search must agree with, k for k and
+    InfeasibleError message for message.
 
     Majority voting converges only when a click is more likely correct
     than wrong (p_good_given_click > 1/2); otherwise the target is
@@ -274,7 +289,7 @@ def min_repetitions_all_exact(target_e: float, b: int, cp: ClickProbabilities) -
     better as k grows.
 
     Returns:
-        Repetitions (an int subclass) carrying the bit error at k.
+        The repetition count k, a plain int.
     """
     if not 0.0 < target_e < 1.0:
         raise ParameterError(f"target_e must lie in (0, 1), got {target_e!r}")
@@ -288,7 +303,7 @@ def min_repetitions_all_exact(target_e: float, b: int, cp: ClickProbabilities) -
         )
     probe = _Probe(target_e, b, cp)
     if not probe.fails(1):
-        return probe.answer(1)
+        return 1
     guess = _estimate_repetitions(target_e, b, cp)
     if guess >= 4 * MAX_REPETITIONS:
         # the normal approximation is reliable to a few percent at this
@@ -332,7 +347,7 @@ def min_repetitions_all_exact(target_e: float, b: int, cp: ClickProbabilities) -
             k -= 2
         else:
             break
-    return probe.answer(k)
+    return k
 
 
 def _log_excess(probe: _Probe, k: int) -> float:

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import covertlink.planner as planner
+import covertlink.reliability as reliability
 from covertlink.exceptions import InfeasibleError, ParameterError
 from covertlink.planner import (
     PlanRequest,
@@ -18,6 +20,7 @@ from covertlink.planner import (
 from covertlink.reliability import ChannelModel
 
 import reference_scenarios as ref
+from make_plan_golden import bundled_configs, request_for
 
 CQTUSTC = ref.FIBER_BY_NAME["CQTUSTC"]
 
@@ -178,6 +181,24 @@ def test_report_covers_grid():
     assert len(points) >= COARSE_GRID.size
     assert any(p.feasible for p in points)
     assert params.n_pairs >= 1
+
+
+@pytest.mark.parametrize("config", ["fiber_qpqi.yaml", "fiber_cqtustc.yaml"])
+def test_plan_sums_the_message_error_once(monkeypatch, config):
+    # grid points carry no message error, and every probe of these plans'
+    # searches settles on its bounds: the one exact sum is the chosen point's
+    calls = []
+    exact = reliability.bit_error_prob
+
+    def counted(k, cp):
+        calls.append(k)
+        return exact(k, cp)
+
+    for module in (reliability, planner):
+        monkeypatch.setattr(module, "bit_error_prob", counted)
+    path = next(p for p in bundled_configs() if p.name == config)
+    params, _ = plan_with_report(request_for(path))
+    assert calls == [params.k]
 
 
 def test_validation_catches_halved_pair_count(cqtustc_plan):

@@ -228,12 +228,6 @@ def test_min_repetitions_is_minimal():
         assert k == scan
 
 
-def test_min_repetitions_carries_bit_error_at_answer():
-    cp = model_clicks(CQTUSTC)
-    k = min_repetitions(ref.TARGET_ERROR, CQTUSTC.bits, cp)
-    assert k.bit_error == bit_error_prob(int(k), cp)
-
-
 _SEARCH_CHANNELS = [
     (0.01, 5, 0.30, 0.05),
     (0.05, 3, 0.70, 0.25),
@@ -254,24 +248,23 @@ def test_min_repetitions_warm_start_matches_cold(target, b, p_c, p_w):
     for other in _SEARCH_CHANNELS:
         min_repetitions(other[0], other[1], make_cp(other[2], other[3]))
     warm = min_repetitions(target, b, cp)
-    assert warm == first
-    assert warm.bit_error == first.bit_error
+    assert type(warm) is int and warm == first
     cold = next(j for j in range(1, warm + 1) if _message_error(j, b, cp) <= target)
     assert warm == cold
-    assert warm.bit_error == bit_error_prob(cold, cp)
 
 
 def _search_outcome(search, target: float, b: int, cp: ClickProbabilities):
-    """(k, bit error) of a search, or the text of its InfeasibleError."""
+    """The k of a search, or the text of its InfeasibleError."""
     try:
         k = search(target, b, cp)
     except InfeasibleError as exc:
         return str(exc)
-    return int(k), k.bit_error
+    assert type(k) is int
+    return k
 
 
 def _assert_same_as_all_exact(target: float, b: int, cp: ClickProbabilities):
-    # same k, the identical bit error, or the same InfeasibleError text
+    # the same k, or the same InfeasibleError text
     assert _search_outcome(min_repetitions, target, b, cp) == _search_outcome(
         oracles.min_repetitions_all_exact, target, b, cp
     )
@@ -307,7 +300,6 @@ def test_min_repetitions_random_channels_across_decades():
             if "no repetition count" in str(exc):
                 assert _message_error(MAX_REPETITIONS, b, cp) > target
             continue
-        assert k.bit_error == bit_error_prob(int(k), cp)
         _assert_threshold(k, target, b, cp)
         feasible += 1
     assert feasible >= 75
@@ -330,7 +322,7 @@ def test_error_bounds_bracket_enumeration_small_k():
         expected = oracles.majority_error_enumeration(k, p_c, p_w)
         bounds = _error_bounds(k, make_cp(p_c, p_w))
         assert _bracketed(bounds, expected, 1e-12), (k, p_c, p_w)
-        assert bounds[1] == pytest.approx(expected, rel=1e-12)
+        assert bounds[1] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -363,7 +355,29 @@ def test_error_bounds_bracket_exact_sum_in_deep_tail():
     assert 3.8e-184 < exact < 4.0e-184
     bounds = _error_bounds(10**5, cp)
     assert bounds[0] <= exact <= bounds[2]
-    assert bounds[1] == pytest.approx(exact, rel=1e-11)
+    assert bounds[1] == pytest.approx(exact, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "k, p_c, p_w",
+    [
+        (4000, 0.1, 0.001),  # a window around k p alone gave 8.02e-150
+        (3500, 0.1, 0.001),  # that window started inside the error's peak
+        (2000, 0.2, 0.0005),
+        (6000, 0.05, 0.0002),
+    ],
+)
+def test_bit_error_prob_reaches_deep_errors_below_k_p(k, p_c, p_w):
+    # far in the tail the error lives near i = 2 w* clicks, more than 16
+    # standard deviations of Binomial(k, p) below k p
+    cp = make_cp(p_c, p_w)
+    exact = bit_error_prob(k, cp)
+    expected = oracles.majority_error_highprec(k, p_c, p_w, 150)
+    assert exact == pytest.approx(expected, rel=1e-12, abs=0.0)
+    # the float oracle rounds its lgamma terms to about 2e-12 at this depth
+    expected = oracles.majority_error_lgamma(k, p_c, p_w)
+    assert exact == pytest.approx(expected, rel=1e-11, abs=0.0)
+    assert exact == pytest.approx(_error_bounds(k, cp)[1], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("k", [2 * 10**4, 10**5, 10**6, 10**7])
@@ -418,10 +432,10 @@ def _exact_sums_in_search(monkeypatch, mu: float) -> tuple[list[int], object]:
 
 def test_exact_sums_only_where_they_decide(monkeypatch):
     # QPQI's plan (b = 20, target 0.01) at a dim grid value: the answer is
-    # near 9e6, and only the answer and at most one fallback are exact
+    # near 9e6, and every probe, the answer's too, settles on its bounds
     calls, outcome = _exact_sums_in_search(monkeypatch, 0.0031897702154663216)
-    assert outcome[0] == 9045475
-    assert len(calls) <= 2 and calls[-1] == 9045475
+    assert outcome == 9045475
+    assert calls == []
     # dimmer still: k = 1e7 fails on its bounds alone, with no exact sum
     calls, outcome = _exact_sums_in_search(monkeypatch, 0.002976351441631319)
     assert outcome.startswith("no repetition count up to")
