@@ -6,9 +6,11 @@ background noise. Closed forms are provided for the per-bin click
 probabilities, the per-bit majority-vote error of a k-repetition code,
 and the whole-message error, plus the inversion that finds the smallest
 k meeting a message-error target. The inversion bounds every probe
-cheaply, on the same boost binomial pmf as the exact sum, runs the
-exact sum only where the bounds cannot settle a probe, and returns a
-plain k: a caller that reports the error at k runs the exact sum there.
+cheaply, on the same boost binomial pmf as the exact sum (called once
+per 256 terms of a long window, with exact term ratios between), runs
+the exact sum only where the bounds cannot settle a probe, and returns
+a plain k: a caller that reports the error at k runs the exact sum
+there.
 
 Conventions baked into the formulas (and mirrored by the simulator):
 an exact vote tie counts as a bit error, and a bit with no clicks at
@@ -46,7 +48,7 @@ _WINDOW_SIGMAS = 16.0
 _EXACT_REL = 1e-9
 
 # Relative rounding allowance of the bounded evaluator's window sum; the
-# largest disagreement measured against the exact sum is 1.4e-12 (every
+# largest disagreement measured against the exact sum is 1.6e-12 (every
 # probe of four bundled plans and of 3000 random channels).
 _BOUNDS_REL = 1e-10
 
@@ -58,6 +60,13 @@ _TAIL_NATS = 30.0
 # search clamps message errors at 1e-300 anyway); above it, the window
 # stays within about 40 standard deviations.
 _LOG_TINY = math.log(1e-300)
+
+# A double below 2^-1075 rounds to 0.0.
+_LOG_ROUNDS_TO_ZERO = -1075.0 * math.log(2.0)
+
+# The bounded evaluator's pmfs call boost at every _ANCHOR_EVERY-th term of
+# a run and step by exact term ratios between; shorter runs are all boost.
+_ANCHOR_EVERY = 256
 
 
 @dataclass(frozen=True)
@@ -140,8 +149,10 @@ def bit_error_prob(k: int, cp: ClickProbabilities) -> float:
     wrong. k s lies below k p, and for deep errors (below about 1e-40 on
     skewed channels) near or below the window's start, so there the
     start moves down to 16 standard deviations of Binomial(k, s) below k
-    s. min_repetitions calls it only where its cheaper bounds cannot
-    settle a probe.
+    s. Where p_correct >= p_wrong and the Chernoff bound z^k, z = 1 - p
+    + 2 r, lies below 2^-1075, the sum would round to 0.0, and 0.0 is
+    returned without it. min_repetitions calls it only where its cheaper
+    bounds cannot settle a probe.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"k must be an integer >= 1, got {k!r}")
@@ -153,12 +164,17 @@ def bit_error_prob(k: int, cp: ClickProbabilities) -> float:
         )
     if p == 0.0:
         return 1.0  # no clicks ever: only the i = 0 (error) term survives
+    root = math.sqrt(cp.p_correct * cp.p_wrong)
+    z = 1.0 - p + 2.0 * root
+    # z^k bounds the error, ties and silent slots included, wherever a
+    # click is likelier correct than wrong; below 2^-1075 the sum is 0.0
+    if cp.p_correct >= cp.p_wrong and (z <= 0.0 or k * math.log(z) < _LOG_ROUNDS_TO_ZERO):
+        return 0.0
     # Bernstein/Poisson tail bounds put the mass outside this window
     # below ~1e-20, far under the 1e-12 agreement the tests demand
     half = max(_WINDOW_SIGMAS * math.sqrt(k * p * (1.0 - p)), 30.0)
     lo = max(0, int(k * p - half))
-    root = math.sqrt(cp.p_correct * cp.p_wrong)
-    s = 2.0 * root / (1.0 - p + 2.0 * root) if root > 0.0 else 0.0
+    s = 2.0 * root / z if root > 0.0 else 0.0
     half_s = max(_WINDOW_SIGMAS * math.sqrt(k * s * (1.0 - s)), 30.0)
     # a start less than 8 sd below k s cuts into the error's peak; one
     # further down misses under 1e-15 of it and stays where it is
@@ -180,10 +196,12 @@ def _error_bounds(k: int, cp: ClickProbabilities) -> tuple[float, float, float] 
     pi) <= w). F(w + 1) = F(w) + pmf(w; k - w - 1) (pi + (k - 2w - 1) pi /
     ((w + 1)(1 - pi))), so across a window [a, top] F is one exact start
     value F(a) plus a cumulative sum of positive terms: nothing cancels.
-    The pmfs come from the boost ufunc the exact sum uses. The window
-    sits around the dominant w* = k sqrt(p_c p_w) / z, z = 1 - p + 2
-    sqrt(p_c p_w), and reaches out until the Chernoff tail bounds of what
-    it leaves out, F(a) P(W < a) below and P(W > top) above, fall
+    Both pmfs, P(W = w) and the F step's, come from _binom_pmf_run: the
+    boost ufunc the exact sum uses at every 256th w and exact term ratios
+    between (a window of up to 256 terms is all boost). The window sits
+    around the dominant w* = k sqrt(p_c p_w) / z, z = 1 - p + 2 sqrt(p_c
+    p_w), and reaches out until the Chernoff tail bounds of what it
+    leaves out, F(a) P(W < a) below and P(W > top) above, fall
     _TAIL_NATS below the Chernoff bound z^k of the whole error. The lower
     bound is the window sum less _BOUNDS_REL; the upper adds both tail
     bounds. Where z^k is below 1e-300 nothing is summed: the bounds are 0
@@ -207,18 +225,62 @@ def _error_bounds(k: int, cp: ClickProbabilities) -> tuple[float, float, float] 
     start = float(_binom_cdf(a, k - a, pi))
     before = w[:-1]
     n = k - 1.0 - before
-    # boost gives nan past n, where F has reached 1 and stops growing
-    pmf = np.where(before <= n, _binom_pmf(before, n, pi), 0.0)
+    pmf = _binom_pmf_run(before, k - 1.0 - a, pi, shrink=True)
     steps = pmf * (pi + (n - before) * pi / ((1.0 - pi) * (before + 1.0)))
     f = np.empty_like(w)
     f[0] = 0.0
     np.cumsum(steps, out=f[1:])
     f += start
-    total = float(np.sum(_binom_pmf(w, k, p_w) * f))
+    total = float(np.sum(_binom_pmf_run(w, k, p_w, shrink=False) * f))
     tails = _chernoff(k, top + 1, p_w)
     if a > 0:
         tails += start * (_chernoff(k, a - 1, p_w) if a - 1 < k * p_w else 1.0)
     return total * (1.0 - _BOUNDS_REL), min(total, 1.0), (total + tails) * (1.0 + _BOUNDS_REL)
+
+
+def _binom_pmf_run(x: np.ndarray, n: float, p: float, shrink: bool) -> np.ndarray:
+    """P(Bin(n_i, p) = x_i) along consecutive x_i = x[0] + i, 0 < p < 1.
+
+    n_i = n throughout, or n - i with shrink. Boost gives every
+    _ANCHOR_EVERY-th term; the terms between follow by the exact ratio
+    of neighbours, (n_i - x_i) / (x_i + 1) p / (1 - p), times (n_i - x_i
+    - 1) / (n_i (1 - p)) with shrink, so each lies at most 255 rounded
+    products (about 2e-13 relative) from a boost value. A run no longer
+    than _ANCHOR_EVERY is all boost, and so is a block whose anchor is
+    subnormal, where the ratios would carry its lost digits. With shrink
+    the terms past x_i > n_i are 0 (boost gives nan there); a fixed-n run
+    takes x_i <= n.
+    """
+    m = len(x)
+    if m <= _ANCHOR_EVERY and not shrink:
+        return _binom_pmf(x, n, p)
+    n_i = n - np.arange(m, dtype=float) if shrink else np.full(m, float(n))
+    if m <= _ANCHOR_EVERY:
+        return _masked_pmf(x, n_i, p)
+    xs, ns = x[:-1], n_i[:-1]
+    ratio = (ns - xs) / (xs + 1.0) * (p / (1.0 - p))
+    if shrink:
+        # 0 from x_i = n_i - 1 on; n_i = 0 makes it 0/0
+        with np.errstate(invalid="ignore"):
+            ratio *= np.maximum(ns - xs - 1.0, 0.0) / (ns * (1.0 - p))
+        ratio[ns <= 0.0] = 0.0
+    blocks = -(-m // _ANCHOR_EVERY)
+    terms = np.ones(blocks * _ANCHOR_EVERY)
+    terms[1:m] = ratio
+    anchors = slice(0, m, _ANCHOR_EVERY)
+    terms[anchors] = _masked_pmf(x[anchors], n_i[anchors], p)
+    terms = np.cumprod(terms.reshape(blocks, _ANCHOR_EVERY), axis=1).ravel()[:m]
+    # a subnormal anchor has lost digits the ratios would carry on
+    lost = (terms[anchors] < np.finfo(float).tiny) & (x[anchors] <= n_i[anchors])
+    for b in np.flatnonzero(lost):
+        run = slice(b * _ANCHOR_EVERY, (b + 1) * _ANCHOR_EVERY)
+        terms[run] = _masked_pmf(x[run], n_i[run], p)
+    return terms
+
+
+def _masked_pmf(x: np.ndarray, n, p: float) -> np.ndarray:
+    """Boost's binomial pmf, 0 where x > n."""
+    return np.where(x <= n, _binom_pmf(x, n, p), 0.0)
 
 
 def _wrong_vote_window(

@@ -136,6 +136,16 @@ def majority_error_highprec(k: int, p_c: float, p_w: float, w_max: int, dps: int
         return float(total)
 
 
+def binom_pmf_highprec(x: int, n: int, p: float, dps: int = 40) -> "mp.mpf":
+    """P(Bin(n, p) = x) at dps digits, as an mpf (no underflow)."""
+    with mp.workdps(dps):
+        log_pmf = (
+            mp.loggamma(n + 1) - mp.loggamma(x + 1) - mp.loggamma(n - x + 1)
+            + x * mp.log(mp.mpf(p)) + (n - x) * mp.log1p(-mp.mpf(p))
+        )
+        return +mp.exp(log_pmf)
+
+
 def majority_error_bruteforce(k: int, p_c: float, p_w: float) -> float:
     """Same quantity by looping over all 3^k outcome strings (k <= 7)."""
     probs = (p_c, p_w, 1.0 - p_c - p_w)

@@ -201,6 +201,26 @@ def test_plan_sums_the_message_error_once(monkeypatch, config):
     assert calls == [params.k]
 
 
+@pytest.mark.parametrize(
+    "config, most", [("fiber_qpqi.yaml", 150_000), ("fiber_cqtustc.yaml", 200_000)]
+)
+def test_plan_boost_pmf_terms(monkeypatch, config, most):
+    # the bounded probes call boost at one term in 256 of a long window
+    # and step by exact ratios between (6,116,392 and 605,924 terms when
+    # every term was boost's)
+    terms = []
+    boost = reliability._binom_pmf
+
+    def counted(*args):
+        terms.append(np.broadcast(*args).size)
+        return boost(*args)
+
+    monkeypatch.setattr(reliability, "_binom_pmf", counted)
+    path = next(p for p in bundled_configs() if p.name == config)
+    plan_with_report(request_for(path))
+    assert sum(terms) <= most
+
+
 def test_validation_catches_halved_pair_count(cqtustc_plan):
     p = cqtustc_plan
     n_half = p.n_pairs // 2

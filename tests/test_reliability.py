@@ -17,6 +17,7 @@ from covertlink.reliability import (
     bit_error_prob,
     click_probs,
     message_error_prob,
+    _binom_pmf_run,
     _error_bounds,
     _estimate_repetitions,
     min_repetitions,
@@ -389,6 +390,147 @@ def test_error_bounds_bracket_exact_sum_on_loud_channel(k):
         assert bounds[0] <= exact <= bounds[2], (k, mu)
         # tight, or settled by the Chernoff bound alone below 1e-300
         assert bounds[2] - bounds[0] <= 1e-9 * bounds[1] or bounds[2] < 1e-300
+
+
+def _boost_run(x: np.ndarray, n: float, p: float, shrink: bool) -> np.ndarray:
+    # the per-element boost pmf, 0 past n, that _binom_pmf_run stands for
+    n_i = n - np.arange(x.size) if shrink else np.full(x.size, n)
+    return np.where(x <= n_i, reliability._binom_pmf(x, n_i, p), 0.0)
+
+
+def _random_run(rng) -> tuple[np.ndarray, float, float, bool]:
+    # a run of 257-3000 terms starting within 10 sd of the mode, n up to 1e7
+    m = int(rng.integers(257, 3000))
+    n = float(int(10 ** rng.uniform(2, 7)) + m)
+    p = float(10 ** rng.uniform(-4, -0.05))
+    shrink = bool(rng.integers(2))
+    mode = n * p / (1.0 + p) if shrink else n * p
+    x0 = max(0, int(mode + rng.uniform(-10, 10) * math.sqrt(n * p + 1.0)))
+    if not shrink:
+        x0 = min(x0, int(n) - m + 1)
+    return np.arange(x0, x0 + m, dtype=float), n, p, shrink
+
+
+@pytest.mark.parametrize("shrink", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 57, reliability._ANCHOR_EVERY])
+def test_binom_pmf_run_short_runs_are_boost(m, shrink):
+    rng = np.random.default_rng(m)
+    for _ in range(20):
+        n = float(int(10 ** rng.uniform(0, 7)) + m)
+        p = float(10 ** rng.uniform(-6, -0.01))
+        # a fixed-n run stays within x <= n; a shrinking one may leave it
+        x0 = int(rng.uniform(0.0, 1.2) * n * p)
+        x = np.arange(m) + float(x0 if shrink else min(x0, n - m + 1))
+        got = _binom_pmf_run(x, n, p, shrink)
+        assert np.array_equal(got, _boost_run(x, n, p, shrink)), (n, p, x[0])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_binom_pmf_run_long_runs_step_by_exact_ratios(seed):
+    rng = np.random.default_rng(seed)
+    step = reliability._ANCHOR_EVERY
+    for _ in range(40):
+        x, n, p, shrink = _random_run(rng)
+        got = _binom_pmf_run(x, n, p, shrink)
+        boost = _boost_run(x, n, p, shrink)
+        # every _ANCHOR_EVERY-th term is boost's own
+        assert np.array_equal(got[::step], boost[::step])
+        # the terms between are within boost's own noise of it (boost
+        # itself lies up to ~3e-11 from 40-digit values at n ~ 1e7)
+        shown = boost >= 1e-290
+        assert np.all(np.abs(got[shown] - boost[shown]) <= 1e-10 * boost[shown])
+        # and 255 rounded ratio products at most from their anchor
+        for j in rng.integers(0, x.size, 6):
+            a = j - j % step
+            if min(boost[a], boost[j]) < 1e-290:
+                continue
+            n_j, n_a = (n - j, n - a) if shrink else (n, n)
+            exact = oracles.binom_pmf_highprec(int(x[j]), int(n_j), p) / oracles.binom_pmf_highprec(
+                int(x[a]), int(n_a), p
+            )
+            assert got[j] / got[a] == pytest.approx(float(exact), rel=3e-13, abs=0.0), (n, p, j)
+
+
+def test_binom_pmf_run_shrinking_past_n_stays_zero():
+    # x climbs while n_i = n - i falls: from x_i > n_i on the pmf is 0,
+    # across the anchors too, and the 0/0 where n_i reaches 0 is masked
+    # (pytest turns any RuntimeWarning into an error)
+    for n, p, x0 in [(300.0, 0.3, 0.0), (1000.0, 0.6, 200.0), (4000.0, 0.5, 2400.0)]:
+        x = np.arange(x0, x0 + 4 * reliability._ANCHOR_EVERY + 3)
+        got = _binom_pmf_run(x, n, p, shrink=True)
+        past = x > n - np.arange(x.size)
+        assert past.any() and not np.isnan(got).any()
+        assert np.all(got[past] == 0.0)
+        boost = _boost_run(x, n, p, shrink=True)
+        assert np.all(np.abs(got - boost) <= 1e-10 * boost)
+
+
+@pytest.mark.parametrize("shrink", [False, True])
+def test_binom_pmf_run_climbs_out_of_underflow(shrink):
+    # boost's pmf at x = 3000 of Bin(1e4, 1/2) is below the smallest
+    # double, yet 255 terms on it reaches 6e-273: that block is all boost
+    x = np.arange(3000.0, 3000.0 + 3 * reliability._ANCHOR_EVERY)
+    got = _binom_pmf_run(x, 1e4, 0.5, shrink)
+    boost = _boost_run(x, 1e4, 0.5, shrink)
+    assert boost[0] == 0.0 and boost[reliability._ANCHOR_EVERY - 1] > 1e-290
+    assert np.all(np.abs(got - boost) <= 1e-10 * boost)
+
+
+def test_error_bounds_estimate_matches_per_element_boost(monkeypatch):
+    # 200 channels, k up to 1e7, each with a Chernoff exponent k I between
+    # 0.3 and 650, so that the window is summed: the estimate on anchored
+    # runs against the same sum with every pmf term from boost
+    rng = np.random.default_rng(21)
+    cases = []
+    while len(cases) < 200:
+        k = int(10 ** rng.uniform(0, 7))
+        p_w = float(10 ** rng.uniform(-6, math.log10(0.3)))
+        rate = 10 ** rng.uniform(-0.5, math.log10(650.0)) / k
+        p_c = (math.sqrt(p_w) + math.sqrt(-math.expm1(-rate))) ** 2
+        if p_c + p_w <= 1.0:
+            cases.append((k, make_cp(p_c, p_w)))
+    anchored = [_error_bounds(k, cp) for k, cp in cases]
+    monkeypatch.setattr(reliability, "_ANCHOR_EVERY", 2 * MAX_REPETITIONS)
+    for (k, cp), bounds in zip(cases, anchored):
+        assert bounds[1] == pytest.approx(_error_bounds(k, cp)[1], rel=2e-12, abs=0.0), (k, cp)
+    # and they still bracket the exact sum
+    for (k, cp), bounds in zip(cases[::4], anchored[::4]):
+        exact = bit_error_prob(k, cp)
+        assert bounds[0] <= exact <= bounds[2], (k, cp)
+
+
+def test_bit_error_prob_sums_nothing_below_the_smallest_double(monkeypatch):
+    # QPQI's channel at its planned mu: z^k = 5e-126860 at k = 1e7
+    cp = click_probs(0.956, QPQI_CHANNEL)
+    calls = []
+    boost = reliability._binom_pmf
+
+    def counted(*args):
+        calls.append(args)
+        return boost(*args)
+
+    monkeypatch.setattr(reliability, "_binom_pmf", counted)
+    assert bit_error_prob(10**7, cp) == 0.0
+    assert calls == []
+
+
+def test_bit_error_prob_cut_changes_no_value(monkeypatch):
+    # k up to 40 past the first k with z^k < 2^-1075, from where the error
+    # is still a double: the same values as the full sum, which rounds to
+    # 0.0 past the cut
+    cases = [click_probs(0.956, QPQI_CHANNEL), make_cp(0.3, 0.01), make_cp(0.02, 0.0001)]
+    for cp in cases:
+        z = 1.0 - cp.p_correct - cp.p_wrong + 2.0 * math.sqrt(cp.p_correct * cp.p_wrong)
+        cut = math.ceil(reliability._LOG_ROUNDS_TO_ZERO / math.log(z))
+        ks = np.unique(np.geomspace(0.9 * cut, cut + 40, 120).astype(int)).tolist()
+        cut_values = [bit_error_prob(k, cp) for k in ks]
+        with monkeypatch.context() as m:
+            m.setattr(reliability, "_LOG_ROUNDS_TO_ZERO", -math.inf)
+            assert cut_values == [bit_error_prob(k, cp) for k in ks]
+        assert cut_values[0] > 0.0 and cut_values[-1] == 0.0
+    # where wrong clicks are the likelier, z^k bounds nothing: z^5000 is
+    # 1e-485 here, yet nearly every bit decodes wrongly
+    assert bit_error_prob(5000, make_cp(0.01, 0.3)) > 0.99
 
 
 def _estimate_above_exact(cp: ClickProbabilities) -> int:
