@@ -11,7 +11,7 @@ number needs a cancellation-stable evaluation.
 
 import numpy as np
 
-from covertlink.security import DivergenceProfile
+from covertlink.fock_stats import DivergenceProfile
 
 # one profile holds everything the divergence needs for a pulse of mean
 # 3.52e-2 photons on a thermal background of mean 2.3e-3

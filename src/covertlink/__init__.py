@@ -2,13 +2,13 @@
 
 The package is organized around one workflow: bound how detectable a
 transmission is from the relative entropy between the idle thermal
-background and the background carrying rare pulses (security, on the
-divergence kernel in fock_stats), predict how reliably it decodes
-(reliability), search for the cheapest parameters meeting both targets
-(planner), lay message bits onto secret time-bin positions (codec), and
-exercise the whole thing, including the adversary, with seeded
-Monte-Carlo (simulator). The cli module exposes the four workflows as
-subcommands.
+background and the background carrying rare pulses (formed in
+fock_stats by DivergenceProfile, bounded and inverted by security),
+predict how reliably it decodes (reliability), search for the cheapest
+parameters meeting both targets (planner), lay message bits onto secret
+time-bin positions (codec), and exercise the whole thing, including the
+adversary, with seeded Monte-Carlo (simulator). The cli module exposes
+the four workflows as subcommands.
 """
 
 from .codec import (
@@ -28,6 +28,7 @@ from .exceptions import (
     InfeasibleError,
     ParameterError,
 )
+from .fock_stats import DivergenceProfile, per_mode_relative_entropy
 from .planner import (
     PlanRequest,
     ProtocolParams,
@@ -43,13 +44,7 @@ from .reliability import (
     message_error_prob,
     min_repetitions,
 )
-from .security import (
-    BINS_PER_PAIR,
-    DivergenceProfile,
-    detection_bias_bound,
-    min_pairs_for_budget,
-    per_mode_relative_entropy,
-)
+from .security import BINS_PER_PAIR, detection_bias_bound, min_pairs_for_budget
 from .simulator import (
     DistinguisherResult,
     MonitorTrace,

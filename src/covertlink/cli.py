@@ -30,6 +30,7 @@ from .exceptions import FormatError, InfeasibleError, ParameterError
 from .planner import PlanRequest, ProtocolParams, plan_with_report, validate_plan
 from .reliability import ChannelModel
 from .simulator import (
+    SECURITY_CHECK_SIGMAS,
     monitor_interval_count,
     predicted_vote_error_rate,
     rescale_plan,
@@ -328,8 +329,8 @@ def cmd_eavesdrop(cfg: dict, out_dir: Path) -> int:
     print(
         f"security check: {'PASS' if passed else 'FAIL'} "
         f"(empirical bias {result.empirical_bias:.4f} vs bound "
-        f"{result.bound_epsilon:.4f} + 3 sigma = "
-        f"{result.bound_epsilon + 3 * result.std_error:.4f})"
+        f"{result.bound_epsilon:.4f} + {SECURITY_CHECK_SIGMAS:g} sigma = "
+        f"{result.bound_epsilon + SECURITY_CHECK_SIGMAS * result.std_error:.4f})"
     )
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 

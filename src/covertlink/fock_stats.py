@@ -1,27 +1,25 @@
-"""The per-mode divergence kernel for covert-link analysis.
+"""The per-mode divergence of a faint pulse on thermal light.
 
 The covert regime mixes a signal state rho_s into the idle thermal
 state rho with weight q ~ 1e-8, so D(rho || (1 - q) rho + q rho_s) is
-~1e-16 and is fixed by the O(q^2) part of each term. This module holds
-the two pieces every such divergence is built from:
+~1e-16 and is fixed by the O(q^2) part of each term. DivergenceProfile
+is the one place that D is formed, for one pulse intensity mu on a
+thermal background of mean n_bar_a:
 
-- thermal_weights(): the thermal (Bose-Einstein) photon-number law of
-  the background, truncated at a stated tail mass, with that tail
-  returned in closed form;
-- mixture_relative_entropy(): the one formula for D. With
-  x_n = rho_s(n)/rho(n) - 1 and y_n = q x_n, every term
-  rho_n (y_n - log1p(y_n)) is non-negative and evaluated without
-  cancellation (a series below |y| = 0.1), and the linear part
-  -q sum(rho x) is not summed at all. Over the whole support it is
-  exactly zero; over a truncated support it equals q times the
-  difference of the two laws' tail masses, which is carried
-  analytically.
+- build() lays out rho, the thermal (Bose-Einstein) law truncated where
+  its closed-form tail falls to 1e-30, and x_n = rho_s(n)/rho(n) - 1 in
+  closed form, with the mass of both laws beyond the support;
+- divergence(q) sums the terms rho_n (y_n - log1p(y_n)), y_n = q x_n.
+  Each is non-negative and evaluated without cancellation (a series
+  below |y| = 0.1), and the linear part -q sum(rho x) is not summed at
+  all. Over the whole support it is exactly zero; over a truncated
+  support it equals q times the difference of the two laws' tail
+  masses, which is carried analytically.
 
 The result is accurate to a few units in the last place rather than to
 the ~1e-9 the plain -rho log1p(y) terms reach, which is what lets the
 security module treat the detection-bias bound as monotone at single
-time-bin-pair resolution. security.DivergenceProfile assembles rho and
-x for a given pulse and background.
+time-bin-pair resolution.
 
 All relative entropies are reported in nats (natural logarithm).
 """
@@ -29,10 +27,17 @@ All relative entropies are reported in nats (natural logarithm).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .exceptions import ParameterError
+
+# Tail mass at which the thermal background is truncated: the bound
+# lives at D ~ 1e-16, and a 1e-15 tail would shift its sixth
+# significant figure.
+_TRUNC_TOL = 1e-30
 
 # Crude cap on |ln(p/s)| for normal doubles, used only to convert
 # unresolvable truncated mass into an error bar.
@@ -52,32 +57,6 @@ class RelativeEntropy(float):
         obj = super().__new__(cls, value)
         obj.error_bound = float(error_bound)
         return obj
-
-
-def thermal_weights(n_bar: float, trunc_tol: float) -> tuple[np.ndarray, float]:
-    """Thermal pmf n_bar**n / (1 + n_bar)**(n + 1) up to its cutoff, and the tail.
-
-    The law is geometric with ratio r = n_bar / (1 + n_bar); the cutoff
-    is the smallest n_max whose closed-form tail r**(n_max + 1) is
-    <= trunc_tol. Returns (pmf for n = 0..n_max, r**(n_max + 1)).
-    """
-    n_bar, trunc_tol = float(n_bar), float(trunc_tol)
-    if not math.isfinite(n_bar) or n_bar < 0.0:
-        raise ParameterError(f"n_bar must be finite and >= 0, got {n_bar!r}")
-    if not 0.0 < trunc_tol < 1.0:
-        raise ParameterError(f"trunc_tol must lie in (0, 1), got {trunc_tol!r}")
-    if n_bar == 0.0:
-        return np.array([1.0]), 0.0
-    ratio = n_bar / (1.0 + n_bar)
-    log_ratio = math.log(ratio)
-    n_max = max(0, math.ceil(math.log(trunc_tol) / log_ratio) - 1)
-    # log rounding can be off by one in either direction
-    while ratio ** (n_max + 1) > trunc_tol:
-        n_max += 1
-    while n_max > 0 and ratio**n_max <= trunc_tol:
-        n_max -= 1
-    n = np.arange(n_max + 1)
-    return np.exp(n * log_ratio - math.log1p(n_bar)), ratio ** (n_max + 1)
 
 
 # Below this |y| the term y - log1p(y) is summed as its Taylor series;
@@ -103,43 +82,121 @@ def _log1p_gap(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def mixture_relative_entropy(
-    rho: np.ndarray,
-    x: np.ndarray,
-    q: float,
-    tail_rho: float,
-    tail_s: float,
-) -> RelativeEntropy:
-    """D(rho || (1 - q) rho + q rho_s) in nats, from rho and x = rho_s/rho - 1.
+@dataclass(frozen=True, eq=False)
+class DivergenceProfile:
+    """What D(q) = D(rho || (1 - q) rho + q rho_s) needs, for one (mu, n_bar_a).
 
-    The terms rho_n (y_n - log1p(y_n)), y_n = q x_n, are non-negative
-    and combined with exact summation. The linear part of the divergence
-    is -q sum(rho x) over the support, which is exactly
-    -q (tail_rho - tail_s) and is added in that form, so no O(q) pieces
-    cancel inside the sum.
+    rho is thermal(n_bar_a), n_bar_a**n / (1 + n_bar_a)**(n + 1), on
+    n = 0..n_max, the smallest support whose geometric tail
+    r**(n_max + 1), r = n_bar_a / (1 + n_bar_a), is at most 1e-30.
+    rho_s is Poisson(mu) convolved with the same thermal law, the pulse
+    riding on the background. On that support
+    rho_s(n) / rho(n) = e^-mu sum_{j<=n} a^j / j! with a = mu / r, so
+    x = rho_s/rho - 1 comes in closed form. Built once, the profile
+    evaluates D at any q for the cost of one pass over a few dozen terms.
 
-    Args:
-        rho: reference weights on the support, all > 0.
-        x: rho_s(n) / rho(n) - 1 on the same support, all >= -1.
-        q: mixing weight, in [0, 1].
-        tail_rho: rho mass beyond the support.
-        tail_s: rho_s mass beyond the support (including any rho_s mass
-            where rho has none).
-
-    The error bar bounds the dropped beyond-support terms, q tail_s /
-    (1 - q) + tail_rho (-log1p(-q)) (at q = 1, tail_s + tail_rho times
-    the log cap), plus the rounding of the sum.
+    Attributes:
+        rho, x: weights and ratios on the support n = 0..n_max.
+        tail_rho, tail_s: mass of rho and of rho_s beyond the support.
+        chi2: sum(rho x^2), the small-q curvature, 2 D(q) / q^2 -> chi2.
+        uncovered: rho_s mass where rho has none at all. It is nonzero
+            only for a vacuum background (n_bar_a = 0), where D grows
+            linearly in q and no square-root law holds.
     """
-    terms = rho * _log1p_gap(q * x)
-    quadratic = math.fsum(terms)
-    linear = q * (tail_rho - tail_s)
-    value = quadratic - linear
-    if q < 1.0:
-        err = q * tail_s / (1.0 - q) + tail_rho * (-math.log1p(-q))
-    else:
-        err = tail_s + tail_rho * _LOG_CAP
-    err += 2.5e-16 * (quadratic + abs(linear))
-    if value < 0.0:
-        # Gibbs: the exact D is >= 0, so tiny negatives are rounding
-        value = 0.0
-    return RelativeEntropy(value, err)
+
+    mu: float
+    n_bar_a: float
+    rho: np.ndarray
+    x: np.ndarray
+    tail_rho: float
+    tail_s: float
+    chi2: float
+    uncovered: float
+
+    @classmethod
+    def build(cls, mu: float, n_bar_a: float) -> "DivergenceProfile":
+        mu = float(mu)
+        if not math.isfinite(mu) or mu < 0.0:
+            raise ParameterError(f"mu must be finite and >= 0, got {mu!r}")
+        n_bar_a = float(n_bar_a)
+        if not math.isfinite(n_bar_a) or n_bar_a < 0.0:
+            raise ParameterError(f"n_bar_a must be finite and >= 0, got {n_bar_a!r}")
+        if n_bar_a == 0.0:
+            n_max, rho, tail_rho = 0, np.array([1.0]), 0.0
+        else:
+            ratio = n_bar_a / (1.0 + n_bar_a)
+            log_ratio = math.log(ratio)
+            n_max = max(0, math.ceil(math.log(_TRUNC_TOL) / log_ratio) - 1)
+            # log rounding can be off by one in either direction
+            while ratio ** (n_max + 1) > _TRUNC_TOL:
+                n_max += 1
+            while n_max > 0 and ratio**n_max <= _TRUNC_TOL:
+                n_max -= 1
+            rho = np.exp(np.arange(n_max + 1) * log_ratio - math.log1p(n_bar_a))
+            tail_rho = ratio ** (n_max + 1)
+        # x_0 = e^-mu - 1; for n >= 1 the j >= 1 part of the partial
+        # exponential sum is added to it, so no term cancels against 1
+        x = np.full(n_max + 1, math.expm1(-mu))
+        if n_max > 0:
+            a = mu * (1.0 + n_bar_a) / n_bar_a
+            with np.errstate(over="ignore"):
+                partial = np.cumsum(np.cumprod(a / np.arange(1, n_max + 1)))
+                x[1:] += math.exp(-mu) * partial
+            if not np.all(np.isfinite(x)):
+                raise ParameterError(
+                    f"mu = {mu!r} is too bright against n_bar_a = {n_bar_a!r} "
+                    "for the divergence to be represented in doubles"
+                )
+        # tail_s = P(X + Y > n_max), X ~ Poisson(mu), Y ~ thermal, split on
+        # X = j: the j <= n_max thermal tails r^(n_max + 1 - j) sum to
+        # tail_rho * rho_s(n_max) / rho(n_max); X > n_max is the Poisson
+        # tail, a regularized incomplete gamma. Neither piece cancels.
+        tail_s = float(tail_rho * (1.0 + x[-1]) + special.gammainc(n_max + 1, mu))
+        uncovered = -math.expm1(-mu) if n_bar_a == 0.0 else 0.0
+        chi2 = math.inf if uncovered > 0.0 else math.fsum(rho * x * x)
+        return cls(
+            mu=mu,
+            n_bar_a=n_bar_a,
+            rho=rho,
+            x=x,
+            tail_rho=tail_rho,
+            tail_s=tail_s,
+            chi2=chi2,
+            uncovered=uncovered,
+        )
+
+    def divergence(self, q: float) -> RelativeEntropy:
+        """Per-mode relative entropy D(q) in nats, with its error bar.
+
+        The terms rho_n (y_n - log1p(y_n)) are combined with exact
+        summation, and the linear part -q (tail_rho - tail_s) is added
+        in closed form. The error bar bounds the dropped beyond-support
+        terms, q tail_s / (1 - q) + tail_rho (-log1p(-q)) (at q = 1,
+        tail_s + tail_rho times the log cap), plus the rounding of the
+        sum.
+        """
+        q = float(q)
+        if not 0.0 <= q <= 1.0:
+            raise ParameterError(f"q must lie in [0, 1], got {q!r}")
+        quadratic = math.fsum(self.rho * _log1p_gap(q * self.x))
+        linear = q * (self.tail_rho - self.tail_s)
+        value = quadratic - linear
+        if q < 1.0:
+            err = q * self.tail_s / (1.0 - q) + self.tail_rho * (-math.log1p(-q))
+        else:
+            err = self.tail_s + self.tail_rho * _LOG_CAP
+        err += 2.5e-16 * (quadratic + abs(linear))
+        if value < 0.0:
+            # Gibbs: the exact D is >= 0, so tiny negatives are rounding
+            value = 0.0
+        return RelativeEntropy(value, err)
+
+    def slope(self, q: float) -> float:
+        """dD/dq: sum(rho x y / (1 + y)) plus the linear tail term."""
+        y = q * self.x
+        return math.fsum(self.rho * self.x * y / (1.0 + y)) - (self.tail_rho - self.tail_s)
+
+
+def per_mode_relative_entropy(mu: float, n_bar_a: float, q: float) -> RelativeEntropy:
+    """D(rho || (1 - q) rho + q rho_s) for one pulse intensity, via its profile."""
+    return DivergenceProfile.build(mu, n_bar_a).divergence(q)

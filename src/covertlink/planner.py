@@ -115,6 +115,10 @@ class ProtocolParams:
     target_e: float
 
     def __post_init__(self):
+        for name in ("b", "d", "k", "n_pairs"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.b < 1 or self.n_pairs < 1:
             raise ParameterError("b and n_pairs must be >= 1")
         # any finite mu >= 0 may be stored, an inflated-mu attack's too

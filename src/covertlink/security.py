@@ -4,10 +4,9 @@ The adversary's advantage over random guessing is bounded by
 sqrt(n_pairs * D / 8), where D is the per-mode relative entropy between
 the channel's idle thermal state and its state during covert
 transmission, a mixture of the idle state and the pulse on top of it.
-This module builds what D needs for one pulse intensity and background
-(DivergenceProfile, in closed form), evaluates the bound, and inverts
-it to find the smallest number of time-bin pairs meeting a covertness
-budget.
+This module evaluates the bound on D from fock_stats.DivergenceProfile
+and inverts it to find the smallest number of time-bin pairs meeting a
+covertness budget.
 
 Convention: counts here are time-bin PAIRS; each pair contributes
 BINS_PER_PAIR raw time bins when converted to wall-clock duration.
@@ -18,18 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy import special
-
 from .exceptions import InfeasibleError, ParameterError
-from .fock_stats import RelativeEntropy, mixture_relative_entropy, thermal_weights
+from .fock_stats import DivergenceProfile, per_mode_relative_entropy
 
 BINS_PER_PAIR = 2
-
-# Tail mass at which the thermal background is truncated: the bound
-# lives at D ~ 1e-16, and a 1e-15 tail would shift its sixth
-# significant figure.
-SECURITY_TRUNC_TOL = 1e-30
 
 DEFAULT_PAIR_CEILING = 10**16
 
@@ -53,92 +44,6 @@ class ModePair:
     def __post_init__(self):
         if not isinstance(self.n_pairs, int) or self.n_pairs < 1:
             raise ParameterError(f"n_pairs must be an integer >= 1, got {self.n_pairs!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class DivergenceProfile:
-    """What D(q) = D(rho || (1 - q) rho + q rho_s) needs, for one (mu, n_bar_a).
-
-    rho is thermal(n_bar_a) over its support at SECURITY_TRUNC_TOL;
-    rho_s is Poisson(mu) convolved with the same thermal law, the pulse
-    riding on the background. On that support
-    rho_s(n) / rho(n) = e^-mu sum_{j<=n} a^j / j! with a = mu / r and
-    r = n_bar_a / (1 + n_bar_a), so x = rho_s/rho - 1 comes in closed
-    form. Built once, the profile evaluates D at any q for the cost of
-    one pass over a few dozen terms.
-
-    Attributes:
-        rho, x: weights and ratios on the support n = 0..n_max.
-        tail_rho, tail_s: mass of rho and of rho_s beyond the support.
-        chi2: sum(rho x^2), the small-q curvature, 2 D(q) / q^2 -> chi2.
-        uncovered: rho_s mass where rho has none at all. It is nonzero
-            only for a vacuum background (n_bar_a = 0), where D grows
-            linearly in q and no square-root law holds.
-    """
-
-    mu: float
-    n_bar_a: float
-    rho: np.ndarray
-    x: np.ndarray
-    tail_rho: float
-    tail_s: float
-    chi2: float
-    uncovered: float
-
-    @classmethod
-    def build(cls, mu: float, n_bar_a: float) -> "DivergenceProfile":
-        mu = float(mu)
-        if not math.isfinite(mu) or mu < 0.0:
-            raise ParameterError(f"mu must be finite and >= 0, got {mu!r}")
-        rho, tail_rho = thermal_weights(n_bar_a, SECURITY_TRUNC_TOL)
-        n_max = rho.size - 1
-        # x_0 = e^-mu - 1; for n >= 1 the j >= 1 part of the partial
-        # exponential sum is added to it, so no term cancels against 1
-        x = np.full(rho.size, math.expm1(-mu))
-        if n_max > 0:
-            a = mu * (1.0 + n_bar_a) / n_bar_a
-            with np.errstate(over="ignore"):
-                partial = np.cumsum(np.cumprod(a / np.arange(1, n_max + 1)))
-                x[1:] += math.exp(-mu) * partial
-            if not np.all(np.isfinite(x)):
-                raise ParameterError(
-                    f"mu = {mu!r} is too bright against n_bar_a = {n_bar_a!r} "
-                    "for the divergence to be represented in doubles"
-                )
-        # tail_s = P(X + Y > n_max), X ~ Poisson(mu), Y ~ thermal, split on
-        # X = j: the j <= n_max thermal tails r^(n_max + 1 - j) sum to
-        # tail_rho * rho_s(n_max) / rho(n_max); X > n_max is the Poisson
-        # tail, a regularized incomplete gamma. Neither piece cancels.
-        tail_s = float(tail_rho * (1.0 + x[-1]) + special.gammainc(n_max + 1, mu))
-        uncovered = -math.expm1(-mu) if n_bar_a == 0.0 else 0.0
-        chi2 = math.inf if uncovered > 0.0 else math.fsum(rho * x * x)
-        return cls(
-            mu=mu,
-            n_bar_a=float(n_bar_a),
-            rho=rho,
-            x=x,
-            tail_rho=tail_rho,
-            tail_s=tail_s,
-            chi2=chi2,
-            uncovered=uncovered,
-        )
-
-    def divergence(self, q: float) -> RelativeEntropy:
-        """Per-mode relative entropy D(q) in nats, with its error bar."""
-        q = float(q)
-        if not 0.0 <= q <= 1.0:
-            raise ParameterError(f"q must lie in [0, 1], got {q!r}")
-        return mixture_relative_entropy(self.rho, self.x, q, self.tail_rho, self.tail_s)
-
-    def slope(self, q: float) -> float:
-        """dD/dq: sum(rho x y / (1 + y)) plus the linear tail term."""
-        y = q * self.x
-        return math.fsum(self.rho * self.x * y / (1.0 + y)) - (self.tail_rho - self.tail_s)
-
-
-def per_mode_relative_entropy(mu: float, n_bar_a: float, q: float) -> RelativeEntropy:
-    """D(rho || (1 - q) rho + q rho_s) for one pulse intensity, via its profile."""
-    return DivergenceProfile.build(mu, n_bar_a).divergence(q)
 
 
 def detection_bias_bound(n_pairs: int, d_per_mode: float) -> float:
@@ -210,15 +115,23 @@ def min_pairs_for_budget(
         q = d/N is a probability.
 
     Raises:
-        InfeasibleError: no N <= ceiling satisfies the budget, or the
-            background is the vacuum and the bound's limit as N grows,
-            sqrt(d (1 - e^-mu) / 8), is not below the budget.
+        ParameterError: a bad budget, d_signals < 0 or ceiling < 1.
+        InfeasibleError: no N in [d, ceiling] satisfies the budget (none
+            exists when d > ceiling), or the background is the vacuum
+            and the bound's limit as N grows, sqrt(d (1 - e^-mu) / 8),
+            is not below the budget.
     """
     epsilon = _check_budget(epsilon)
     if d_signals < 0:
         raise ParameterError(f"d_signals must be >= 0, got {d_signals!r}")
+    if ceiling < 1:
+        raise ParameterError(f"ceiling must be >= 1, got {ceiling!r}")
     if d_signals == 0:
         return ModePair(1, 0.0)
+    if d_signals > ceiling:
+        raise InfeasibleError(
+            f"no pair count up to {ceiling:.3g} can carry d={d_signals} signals (q = d/N <= 1)"
+        )
 
     profile = DivergenceProfile.build(mu, n_bar_a)
     floor = d_signals

@@ -34,13 +34,17 @@ from .codec import (
 )
 from .exceptions import ParameterError
 from .planner import ProtocolParams
-from .reliability import bit_error_prob, click_probs, message_error_prob
+from .reliability import ChannelModel, bit_error_prob, click_probs, message_error_prob
 from .security import BINS_PER_PAIR, bias_for_protocol
 
 # spawn-key domains keeping the three simulation families independent
 _DOMAIN_TRANSMIT = 0
 _DOMAIN_MONITOR = 1
 _DOMAIN_DISTINGUISH = 2
+
+# Monte-Carlo standard errors the empirical bias may exceed the bound by
+# before DistinguisherResult.security_check fails
+SECURITY_CHECK_SIGMAS = 3.0
 
 # each monitoring interval is one seeded draw in a Python loop; the
 # bundled default asks for 20
@@ -116,16 +120,16 @@ class DistinguisherResult:
     pe_likelihood_ratio: float
     count_threshold: float
 
-    def security_check(self, n_sigma: float = 3.0) -> bool:
+    def security_check(self, n_sigma: float = SECURITY_CHECK_SIGMAS) -> bool:
         return self.empirical_bias <= self.bound_epsilon + n_sigma * self.std_error
 
 
 def adversary_click_probs(p: ProtocolParams) -> tuple[float, float]:
     """Per-bin click probabilities (idle, signal-bearing) at the tap point."""
     n_bar = p.channel.n_bar_a
-    p_idle = n_bar / (1.0 + n_bar)
-    p_signal = (n_bar - math.expm1(-p.mu)) / (1.0 + n_bar)
-    return p_idle, p_signal
+    # the receiver's click model for a tap with unit efficiency at the sender
+    cp = click_probs(p.mu, ChannelModel(tau=1.0, n_bar_a=n_bar, n_bar_b=n_bar))
+    return cp.p_wrong, cp.p_correct
 
 
 def simulate_transmission(

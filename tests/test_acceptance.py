@@ -22,6 +22,7 @@ import oracles
 import reference_scenarios as ref
 from covertlink.cli import EXIT_OK, main
 from covertlink.codec import SharedRandomness, choose_positions, encode_message
+from covertlink.fock_stats import per_mode_relative_entropy
 from covertlink.planner import ProtocolParams
 from covertlink.reliability import (
     ChannelModel,
@@ -34,7 +35,6 @@ from covertlink.security import (
     BINS_PER_PAIR,
     bias_for_protocol,
     min_pairs_for_budget,
-    per_mode_relative_entropy,
 )
 from covertlink.simulator import rescale_plan, run_distinguisher, simulate_transmission
 

@@ -150,8 +150,26 @@ CHANNEL_BREAKAGES = {
 }
 
 
+# breakage -> (integer params field, change made to it); bins_total, q
+# and running_time_s are recomputed to match, so only the type is wrong
+INTEGER_BREAKAGES = {
+    "b is a float": ("b", float),
+    "d is a float": ("d", float),
+    "k is a float": ("k", float),
+    "n_pairs is a float": ("n_pairs", float),
+    "n_pairs is fractional": ("n_pairs", lambda n: n + 0.5),
+}
+
+
 def _break_plan_document(doc: dict, breakage: str):
-    if breakage in FIELD_BREAKAGES:
+    if breakage in INTEGER_BREAKAGES:
+        field, change = INTEGER_BREAKAGES[breakage]
+        p = doc["params"]
+        p[field] = change(p[field])
+        p["bins_total"] = 2 * p["n_pairs"]
+        p["q"] = p["d"] / p["n_pairs"]
+        p["running_time_s"] = p["bins_total"] / p["rep_rate_hz"]
+    elif breakage in FIELD_BREAKAGES:
         field, value = FIELD_BREAKAGES[breakage]
         doc["params"][field] = value
     elif breakage in CHANNEL_BREAKAGES:
@@ -177,6 +195,7 @@ def _break_plan_document(doc: dict, breakage: str):
         "top-level array",
         *FIELD_BREAKAGES,
         *CHANNEL_BREAKAGES,
+        *INTEGER_BREAKAGES,
     ],
 )
 def test_validate_malformed_plan_is_config_error(
@@ -192,6 +211,8 @@ def test_validate_malformed_plan_is_config_error(
         assert FIELD_BREAKAGES[breakage][0] in err
     if breakage in CHANNEL_BREAKAGES:
         assert "channel" in err
+    if breakage in INTEGER_BREAKAGES:
+        assert f"{INTEGER_BREAKAGES[breakage][0]} must be an integer" in err
 
 
 def test_simulate_outputs(simulated_dir):

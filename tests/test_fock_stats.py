@@ -1,8 +1,9 @@
 """Closed-form spot checks and frozen extended-precision cross-checks for
-the thermal background, the pulse riding on it (as held by
-security.DivergenceProfile), and the divergence kernel."""
+the thermal background, the pulse riding on it, and the divergence sum,
+all as DivergenceProfile holds and evaluates them."""
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from covertlink.exceptions import ParameterError
-from covertlink.fock_stats import _log1p_gap, mixture_relative_entropy, thermal_weights
-from covertlink.security import (
-    SECURITY_TRUNC_TOL,
+from covertlink.fock_stats import (
+    _TRUNC_TOL,
     DivergenceProfile,
+    _log1p_gap,
     per_mode_relative_entropy,
 )
 
@@ -33,38 +34,51 @@ def pulse(profile: DivergenceProfile) -> np.ndarray:
     return profile.rho * (1.0 + profile.x)
 
 
+def with_states(rho, x, tail_rho=0.0, tail_s=0.0) -> DivergenceProfile:
+    """A profile holding the given weights and ratios, so its divergence
+    sum can be checked on states no (mu, n_bar_a) makes."""
+    return DivergenceProfile(
+        mu=math.nan,
+        n_bar_a=math.nan,
+        rho=np.asarray(rho, dtype=float),
+        x=np.asarray(x, dtype=float),
+        tail_rho=tail_rho,
+        tail_s=tail_s,
+        chi2=math.nan,
+        uncovered=0.0,
+    )
+
+
 def test_thermal_vacuum():
-    pmf, tail = thermal_weights(0.0, 1e-15)
-    assert pmf.tolist() == [1.0]
-    assert tail == 0.0
+    profile = DivergenceProfile.build(0.03, 0.0)
+    assert profile.rho.tolist() == [1.0]
+    assert profile.tail_rho == 0.0
 
 
 def test_thermal_zero_term_at_reference_noise():
-    pmf, _ = thermal_weights(CQTUSTC.n_bar_a, 1e-15)
-    assert pmf[0] == pytest.approx(1.0 / (1.0 + 2.30e-3), rel=1e-15)
+    rho = DivergenceProfile.build(CQTUSTC.mu, CQTUSTC.n_bar_a).rho
+    assert rho[0] == pytest.approx(1.0 / (1.0 + 2.30e-3), rel=1e-15)
 
 
 def test_thermal_mean_one_is_halving():
-    pmf, _ = thermal_weights(1.0, 1e-12)
+    rho = DivergenceProfile.build(0.1, 1.0).rho
     for n in range(21):
-        assert pmf[n] == pytest.approx(2.0 ** -(n + 1), rel=1e-13)
+        assert rho[n] == pytest.approx(2.0 ** -(n + 1), rel=1e-13)
 
 
 def test_thermal_cutoff_is_smallest():
     # n_bar = 1: tail after n_max is 0.5^(n_max+1); smallest n_max with
-    # tail <= 1e-6 is 19
-    pmf, tail = thermal_weights(1.0, 1e-6)
-    assert pmf.size - 1 == 19
-    assert tail == pytest.approx(0.5**20, rel=1e-12)
+    # tail <= 1e-30 is 99
+    profile = DivergenceProfile.build(0.1, 1.0)
+    assert _TRUNC_TOL == 1e-30
+    assert profile.rho.size - 1 == 99
+    assert profile.tail_rho == pytest.approx(0.5**100, rel=1e-12)
 
 
 def test_thermal_rejects_bad_inputs():
-    with pytest.raises(ParameterError):
-        thermal_weights(-1e-9, 1e-15)
-    with pytest.raises(ParameterError):
-        thermal_weights(0.1, 0.0)
-    with pytest.raises(ParameterError):
-        thermal_weights(0.1, 1.0)
+    for n_bar in (-1e-9, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="n_bar_a"):
+            DivergenceProfile.build(0.1, n_bar)
 
 
 def test_poisson_vacuum():
@@ -166,9 +180,10 @@ def test_mix_rejects_bad_weight():
 
 
 def test_relative_entropy_self_is_zero():
-    rho, tail = thermal_weights(0.4, 1e-15)
+    # a pulse of mean zero leaves x = 0 and tail_s = tail_rho
+    profile = DivergenceProfile.build(0.0, 0.4)
     for q in (0.0, 1e-8, 0.5, 1.0):
-        assert mixture_relative_entropy(rho, np.zeros(rho.size), q, tail, tail) == 0.0
+        assert profile.divergence(q) == 0.0
     profile = DivergenceProfile.build(0.03, 0.002)
     assert profile.divergence(0.0) == 0.0
 
@@ -178,16 +193,15 @@ def test_relative_entropy_two_point_closed_form():
     rho = np.array([0.9, 0.1])
     x = np.array([0.7, 0.3]) / rho - 1.0
     expected = 0.9 * math.log(0.9 / 0.8) + 0.1 * math.log(0.1 / 0.2)
-    d = mixture_relative_entropy(rho, x, 0.5, 0.0, 0.0)
+    d = with_states(rho, x).divergence(0.5)
     assert d == pytest.approx(expected, rel=1e-14)
 
 
 def test_relative_entropy_infinite_off_support():
     # at q = 1, background mass where the pulse has none makes D infinite
-    rho = np.array([0.5, 0.5])
-    x = np.array([1.0, -1.0])
+    profile = with_states([0.5, 0.5], [1.0, -1.0])
     with np.errstate(divide="ignore"):
-        assert math.isinf(mixture_relative_entropy(rho, x, 1.0, 0.0, 0.0))
+        assert math.isinf(profile.divergence(1.0))
 
 
 def test_relative_entropy_reference_point_vs_frozen_oracle():
@@ -223,20 +237,23 @@ def test_log1p_gap_accurate_on_both_sides_of_series_cutoff():
 
 
 def test_mixture_branch_agrees_with_profile():
-    # the kernel fed states built the obvious way (scipy Poisson pmf,
-    # numpy convolution, the pulse tail summed past the support) agrees
-    # with the profile's closed form
+    # states built the obvious way (scipy Poisson pmf, numpy convolution,
+    # the pulse tail summed past the support) agree with the profile's
+    # closed form, and so does the divergence summed on them
     q = CQTUSTC.q
-    rho, tail_rho = thermal_weights(CQTUSTC.n_bar_a, SECURITY_TRUNC_TOL)
+    profile = DivergenceProfile.build(CQTUSTC.mu, CQTUSTC.n_bar_a)
+    rho = profile.rho
     n = np.arange(4 * rho.size + 40)
     thermal = np.exp(n * math.log(CQTUSTC.n_bar_a / (1.0 + CQTUSTC.n_bar_a)))
     thermal /= 1.0 + CQTUSTC.n_bar_a
     rho_s = np.convolve(stats.poisson.pmf(n, CQTUSTC.mu), thermal)[: n.size]
     tail_s = math.fsum(rho_s[rho.size :])
     x = rho_s[: rho.size] / rho - 1.0
-    d_kernel = mixture_relative_entropy(rho, x, q, tail_rho, tail_s)
-    d_profile = per_mode_relative_entropy(CQTUSTC.mu, CQTUSTC.n_bar_a, q)
-    assert d_kernel == pytest.approx(d_profile, rel=1e-12)
+    np.testing.assert_allclose(profile.x, x, rtol=1e-12, atol=0.0)
+    assert profile.tail_s == pytest.approx(tail_s, rel=1e-12)
+    d_convolved = replace(profile, x=x, tail_s=tail_s).divergence(q)
+    d_profile = profile.divergence(q)
+    assert d_convolved == pytest.approx(d_profile, rel=1e-12)
     assert d_profile == pytest.approx(ref.KL_PER_MODE_NATS["CQTUSTC"], rel=1e-13)
 
 
@@ -257,10 +274,10 @@ def test_divergence_monotone_in_mixing_weight():
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
-@given(means, st.sampled_from([1e-9, 1e-12, 1e-15]))
-def test_normalization_thermal(n_bar, tol):
-    pmf, tail = thermal_weights(n_bar, tol)
-    assert math.fsum(pmf) + tail == pytest.approx(1.0, abs=1e-12)
+@given(means)
+def test_normalization_thermal(n_bar):
+    profile = DivergenceProfile.build(0.1, n_bar)
+    assert math.fsum(profile.rho) + profile.tail_rho == pytest.approx(1.0, abs=1e-12)
 
 
 @given(means, positive_means)

@@ -274,6 +274,11 @@ def test_protocol_params_structural_checks():
         ProtocolParams(**{**good, "running_time_s": 1.0})
     with pytest.raises(ParameterError):
         ProtocolParams(**{**good, "d": 0, "k": 2})
+    # the counts are integers: numpy's are, floats and bools are not
+    ProtocolParams(**{**good, "k": np.int64(2), "n_pairs": np.uint64(1000)})
+    for name, value in (("b", 5.0), ("d", 10.0), ("k", True), ("n_pairs", 1000.5)):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            ProtocolParams(**{**good, name: value})
 
 
 def test_plan_request_validation():

@@ -12,15 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covertlink.exceptions import InfeasibleError, ParameterError
+from covertlink.fock_stats import DivergenceProfile, per_mode_relative_entropy
 from covertlink.planner import default_mu_grid
 from covertlink.security import (
     BINS_PER_PAIR,
-    DivergenceProfile,
     ModePair,
     bias_for_protocol,
     detection_bias_bound,
     min_pairs_for_budget,
-    per_mode_relative_entropy,
 )
 
 import oracles
@@ -105,6 +104,18 @@ def test_min_pairs_infeasible_under_ceiling():
     # a bright pulse cannot hide a million signals in a thousand pairs
     with pytest.raises(InfeasibleError):
         min_pairs_for_budget(0.001, 10**6, 0.5, 1e-3, ceiling=10**9)
+
+
+def test_min_pairs_more_signals_than_ceiling_is_infeasible():
+    # q = d/N must stay a probability, so no N in [d, ceiling] exists
+    with pytest.raises(InfeasibleError, match="no pair count"):
+        min_pairs_for_budget(0.01, 10, 0.03, 0.002, ceiling=5)
+
+
+def test_min_pairs_rejects_ceiling_below_one():
+    for ceiling in (0, -1):
+        with pytest.raises(ParameterError, match="ceiling"):
+            min_pairs_for_budget(0.01, 10, 0.03, 0.002, ceiling=ceiling)
 
 
 def test_min_pairs_rejects_bad_budget():
