@@ -121,7 +121,8 @@ _RULES = {
     "rep_rate_hz": _number(),
     "seed": _integer(0, 2**64, "in [0, 2^64)"),
     "rescale": _number(),
-    "trials": _integer(100, math.inf, ">= 100"),
+    # 10^6 trials take about a minute: one costs tens of microseconds
+    "trials": _integer(100, 10**6 + 1, "in [100, 10^6]"),
     "mu_multiplier": _number(),
     "no_signals": _boolean,
     "monitor_duration_s": _number(),
@@ -130,14 +131,32 @@ _RULES = {
 _REQUIRED_KEYS = ("message", "epsilon", "target_error", "channel", "rep_rate_hz")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, refusing a mapping that repeats a key (plain YAML
+    keeps the last value)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:
+            if not isinstance(key, yaml.ScalarNode):
+                continue
+            if key.value in seen:
+                raise ParameterError(
+                    f"config key {key.value!r} is given twice (line {key.start_mark.line + 1})"
+                )
+            seen.add(key.value)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path: Path) -> dict:
     """Read and schema-check one run configuration.
 
-    Unknown keys are rejected so that a typo cannot silently fall back
-    to a default; all channel constants must be given explicitly.
+    Unknown and repeated keys are rejected so that a typo cannot silently
+    fall back to a default or override an earlier value; all channel
+    constants must be given explicitly.
     """
     try:
-        raw = yaml.safe_load(Path(path).read_text("utf-8"))
+        raw = yaml.load(Path(path).read_text("utf-8"), Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ParameterError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -379,7 +398,7 @@ _COMMANDS = {
 _FLAGS = {
     "seed": (int, "master seed (overrides the config; required by simulate/eavesdrop)"),
     "rescale": (float, "desk-scale shrink factor applied to the plan"),
-    "trials": (int, "distinguisher Monte-Carlo trials (>= 100)"),
+    "trials": (int, "distinguisher Monte-Carlo trials (100 to 10^6)"),
 }
 
 

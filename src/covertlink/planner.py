@@ -39,6 +39,10 @@ def default_mu_grid() -> np.ndarray:
     return np.geomspace(1e-4, 1.0, 400)
 
 
+def _finite_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class PlanRequest:
     """Inputs to plan(): message size, targets, channel, and search grid.
@@ -63,14 +67,17 @@ class PlanRequest:
     flatness_tolerance: float = 0.05
 
     def __post_init__(self):
-        if self.b < 1:
-            raise ParameterError(f"b must be >= 1, got {self.b!r}")
+        # ProtocolParams' rules for b and rep_rate_hz, applied before planning
+        if not isinstance(self.b, numbers.Integral) or isinstance(self.b, bool) or self.b < 1:
+            raise ParameterError(f"b must be an integer >= 1, got {self.b!r}")
         if not 0.0 < self.epsilon < 0.5:
             raise ParameterError(f"epsilon must lie in (0, 0.5), got {self.epsilon!r}")
         if not 0.0 < self.target_e < 1.0:
             raise ParameterError(f"target_e must lie in (0, 1), got {self.target_e!r}")
-        if self.rep_rate_hz <= 0.0:
-            raise ParameterError(f"rep_rate_hz must be > 0, got {self.rep_rate_hz!r}")
+        if not (_finite_real(self.rep_rate_hz) and self.rep_rate_hz > 0.0):
+            raise ParameterError(
+                f"rep_rate_hz must be a finite real number > 0, got {self.rep_rate_hz!r}"
+            )
         if not 0.0 <= self.flatness_tolerance < 1.0:
             raise ParameterError(
                 f"flatness_tolerance must lie in [0, 1), got {self.flatness_tolerance!r}"
@@ -79,10 +86,6 @@ class PlanRequest:
         if grid.size == 0 or np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
             raise ParameterError("mu_grid must be non-empty, finite and > 0")
         object.__setattr__(self, "mu_grid", grid)
-
-
-def _finite_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ all counts as an error. Hence bit_error_prob(1, cp) == 1 - p_correct.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,19 +96,29 @@ class ChannelModel:
 class ClickProbabilities:
     """Per-bin click probabilities at the receiver for one sent pulse.
 
-    p_good_given_click is the conditional probability that an observed
-    click sits in the signal bin; it is nan when no click can occur.
+    Attributes:
+        p_correct: probability that the signal bin clicks.
+        p_wrong: probability that the paired noise-only bin clicks.
+
+    The click split p_good_given_click is derived from the two, so the
+    exact sum and the bounded evaluator always read the same channel.
     """
 
     p_correct: float
     p_wrong: float
-    p_good_given_click: float
 
     def __post_init__(self):
         for name in ("p_correct", "p_wrong"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1], got {v!r}")
+
+    @property
+    def p_good_given_click(self) -> float:
+        """Probability that an observed click sits in the signal bin; nan
+        when no click can occur."""
+        total = self.p_correct + self.p_wrong
+        return self.p_correct / total if total > 0.0 else math.nan
 
 
 def click_probs(mu: float, ch: ChannelModel) -> ClickProbabilities:
@@ -125,9 +137,7 @@ def click_probs(mu: float, ch: ChannelModel) -> ClickProbabilities:
     # 1 - e^-a/(1+c) rewritten so tiny a does not cancel against 1
     p_correct = (c - math.expm1(-a)) / (1.0 + c)
     p_wrong = c / (1.0 + c)
-    total = p_correct + p_wrong
-    p_good = p_correct / total if total > 0.0 else math.nan
-    return ClickProbabilities(p_correct, p_wrong, p_good)
+    return ClickProbabilities(p_correct, p_wrong)
 
 
 def bit_error_prob(k: int, cp: ClickProbabilities) -> float:
@@ -289,7 +299,7 @@ def _wrong_vote_window(
     """Narrowest [a, top] around w_star whose two tail bounds are exp(-nats) or less."""
 
     def above_ok(m: int) -> bool:  # P(W >= m) <= exp(-nats)
-        return m > k or k * _kl(m / k, p_w) >= nats
+        return k * _kl(m / k, p_w) >= nats
 
     def below_fails(a: int) -> bool:  # F(a) P(W < a) > exp(-nats)
         n = k - a
@@ -298,23 +308,15 @@ def _wrong_vote_window(
             rate += k * _kl((a - 1) / k, p_w)
         return rate < nats
 
-    # the upper Chernoff bound holds from k p_w up; w_star lies above k p_w
-    # whenever p_correct > p_wrong
-    top = _first(above_ok, math.ceil(max(w_star, k * p_w)), k + 1) - 1
+    # first True of each monotone test; the bisection never evaluates the
+    # range's end, so m <= k and a <= cap hold in every test. The upper
+    # Chernoff bound holds from k p_w up; w_star lies above k p_w whenever
+    # p_correct > p_wrong
+    start = math.ceil(max(w_star, k * p_w))
+    top = bisect_left(range(k + 1), True, start, key=above_ok) - 1
     cap = min(math.floor(w_star), top)
-    a = _first(lambda x: x > cap or below_fails(x), 1, cap + 1) - 1
+    a = bisect_left(range(cap + 1), True, 1, key=below_fails) - 1
     return a, top
-
-
-def _first(pred, lo: int, hi: int) -> int:
-    """Smallest x in [lo, hi] with pred(x), for pred monotone and pred(hi) true."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _kl(x: float, p: float) -> float:
@@ -361,38 +363,6 @@ def _estimate_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> in
     return max(1, int(z * z * var / (m1 * m1)) + 1)
 
 
-class _Probe:
-    """Memoized message error per k for one search.
-
-    bit_errors holds every probe's bit error: the bounded estimate where
-    its bounds put the verdict beyond doubt, else the exact sum.
-    """
-
-    def __init__(self, target_e: float, b: int, cp: ClickProbabilities):
-        self.target_e = target_e
-        self.b = b
-        self.cp = cp
-        self.bit_errors: dict[int, float] = {}
-
-    def error(self, k: int) -> float:
-        if k not in self.bit_errors:
-            self.bit_errors[k] = self._bit_error(k)
-        return message_error_prob(self.bit_errors[k], self.b)
-
-    def _bit_error(self, k: int) -> float:
-        bounds = _error_bounds(k, self.cp)
-        if bounds is not None:
-            low, estimate, high = bounds
-            if message_error_prob(low * (1.0 - _EXACT_REL), self.b) > self.target_e:
-                return estimate
-            if message_error_prob(min(high * (1.0 + _EXACT_REL), 1.0), self.b) <= self.target_e:
-                return estimate
-        return bit_error_prob(k, self.cp)
-
-    def fails(self, k: int) -> bool:
-        return self.error(k) > self.target_e
-
-
 def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     """Smallest repetition count k meeting the message-error target.
 
@@ -402,17 +372,17 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     normal-approximation guess exceeds 4 * MAX_REPETITIONS or k =
     MAX_REPETITIONS itself fails.
 
-    One search on f(k) = log(message error / target), which is nearly
-    linear in k: starting from the normal-approximation guess, failing
-    points step upward along the slope of the Chernoff exponent,
-    log error ~ -k I - log(k) / 2 with I = -log(1 - p + 2 sqrt(p_correct
-    p_wrong)), until a passing k is found; Illinois regula falsi then
-    closes the bracket to an adjacent (failing, passing) pair. Because an
-    even k can decode slightly worse than k - 1 (ties lose), the passing
-    end is finally walked downward checking both k - 1 and k - 2, which
-    covers the parity sawtooth riding the decreasing envelope. So the
-    smallest passing k is returned as long as odd and even k each decode
-    better as k grows.
+    One search on f(k) = log(message error / target), memoized per k; a
+    probe fails exactly where f(k) > 0. f is nearly linear in k: starting
+    from the normal-approximation guess, failing points step upward along
+    the slope of the Chernoff exponent, log error ~ -k I - log(k) / 2
+    with I = -log(1 - p + 2 sqrt(p_correct p_wrong)), until a passing k is
+    found; Illinois regula falsi then closes the bracket to an adjacent
+    (failing, passing) pair. Because an even k can decode slightly worse
+    than k - 1 (ties lose), the passing end is finally walked downward
+    checking both k - 1 and k - 2, which covers the parity sawtooth
+    riding the decreasing envelope. So the smallest passing k is returned
+    as long as odd and even k each decode better as k grows.
 
     Which probes are exact: every probe is first bounded by the
     wrong-vote split (_error_bounds: a window sum less a relative
@@ -441,8 +411,23 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
             "majority vote cannot converge: correct clicks are not more "
             "likely than wrong ones"
         )
-    probe = _Probe(target_e, b, cp)
-    if not probe.fails(1):
+    log_target = math.log(target_e)
+
+    @functools.cache
+    def log_excess(k: int) -> float:
+        """log(message error / target) at k: > 0 fails, <= 0 passes."""
+        bounds = _error_bounds(k, cp)
+        if bounds is not None and (
+            message_error_prob(bounds[0] * (1.0 - _EXACT_REL), b) > target_e
+            or message_error_prob(min(bounds[2] * (1.0 + _EXACT_REL), 1.0), b) <= target_e
+        ):
+            delta = bounds[1]  # the bounds settle the verdict; steer by the window sum
+        else:
+            delta = bit_error_prob(k, cp)
+        return math.log(max(message_error_prob(delta, b), 1e-300)) - log_target
+
+    f_lo = log_excess(1)
+    if f_lo <= 0.0:
         return 1
     guess = _estimate_repetitions(target_e, b, cp)
     if guess >= 4 * MAX_REPETITIONS:
@@ -452,12 +437,11 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
             f"estimated repetitions {guess:.1e} exceed the cap {MAX_REPETITIONS:.1e}"
         )
     rate = -math.log(max(1.0 - p + 2.0 * math.sqrt(cp.p_correct * cp.p_wrong), 1e-300))
-    lo, f_lo = 1, _log_excess(probe, 1)
-    hi, f_hi = None, 0.0
+    lo, hi, f_hi = 1, None, 0.0
     k = min(max(2, guess), MAX_REPETITIONS)
     side = 0
     while hi is None or hi - lo > 1:
-        f_k = _log_excess(probe, k)
+        f_k = log_excess(k)
         if f_k > 0.0:
             if k >= MAX_REPETITIONS:
                 raise InfeasibleError(
@@ -481,15 +465,10 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
             k = min(max(int(round(est)), lo + 1), hi - 1)
     k = hi
     while k > 1:
-        if not probe.fails(k - 1):
+        if log_excess(k - 1) <= 0.0:
             k -= 1
-        elif k > 2 and not probe.fails(k - 2):
+        elif k > 2 and log_excess(k - 2) <= 0.0:
             k -= 2
         else:
             break
     return k
-
-
-def _log_excess(probe: _Probe, k: int) -> float:
-    """log(message error / target): > 0 fails, <= 0 passes."""
-    return math.log(max(probe.error(k), 1e-300)) - math.log(probe.target_e)

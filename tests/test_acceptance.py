@@ -227,8 +227,7 @@ def test_criterion_04_closed_form_vs_enumeration(capsys):
         k = int(rng.integers(1, 13))
         p_c = float(rng.uniform(0.0, 1.0))
         p_w = float(rng.uniform(0.0, 1.0 - p_c))
-        total = p_c + p_w
-        cp = ClickProbabilities(p_c, p_w, p_c / total if total > 0.0 else math.nan)
+        cp = ClickProbabilities(p_c, p_w)
         diff = abs(bit_error_prob(k, cp) - oracles.majority_error_enumeration(k, p_c, p_w))
         worst = max(worst, diff)
     elapsed = time.perf_counter() - start

@@ -388,12 +388,36 @@ def test_unsigned_exponent_message_has_hint(tmp_path, capsys):
     assert "signed exponent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "original, repeated",
+    [
+        ("epsilon: 0.05\n", "epsilon: 0.05\nepsilon: 0.4\n"),
+        ("  tau: 0.5\n", "  tau: 0.5\n  tau: 0.9\n"),
+    ],
+    ids=["top_level", "channel"],
+)
+def test_repeated_config_key_refused_before_planning(
+    tmp_path, capsys, monkeypatch, original, repeated
+):
+    # plain YAML keeps the last value of a repeated key without a word
+    def no_plan(req):
+        raise AssertionError("planner called")
+
+    monkeypatch.setattr(cli, "plan_with_report", no_plan)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(FAST_CONFIG.replace(original, repeated))
+    assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    key = original.split(":")[0].strip()
+    assert f"config key '{key}' is given twice" in capsys.readouterr().err
+
+
 # each bad value fails as a config key and as the flag that overrides it
 BAD_FLAG_VALUES = [
     ("seed", -3),
     ("seed", 2**64),
     ("trials", 50),
     ("trials", 99),
+    ("trials", 10**6 + 1),
     ("rescale", 0),
     ("rescale", -2.0),
     ("rescale", math.nan),

@@ -312,7 +312,7 @@ def test_majority_decode_matches_closed_form_error_rate():
     # feed synthetic multinomial votes and compare the per-bit error
     # frequency against the closed-form repetition-code prediction
     p_c, p_w, k, b, trials = 0.25, 0.10, 17, 5, 3000
-    cp = ClickProbabilities(p_c, p_w, p_c / (p_c + p_w))
+    cp = ClickProbabilities(p_c, p_w)
     predicted = bit_error_prob(k, cp)
     rng = np.random.default_rng(20260814)
     bits = encode_message("Q")

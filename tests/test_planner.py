@@ -201,6 +201,24 @@ def test_plan_sums_the_message_error_once(monkeypatch, config):
     assert calls == [params.k]
 
 
+@pytest.mark.parametrize("config, most", [("fiber_qpqi.yaml", 1665), ("fiber_cqtustc.yaml", 2435)])
+def test_plan_bounded_probe_count(monkeypatch, config, most):
+    # every probe of the repetition searches is bounded once (memoized per
+    # k); a search change that adds probes shows here
+    probes = 0
+    bounded = reliability._error_bounds
+
+    def counted(k, cp):
+        nonlocal probes
+        probes += 1
+        return bounded(k, cp)
+
+    monkeypatch.setattr(reliability, "_error_bounds", counted)
+    path = next(p for p in bundled_configs() if p.name == config)
+    plan_with_report(request_for(path))
+    assert probes <= most
+
+
 @pytest.mark.parametrize(
     "config, most", [("fiber_qpqi.yaml", 150_000), ("fiber_cqtustc.yaml", 200_000)]
 )
@@ -294,6 +312,15 @@ def test_plan_request_validation():
         PlanRequest(**{**base, "target_e": 0.0})
     with pytest.raises(ParameterError):
         PlanRequest(**{**base, "rep_rate_hz": 0.0})
+    # ProtocolParams refuses these; the request refuses them before planning
+    for name, value in (
+        ("b", 35.5),
+        ("b", True),
+        ("rep_rate_hz", math.nan),
+        ("rep_rate_hz", math.inf),
+    ):
+        with pytest.raises(ParameterError, match=name):
+            PlanRequest(**{**base, name: value})
     with pytest.raises(ParameterError):
         PlanRequest(**{**base, "mu_grid": np.array([])})
     with pytest.raises(ParameterError):

@@ -63,7 +63,7 @@ def test_import_leaves_scipy_stats_out():
 _GUARD_CASES = [
     (reliability.click_probs(0.00319, reliability.ChannelModel(0.18, 0.60, 0.68)), 20, 0.01),
     (reliability.click_probs(3.52e-2, reliability.ChannelModel(0.18, 2.30e-3, 3.18e-3)), 35, 0.01),
-    (reliability.ClickProbabilities(0.5, 0.1, 0.5 / 0.6), 20, 0.01),
+    (reliability.ClickProbabilities(0.5, 0.1), 20, 0.01),
 ]
 
 _GUARDED_RUN = """
@@ -78,8 +78,8 @@ for name, ufunc in saved.items():
     setattr(ufuncs, name, ufunc)
 out = {"fallback": reliability._binom_pmf == binom.pmf and reliability._binom_cdf == binom.cdf}
 out["answers"] = []
-for p_c, p_w, p_g, b, target in json.loads(sys.argv[1]):
-    cp = reliability.ClickProbabilities(p_c, p_w, p_g)
+for p_c, p_w, b, target in json.loads(sys.argv[1]):
+    cp = reliability.ClickProbabilities(p_c, p_w)
     k = reliability.min_repetitions(target, b, cp)
     out["answers"].append([k, reliability.bit_error_prob(k, cp), reliability.bit_error_prob(k // 2 + 1, cp)])
 print(json.dumps(out))
@@ -89,7 +89,7 @@ print(json.dumps(out))
 def test_import_guard_fallback_gives_the_same_numbers():
     # a scipy without the private binomial ufuncs sends every pmf and cdf,
     # the exact sum's and the bounds', through scipy.stats.binom instead
-    cases = [[cp.p_correct, cp.p_wrong, cp.p_good_given_click, b, t] for cp, b, t in _GUARD_CASES]
+    cases = [[cp.p_correct, cp.p_wrong, b, t] for cp, b, t in _GUARD_CASES]
     out = json.loads(_run_python(_GUARDED_RUN, json.dumps(cases)))
     assert out["fallback"]
     for (cp, b, target), (k, bit_error, half_k_error) in zip(_GUARD_CASES, out["answers"]):

@@ -1,6 +1,7 @@
 """Click probabilities, majority-vote error rate, and the repetition
 search, cross-checked against enumeration and Monte-Carlo oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,10 +35,14 @@ def model_clicks(point) -> ClickProbabilities:
     return click_probs(point.mu, ch)
 
 
-def make_cp(p_c: float, p_w: float) -> ClickProbabilities:
-    total = p_c + p_w
-    p_g = p_c / total if total > 0.0 else math.nan
-    return ClickProbabilities(p_c, p_w, p_g)
+def test_click_split_is_derived_from_the_two_bins():
+    # the exact sum and the bounded evaluator read one channel: the split
+    # cannot be handed in apart from p_correct and p_wrong
+    assert [f.name for f in dataclasses.fields(ClickProbabilities)] == ["p_correct", "p_wrong"]
+    assert ClickProbabilities(0.5, 0.1).p_good_given_click == 0.5 / 0.6
+    assert math.isnan(ClickProbabilities(0.0, 0.0).p_good_given_click)
+    with pytest.raises(TypeError):
+        ClickProbabilities(0.5, 0.1, 0.9)
 
 
 def test_click_probs_dark_silent_channel():
@@ -93,7 +98,7 @@ def test_bit_error_single_pulse_reduction():
 
 
 def test_bit_error_perfect_channel():
-    cp = make_cp(1.0, 0.0)
+    cp = ClickProbabilities(1.0, 0.0)
     for k in (1, 2, 5, 17):
         assert bit_error_prob(k, cp) == 0.0
 
@@ -111,7 +116,7 @@ def test_bit_error_matches_enumeration_small_k():
         p_c = float(rng.uniform(0.0, 0.6))
         p_w = float(rng.uniform(0.0, min(0.4, 0.99 - p_c)))
         expected = oracles.majority_error_enumeration(k, p_c, p_w)
-        assert bit_error_prob(k, make_cp(p_c, p_w)) == pytest.approx(
+        assert bit_error_prob(k, ClickProbabilities(p_c, p_w)) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -119,27 +124,27 @@ def test_bit_error_matches_enumeration_small_k():
 def test_bit_error_matches_bruteforce_tiny_k():
     for k, p_c, p_w in [(1, 0.3, 0.1), (4, 0.2, 0.15), (7, 0.5, 0.3)]:
         expected = oracles.majority_error_bruteforce(k, p_c, p_w)
-        assert bit_error_prob(k, make_cp(p_c, p_w)) == pytest.approx(
+        assert bit_error_prob(k, ClickProbabilities(p_c, p_w)) == pytest.approx(
             expected, abs=1e-12
         )
 
 
 def test_bit_error_monotone_in_repetitions_on_reference_grids():
     for p_c, p_w in [(8.42e-3, 1.04e-3), (9.26e-2, 2.23e-2)]:
-        cp = make_cp(p_c, p_w)
+        cp = ClickProbabilities(p_c, p_w)
         vals = [bit_error_prob(k, cp) for k in range(1, 41)]
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_bit_error_monotone_in_click_probs():
     k = 9
-    base = bit_error_prob(k, make_cp(0.02, 0.005))
-    assert bit_error_prob(k, make_cp(0.03, 0.005)) <= base
-    assert bit_error_prob(k, make_cp(0.02, 0.008)) >= base
+    base = bit_error_prob(k, ClickProbabilities(0.02, 0.005))
+    assert bit_error_prob(k, ClickProbabilities(0.03, 0.005)) <= base
+    assert bit_error_prob(k, ClickProbabilities(0.02, 0.008)) >= base
 
 
 def test_bit_error_bounds_and_rejects():
-    cp = make_cp(0.01, 0.002)
+    cp = ClickProbabilities(0.01, 0.002)
     for k in (1, 2, 33, 1000):
         assert 0.0 <= bit_error_prob(k, cp) <= 1.0
     with pytest.raises(ParameterError):
@@ -147,7 +152,7 @@ def test_bit_error_bounds_and_rejects():
 
 
 def test_bit_error_vs_block_mc():
-    cp = make_cp(8.42e-3, 1.04e-3)
+    cp = ClickProbabilities(8.42e-3, 1.04e-3)
     closed = bit_error_prob(17, cp)
     est, se = oracles.repetition_block_mc(
         17, 8.42e-3, 1.04e-3, blocks=3 * 10**5, seed=42
@@ -182,7 +187,7 @@ def test_message_error_product_form(delta, b):
 
 
 def test_min_repetitions_perfect_channel():
-    assert min_repetitions(0.01, 35, make_cp(1.0, 0.0)) == 1
+    assert min_repetitions(0.01, 35, ClickProbabilities(1.0, 0.0)) == 1
 
 
 def test_min_repetitions_monotone_in_target():
@@ -213,14 +218,14 @@ def test_min_repetitions_is_minimal():
     # even k - 1 fails but k - 2 passes), the CQTUSTC plan's clicks and a
     # loud channel needing hundreds of k
     cases = [
-        (0.01, 5, make_cp(0.30, 0.05)),
-        (0.05, 3, make_cp(0.70, 0.25)),
-        (0.02, 8, make_cp(0.08, 0.02)),
-        (0.10, 1, make_cp(0.55, 0.40)),
-        (0.01, 35, make_cp(0.006884429230653025, 0.0005720725456748557)),
-        (0.01, 20, make_cp(0.15070547933464734, 0.1090520313613685)),
-        (0.00177, 2, make_cp(0.85, 0.15)),
-        (9.3e-6, 214, make_cp(0.72, 0.28)),
+        (0.01, 5, ClickProbabilities(0.30, 0.05)),
+        (0.05, 3, ClickProbabilities(0.70, 0.25)),
+        (0.02, 8, ClickProbabilities(0.08, 0.02)),
+        (0.10, 1, ClickProbabilities(0.55, 0.40)),
+        (0.01, 35, ClickProbabilities(0.006884429230653025, 0.0005720725456748557)),
+        (0.01, 20, ClickProbabilities(0.15070547933464734, 0.1090520313613685)),
+        (0.00177, 2, ClickProbabilities(0.85, 0.15)),
+        (9.3e-6, 214, ClickProbabilities(0.72, 0.28)),
     ]
     for target, b, cp in cases:
         k = min_repetitions(target, b, cp)
@@ -244,10 +249,10 @@ def test_min_repetitions_warm_start_matches_cold(target, b, p_c, p_w):
     # no search state carries over between calls: the answer after
     # searches on the other channels (warm) equals the first call and the
     # linear scan up from k = 1 (cold)
-    cp = make_cp(p_c, p_w)
+    cp = ClickProbabilities(p_c, p_w)
     first = min_repetitions(target, b, cp)
     for other in _SEARCH_CHANNELS:
-        min_repetitions(other[0], other[1], make_cp(other[2], other[3]))
+        min_repetitions(other[0], other[1], ClickProbabilities(other[2], other[3]))
     warm = min_repetitions(target, b, cp)
     assert type(warm) is int and warm == first
     cold = next(j for j in range(1, warm + 1) if _message_error(j, b, cp) <= target)
@@ -293,7 +298,7 @@ def test_min_repetitions_random_channels_across_decades():
         p_c = min(p_w * (1 + 10 ** rng.uniform(-3, 2)), 1.0 - p_w)
         target = 10 ** rng.uniform(-6, math.log10(0.5))
         b = int(10 ** rng.uniform(0, math.log10(1125)))
-        cp = make_cp(p_c, p_w)
+        cp = ClickProbabilities(p_c, p_w)
         _assert_same_as_all_exact(target, b, cp)
         try:
             k = min_repetitions(target, b, cp)
@@ -321,7 +326,7 @@ def test_error_bounds_bracket_enumeration_small_k():
         p_c = float(rng.uniform(1e-3, 0.6))
         p_w = float(rng.uniform(1e-4, min(0.4, 0.99 - p_c)))
         expected = oracles.majority_error_enumeration(k, p_c, p_w)
-        bounds = _error_bounds(k, make_cp(p_c, p_w))
+        bounds = _error_bounds(k, ClickProbabilities(p_c, p_w))
         assert _bracketed(bounds, expected, 1e-12), (k, p_c, p_w)
         assert bounds[1] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -341,7 +346,7 @@ def test_error_bounds_bracket_enumeration_small_k():
 )
 def test_error_bounds_bracket_lgamma_moderate_k(k, p_c, p_w):
     expected = oracles.majority_error_lgamma(k, p_c, p_w)
-    bounds = _error_bounds(k, make_cp(p_c, p_w))
+    bounds = _error_bounds(k, ClickProbabilities(p_c, p_w))
     assert _bracketed(bounds, expected, 1e-12)
     # tight enough that a probe falls back only within ~1e-9 of its target
     assert bounds[2] - bounds[0] <= 1e-9 * bounds[1]
@@ -371,7 +376,7 @@ def test_error_bounds_bracket_exact_sum_in_deep_tail():
 def test_bit_error_prob_reaches_deep_errors_below_k_p(k, p_c, p_w):
     # far in the tail the error lives near i = 2 w* clicks, more than 16
     # standard deviations of Binomial(k, p) below k p
-    cp = make_cp(p_c, p_w)
+    cp = ClickProbabilities(p_c, p_w)
     exact = bit_error_prob(k, cp)
     expected = oracles.majority_error_highprec(k, p_c, p_w, 150)
     assert exact == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -488,7 +493,7 @@ def test_error_bounds_estimate_matches_per_element_boost(monkeypatch):
         rate = 10 ** rng.uniform(-0.5, math.log10(650.0)) / k
         p_c = (math.sqrt(p_w) + math.sqrt(-math.expm1(-rate))) ** 2
         if p_c + p_w <= 1.0:
-            cases.append((k, make_cp(p_c, p_w)))
+            cases.append((k, ClickProbabilities(p_c, p_w)))
     anchored = [_error_bounds(k, cp) for k, cp in cases]
     monkeypatch.setattr(reliability, "_ANCHOR_EVERY", 2 * MAX_REPETITIONS)
     for (k, cp), bounds in zip(cases, anchored):
@@ -518,7 +523,11 @@ def test_bit_error_prob_cut_changes_no_value(monkeypatch):
     # k up to 40 past the first k with z^k < 2^-1075, from where the error
     # is still a double: the same values as the full sum, which rounds to
     # 0.0 past the cut
-    cases = [click_probs(0.956, QPQI_CHANNEL), make_cp(0.3, 0.01), make_cp(0.02, 0.0001)]
+    cases = [
+        click_probs(0.956, QPQI_CHANNEL),
+        ClickProbabilities(0.3, 0.01),
+        ClickProbabilities(0.02, 0.0001),
+    ]
     for cp in cases:
         z = 1.0 - cp.p_correct - cp.p_wrong + 2.0 * math.sqrt(cp.p_correct * cp.p_wrong)
         cut = math.ceil(reliability._LOG_ROUNDS_TO_ZERO / math.log(z))
@@ -530,7 +539,7 @@ def test_bit_error_prob_cut_changes_no_value(monkeypatch):
         assert cut_values[0] > 0.0 and cut_values[-1] == 0.0
     # where wrong clicks are the likelier, z^k bounds nothing: z^5000 is
     # 1e-485 here, yet nearly every bit decodes wrongly
-    assert bit_error_prob(5000, make_cp(0.01, 0.3)) > 0.99
+    assert bit_error_prob(5000, ClickProbabilities(0.01, 0.3)) > 0.99
 
 
 def _estimate_above_exact(cp: ClickProbabilities) -> int:
@@ -586,32 +595,32 @@ def test_exact_sums_only_where_they_decide(monkeypatch):
 
 def test_min_repetitions_infeasible_majority():
     with pytest.raises(InfeasibleError):
-        min_repetitions(0.01, 35, make_cp(0.01, 0.01))
+        min_repetitions(0.01, 35, ClickProbabilities(0.01, 0.01))
     with pytest.raises(InfeasibleError):
-        min_repetitions(0.01, 35, make_cp(0.005, 0.01))
+        min_repetitions(0.01, 35, ClickProbabilities(0.005, 0.01))
 
 
 def test_min_repetitions_rejects_more_than_one_click_per_slot():
     with pytest.raises(ParameterError, match="exceeds 1"):
-        min_repetitions(0.01, 5, make_cp(0.7, 0.4))
+        min_repetitions(0.01, 5, ClickProbabilities(0.7, 0.4))
 
 
 def test_min_repetitions_infeasible_cap():
     # vanishing correct-wrong margin drives the needed k past the cap
     with pytest.raises(InfeasibleError):
-        min_repetitions(0.01, 35, make_cp(1.0e-4, 9.9e-5))
+        min_repetitions(0.01, 35, ClickProbabilities(1.0e-4, 9.9e-5))
 
 
 def test_min_repetitions_borderline_cap_is_checked_exactly():
     # the normal guess lies between half the cap and the 4x pre-check, so
     # the search itself must reach the cap and find it failing
-    cp = make_cp(0.1004, 0.1)
+    cp = ClickProbabilities(0.1004, 0.1)
     guess = _estimate_repetitions(0.01, 35, cp)
     assert MAX_REPETITIONS // 2 <= guess < 4 * MAX_REPETITIONS
     with pytest.raises(InfeasibleError, match="no repetition count up to"):
         min_repetitions(0.01, 35, cp)
     # a guess in the same range whose answer fits under the cap
-    cp = make_cp(0.1006, 0.1)
+    cp = ClickProbabilities(0.1006, 0.1)
     assert MAX_REPETITIONS // 2 <= _estimate_repetitions(0.01, 35, cp)
     _assert_threshold(min_repetitions(0.01, 35, cp), 0.01, 35, cp)
 
