@@ -28,7 +28,7 @@ from . import fileio
 from .codec import SharedRandomness, choose_positions, encode_message
 from .exceptions import FormatError, InfeasibleError, ParameterError
 from .planner import PlanRequest, ProtocolParams, plan_with_report, validate_plan
-from .reliability import ChannelModel
+from .reliability import ChannelModel, check_target_error
 from .simulator import (
     SECURITY_CHECK_SIGMAS,
     monitor_interval_count,
@@ -79,6 +79,12 @@ def _integer(lo: int, hi: float, span: str):
     return rule
 
 
+def _target_error(value, name: str) -> float:
+    # the repetition search's floor is checked after the range, so a
+    # target below it is refused with a message that names the floor
+    return check_target_error(_number(0.0, 1.0)(value, name), name)
+
+
 def _message(value, name: str) -> str:
     if not isinstance(value, str) or not value:
         raise ParameterError(f"{name} must be a non-empty string")
@@ -116,12 +122,13 @@ def _channel(value, name: str) -> dict:
 _RULES = {
     "message": _message,
     "epsilon": _number(0.0, 0.5),
-    "target_error": _number(0.0, 1.0),
+    "target_error": _target_error,
     "channel": _channel,
     "rep_rate_hz": _number(),
     "seed": _integer(0, 2**64, "in [0, 2^64)"),
     "rescale": _number(),
-    # 10^6 trials take about a minute: one costs tens of microseconds
+    # the trials are drawn as whole arrays: 10^6 take under a second and
+    # about 130 MB
     "trials": _integer(100, 10**6 + 1, "in [100, 10^6]"),
     "mu_multiplier": _number(),
     "no_signals": _boolean,

@@ -25,6 +25,7 @@ from .exceptions import InfeasibleError, ParameterError
 from .reliability import (
     ChannelModel,
     bit_error_prob,
+    check_target_error,
     click_probs,
     message_error_prob,
     min_repetitions,
@@ -50,7 +51,8 @@ class PlanRequest:
     Attributes:
         b: number of message bits.
         epsilon: detection-bias budget, in (0, 0.5).
-        target_e: whole-message decoding error target, in (0, 1).
+        target_e: whole-message decoding error target, in
+            [reliability.MIN_TARGET_ERROR, 1), the floor being 1e-300.
         channel: ChannelModel with tau and both noise means.
         rep_rate_hz: time-bin rate of the transmitter.
         mu_grid: strictly positive candidate pulse intensities.
@@ -72,8 +74,7 @@ class PlanRequest:
             raise ParameterError(f"b must be an integer >= 1, got {self.b!r}")
         if not 0.0 < self.epsilon < 0.5:
             raise ParameterError(f"epsilon must lie in (0, 0.5), got {self.epsilon!r}")
-        if not 0.0 < self.target_e < 1.0:
-            raise ParameterError(f"target_e must lie in (0, 1), got {self.target_e!r}")
+        check_target_error(self.target_e)
         if not (_finite_real(self.rep_rate_hz) and self.rep_rate_hz > 0.0):
             raise ParameterError(
                 f"rep_rate_hz must be a finite real number > 0, got {self.rep_rate_hz!r}"

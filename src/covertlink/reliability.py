@@ -40,6 +40,11 @@ from .exceptions import InfeasibleError, ParameterError
 # Repetition counts above this are rejected as a planning runaway.
 MAX_REPETITIONS = 10**7
 
+# The smallest message-error target the repetition search resolves: it
+# compares log message errors clamped at this floor, so below it every
+# probe would read as failing.
+MIN_TARGET_ERROR = 1e-300
+
 # Half-width of the click-count window, in standard deviations, used by
 # the vectorized double-sum; a floor of 30 counts covers the skewed
 # Poisson-like regime. Mass beyond the window is under ~1e-20.
@@ -59,9 +64,9 @@ _BOUNDS_REL = 1e-10
 _TAIL_NATS = 30.0
 
 # A Chernoff bound below exp(_LOG_TINY) settles a probe without a sum (the
-# search clamps message errors at 1e-300 anyway); above it, the window
-# stays within about 40 standard deviations.
-_LOG_TINY = math.log(1e-300)
+# search clamps message errors at MIN_TARGET_ERROR anyway); above it, the
+# window stays within about 40 standard deviations.
+_LOG_TINY = math.log(MIN_TARGET_ERROR)
 
 # A double below 2^-1075 rounds to 0.0.
 _LOG_ROUNDS_TO_ZERO = -1075.0 * math.log(2.0)
@@ -346,6 +351,22 @@ def message_error_prob(delta: float, b: int) -> float:
     return -math.expm1(b * math.log1p(-delta))
 
 
+def check_target_error(target_e: float, name: str = "target_e") -> float:
+    """target_e itself if it lies in [MIN_TARGET_ERROR, 1).
+
+    Raises:
+        ParameterError: target_e outside (0, 1), or below MIN_TARGET_ERROR.
+    """
+    if not 0.0 < target_e < 1.0:
+        raise ParameterError(f"{name} must lie in (0, 1), got {target_e!r}")
+    if target_e < MIN_TARGET_ERROR:
+        raise ParameterError(
+            f"{name} = {target_e!r} is below MIN_TARGET_ERROR = {MIN_TARGET_ERROR:g}, "
+            "the smallest message-error target the repetition search resolves"
+        )
+    return target_e
+
+
 def _estimate_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     """Normal-approximation guess for the needed k; only seeds the search.
 
@@ -370,7 +391,8 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     than wrong (p_good_given_click > 1/2); otherwise the target is
     unreachable and InfeasibleError is raised, as it is when the
     normal-approximation guess exceeds 4 * MAX_REPETITIONS or k =
-    MAX_REPETITIONS itself fails.
+    MAX_REPETITIONS itself fails. A target below MIN_TARGET_ERROR raises
+    ParameterError (check_target_error).
 
     One search on f(k) = log(message error / target), memoized per k; a
     probe fails exactly where f(k) > 0. f is nearly linear in k: starting
@@ -401,8 +423,7 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     Returns:
         The repetition count k, a plain int.
     """
-    if not 0.0 < target_e < 1.0:
-        raise ParameterError(f"target_e must lie in (0, 1), got {target_e!r}")
+    check_target_error(target_e)
     if b < 1:
         raise ParameterError(f"b must be >= 1, got {b!r}")
     p = cp.p_correct + cp.p_wrong
@@ -424,7 +445,7 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
             delta = bounds[1]  # the bounds settle the verdict; steer by the window sum
         else:
             delta = bit_error_prob(k, cp)
-        return math.log(max(message_error_prob(delta, b), 1e-300)) - log_target
+        return math.log(max(message_error_prob(delta, b), MIN_TARGET_ERROR)) - log_target
 
     f_lo = log_excess(1)
     if f_lo <= 0.0:

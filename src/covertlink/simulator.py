@@ -7,9 +7,10 @@ codec.majority_decode counts and decides, and one (sent bit x outcome)
 count table over all positions. Idle bins only matter to the
 adversary, whose view is simulated through exact aggregate binomial
 draws and numpy's multinomial (conditional binomials, exact for the
-~1e11 pairs of a full-scale trial). All outputs are pure functions
-of (inputs, seed) via counter-style derived seeds, so parallel and
-sequential evaluation orders agree.
+~1e11 pairs of a full-scale trial), one whole-array draw per family.
+All outputs are pure functions of (inputs, seed): each transmission,
+monitoring trace and distinguisher run takes one generator from its
+own spawn-key domain of the seed.
 
 The adversary taps the channel at the sender's output with unit
 efficiency (noise mean n_bar_a, no detector penalty), which is strictly
@@ -46,13 +47,13 @@ _DOMAIN_DISTINGUISH = 2
 # before DistinguisherResult.security_check fails
 SECURITY_CHECK_SIGMAS = 3.0
 
-# each monitoring interval is one seeded draw in a Python loop; the
-# bundled default asks for 20
+# bounds the per-interval arrays of one monitoring trace; the bundled
+# default asks for 20 intervals
 MAX_MONITOR_INTERVALS = 10**5
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+def _rng(seed: int, domain: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(domain,)))
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,9 @@ class DistinguisherResult:
 
     bound_epsilon is the detection-bias bound claimed by the plan under
     test; the security assertion is empirical_bias <= bound_epsilon up
-    to Monte-Carlo error.
+    to Monte-Carlo error. std_error is the winning detector's standard
+    error; se_count_threshold and se_likelihood_ratio are each
+    detector's own.
     """
 
     empirical_pe: float
@@ -119,6 +122,8 @@ class DistinguisherResult:
     pe_count_threshold: float
     pe_likelihood_ratio: float
     count_threshold: float
+    se_count_threshold: float
+    se_likelihood_ratio: float
 
     def security_check(self, n_sigma: float = SECURITY_CHECK_SIGMAS) -> bool:
         return self.empirical_bias <= self.bound_epsilon + n_sigma * self.std_error
@@ -251,13 +256,9 @@ def simulate_monitoring(
         raise ParameterError("interval too short for even one time-bin pair")
     p_idle, p_signal = adversary_click_probs(p)
     q_eff = p.q if communicating else 0.0
-    counts = np.empty(n_intervals, dtype=np.int64)
-    for i in range(n_intervals):
-        rng = _rng(rng_seed, _DOMAIN_MONITOR, i)
-        m = int(rng.binomial(pairs, q_eff))
-        counts[i] = rng.binomial(m, p_signal) + rng.binomial(
-            BINS_PER_PAIR * pairs - m, p_idle
-        )
+    rng = _rng(rng_seed, _DOMAIN_MONITOR)
+    m = rng.binomial(pairs, q_eff, size=n_intervals)
+    counts = rng.binomial(m, p_signal) + rng.binomial(BINS_PER_PAIR * pairs - m, p_idle)
     return MonitorTrace(
         interval_s=interval_s,
         counts=counts,
@@ -298,14 +299,17 @@ def run_distinguisher(p: ProtocolParams, trials: int, rng_seed: int) -> Distingu
     llr_weight = np.log1p(q * ratio_excess)
 
     labels = np.arange(trials) % 2 == 1
-    total_clicks = np.empty(trials)
-    llr = np.empty(trials)
-    for t in range(trials):
-        rng = _rng(rng_seed, _DOMAIN_DISTINGUISH, t)
-        m = int(rng.binomial(n_pairs, q)) if labels[t] else 0
-        tallies = rng.multinomial(m, signal_dist) + rng.multinomial(n_pairs - m, noise_dist)
-        total_clicks[t] = tallies[1] + 2.0 * tallies[2]
-        llr[t] = float(tallies @ llr_weight)
+    rng = _rng(rng_seed, _DOMAIN_DISTINGUISH)
+    m = np.zeros(trials, dtype=np.int64)
+    m[labels] = rng.binomial(n_pairs, q, size=int(labels.sum()))
+    # one row of (zero, one, two)-click pair counts per trial
+    t0, t1, t2 = (
+        rng.multinomial(m, signal_dist) + rng.multinomial(n_pairs - m, noise_dist)
+    ).T
+    total_clicks = t1 + 2.0 * t2
+    # written out rather than as a matmul, so the bytes do not depend on
+    # the BLAS build
+    llr = t0 * llr_weight[0] + t1 * llr_weight[1] + t2 * llr_weight[2]
 
     half = trials // 2
     threshold = _best_count_threshold(total_clicks[:half], labels[:half])
@@ -324,6 +328,8 @@ def run_distinguisher(p: ProtocolParams, trials: int, rng_seed: int) -> Distingu
         pe_count_threshold=pe_count,
         pe_likelihood_ratio=pe_llr,
         count_threshold=threshold,
+        se_count_threshold=se_count,
+        se_likelihood_ratio=se_llr,
     )
 
 

@@ -293,6 +293,8 @@ def test_eavesdrop_negative_control_fails(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["verdict"] == "FAIL"
     assert report["empirical_bias"] > report["bound_epsilon"]
+    # both detectors' standard errors, the winner's among them
+    assert report["std_error"] in (report["se_count_threshold"], report["se_likelihood_ratio"])
 
 
 def test_infeasible_targets_exit_code(tmp_path):
@@ -378,6 +380,21 @@ def test_config_schema_rejections(tmp_path, mutation):
     cfg.write_text(FAST_CONFIG.replace(old, new))
     rc = main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
+
+
+def test_target_error_below_the_search_floor_is_config_error(tmp_path, capsys, monkeypatch):
+    # a target the repetition search cannot resolve is refused with its
+    # reason before planning, not reported as infeasible after it
+    def no_plan(req):
+        raise AssertionError("planner called")
+
+    monkeypatch.setattr(cli, "plan_with_report", no_plan)
+    cfg = tmp_path / "deep.yaml"
+    cfg.write_text(FAST_CONFIG.replace("target_error: 0.05", "target_error: 1.0e-305"))
+    rc = main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config key 'target_error' = 1e-305 is below MIN_TARGET_ERROR = 1e-300" in err
 
 
 def test_unsigned_exponent_message_has_hint(tmp_path, capsys):

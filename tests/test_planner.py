@@ -310,6 +310,9 @@ def test_plan_request_validation():
         PlanRequest(**{**base, "epsilon": 0.6})
     with pytest.raises(ParameterError):
         PlanRequest(**{**base, "target_e": 0.0})
+    with pytest.raises(ParameterError, match="below MIN_TARGET_ERROR = 1e-300"):
+        PlanRequest(**{**base, "target_e": 1e-305})
+    PlanRequest(**{**base, "target_e": 1e-300})
     with pytest.raises(ParameterError):
         PlanRequest(**{**base, "rep_rate_hz": 0.0})
     # ProtocolParams refuses these; the request refuses them before planning

@@ -13,6 +13,7 @@ import covertlink.reliability as reliability
 from covertlink.exceptions import InfeasibleError, ParameterError
 from covertlink.reliability import (
     MAX_REPETITIONS,
+    MIN_TARGET_ERROR,
     ChannelModel,
     ClickProbabilities,
     bit_error_prob,
@@ -598,6 +599,20 @@ def test_min_repetitions_infeasible_majority():
         min_repetitions(0.01, 35, ClickProbabilities(0.01, 0.01))
     with pytest.raises(InfeasibleError):
         min_repetitions(0.01, 35, ClickProbabilities(0.005, 0.01))
+
+
+def test_min_repetitions_refuses_targets_below_the_floor():
+    # the search compares log message errors clamped at MIN_TARGET_ERROR,
+    # so a smaller target would read every probe as failing
+    cp = ClickProbabilities(0.3, 0.01)
+    for target in (1e-305, MIN_TARGET_ERROR / 2, 5e-324):
+        with pytest.raises(ParameterError, match="below MIN_TARGET_ERROR = 1e-300"):
+            min_repetitions(target, 35, cp)
+    # the floor itself is resolved, and needs more repetitions than above it
+    k_floor = min_repetitions(MIN_TARGET_ERROR, 35, cp)
+    assert k_floor >= min_repetitions(1e-290, 35, cp)
+    assert message_error_prob(bit_error_prob(k_floor, cp), 35) <= MIN_TARGET_ERROR
+    assert message_error_prob(bit_error_prob(k_floor - 1, cp), 35) > MIN_TARGET_ERROR
 
 
 def test_min_repetitions_rejects_more_than_one_click_per_slot():

@@ -350,6 +350,55 @@ def test_distinguisher_null_plan_is_a_coin_flip():
     assert r.security_check()
 
 
+def test_distinguisher_null_plan_is_a_coin_flip_at_scale():
+    p_null = make_params(35, 0, 1_000_000_000, CQTUSTC.mu, CQ_CHANNEL, 5e8)
+    r = run_distinguisher(p_null, trials=100_000, rng_seed=13)
+    assert r.pe_likelihood_ratio == 0.5
+    assert abs(r.empirical_pe - 0.5) <= 5 * r.std_error
+
+
+def _count_rng_calls(monkeypatch) -> list:
+    calls = []
+    make = covertlink.simulator._rng
+
+    def counted(seed, domain):
+        calls.append(domain)
+        return make(seed, domain)
+
+    monkeypatch.setattr(covertlink.simulator, "_rng", counted)
+    return calls
+
+
+def test_distinguisher_draws_from_one_generator(monkeypatch):
+    # the work gate: one derived stream per run, not one per trial
+    calls = _count_rng_calls(monkeypatch)
+    p = make_params(35, 143, 56_875_000_000, CQTUSTC.mu, CQ_CHANNEL, 5e8)
+    run_distinguisher(p, 10_000, rng_seed=21)
+    assert len(calls) == 1
+
+
+def test_monitoring_draws_from_one_generator(monkeypatch):
+    # the work gate: one derived stream per trace, not one per interval
+    calls = _count_rng_calls(monkeypatch)
+    p = make_params(35, 1961, 68_635_000, CQTUSTC.mu, CQ_CHANNEL, 5e8)
+    trace = simulate_monitoring(p, True, 0.02, 1e-3, rng_seed=31)
+    assert trace.counts.size == 20
+    assert len(calls) == 1
+
+
+def test_distinguisher_reports_both_detectors_standard_errors():
+    p = make_params(5, 200, 10_000_000, 0.005, CQ_CHANNEL, 5e8)
+    r = run_distinguisher(p, trials=1000, rng_seed=22)
+    # the winner's error and standard error come from one detector
+    if r.pe_count_threshold <= r.pe_likelihood_ratio:
+        assert (r.empirical_pe, r.std_error) == (r.pe_count_threshold, r.se_count_threshold)
+    else:
+        assert (r.empirical_pe, r.std_error) == (r.pe_likelihood_ratio, r.se_likelihood_ratio)
+    # the count detector is scored on half the trials, the other on all
+    assert r.se_count_threshold > 0.0 and r.se_likelihood_ratio > 0.0
+    assert r.se_count_threshold != r.se_likelihood_ratio
+
+
 def test_distinguisher_honest_desk_plan_within_bound():
     desk = make_params(35, 143, 56_875_000_000, CQTUSTC.mu, CQ_CHANNEL, 5e8)
     r = run_distinguisher(desk, trials=1000, rng_seed=21)
