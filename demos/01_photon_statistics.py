@@ -35,20 +35,20 @@ print("  P(n=0..3) =", np.array2string(pulse[:4], precision=6))
 print("\nrelative entropy between background and blend (nats):")
 for q in (1e-2, 1e-5, 1e-8):
     d = profile.divergence(q)
-    print(f"  q = {q:.0e}  D = {float(d):.6e}  (truncation bound {d.error_bound:.1e})")
+    print(f"  q = {q:.0e}  D = {d:.6e}  (truncation bound {profile.error_bound(q):.1e})")
 
 # the textbook sum p*log(p/s) subtracts nearly equal logs; at q = 1e-8
 # the cancellation wipes out most significant digits
 q = 1e-8
 blend = (1.0 - q) * background + q * pulse
 naive = float(np.sum(background * np.log(background / blend)))
-stable = float(profile.divergence(q))
+stable = profile.divergence(q)
 print(f"\nnaive log-ratio sum at q=1e-8:  {naive:.6e}")
 print(f"stable evaluation:              {stable:.6e}")
 print(f"relative error of the naive sum: {abs(naive - stable) / stable:.1%}")
 
 # the divergence shrinks like q^2, which is what makes covert rates
 # scale as the square root of the number of channel uses
-d1 = float(profile.divergence(1e-4))
-d2 = float(profile.divergence(2e-4))
+d1 = profile.divergence(1e-4)
+d2 = profile.divergence(2e-4)
 print(f"\nq doubled from 1e-4 to 2e-4: D grows x{d2 / d1:.3f} (quadratic: x4)")

@@ -32,16 +32,16 @@ for n_pairs in (10**10, 10**11, 10**12):
 # invert the relationship: smallest N meeting a 0.014 budget
 budget = 0.014
 needed = min_pairs_for_budget(budget, D_SIGNALS, MU, NOISE)
-print(f"\nbudget {budget}: need N = {needed.n_pairs:.4e} pairs"
-      f" ({BINS_PER_PAIR * needed.n_pairs:.4e} raw bins)")
-print(f"  check: bound at N    = {bias_for_protocol(needed.n_pairs, D_SIGNALS, MU, NOISE):.6f}")
-print(f"  check: bound at N-1  = {bias_for_protocol(needed.n_pairs - 1, D_SIGNALS, MU, NOISE):.6f}")
+print(f"\nbudget {budget}: need N = {needed:.4e} pairs"
+      f" ({BINS_PER_PAIR * needed:.4e} raw bins)")
+print(f"  check: bound at N    = {bias_for_protocol(needed, D_SIGNALS, MU, NOISE):.6f}")
+print(f"  check: bound at N-1  = {bias_for_protocol(needed - 1, D_SIGNALS, MU, NOISE):.6f}")
 
 # doubling the signal count quadruples the required pairs: reliable
 # covert bits scale as sqrt(N)
 print("\nrequired pairs vs signal count (same budget):")
 base = None
 for d in (1_000, 2_000, 4_000, 8_000):
-    n = min_pairs_for_budget(budget, d, MU, NOISE).n_pairs
+    n = min_pairs_for_budget(budget, d, MU, NOISE)
     base = base or n
     print(f"  d = {d:5d}  N = {n:.4e}  (x{n / base:.2f} of d=1000, d^2 ratio x{(d / 1_000) ** 2})")

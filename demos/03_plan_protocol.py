@@ -39,7 +39,7 @@ print(f"  predicted message error  = {params.predicted_e:.4f} (target {request.t
 feasible = [g for g in grid if g.feasible]
 print(f"\ngrid: {len(feasible)} of {len(grid)} candidate intensities feasible")
 for g in feasible[:: max(1, len(feasible) // 5)]:
-    print(f"  mu = {g.mu:.3e}  k = {g.k:6d}  N = {g.n_pairs:.3e}  bias = {g.predicted_epsilon:.4f}")
+    print(f"  mu = {g.mu:.3e}  k = {g.k:6d}  N = {g.n_pairs:.3e}")
 
 # a flat-bottomed search valley: the planner prefers the dimmest pulse
 # whose cost is within 5% of the optimum (quieter for the same price)

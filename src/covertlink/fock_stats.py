@@ -44,21 +44,6 @@ _TRUNC_TOL = 1e-30
 _LOG_CAP = 1500.0
 
 
-class RelativeEntropy(float):
-    """A relative-entropy value in nats carrying a truncation error bar.
-
-    Behaves as a plain float; error_bound bounds the absolute difference
-    between this value and the untruncated infinite sum.
-    """
-
-    error_bound: float
-
-    def __new__(cls, value: float, error_bound: float):
-        obj = super().__new__(cls, value)
-        obj.error_bound = float(error_bound)
-        return obj
-
-
 # Below this |y| the term y - log1p(y) is summed as its Taylor series;
 # above it the direct difference keeps ~2e-15 relative accuracy.
 _SERIES_CUTOFF = 0.1
@@ -165,31 +150,38 @@ class DivergenceProfile:
             uncovered=uncovered,
         )
 
-    def divergence(self, q: float) -> RelativeEntropy:
-        """Per-mode relative entropy D(q) in nats, with its error bar.
-
-        The terms rho_n (y_n - log1p(y_n)) are combined with exact
-        summation, and the linear part -q (tail_rho - tail_s) is added
-        in closed form. The error bar bounds the dropped beyond-support
-        terms, q tail_s / (1 - q) + tail_rho (-log1p(-q)) (at q = 1,
-        tail_s + tail_rho times the log cap), plus the rounding of the
-        sum.
-        """
+    def _parts(self, q: float) -> tuple[float, float, float]:
+        """q checked, the exactly summed quadratic part and the linear part."""
         q = float(q)
         if not 0.0 <= q <= 1.0:
             raise ParameterError(f"q must lie in [0, 1], got {q!r}")
         quadratic = math.fsum(self.rho * _log1p_gap(q * self.x))
-        linear = q * (self.tail_rho - self.tail_s)
-        value = quadratic - linear
+        return q, quadratic, q * (self.tail_rho - self.tail_s)
+
+    def divergence(self, q: float) -> float:
+        """Per-mode relative entropy D(q) in nats.
+
+        The terms rho_n (y_n - log1p(y_n)) are combined with exact
+        summation, and the linear part -q (tail_rho - tail_s) is added
+        in closed form.
+        """
+        _, quadratic, linear = self._parts(q)
+        # Gibbs: the exact D is >= 0, so tiny negatives are rounding
+        return max(quadratic - linear, 0.0)
+
+    def error_bound(self, q: float) -> float:
+        """Bound on |divergence(q) - D(q)|, D(q) the untruncated infinite sum.
+
+        It bounds the dropped beyond-support terms, q tail_s / (1 - q) +
+        tail_rho (-log1p(-q)) (at q = 1, tail_s + tail_rho times the log
+        cap), plus the rounding of the sum.
+        """
+        q, quadratic, linear = self._parts(q)
         if q < 1.0:
             err = q * self.tail_s / (1.0 - q) + self.tail_rho * (-math.log1p(-q))
         else:
             err = self.tail_s + self.tail_rho * _LOG_CAP
-        err += 2.5e-16 * (quadratic + abs(linear))
-        if value < 0.0:
-            # Gibbs: the exact D is >= 0, so tiny negatives are rounding
-            value = 0.0
-        return RelativeEntropy(value, err)
+        return err + 2.5e-16 * (quadratic + abs(linear))
 
     def slope(self, q: float) -> float:
         """dD/dq: sum(rho x y / (1 + y)) plus the linear tail term."""
@@ -197,6 +189,6 @@ class DivergenceProfile:
         return math.fsum(self.rho * self.x * y / (1.0 + y)) - (self.tail_rho - self.tail_s)
 
 
-def per_mode_relative_entropy(mu: float, n_bar_a: float, q: float) -> RelativeEntropy:
+def per_mode_relative_entropy(mu: float, n_bar_a: float, q: float) -> float:
     """D(rho || (1 - q) rho + q rho_s) for one pulse intensity, via its profile."""
     return DivergenceProfile.build(mu, n_bar_a).divergence(q)

@@ -8,8 +8,8 @@ request; nothing found at one mu is carried to the next. The
 returned plan is the grid point minimizing N (equivalently the total
 number of time bins, and hence the running time at a fixed repetition
 rate), refined once by golden-section search around the best grid
-point. Grid points carry k, d, N and the bias bound; the message error
-is summed exactly once, at the chosen point.
+point. Grid points carry k, d and N; ProtocolParams.derive forms both
+claims, the bias bound and the message error, once, at the chosen point.
 """
 
 from __future__ import annotations
@@ -151,6 +151,42 @@ class ProtocolParams:
         if not math.isclose(self.running_time_s, expected_time, rel_tol=1e-12):
             raise ParameterError("running_time_s must equal bins_total / rep_rate_hz")
 
+    @classmethod
+    def derive(
+        cls,
+        *,
+        b: int,
+        k: int,
+        n_pairs: int,
+        mu: float,
+        channel: ChannelModel,
+        rep_rate_hz: float,
+        epsilon_target: float,
+        target_e: float,
+    ) -> "ProtocolParams":
+        """The plan sending k repetitions of b bits over n_pairs pairs at mu.
+
+        The one place a plan's fields and both claims are formed from
+        (b, k, N, mu): d = k b, q = d / N, the running time, the
+        detection-bias bound and the message error.
+        """
+        d = k * b
+        return cls(
+            b=b,
+            d=d,
+            k=k,
+            q=d / n_pairs,
+            n_pairs=n_pairs,
+            mu=mu,
+            predicted_epsilon=bias_for_protocol(n_pairs, d, mu, channel.n_bar_a),
+            predicted_e=message_error_prob(bit_error_prob(k, click_probs(mu, channel)), b),
+            running_time_s=BINS_PER_PAIR * n_pairs / rep_rate_hz,
+            channel=channel,
+            rep_rate_hz=rep_rate_hz,
+            epsilon_target=epsilon_target,
+            target_e=target_e,
+        )
+
     @property
     def bins_total(self) -> int:
         return BINS_PER_PAIR * self.n_pairs
@@ -166,7 +202,6 @@ class GridPoint:
     k: int = 0
     d: int = 0
     n_pairs: int = 0
-    predicted_epsilon: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -199,24 +234,15 @@ def _evaluate_mu(mu: float, req: PlanRequest) -> GridPoint:
         return GridPoint(mu=mu, feasible=False, reason=f"reliability: {exc}")
     d = k * req.b
     try:
-        pair = min_pairs_for_budget(req.epsilon, d, mu, req.channel.n_bar_a)
+        n_pairs = min_pairs_for_budget(req.epsilon, d, mu, req.channel.n_bar_a)
     except InfeasibleError as exc:
         return GridPoint(mu=mu, feasible=False, reason=f"covertness: {exc}")
-    return GridPoint(
-        mu=mu,
-        feasible=True,
-        k=k,
-        d=d,
-        n_pairs=pair.n_pairs,
-        predicted_epsilon=pair.bias_bound,
-    )
+    return GridPoint(mu=mu, feasible=True, k=k, d=d, n_pairs=n_pairs)
 
 
-def _better(a: GridPoint, b: GridPoint | None) -> bool:
+def _cost(p: GridPoint) -> tuple[int, float]:
     """Fewer pairs wins; ties go to the smaller mu."""
-    if b is None:
-        return True
-    return (a.n_pairs, a.mu) < (b.n_pairs, b.mu)
+    return (p.n_pairs, p.mu)
 
 
 def _dimmest_within(floor: GridPoint, points: list[GridPoint], req: PlanRequest) -> GridPoint:
@@ -286,10 +312,7 @@ def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint,
             for sample, count in groups.values()
         )
         raise InfeasibleError("no grid point satisfies both targets; causes: " + causes)
-    best = None
-    for p in feasible:
-        if _better(p, best):
-            best = p
+    best = min(feasible, key=_cost)
 
     # one golden-section refinement between the best point's neighbors
     idx = int(np.searchsorted(grid, best.mu))
@@ -316,26 +339,16 @@ def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint,
                 points.append(p2)
             if (b_ - a) <= 1e-4 * b_:
                 break
-        for p in points[len(grid):]:
-            if p.feasible and _better(p, best):
-                best = p
+        best = min([best, *(p for p in points[len(grid):] if p.feasible)], key=_cost)
 
     if req.flatness_tolerance > 0.0:
         best = _dimmest_within(best, points, req)
 
-    n = best.n_pairs
-    params = ProtocolParams(
+    params = ProtocolParams.derive(
         b=req.b,
-        d=best.d,
         k=best.k,
-        q=best.d / n,
-        n_pairs=n,
+        n_pairs=best.n_pairs,
         mu=best.mu,
-        predicted_epsilon=best.predicted_epsilon,
-        predicted_e=message_error_prob(
-            bit_error_prob(best.k, click_probs(best.mu, req.channel)), req.b
-        ),
-        running_time_s=BINS_PER_PAIR * n / req.rep_rate_hz,
         channel=req.channel,
         rep_rate_hz=req.rep_rate_hz,
         epsilon_target=req.epsilon,
@@ -347,22 +360,29 @@ def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint,
 def validate_plan(p: ProtocolParams, req: PlanRequest) -> PlanReport:
     """Recompute both predictions from scratch and check them against targets.
 
-    Structural identities (d = k * b, q = d / n_pairs, running time =
-    bins / rate) are re-checked as well; every check lands in the report
-    with its margin rather than raising.
+    The plan's (b, k, N, mu) are re-derived under the request's channel,
+    rate and targets, and the stored structure (d = k * b, q = d /
+    n_pairs, running time = bins / rate) is compared with the derived
+    one; every check lands in the report with its margin rather than
+    raising.
     """
     checks = []
     if p.d > 0:
-        cp = click_probs(p.mu, req.channel)
-        pred_e = message_error_prob(bit_error_prob(p.k, cp), p.b)
-        q = p.d / p.n_pairs
-        pred_eps = bias_for_protocol(p.n_pairs, p.d, p.mu, req.channel.n_bar_a)
-        checks.append(CheckResult("detection_bias", pred_eps <= req.epsilon, pred_eps, req.epsilon))
-        checks.append(CheckResult("message_error", pred_e <= req.target_e, pred_e, req.target_e))
-        checks.append(CheckResult("d_equals_k_times_b", p.d == p.k * p.b, p.d, p.k * p.b))
-        checks.append(
-            CheckResult("q_equals_d_over_n", abs(p.q - q) <= 1e-12 * q, p.q, q)
+        derived = ProtocolParams.derive(
+            b=p.b,
+            k=p.k,
+            n_pairs=p.n_pairs,
+            mu=p.mu,
+            channel=req.channel,
+            rep_rate_hz=req.rep_rate_hz,
+            epsilon_target=req.epsilon,
+            target_e=req.target_e,
         )
+        eps, err, q = derived.predicted_epsilon, derived.predicted_e, derived.q
+        checks.append(CheckResult("detection_bias", eps <= req.epsilon, eps, req.epsilon))
+        checks.append(CheckResult("message_error", err <= req.target_e, err, req.target_e))
+        checks.append(CheckResult("d_equals_k_times_b", p.d == derived.d, p.d, derived.d))
+        checks.append(CheckResult("q_equals_d_over_n", abs(p.q - q) <= 1e-12 * q, p.q, q))
     else:
         checks.append(CheckResult("detection_bias", True, 0.0, req.epsilon))
         checks.append(CheckResult("message_error", False, 1.0, req.target_e))

@@ -15,7 +15,6 @@ BINS_PER_PAIR raw time bins when converted to wall-clock duration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .exceptions import InfeasibleError, ParameterError
 from .fock_stats import DivergenceProfile, per_mode_relative_entropy
@@ -28,22 +27,6 @@ DEFAULT_PAIR_CEILING = 10**16
 # steps, each moving N by at most a factor e**_MAX_LOG_STEP
 _NEWTON_STEPS = 8
 _MAX_LOG_STEP = 8.0
-
-
-@dataclass(frozen=True)
-class ModePair:
-    """Count of time-bin pairs.
-
-    bias_bound is the detection-bias bound the search computed at
-    n_pairs (nan when the pair count was made by hand).
-    """
-
-    n_pairs: int
-    bias_bound: float = field(default=math.nan, compare=False)
-
-    def __post_init__(self):
-        if not isinstance(self.n_pairs, int) or self.n_pairs < 1:
-            raise ParameterError(f"n_pairs must be an integer >= 1, got {self.n_pairs!r}")
 
 
 def detection_bias_bound(n_pairs: int, d_per_mode: float) -> float:
@@ -80,7 +63,7 @@ def min_pairs_for_budget(
     mu: float,
     n_bar_a: float,
     ceiling: int = DEFAULT_PAIR_CEILING,
-) -> ModePair:
+) -> int:
     """Smallest pair count N whose detection-bias bound meets the budget.
 
     The bound at q = d/N is non-increasing in N: the per-mode divergence
@@ -111,8 +94,8 @@ def min_pairs_for_budget(
         ceiling: largest N considered before declaring infeasibility.
 
     Returns:
-        ModePair with the bound at N in bias_bound. N >= d, since
-        q = d/N is a probability.
+        N, an int >= 1 and >= d, since q = d/N is a probability; N = 1
+        when there are no signals.
 
     Raises:
         ParameterError: a bad budget, d_signals < 0 or ceiling < 1.
@@ -127,7 +110,7 @@ def min_pairs_for_budget(
     if ceiling < 1:
         raise ParameterError(f"ceiling must be >= 1, got {ceiling!r}")
     if d_signals == 0:
-        return ModePair(1, 0.0)
+        return 1
     if d_signals > ceiling:
         raise InfeasibleError(
             f"no pair count up to {ceiling:.3g} can carry d={d_signals} signals (q = d/N <= 1)"
@@ -139,7 +122,7 @@ def min_pairs_for_budget(
 
     def divergence_at(n_pairs: int) -> float:
         if n_pairs not in divergences:
-            divergences[n_pairs] = float(profile.divergence(d_signals / n_pairs))
+            divergences[n_pairs] = profile.divergence(d_signals / n_pairs)
         return divergences[n_pairs]
 
     def bound(n_pairs: int) -> float:
@@ -208,4 +191,4 @@ def min_pairs_for_budget(
             hi = mid
     if bound(hi) > epsilon or (hi > floor and bound(hi - 1) <= epsilon):
         raise InfeasibleError("bisection postcondition failed; bound not monotone here")
-    return ModePair(hi, bound(hi))
+    return hi

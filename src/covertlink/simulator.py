@@ -20,7 +20,7 @@ pessimistic for the legitimate parties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .codec import (
 )
 from .exceptions import ParameterError
 from .planner import ProtocolParams
-from .reliability import ChannelModel, bit_error_prob, click_probs, message_error_prob
-from .security import BINS_PER_PAIR, bias_for_protocol
+from .reliability import ChannelModel, click_probs
+from .security import BINS_PER_PAIR
 
 # spawn-key domains keeping the three simulation families independent
 _DOMAIN_TRANSMIT = 0
@@ -370,9 +370,9 @@ def rescale_plan(p: ProtocolParams, factor: float) -> ProtocolParams:
 
     The repetition count is divided by factor (floored at 1), d follows
     as k * b, and the pair count follows from the preserved q up to
-    integer rounding. Both predictions are recomputed at the new scale,
-    so bound comparisons against desk-scale simulations stay
-    apples-to-apples.
+    integer rounding. ProtocolParams.derive recomputes both predictions
+    at the new scale, so bound comparisons against desk-scale
+    simulations stay apples-to-apples.
     """
     if factor <= 0.0 or not math.isfinite(factor):
         raise ParameterError(f"factor must be finite and > 0, got {factor!r}")
@@ -381,15 +381,13 @@ def rescale_plan(p: ProtocolParams, factor: float) -> ProtocolParams:
     k_new = max(1, round(p.k / factor))
     d_new = k_new * p.b
     n_new = max(d_new, round(d_new / p.q))
-    q_new = d_new / n_new
-    cp = click_probs(p.mu, p.channel)
-    return replace(
-        p,
+    return ProtocolParams.derive(
+        b=p.b,
         k=k_new,
-        d=d_new,
         n_pairs=n_new,
-        q=q_new,
-        predicted_epsilon=bias_for_protocol(n_new, d_new, p.mu, p.channel.n_bar_a),
-        predicted_e=message_error_prob(bit_error_prob(k_new, cp), p.b),
-        running_time_s=BINS_PER_PAIR * n_new / p.rep_rate_hz,
+        mu=p.mu,
+        channel=p.channel,
+        rep_rate_hz=p.rep_rate_hz,
+        epsilon_target=p.epsilon_target,
+        target_e=p.target_e,
     )

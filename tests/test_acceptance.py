@@ -29,13 +29,8 @@ from covertlink.reliability import (
     ClickProbabilities,
     bit_error_prob,
     click_probs,
-    message_error_prob,
 )
-from covertlink.security import (
-    BINS_PER_PAIR,
-    bias_for_protocol,
-    min_pairs_for_budget,
-)
+from covertlink.security import BINS_PER_PAIR, min_pairs_for_budget
 from covertlink.simulator import rescale_plan, run_distinguisher, simulate_transmission
 
 # desk rescale target: keep q and mu, shrink to about 5000 signals
@@ -141,19 +136,12 @@ def matched_channel(single_click_rate: float, error_fraction: float):
 
 
 def synthetic_params(b: int, k: int, mu: float, channel: ChannelModel) -> ProtocolParams:
-    """Structurally valid parameters around a hand-picked channel."""
-    d = k * b
-    cp = click_probs(mu, channel)
-    return ProtocolParams(
+    """Structurally valid parameters around a hand-picked channel, q = 0.5."""
+    return ProtocolParams.derive(
         b=b,
-        d=d,
         k=k,
-        q=0.5,
-        n_pairs=2 * d,
+        n_pairs=2 * k * b,
         mu=mu,
-        predicted_epsilon=bias_for_protocol(2 * d, d, mu, channel.n_bar_a),
-        predicted_e=message_error_prob(bit_error_prob(k, cp), b),
-        running_time_s=BINS_PER_PAIR * 2 * d / 1e6,
         channel=channel,
         rep_rate_hz=1e6,
         epsilon_target=1.0,
@@ -412,10 +400,7 @@ def test_criterion_09_pair_budget_quadratic_in_signals(capsys):
     op = ref.FIBER_BY_NAME["CQTUSTC"]
     start = time.perf_counter()
     d_values = (1_000, 2_000, 4_000, 8_000)
-    pairs = [
-        min_pairs_for_budget(op.epsilon, d, op.mu, op.n_bar_a).n_pairs
-        for d in d_values
-    ]
+    pairs = [min_pairs_for_budget(op.epsilon, d, op.mu, op.n_bar_a) for d in d_values]
     coef = float(np.mean([n / d**2 for n, d in zip(pairs, d_values)]))
     worst = max(abs(n / (coef * d**2) - 1.0) for n, d in zip(pairs, d_values))
     elapsed = time.perf_counter() - start

@@ -118,6 +118,18 @@ def test_validate_missing_plan_is_config_error(fast_config, tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def test_validate_plan_made_at_another_rate_is_config_error(planned_dir, tmp_path, capsys):
+    # the plan's running time is right for its own rate: the mismatch is
+    # refused by name, like one in b, channel or targets, not failed as a check
+    path = tmp_path / "faster.yaml"
+    path.write_text(FAST_CONFIG.replace("rep_rate_hz: 1.0e+6", "rep_rate_hz: 2.0e+6"))
+    (tmp_path / "plan.json").write_bytes((planned_dir / "plan.json").read_bytes())
+    rc = main(["validate", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert "plan document carries rep_rate_hz = 1000000.0" in capsys.readouterr().err
+    assert not (tmp_path / "validate.json").exists()
+
+
 # breakage -> (params field, value written there)
 FIELD_BREAKAGES = {
     "mu is 'x'": ("mu", "x"),

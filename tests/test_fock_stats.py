@@ -206,10 +206,11 @@ def test_relative_entropy_infinite_off_support():
 
 def test_relative_entropy_reference_point_vs_frozen_oracle():
     # 80-digit-oracle agreement to at least 6 significant figures
-    d = per_mode_relative_entropy(CQTUSTC.mu, CQTUSTC.n_bar_a, CQTUSTC.q)
+    profile = DivergenceProfile.build(CQTUSTC.mu, CQTUSTC.n_bar_a)
+    d = profile.divergence(CQTUSTC.q)
     frozen = ref.KL_PER_MODE_NATS["CQTUSTC"]
     assert abs(d - frozen) / frozen < 5e-7
-    assert d.error_bound < 1e-6 * frozen
+    assert profile.error_bound(CQTUSTC.q) < 1e-6 * frozen
 
 
 def test_relative_entropy_stable_where_naive_fails():

@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 from make_plan_golden import bundled_configs, golden_record, request_for, request_key
-from covertlink.planner import plan_with_report
+from covertlink.planner import ProtocolParams, plan_with_report, validate_plan
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "plan_golden.json").read_text("utf-8")
@@ -59,6 +59,27 @@ def test_plan_matches_golden(fresh, name):
     exact = {key: value for key, value in record.items() if key != "n_pairs"}
     assert exact == {key: value for key, value in gold.items() if key != "n_pairs"}
     assert abs(record["n_pairs"] - gold["n_pairs"]) <= N_REL_TOL * gold["n_pairs"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_plan_is_derived_from_its_integers(fresh, name):
+    # one rule forms every field and both claims from (b, k, N, mu), and
+    # validate_plan re-derives the same claims
+    req, params, _ = fresh[name]
+    derived = ProtocolParams.derive(
+        b=params.b,
+        k=params.k,
+        n_pairs=params.n_pairs,
+        mu=params.mu,
+        channel=req.channel,
+        rep_rate_hz=req.rep_rate_hz,
+        epsilon_target=req.epsilon,
+        target_e=req.target_e,
+    )
+    assert derived == params
+    checks = {c.name: c.value for c in validate_plan(params, req).checks}
+    assert checks["detection_bias"] == params.predicted_epsilon
+    assert checks["message_error"] == params.predicted_e
 
 
 def oracle_bound(params, n_pairs: int):

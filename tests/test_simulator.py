@@ -22,13 +22,8 @@ from covertlink.codec import (
 )
 from covertlink.exceptions import ParameterError
 from covertlink.planner import ProtocolParams
-from covertlink.reliability import (
-    ChannelModel,
-    bit_error_prob,
-    click_probs,
-    message_error_prob,
-)
-from covertlink.security import BINS_PER_PAIR, bias_for_protocol
+from covertlink.reliability import ChannelModel, click_probs
+from covertlink.security import BINS_PER_PAIR
 from covertlink.simulator import (
     MAX_MONITOR_INTERVALS,
     MonitorTrace,
@@ -56,23 +51,24 @@ def make_params(
     channel: ChannelModel,
     rate: float,
 ) -> ProtocolParams:
-    """Structurally valid parameters with honestly computed predictions."""
-    d = k * b
-    if k > 0:
-        cp = click_probs(mu, channel)
-        predicted_e = message_error_prob(bit_error_prob(k, cp), b)
-    else:
-        predicted_e = 1.0
-    return ProtocolParams(
+    """Structurally valid parameters with honestly derived predictions.
+
+    k = 0 gives the no-signal form: no bias claimed, the message lost.
+    """
+    if k == 0:
+        return dataclasses.replace(
+            make_params(b, 1, n_pairs, mu, channel, rate),
+            d=0,
+            k=0,
+            q=0.0,
+            predicted_epsilon=0.0,
+            predicted_e=1.0,
+        )
+    return ProtocolParams.derive(
         b=b,
-        d=d,
         k=k,
-        q=d / n_pairs,
         n_pairs=n_pairs,
         mu=mu,
-        predicted_epsilon=bias_for_protocol(n_pairs, d, mu, channel.n_bar_a),
-        predicted_e=predicted_e,
-        running_time_s=BINS_PER_PAIR * n_pairs / rate,
         channel=channel,
         rep_rate_hz=rate,
         epsilon_target=1.0,
@@ -438,9 +434,10 @@ def test_rescale_preserves_q_and_mu():
 def test_rescale_recomputes_predictions():
     full = make_params(35, 1961, 780_000_000_000, CQTUSTC.mu, CQ_CHANNEL, 5e8)
     desk = rescale_plan(full, 13.7)
-    honest = make_params(35, desk.k, desk.n_pairs, desk.mu, CQ_CHANNEL, 5e8)
-    assert desk.predicted_epsilon == pytest.approx(honest.predicted_epsilon, rel=1e-12)
-    assert desk.predicted_e == pytest.approx(honest.predicted_e, rel=1e-12)
+    # k = round(1961 / 13.7) and N = round(d / q): the desk plan is the
+    # one derived at those integers, claims included
+    n_desk = round(143 * 35 / full.q)
+    assert desk == make_params(35, 143, n_desk, full.mu, CQ_CHANNEL, 5e8)
     # the desk bound is far below the full-scale one: fewer pairs, same q
     assert desk.predicted_epsilon < 0.5 * full.predicted_epsilon
 
