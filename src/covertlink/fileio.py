@@ -3,14 +3,16 @@
 Formats are chosen for byte-level reproducibility: a fixed little-endian
 binary layout for position plans, plain CSV for columnar data, and JSON
 with sorted keys for structured documents. Nothing embeds timestamps.
-All writers go through an atomic temp-then-rename step, one call per
-file.
+All writers go through an atomic temp-then-rename step, one temp file
+per file. The position plan and the integer CSVs (transcript and tally)
+are streamed into it block by block, so no payload of theirs is ever
+held whole in memory; the bytes are the same as one write would give.
 
-The integer CSVs (transcript and tally) are encoded a column at a time,
-not a row at a time: each column becomes right-aligned ASCII digits in
-a uint8 matrix through a four-digit lookup table, and the matrix is read
-line by line with the padding dropped. The bytes are those of str() on
-each value, joined with commas.
+The integer CSVs are encoded a block of lines at a time, and within a
+block a column at a time, not a row at a time: each column becomes
+right-aligned ASCII digits in a uint8 matrix through a four-digit lookup
+table, and the matrix is read line by line with the padding dropped.
+The bytes are those of str() on each value, joined with commas.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import os
 import struct
 import tempfile
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +42,20 @@ DOCUMENT_SCHEMA_VERSION = 1
 _PLAN_HEADER = struct.Struct("<4sHxxQIIQ")  # magic, version, n_pairs, b, k', d'
 
 
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
+def _atomic_write_blocks(path: Path, blocks: Iterable) -> None:
+    """Write byte blocks to a temp file beside path, then rename it onto path.
+
+    The blocks are any bytes-like objects; each is written as it comes,
+    so the file's whole payload never exists in memory. If writing or
+    producing a block fails, path keeps its previous content.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            for block in blocks:
+                handle.write(block)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -53,12 +63,20 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path: Path, payload: bytes) -> None:
+    _atomic_write_blocks(path, (payload,))
+
+
 def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def plan_to_bytes(plan: PositionPlan) -> bytes:
-    header = _PLAN_HEADER.pack(
+def _plan_blocks(plan: PositionPlan) -> Iterator:
+    """The .cvpl file in four blocks: the header, then each column's own buffer.
+
+    A column already in the file's dtype and byte order is not copied.
+    """
+    yield _PLAN_HEADER.pack(
         PLAN_MAGIC,
         PLAN_FORMAT_VERSION,
         plan.n_pairs,
@@ -66,14 +84,13 @@ def plan_to_bytes(plan: PositionPlan) -> bytes:
         plan.k_prime,
         plan.d_prime,
     )
-    return b"".join(
-        (
-            header,
-            plan.positions.astype("<u8").tobytes(),
-            plan.bit_index.astype("<i4").tobytes(),
-            plan.bit_value.astype("u1").tobytes(),
-        )
-    )
+    yield plan.positions.astype("<u8", copy=False)
+    yield plan.bit_index.astype("<i4", copy=False)
+    yield plan.bit_value.astype("u1", copy=False)
+
+
+def plan_to_bytes(plan: PositionPlan) -> bytes:
+    return b"".join(_plan_blocks(plan))
 
 
 def plan_from_bytes(payload: bytes) -> PositionPlan:
@@ -108,7 +125,7 @@ def plan_from_bytes(payload: bytes) -> PositionPlan:
 
 
 def write_plan(path: Path, plan: PositionPlan) -> None:
-    atomic_write_bytes(path, plan_to_bytes(plan))
+    _atomic_write_blocks(path, _plan_blocks(plan))
 
 
 def read_plan(path: Path) -> PositionPlan:
@@ -195,7 +212,7 @@ _DIGIT_QUADS = (
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 # fills the places left of a number; never a byte of the CSV
 _BLANK = 0
-# CSV lines transposed and stripped at a time: a block stays in cache
+# CSV lines encoded, transposed, stripped and written at a time: a block stays in cache
 _LINES_PER_BLOCK = 1 << 16
 
 
@@ -246,31 +263,24 @@ def _ascii_places(columns: list[np.ndarray]) -> np.ndarray:
     return places
 
 
-def _int_columns_csv(header: str, columns: list[np.ndarray]) -> bytearray:
-    """CSV bytes of integer columns: the header line, then one line per row.
+def _int_csv_blocks(header: str, columns: list[np.ndarray]) -> Iterator:
+    """CSV bytes of integer columns: the header line, then a block of lines at a time.
 
-    The padded lines are transposed and stripped of their blanks a block
-    at a time, straight into the payload, which holds the same bytes as
-    joining str() of each value with commas, row by row.
+    Each block of _LINES_PER_BLOCK rows is formatted, transposed and
+    stripped of its blanks on its own, so it stays in cache. Joined, the
+    blocks hold the same bytes as joining str() of each value with
+    commas, row by row.
     """
-    places = _ascii_places(columns)
-    head = (header + "\n").encode("ascii")
-    payload = bytearray(len(head) + np.count_nonzero(places))
-    payload[: len(head)] = head
-    chars = np.frombuffer(payload, dtype=np.uint8)
-    end = len(head)
-    for start in range(0, places.shape[1], _LINES_PER_BLOCK):
-        lines = places[:, start : start + _LINES_PER_BLOCK].T.copy()
-        kept = lines[lines != _BLANK]
-        chars[end : end + kept.size] = kept
-        end += kept.size
-    return payload
+    yield (header + "\n").encode("ascii")
+    for start in range(0, columns[0].size, _LINES_PER_BLOCK):
+        lines = _ascii_places([c[start : start + _LINES_PER_BLOCK] for c in columns]).T.copy()
+        yield lines[lines != _BLANK]
 
 
 def write_transcript_csv(path: Path, t: Transcript) -> None:
     plan = t.plan
     columns = [plan.positions, plan.bit_index, plan.bit_value, t.outcomes]
-    atomic_write_bytes(path, _int_columns_csv("position,bit_index,bit_value,outcome", columns))
+    _atomic_write_blocks(path, _int_csv_blocks("position,bit_index,bit_value,outcome", columns))
 
 
 def write_tally_csv(path: Path, t: Transcript) -> None:
@@ -281,7 +291,7 @@ def write_tally_csv(path: Path, t: Transcript) -> None:
         dtype=np.int64,
     )
     header = "bit_index,zero_votes,one_votes,decoded,sent,tie,correct"
-    atomic_write_bytes(path, _int_columns_csv(header, list(table.T)))
+    _atomic_write_blocks(path, _int_csv_blocks(header, list(table.T)))
 
 
 def write_monitor_csv(path: Path, trace: MonitorTrace) -> None:

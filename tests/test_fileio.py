@@ -3,17 +3,20 @@
 import json
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference_scenarios as ref
-from covertlink.codec import SharedRandomness, choose_positions, encode_message
+from covertlink.codec import PositionPlan, SharedRandomness, choose_positions, encode_message
 from covertlink.exceptions import FormatError
 from covertlink.fileio import (
+    _LINES_PER_BLOCK,
     PLAN_MAGIC,
-    _int_columns_csv,
+    _atomic_write_blocks,
+    _int_csv_blocks,
     params_from_document,
     params_to_document,
     plan_from_bytes,
@@ -77,6 +80,12 @@ def test_plan_bytes_round_trip(tmp_path):
 
 def test_plan_bytes_are_deterministic():
     assert plan_to_bytes(sample_plan()) == plan_to_bytes(sample_plan())
+
+
+def test_plan_file_holds_plan_to_bytes(tmp_path):
+    plan = sample_plan()
+    write_plan(tmp_path / "plan.cvpl", plan)
+    assert (tmp_path / "plan.cvpl").read_bytes() == plan_to_bytes(plan)
 
 
 def test_plan_corruption_detected():
@@ -213,6 +222,11 @@ def f_string_csv(header: str, columns) -> bytes:
     return "".join(f"{line}\n" for line in (header, *rows)).encode("ascii")
 
 
+def joined_csv(header: str, columns) -> bytes:
+    """The CSV bytes the block encoder streams, joined."""
+    return b"".join(_int_csv_blocks(header, columns))
+
+
 # 0, 9, 10, every 10**k and 10**k - 1, 2**53 + 1, around 1e16 and the uint64 maximum
 EDGE_VALUES = sorted(
     {0, 9, 10, 2**53 + 1, 10**16 - 1, 10**16 + 1, 2**64 - 1}
@@ -225,14 +239,76 @@ EDGE_VALUES = sorted(
 def test_csv_encoder_matches_f_strings_in_every_width(width):
     column = np.array([v % 10**width for v in EDGE_VALUES], dtype=np.uint64)
     assert len(str(int(column.max()))) == width
-    assert _int_columns_csv("value", [column]) == f_string_csv("value", [column])
+    assert joined_csv("value", [column]) == f_string_csv("value", [column])
     # the same digits signed (one fewer where they pass int64), beside bit_index's -1
     signed = (column if width < 19 else column // 10).astype(np.int64)
     marks = np.where(np.arange(column.size) % 3 == 0, -1, np.arange(column.size)).astype(np.int32)
     columns = [marks, signed, -signed, column]
-    assert _int_columns_csv("i,s,n,u", columns) == f_string_csv("i,s,n,u", columns)
+    assert joined_csv("i,s,n,u", columns) == f_string_csv("i,s,n,u", columns)
     last_row = [c[-1:] for c in columns]
-    assert _int_columns_csv("i,s,n,u", last_row) == f_string_csv("i,s,n,u", last_row)
+    assert joined_csv("i,s,n,u", last_row) == f_string_csv("i,s,n,u", last_row)
+
+
+def test_csv_blocks_match_f_strings_across_block_boundaries():
+    # three blocks: 1- to 5-digit positions, 9-digit ones, then 7 rows of
+    # 16-digit ones; bit_index turns -1 (the dummies) only in the last block
+    rows = 2 * _LINES_PER_BLOCK + 7
+    index = np.arange(rows, dtype=np.uint64)
+    positions = np.where(index < _LINES_PER_BLOCK, index, 10**8 + index)
+    positions[2 * _LINES_PER_BLOCK :] = 10**15 + index[2 * _LINES_PER_BLOCK :]
+    bit_index = np.where(index < 2 * _LINES_PER_BLOCK, index // 3, -1).astype(np.int32)
+    bit_value = (index % 2).astype(np.uint8)
+    outcomes = (index * 7 % 4).astype(np.uint8)
+    columns = [positions, bit_index, bit_value, outcomes]
+    header = "position,bit_index,bit_value,outcome"
+    blocks = list(_int_csv_blocks(header, columns))
+    assert len(blocks) == 1 + 3  # the header, then one block per _LINES_PER_BLOCK rows
+    starts = range(0, rows, _LINES_PER_BLOCK)
+    assert [len(str(int(positions[s : s + _LINES_PER_BLOCK].max()))) for s in starts] == [5, 9, 16]
+    assert b"".join(blocks) == f_string_csv(header, columns)
+
+
+@pytest.fixture(scope="module")
+def wide_transcript():
+    """A transmission of about 1.2e6 positions, all of 16 digits, 17 of them dummies."""
+    b, k, d_prime = 1000, 1200, 1_200_017
+    base = sample_params()
+    params = ProtocolParams.derive(
+        b=b, k=k, n_pairs=2 * 10**15, mu=base.mu, channel=base.channel,
+        rep_rate_hz=base.rep_rate_hz, epsilon_target=base.epsilon_target, target_e=base.target_e,
+    )
+    positions = 10**15 + 7 * np.arange(d_prime, dtype=np.uint64)
+    bit_value = np.random.default_rng(3).integers(0, 2, d_prime, dtype=np.uint8)
+    plan = PositionPlan(n_pairs=params.n_pairs, b=b, positions=positions, bit_value=bit_value)
+    return simulate_transmission(params, plan, rng_seed=9)
+
+
+def traced_peak(write) -> int:
+    """Peak bytes that write() holds at once, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transcript_csv_is_written_in_bounded_memory(wide_transcript, tmp_path):
+    # streamed, what stays is the d'-long int32 bit_index column and one
+    # block's buffers; a whole payload beside its places matrix is about 75 B
+    d_prime = wide_transcript.plan.d_prime
+    peak = traced_peak(lambda: write_transcript_csv(tmp_path / "t.csv", wide_transcript))
+    assert peak / d_prime <= 16
+    assert (tmp_path / "t.csv").stat().st_size > 20 * d_prime
+
+
+def test_plan_file_is_written_in_bounded_memory(wide_transcript, tmp_path):
+    # streamed, what stays is the d'-long int32 bit_index column; copies
+    # of the columns joined into one payload are about 26 B
+    plan = wide_transcript.plan
+    peak = traced_peak(lambda: write_plan(tmp_path / "plan.cvpl", plan))
+    assert peak / plan.d_prime <= 6
+    assert (tmp_path / "plan.cvpl").stat().st_size > 13 * plan.d_prime
 
 
 def test_receiver_golden_covers_the_reference_plans():
@@ -256,3 +332,13 @@ def test_atomic_overwrite(tmp_path):
     write_json_document(path, "report", {"round": 2})
     assert read_json_document(path, "report")["round"] == 2
     assert list(tmp_path.iterdir()) == [path]  # no stray temp files
+
+    def failing_blocks():
+        yield b"half a file"
+        raise RuntimeError("block source failed")
+
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="block source failed"):
+        _atomic_write_blocks(path, failing_blocks())
+    assert path.read_bytes() == before  # the previous file is intact
+    assert list(tmp_path.iterdir()) == [path]
