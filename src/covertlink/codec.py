@@ -13,6 +13,7 @@ the layout, which is checked against the rule when the file is read.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,11 @@ OUTCOME_NONE = 0
 OUTCOME_ZERO = 1  # click in the bin that encodes "0"
 OUTCOME_ONE = 2  # click in the bin that encodes "1"
 OUTCOME_BOTH = 3
+
+# positions handled at a time by every blocked loop over a plan (the
+# receiver's draws and tally, the writers and the .cvpl reader), one CSV
+# line each in the transcript; a block's temporaries stay in cache
+_LINES_PER_BLOCK = 1 << 16
 
 
 def encode_message(text: str) -> np.ndarray:
@@ -145,8 +151,9 @@ class PositionPlan:
     @property
     def bit_index(self) -> np.ndarray:
         """Message-bit index per position, -1 for dummies (built on each call)."""
-        bit_index = np.full(self.d_prime, -1, dtype=np.int32)
-        _message_block(bit_index, self.b)[:] = np.arange(self.b, dtype=np.int32)[:, None]
+        bit_index = np.empty(self.d_prime, dtype=np.int32)
+        for rows in _block_slices(self.d_prime):
+            bit_index[rows] = _layout_bit_index(self.b, self.d_prime, rows)
         return bit_index
 
     def message_bits(self) -> np.ndarray:
@@ -160,6 +167,19 @@ def _message_block(per_position: np.ndarray, b: int) -> np.ndarray:
     return per_position[: b * k_prime].reshape(b, k_prime)
 
 
+def _block_slices(size: int) -> Iterator[slice]:
+    """Consecutive slices of at most _LINES_PER_BLOCK rows covering range(size)."""
+    for start in range(0, size, _LINES_PER_BLOCK):
+        yield slice(start, min(start + _LINES_PER_BLOCK, size))
+
+
+def _layout_bit_index(b: int, d_prime: int, rows: slice) -> np.ndarray:
+    """The layout's bit_index at positions rows (a step-1 slice): i // k', or -1 past b*k'."""
+    bit = np.arange(rows.start, rows.stop) // (d_prime // b)
+    bit[bit >= b] = -1
+    return bit.astype(np.int32)
+
+
 def _draw_distinct_indices(
     rng: np.random.Generator, n_pairs: int, count: int
 ) -> np.ndarray:
@@ -168,28 +188,59 @@ def _draw_distinct_indices(
     Sparse draws return the first `count` distinct values of an iid
     uniform stream, which are a uniformly distributed count-subset, so
     no O(n_pairs) work is ever needed. The stream comes in batches of
-    max(16, still missing) values. When the first `count` values of the
-    first batch hold no repeat they are the answer, at the cost of one
-    sort; otherwise each batch is deduplicated in stream order against
-    the values already picked. Dense draws (count > n_pairs / 2) fall
-    back to a partial permutation.
+    max(16, still missing) values. The first batch's head is the answer
+    unless it holds a repeat; every later value is then taken in stream
+    order if it is new, and merged into the sorted picks. Dense draws
+    (count > n_pairs / 2) fall back to a partial permutation.
     """
     if count > n_pairs:
         raise ParameterError("cannot draw more distinct indices than pairs")
     if count > n_pairs // 2:
         return np.sort(rng.permutation(n_pairs)[:count].astype(np.uint64))
-    picked = np.empty(0, dtype=np.uint64)
+    picked, rest = _sorted_head(rng, n_pairs, count)
     while picked.size < count:
-        need = count - picked.size
-        batch = rng.integers(0, n_pairs, size=max(16, need), dtype=np.uint64)
-        if picked.size == 0:
-            head = np.sort(batch[:need])
-            if not np.any(head[1:] == head[:-1]):
-                return head
-        values, first = np.unique(batch, return_index=True)
-        fresh = np.sort(first[~np.isin(values, picked, assume_unique=True)])[:need]
-        picked = np.sort(np.concatenate((picked, batch[fresh])))
+        picked = _merge_fresh(picked, rest, count - picked.size)
+        if picked.size < count:
+            rest = rng.integers(0, n_pairs, size=max(16, count - picked.size), dtype=np.uint64)
     return picked
+
+
+def _first_of_equals(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their left neighbour."""
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def _sorted_head(
+    rng: np.random.Generator, n_pairs: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first batch: the distinct values of its first count, sorted, and its other values.
+
+    The head is sorted in place. Should it hold a repeat, it has fewer
+    than count distinct values, and all of them belong to the answer.
+    """
+    batch = rng.integers(0, n_pairs, size=max(16, count), dtype=np.uint64)
+    head = batch[:count]
+    head.sort()
+    first = _first_of_equals(head)
+    if not first.all():
+        head = head[first]
+    # the tail is copied so that a deduplicated head leaves no view of the batch
+    return head, batch[count:].copy()
+
+
+def _merge_fresh(picked: np.ndarray, values: np.ndarray, need: int) -> np.ndarray:
+    """picked (sorted, distinct) with the first `need` new distinct entries of values added."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    slot = np.searchsorted(picked, ordered)
+    known = picked[np.minimum(slot, picked.size - 1)] == ordered
+    # a stable sort puts each value's first occurrence first among its
+    # equals; sorting their indices restores stream order
+    fresh = np.sort(order[_first_of_equals(ordered) & ~known])[:need]
+    added = np.sort(values[fresh])
+    return np.insert(picked, np.searchsorted(picked, added), added)
 
 
 def choose_positions(
@@ -246,8 +297,10 @@ class BitTally:
 def _checked_outcomes(plan: PositionPlan, outcomes: np.ndarray) -> np.ndarray:
     """outcomes as an array, refused unless it holds one code 0..3 per plan position."""
     outcomes = np.asarray(outcomes)
-    valid = (outcomes >= OUTCOME_NONE) & (outcomes <= OUTCOME_BOTH)
-    if outcomes.shape != (plan.d_prime,) or not np.all(valid):
+    # shape first: a plan has d' >= 1 positions, so min and max are defined
+    if outcomes.shape != (plan.d_prime,) or not (
+        outcomes.min() >= OUTCOME_NONE and outcomes.max() <= OUTCOME_BOTH
+    ):
         raise ParameterError("outcomes must hold one click code 0..3 per plan position")
     return outcomes
 

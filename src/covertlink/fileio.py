@@ -7,6 +7,14 @@ All writers go through an atomic temp-then-rename step, one temp file
 per file. The position plan and the integer CSVs (transcript and tally)
 are streamed into it block by block, so no payload of theirs is ever
 held whole in memory; the bytes are the same as one write would give.
+The plan's bit_index column is made from the layout rule a block at a
+time, never as a whole column.
+
+A .cvpl file is read column by column from a binary stream, for a path
+and for bytes alike: its size is checked against the header first, the
+positions and bit values are read into the plan's own arrays, and the
+bit_index column is checked against the layout rule a block at a time
+and not kept.
 
 The integer CSVs are encoded a block of lines at a time, and within a
 block a column at a time, not a row at a time: each column becomes
@@ -18,6 +26,7 @@ The bytes are those of str() on each value, joined with commas.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import os
@@ -25,10 +34,11 @@ import struct
 import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
-from .codec import PositionPlan
+from .codec import PositionPlan, _block_slices, _layout_bit_index
 from .exceptions import FormatError, ParameterError
 from .planner import ProtocolParams
 from .reliability import ChannelModel
@@ -72,9 +82,11 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def _plan_blocks(plan: PositionPlan) -> Iterator:
-    """The .cvpl file in four blocks: the header, then each column's own buffer.
+    """The .cvpl file block by block: the header, then the three columns.
 
-    A column already in the file's dtype and byte order is not copied.
+    A column already in the file's dtype and byte order is written from
+    its own buffer; bit_index is built from the layout rule a block at a
+    time.
     """
     yield _PLAN_HEADER.pack(
         PLAN_MAGIC,
@@ -85,7 +97,8 @@ def _plan_blocks(plan: PositionPlan) -> Iterator:
         plan.d_prime,
     )
     yield plan.positions.astype("<u8", copy=False)
-    yield plan.bit_index.astype("<i4", copy=False)
+    for rows in _block_slices(plan.d_prime):
+        yield _layout_bit_index(plan.b, plan.d_prime, rows).astype("<i4", copy=False)
     yield plan.bit_value.astype("u1", copy=False)
 
 
@@ -93,25 +106,44 @@ def plan_to_bytes(plan: PositionPlan) -> bytes:
     return b"".join(_plan_blocks(plan))
 
 
-def plan_from_bytes(payload: bytes) -> PositionPlan:
-    if len(payload) < _PLAN_HEADER.size:
+def _read_into(stream: BinaryIO, out: np.ndarray) -> None:
+    """Fill out from stream, or raise FormatError if the stream ends first."""
+    view = memoryview(out).cast("B")
+    while view.nbytes:
+        got = stream.readinto(view)
+        if not got:
+            raise FormatError("plan payload ends before its columns do")
+        view = view[got:]
+
+
+def _read_plan_stream(stream: BinaryIO) -> PositionPlan:
+    """Parse a seekable .cvpl stream a column at a time.
+
+    The stream's size is checked against the header before any column is
+    allocated. positions and bit_value are read into their own arrays;
+    bit_index is compared with the layout rule a block at a time and not
+    kept, after the plan's invariants have been checked.
+    """
+    size = stream.seek(0, os.SEEK_END)
+    stream.seek(0)
+    if size < _PLAN_HEADER.size:
         raise FormatError("plan payload shorter than its header")
-    magic, version, n_pairs, b, k_prime, d_prime = _PLAN_HEADER.unpack_from(payload)
+    magic, version, n_pairs, b, k_prime, d_prime = _PLAN_HEADER.unpack(
+        stream.read(_PLAN_HEADER.size)
+    )
     if magic != PLAN_MAGIC:
         raise FormatError(f"bad magic {magic!r}; not a position-plan file")
     if version != PLAN_FORMAT_VERSION:
         raise FormatError(f"unsupported plan format version {version}")
     expected = _PLAN_HEADER.size + d_prime * (8 + 4 + 1)
-    if len(payload) != expected:
-        raise FormatError(
-            f"plan payload has {len(payload)} bytes, expected {expected}"
-        )
-    offset = _PLAN_HEADER.size
-    positions = np.frombuffer(payload, dtype="<u8", count=d_prime, offset=offset)
-    offset += 8 * d_prime
-    bit_index = np.frombuffer(payload, dtype="<i4", count=d_prime, offset=offset)
-    offset += 4 * d_prime
-    bit_value = np.frombuffer(payload, dtype="u1", count=d_prime, offset=offset)
+    if size != expected:
+        raise FormatError(f"plan payload has {size} bytes, expected {expected}")
+    index_offset = _PLAN_HEADER.size + 8 * d_prime
+    positions = np.empty(d_prime, dtype="<u8")
+    _read_into(stream, positions)
+    bit_value = np.empty(d_prime, dtype="u1")
+    stream.seek(index_offset + 4 * d_prime)
+    _read_into(stream, bit_value)
     try:
         plan = PositionPlan(n_pairs=n_pairs, b=b, positions=positions, bit_value=bit_value)
     except ParameterError as exc:
@@ -119,9 +151,17 @@ def plan_from_bytes(payload: bytes) -> PositionPlan:
     # the layout is derived from b and d'; the file's copy of it must agree
     if k_prime != plan.k_prime:
         raise FormatError(f"plan header gives k' = {k_prime}, but d' // b = {plan.k_prime}")
-    if not np.array_equal(bit_index, plan.bit_index):
-        raise FormatError("plan bit_index must put bit j at j*k' .. (j+1)*k' - 1, then -1")
+    stream.seek(index_offset)
+    for rows in _block_slices(d_prime):
+        block = np.empty(rows.stop - rows.start, dtype="<i4")
+        _read_into(stream, block)
+        if not np.array_equal(block, _layout_bit_index(b, d_prime, rows)):
+            raise FormatError("plan bit_index must put bit j at j*k' .. (j+1)*k' - 1, then -1")
     return plan
+
+
+def plan_from_bytes(payload: bytes) -> PositionPlan:
+    return _read_plan_stream(io.BytesIO(payload))
 
 
 def write_plan(path: Path, plan: PositionPlan) -> None:
@@ -129,7 +169,8 @@ def write_plan(path: Path, plan: PositionPlan) -> None:
 
 
 def read_plan(path: Path) -> PositionPlan:
-    return plan_from_bytes(Path(path).read_bytes())
+    with open(path, "rb") as stream:
+        return _read_plan_stream(stream)
 
 
 def _jsonable(value):
@@ -212,8 +253,6 @@ _DIGIT_QUADS = (
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 # fills the places left of a number; never a byte of the CSV
 _BLANK = 0
-# CSV lines encoded, transposed, stripped and written at a time: a block stays in cache
-_LINES_PER_BLOCK = 1 << 16
 
 
 def _ascii_column(values: np.ndarray, out: np.ndarray) -> None:
@@ -263,24 +302,35 @@ def _ascii_places(columns: list[np.ndarray]) -> np.ndarray:
     return places
 
 
-def _int_csv_blocks(header: str, columns: list[np.ndarray]) -> Iterator:
+def _int_csv_blocks(header: str, blocks: Iterable[list[np.ndarray]]) -> Iterator:
     """CSV bytes of integer columns: the header line, then a block of lines at a time.
 
-    Each block of _LINES_PER_BLOCK rows is formatted, transposed and
-    stripped of its blanks on its own, so it stays in cache. Joined, the
-    blocks hold the same bytes as joining str() of each value with
-    commas, row by row.
+    blocks yields the columns' next rows, one array per column. Each
+    block is formatted, transposed and stripped of its blanks on its
+    own, so it stays in cache. Joined, the blocks hold the same bytes as
+    joining str() of each value with commas, row by row, however the
+    rows are split into blocks.
     """
     yield (header + "\n").encode("ascii")
-    for start in range(0, columns[0].size, _LINES_PER_BLOCK):
-        lines = _ascii_places([c[start : start + _LINES_PER_BLOCK] for c in columns]).T.copy()
+    for columns in blocks:
+        lines = _ascii_places(columns).T.copy()
         yield lines[lines != _BLANK]
+
+
+def _column_blocks(columns: list[np.ndarray]) -> Iterator[list[np.ndarray]]:
+    """Whole columns cut into blocks of _LINES_PER_BLOCK rows."""
+    for rows in _block_slices(columns[0].size):
+        yield [c[rows] for c in columns]
 
 
 def write_transcript_csv(path: Path, t: Transcript) -> None:
     plan = t.plan
-    columns = [plan.positions, plan.bit_index, plan.bit_value, t.outcomes]
-    _atomic_write_blocks(path, _int_csv_blocks("position,bit_index,bit_value,outcome", columns))
+    blocks = (
+        [plan.positions[rows], _layout_bit_index(plan.b, plan.d_prime, rows),
+         plan.bit_value[rows], t.outcomes[rows]]
+        for rows in _block_slices(plan.d_prime)
+    )
+    _atomic_write_blocks(path, _int_csv_blocks("position,bit_index,bit_value,outcome", blocks))
 
 
 def write_tally_csv(path: Path, t: Transcript) -> None:
@@ -291,7 +341,7 @@ def write_tally_csv(path: Path, t: Transcript) -> None:
         dtype=np.int64,
     )
     header = "bit_index,zero_votes,one_votes,decoded,sent,tie,correct"
-    _atomic_write_blocks(path, _int_csv_blocks(header, list(table.T)))
+    _atomic_write_blocks(path, _int_csv_blocks(header, _column_blocks(list(table.T))))
 
 
 def write_monitor_csv(path: Path, trace: MonitorTrace) -> None:

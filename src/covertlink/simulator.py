@@ -1,13 +1,17 @@
 """Monte-Carlo simulation of the covert link and of the adversary.
 
 The receiver-side simulation works position by position (O(d') for d'
-sent signals) and never touches the ~1e12 idle bins. Its statistics
+sent signals) and never touches the ~1e12 idle bins. Its uniforms are
+drawn a block of positions at a time and turned into click codes in
+place, so the one-byte outcome per position is the only d'-long array
+it makes; block draws give the values of one whole draw. Its statistics
 come from two tallies, each made once: the per-bit votes that
 codec.majority_decode counts and decides, and one (sent bit x outcome)
-count table over all positions. Idle bins only matter to the
-adversary, whose view is simulated through exact aggregate binomial
-draws and numpy's multinomial (conditional binomials, exact for the
-~1e11 pairs of a full-scale trial), one whole-array draw per family.
+count table over all positions, summed block by block. Idle bins only
+matter to the adversary, whose view is simulated through exact
+aggregate binomial draws and numpy's multinomial (conditional
+binomials, exact for the ~1e11 pairs of a full-scale trial), one
+whole-array draw per family.
 All outputs are pure functions of (inputs, seed): each transmission,
 monitoring trace and distinguisher run takes one generator from its
 own spawn-key domain of the seed.
@@ -30,6 +34,7 @@ from .codec import (
     OUTCOME_ZERO,
     BitTally,
     PositionPlan,
+    _block_slices,
     _checked_outcomes,
     majority_decode,
 )
@@ -151,13 +156,18 @@ def simulate_transmission(
         raise ParameterError("plan does not match the protocol parameters")
     cp = click_probs(p.mu, p.channel)
     rng = _rng(rng_seed, _DOMAIN_TRANSMIT)
-    d = plan.d_prime
-    click_signal = rng.random(d) < cp.p_correct
-    click_noise = rng.random(d) < cp.p_wrong
-    # bit j of an outcome code is a click in the bin that encodes j: the
-    # signal clicks in the bin of the sent bit, the noise in the other one
     sent = plan.bit_value
-    outcomes = click_signal.view(np.uint8) << sent | click_noise.view(np.uint8) << (1 - sent)
+    outcomes = np.empty(plan.d_prime, dtype=np.uint8)
+    # bit j of an outcome code is a click in the bin that encodes j: the
+    # signal clicks in the bin of the sent bit, the noise in the other one.
+    # The d' signal uniforms come first in the stream, then the d' noise
+    # ones; drawn a block at a time they are the values of one call.
+    for rows in _block_slices(plan.d_prime):
+        click = rng.random(rows.stop - rows.start) < cp.p_correct
+        outcomes[rows] = click.view(np.uint8) << sent[rows]
+    for rows in _block_slices(plan.d_prime):
+        click = rng.random(rows.stop - rows.start) < cp.p_wrong
+        outcomes[rows] |= click.view(np.uint8) << (1 - sent[rows])
     decoded, tallies = majority_decode(plan, outcomes)
     return Transcript(
         protocol=p,
@@ -180,10 +190,12 @@ def compute_stats(
     """
     if len(tallies) != plan.b:
         raise ParameterError("tallies must hold one entry per message bit")
-    # row = sent bit, column = outcome code
-    table = np.bincount(
-        4 * plan.bit_value + _checked_outcomes(plan, outcomes), minlength=8
-    ).reshape(2, 4)
+    outcomes = _checked_outcomes(plan, outcomes)
+    # row = sent bit, column = outcome code, counted a block at a time
+    table = np.zeros(8, dtype=np.int64)
+    for rows in _block_slices(plan.d_prime):
+        table += np.bincount(4 * plan.bit_value[rows] + outcomes[rows], minlength=8)
+    table = table.reshape(2, 4)
     both = int(table[:, OUTCOME_BOTH].sum())
     right_votes = int(table[0, OUTCOME_ZERO] + table[1, OUTCOME_ONE])
     wrong_votes = int(table[0, OUTCOME_ONE] + table[1, OUTCOME_ZERO])

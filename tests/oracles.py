@@ -254,6 +254,29 @@ def draw_distinct_indices_loop(rng: np.random.Generator, n_pairs: int, count: in
     return np.sort(np.asarray(picked, dtype=np.uint64))
 
 
+class ScriptedStream:
+    """A Generator stand-in whose integers() hands out a fixed value stream in order.
+
+    Each call returns a fresh copy of the next `size` values, so a test
+    can put repeats anywhere within a batch and across batches. sizes
+    records the batch sizes asked for.
+    """
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.uint64)
+        self.sizes: list[int] = []
+
+    def integers(self, low, high, size, dtype):
+        start = sum(self.sizes)
+        batch = self.values[start : start + size]
+        if batch.size < size:
+            raise ValueError("the scripted stream ran out")
+        if batch.min() < low or batch.max() >= high:
+            raise ValueError("a scripted value lies outside [low, high)")
+        self.sizes.append(size)
+        return batch.astype(dtype)
+
+
 class _Probe:
     """Memoized message error per k for one search; bit_errors holds every probe."""
 

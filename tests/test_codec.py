@@ -169,6 +169,40 @@ def test_draw_matches_loop_oracle():
         assert fast.integers(2**62) == loop.integers(2**62), (seed, n_pairs, count)
 
 
+# (count, stream): first batches whose head repeats a value, later
+# batches that repeat both each other and the values already picked
+FORCED_COLLISIONS = [
+    # count < 16: the first batch's values past the head are taken next
+    (5, [7, 3, 7, 9, 3, 11, 3, 12, 9, 13, 14, 15, 16, 17, 18, 19]),
+    (1, [4] * 16),
+    (3, [2, 2, 2, 2, 5, 2, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 8, 2, 8, 8] + [1] * 12),
+    # count >= 16: only later batches of max(16, missing) values fill the gaps
+    (16, [9] * 16 + [9] * 4 + list(range(20, 32)) + [9, 20, 21] + list(range(40, 53))),
+    (20, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4]
+     + [4, 6, 2, 6, 4, 3, 3, 8, 3, 2, 7, 9, 5, 0, 2, 8]
+     + [10, 0, 10, 11, 5, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22]),
+]
+
+
+@pytest.mark.parametrize("count,stream", FORCED_COLLISIONS)
+def test_draw_with_forced_collisions_matches_stream_oracle(count, stream):
+    fast, loop = oracles.ScriptedStream(stream), oracles.ScriptedStream(stream)
+    drawn = _draw_distinct_indices(fast, 10**9, count)
+    assert np.array_equal(drawn, oracles.draw_distinct_indices_loop(loop, 10**9, count))
+    assert drawn.size == count
+    assert fast.sizes == loop.sizes  # the same batches, no more
+
+
+@pytest.mark.parametrize("count", [1, 5, 15, 16, 17, 40, 300])
+def test_draw_from_a_small_alphabet_matches_stream_oracle(count):
+    # values from 3*count symbols: the first batch and most later ones repeat
+    values = np.random.default_rng(count).integers(0, 3 * count, size=60 * count + 400)
+    fast, loop = oracles.ScriptedStream(values), oracles.ScriptedStream(values)
+    drawn = _draw_distinct_indices(fast, 10**9, count)
+    assert np.array_equal(drawn, oracles.draw_distinct_indices_loop(loop, 10**9, count))
+    assert fast.sizes == loop.sizes
+
+
 def test_position_plan_structure_from_sampler():
     plan = choose_positions(
         SharedRandomness(seed=31), 200_000, 2e-3, encode_message("OK")

@@ -2,20 +2,30 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covertlink
 import reference_scenarios as ref
-from covertlink.codec import PositionPlan, SharedRandomness, choose_positions, encode_message
+from covertlink.codec import (
+    _LINES_PER_BLOCK,
+    PositionPlan,
+    SharedRandomness,
+    choose_positions,
+    encode_message,
+)
 from covertlink.exceptions import FormatError
 from covertlink.fileio import (
-    _LINES_PER_BLOCK,
     PLAN_MAGIC,
     _atomic_write_blocks,
+    _column_blocks,
     _int_csv_blocks,
     params_from_document,
     params_to_document,
@@ -144,6 +154,57 @@ def test_plan_with_scrambled_blocks_rejected(tmp_path):
         read_plan(path)
 
 
+def three_block_plan() -> PositionPlan:
+    """2*65,536 + 7 positions for 5 bits: two whole blocks, then 7 rows ending in 4 dummies."""
+    d_prime = 2 * _LINES_PER_BLOCK + 7
+    bit_value = np.random.default_rng(8).integers(0, 2, d_prime, dtype=np.uint8)
+    positions = 5 * np.arange(d_prime, dtype=np.uint64)
+    return PositionPlan(n_pairs=10**7, b=5, positions=positions, bit_value=bit_value)
+
+
+def test_read_plan_equals_plan_from_bytes(tmp_path):
+    plan = three_block_plan()
+    path = tmp_path / "plan.cvpl"
+    write_plan(path, plan)
+    from_path, from_bytes = read_plan(path), plan_from_bytes(path.read_bytes())
+    for back in (from_path, from_bytes):
+        assert (back.n_pairs, back.b, back.k_prime) == (plan.n_pairs, plan.b, plan.k_prime)
+        assert np.array_equal(back.positions, plan.positions)
+        assert np.array_equal(back.bit_value, plan.bit_value)
+        assert np.array_equal(back.bit_index, plan.bit_index)
+    assert plan.bit_index[-4:].tolist() == [-1] * 4
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        _LINES_PER_BLOCK + 100,  # a message bit in the middle block
+        2 * _LINES_PER_BLOCK,  # the last block's first row, still a message bit
+        2 * _LINES_PER_BLOCK + 6,  # the last row, a dummy
+    ],
+)
+def test_read_plan_rejects_a_wrong_bit_index_in_any_block(tmp_path, row):
+    plan = three_block_plan()
+    payload = bytearray(plan_to_bytes(plan))
+    index_start = len(payload) - plan.d_prime * 5
+    entry = struct.unpack_from("<i", payload, index_start + 4 * row)[0]
+    assert entry == plan.bit_index[row]
+    struct.pack_into("<i", payload, index_start + 4 * row, entry + 1)
+    path = tmp_path / "plan.cvpl"
+    path.write_bytes(bytes(payload))
+    with pytest.raises(FormatError, match="bit_index"):
+        read_plan(path)
+
+
+def test_read_plan_rejects_a_truncated_file(tmp_path):
+    payload = plan_to_bytes(three_block_plan())
+    path = tmp_path / "plan.cvpl"
+    for cut in (len(payload) - 1, len(payload) // 2, 10):
+        path.write_bytes(payload[:cut])
+        with pytest.raises(FormatError, match="bytes, expected|shorter than its header"):
+            read_plan(path)
+
+
 def test_json_document_round_trip(tmp_path):
     path = tmp_path / "report.json"
     write_json_document(path, "report", {"value": np.float64(1.5), "n": np.int64(3)})
@@ -224,7 +285,7 @@ def f_string_csv(header: str, columns) -> bytes:
 
 def joined_csv(header: str, columns) -> bytes:
     """The CSV bytes the block encoder streams, joined."""
-    return b"".join(_int_csv_blocks(header, columns))
+    return b"".join(_int_csv_blocks(header, _column_blocks(columns)))
 
 
 # 0, 9, 10, every 10**k and 10**k - 1, 2**53 + 1, around 1e16 and the uint64 maximum
@@ -261,7 +322,7 @@ def test_csv_blocks_match_f_strings_across_block_boundaries():
     outcomes = (index * 7 % 4).astype(np.uint8)
     columns = [positions, bit_index, bit_value, outcomes]
     header = "position,bit_index,bit_value,outcome"
-    blocks = list(_int_csv_blocks(header, columns))
+    blocks = list(_int_csv_blocks(header, _column_blocks(columns)))
     assert len(blocks) == 1 + 3  # the header, then one block per _LINES_PER_BLOCK rows
     starts = range(0, rows, _LINES_PER_BLOCK)
     assert [len(str(int(positions[s : s + _LINES_PER_BLOCK].max()))) for s in starts] == [5, 9, 16]
@@ -294,21 +355,94 @@ def traced_peak(write) -> int:
 
 
 def test_transcript_csv_is_written_in_bounded_memory(wide_transcript, tmp_path):
-    # streamed, what stays is the d'-long int32 bit_index column and one
-    # block's buffers; a whole payload beside its places matrix is about 75 B
+    # streamed, with bit_index made per block, what stays is one block's
+    # buffers; a d'-long bit_index column adds 4 B, and a whole payload
+    # beside its places matrix is about 75 B
     d_prime = wide_transcript.plan.d_prime
     peak = traced_peak(lambda: write_transcript_csv(tmp_path / "t.csv", wide_transcript))
-    assert peak / d_prime <= 16
+    assert peak / d_prime <= 8
     assert (tmp_path / "t.csv").stat().st_size > 20 * d_prime
 
 
 def test_plan_file_is_written_in_bounded_memory(wide_transcript, tmp_path):
-    # streamed, what stays is the d'-long int32 bit_index column; copies
-    # of the columns joined into one payload are about 26 B
+    # streamed, with bit_index made per block, the columns are written
+    # from their own buffers; a d'-long bit_index column is 4 B, and
+    # copies of the columns joined into one payload are about 26 B
     plan = wide_transcript.plan
     peak = traced_peak(lambda: write_plan(tmp_path / "plan.cvpl", plan))
-    assert peak / plan.d_prime <= 6
+    assert peak / plan.d_prime <= 2
     assert (tmp_path / "plan.cvpl").stat().st_size > 13 * plan.d_prime
+
+
+def test_plan_file_is_read_in_bounded_memory(wide_transcript, tmp_path):
+    # what stays is the plan (8 B of positions, 1 B of bit values) and a
+    # one-byte mask of the order check; the whole payload is 13 B and a
+    # d'-long bit_index beside it 4 B more
+    plan = wide_transcript.plan
+    write_plan(tmp_path / "plan.cvpl", plan)
+    peak = traced_peak(lambda: read_plan(tmp_path / "plan.cvpl"))
+    assert peak / plan.d_prime <= 12
+
+
+def test_transmission_is_simulated_in_bounded_memory(wide_transcript):
+    # what stays is the one-byte outcome per position; whole uniform
+    # draws are 8 B each, and a one-call bincount 8 B more
+    t = wide_transcript
+    peak = traced_peak(lambda: simulate_transmission(t.protocol, t.plan, rng_seed=9))
+    assert peak / t.plan.d_prime <= 5
+
+
+ROUND_PEAK = """
+import resource, sys
+from pathlib import Path
+from covertlink.codec import SharedRandomness, choose_positions, encode_message
+from covertlink.fileio import read_plan, write_plan, write_tally_csv, write_transcript_csv
+from covertlink.planner import ProtocolParams
+from covertlink.reliability import ChannelModel
+from covertlink.simulator import simulate_transmission
+
+d_prime, out = int(sys.argv[1]), Path(sys.argv[2])
+bits = encode_message("BOUNDED MEMORY")
+params = ProtocolParams.derive(
+    b=bits.size, k=d_prime // bits.size, n_pairs=10**15, mu=0.03,
+    channel=ChannelModel(tau=0.18, n_bar_a=2e-3, n_bar_b=3e-3),
+    rep_rate_hz=1e9, epsilon_target=0.5, target_e=0.5,
+)
+plan = choose_positions(SharedRandomness(5), params.n_pairs, params.q, bits)
+transcript = simulate_transmission(params, plan, rng_seed=6)
+write_plan(out / "plan.cvpl", plan)
+write_transcript_csv(out / "transcript.csv", transcript)
+write_tally_csv(out / "tally.csv", transcript)
+read_back = read_plan(out / "plan.cvpl")
+print(plan.d_prime, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def round_peak(d_prime: int, out: Path) -> tuple[int, int]:
+    """(d', peak RSS in bytes) of one receiver round in a fresh interpreter."""
+    src = str(Path(covertlink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out.mkdir()
+    # -B: neither round writes bytecode, so a fresh checkout does not
+    # compile in the first round only
+    run = subprocess.run(
+        [sys.executable, "-B", "-c", ROUND_PEAK, str(d_prime), str(out)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    drawn, peak_kib = map(int, run.stdout.split())
+    return drawn, 1024 * peak_kib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_round_peak_grows_by_what_the_round_keeps(tmp_path):
+    # choose, simulate, the three writers and read_plan keep the layout
+    # (9 B per position), the outcomes (1 B) and the read-back plan (9 B);
+    # whole-array temporaries in any of them add 8 B or more. n_pairs =
+    # 1e15 puts a repeat in the first batch with probability ~2e-3, as in
+    # a full-scale plan
+    small_d, small_peak = round_peak(500_000, tmp_path / "small")
+    large_d, large_peak = round_peak(2_000_000, tmp_path / "large")
+    assert (large_peak - small_peak) / (large_d - small_d) <= 20
 
 
 def test_receiver_golden_covers_the_reference_plans():

@@ -251,6 +251,49 @@ def reference_stats(plan, outcomes):
     )
 
 
+@pytest.fixture(scope="module")
+def three_block_transmission():
+    """A transmission of 2*65,536 + 7 positions: two whole blocks and seven rows."""
+    d_prime = 2 * covertlink.codec._LINES_PER_BLOCK + 7
+    p = make_params(5, d_prime // 5, 10**9, 0.4, CQ_CHANNEL, 1e9)
+    positions = 3 * np.arange(d_prime, dtype=np.uint64)
+    bit_value = np.random.default_rng(12).integers(0, 2, d_prime, dtype=np.uint8)
+    plan = covertlink.codec.PositionPlan(
+        n_pairs=p.n_pairs, b=p.b, positions=positions, bit_value=bit_value
+    )
+    assert plan.d_prime == d_prime
+    return p, plan, simulate_transmission(p, plan, rng_seed=21)
+
+
+def test_blocked_draws_equal_whole_array_draws(three_block_transmission):
+    p, plan, tr = three_block_transmission
+    cp = click_probs(p.mu, p.channel)
+    rng = covertlink.simulator._rng(21, covertlink.simulator._DOMAIN_TRANSMIT)
+    click_signal = rng.random(plan.d_prime) < cp.p_correct
+    click_noise = rng.random(plan.d_prime) < cp.p_wrong
+    sent = plan.bit_value
+    expected = click_signal.astype(np.uint8) << sent | click_noise.astype(np.uint8) << (1 - sent)
+    assert tr.outcomes.dtype == np.uint8
+    assert np.array_equal(tr.outcomes, expected)
+    codes = {OUTCOME_NONE, OUTCOME_ZERO, OUTCOME_ONE, OUTCOME_BOTH}
+    assert set(np.unique(tr.outcomes).tolist()) == codes
+
+
+def test_blocked_stats_equal_one_call_table(three_block_transmission):
+    _, plan, tr = three_block_transmission
+    table = np.bincount(4 * plan.bit_value + tr.outcomes, minlength=8).reshape(2, 4)
+    right = int(table[0, OUTCOME_ZERO] + table[1, OUTCOME_ONE])
+    wrong = int(table[0, OUTCOME_ONE] + table[1, OUTCOME_ZERO])
+    both = int(table[:, OUTCOME_BOTH].sum())
+    s = tr.stats
+    assert (s.total_votes, s.wrong_votes) == (right + wrong, wrong)
+    assert s.signal_bin_click_rate == (right + both) / plan.d_prime
+    assert s.noise_bin_click_rate == (wrong + both) / plan.d_prime
+    assert s.vote_rate_per_pulse == (right + wrong) / plan.d_prime
+    assert s.vote_error_rate == wrong / (right + wrong)
+    assert s == reference_stats(plan, tr.outcomes)
+
+
 def test_adversary_click_probs_closed_form():
     ch = ChannelModel(tau=0.18, n_bar_a=0.05, n_bar_b=0.1)
     p = make_params(5, 10, 10_000, 0.3, ch, 1e6)
