@@ -19,8 +19,15 @@ and not kept.
 The integer CSVs are encoded a block of lines at a time, and within a
 block a column at a time, not a row at a time: each column becomes
 right-aligned ASCII digits in a uint8 matrix through a four-digit lookup
-table, and the matrix is read line by line with the padding dropped.
-The bytes are those of str() on each value, joined with commas.
+table, and the matrix is transposed into lines. The digits come from
+uint32 divisions, which cost about a quarter of uint64 ones; a column
+reaching 2**32 first has its low eight digits split off by one uint64
+division. A column's min and max give its width. Only a column holding
+a negative value or a value narrower than its max has its digits
+counted per value and the places left of each value blanked, and only a
+block holding such a column has the blanks dropped from its lines; with
+sorted positions, most blocks of a transcript need neither. The bytes
+are those of str() on each value, joined with commas.
 """
 
 from __future__ import annotations
@@ -255,66 +262,107 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 _BLANK = 0
 
 
-def _ascii_column(values: np.ndarray, out: np.ndarray) -> None:
+def _quad_chars(quads: np.ndarray) -> np.ndarray:
+    """The four zero-padded ASCII digits of each value in 0..9999, one row each."""
+    return np.take(_DIGIT_QUADS, quads).view(np.uint8).reshape(-1, 4)
+
+
+def _ascii_uint32(magnitude: np.ndarray, out: np.ndarray) -> None:
+    """Write uint32 magnitudes as zero-padded decimals filling all of out's places.
+
+    Every value must have at most as many digits as out has places.
+    """
+    end = out.shape[0]
+    while end > 4:
+        magnitude, quad = np.divmod(magnitude, np.uint32(10_000))
+        out[end - 4 : end] = _quad_chars(quad).T
+        end -= 4
+    out[:end] = _quad_chars(magnitude)[:, 4 - end :].T
+
+
+def _ascii_column(values: np.ndarray, out: np.ndarray, lo: int, hi: int) -> bool:
     """Write integers as right-aligned ASCII decimals, one per column of out.
 
     out holds one row per character place and is as tall as the widest
-    value, sign included; the places left of each value are set to
-    _BLANK.
+    value, sign included; lo and hi are the values' min and max. The
+    digits are made in uint32, where a division costs about a quarter
+    of a uint64 one: a magnitude of 2**32 or more first has its low
+    eight digits split off by one uint64 division by 10**8. Only when
+    some value is negative or has fewer digits than the widest (lo is
+    negative or narrower than hi) are digits counted per value and the
+    places left of each value set to _BLANK; returns whether they were.
     """
     width = out.shape[0]
-    negative = values < 0
-    magnitude = np.abs(values).astype(np.uint64, copy=False)
-    digits = 1 + np.searchsorted(_POWERS_OF_TEN, magnitude, side="right")
-    first = width - int(digits.max())
+    top = max(hi, -lo)
+    digits_max = len(str(top))
+    ragged = lo < 0 or len(str(lo)) < digits_max
+    magnitude = values
+    if lo < 0:
+        # widened first, since abs wraps at a narrower dtype's minimum
+        magnitude = np.abs(values.astype(np.int64)).view(np.uint64)
     end = width
-    while end > first:
-        magnitude, quad = np.divmod(magnitude, 10_000)
-        chars = np.take(_DIGIT_QUADS, quad).view(np.uint8).reshape(-1, 4)
-        taken = min(4, end - first)
-        out[end - taken : end] = chars[:, 4 - taken :].T
-        end -= taken
+    part = magnitude
+    while top >= 2**32:
+        part, low = np.divmod(part.astype(np.uint64, copy=False), np.uint64(10**8))
+        _ascii_uint32(low.astype(np.uint32), out[end - 8 : end])
+        end -= 8
+        top //= 10**8
+    _ascii_uint32(part.astype(np.uint32), out[width - digits_max : end])
+    if not ragged:
+        return False
+    negative = values < 0
+    # in uint64, or numpy compares a signed magnitude with the powers as floats
+    digits = 1 + np.searchsorted(
+        _POWERS_OF_TEN, magnitude.astype(np.uint64, copy=False), side="right"
+    )
     lead = width - digits - negative
     for place in range(int(lead.max())):
         out[place][lead > place] = _BLANK
     out[lead[negative], np.flatnonzero(negative)] = ord("-")
+    return True
 
 
-def _ascii_places(columns: list[np.ndarray]) -> np.ndarray:
+def _ascii_places(columns: list[np.ndarray]) -> tuple[np.ndarray, bool]:
     """The CSV lines of integer columns, one blank-padded line per matrix column.
 
     Row j of the matrix holds character place j of every line, so each
     column of values is formatted whole. A column of single digits needs
-    only the ASCII offset.
+    only the ASCII offset. Each column's min and max set its width and
+    tell whether any of its values is signed or narrower, the one case
+    that needs digits counted per value and blanks; the flag returned
+    says whether any column had such values.
     """
     bounds = [(int(c.min()), int(c.max())) for c in columns]
     widths = [len(str(max(hi, -lo))) + (lo < 0) for lo, hi in bounds]
     places = np.empty((sum(widths) + len(widths), columns[0].size), dtype=np.uint8)
+    ragged = False
     start = 0
-    for column, width in zip(columns, widths):
+    for column, (lo, hi), width in zip(columns, bounds, widths):
         if width == 1:
             np.add(column, ord("0"), out=places[start], casting="unsafe")
         else:
-            _ascii_column(column, places[start : start + width])
+            ragged |= _ascii_column(column, places[start : start + width], lo, hi)
         places[start + width] = ord(",")
         start += width + 1
     places[-1] = ord("\n")
-    return places
+    return places, ragged
 
 
 def _int_csv_blocks(header: str, blocks: Iterable[list[np.ndarray]]) -> Iterator:
     """CSV bytes of integer columns: the header line, then a block of lines at a time.
 
     blocks yields the columns' next rows, one array per column. Each
-    block is formatted, transposed and stripped of its blanks on its
-    own, so it stays in cache. Joined, the blocks hold the same bytes as
-    joining str() of each value with commas, row by row, however the
-    rows are split into blocks.
+    block is formatted and transposed on its own, so it stays in cache,
+    and stripped of its blanks only if it has any: a block whose values
+    all have their column's width is written as transposed. Joined, the
+    blocks hold the same bytes as joining str() of each value with
+    commas, row by row, however the rows are split into blocks.
     """
     yield (header + "\n").encode("ascii")
     for columns in blocks:
-        lines = _ascii_places(columns).T.copy()
-        yield lines[lines != _BLANK]
+        places, ragged = _ascii_places(columns)
+        lines = places.T.copy()
+        yield lines[lines != _BLANK] if ragged else lines.ravel()
 
 
 def _column_blocks(columns: list[np.ndarray]) -> Iterator[list[np.ndarray]]:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import covertlink
 import reference_scenarios as ref
@@ -24,6 +26,7 @@ from covertlink.codec import (
 from covertlink.exceptions import FormatError
 from covertlink.fileio import (
     PLAN_MAGIC,
+    _ascii_places,
     _atomic_write_blocks,
     _column_blocks,
     _int_csv_blocks,
@@ -311,22 +314,92 @@ def test_csv_encoder_matches_f_strings_in_every_width(width):
 
 
 def test_csv_blocks_match_f_strings_across_block_boundaries():
-    # three blocks: 1- to 5-digit positions, 9-digit ones, then 7 rows of
-    # 16-digit ones; bit_index turns -1 (the dummies) only in the last block
-    rows = 2 * _LINES_PER_BLOCK + 7
-    index = np.arange(rows, dtype=np.uint64)
-    positions = np.where(index < _LINES_PER_BLOCK, index, 10**8 + index)
-    positions[2 * _LINES_PER_BLOCK :] = 10**15 + index[2 * _LINES_PER_BLOCK :]
-    bit_index = np.where(index < 2 * _LINES_PER_BLOCK, index // 3, -1).astype(np.int32)
+    # five whole blocks and 7 rows; from block 2 on, the widths of one
+    # column at most change inside a block while the others keep theirs:
+    #   0. 1- to 5-digit positions, 1- to 5-digit bit_index
+    #   1. 9-digit positions, 5-digit bit_index: every line one width
+    #   2. positions crossing 10**15, 4-digit bit_index
+    #   3. 16-digit positions, bit_index crossing 999 -> 1000
+    #   4. 16-digit positions, 4-digit bit_index: every line one width
+    #   5. 16-digit positions, bit_index turning -1 (the dummies)
+    block = np.arange(_LINES_PER_BLOCK, dtype=np.uint64)
+    tail = np.arange(7, dtype=np.uint64)
+    positions = np.concatenate([
+        block,
+        10**8 + block,
+        10**15 - _LINES_PER_BLOCK // 2 + block,
+        2 * 10**15 + 3 * block,
+        3 * 10**15 + 3 * block,
+        4 * 10**15 + tail,
+    ])
+    bit_index = np.concatenate([
+        block // 3,
+        (_LINES_PER_BLOCK + block) // 3,
+        1000 + block // 66,
+        500 + block // 66,
+        1000 + block // 66,
+        np.where(tail < 4, 2000, -1),
+    ]).astype(np.int32)
+    index = np.arange(positions.size, dtype=np.uint64)
     bit_value = (index % 2).astype(np.uint8)
     outcomes = (index * 7 % 4).astype(np.uint8)
     columns = [positions, bit_index, bit_value, outcomes]
     header = "position,bit_index,bit_value,outcome"
     blocks = list(_int_csv_blocks(header, _column_blocks(columns)))
-    assert len(blocks) == 1 + 3  # the header, then one block per _LINES_PER_BLOCK rows
-    starts = range(0, rows, _LINES_PER_BLOCK)
-    assert [len(str(int(positions[s : s + _LINES_PER_BLOCK].max()))) for s in starts] == [5, 9, 16]
+    assert len(blocks) == 1 + 6  # the header, then one block per _LINES_PER_BLOCK rows
+    widths = [
+        [sorted({len(str(v)) for v in c[s : s + _LINES_PER_BLOCK].tolist()}) for c in columns[:2]]
+        for s in range(0, positions.size, _LINES_PER_BLOCK)
+    ]
+    assert widths == [
+        [[1, 2, 3, 4, 5], [1, 2, 3, 4, 5]],
+        [[9], [5]],
+        [[15, 16], [4]],
+        [[16], [3, 4]],
+        [[16], [4]],
+        [[16], [2, 4]],
+    ]
+    # blanks are dropped from a block only when some value in it is narrower or signed
+    ragged = [_ascii_places(columns)[1] for columns in _column_blocks(columns)]
+    assert ragged == [True, False, True, True, False, True]
     assert b"".join(blocks) == f_string_csv(header, columns)
+
+
+INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@st.composite
+def int_columns_in_blocks(draw):
+    """Integer columns of every dtype, their rows cut into blocks at random."""
+    rows = draw(st.integers(min_value=1, max_value=40))
+    columns = []
+    for dtype in draw(st.lists(st.sampled_from(INT_DTYPES), min_size=1, max_size=4)):
+        info = np.iinfo(dtype)
+        # the dtype's ends, and both sides of every power of ten it holds
+        edges = [info.min, info.max, 0] + [
+            v for k in range(20) for v in (10**k - 1, 10**k, -(10**k), 1 - 10**k)
+            if info.min <= v <= info.max
+        ]
+        value = st.one_of(st.integers(info.min, info.max), st.sampled_from(edges))
+        columns.append(np.array(draw(st.lists(value, min_size=rows, max_size=rows)), dtype=dtype))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=rows), max_size=5)) | {rows})
+    blocks = [[c[a:b] for c in columns] for a, b in zip([0, *cuts], cuts)]
+    return columns, blocks
+
+
+# each signed dtype's minimum, where abs wraps to itself in that dtype
+SIGNED_MINIMA = [
+    np.array([np.iinfo(t).min, -1, 0, np.iinfo(t).max], dtype=t)
+    for t in (np.int8, np.int16, np.int32, np.int64)
+]
+
+
+@given(int_columns_in_blocks())
+@example((SIGNED_MINIMA, [[c[:1] for c in SIGNED_MINIMA], [c[1:] for c in SIGNED_MINIMA]]))
+def test_csv_blocks_match_f_strings_for_any_dtype_and_split(case):
+    columns, blocks = case
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    assert b"".join(_int_csv_blocks(header, blocks)) == f_string_csv(header, columns)
 
 
 @pytest.fixture(scope="module")
