@@ -105,7 +105,7 @@ class PositionPlan:
     derived from b and the positions by the module's layout rule, so a
     plan cannot hold any other layout. Layouts from outside arrive only
     through .cvpl files, whose k' header and bit_index column
-    fileio.plan_from_bytes checks against the derived ones.
+    fileio.read_plan checks against the derived ones.
 
     Attributes:
         n_pairs: size of the index space the positions were drawn from.

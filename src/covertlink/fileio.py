@@ -10,11 +10,10 @@ held whole in memory; the bytes are the same as one write would give.
 The plan's bit_index column is made from the layout rule a block at a
 time, never as a whole column.
 
-A .cvpl file is read column by column from a binary stream, for a path
-and for bytes alike: its size is checked against the header first, the
-positions and bit values are read into the plan's own arrays, and the
-bit_index column is checked against the layout rule a block at a time
-and not kept.
+A .cvpl file is read column by column from its open file: its size is
+checked against the header first, the positions and bit values are read
+into the plan's own arrays, and the bit_index column is checked against
+the layout rule a block at a time and not kept.
 
 The integer CSVs are encoded a block of lines at a time, and within a
 block a column at a time, not a row at a time: each column becomes
@@ -33,7 +32,6 @@ are those of str() on each value, joined with commas.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
 import os
@@ -109,10 +107,6 @@ def _plan_blocks(plan: PositionPlan) -> Iterator:
     yield plan.bit_value.astype("u1", copy=False)
 
 
-def plan_to_bytes(plan: PositionPlan) -> bytes:
-    return b"".join(_plan_blocks(plan))
-
-
 def _read_into(stream: BinaryIO, out: np.ndarray) -> None:
     """Fill out from stream, or raise FormatError if the stream ends first."""
     view = memoryview(out).cast("B")
@@ -123,68 +117,60 @@ def _read_into(stream: BinaryIO, out: np.ndarray) -> None:
         view = view[got:]
 
 
-def _read_plan_stream(stream: BinaryIO) -> PositionPlan:
-    """Parse a seekable .cvpl stream a column at a time.
-
-    The stream's size is checked against the header before any column is
-    allocated. positions and bit_value are read into their own arrays;
-    bit_index is compared with the layout rule a block at a time and not
-    kept, after the plan's invariants have been checked.
-    """
-    size = stream.seek(0, os.SEEK_END)
-    stream.seek(0)
-    if size < _PLAN_HEADER.size:
-        raise FormatError("plan payload shorter than its header")
-    magic, version, n_pairs, b, k_prime, d_prime = _PLAN_HEADER.unpack(
-        stream.read(_PLAN_HEADER.size)
-    )
-    if magic != PLAN_MAGIC:
-        raise FormatError(f"bad magic {magic!r}; not a position-plan file")
-    if version != PLAN_FORMAT_VERSION:
-        raise FormatError(f"unsupported plan format version {version}")
-    expected = _PLAN_HEADER.size + d_prime * (8 + 4 + 1)
-    if size != expected:
-        raise FormatError(f"plan payload has {size} bytes, expected {expected}")
-    index_offset = _PLAN_HEADER.size + 8 * d_prime
-    positions = np.empty(d_prime, dtype="<u8")
-    _read_into(stream, positions)
-    bit_value = np.empty(d_prime, dtype="u1")
-    stream.seek(index_offset + 4 * d_prime)
-    _read_into(stream, bit_value)
-    try:
-        plan = PositionPlan(n_pairs=n_pairs, b=b, positions=positions, bit_value=bit_value)
-    except ParameterError as exc:
-        raise FormatError(f"plan payload fails invariants: {exc}") from exc
-    # the layout is derived from b and d'; the file's copy of it must agree
-    if k_prime != plan.k_prime:
-        raise FormatError(f"plan header gives k' = {k_prime}, but d' // b = {plan.k_prime}")
-    stream.seek(index_offset)
-    for rows in _block_slices(d_prime):
-        block = np.empty(rows.stop - rows.start, dtype="<i4")
-        _read_into(stream, block)
-        if not np.array_equal(block, _layout_bit_index(b, d_prime, rows)):
-            raise FormatError("plan bit_index must put bit j at j*k' .. (j+1)*k' - 1, then -1")
-    return plan
-
-
-def plan_from_bytes(payload: bytes) -> PositionPlan:
-    return _read_plan_stream(io.BytesIO(payload))
-
-
 def write_plan(path: Path, plan: PositionPlan) -> None:
     _atomic_write_blocks(path, _plan_blocks(plan))
 
 
 def read_plan(path: Path) -> PositionPlan:
+    """Parse a .cvpl file a column at a time.
+
+    The file's size is checked against the header before any column is
+    allocated. positions and bit_value are read into their own arrays;
+    bit_index is compared with the layout rule a block at a time and not
+    kept, after the plan's invariants have been checked.
+    """
     with open(path, "rb") as stream:
-        return _read_plan_stream(stream)
+        size = stream.seek(0, os.SEEK_END)
+        stream.seek(0)
+        if size < _PLAN_HEADER.size:
+            raise FormatError("plan payload shorter than its header")
+        magic, version, n_pairs, b, k_prime, d_prime = _PLAN_HEADER.unpack(
+            stream.read(_PLAN_HEADER.size)
+        )
+        if magic != PLAN_MAGIC:
+            raise FormatError(f"bad magic {magic!r}; not a position-plan file")
+        if version != PLAN_FORMAT_VERSION:
+            raise FormatError(f"unsupported plan format version {version}")
+        expected = _PLAN_HEADER.size + d_prime * (8 + 4 + 1)
+        if size != expected:
+            raise FormatError(f"plan payload has {size} bytes, expected {expected}")
+        index_offset = _PLAN_HEADER.size + 8 * d_prime
+        positions = np.empty(d_prime, dtype="<u8")
+        _read_into(stream, positions)
+        bit_value = np.empty(d_prime, dtype="u1")
+        stream.seek(index_offset + 4 * d_prime)
+        _read_into(stream, bit_value)
+        try:
+            plan = PositionPlan(n_pairs=n_pairs, b=b, positions=positions, bit_value=bit_value)
+        except ParameterError as exc:
+            raise FormatError(f"plan payload fails invariants: {exc}") from exc
+        # the layout is derived from b and d'; the file's copy of it must agree
+        if k_prime != plan.k_prime:
+            raise FormatError(f"plan header gives k' = {k_prime}, but d' // b = {plan.k_prime}")
+        stream.seek(index_offset)
+        for rows in _block_slices(d_prime):
+            block = np.empty(rows.stop - rows.start, dtype="<i4")
+            _read_into(stream, block)
+            if not np.array_equal(block, _layout_bit_index(b, d_prime, rows)):
+                raise FormatError(
+                    "plan bit_index must put bit j at j*k' .. (j+1)*k' - 1, then -1"
+                )
+    return plan
 
 
 def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
@@ -221,8 +207,15 @@ def read_json_document(path: Path, kind: str) -> dict:
     return document
 
 
+# ProtocolParams properties a parameter document holds, with the rule each follows
+_DERIVED_PARAMS = {
+    "bins_total": "2 * n_pairs",
+    "running_time_s": "bins_total / rep_rate_hz",
+}
+
+
 def params_to_document(p: ProtocolParams) -> dict:
-    return dataclasses.asdict(p) | {"bins_total": p.bins_total}
+    return dataclasses.asdict(p) | {name: getattr(p, name) for name in _DERIVED_PARAMS}
 
 
 def _from_fields(cls, doc: dict, **given):
@@ -235,17 +228,18 @@ def params_from_document(doc: dict) -> ProtocolParams:
     try:
         channel = _from_fields(ChannelModel, doc["channel"])
         params = _from_fields(ProtocolParams, doc, channel=channel)
-        bins_total = doc["bins_total"]
+        stored = {name: doc[name] for name in _DERIVED_PARAMS}
     except KeyError as exc:
         raise FormatError(f"parameter document is missing field {exc}") from exc
     except TypeError as exc:
         raise FormatError(f"parameter document holds a value of the wrong type: {exc}") from exc
-    # bins_total is derived from n_pairs; the document's copy must agree
-    if bins_total != params.bins_total:
-        raise FormatError(
-            f"parameter document gives bins_total = {bins_total!r}, "
-            f"but 2 * n_pairs = {params.bins_total}"
-        )
+    # the document's copies of the derived values must agree with them
+    for name, rule in _DERIVED_PARAMS.items():
+        if stored[name] != getattr(params, name):
+            raise FormatError(
+                f"parameter document gives {name} = {stored[name]!r}, "
+                f"but {rule} = {getattr(params, name)!r}"
+            )
     return params
 
 

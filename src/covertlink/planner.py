@@ -8,7 +8,7 @@ request; nothing found at one mu is carried to the next. The
 returned plan is the grid point minimizing N (equivalently the total
 number of time bins, and hence the running time at a fixed repetition
 rate), refined once by golden-section search around the best grid
-point. Grid points carry k, d and N; ProtocolParams.derive forms both
+point. Grid points carry k and N; ProtocolParams.derive forms both
 claims, the bias bound and the message error, once, at the chosen point.
 """
 
@@ -34,6 +34,9 @@ from .security import BINS_PER_PAIR, bias_for_protocol, min_pairs_for_budget
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# fraction of extra pairs the planner accepts in exchange for a dimmer pulse
+FLATNESS_TOLERANCE = 0.05
+
 
 def default_mu_grid() -> np.ndarray:
     """Logarithmic mu search grid over [1e-4, 1] with 400 points."""
@@ -56,8 +59,6 @@ class PlanRequest:
         channel: ChannelModel with tau and both noise means.
         rep_rate_hz: time-bin rate of the transmitter.
         mu_grid: strictly positive candidate pulse intensities.
-        flatness_tolerance: fraction of extra pairs accepted in exchange
-            for a dimmer pulse; 0 demands the exact pair-count minimum.
     """
 
     b: int
@@ -66,7 +67,6 @@ class PlanRequest:
     channel: ChannelModel
     rep_rate_hz: float
     mu_grid: np.ndarray = field(default_factory=default_mu_grid)
-    flatness_tolerance: float = 0.05
 
     def __post_init__(self):
         # ProtocolParams' rules for b and rep_rate_hz, applied before planning
@@ -78,10 +78,6 @@ class PlanRequest:
         if not (_finite_real(self.rep_rate_hz) and self.rep_rate_hz > 0.0):
             raise ParameterError(
                 f"rep_rate_hz must be a finite real number > 0, got {self.rep_rate_hz!r}"
-            )
-        if not 0.0 <= self.flatness_tolerance < 1.0:
-            raise ParameterError(
-                f"flatness_tolerance must lie in [0, 1), got {self.flatness_tolerance!r}"
             )
         grid = np.atleast_1d(np.asarray(self.mu_grid, dtype=float))
         if grid.size == 0 or np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
@@ -112,7 +108,6 @@ class ProtocolParams:
     mu: float
     predicted_epsilon: float
     predicted_e: float
-    running_time_s: float
     channel: ChannelModel
     rep_rate_hz: float
     epsilon_target: float
@@ -147,9 +142,6 @@ class ProtocolParams:
                 raise ParameterError(f"q must lie in (0, 1], got {self.q!r}")
             if abs(self.q - self.d / self.n_pairs) > 1e-12 * self.q:
                 raise ParameterError("q must equal d / n_pairs")
-        expected_time = self.bins_total / self.rep_rate_hz
-        if not math.isclose(self.running_time_s, expected_time, rel_tol=1e-12):
-            raise ParameterError("running_time_s must equal bins_total / rep_rate_hz")
 
     @classmethod
     def derive(
@@ -167,8 +159,8 @@ class ProtocolParams:
         """The plan sending k repetitions of b bits over n_pairs pairs at mu.
 
         The one place a plan's fields and both claims are formed from
-        (b, k, N, mu): d = k b, q = d / N, the running time, the
-        detection-bias bound and the message error.
+        (b, k, N, mu): d = k b, q = d / N, the detection-bias bound and
+        the message error.
         """
         d = k * b
         return cls(
@@ -180,7 +172,6 @@ class ProtocolParams:
             mu=mu,
             predicted_epsilon=bias_for_protocol(n_pairs, d, mu, channel.n_bar_a),
             predicted_e=message_error_prob(bit_error_prob(k, click_probs(mu, channel)), b),
-            running_time_s=BINS_PER_PAIR * n_pairs / rep_rate_hz,
             channel=channel,
             rep_rate_hz=rep_rate_hz,
             epsilon_target=epsilon_target,
@@ -191,17 +182,24 @@ class ProtocolParams:
     def bins_total(self) -> int:
         return BINS_PER_PAIR * self.n_pairs
 
+    @property
+    def running_time_s(self) -> float:
+        return self.bins_total / self.rep_rate_hz
+
 
 @dataclass(frozen=True)
 class GridPoint:
-    """One evaluated mu candidate, kept for reporting."""
+    """One evaluated mu candidate, kept for reporting; reason says why
+    an infeasible one fails."""
 
     mu: float
-    feasible: bool
     reason: str = ""
     k: int = 0
-    d: int = 0
     n_pairs: int = 0
+
+    @property
+    def feasible(self) -> bool:
+        return not self.reason
 
 
 @dataclass(frozen=True)
@@ -231,13 +229,12 @@ def _evaluate_mu(mu: float, req: PlanRequest) -> GridPoint:
     try:
         k = min_repetitions(req.target_e, req.b, cp)
     except InfeasibleError as exc:
-        return GridPoint(mu=mu, feasible=False, reason=f"reliability: {exc}")
-    d = k * req.b
+        return GridPoint(mu=mu, reason=f"reliability: {exc}")
     try:
-        n_pairs = min_pairs_for_budget(req.epsilon, d, mu, req.channel.n_bar_a)
+        n_pairs = min_pairs_for_budget(req.epsilon, k * req.b, mu, req.channel.n_bar_a)
     except InfeasibleError as exc:
-        return GridPoint(mu=mu, feasible=False, reason=f"covertness: {exc}")
-    return GridPoint(mu=mu, feasible=True, k=k, d=d, n_pairs=n_pairs)
+        return GridPoint(mu=mu, reason=f"covertness: {exc}")
+    return GridPoint(mu=mu, k=k, n_pairs=n_pairs)
 
 
 def _cost(p: GridPoint) -> tuple[int, float]:
@@ -253,7 +250,7 @@ def _dimmest_within(floor: GridPoint, points: list[GridPoint], req: PlanRequest)
     edge of the acceptable region. New evaluations are appended to
     points so the report stays complete.
     """
-    budget = floor.n_pairs * (1.0 + req.flatness_tolerance)
+    budget = floor.n_pairs * (1.0 + FLATNESS_TOLERANCE)
     ok = [p for p in points if p.feasible and p.n_pairs <= budget]
     chosen = min(ok, key=lambda p: p.mu)
     below = [p.mu for p in points if p.mu < chosen.mu]
@@ -283,10 +280,9 @@ def plan(req: PlanRequest) -> ProtocolParams:
     flat valley: tens of percent in mu move the pair count by only a few
     percent, so the exact argmin is an artifact of modeling minutiae.
     The planner therefore returns the dimmest pulse whose pair count
-    stays within flatness_tolerance of the floor; a dimmer pulse buys
-    covertness margin against transmitter miscalibration at bounded
-    cost. flatness_tolerance = 0 returns the exact floor (ties broken
-    toward smaller mu).
+    stays within FLATNESS_TOLERANCE (5 %) of the floor; a dimmer pulse
+    buys covertness margin against transmitter miscalibration at
+    bounded cost.
 
     Raises:
         InfeasibleError: every candidate fails reliability or covertness.
@@ -341,8 +337,7 @@ def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint,
                 break
         best = min([best, *(p for p in points[len(grid):] if p.feasible)], key=_cost)
 
-    if req.flatness_tolerance > 0.0:
-        best = _dimmest_within(best, points, req)
+    best = _dimmest_within(best, points, req)
 
     params = ProtocolParams.derive(
         b=req.b,
@@ -361,10 +356,10 @@ def validate_plan(p: ProtocolParams, req: PlanRequest) -> PlanReport:
     """Recompute both predictions from scratch and check them against targets.
 
     The plan's (b, k, N, mu) are re-derived under the request's channel,
-    rate and targets, and the stored structure (d = k * b, q = d /
-    n_pairs, running time = bins / rate) is compared with the derived
-    one; every check lands in the report with its margin rather than
-    raising.
+    rate and targets. The stored structure (d = k * b, q = d / n_pairs)
+    and the running time at the plan's own rate are compared with the
+    derived ones; every check lands in the report with its margin
+    rather than raising.
     """
     checks = []
     if p.d > 0:

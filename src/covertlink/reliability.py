@@ -12,9 +12,17 @@ the exact sum only where the bounds cannot settle a probe, and returns
 a plain k: a caller that reports the error at k runs the exact sum
 there.
 
-Conventions baked into the formulas (and mirrored by the simulator):
-an exact vote tie counts as a bit error, and a bit with no clicks at
-all counts as an error. Hence bit_error_prob(1, cp) == 1 - p_correct.
+Conventions baked into the formulas, shared with the simulator: an
+exact vote tie counts as a bit error, and a bit with no clicks at all
+counts as an error. Hence bit_error_prob(1, cp) == 1 - p_correct.
+
+The click model is not the simulator's. The formulas take a
+repetition's click as exclusive: a correct vote with p_correct, a wrong
+one with p_wrong. The simulator's two bins click independently and a
+pair where both click casts no vote, so its votes come with
+p_correct (1 - p_wrong) and p_wrong (1 - p_correct). On every bundled
+plan the closed form's message error is the larger, so the planner's
+claim is conservative there.
 """
 
 from __future__ import annotations
@@ -93,8 +101,12 @@ class ChannelModel:
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
             raise ParameterError(f"tau must lie in [0, 1], got {self.tau!r}")
-        if self.n_bar_a < 0.0 or self.n_bar_b < 0.0:
-            raise ParameterError("noise means must be >= 0")
+        for name in ("n_bar_a", "n_bar_b"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ParameterError(
+                    f"channel noise mean {name} must be finite and >= 0, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)

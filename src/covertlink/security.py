@@ -57,13 +57,7 @@ def bias_for_protocol(n_pairs: int, d_signals: int, mu: float, n_bar_a: float) -
     return detection_bias_bound(n_pairs, per_mode_relative_entropy(mu, n_bar_a, q))
 
 
-def min_pairs_for_budget(
-    epsilon: float,
-    d_signals: int,
-    mu: float,
-    n_bar_a: float,
-    ceiling: int = DEFAULT_PAIR_CEILING,
-) -> int:
+def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: float) -> int:
     """Smallest pair count N whose detection-bias bound meets the budget.
 
     The bound at q = d/N is non-increasing in N: the per-mode divergence
@@ -91,29 +85,27 @@ def min_pairs_for_budget(
         d_signals: number of covert signals to hide, >= 0.
         mu: pulse mean photon number.
         n_bar_a: background mean photon number at the sender's output.
-        ceiling: largest N considered before declaring infeasibility.
 
     Returns:
         N, an int >= 1 and >= d, since q = d/N is a probability; N = 1
         when there are no signals.
 
     Raises:
-        ParameterError: a bad budget, d_signals < 0 or ceiling < 1.
-        InfeasibleError: no N in [d, ceiling] satisfies the budget (none
-            exists when d > ceiling), or the background is the vacuum
-            and the bound's limit as N grows, sqrt(d (1 - e^-mu) / 8),
-            is not below the budget.
+        ParameterError: a bad budget or d_signals < 0.
+        InfeasibleError: no N in [d, DEFAULT_PAIR_CEILING] satisfies the
+            budget (none exists when d exceeds the ceiling), or the
+            background is the vacuum and the bound's limit as N grows,
+            sqrt(d (1 - e^-mu) / 8), is not below the budget.
     """
     epsilon = _check_budget(epsilon)
     if d_signals < 0:
         raise ParameterError(f"d_signals must be >= 0, got {d_signals!r}")
-    if ceiling < 1:
-        raise ParameterError(f"ceiling must be >= 1, got {ceiling!r}")
     if d_signals == 0:
         return 1
-    if d_signals > ceiling:
+    if d_signals > DEFAULT_PAIR_CEILING:
         raise InfeasibleError(
-            f"no pair count up to {ceiling:.3g} can carry d={d_signals} signals (q = d/N <= 1)"
+            f"no pair count up to {DEFAULT_PAIR_CEILING:.3g} can carry "
+            f"d={d_signals} signals (q = d/N <= 1)"
         )
 
     profile = DivergenceProfile.build(mu, n_bar_a)
@@ -129,7 +121,7 @@ def min_pairs_for_budget(
         return detection_bias_bound(n_pairs, divergence_at(n_pairs))
 
     def clamp(n_pairs: float) -> int:
-        return int(min(max(math.ceil(n_pairs), floor), ceiling))
+        return int(min(max(math.ceil(n_pairs), floor), DEFAULT_PAIR_CEILING))
 
     if profile.uncovered > 0.0:
         limit = math.sqrt(d_signals * profile.uncovered / 8.0)
@@ -174,12 +166,12 @@ def min_pairs_for_budget(
     else:
         lo, step = n, 1
         while True:
-            hi = min(lo + step, ceiling)
+            hi = min(lo + step, DEFAULT_PAIR_CEILING)
             if bound(hi) <= epsilon:
                 break
-            if hi >= ceiling:
+            if hi >= DEFAULT_PAIR_CEILING:
                 raise InfeasibleError(
-                    f"no pair count up to {ceiling:.3g} meets detection-bias budget "
+                    f"no pair count up to {DEFAULT_PAIR_CEILING:.3g} meets detection-bias budget "
                     f"{epsilon} for d={d_signals}, mu={mu}"
                 )
             lo, step = hi, 2 * step

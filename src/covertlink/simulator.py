@@ -40,8 +40,8 @@ from .codec import (
 )
 from .exceptions import ParameterError
 from .planner import ProtocolParams
-from .reliability import ChannelModel, click_probs
-from .security import BINS_PER_PAIR
+from .reliability import MAX_REPETITIONS, ChannelModel, click_probs
+from .security import BINS_PER_PAIR, DEFAULT_PAIR_CEILING
 
 # spawn-key domains keeping the three simulation families independent
 _DOMAIN_TRANSMIT = 0
@@ -385,6 +385,10 @@ def rescale_plan(p: ProtocolParams, factor: float) -> ProtocolParams:
     integer rounding. ProtocolParams.derive recomputes both predictions
     at the new scale, so bound comparisons against desk-scale
     simulations stay apples-to-apples.
+
+    A factor below 1 grows the plan; it may not grow k past
+    MAX_REPETITIONS or N past DEFAULT_PAIR_CEILING, the limits the
+    planner itself keeps.
     """
     if factor <= 0.0 or not math.isfinite(factor):
         raise ParameterError(f"factor must be finite and > 0, got {factor!r}")
@@ -393,6 +397,15 @@ def rescale_plan(p: ProtocolParams, factor: float) -> ProtocolParams:
     k_new = max(1, round(p.k / factor))
     d_new = k_new * p.b
     n_new = max(d_new, round(d_new / p.q))
+    for name, value, limit_name, limit in (
+        ("k", k_new, "MAX_REPETITIONS", MAX_REPETITIONS),
+        ("N", n_new, "DEFAULT_PAIR_CEILING", DEFAULT_PAIR_CEILING),
+    ):
+        if value > limit:
+            raise ParameterError(
+                f"rescale factor {factor:g} gives {name} = {value:.3g}, "
+                f"above the planner's limit {limit_name} = {limit:.0e}"
+            )
     return ProtocolParams.derive(
         b=p.b,
         k=k_new,

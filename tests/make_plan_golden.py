@@ -49,7 +49,6 @@ def request_key(req: PlanRequest) -> tuple:
         ch.n_bar_a,
         ch.n_bar_b,
         req.rep_rate_hz,
-        req.flatness_tolerance,
         tuple(float(m) for m in req.mu_grid),
     )
 

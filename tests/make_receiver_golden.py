@@ -28,7 +28,7 @@ import reference_scenarios as ref
 from conftest import fiber_request
 from covertlink.codec import SharedRandomness, choose_positions, encode_message
 from covertlink.fileio import write_plan, write_tally_csv, write_transcript_csv
-from covertlink.planner import BINS_PER_PAIR, ProtocolParams, plan_with_report
+from covertlink.planner import ProtocolParams, plan_with_report
 from covertlink.simulator import simulate_transmission
 
 DEFAULT_OUT = Path(__file__).resolve().parent / "data" / "receiver_golden.json"
@@ -52,7 +52,6 @@ def synthetic_params(base: ProtocolParams) -> ProtocolParams:
         d=d,
         n_pairs=SYNTHETIC_PAIRS,
         q=d / SYNTHETIC_PAIRS,
-        running_time_s=BINS_PER_PAIR * SYNTHETIC_PAIRS / base.rep_rate_hz,
     )
 
 

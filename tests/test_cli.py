@@ -141,6 +141,9 @@ FIELD_BREAKAGES = {
     "bins_total is 'x'": ("bins_total", "x"),
     "bins_total is -1": ("bins_total", -1),
     "bins_total is inf": ("bins_total", math.inf),
+    # running_time_s is derived too: the document's copy must agree with it
+    "running_time_s is 1": ("running_time_s", 1.0),
+    "running_time_s is 'x'": ("running_time_s", "x"),
     "rep_rate_hz is 0": ("rep_rate_hz", 0),
     "rep_rate_hz is -1": ("rep_rate_hz", -1),
     "rep_rate_hz is inf": ("rep_rate_hz", math.inf),
@@ -371,6 +374,27 @@ def test_bad_rescale_flag_refused_before_planning(fast_config, tmp_path, capsys,
             )
             assert rc == EXIT_CONFIG
             assert "'--rescale'" in capsys.readouterr().err
+
+
+def test_rescale_past_the_planner_limits_is_config_error(tmp_path, capsys, monkeypatch):
+    # --rescale 1e-9 asks for k ~ 1.9e12 and N ~ 8e20 (beyond a C long):
+    # refused once the plan is known, before any draw
+    def no_draw(*args):
+        raise AssertionError("drew from a plan past the planner's limits")
+
+    for name in ("choose_positions", "simulate_monitoring", "run_distinguisher"):
+        monkeypatch.setattr(cli, name, no_draw)
+    for command in ("simulate", "eavesdrop"):
+        out = tmp_path / command
+        rc = main(
+            [command, "--config", shipped("fiber_cqtustc.yaml"), "--out", str(out),
+             "--seed", "1", "--rescale", "1e-9"]
+        )
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "rescale factor 1e-09 gives k = 1.9e+12" in err
+        assert "MAX_REPETITIONS = 1e+07" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

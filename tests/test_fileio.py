@@ -32,8 +32,6 @@ from covertlink.fileio import (
     _int_csv_blocks,
     params_from_document,
     params_to_document,
-    plan_from_bytes,
-    plan_to_bytes,
     read_json_document,
     read_plan,
     write_json_document,
@@ -68,7 +66,6 @@ def sample_params() -> ProtocolParams:
         mu=0.03,
         predicted_epsilon=0.012,
         predicted_e=0.004,
-        running_time_s=100_000 / 1e6,
         channel=ChannelModel(tau=0.18, n_bar_a=2e-3, n_bar_b=3e-3),
         rep_rate_hz=1e6,
         epsilon_target=0.014,
@@ -76,9 +73,25 @@ def sample_params() -> ProtocolParams:
     )
 
 
+def written_payload(tmp_path, plan: PositionPlan) -> bytearray:
+    """The .cvpl bytes write_plan gives for plan."""
+    path = tmp_path / "written.cvpl"
+    write_plan(path, plan)
+    return bytearray(path.read_bytes())
+
+
+def read_payload(tmp_path, payload) -> PositionPlan:
+    """read_plan of a file holding payload."""
+    path = tmp_path / "payload.cvpl"
+    path.write_bytes(bytes(payload))
+    return read_plan(path)
+
+
 def test_plan_bytes_round_trip(tmp_path):
     plan = sample_plan()
-    back = plan_from_bytes(plan_to_bytes(plan))
+    path = tmp_path / "nested" / "plan.cvpl"
+    write_plan(path, plan)
+    back = read_plan(path)
     assert back.n_pairs == plan.n_pairs
     assert back.b == plan.b
     assert back.k_prime == plan.k_prime
@@ -86,48 +99,55 @@ def test_plan_bytes_round_trip(tmp_path):
     assert np.array_equal(back.bit_index, plan.bit_index)
     assert np.array_equal(back.bit_value, plan.bit_value)
 
-    path = tmp_path / "nested" / "plan.cvpl"
-    write_plan(path, plan)
-    assert np.array_equal(read_plan(path).positions, plan.positions)
+
+def test_plan_bytes_are_deterministic(tmp_path):
+    write_plan(tmp_path / "one.cvpl", sample_plan())
+    write_plan(tmp_path / "two.cvpl", sample_plan())
+    assert (tmp_path / "one.cvpl").read_bytes() == (tmp_path / "two.cvpl").read_bytes()
 
 
-def test_plan_bytes_are_deterministic():
-    assert plan_to_bytes(sample_plan()) == plan_to_bytes(sample_plan())
+def test_plan_file_holds_the_documented_layout(tmp_path):
+    # the header (magic, version, N, b, k', d'), then whole columns:
+    # positions as <u8, bit_index as <i4, bit_value as u1
+    plan = three_block_plan()
+    header = struct.pack(
+        "<4sHxxQIIQ", PLAN_MAGIC, 1, plan.n_pairs, plan.b, plan.k_prime, plan.d_prime
+    )
+    columns = (
+        plan.positions.astype("<u8").tobytes()
+        + plan.bit_index.astype("<i4").tobytes()
+        + plan.bit_value.astype("u1").tobytes()
+    )
+    assert written_payload(tmp_path, plan) == header + columns
 
 
-def test_plan_file_holds_plan_to_bytes(tmp_path):
-    plan = sample_plan()
-    write_plan(tmp_path / "plan.cvpl", plan)
-    assert (tmp_path / "plan.cvpl").read_bytes() == plan_to_bytes(plan)
-
-
-def test_plan_corruption_detected():
-    payload = bytearray(plan_to_bytes(sample_plan()))
+def test_plan_corruption_detected(tmp_path):
+    payload = written_payload(tmp_path, sample_plan())
     with pytest.raises(FormatError):
-        plan_from_bytes(bytes(payload[:10]))
+        read_payload(tmp_path, payload[:10])
     bad_magic = bytearray(payload)
     bad_magic[:4] = b"XXXX"
     with pytest.raises(FormatError):
-        plan_from_bytes(bytes(bad_magic))
+        read_payload(tmp_path, bad_magic)
     bad_version = bytearray(payload)
     bad_version[4] = 99
     with pytest.raises(FormatError):
-        plan_from_bytes(bytes(bad_version))
+        read_payload(tmp_path, bad_version)
     with pytest.raises(FormatError):
-        plan_from_bytes(bytes(payload[:-3]))
+        read_payload(tmp_path, payload[:-3])
     with pytest.raises(FormatError):
-        plan_from_bytes(bytes(payload) + b"\x00")
+        read_payload(tmp_path, payload + b"\x00")
     # the header's k' must equal d' // b; header: magic, version, N, b, k', d'
     bad_k = bytearray(payload)
     k_prime = struct.unpack_from("<I", bad_k, 20)[0]
     struct.pack_into("<I", bad_k, 20, k_prime + 1)
     with pytest.raises(FormatError, match="k'"):
-        plan_from_bytes(bytes(bad_k))
+        read_payload(tmp_path, bad_k)
 
 
-def test_plan_invariant_violation_detected():
+def test_plan_invariant_violation_detected(tmp_path):
     plan = sample_plan()
-    payload = bytearray(plan_to_bytes(plan))
+    payload = written_payload(tmp_path, plan)
     header_size = len(payload) - plan.d_prime * 13
     # swap the first two position entries so they are not increasing
     first = payload[header_size : header_size + 8]
@@ -135,7 +155,7 @@ def test_plan_invariant_violation_detected():
     payload[header_size : header_size + 8] = second
     payload[header_size + 8 : header_size + 16] = first
     with pytest.raises(FormatError):
-        plan_from_bytes(bytes(payload))
+        read_payload(tmp_path, payload)
     assert payload[:4] == PLAN_MAGIC  # corruption was past the header
 
 
@@ -143,7 +163,7 @@ def test_plan_with_scrambled_blocks_rejected(tmp_path):
     # swap the bit indices of the first position of bit 0 and of bit 1:
     # every bit still has k' positions, but not in its own block
     plan = sample_plan()
-    payload = bytearray(plan_to_bytes(plan))
+    payload = written_payload(tmp_path, plan)
     index_start = len(payload) - plan.d_prime * 5
     first = index_start
     second = index_start + 4 * plan.k_prime
@@ -151,10 +171,8 @@ def test_plan_with_scrambled_blocks_rejected(tmp_path):
         payload[second : second + 4],
         payload[first : first + 4],
     )
-    path = tmp_path / "scrambled.cvpl"
-    path.write_bytes(bytes(payload))
     with pytest.raises(FormatError, match="bit_index"):
-        read_plan(path)
+        read_payload(tmp_path, payload)
 
 
 def three_block_plan() -> PositionPlan:
@@ -165,16 +183,15 @@ def three_block_plan() -> PositionPlan:
     return PositionPlan(n_pairs=10**7, b=5, positions=positions, bit_value=bit_value)
 
 
-def test_read_plan_equals_plan_from_bytes(tmp_path):
+def test_read_plan_round_trips_three_blocks(tmp_path):
     plan = three_block_plan()
     path = tmp_path / "plan.cvpl"
     write_plan(path, plan)
-    from_path, from_bytes = read_plan(path), plan_from_bytes(path.read_bytes())
-    for back in (from_path, from_bytes):
-        assert (back.n_pairs, back.b, back.k_prime) == (plan.n_pairs, plan.b, plan.k_prime)
-        assert np.array_equal(back.positions, plan.positions)
-        assert np.array_equal(back.bit_value, plan.bit_value)
-        assert np.array_equal(back.bit_index, plan.bit_index)
+    back = read_plan(path)
+    assert (back.n_pairs, back.b, back.k_prime) == (plan.n_pairs, plan.b, plan.k_prime)
+    assert np.array_equal(back.positions, plan.positions)
+    assert np.array_equal(back.bit_value, plan.bit_value)
+    assert np.array_equal(back.bit_index, plan.bit_index)
     assert plan.bit_index[-4:].tolist() == [-1] * 4
 
 
@@ -188,32 +205,37 @@ def test_read_plan_equals_plan_from_bytes(tmp_path):
 )
 def test_read_plan_rejects_a_wrong_bit_index_in_any_block(tmp_path, row):
     plan = three_block_plan()
-    payload = bytearray(plan_to_bytes(plan))
+    payload = written_payload(tmp_path, plan)
     index_start = len(payload) - plan.d_prime * 5
     entry = struct.unpack_from("<i", payload, index_start + 4 * row)[0]
     assert entry == plan.bit_index[row]
     struct.pack_into("<i", payload, index_start + 4 * row, entry + 1)
-    path = tmp_path / "plan.cvpl"
-    path.write_bytes(bytes(payload))
     with pytest.raises(FormatError, match="bit_index"):
-        read_plan(path)
+        read_payload(tmp_path, payload)
 
 
 def test_read_plan_rejects_a_truncated_file(tmp_path):
-    payload = plan_to_bytes(three_block_plan())
-    path = tmp_path / "plan.cvpl"
+    payload = written_payload(tmp_path, three_block_plan())
     for cut in (len(payload) - 1, len(payload) // 2, 10):
-        path.write_bytes(payload[:cut])
         with pytest.raises(FormatError, match="bytes, expected|shorter than its header"):
-            read_plan(path)
+            read_payload(tmp_path, payload[:cut])
 
 
 def test_json_document_round_trip(tmp_path):
     path = tmp_path / "report.json"
-    write_json_document(path, "report", {"value": np.float64(1.5), "n": np.int64(3)})
+    body = {
+        "value": np.float64(1.5),
+        "n": np.int64(3),
+        "nan": np.float64(math.nan),
+        "inf": np.float32(math.inf),
+        "floats": np.array([1.0, -math.inf]),
+    }
+    write_json_document(path, "report", body)
     doc = read_json_document(path, "report")
     assert doc["value"] == 1.5
     assert doc["n"] == 3
+    # numpy's non-finite floats follow Python's: stored as strings
+    assert (doc["nan"], doc["inf"], doc["floats"]) == ("nan", "inf", [1.0, "-inf"])
     assert doc["schema_version"] == 1
     with pytest.raises(FormatError):
         read_json_document(path, "plan")
@@ -247,13 +269,17 @@ def test_params_document_round_trip():
     assert doc["bins_total"] == p.bins_total
     assert doc["channel"] == {"tau": p.channel.tau, "n_bar_a": p.channel.n_bar_a,
                               "n_bar_b": p.channel.n_bar_b}
-    for missing in ("mu", "target_e", "channel", "bins_total"):
+    assert doc["running_time_s"] == p.running_time_s == p.bins_total / p.rep_rate_hz
+    for missing in ("mu", "target_e", "channel", "bins_total", "running_time_s"):
         broken = dict(doc)
         broken.pop(missing)
         with pytest.raises(FormatError, match=missing):
             params_from_document(broken)
     broken = dict(doc, channel={"tau": p.channel.tau, "n_bar_a": p.channel.n_bar_a})
     with pytest.raises(FormatError, match="n_bar_b"):
+        params_from_document(broken)
+    broken = dict(doc, running_time_s=2 * doc["running_time_s"])
+    with pytest.raises(FormatError, match="running_time_s = 0.2, but bins_total / rep_rate_hz"):
         params_from_document(broken)
 
 

@@ -16,6 +16,7 @@ from covertlink.fock_stats import DivergenceProfile
 from covertlink.planner import default_mu_grid
 from covertlink.security import (
     BINS_PER_PAIR,
+    DEFAULT_PAIR_CEILING,
     bias_for_protocol,
     detection_bias_bound,
     min_pairs_for_budget,
@@ -97,21 +98,16 @@ def test_min_pairs_monotonicity_both_directions():
 
 
 def test_min_pairs_infeasible_under_ceiling():
-    # a bright pulse cannot hide a million signals in a thousand pairs
-    with pytest.raises(InfeasibleError):
-        min_pairs_for_budget(0.001, 10**6, 0.5, 1e-3, ceiling=10**9)
+    # a bright pulse cannot hide a million signals in any pair count the
+    # search considers
+    with pytest.raises(InfeasibleError, match="no pair count up to 1e\\+16 meets"):
+        min_pairs_for_budget(0.001, 10**6, 0.5, 1e-3)
 
 
 def test_min_pairs_more_signals_than_ceiling_is_infeasible():
     # q = d/N must stay a probability, so no N in [d, ceiling] exists
-    with pytest.raises(InfeasibleError, match="no pair count"):
-        min_pairs_for_budget(0.01, 10, 0.03, 0.002, ceiling=5)
-
-
-def test_min_pairs_rejects_ceiling_below_one():
-    for ceiling in (0, -1):
-        with pytest.raises(ParameterError, match="ceiling"):
-            min_pairs_for_budget(0.01, 10, 0.03, 0.002, ceiling=ceiling)
+    with pytest.raises(InfeasibleError, match="no pair count up to 1e\\+16 can carry"):
+        min_pairs_for_budget(0.01, DEFAULT_PAIR_CEILING + 1, 0.03, 0.002)
 
 
 def test_min_pairs_rejects_bad_budget():

@@ -22,8 +22,8 @@ from covertlink.codec import (
 )
 from covertlink.exceptions import ParameterError
 from covertlink.planner import ProtocolParams
-from covertlink.reliability import ChannelModel, click_probs
-from covertlink.security import BINS_PER_PAIR
+from covertlink.reliability import MAX_REPETITIONS, ChannelModel, click_probs
+from covertlink.security import BINS_PER_PAIR, DEFAULT_PAIR_CEILING
 from covertlink.simulator import (
     MAX_MONITOR_INTERVALS,
     MonitorTrace,
@@ -496,6 +496,19 @@ def test_rescale_can_grow_and_validates():
     p_null = make_params(35, 0, 1_000_000, CQTUSTC.mu, CQ_CHANNEL, 5e8)
     with pytest.raises(ParameterError):
         rescale_plan(p_null, 2.0)
+
+
+def test_rescale_may_not_grow_past_the_planner_limits():
+    full = make_params(35, 1961, 780_000_000_000, CQTUSTC.mu, CQ_CHANNEL, 5e8)
+    # k = 1.96e8 repetitions: d = 6.9e9 positions to draw
+    with pytest.raises(ParameterError, match="k = 1.96e\\+08, .* MAX_REPETITIONS = 1e\\+07"):
+        rescale_plan(full, 1e-5)
+    assert rescale_plan(full, 1961 / MAX_REPETITIONS).k == MAX_REPETITIONS
+    # few repetitions over many pairs: N passes its ceiling first
+    sparse = make_params(5, 2, 10**15, CQTUSTC.mu, CQ_CHANNEL, 5e8)
+    with pytest.raises(ParameterError, match="N = 1e\\+17, .* DEFAULT_PAIR_CEILING = 1e\\+16"):
+        rescale_plan(sparse, 0.01)
+    assert rescale_plan(sparse, 0.1).n_pairs == DEFAULT_PAIR_CEILING
 
 
 def test_rescale_floors_at_one_repetition():
