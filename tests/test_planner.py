@@ -99,6 +99,22 @@ def test_plan_validates_round_trip(cqtustc_plan):
     assert {"detection_bias", "message_error", "running_time"} <= names
 
 
+def test_exact_optimality_with_zero_tolerance():
+    # the smallest evaluated pair count, before the flatness tolerance
+    # trades pairs for a dimmer pulse, is the exact optimum over the grid
+    req = reference_request(CQTUSTC, mu_grid=COARSE_GRID)
+    _, points = plan_with_report(req)
+    best_n, best_mu = min((g.n_pairs, g.mu) for g in points if g.feasible)
+    evaluated = [(single_point_pairs(float(mu), req), float(mu)) for mu in COARSE_GRID]
+    feasible = [(n, mu) for n, mu in evaluated if n is not None]
+    # golden refinement may only improve on the best grid point
+    assert best_n <= min(feasible)[0]
+    grid_better = [
+        (n, mu) for n, mu in feasible if n < best_n or (n == best_n and mu < best_mu)
+    ]
+    assert not grid_better
+
+
 def test_flat_valley_tolerance_prefers_dimmer_pulse():
     # the plan is an evaluated point: the dimmest whose pair count stays
     # within FLATNESS_TOLERANCE of the smallest evaluated one
@@ -110,10 +126,6 @@ def test_flat_valley_tolerance_prefers_dimmer_pulse():
     budget = floor * (1.0 + FLATNESS_TOLERANCE)
     assert p.n_pairs <= budget
     assert not [g for g in feasible if g.mu < p.mu and g.n_pairs <= budget]
-    # golden refinement may only improve on the best grid point, each
-    # evaluated on its own
-    evaluated = (single_point_pairs(float(mu), req) for mu in COARSE_GRID)
-    assert floor <= min(n for n in evaluated if n is not None)
     assert p.predicted_epsilon <= CQTUSTC.epsilon
     assert p.predicted_e <= ref.TARGET_ERROR
 
