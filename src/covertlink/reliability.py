@@ -494,7 +494,12 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
             est = k + f_k / (rate + 0.5 / k)
             k = min(max(int(round(est)), k + 1), MAX_REPETITIONS)
         elif hi - lo > 1:
-            est = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            if f_hi < 0.0:
+                est = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            else:
+                # a passing error clamped at MIN_TARGET_ERROR reads f = 0
+                # exactly and gives no slope to interpolate on: bisect
+                est = 0.5 * (lo + hi)
             k = min(max(int(round(est)), lo + 1), hi - 1)
     k = hi
     while k > 1:

@@ -18,7 +18,9 @@ own spawn-key domain of the seed.
 
 The adversary taps the channel at the sender's output with unit
 efficiency (noise mean n_bar_a, no detector penalty), which is strictly
-pessimistic for the legitimate parties.
+pessimistic for the legitimate parties. Its detector is the per-pair
+likelihood-ratio test, the Neyman-Pearson optimum between the idle and
+the sending click-count laws, so one test decides the verdict.
 """
 
 from __future__ import annotations
@@ -110,13 +112,12 @@ class MonitorTrace:
 
 @dataclass(frozen=True)
 class DistinguisherResult:
-    """Empirical performance of the adversary's best tested detectors.
+    """Empirical performance of the adversary's likelihood-ratio test.
 
     bound_epsilon is the detection-bias bound claimed by the plan under
     test; the security assertion is empirical_bias <= bound_epsilon up
-    to Monte-Carlo error. std_error is the winning detector's standard
-    error; se_count_threshold and se_likelihood_ratio are each
-    detector's own.
+    to Monte-Carlo error, std_error being the standard error of
+    empirical_pe.
     """
 
     empirical_pe: float
@@ -124,11 +125,6 @@ class DistinguisherResult:
     std_error: float
     trials: int
     bound_epsilon: float
-    pe_count_threshold: float
-    pe_likelihood_ratio: float
-    count_threshold: float
-    se_count_threshold: float
-    se_likelihood_ratio: float
 
     def security_check(self, n_sigma: float = SECURITY_CHECK_SIGMAS) -> bool:
         return self.empirical_bias <= self.bound_epsilon + n_sigma * self.std_error
@@ -213,9 +209,16 @@ def compute_stats(
 
 
 def predicted_vote_error_rate(p: ProtocolParams) -> float:
-    """Model value the empirical vote_error_rate estimates: p_W/(p_C + p_W)."""
+    """Model value the empirical vote_error_rate estimates.
+
+    The two bins click independently and a pair where both click casts
+    no vote, so a vote is right with p_C (1 - p_W) and wrong with
+    p_W (1 - p_C).
+    """
     cp = click_probs(p.mu, p.channel)
-    return cp.p_wrong / (cp.p_correct + cp.p_wrong)
+    right = cp.p_correct * (1.0 - cp.p_wrong)
+    wrong = cp.p_wrong * (1.0 - cp.p_correct)
+    return wrong / (right + wrong)
 
 
 def monitor_interval_count(duration_s: float, interval_s: float) -> int:
@@ -287,16 +290,15 @@ def _pair_click_distribution(p_a: float, p_b: float) -> np.ndarray:
 
 
 def run_distinguisher(p: ProtocolParams, trials: int, rng_seed: int) -> DistinguisherResult:
-    """Estimate the adversary's best error probability over two detectors.
+    """Estimate the balanced error of the adversary's best detector.
 
     Each trial draws one whole protocol record (all n_pairs pairs) under
     an alternating hypothesis, reduced without loss to the per-pair
-    click-count tallies (n1 pairs with one click, n2 with two). Detector
-    (a) thresholds the total click count, with the threshold chosen on
-    the first half of the trials and scored on the second; detector (b)
-    is the exact per-pair likelihood-ratio test for this product model,
-    scored on all trials. The reported error probability is the smaller
-    of the two, which is the adversary-friendly choice.
+    click-count tallies (n1 pairs with one click, n2 with two). The
+    detector is the exact per-pair likelihood-ratio test for this product
+    model at threshold 0, scored on all trials. By Neyman-Pearson no test
+    of the two multinomials has a smaller balanced error, so its error
+    is the adversary's best.
     """
     if trials < 100:
         raise ParameterError("trials must be >= 100")
@@ -318,61 +320,28 @@ def run_distinguisher(p: ProtocolParams, trials: int, rng_seed: int) -> Distingu
     t0, t1, t2 = (
         rng.multinomial(m, signal_dist) + rng.multinomial(n_pairs - m, noise_dist)
     ).T
-    total_clicks = t1 + 2.0 * t2
     # written out rather than as a matmul, so the bytes do not depend on
     # the BLAS build
     llr = t0 * llr_weight[0] + t1 * llr_weight[1] + t2 * llr_weight[2]
-
-    half = trials // 2
-    threshold = _best_count_threshold(total_clicks[:half], labels[:half])
-    pe_count, se_count = _balanced_error(total_clicks[half:] > threshold, labels[half:])
-    pe_llr, se_llr = _balanced_error(llr > 0.0, labels)
-    if pe_count <= pe_llr:
-        empirical_pe, se = pe_count, se_count
-    else:
-        empirical_pe, se = pe_llr, se_llr
+    empirical_pe, se = _balanced_error(llr > 0.0, labels)
     return DistinguisherResult(
         empirical_pe=empirical_pe,
         empirical_bias=0.5 - empirical_pe,
         std_error=se,
         trials=trials,
         bound_epsilon=p.predicted_epsilon,
-        pe_count_threshold=pe_count,
-        pe_likelihood_ratio=pe_llr,
-        count_threshold=threshold,
-        se_count_threshold=se_count,
-        se_likelihood_ratio=se_llr,
     )
-
-
-def _best_count_threshold(counts: np.ndarray, labels: np.ndarray) -> float:
-    """Threshold minimizing balanced error of the rule 'present if count > t'.
-
-    Candidate thresholds are -inf and each observed count value, i.e.
-    every achievable decision rule on the training sample.
-    """
-    order = np.argsort(counts, kind="stable")
-    sorted_counts = counts[order]
-    sorted_labels = labels[order]
-    n1 = max(int(np.sum(labels)), 1)
-    n0 = max(int(np.sum(~labels)), 1)
-    miss_prefix = np.concatenate(([0], np.cumsum(sorted_labels)))
-    reject_prefix = np.concatenate(([0], np.cumsum(~sorted_labels)))
-    unique_counts = np.unique(sorted_counts)
-    cuts = np.concatenate(([0], np.searchsorted(sorted_counts, unique_counts, side="right")))
-    balanced_error = 0.5 * (miss_prefix[cuts] / n1 + 1.0 - reject_prefix[cuts] / n0)
-    best = int(np.argmin(balanced_error))
-    return -np.inf if best == 0 else float(unique_counts[best - 1])
 
 
 def _balanced_error(
     declared_present: np.ndarray, labels: np.ndarray
 ) -> tuple[float, float]:
-    """(false-alarm rate + missed-detection rate) / 2 and its standard error."""
-    fa_n = max(int(np.sum(~labels)), 1)
-    md_n = max(int(np.sum(labels)), 1)
-    fa = float(np.mean(declared_present[~labels])) if np.any(~labels) else 0.0
-    md = float(np.mean(~declared_present[labels])) if np.any(labels) else 0.0
+    """(false-alarm rate + missed-detection rate) / 2 and its standard
+    error; both classes must be present in labels."""
+    fa_n = int(np.sum(~labels))
+    md_n = int(np.sum(labels))
+    fa = float(np.mean(declared_present[~labels]))
+    md = float(np.mean(~declared_present[labels]))
     var = fa * (1.0 - fa) / fa_n + md * (1.0 - md) / md_n
     return 0.5 * (fa + md), 0.5 * math.sqrt(var)
 

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, settings
 import reference_scenarios as ref
 from covertlink.planner import PlanRequest, plan_with_report
 from covertlink.reliability import ChannelModel
+from make_plan_golden import bundled_configs, request_for, request_key
 
 # scipy warm-up on first call can trip the per-example deadline
 settings.register_profile(
@@ -39,4 +40,25 @@ def fiber_plan_reports():
         start = time.perf_counter()
         params, points = plan_with_report(req)
         out[op.name] = (req, params, points, time.perf_counter() - start)
+    return out
+
+
+@pytest.fixture(scope="session")
+def bundled_plans(fiber_plan_reports):
+    """{bundled config file name: (request, params, grid report)}, made
+    as `covertlink plan` makes them, each distinct plan once.
+
+    Configs that request a fiber reference scenario reuse its session plan.
+    """
+    made = {
+        request_key(req): (req, params, points)
+        for req, params, points, _ in fiber_plan_reports.values()
+    }
+    out = {}
+    for path in bundled_configs():
+        req = request_for(path)
+        key = request_key(req)
+        if key not in made:
+            made[key] = (req, *plan_with_report(req))
+        out[path.name] = made[key]
     return out

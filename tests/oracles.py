@@ -228,6 +228,35 @@ def majority_error_lgamma(k: int, p_c: float, p_w: float) -> float:
     return math.fsum(terms)
 
 
+def lrt_balanced_error(p) -> float:
+    """Exact balanced error of the adversary's per-pair likelihood-ratio
+    test at threshold 0, for a protocol with a small pair count.
+
+    A pair at the tap (unit efficiency, thermal noise n_bar_a in each
+    bin) shows 0, 1 or 2 clicks with law p0 when idle and s when it
+    carries a pulse of mean mu; a record of N pairs, each sending with
+    probability q, is Mult(N, p0) idle and Mult(N, (1 - q) p0 + q s)
+    when communicating. Every (t0, t1, t2) with t0 + t1 + t2 = N is
+    enumerated, and the result is 0.5 [P0(llr > 0) + P1(llr <= 0)].
+    """
+    from scipy.stats import multinomial
+
+    n_bar, mu, n, q = p.channel.n_bar_a, p.mu, p.n_pairs, p.q
+    idle = n_bar / (1.0 + n_bar)
+    signal = 1.0 - math.exp(-mu) / (1.0 + n_bar)
+    p0 = np.array([(1 - idle) ** 2, 2 * idle * (1 - idle), idle**2])
+    s = np.array(
+        [(1 - signal) * (1 - idle), signal * (1 - idle) + idle * (1 - signal), signal * idle]
+    )
+    p1 = (1.0 - q) * p0 + q * s
+    counts = np.array([(n - t1 - t2, t1, t2) for t1 in range(n + 1) for t2 in range(n + 1 - t1)])
+    llr = counts @ np.log(p1 / p0)
+    present = llr > 0.0
+    false_alarm = multinomial.pmf(counts[present], n, p0).sum()
+    miss = multinomial.pmf(counts[~present], n, p1).sum()
+    return 0.5 * (false_alarm + miss)
+
+
 def draw_distinct_indices_loop(rng: np.random.Generator, n_pairs: int, count: int) -> np.ndarray:
     """count distinct uniform indices in [0, n_pairs), one stream value at a time.
 

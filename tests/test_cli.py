@@ -19,6 +19,7 @@ from covertlink.cli import (
     main,
 )
 from make_cli_golden import bundled_config, cli_record
+from make_plan_golden import bundled_configs, request_key
 
 CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text("utf-8"))
 
@@ -308,8 +309,29 @@ def test_eavesdrop_negative_control_fails(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["verdict"] == "FAIL"
     assert report["empirical_bias"] > report["bound_epsilon"]
-    # both detectors' standard errors, the winner's among them
-    assert report["std_error"] in (report["se_count_threshold"], report["se_likelihood_ratio"])
+    # one detector: the five result fields and no per-detector figures
+    assert {"empirical_pe", "empirical_bias", "std_error", "trials", "bound_epsilon"} <= set(report)
+    assert not any("count_threshold" in key or "likelihood_ratio" in key for key in report)
+
+
+def test_summary_predicted_error_rate_matches_the_seeded_run(
+    bundled_plans, tmp_path, monkeypatch
+):
+    # summary.json's predicted vote error against the rate `simulate
+    # --seed 7` measures, on every bundled config simulate runs
+    # (null_diagnostic sends nothing, so simulate refuses it); the plans
+    # come from the session instead of being made again
+    plans = {request_key(req): (params, points) for req, params, points in bundled_plans.values()}
+    monkeypatch.setattr(cli, "plan_with_report", lambda req: plans[request_key(req)])
+    for path in bundled_configs():
+        if path.name == "null_diagnostic.yaml":
+            continue
+        out = tmp_path / path.stem
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--seed", "7"]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        predicted = summary["predicted_error_rate"]
+        se = math.sqrt(predicted * (1.0 - predicted) / summary["total_votes"])
+        assert abs(summary["error_rate"] - predicted) <= 3.0 * se, path.name
 
 
 def test_infeasible_targets_exit_code(tmp_path):
@@ -431,6 +453,19 @@ def test_target_error_below_the_search_floor_is_config_error(tmp_path, capsys, m
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config key 'target_error' = 1e-305 is below MIN_TARGET_ERROR = 1e-300" in err
+
+
+def test_target_error_at_the_search_floor_plans_or_says_why(tmp_path, capsys):
+    # MIN_TARGET_ERROR itself is a valid target: the run ends in a plan
+    # or an infeasible verdict with its reason, never in a traceback
+    cfg = tmp_path / "floor.yaml"
+    cfg.write_text(FAST_CONFIG.replace("target_error: 0.05", "target_error: 1.0e-300"))
+    rc = main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc in (EXIT_OK, EXIT_INFEASIBLE)
+    if rc == EXIT_INFEASIBLE:
+        assert "infeasible: " in capsys.readouterr().err
+    else:
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 def test_unsigned_exponent_message_has_hint(tmp_path, capsys):

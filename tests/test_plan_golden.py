@@ -15,8 +15,8 @@ import mpmath as mp
 import pytest
 
 import oracles
-from make_plan_golden import bundled_configs, golden_record, request_for, request_key
-from covertlink.planner import ProtocolParams, plan_with_report, validate_plan
+from make_plan_golden import bundled_configs, golden_record
+from covertlink.planner import ProtocolParams, validate_plan
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "plan_golden.json").read_text("utf-8")
@@ -26,24 +26,12 @@ ORACLE_REL_TOL = 1e-13
 
 
 @pytest.fixture(scope="module")
-def fresh(fiber_plan_reports):
-    """{config name: (request, params, record)}, each distinct plan made once.
-
-    Configs that request a fiber reference scenario reuse its session plan.
-    """
-    made = {
-        request_key(req): (req, params, points)
-        for req, params, points, _ in fiber_plan_reports.values()
+def fresh(bundled_plans):
+    """{config name: (request, params, record)} from the session's plans."""
+    return {
+        name: (req, params, golden_record(req, params, points))
+        for name, (req, params, points) in bundled_plans.items()
     }
-    out = {}
-    for path in bundled_configs():
-        req = request_for(path)
-        key = request_key(req)
-        if key not in made:
-            made[key] = (req, *plan_with_report(req))
-        req, params, points = made[key]
-        out[path.name] = (req, params, golden_record(req, params, points))
-    return out
 
 
 def test_golden_covers_every_bundled_config():

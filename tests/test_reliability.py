@@ -618,6 +618,32 @@ def test_min_repetitions_refuses_targets_below_the_floor():
     assert message_error_prob(bit_error_prob(k_floor - 1, cp), 35) > MIN_TARGET_ERROR
 
 
+def test_min_repetitions_at_the_floor_bisects_the_bracket(monkeypatch):
+    # at target = MIN_TARGET_ERROR every passing probe clamps to f = 0,
+    # which gives regula falsi no slope; the search bisects instead
+    probes = []
+    bounds = reliability._error_bounds
+
+    def counted(k, cp):
+        probes.append(k)
+        return bounds(k, cp)
+
+    monkeypatch.setattr(reliability, "_error_bounds", counted)
+    # the all-exact search walks this bracket down one k at a time, in
+    # about 600 probes, to the same answer
+    cp = ClickProbabilities(0.3, 0.01)
+    k = min_repetitions(MIN_TARGET_ERROR, 35, cp)
+    assert k == oracles.min_repetitions_all_exact(MIN_TARGET_ERROR, 35, cp) == 3087
+    assert len(probes) <= 40
+    # a bracket of about 2000, where the walk halves f_lo to 0 and the
+    # all-exact search ends in a ZeroDivisionError
+    probes.clear()
+    cp = ClickProbabilities(0.1, 0.02)
+    k = min_repetitions(MIN_TARGET_ERROR, 35, cp)
+    assert len(probes) <= 40
+    _assert_threshold(k, MIN_TARGET_ERROR, 35, cp)
+
+
 def test_min_repetitions_rejects_more_than_one_click_per_slot():
     with pytest.raises(ParameterError, match="exceeds 1"):
         min_repetitions(0.01, 5, ClickProbabilities(0.7, 0.4))
