@@ -150,24 +150,14 @@ class DivergenceProfile:
             uncovered=uncovered,
         )
 
-    def _parts(self, q: float) -> tuple[float, float, float]:
-        """q checked, the exactly summed quadratic part and the linear part."""
-        q = float(q)
-        if not 0.0 <= q <= 1.0:
-            raise ParameterError(f"q must lie in [0, 1], got {q!r}")
-        quadratic = math.fsum(self.rho * _log1p_gap(q * self.x))
-        return q, quadratic, q * (self.tail_rho - self.tail_s)
-
     def divergence(self, q: float) -> float:
         """Per-mode relative entropy D(q) in nats.
 
         The terms rho_n (y_n - log1p(y_n)) are combined with exact
         summation, and the linear part -q (tail_rho - tail_s) is added
-        in closed form.
+        in closed form; _divergences forms it, here for one q.
         """
-        _, quadratic, linear = self._parts(q)
-        # Gibbs: the exact D is >= 0, so tiny negatives are rounding
-        return max(quadratic - linear, 0.0)
+        return _divergences([(self, _check_weight(q))])[0]
 
     def error_bound(self, q: float) -> float:
         """Bound on |divergence(q) - D(q)|, D(q) the untruncated infinite sum.
@@ -176,7 +166,9 @@ class DivergenceProfile:
         tail_rho (-log1p(-q)) (at q = 1, tail_s + tail_rho times the log
         cap), plus the rounding of the sum.
         """
-        q, quadratic, linear = self._parts(q)
+        q = _check_weight(q)
+        quadratic = _quadratic_sums([(self, q)])[0]
+        linear = q * (self.tail_rho - self.tail_s)
         if q < 1.0:
             err = q * self.tail_s / (1.0 - q) + self.tail_rho * (-math.log1p(-q))
         else:
@@ -187,6 +179,40 @@ class DivergenceProfile:
         """dD/dq: sum(rho x y / (1 + y)) plus the linear tail term."""
         y = q * self.x
         return math.fsum(self.rho * self.x * y / (1.0 + y)) - (self.tail_rho - self.tail_s)
+
+
+def _check_weight(q: float) -> float:
+    """q as a float, if it is a mixing weight in [0, 1]."""
+    q = float(q)
+    if not 0.0 <= q <= 1.0:
+        raise ParameterError(f"q must lie in [0, 1], got {q!r}")
+    return q
+
+
+def _quadratic_sums(points: list[tuple[DivergenceProfile, float]]) -> list[float]:
+    """fsum(rho_n (y_n - log1p(y_n))), y = q x, for each (profile, q).
+
+    One _log1p_gap pass covers every point's q x, laid end to end, and
+    one math.fsum per point sums its terms exactly, so each sum is the
+    same double as for that point alone.
+    """
+    sizes = [profile.x.size for profile, _ in points]
+    y = np.repeat([q for _, q in points], sizes) * np.concatenate([p.x for p, _ in points])
+    gap = _log1p_gap(y)
+    ends = np.cumsum(sizes).tolist()
+    return [
+        math.fsum(profile.rho * gap[end - size : end])
+        for (profile, _), size, end in zip(points, sizes, ends)
+    ]
+
+
+def _divergences(points: list[tuple[DivergenceProfile, float]]) -> list[float]:
+    """D(q) for each (profile, q) of points, q in [0, 1], in one batched pass."""
+    return [
+        # Gibbs: the exact D is >= 0, so tiny negatives are rounding
+        max(quadratic - q * (profile.tail_rho - profile.tail_s), 0.0)
+        for (profile, q), quadratic in zip(points, _quadratic_sums(points))
+    ]
 
 
 def per_mode_relative_entropy(mu: float, n_bar_a: float, q: float) -> float:

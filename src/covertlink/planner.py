@@ -4,12 +4,21 @@ For each candidate pulse intensity mu, the planner derives the smallest
 repetition count meeting the message-error target, the resulting signal
 count d, and then the smallest pair count N meeting the covertness
 budget. Each mu is evaluated on its own, as a pure function of the
-request; nothing found at one mu is carried to the next. The
-returned plan is the grid point minimizing N (equivalently the total
-number of time bins, and hence the running time at a fixed repetition
-rate), refined once by golden-section search around the best grid
-point. Grid points carry k and N; ProtocolParams.derive forms both
-claims, the bias bound and the message error, once, at the chosen point.
+request; nothing found at one mu is carried to the next. The returned
+plan is the grid point minimizing N (equivalently the total number of
+time bins, and hence the running time at a fixed repetition rate),
+refined once by golden-section search around the best grid point. Grid
+points carry k and N; ProtocolParams.derive forms both claims, the bias
+bound and the message error, once, at the chosen point.
+
+The searches of _LOCKSTEP_GROUP (64) grid points at a time advance in
+lockstep (reliability._lockstep): each round makes one batched bounds
+call over every pending repetition probe and one batched divergence
+pass over every pending pair count, and each search is sent exactly the
+values it would get alone, so the batching changes no probe and no
+result. The group size bounds the batches' memory. The golden-section
+and dimmest-within refinements run their points through the same path,
+as batches of one or two.
 """
 
 from __future__ import annotations
@@ -24,18 +33,22 @@ import numpy as np
 from .exceptions import InfeasibleError, ParameterError
 from .reliability import (
     ChannelModel,
+    _lockstep,
+    _repetition_search,
     bit_error_prob,
     check_target_error,
     click_probs,
     message_error_prob,
-    min_repetitions,
 )
-from .security import BINS_PER_PAIR, bias_for_protocol, min_pairs_for_budget
+from .security import BINS_PER_PAIR, _pair_search, bias_for_protocol
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # fraction of extra pairs the planner accepts in exchange for a dimmer pulse
 FLATNESS_TOLERANCE = 0.05
+
+# grid points whose searches advance together; bounds the batches' memory
+_LOCKSTEP_GROUP = 64
 
 
 def default_mu_grid() -> np.ndarray:
@@ -223,18 +236,29 @@ class PlanReport:
         return all(c.passed for c in self.checks)
 
 
-def _evaluate_mu(mu: float, req: PlanRequest) -> GridPoint:
-    """Evaluate one pulse intensity."""
+def _mu_search(mu: float, req: PlanRequest):
+    """One pulse intensity's repetition search, then its pair search, as a
+    generator for _lockstep; returns the GridPoint."""
     cp = click_probs(mu, req.channel)
     try:
-        k = min_repetitions(req.target_e, req.b, cp)
+        k = yield from _repetition_search(req.target_e, req.b, cp)
     except InfeasibleError as exc:
         return GridPoint(mu=mu, reason=f"reliability: {exc}")
     try:
-        n_pairs = min_pairs_for_budget(req.epsilon, k * req.b, mu, req.channel.n_bar_a)
+        n_pairs = yield from _pair_search(req.epsilon, k * req.b, mu, req.channel.n_bar_a)
     except InfeasibleError as exc:
         return GridPoint(mu=mu, reason=f"covertness: {exc}")
     return GridPoint(mu=mu, k=k, n_pairs=n_pairs)
+
+
+def _evaluate_mus(mus, req: PlanRequest) -> list[GridPoint]:
+    """Evaluate pulse intensities, the searches of each _LOCKSTEP_GROUP of
+    them advancing in lockstep."""
+    points = []
+    for start in range(0, len(mus), _LOCKSTEP_GROUP):
+        group = mus[start : start + _LOCKSTEP_GROUP]
+        points += _lockstep([_mu_search(float(mu), req) for mu in group])
+    return points
 
 
 def _cost(p: GridPoint) -> tuple[int, float]:
@@ -262,7 +286,7 @@ def _dimmest_within(floor: GridPoint, points: list[GridPoint], req: PlanRequest)
         if (hi - lo) <= 1e-4 * hi:
             break
         mid = math.sqrt(lo * hi)
-        p = _evaluate_mu(mid, req)
+        [p] = _evaluate_mus([mid], req)
         points.append(p)
         if p.feasible and p.n_pairs <= budget:
             chosen, hi = p, mid
@@ -293,7 +317,7 @@ def plan(req: PlanRequest) -> ProtocolParams:
 
 def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint, ...]]:
     grid = np.sort(req.mu_grid)
-    points = [_evaluate_mu(float(mu), req) for mu in grid]
+    points = _evaluate_mus(grid, req)
     feasible = [p for p in points if p.feasible]
     if not feasible:
         # reasons embed point-specific numbers: group them by failure
@@ -318,7 +342,7 @@ def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint,
         a, b_ = lo, hi
         x1 = b_ - GOLDEN * (b_ - a)
         x2 = a + GOLDEN * (b_ - a)
-        p1, p2 = _evaluate_mu(x1, req), _evaluate_mu(x2, req)
+        p1, p2 = _evaluate_mus([x1, x2], req)
         points.extend((p1, p2))
         for _ in range(40):
             f1 = p1.n_pairs if p1.feasible else math.inf
@@ -326,12 +350,12 @@ def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint,
             if (f1, x1) <= (f2, x2):
                 b_, x2, p2 = x2, x1, p1
                 x1 = b_ - GOLDEN * (b_ - a)
-                p1 = _evaluate_mu(x1, req)
+                [p1] = _evaluate_mus([x1], req)
                 points.append(p1)
             else:
                 a, x1, p1 = x1, x2, p2
                 x2 = a + GOLDEN * (b_ - a)
-                p2 = _evaluate_mu(x2, req)
+                [p2] = _evaluate_mus([x2], req)
                 points.append(p2)
             if (b_ - a) <= 1e-4 * b_:
                 break

@@ -12,6 +12,15 @@ the exact sum only where the bounds cannot settle a probe, and returns
 a plain k: a caller that reports the error at k runs the exact sum
 there.
 
+The inversion is a generator, _repetition_search, that yields each
+probe it needs, and _lockstep runs any number of such searches side by
+side: each round gathers every pending probe into one batched
+_error_bounds call, which places each window on its own but sums every
+window of up to 256 terms in one flat numpy pass. The planner runs the
+searches of 64 grid points at a time this way; min_repetitions runs
+one, as a batch of one. A probe's bounds are the same doubles whatever
+shares its batch, so batching changes no probe sequence and no result.
+
 Conventions baked into the formulas, shared with the simulator: an
 exact vote tie counts as a bit error, and a bit with no clicks at all
 counts as an error. Hence bit_error_prob(1, cp) == 1 - p_correct.
@@ -27,7 +36,6 @@ claim is conservative there.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -214,8 +222,10 @@ def bit_error_prob(k: int, cp: ClickProbabilities) -> float:
     return min(max(delta, 0.0), 1.0)
 
 
-def _error_bounds(k: int, cp: ClickProbabilities) -> tuple[float, float, float] | None:
-    """(lower, estimate, upper) on bit_error_prob(k, cp), or None.
+def _error_bounds(
+    probes: list[tuple[int, ClickProbabilities]],
+) -> list[tuple[float, float, float] | None]:
+    """(lower, estimate, upper) on bit_error_prob(k, cp), or None, for each (k, cp).
 
     Splits on the wrong votes W ~ Binomial(k, p_wrong): given W = w the
     correct votes are Binomial(k - w, pi) with pi = p_correct / (1 -
@@ -223,33 +233,103 @@ def _error_bounds(k: int, cp: ClickProbabilities) -> tuple[float, float, float] 
     pi) <= w). F(w + 1) = F(w) + pmf(w; k - w - 1) (pi + (k - 2w - 1) pi /
     ((w + 1)(1 - pi))), so across a window [a, top] F is one exact start
     value F(a) plus a cumulative sum of positive terms: nothing cancels.
-    Both pmfs, P(W = w) and the F step's, come from _binom_pmf_run: the
-    boost ufunc the exact sum uses at every 256th w and exact term ratios
-    between (a window of up to 256 terms is all boost). The window sits
-    around the dominant w* = k sqrt(p_c p_w) / z, z = 1 - p + 2 sqrt(p_c
-    p_w), and reaches out until the Chernoff tail bounds of what it
-    leaves out, F(a) P(W < a) below and P(W > top) above, fall
-    _TAIL_NATS below the Chernoff bound z^k of the whole error. The lower
-    bound is the window sum less _BOUNDS_REL; the upper adds both tail
-    bounds. Where z^k is below 1e-300 nothing is summed: the bounds are 0
-    and z^k.
+    Both pmfs, P(W = w) and the F step's, come from the boost ufunc the
+    exact sum uses. The window sits around the dominant w* = k sqrt(p_c
+    p_w) / z, z = 1 - p + 2 sqrt(p_c p_w), and reaches out until the
+    Chernoff tail bounds of what it leaves out, F(a) P(W < a) below and
+    P(W > top) above, fall _TAIL_NATS below the Chernoff bound z^k of
+    the whole error. The lower bound is the window sum less _BOUNDS_REL;
+    the upper adds both tail bounds. Where z^k is below 1e-300 nothing is
+    summed: the bounds are 0 and z^k.
+
+    The probes are evaluated together, each with the same arithmetic as
+    alone: windows are placed one probe at a time, every window of at
+    most _ANCHOR_EVERY terms joins one flat pass (boost at every term, the
+    F steps, and a cumulative sum along each window's row of a padded
+    array), and a longer window runs on its own, through _binom_pmf_run
+    (boost at every 256th w, exact term ratios between).
 
     None where the split does not apply: no wrong clicks, or no silent
     slots (pi = 1).
     """
-    p_c, p_w = cp.p_correct, cp.p_wrong
-    pi = p_c / (1.0 - p_w) if p_w < 1.0 else 0.0
-    if p_w <= 0.0 or not 0.0 < pi < 1.0:
-        return None
-    root = math.sqrt(p_c * p_w)
-    z = 1.0 - p_c - p_w + 2.0 * root
-    log_chernoff = k * math.log(z)
-    if log_chernoff < _LOG_TINY:
-        return 0.0, 0.0, math.exp(log_chernoff)
-    nats = _TAIL_NATS + 0.5 * math.log(k) - log_chernoff
-    a, top = _wrong_vote_window(k, p_w, pi, k * root / z, nats)
+    out: list[tuple[float, float, float] | None] = [None] * len(probes)
+    windows = []
+    for i, (k, cp) in enumerate(probes):
+        p_c, p_w = cp.p_correct, cp.p_wrong
+        pi = p_c / (1.0 - p_w) if p_w < 1.0 else 0.0
+        if p_w <= 0.0 or not 0.0 < pi < 1.0:
+            continue
+        root = math.sqrt(p_c * p_w)
+        z = 1.0 - p_c - p_w + 2.0 * root
+        log_chernoff = k * math.log(z)
+        if log_chernoff < _LOG_TINY:
+            out[i] = 0.0, 0.0, math.exp(log_chernoff)
+            continue
+        nats = _TAIL_NATS + 0.5 * math.log(k) - log_chernoff
+        a, top = _wrong_vote_window(k, p_w, pi, k * root / z, nats)
+        windows.append((i, k, p_w, pi, a, top))
+    if not windows:
+        return out
+    columns = np.array([window[1:] for window in windows], dtype=float).T
+    starts = _binom_cdf(columns[3], columns[0] - columns[3], columns[2])
+    short = columns[4] - columns[3] < _ANCHOR_EVERY
+    totals = np.empty(len(windows))
+    if np.any(short):
+        totals[short] = _short_window_sums(*columns[:, short], starts[short])
+    for j in np.flatnonzero(~short).tolist():
+        totals[j] = _window_sum(*windows[j][1:], float(starts[j]))
+    for (i, k, p_w, _, a, top), start, total in zip(windows, starts.tolist(), totals.tolist()):
+        tails = _chernoff(k, top + 1, p_w)
+        if a > 0:
+            tails += start * (_chernoff(k, a - 1, p_w) if a - 1 < k * p_w else 1.0)
+        out[i] = total * (1.0 - _BOUNDS_REL), min(total, 1.0), (total + tails) * (1.0 + _BOUNDS_REL)
+    return out
+
+
+def _short_window_sums(k, p_w, pi, a, top, start) -> np.ndarray:
+    """_window_sum of windows of at most _ANCHOR_EVERY terms, in one pass.
+
+    The windows' terms lie end to end in flat arrays, boost gives every
+    pmf term, and each window's cumulative sum runs along its own row of
+    a zero-padded array: every term is the same double as _window_sum's,
+    and each window is summed on its own by np.sum, as there. Arrays are
+    updated in place and dropped once used, which keeps the pass near 60
+    bytes a term.
+    """
+    m = (top - a + 1).astype(np.intp)
+    first = np.cumsum(m) - m
+    col = np.arange(m.sum(), dtype=float) - np.repeat(first, m)
+    w = np.repeat(a, m) + col
+    # the F steps run from a to top - 1: all but each window's last term
+    inner = col < np.repeat(m - 1, m)
+    del col
+    before = w[inner]
+    pi_b = np.repeat(pi, m)[inner]
+    n = np.repeat(k - 1.0, m)[inner] - before
+    steps = _binom_pmf(before, n, pi_b)
+    steps[before > n] = 0.0
+    n -= before
+    n *= pi_b
+    n /= (1.0 - pi_b) * (before + 1.0)
+    n += pi_b
+    steps *= n
+    del before, pi_b, n
+    # row r holds 0 and then window r's steps; cumsum along the rows is F - F(a)
+    width = np.arange(m.max())
+    padded = np.zeros((m.size, width.size))
+    padded[(width >= 1) & (width < m[:, None])] = steps
+    del steps
+    np.cumsum(padded, axis=1, out=padded)
+    terms = padded[width < m[:, None]]
+    del padded
+    terms += np.repeat(start, m)
+    terms *= _binom_pmf(w, np.repeat(k, m), np.repeat(p_w, m))
+    return np.array([np.sum(terms[s : s + n]) for s, n in zip(first.tolist(), m.tolist())])
+
+
+def _window_sum(k: int, p_w: float, pi: float, a: int, top: int, start: float) -> float:
+    """sum_w P(W = w) F(w) over [a, top], F(a) = start, on anchored pmf runs."""
     w = np.arange(a, top + 1, dtype=float)
-    start = float(_binom_cdf(a, k - a, pi))
     before = w[:-1]
     n = k - 1.0 - before
     pmf = _binom_pmf_run(before, k - 1.0 - a, pi, shrink=True)
@@ -258,11 +338,7 @@ def _error_bounds(k: int, cp: ClickProbabilities) -> tuple[float, float, float] 
     f[0] = 0.0
     np.cumsum(steps, out=f[1:])
     f += start
-    total = float(np.sum(_binom_pmf_run(w, k, p_w, shrink=False) * f))
-    tails = _chernoff(k, top + 1, p_w)
-    if a > 0:
-        tails += start * (_chernoff(k, a - 1, p_w) if a - 1 < k * p_w else 1.0)
-    return total * (1.0 - _BOUNDS_REL), min(total, 1.0), (total + tails) * (1.0 + _BOUNDS_REL)
+    return float(np.sum(_binom_pmf_run(w, k, p_w, shrink=False) * f))
 
 
 def _binom_pmf_run(x: np.ndarray, n: float, p: float, shrink: bool) -> np.ndarray:
@@ -432,8 +508,21 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     answer itself gets no exact sum: a search whose probes all settle on
     their bounds runs none.
 
+    The search is _repetition_search, which the planner runs in lockstep
+    with the other grid points' searches; here it runs alone, as a batch
+    of one.
+
     Returns:
         The repetition count k, a plain int.
+    """
+    return _lockstep([_repetition_search(target_e, b, cp)])[0]
+
+
+def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
+    """min_repetitions' search, as a generator for _lockstep.
+
+    It yields (_error_bounds, (k, cp)) for each k it probes, memoized per
+    k, is sent that probe's bounds, and returns the repetition count.
     """
     check_target_error(target_e)
     if b < 1:
@@ -445,21 +534,23 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
             "likely than wrong ones"
         )
     log_target = math.log(target_e)
+    memo: dict[int, float] = {}
 
-    @functools.cache
-    def log_excess(k: int) -> float:
+    def log_excess(k: int):
         """log(message error / target) at k: > 0 fails, <= 0 passes."""
-        bounds = _error_bounds(k, cp)
-        if bounds is not None and (
-            message_error_prob(bounds[0] * (1.0 - _EXACT_REL), b) > target_e
-            or message_error_prob(min(bounds[2] * (1.0 + _EXACT_REL), 1.0), b) <= target_e
-        ):
-            delta = bounds[1]  # the bounds settle the verdict; steer by the window sum
-        else:
-            delta = bit_error_prob(k, cp)
-        return math.log(max(message_error_prob(delta, b), MIN_TARGET_ERROR)) - log_target
+        if k not in memo:
+            bounds = yield _error_bounds, (k, cp)
+            if bounds is not None and (
+                message_error_prob(bounds[0] * (1.0 - _EXACT_REL), b) > target_e
+                or message_error_prob(min(bounds[2] * (1.0 + _EXACT_REL), 1.0), b) <= target_e
+            ):
+                delta = bounds[1]  # the bounds settle the verdict; steer by the window sum
+            else:
+                delta = bit_error_prob(k, cp)
+            memo[k] = math.log(max(message_error_prob(delta, b), MIN_TARGET_ERROR)) - log_target
+        return memo[k]
 
-    f_lo = log_excess(1)
+    f_lo = yield from log_excess(1)
     if f_lo <= 0.0:
         return 1
     guess = _estimate_repetitions(target_e, b, cp)
@@ -474,7 +565,7 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     k = min(max(2, guess), MAX_REPETITIONS)
     side = 0
     while hi is None or hi - lo > 1:
-        f_k = log_excess(k)
+        f_k = yield from log_excess(k)
         if f_k > 0.0:
             if k >= MAX_REPETITIONS:
                 raise InfeasibleError(
@@ -503,10 +594,39 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
             k = min(max(int(round(est)), lo + 1), hi - 1)
     k = hi
     while k > 1:
-        if log_excess(k - 1) <= 0.0:
+        if (yield from log_excess(k - 1)) <= 0.0:
             k -= 1
-        elif k > 2 and log_excess(k - 2) <= 0.0:
+        elif k > 2 and (yield from log_excess(k - 2)) <= 0.0:
             k -= 2
         else:
             break
     return k
+
+
+def _lockstep(searches: list) -> list:
+    """Run generator searches side by side; return what each returns, in order.
+
+    A search yields (evaluate, item) for each value it needs and is sent
+    the value back. Each round gathers the pending request of every
+    search and makes one evaluate([item, ...]) call per evaluate
+    function, so many searches share each batched pass. A search sees
+    the same values in the same order as when run alone, so no result
+    depends on what else runs beside it. An exception raised inside a
+    search propagates.
+    """
+    results = [None] * len(searches)
+    pending = [(i, search, None) for i, search in enumerate(searches)]
+    while pending:
+        requests: dict = {}
+        for i, search, value in pending:
+            try:
+                evaluate, item = search.send(value)
+            except StopIteration as done:
+                results[i] = done.value
+            else:
+                requests.setdefault(evaluate, []).append((i, search, item))
+        pending = []
+        for evaluate, group in requests.items():
+            values = evaluate([item for _, _, item in group])
+            pending += [(i, search, value) for (i, search, _), value in zip(group, values)]
+    return results

@@ -6,7 +6,12 @@ the channel's idle thermal state and its state during covert
 transmission, a mixture of the idle state and the pulse on top of it.
 This module evaluates the bound on D from fock_stats.DivergenceProfile
 and inverts it to find the smallest number of time-bin pairs meeting a
-covertness budget.
+covertness budget. The inversion is a generator, _pair_search, that
+yields each divergence it needs; in the planner's lockstep rounds
+(reliability._lockstep) the divergences of every pending search are
+formed in one batched pass, fock_stats._divergences, with the same
+doubles as one at a time. min_pairs_for_budget runs one search, as a
+batch of one.
 
 Convention: counts here are time-bin PAIRS; each pair contributes
 BINS_PER_PAIR raw time bins when converted to wall-clock duration.
@@ -17,7 +22,8 @@ from __future__ import annotations
 import math
 
 from .exceptions import InfeasibleError, ParameterError
-from .fock_stats import DivergenceProfile, per_mode_relative_entropy
+from .fock_stats import DivergenceProfile, _divergences, per_mode_relative_entropy
+from .reliability import _lockstep
 
 BINS_PER_PAIR = 2
 
@@ -80,6 +86,10 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
     integer N and kept for reuse; the returned N is verified against
     N - 1.
 
+    The search is _pair_search, which the planner runs in lockstep with
+    the other grid points' searches; here it runs alone, as a batch of
+    one.
+
     Args:
         epsilon: covertness budget, in (0, 0.5).
         d_signals: number of covert signals to hide, >= 0.
@@ -97,6 +107,15 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
             background is the vacuum and the bound's limit as N grows,
             sqrt(d (1 - e^-mu) / 8), is not below the budget.
     """
+    return _lockstep([_pair_search(epsilon, d_signals, mu, n_bar_a)])[0]
+
+
+def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
+    """min_pairs_for_budget's search, as a generator for reliability._lockstep.
+
+    It yields (_divergences, (profile, q)) for each pair count N it
+    evaluates, q = d/N, memoized per N, is sent D(q), and returns N.
+    """
     epsilon = _check_budget(epsilon)
     if d_signals < 0:
         raise ParameterError(f"d_signals must be >= 0, got {d_signals!r}")
@@ -112,13 +131,13 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
     floor = d_signals
     divergences: dict[int, float] = {}
 
-    def divergence_at(n_pairs: int) -> float:
+    def divergence_at(n_pairs: int):
         if n_pairs not in divergences:
-            divergences[n_pairs] = profile.divergence(d_signals / n_pairs)
+            divergences[n_pairs] = yield _divergences, (profile, d_signals / n_pairs)
         return divergences[n_pairs]
 
-    def bound(n_pairs: int) -> float:
-        return detection_bias_bound(n_pairs, divergence_at(n_pairs))
+    def bound(n_pairs: int):
+        return detection_bias_bound(n_pairs, (yield from divergence_at(n_pairs)))
 
     def clamp(n_pairs: float) -> int:
         return int(min(max(math.ceil(n_pairs), floor), DEFAULT_PAIR_CEILING))
@@ -140,7 +159,7 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
         n = clamp(d_signals**2 * profile.chi2 / (16.0 * epsilon**2))
         for _ in range(_NEWTON_STEPS):
             q = d_signals / n
-            d_mode = divergence_at(n)
+            d_mode = yield from divergence_at(n)
             if d_mode == 0.0:
                 break
             # slope of log(D/q) against log q
@@ -156,10 +175,10 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
 
     # gallop outward from n to a bracket: bound(lo) > epsilon >= bound(hi);
     # lo = floor - 1 stands for "every allowed N below hi"
-    if bound(n) <= epsilon:
+    if (yield from bound(n)) <= epsilon:
         hi, step = n, 1
         lo = hi - step
-        while lo >= floor and bound(lo) <= epsilon:
+        while lo >= floor and (yield from bound(lo)) <= epsilon:
             hi, step = lo, 2 * step
             lo = hi - step
         lo = max(lo, floor - 1)
@@ -167,7 +186,7 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
         lo, step = n, 1
         while True:
             hi = min(lo + step, DEFAULT_PAIR_CEILING)
-            if bound(hi) <= epsilon:
+            if (yield from bound(hi)) <= epsilon:
                 break
             if hi >= DEFAULT_PAIR_CEILING:
                 raise InfeasibleError(
@@ -177,10 +196,10 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
             lo, step = hi, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if bound(mid) > epsilon:
+        if (yield from bound(mid)) > epsilon:
             lo = mid
         else:
             hi = mid
-    if bound(hi) > epsilon or (hi > floor and bound(hi - 1) <= epsilon):
+    if (yield from bound(hi)) > epsilon or (hi > floor and (yield from bound(hi - 1)) <= epsilon):
         raise InfeasibleError("bisection postcondition failed; bound not monotone here")
     return hi

@@ -15,10 +15,18 @@ import mpmath as mp
 import numpy as np
 
 from covertlink.exceptions import InfeasibleError, ParameterError
+from covertlink.fock_stats import DivergenceProfile, _log1p_gap
 from covertlink.reliability import (
+    _BOUNDS_REL,
+    _LOG_TINY,
+    _TAIL_NATS,
     MAX_REPETITIONS,
     ClickProbabilities,
+    _binom_cdf,
+    _binom_pmf_run,
+    _chernoff,
     _estimate_repetitions,
+    _wrong_vote_window,
     bit_error_prob,
     message_error_prob,
 )
@@ -415,3 +423,46 @@ def min_repetitions_all_exact(target_e: float, b: int, cp: ClickProbabilities) -
 def _log_excess(probe: _Probe, k: int) -> float:
     """log(message error / target): > 0 fails, <= 0 passes."""
     return math.log(max(probe.error(k), 1e-300)) - math.log(probe.target_e)
+
+
+def error_bounds_one_probe(k: int, cp: ClickProbabilities) -> tuple[float, float, float] | None:
+    """(lower, estimate, upper) on bit_error_prob(k, cp), or None.
+
+    The bounded evaluator as it stood before its probes were batched,
+    kept verbatim as the scalar reference: one probe, its window summed
+    on anchored pmf runs whatever its length. The batched
+    reliability._error_bounds must give the same three doubles.
+    """
+    p_c, p_w = cp.p_correct, cp.p_wrong
+    pi = p_c / (1.0 - p_w) if p_w < 1.0 else 0.0
+    if p_w <= 0.0 or not 0.0 < pi < 1.0:
+        return None
+    root = math.sqrt(p_c * p_w)
+    z = 1.0 - p_c - p_w + 2.0 * root
+    log_chernoff = k * math.log(z)
+    if log_chernoff < _LOG_TINY:
+        return 0.0, 0.0, math.exp(log_chernoff)
+    nats = _TAIL_NATS + 0.5 * math.log(k) - log_chernoff
+    a, top = _wrong_vote_window(k, p_w, pi, k * root / z, nats)
+    w = np.arange(a, top + 1, dtype=float)
+    start = float(_binom_cdf(a, k - a, pi))
+    before = w[:-1]
+    n = k - 1.0 - before
+    pmf = _binom_pmf_run(before, k - 1.0 - a, pi, shrink=True)
+    steps = pmf * (pi + (n - before) * pi / ((1.0 - pi) * (before + 1.0)))
+    f = np.empty_like(w)
+    f[0] = 0.0
+    np.cumsum(steps, out=f[1:])
+    f += start
+    total = float(np.sum(_binom_pmf_run(w, k, p_w, shrink=False) * f))
+    tails = _chernoff(k, top + 1, p_w)
+    if a > 0:
+        tails += start * (_chernoff(k, a - 1, p_w) if a - 1 < k * p_w else 1.0)
+    return total * (1.0 - _BOUNDS_REL), min(total, 1.0), (total + tails) * (1.0 + _BOUNDS_REL)
+
+
+def divergence_one_profile(profile: DivergenceProfile, q: float) -> float:
+    """D(q) for one profile, as DivergenceProfile.divergence formed it
+    before divergences were batched."""
+    quadratic = math.fsum(profile.rho * _log1p_gap(q * profile.x))
+    return max(quadratic - q * (profile.tail_rho - profile.tail_s), 0.0)

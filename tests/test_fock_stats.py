@@ -16,6 +16,7 @@ from covertlink.exceptions import ParameterError
 from covertlink.fock_stats import (
     _TRUNC_TOL,
     DivergenceProfile,
+    _divergences,
     _log1p_gap,
     per_mode_relative_entropy,
 )
@@ -305,3 +306,19 @@ def test_gibbs_positive_for_distinct_states():
     profile = DivergenceProfile.build(0.5, 0.5)
     assert profile.divergence(1.0) > 0.0
     assert profile.divergence(1e-8) > 0.0
+
+
+def test_batched_divergences_equal_one_profile_at_a_time():
+    # 400 (profile, q) points in batches of 50: the one _log1p_gap pass
+    # over every q x gives each point the D it gets alone, and the one
+    # DivergenceProfile.divergence formed before the batching
+    rng = np.random.default_rng(5)
+    points = []
+    for _ in range(400):
+        mu, n_bar = 10 ** rng.uniform(-4, 0), 10 ** rng.uniform(-4, 0.5)
+        points.append((DivergenceProfile.build(mu, n_bar), float(10 ** rng.uniform(-12, 0))))
+    got = []
+    for start in range(0, len(points), 50):
+        got += _divergences(points[start : start + 50])
+    assert got == [oracles.divergence_one_profile(p, q) for p, q in points]
+    assert got == [p.divergence(q) for p, q in points]

@@ -3,12 +3,14 @@ reproduction, and plan validation."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import covertlink.planner as planner
 import covertlink.reliability as reliability
+import covertlink.security as security
 from covertlink.exceptions import InfeasibleError, ParameterError
 from covertlink.planner import (
     FLATNESS_TOLERANCE,
@@ -20,6 +22,7 @@ from covertlink.planner import (
 )
 from covertlink.reliability import ChannelModel
 
+import oracles
 import reference_scenarios as ref
 from make_plan_golden import bundled_configs, request_for
 
@@ -211,19 +214,68 @@ def test_plan_sums_the_message_error_once(monkeypatch, config):
 @pytest.mark.parametrize("config, most", [("fiber_qpqi.yaml", 1665), ("fiber_cqtustc.yaml", 2435)])
 def test_plan_bounded_probe_count(monkeypatch, config, most):
     # every probe of the repetition searches is bounded once (memoized per
-    # k); a search change that adds probes shows here
+    # k); a search change that adds probes shows here. The searches yield
+    # _error_bounds as the evaluator of their probes, so the batches the
+    # planner evaluates pass through this wrapper, every probe counted
     probes = 0
     bounded = reliability._error_bounds
 
-    def counted(k, cp):
+    def counted(batch):
         nonlocal probes
-        probes += 1
-        return bounded(k, cp)
+        probes += len(batch)
+        return bounded(batch)
 
     monkeypatch.setattr(reliability, "_error_bounds", counted)
     path = next(p for p in bundled_configs() if p.name == config)
     plan_with_report(request_for(path))
-    assert probes <= most
+    assert 0 < probes <= most
+
+
+def test_lockstep_batches_equal_the_scalar_references_on_bundled_plans(monkeypatch):
+    # every bounded probe (17,928) and every divergence of the 8 bundled
+    # plans, evaluated in the planner's lockstep rounds, against the
+    # one-probe evaluators kept in oracles: the same doubles, whatever
+    # else shares the batch
+    recorded = {}
+
+    def recording(module, name):
+        batched = getattr(module, name)
+
+        def record(batch):
+            out = batched(batch)
+            recorded.setdefault(name, []).append((batch, out))
+            return out
+
+        monkeypatch.setattr(module, name, record)
+
+    recording(reliability, "_error_bounds")
+    recording(security, "_divergences")
+    for path in bundled_configs():
+        plan_with_report(request_for(path))
+    for name, one in (
+        ("_error_bounds", oracles.error_bounds_one_probe),
+        ("_divergences", oracles.divergence_one_profile),
+    ):
+        batches = recorded[name]
+        assert max(len(batch) for batch, _ in batches) > 1
+        pairs = [pair for batch, out in batches for pair in zip(batch, out)]
+        assert [got for _, got in pairs] == [one(*item) for item, _ in pairs]
+    assert sum(len(batch) for batch, _ in recorded["_error_bounds"]) == 17_928
+
+
+@pytest.mark.parametrize("config", ["fiber_cqtustc.yaml", "fiber_qpqi.yaml"])
+def test_plan_peak_memory(config):
+    # the searches of at most _LOCKSTEP_GROUP grid points share a round's
+    # batches (peaks of about 0.6 and 1.1 MB; 2.7 and 2.5 MB when all 400
+    # grid points advanced at once)
+    req = request_for(next(p for p in bundled_configs() if p.name == config))
+    tracemalloc.start()
+    try:
+        plan_with_report(req)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 @pytest.mark.parametrize(

@@ -318,6 +318,11 @@ def test_min_repetitions_random_channels_across_decades():
 QPQI_CHANNEL = ChannelModel(tau=0.18, n_bar_a=0.60, n_bar_b=0.68)
 
 
+def _bounds(k: int, cp: ClickProbabilities):
+    # the bounded evaluator on one probe
+    return _error_bounds([(k, cp)])[0]
+
+
 def _bracketed(bounds, value: float, rel: float) -> bool:
     low, _, high = bounds
     return low <= value * (1.0 + rel) and high >= value * (1.0 - rel)
@@ -330,7 +335,7 @@ def test_error_bounds_bracket_enumeration_small_k():
         p_c = float(rng.uniform(1e-3, 0.6))
         p_w = float(rng.uniform(1e-4, min(0.4, 0.99 - p_c)))
         expected = oracles.majority_error_enumeration(k, p_c, p_w)
-        bounds = _error_bounds(k, ClickProbabilities(p_c, p_w))
+        bounds = _bounds(k, ClickProbabilities(p_c, p_w))
         assert _bracketed(bounds, expected, 1e-12), (k, p_c, p_w)
         assert bounds[1] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -350,7 +355,7 @@ def test_error_bounds_bracket_enumeration_small_k():
 )
 def test_error_bounds_bracket_lgamma_moderate_k(k, p_c, p_w):
     expected = oracles.majority_error_lgamma(k, p_c, p_w)
-    bounds = _error_bounds(k, ClickProbabilities(p_c, p_w))
+    bounds = _bounds(k, ClickProbabilities(p_c, p_w))
     assert _bracketed(bounds, expected, 1e-12)
     # tight enough that a probe falls back only within ~1e-9 of its target
     assert bounds[2] - bounds[0] <= 1e-9 * bounds[1]
@@ -363,7 +368,7 @@ def test_error_bounds_bracket_exact_sum_in_deep_tail():
     cp = click_probs(0.3, QPQI_CHANNEL)
     exact = bit_error_prob(10**5, cp)
     assert 3.8e-184 < exact < 4.0e-184
-    bounds = _error_bounds(10**5, cp)
+    bounds = _bounds(10**5, cp)
     assert bounds[0] <= exact <= bounds[2]
     assert bounds[1] == pytest.approx(exact, rel=1e-11, abs=0.0)
 
@@ -387,7 +392,7 @@ def test_bit_error_prob_reaches_deep_errors_below_k_p(k, p_c, p_w):
     # the float oracle rounds its lgamma terms to about 2e-12 at this depth
     expected = oracles.majority_error_lgamma(k, p_c, p_w)
     assert exact == pytest.approx(expected, rel=1e-11, abs=0.0)
-    assert exact == pytest.approx(_error_bounds(k, cp)[1], rel=1e-12, abs=0.0)
+    assert exact == pytest.approx(_bounds(k, cp)[1], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("k", [2 * 10**4, 10**5, 10**6, 10**7])
@@ -395,7 +400,7 @@ def test_error_bounds_bracket_exact_sum_on_loud_channel(k):
     for mu in (0.0031897702154663216, 0.05, 0.956):
         cp = click_probs(mu, QPQI_CHANNEL)
         exact = bit_error_prob(k, cp)
-        bounds = _error_bounds(k, cp)
+        bounds = _bounds(k, cp)
         assert bounds[0] <= exact <= bounds[2], (k, mu)
         # tight, or settled by the Chernoff bound alone below 1e-300
         assert bounds[2] - bounds[0] <= 1e-9 * bounds[1] or bounds[2] < 1e-300
@@ -485,27 +490,73 @@ def test_binom_pmf_run_climbs_out_of_underflow(shrink):
     assert np.all(np.abs(got - boost) <= 1e-10 * boost)
 
 
+def _random_probes(rng, count: int, log_exponents: tuple[float, float]) -> list:
+    # k up to 1e7 on channels whose Chernoff exponent k I lies in 10**log_exponents
+    probes = []
+    while len(probes) < count:
+        k = int(10 ** rng.uniform(0, 7))
+        p_w = float(10 ** rng.uniform(-6, math.log10(0.3)))
+        rate = 10 ** rng.uniform(*log_exponents) / k
+        p_c = (math.sqrt(p_w) + math.sqrt(-math.expm1(-rate))) ** 2
+        if p_c + p_w <= 1.0:
+            probes.append((k, ClickProbabilities(p_c, p_w)))
+    return probes
+
+
 def test_error_bounds_estimate_matches_per_element_boost(monkeypatch):
     # 200 channels, k up to 1e7, each with a Chernoff exponent k I between
     # 0.3 and 650, so that the window is summed: the estimate on anchored
     # runs against the same sum with every pmf term from boost
-    rng = np.random.default_rng(21)
-    cases = []
-    while len(cases) < 200:
-        k = int(10 ** rng.uniform(0, 7))
-        p_w = float(10 ** rng.uniform(-6, math.log10(0.3)))
-        rate = 10 ** rng.uniform(-0.5, math.log10(650.0)) / k
-        p_c = (math.sqrt(p_w) + math.sqrt(-math.expm1(-rate))) ** 2
-        if p_c + p_w <= 1.0:
-            cases.append((k, ClickProbabilities(p_c, p_w)))
-    anchored = [_error_bounds(k, cp) for k, cp in cases]
+    cases = _random_probes(np.random.default_rng(21), 200, (-0.5, math.log10(650.0)))
+    anchored = [_bounds(k, cp) for k, cp in cases]
     monkeypatch.setattr(reliability, "_ANCHOR_EVERY", 2 * MAX_REPETITIONS)
     for (k, cp), bounds in zip(cases, anchored):
-        assert bounds[1] == pytest.approx(_error_bounds(k, cp)[1], rel=2e-12, abs=0.0), (k, cp)
+        assert bounds[1] == pytest.approx(_bounds(k, cp)[1], rel=2e-12, abs=0.0), (k, cp)
     # and they still bracket the exact sum
     for (k, cp), bounds in zip(cases[::4], anchored[::4]):
         exact = bit_error_prob(k, cp)
         assert bounds[0] <= exact <= bounds[2], (k, cp)
+
+
+def test_batched_bounds_equal_the_scalar_reference_on_random_channels(monkeypatch):
+    # 2400 probes in batches of 1 to 128: windows of at most _ANCHOR_EVERY
+    # terms (one flat pass), longer ones (anchored runs), probes with no
+    # wrong clicks or no silent slots (None) and Chernoff bounds below
+    # 1e-300 (no window) side by side. Each gives the same three doubles
+    # as the one-probe evaluator kept in oracles
+    rng = np.random.default_rng(23)
+    probes = _random_probes(rng, 2000, (-0.5, math.log10(650.0)))
+    probes += _random_probes(rng, 200, (math.log10(700.0), 5.0))
+    for k in rng.integers(1, 10**6, size=100).tolist():
+        probes += [(k, ClickProbabilities(0.3, 0.0)), (k, ClickProbabilities(0.6, 0.4))]
+    rng.shuffle(probes)
+    windows = []
+    short_sums, long_sum = reliability._short_window_sums, reliability._window_sum
+
+    def short(k, *args):
+        windows[-1][0] += len(k)
+        return short_sums(k, *args)
+
+    def long(*args):
+        windows[-1][1] += 1
+        return long_sum(*args)
+
+    monkeypatch.setattr(reliability, "_short_window_sums", short)
+    monkeypatch.setattr(reliability, "_window_sum", long)
+    kinds = []
+    start = 0
+    while start < len(probes):
+        batch = probes[start : start + int(rng.integers(1, 129))]
+        start += len(batch)
+        windows.append([0, 0])
+        got = _error_bounds(batch)
+        expected = [oracles.error_bounds_one_probe(k, cp) for k, cp in batch]
+        assert got == expected
+        kinds.append(
+            (*windows[-1], expected.count(None), sum(1 for e in expected if e and e[1] == 0.0))
+        )
+    # some batch mixed all four kinds
+    assert any(min(kind) > 0 for kind in kinds)
 
 
 def test_bit_error_prob_sums_nothing_below_the_smallest_double(monkeypatch):
@@ -549,7 +600,7 @@ def test_bit_error_prob_cut_changes_no_value(monkeypatch):
 def _estimate_above_exact(cp: ClickProbabilities) -> int:
     # an odd k near 1e5 whose bounded estimate lies above its exact sum
     return next(
-        k for k in range(100_001, 100_201, 2) if _error_bounds(k, cp)[1] > bit_error_prob(k, cp)
+        k for k in range(100_001, 100_201, 2) if _bounds(k, cp)[1] > bit_error_prob(k, cp)
     )
 
 
@@ -563,7 +614,7 @@ def test_min_repetitions_falls_back_to_exact_sum_within_margin(shift):
     b = 20
     k0 = _estimate_above_exact(cp)
     target = message_error_prob(bit_error_prob(k0, cp), b) * (1.0 + shift)
-    low, _, high = _error_bounds(k0, cp)
+    low, _, high = _bounds(k0, cp)
     assert message_error_prob(low * (1.0 - reliability._EXACT_REL), b) <= target
     assert message_error_prob(high * (1.0 + reliability._EXACT_REL), b) > target
     k = min_repetitions(target, b, cp)
@@ -624,9 +675,9 @@ def test_min_repetitions_at_the_floor_bisects_the_bracket(monkeypatch):
     probes = []
     bounds = reliability._error_bounds
 
-    def counted(k, cp):
-        probes.append(k)
-        return bounds(k, cp)
+    def counted(batch):
+        probes.extend(k for k, _ in batch)
+        return bounds(batch)
 
     monkeypatch.setattr(reliability, "_error_bounds", counted)
     # the all-exact search walks this bracket down one k at a time, in
@@ -634,13 +685,13 @@ def test_min_repetitions_at_the_floor_bisects_the_bracket(monkeypatch):
     cp = ClickProbabilities(0.3, 0.01)
     k = min_repetitions(MIN_TARGET_ERROR, 35, cp)
     assert k == oracles.min_repetitions_all_exact(MIN_TARGET_ERROR, 35, cp) == 3087
-    assert len(probes) <= 40
+    assert 0 < len(probes) <= 40
     # a bracket of about 2000, where the walk halves f_lo to 0 and the
     # all-exact search ends in a ZeroDivisionError
     probes.clear()
     cp = ClickProbabilities(0.1, 0.02)
     k = min_repetitions(MIN_TARGET_ERROR, 35, cp)
-    assert len(probes) <= 40
+    assert 0 < len(probes) <= 40
     _assert_threshold(k, MIN_TARGET_ERROR, 35, cp)
 
 

@@ -134,7 +134,9 @@ def test_transmission_stats_match_channel_model(stats_setup):
     se_noise = (cp.p_wrong * (1 - cp.p_wrong) / d) ** 0.5
     assert abs(s.noise_bin_click_rate - cp.p_wrong) <= 3 * se_noise
 
-    p_vote = cp.p_correct + cp.p_wrong
+    # the bins click independently and a pair where both click casts no
+    # vote: a pulse votes when exactly one of its two bins clicks
+    p_vote = cp.p_correct + cp.p_wrong - 2.0 * cp.p_correct * cp.p_wrong
     se_vote = (p_vote * (1 - p_vote) / d) ** 0.5
     assert abs(s.vote_rate_per_pulse - p_vote) <= 3 * se_vote
 
