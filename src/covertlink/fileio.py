@@ -233,9 +233,10 @@ def params_from_document(doc: dict) -> ProtocolParams:
         raise FormatError(f"parameter document is missing field {exc}") from exc
     except TypeError as exc:
         raise FormatError(f"parameter document holds a value of the wrong type: {exc}") from exc
-    # the document's copies of the derived values must agree with them
+    # the document's copies of the derived values must agree with them, in
+    # the form the writer gives them ("inf" for an infinite running time)
     for name, rule in _DERIVED_PARAMS.items():
-        if stored[name] != getattr(params, name):
+        if _jsonable(stored[name]) != _jsonable(getattr(params, name)):
             raise FormatError(
                 f"parameter document gives {name} = {stored[name]!r}, "
                 f"but {rule} = {getattr(params, name)!r}"

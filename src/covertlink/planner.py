@@ -12,7 +12,7 @@ points carry k and N; ProtocolParams.derive forms both claims, the bias
 bound and the message error, once, at the chosen point.
 
 The searches of _LOCKSTEP_GROUP (64) grid points at a time advance in
-lockstep (reliability._lockstep): each round makes one batched bounds
+lockstep (reliability._lockstep): each round makes one batched bit-error
 call over every pending repetition probe and one batched divergence
 pass over every pending pair count, and each search is sent exactly the
 values it would get alone, so the batching changes no probe and no

@@ -5,20 +5,22 @@ transmissivity tau (detector efficiency included) on top of thermal
 background noise. Closed forms are provided for the per-bin click
 probabilities, the per-bit majority-vote error of a k-repetition code,
 and the whole-message error, plus the inversion that finds the smallest
-k meeting a message-error target. The inversion bounds every probe
-cheaply, on the same boost binomial pmf as the exact sum (called once
-per 256 terms of a long window, with exact term ratios between), runs
-the exact sum only where the bounds cannot settle a probe, and returns
-a plain k: a caller that reports the error at k runs the exact sum
-there.
+k meeting a message-error target.
+
+One evaluator, _bit_errors, forms every bit error: a sum over the
+wrong votes on the boost binomial pmf (called once per 256 terms of a
+long window, with exact term ratios between), or a closed form where
+that split does not apply. bit_error_prob is a batch of one on it, and
+each probe of the inversion is its value against the target, so the k
+returned passes by the very value bit_error_prob reports there.
 
 The inversion is a generator, _repetition_search, that yields each
 probe it needs, and _lockstep runs any number of such searches side by
 side: each round gathers every pending probe into one batched
-_error_bounds call, which places each window on its own but sums every
+_bit_errors call, which places each window on its own but sums every
 window of up to 256 terms in one flat numpy pass. The planner runs the
 searches of 64 grid points at a time this way; min_repetitions runs
-one, as a batch of one. A probe's bounds are the same doubles whatever
+one, as a batch of one. A probe's value is the same double whatever
 shares its batch, so batching changes no probe sequence and no result.
 
 Conventions baked into the formulas, shared with the simulator: an
@@ -61,34 +63,16 @@ MAX_REPETITIONS = 10**7
 # probe would read as failing.
 MIN_TARGET_ERROR = 1e-300
 
-# Half-width of the click-count window, in standard deviations, used by
-# the vectorized double-sum; a floor of 30 counts covers the skewed
-# Poisson-like regime. Mass beyond the window is under ~1e-20.
-_WINDOW_SIGMAS = 16.0
-
-# Relative rounding error granted to the exact sum: a probe whose bounds
-# come within this of the target is settled by the exact sum instead.
-_EXACT_REL = 1e-9
-
-# Relative rounding allowance of the bounded evaluator's window sum; the
-# largest disagreement measured against the exact sum is 1.6e-12 (every
-# probe of four bundled plans and of 3000 random channels).
-_BOUNDS_REL = 1e-10
-
 # The wrong-vote window leaves out mass below exp(-_TAIL_NATS) times the
-# Chernoff bound (times sqrt(k), the factor the sum may fall below it).
+# Chernoff bound, or 1 where that bounds nothing (times sqrt(k), the factor
+# the sum may fall below it).
 _TAIL_NATS = 30.0
-
-# A Chernoff bound below exp(_LOG_TINY) settles a probe without a sum (the
-# search clamps message errors at MIN_TARGET_ERROR anyway); above it, the
-# window stays within about 40 standard deviations.
-_LOG_TINY = math.log(MIN_TARGET_ERROR)
 
 # A double below 2^-1075 rounds to 0.0.
 _LOG_ROUNDS_TO_ZERO = -1075.0 * math.log(2.0)
 
-# The bounded evaluator's pmfs call boost at every _ANCHOR_EVERY-th term of
-# a run and step by exact term ratios between; shorter runs are all boost.
+# The window sums' pmfs call boost at every _ANCHOR_EVERY-th term of a run
+# and step by exact term ratios between; shorter runs are all boost.
 _ANCHOR_EVERY = 256
 
 
@@ -125,8 +109,8 @@ class ClickProbabilities:
         p_correct: probability that the signal bin clicks.
         p_wrong: probability that the paired noise-only bin clicks.
 
-    The click split p_good_given_click is derived from the two, so the
-    exact sum and the bounded evaluator always read the same channel.
+    The click split p_good_given_click is derived from the two, so it
+    cannot be handed in apart from the channel they describe.
     """
 
     p_correct: float
@@ -168,64 +152,25 @@ def click_probs(mu: float, ch: ChannelModel) -> ClickProbabilities:
 def bit_error_prob(k: int, cp: ClickProbabilities) -> float:
     """Majority-vote error probability for one bit repeated k times.
 
-    Evaluates the double binomial sum: the outer sum runs over the number
-    of clicks i ~ Binomial(k, p_correct + p_wrong); given i clicks, the
-    bit is decoded wrongly when at most floor(i/2) of them are correct
-    (ties and i = 0 both count as errors).
+    A batch of one on _bit_errors, the one evaluator of the bit error;
+    ties and a bit with no clicks at all count as errors.
 
-    This is the exact sum every reported bit error comes from. Binomial
-    terms come from scipy's boost ufuncs (regularized beta, never
-    factorials), the ones scipy.stats.binom.pmf and .cdf call, and the
-    outer sum is restricted to a window of +-_WINDOW_SIGMAS (16) standard
-    deviations around k p, at least 30 counts wide on each side, so k up
-    to 1e5 costs a few thousand terms. The error itself lives near i = k
-    s clicks, s = 2 r / (1 - p + 2 r) with r = sqrt(p_correct p_wrong):
-    the dominant error splits its clicks evenly between correct and
-    wrong. k s lies below k p, and for deep errors (below about 1e-40 on
-    skewed channels) near or below the window's start, so there the
-    start moves down to 16 standard deviations of Binomial(k, s) below k
-    s. Where p_correct >= p_wrong and the Chernoff bound z^k, z = 1 - p
-    + 2 r, lies below 2^-1075, the sum would round to 0.0, and 0.0 is
-    returned without it. min_repetitions calls it only where its cheaper
-    bounds cannot settle a probe.
+    Raises:
+        ParameterError: k is not an integer >= 1, or p_correct + p_wrong
+            exceeds 1.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"k must be an integer >= 1, got {k!r}")
-    p = cp.p_correct + cp.p_wrong
-    if p > 1.0:
+    if cp.p_correct + cp.p_wrong > 1.0:
         raise ParameterError(
             "p_correct + p_wrong exceeds 1; the single-click-per-slot model "
             "does not apply"
         )
-    if p == 0.0:
-        return 1.0  # no clicks ever: only the i = 0 (error) term survives
-    root = math.sqrt(cp.p_correct * cp.p_wrong)
-    z = 1.0 - p + 2.0 * root
-    # z^k bounds the error, ties and silent slots included, wherever a
-    # click is likelier correct than wrong; below 2^-1075 the sum is 0.0
-    if cp.p_correct >= cp.p_wrong and (z <= 0.0 or k * math.log(z) < _LOG_ROUNDS_TO_ZERO):
-        return 0.0
-    # Bernstein/Poisson tail bounds put the mass outside this window
-    # below ~1e-20, far under the 1e-12 agreement the tests demand
-    half = max(_WINDOW_SIGMAS * math.sqrt(k * p * (1.0 - p)), 30.0)
-    lo = max(0, int(k * p - half))
-    s = 2.0 * root / z if root > 0.0 else 0.0
-    half_s = max(_WINDOW_SIGMAS * math.sqrt(k * s * (1.0 - s)), 30.0)
-    # a start less than 8 sd below k s cuts into the error's peak; one
-    # further down misses under 1e-15 of it and stays where it is
-    if lo > k * s - 0.5 * half_s:
-        lo = max(0, int(k * s - half_s))
-    i = np.arange(lo, min(k, math.ceil(k * p + half)) + 1)
-    outer = np.clip(_binom_pmf(i, k, p), 0.0, 1.0)
-    wrong_majority = np.clip(_binom_cdf(i // 2, i, cp.p_good_given_click), 0.0, 1.0)
-    delta = float(np.sum(outer * wrong_majority))
-    return min(max(delta, 0.0), 1.0)
+    return _bit_errors([(int(k), cp)])[0]
 
 
-def _error_bounds(
-    probes: list[tuple[int, ClickProbabilities]],
-) -> list[tuple[float, float, float] | None]:
-    """(lower, estimate, upper) on bit_error_prob(k, cp), or None, for each (k, cp).
+def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
+    """The majority-vote error of each (k, cp), p_correct + p_wrong <= 1.
 
     Splits on the wrong votes W ~ Binomial(k, p_wrong): given W = w the
     correct votes are Binomial(k - w, pi) with pi = p_correct / (1 -
@@ -233,14 +178,19 @@ def _error_bounds(
     pi) <= w). F(w + 1) = F(w) + pmf(w; k - w - 1) (pi + (k - 2w - 1) pi /
     ((w + 1)(1 - pi))), so across a window [a, top] F is one exact start
     value F(a) plus a cumulative sum of positive terms: nothing cancels.
-    Both pmfs, P(W = w) and the F step's, come from the boost ufunc the
-    exact sum uses. The window sits around the dominant w* = k sqrt(p_c
-    p_w) / z, z = 1 - p + 2 sqrt(p_c p_w), and reaches out until the
-    Chernoff tail bounds of what it leaves out, F(a) P(W < a) below and
-    P(W > top) above, fall _TAIL_NATS below the Chernoff bound z^k of
-    the whole error. The lower bound is the window sum less _BOUNDS_REL;
-    the upper adds both tail bounds. Where z^k is below 1e-300 nothing is
-    summed: the bounds are 0 and z^k.
+    Both pmfs, P(W = w) and the F step's, come from boost. The window
+    sits around the dominant w* = k sqrt(p_c p_w) / z, z = 1 - p + 2
+    sqrt(p_c p_w), and reaches out until the Chernoff bounds of what it
+    leaves out, F(a) P(W < a) below and P(W > top) above, fall _TAIL_NATS
+    below the Chernoff bound z^k of the whole error. z^k bounds the error
+    only where p_correct >= p_wrong; otherwise the window is placed as if
+    the error were 1. Where p_correct >= p_wrong and z^k < 2^-1075 the
+    error rounds to 0.0, and 0.0 is returned without a sum.
+
+    Where the split does not apply the vote count is one binomial, and
+    boost's cdf gives the error: 1 with no correct clicks, (1 -
+    p_correct)^k with no wrong ones, and P(Bin(k, p_correct) <= floor(k /
+    2)) with no silent slots (p_correct + p_wrong = 1).
 
     The probes are evaluated together, each with the same arithmetic as
     alone: windows are placed one probe at a time, every window of at
@@ -248,22 +198,19 @@ def _error_bounds(
     F steps, and a cumulative sum along each window's row of a padded
     array), and a longer window runs on its own, through _binom_pmf_run
     (boost at every 256th w, exact term ratios between).
-
-    None where the split does not apply: no wrong clicks, or no silent
-    slots (pi = 1).
     """
-    out: list[tuple[float, float, float] | None] = [None] * len(probes)
+    out = [0.0] * len(probes)
     windows = []
     for i, (k, cp) in enumerate(probes):
         p_c, p_w = cp.p_correct, cp.p_wrong
-        pi = p_c / (1.0 - p_w) if p_w < 1.0 else 0.0
-        if p_w <= 0.0 or not 0.0 < pi < 1.0:
+        pi = p_c / (1.0 - p_w) if p_w < 1.0 else 1.0
+        if p_c == 0.0 or p_w == 0.0 or pi >= 1.0:
+            out[i] = float(_binom_cdf(k // 2 if p_w > 0.0 else 0, k, p_c))
             continue
         root = math.sqrt(p_c * p_w)
         z = 1.0 - p_c - p_w + 2.0 * root
-        log_chernoff = k * math.log(z)
-        if log_chernoff < _LOG_TINY:
-            out[i] = 0.0, 0.0, math.exp(log_chernoff)
+        log_chernoff = k * math.log(z) if p_c >= p_w else 0.0
+        if log_chernoff < _LOG_ROUNDS_TO_ZERO:
             continue
         nats = _TAIL_NATS + 0.5 * math.log(k) - log_chernoff
         a, top = _wrong_vote_window(k, p_w, pi, k * root / z, nats)
@@ -278,11 +225,8 @@ def _error_bounds(
         totals[short] = _short_window_sums(*columns[:, short], starts[short])
     for j in np.flatnonzero(~short).tolist():
         totals[j] = _window_sum(*windows[j][1:], float(starts[j]))
-    for (i, k, p_w, _, a, top), start, total in zip(windows, starts.tolist(), totals.tolist()):
-        tails = _chernoff(k, top + 1, p_w)
-        if a > 0:
-            tails += start * (_chernoff(k, a - 1, p_w) if a - 1 < k * p_w else 1.0)
-        out[i] = total * (1.0 - _BOUNDS_REL), min(total, 1.0), (total + tails) * (1.0 + _BOUNDS_REL)
+    for (i, *_), total in zip(windows, totals.tolist()):
+        out[i] = min(total, 1.0)
     return out
 
 
@@ -420,14 +364,6 @@ def _kl(x: float, p: float) -> float:
     return d
 
 
-def _chernoff(k: int, m: int, p: float) -> float:
-    """exp(-k D(m/k || p)), which bounds P(Bin(k, p) >= m) for m >= k p and
-    P(Bin(k, p) <= m) for m <= k p; 0 for m outside [0, k]."""
-    if m < 0 or m > k:
-        return 0.0
-    return math.exp(-k * _kl(m / k, p))
-
-
 def message_error_prob(delta: float, b: int) -> float:
     """Probability 1 - (1 - delta)^b that any of b bits decodes wrongly."""
     if not 0.0 <= delta <= 1.0:
@@ -479,8 +415,9 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     than wrong (p_good_given_click > 1/2); otherwise the target is
     unreachable and InfeasibleError is raised, as it is when the
     normal-approximation guess exceeds 4 * MAX_REPETITIONS or k =
-    MAX_REPETITIONS itself fails. A target below MIN_TARGET_ERROR raises
-    ParameterError (check_target_error).
+    MAX_REPETITIONS itself fails, or when p_correct + p_wrong exceeds 1,
+    where the single-click-per-slot model does not apply. A target below
+    MIN_TARGET_ERROR raises ParameterError (check_target_error).
 
     One search on f(k) = log(message error / target), memoized per k; a
     probe fails exactly where f(k) > 0. f is nearly linear in k: starting
@@ -494,19 +431,10 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     riding the decreasing envelope. So the smallest passing k is returned
     as long as odd and even k each decode better as k grows.
 
-    Which probes are exact: every probe is first bounded by the
-    wrong-vote split (_error_bounds: a window sum less a relative
-    rounding allowance below, plus Chernoff bounds on the mass outside
-    the window above) and steers with the window sum. Its verdict stands
-    only when the target lies outside [lower (1 - _EXACT_REL), upper (1 +
-    _EXACT_REL)] in message error, where the relative margin _EXACT_REL =
-    1e-9 covers the exact sum's own rounding; otherwise, or where the
-    split does not apply (no wrong clicks), the probe falls back to
-    bit_error_prob. So every pass/fail verdict is the one the exact sum
-    gives, and the search returns the same k as an all-exact search,
-    wherever the exact sum is itself within _EXACT_REL of the error. The
-    answer itself gets no exact sum: a search whose probes all settle on
-    their bounds runs none.
+    Each probe's message error comes from _bit_errors, the evaluator
+    bit_error_prob is a batch of one on, and its verdict is that value
+    against the target: the k returned passes by the very value
+    bit_error_prob gives at k.
 
     The search is _repetition_search, which the planner runs in lockstep
     with the other grid points' searches; here it runs alone, as a batch
@@ -521,13 +449,18 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
 def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
     """min_repetitions' search, as a generator for _lockstep.
 
-    It yields (_error_bounds, (k, cp)) for each k it probes, memoized per
-    k, is sent that probe's bounds, and returns the repetition count.
+    It yields (_bit_errors, (k, cp)) for each k it probes, memoized per
+    k, is sent that probe's bit error, and returns the repetition count.
     """
     check_target_error(target_e)
     if b < 1:
         raise ParameterError(f"b must be >= 1, got {b!r}")
     p = cp.p_correct + cp.p_wrong
+    if p > 1.0:
+        raise InfeasibleError(
+            "p_correct + p_wrong exceeds 1; the single-click-per-slot model "
+            "does not apply"
+        )
     if p == 0.0 or math.isnan(cp.p_good_given_click) or cp.p_good_given_click <= 0.5:
         raise InfeasibleError(
             "majority vote cannot converge: correct clicks are not more "
@@ -539,14 +472,7 @@ def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
     def log_excess(k: int):
         """log(message error / target) at k: > 0 fails, <= 0 passes."""
         if k not in memo:
-            bounds = yield _error_bounds, (k, cp)
-            if bounds is not None and (
-                message_error_prob(bounds[0] * (1.0 - _EXACT_REL), b) > target_e
-                or message_error_prob(min(bounds[2] * (1.0 + _EXACT_REL), 1.0), b) <= target_e
-            ):
-                delta = bounds[1]  # the bounds settle the verdict; steer by the window sum
-            else:
-                delta = bit_error_prob(k, cp)
+            delta = yield _bit_errors, (k, cp)
             memo[k] = math.log(max(message_error_prob(delta, b), MIN_TARGET_ERROR)) - log_target
         return memo[k]
 

@@ -84,6 +84,30 @@ def test_plan_rerun_is_byte_identical(fast_config, planned_dir, tmp_path):
         assert (out / name).read_bytes() == (planned_dir / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        # 2 N / 1e-300 Hz overflows: plan.json holds running_time_s "inf"
+        {"epsilon: 0.05": "epsilon: 0.01", "rep_rate_hz: 1.0e+6": "rep_rate_hz: 1.0e-300"},
+        # past mu ~ 0.69 a pulse would click more than once per slot
+        {
+            "tau: 0.5": "tau: 1.0",
+            "n_bar_a: 1.0e-2": "n_bar_a: 0.5",
+            "n_bar_b: 1.0e-2": "n_bar_b: 0.5",
+        },
+    ],
+    ids=["vanishing rate", "loud channel"],
+)
+def test_schema_valid_extremes_plan_and_validate(tmp_path, change):
+    text = FAST_CONFIG
+    for old, new in change.items():
+        text = text.replace(old, new)
+    config = tmp_path / "extreme.yaml"
+    config.write_text(text)
+    assert main(["plan", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["validate", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
+
+
 def test_validate_round_trip(fast_config, planned_dir):
     rc = main(["validate", "--config", str(fast_config), "--out", str(planned_dir)])
     assert rc == EXIT_OK

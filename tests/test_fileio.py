@@ -1,5 +1,6 @@
 """Serialization round-trips and corruption detection."""
 
+import dataclasses
 import json
 import math
 import os
@@ -281,6 +282,20 @@ def test_params_document_round_trip():
     broken = dict(doc, running_time_s=2 * doc["running_time_s"])
     with pytest.raises(FormatError, match="running_time_s = 0.2, but bins_total / rep_rate_hz"):
         params_from_document(broken)
+
+
+def test_params_document_round_trip_at_an_infinite_running_time(tmp_path):
+    # 2 N / rep_rate_hz overflows at a rate of 1e-305 Hz: the writer stores
+    # running_time_s as "inf", and the reader takes that copy back
+    p = dataclasses.replace(sample_params(), rep_rate_hz=1e-305)
+    assert p.running_time_s == math.inf
+    body = {"params": params_to_document(p)}
+    write_json_document(tmp_path / "plan.json", "protocol_params", body)
+    doc = read_json_document(tmp_path / "plan.json", "protocol_params")["params"]
+    assert doc["running_time_s"] == "inf"
+    assert params_from_document(doc) == p
+    with pytest.raises(FormatError, match="running_time_s = 1.0, but bins_total / rep_rate_hz"):
+        params_from_document(dict(doc, running_time_s=1.0))
 
 
 def test_csv_outputs(tmp_path):

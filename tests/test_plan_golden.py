@@ -1,11 +1,10 @@
 """Planner answers on every bundled config against the recorded golden file.
 
 tests/data/plan_golden.json was written by tests/make_plan_golden.py.
-Every recorded integer, the chosen mu, the predicted message error, both
-grid counts and each grid value's (mu, feasible, k) must match exactly;
-the pair count N may move by 2e-7 relative, the size of the rounding
-noise the earlier double-precision divergence carried. Each returned N
-must also be the exact minimum under the 80-digit oracle.
+Every recorded integer, the pair count N among them, the chosen mu, the
+predicted message error, both grid counts and each grid value's (mu,
+feasible, k) must match exactly. Each returned N must also be the exact
+minimum under the 80-digit oracle.
 """
 
 import json
@@ -21,7 +20,6 @@ from covertlink.planner import ProtocolParams, validate_plan
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "plan_golden.json").read_text("utf-8")
 )
-N_REL_TOL = 2e-7
 ORACLE_REL_TOL = 1e-13
 
 
@@ -44,9 +42,7 @@ def test_plan_matches_golden(fresh, name):
     _, _, record = fresh[name]
     gold = GOLDEN[name]
     assert len(record["grid"]) == 400
-    exact = {key: value for key, value in record.items() if key != "n_pairs"}
-    assert exact == {key: value for key, value in gold.items() if key != "n_pairs"}
-    assert abs(record["n_pairs"] - gold["n_pairs"]) <= N_REL_TOL * gold["n_pairs"]
+    assert record == gold
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -172,6 +172,27 @@ def test_higher_noise_shortens_low_rate_runs():
     assert noisy.bins_total < quiet.bins_total
 
 
+def test_loud_channel_grid_points_carry_a_reliability_reason():
+    # tau = 1 and n_bar_b = 0.5 give p_correct + p_wrong > 1 from mu =
+    # ln 2 on: the single-click-per-slot model does not apply there, so
+    # those grid points are infeasible for reliability, and the dimmer
+    # ones still plan
+    req = PlanRequest(
+        b=10,
+        epsilon=0.05,
+        target_e=0.05,
+        channel=ChannelModel(tau=1.0, n_bar_a=0.5, n_bar_b=0.5),
+        rep_rate_hz=1e6,
+        mu_grid=np.geomspace(0.05, 1.0, 20),
+    )
+    params, points = plan_with_report(req)
+    loud = [g for g in points if "exceeds 1" in g.reason]
+    assert loud and all(g.reason.startswith("reliability:") for g in loud)
+    assert min(g.mu for g in loud) > math.log(2.0)
+    assert params.mu < math.log(2.0)
+    assert validate_plan(params, req).passed
+
+
 def test_plan_infeasible_dead_channel():
     req = PlanRequest(
         b=35,
@@ -195,8 +216,8 @@ def test_report_covers_grid():
 
 @pytest.mark.parametrize("config", ["fiber_qpqi.yaml", "fiber_cqtustc.yaml"])
 def test_plan_sums_the_message_error_once(monkeypatch, config):
-    # grid points carry no message error, and every probe of these plans'
-    # searches settles on its bounds: the one exact sum is the chosen point's
+    # grid points carry no message error, and the searches' probes go to
+    # the batched evaluator: the one bit_error_prob call is the chosen point's
     calls = []
     exact = reliability.bit_error_prob
 
@@ -211,30 +232,45 @@ def test_plan_sums_the_message_error_once(monkeypatch, config):
     assert calls == [params.k]
 
 
+def _reported_errors(monkeypatch) -> list[int]:
+    """The k of each bit_error_prob call the planner makes: a batch of one
+    on _bit_errors, but no probe of a search."""
+    calls = []
+    exact = planner.bit_error_prob
+
+    def counted(k, cp):
+        calls.append(k)
+        return exact(k, cp)
+
+    monkeypatch.setattr(planner, "bit_error_prob", counted)
+    return calls
+
+
 @pytest.mark.parametrize("config, most", [("fiber_qpqi.yaml", 1665), ("fiber_cqtustc.yaml", 2435)])
 def test_plan_bounded_probe_count(monkeypatch, config, most):
-    # every probe of the repetition searches is bounded once (memoized per
-    # k); a search change that adds probes shows here. The searches yield
-    # _error_bounds as the evaluator of their probes, so the batches the
-    # planner evaluates pass through this wrapper, every probe counted
+    # every probe of the repetition searches is evaluated once (memoized
+    # per k); a search change that adds probes shows here. The searches
+    # yield _bit_errors as the evaluator of their probes, so the batches
+    # the planner evaluates pass through this wrapper, every probe counted
+    reported = _reported_errors(monkeypatch)
     probes = 0
-    bounded = reliability._error_bounds
+    evaluate = reliability._bit_errors
 
     def counted(batch):
         nonlocal probes
         probes += len(batch)
-        return bounded(batch)
+        return evaluate(batch)
 
-    monkeypatch.setattr(reliability, "_error_bounds", counted)
+    monkeypatch.setattr(reliability, "_bit_errors", counted)
     path = next(p for p in bundled_configs() if p.name == config)
     plan_with_report(request_for(path))
-    assert 0 < probes <= most
+    assert 0 < probes - len(reported) <= most
 
 
 def test_lockstep_batches_equal_the_scalar_references_on_bundled_plans(monkeypatch):
-    # every bounded probe (17,928) and every divergence of the 8 bundled
-    # plans, evaluated in the planner's lockstep rounds, against the
-    # one-probe evaluators kept in oracles: the same doubles, whatever
+    # every repetition probe (17,928) and every divergence of the 8
+    # bundled plans, evaluated in the planner's lockstep rounds, against
+    # the one-probe evaluators kept in oracles: the same doubles, whatever
     # else shares the batch
     recorded = {}
 
@@ -248,19 +284,21 @@ def test_lockstep_batches_equal_the_scalar_references_on_bundled_plans(monkeypat
 
         monkeypatch.setattr(module, name, record)
 
-    recording(reliability, "_error_bounds")
+    recording(reliability, "_bit_errors")
     recording(security, "_divergences")
+    reported = _reported_errors(monkeypatch)
     for path in bundled_configs():
         plan_with_report(request_for(path))
     for name, one in (
-        ("_error_bounds", oracles.error_bounds_one_probe),
+        # every probe's window is summed, so its value is the estimate
+        ("_bit_errors", lambda k, cp: oracles.error_bounds_one_probe(k, cp)[1]),
         ("_divergences", oracles.divergence_one_profile),
     ):
         batches = recorded[name]
         assert max(len(batch) for batch, _ in batches) > 1
         pairs = [pair for batch, out in batches for pair in zip(batch, out)]
         assert [got for _, got in pairs] == [one(*item) for item, _ in pairs]
-    assert sum(len(batch) for batch, _ in recorded["_error_bounds"]) == 17_928
+    assert sum(len(batch) for batch, _ in recorded["_bit_errors"]) - len(reported) == 17_928
 
 
 @pytest.mark.parametrize("config", ["fiber_cqtustc.yaml", "fiber_qpqi.yaml"])
@@ -282,7 +320,7 @@ def test_plan_peak_memory(config):
     "config, most", [("fiber_qpqi.yaml", 150_000), ("fiber_cqtustc.yaml", 200_000)]
 )
 def test_plan_boost_pmf_terms(monkeypatch, config, most):
-    # the bounded probes call boost at one term in 256 of a long window
+    # the repetition probes call boost at one term in 256 of a long window
     # and step by exact ratios between (6,116,392 and 605,924 terms when
     # every term was boost's)
     terms = []

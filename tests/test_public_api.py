@@ -88,7 +88,7 @@ print(json.dumps(out))
 
 def test_import_guard_fallback_gives_the_same_numbers():
     # a scipy without the private binomial ufuncs sends every pmf and cdf,
-    # the exact sum's and the bounds', through scipy.stats.binom instead
+    # the window sums' and the closed forms', through scipy.stats.binom instead
     cases = [[cp.p_correct, cp.p_wrong, b, t] for cp, b, t in _GUARD_CASES]
     out = json.loads(_run_python(_GUARDED_RUN, json.dumps(cases)))
     assert out["fallback"]

@@ -22,7 +22,7 @@ from covertlink.reliability import (
     click_probs,
     message_error_prob,
     _binom_pmf_run,
-    _error_bounds,
+    _bit_errors,
     _estimate_repetitions,
     min_repetitions,
 )
@@ -40,8 +40,7 @@ def model_clicks(point) -> ClickProbabilities:
 
 
 def test_click_split_is_derived_from_the_two_bins():
-    # the exact sum and the bounded evaluator read one channel: the split
-    # cannot be handed in apart from p_correct and p_wrong
+    # the split cannot be handed in apart from p_correct and p_wrong
     assert [f.name for f in dataclasses.fields(ClickProbabilities)] == ["p_correct", "p_wrong"]
     assert ClickProbabilities(0.5, 0.1).p_good_given_click == 0.5 / 0.6
     assert math.isnan(ClickProbabilities(0.0, 0.0).p_good_given_click)
@@ -131,6 +130,40 @@ def test_bit_error_matches_bruteforce_tiny_k():
         assert bit_error_prob(k, ClickProbabilities(p_c, p_w)) == pytest.approx(
             expected, abs=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "p_c, p_w",
+    [(0.3, 0.0), (1.0, 0.0), (0.0, 0.3), (0.0, 1.0), (0.0, 0.0), (0.6, 0.4), (0.15, 0.85)],
+)
+def test_bit_error_closed_forms_match_enumeration(p_c, p_w):
+    # no wrong clicks: (1 - p_c)^k; no correct ones: 1; no silent slots
+    # (p_c + p_w = 1): P(Bin(k, p_c) <= floor(k / 2)). The wrong-vote split
+    # needs all three kinds of slot, so these take boost's binomial cdf
+    for k in range(1, 13):
+        got = bit_error_prob(k, ClickProbabilities(p_c, p_w))
+        expected = oracles.majority_error_enumeration(k, p_c, p_w)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-300), k
+        if k <= 7:
+            expected = oracles.majority_error_bruteforce(k, p_c, p_w)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-300), k
+
+
+@pytest.mark.parametrize("k, p_c, p_w", [(200, 1e-8, 0.99), (300, 1e-4, 0.95), (5000, 0.01, 0.3)])
+def test_bit_error_with_wrong_clicks_likelier_sums_past_the_chernoff_cut(k, p_c, p_w):
+    # z^k lies below 2^-1075 here, yet it bounds nothing where wrong clicks
+    # are the likelier: nearly every bit decodes wrongly (k = 5000 is past
+    # the enumeration's reach; the double sum over the click count is not)
+    cp = ClickProbabilities(p_c, p_w)
+    z = 1.0 - p_c - p_w + 2.0 * math.sqrt(p_c * p_w)
+    assert k * math.log(z) < reliability._LOG_ROUNDS_TO_ZERO
+    got = bit_error_prob(k, cp)
+    if k <= 300:
+        expected = oracles.majority_error_enumeration(k, p_c, p_w)
+    else:
+        expected = oracles.majority_error_double_sum(k, cp)
+    assert got > 0.99
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_bit_error_monotone_in_repetitions_on_reference_grids():
@@ -318,26 +351,17 @@ def test_min_repetitions_random_channels_across_decades():
 QPQI_CHANNEL = ChannelModel(tau=0.18, n_bar_a=0.60, n_bar_b=0.68)
 
 
-def _bounds(k: int, cp: ClickProbabilities):
-    # the bounded evaluator on one probe
-    return _error_bounds([(k, cp)])[0]
-
-
-def _bracketed(bounds, value: float, rel: float) -> bool:
-    low, _, high = bounds
-    return low <= value * (1.0 + rel) and high >= value * (1.0 - rel)
-
-
 def test_error_bounds_bracket_enumeration_small_k():
+    # the window sum lies within 1e-12 relative of the enumeration, where
+    # every kind of slot occurs
     rng = np.random.default_rng(11)
     for _ in range(60):
         k = int(rng.integers(1, 13))
         p_c = float(rng.uniform(1e-3, 0.6))
         p_w = float(rng.uniform(1e-4, min(0.4, 0.99 - p_c)))
         expected = oracles.majority_error_enumeration(k, p_c, p_w)
-        bounds = _bounds(k, ClickProbabilities(p_c, p_w))
-        assert _bracketed(bounds, expected, 1e-12), (k, p_c, p_w)
-        assert bounds[1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        got = bit_error_prob(k, ClickProbabilities(p_c, p_w))
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0), (k, p_c, p_w)
 
 
 @pytest.mark.parametrize(
@@ -354,23 +378,21 @@ def test_error_bounds_bracket_enumeration_small_k():
     ],
 )
 def test_error_bounds_bracket_lgamma_moderate_k(k, p_c, p_w):
+    # the window sum within 1e-12 relative of the log-space enumeration
     expected = oracles.majority_error_lgamma(k, p_c, p_w)
-    bounds = _bounds(k, ClickProbabilities(p_c, p_w))
-    assert _bracketed(bounds, expected, 1e-12)
-    # tight enough that a probe falls back only within ~1e-9 of its target
-    assert bounds[2] - bounds[0] <= 1e-9 * bounds[1]
+    got = bit_error_prob(k, ClickProbabilities(p_c, p_w))
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_error_bounds_bracket_exact_sum_in_deep_tail():
     # the error lives far above the typical wrong-vote count (a window of
     # +-16 sd around k p_wrong would give 1.8e-202 here), so the window is
-    # placed by the tail bounds
+    # placed by the tail bounds; the double sum over the click count,
+    # summed the other way round, agrees
     cp = click_probs(0.3, QPQI_CHANNEL)
-    exact = bit_error_prob(10**5, cp)
-    assert 3.8e-184 < exact < 4.0e-184
-    bounds = _bounds(10**5, cp)
-    assert bounds[0] <= exact <= bounds[2]
-    assert bounds[1] == pytest.approx(exact, rel=1e-11, abs=0.0)
+    got = bit_error_prob(10**5, cp)
+    assert 3.8e-184 < got < 4.0e-184
+    assert got == pytest.approx(oracles.majority_error_double_sum(10**5, cp), rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -384,26 +406,27 @@ def test_error_bounds_bracket_exact_sum_in_deep_tail():
 )
 def test_bit_error_prob_reaches_deep_errors_below_k_p(k, p_c, p_w):
     # far in the tail the error lives near i = 2 w* clicks, more than 16
-    # standard deviations of Binomial(k, p) below k p
+    # standard deviations of Binomial(k, p) below k p, where the double
+    # sum's window must reach
     cp = ClickProbabilities(p_c, p_w)
-    exact = bit_error_prob(k, cp)
+    got = bit_error_prob(k, cp)
     expected = oracles.majority_error_highprec(k, p_c, p_w, 150)
-    assert exact == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
     # the float oracle rounds its lgamma terms to about 2e-12 at this depth
     expected = oracles.majority_error_lgamma(k, p_c, p_w)
-    assert exact == pytest.approx(expected, rel=1e-11, abs=0.0)
-    assert exact == pytest.approx(_bounds(k, cp)[1], rel=1e-12, abs=0.0)
+    assert got == pytest.approx(expected, rel=1e-11, abs=0.0)
+    assert got == pytest.approx(oracles.majority_error_double_sum(k, cp), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("k", [2 * 10**4, 10**5, 10**6, 10**7])
 def test_error_bounds_bracket_exact_sum_on_loud_channel(k):
+    # the window sum within 1e-10 relative of the double sum over the
+    # click count, or 0.0 with it below the smallest double
     for mu in (0.0031897702154663216, 0.05, 0.956):
         cp = click_probs(mu, QPQI_CHANNEL)
-        exact = bit_error_prob(k, cp)
-        bounds = _bounds(k, cp)
-        assert bounds[0] <= exact <= bounds[2], (k, mu)
-        # tight, or settled by the Chernoff bound alone below 1e-300
-        assert bounds[2] - bounds[0] <= 1e-9 * bounds[1] or bounds[2] < 1e-300
+        got = bit_error_prob(k, cp)
+        expected = oracles.majority_error_double_sum(k, cp)
+        assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (k, mu)
 
 
 def _boost_run(x: np.ndarray, n: float, p: float, shrink: bool) -> np.ndarray:
@@ -505,25 +528,26 @@ def _random_probes(rng, count: int, log_exponents: tuple[float, float]) -> list:
 
 def test_error_bounds_estimate_matches_per_element_boost(monkeypatch):
     # 200 channels, k up to 1e7, each with a Chernoff exponent k I between
-    # 0.3 and 650, so that the window is summed: the estimate on anchored
-    # runs against the same sum with every pmf term from boost
+    # 0.3 and 650, so that the window is summed: the sum on anchored runs
+    # against the same sum with every pmf term from boost
     cases = _random_probes(np.random.default_rng(21), 200, (-0.5, math.log10(650.0)))
-    anchored = [_bounds(k, cp) for k, cp in cases]
+    anchored = [bit_error_prob(k, cp) for k, cp in cases]
     monkeypatch.setattr(reliability, "_ANCHOR_EVERY", 2 * MAX_REPETITIONS)
-    for (k, cp), bounds in zip(cases, anchored):
-        assert bounds[1] == pytest.approx(_bounds(k, cp)[1], rel=2e-12, abs=0.0), (k, cp)
-    # and they still bracket the exact sum
-    for (k, cp), bounds in zip(cases[::4], anchored[::4]):
-        exact = bit_error_prob(k, cp)
-        assert bounds[0] <= exact <= bounds[2], (k, cp)
+    for (k, cp), got in zip(cases, anchored):
+        assert got == pytest.approx(bit_error_prob(k, cp), rel=2e-12, abs=0.0), (k, cp)
+    # and within 1e-10 relative of the double sum over the click count
+    for (k, cp), got in zip(cases[::4], anchored[::4]):
+        expected = oracles.majority_error_double_sum(k, cp)
+        assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (k, cp)
 
 
 def test_batched_bounds_equal_the_scalar_reference_on_random_channels(monkeypatch):
     # 2400 probes in batches of 1 to 128: windows of at most _ANCHOR_EVERY
     # terms (one flat pass), longer ones (anchored runs), probes with no
-    # wrong clicks or no silent slots (None) and Chernoff bounds below
-    # 1e-300 (no window) side by side. Each gives the same three doubles
-    # as the one-probe evaluator kept in oracles
+    # wrong clicks or no silent slots (closed forms, None in oracles) and
+    # Chernoff bounds below 1e-300 side by side. Each window sum is the
+    # estimate of the one-probe evaluator kept in oracles, and every value
+    # is the one its probe gets alone
     rng = np.random.default_rng(23)
     probes = _random_probes(rng, 2000, (-0.5, math.log10(650.0)))
     probes += _random_probes(rng, 200, (math.log10(700.0), 5.0))
@@ -544,17 +568,26 @@ def test_batched_bounds_equal_the_scalar_reference_on_random_channels(monkeypatc
     monkeypatch.setattr(reliability, "_short_window_sums", short)
     monkeypatch.setattr(reliability, "_window_sum", long)
     kinds = []
+    batches = []
     start = 0
     while start < len(probes):
         batch = probes[start : start + int(rng.integers(1, 129))]
         start += len(batch)
         windows.append([0, 0])
-        got = _error_bounds(batch)
-        expected = [oracles.error_bounds_one_probe(k, cp) for k, cp in batch]
-        assert got == expected
+        got = _bit_errors(batch)
+        batches.append((batch, got))
+        scalar = [oracles.error_bounds_one_probe(k, cp) for k, cp in batch]
+        assert [value for value, e in zip(got, scalar) if e and e[1] > 0.0] == [
+            e[1] for e in scalar if e and e[1] > 0.0
+        ]
+        # below 1e-300 the Chernoff bound z^k stays an upper bound
+        assert all(value <= e[2] for value, e in zip(got, scalar) if e and e[1] == 0.0)
         kinds.append(
-            (*windows[-1], expected.count(None), sum(1 for e in expected if e and e[1] == 0.0))
+            (*windows[-1], scalar.count(None), sum(1 for e in scalar if e and e[1] == 0.0))
         )
+    monkeypatch.undo()
+    for batch, got in batches:
+        assert got == [bit_error_prob(k, cp) for k, cp in batch]
     # some batch mixed all four kinds
     assert any(min(kind) > 0 for kind in kinds)
 
@@ -592,60 +625,28 @@ def test_bit_error_prob_cut_changes_no_value(monkeypatch):
             m.setattr(reliability, "_LOG_ROUNDS_TO_ZERO", -math.inf)
             assert cut_values == [bit_error_prob(k, cp) for k in ks]
         assert cut_values[0] > 0.0 and cut_values[-1] == 0.0
-    # where wrong clicks are the likelier, z^k bounds nothing: z^5000 is
-    # 1e-485 here, yet nearly every bit decodes wrongly
-    assert bit_error_prob(5000, ClickProbabilities(0.01, 0.3)) > 0.99
-
-
-def _estimate_above_exact(cp: ClickProbabilities) -> int:
-    # an odd k near 1e5 whose bounded estimate lies above its exact sum
-    return next(
-        k for k in range(100_001, 100_201, 2) if _bounds(k, cp)[1] > bit_error_prob(k, cp)
-    )
 
 
 @pytest.mark.parametrize("shift", [0.0, -1e-11])
-def test_min_repetitions_falls_back_to_exact_sum_within_margin(shift):
-    # a target within _EXACT_REL of the message error at k0 leaves the
-    # bounds undecided: only the exact sum can say whether k0 passes (it
-    # does at the target itself, where the estimate says it fails, and
-    # not 1e-11 below it)
+def test_min_repetitions_verdict_is_the_bit_error_at_the_target(shift):
+    # a target equal to the message error at an odd k0 near 1e5: k0 passes
+    # by the very value bit_error_prob gives there, and fails 1e-11 below it
     cp = click_probs(0.05, QPQI_CHANNEL)
     b = 20
-    k0 = _estimate_above_exact(cp)
+    k0 = 100_001
     target = message_error_prob(bit_error_prob(k0, cp), b) * (1.0 + shift)
-    low, _, high = _bounds(k0, cp)
-    assert message_error_prob(low * (1.0 - reliability._EXACT_REL), b) <= target
-    assert message_error_prob(high * (1.0 + reliability._EXACT_REL), b) > target
     k = min_repetitions(target, b, cp)
     assert (k == k0) == (shift == 0.0)
     _assert_threshold(k, target, b, cp)
-    _assert_same_as_all_exact(target, b, cp)
 
 
-def _exact_sums_in_search(monkeypatch, mu: float) -> tuple[list[int], object]:
-    calls = []
-    exact = reliability.bit_error_prob
-
-    def counted(k, cp):
-        calls.append(k)
-        return exact(k, cp)
-
-    monkeypatch.setattr(reliability, "bit_error_prob", counted)
-    outcome = _search_outcome(min_repetitions, 0.01, 20, click_probs(mu, QPQI_CHANNEL))
-    return calls, outcome
-
-
-def test_exact_sums_only_where_they_decide(monkeypatch):
+def test_loud_channel_searches_at_dim_grid_values():
     # QPQI's plan (b = 20, target 0.01) at a dim grid value: the answer is
-    # near 9e6, and every probe, the answer's too, settles on its bounds
-    calls, outcome = _exact_sums_in_search(monkeypatch, 0.0031897702154663216)
-    assert outcome == 9045475
-    assert calls == []
-    # dimmer still: k = 1e7 fails on its bounds alone, with no exact sum
-    calls, outcome = _exact_sums_in_search(monkeypatch, 0.002976351441631319)
-    assert outcome.startswith("no repetition count up to")
-    assert calls == []
+    # near 9e6; dimmer still, k = 1e7 fails
+    cp = click_probs(0.0031897702154663216, QPQI_CHANNEL)
+    assert _search_outcome(min_repetitions, 0.01, 20, cp) == 9045475
+    cp = click_probs(0.002976351441631319, QPQI_CHANNEL)
+    assert _search_outcome(min_repetitions, 0.01, 20, cp).startswith("no repetition count up to")
 
 
 def test_min_repetitions_infeasible_majority():
@@ -673,13 +674,13 @@ def test_min_repetitions_at_the_floor_bisects_the_bracket(monkeypatch):
     # at target = MIN_TARGET_ERROR every passing probe clamps to f = 0,
     # which gives regula falsi no slope; the search bisects instead
     probes = []
-    bounds = reliability._error_bounds
+    evaluate = reliability._bit_errors
 
     def counted(batch):
         probes.extend(k for k, _ in batch)
-        return bounds(batch)
+        return evaluate(batch)
 
-    monkeypatch.setattr(reliability, "_error_bounds", counted)
+    monkeypatch.setattr(reliability, "_bit_errors", counted)
     # the all-exact search walks this bracket down one k at a time, in
     # about 600 probes, to the same answer
     cp = ClickProbabilities(0.3, 0.01)
@@ -696,7 +697,9 @@ def test_min_repetitions_at_the_floor_bisects_the_bracket(monkeypatch):
 
 
 def test_min_repetitions_rejects_more_than_one_click_per_slot():
-    with pytest.raises(ParameterError, match="exceeds 1"):
+    # a channel, not a parameter, the planner can meet on a grid: a
+    # reliability reason for that grid point, and no probe
+    with pytest.raises(InfeasibleError, match="exceeds 1"):
         min_repetitions(0.01, 5, ClickProbabilities(0.7, 0.4))
 
 
