@@ -6,7 +6,8 @@ Given a message length, a stealth budget, a reliability target, and the
 measured channel (transmissivity plus noise at both ends), the planner
 picks the pulse intensity that moves the message in the least wall-clock
 time. This script plans a 35-bit message over a 500 MHz link and then
-re-derives every claim from scratch.
+re-derives its two claims, the detection-bias bound and the message
+error, from scratch.
 """
 
 import numpy as np
@@ -46,7 +47,7 @@ for g in feasible[:: max(1, len(feasible) // 5)]:
 costs = np.array([g.n_pairs for g in feasible], dtype=float)
 print(f"\ncost spread across feasible grid: x{costs.max() / costs.min():.1f}")
 
-# independent re-check of every claim in the plan
+# independent re-check of the plan's two claims: the bias bound and the message error
 report = validate_plan(params, request)
 print("\nvalidation report:")
 for check in report.checks:

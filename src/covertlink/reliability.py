@@ -108,9 +108,6 @@ class ClickProbabilities:
     Attributes:
         p_correct: probability that the signal bin clicks.
         p_wrong: probability that the paired noise-only bin clicks.
-
-    The click split p_good_given_click is derived from the two, so it
-    cannot be handed in apart from the channel they describe.
     """
 
     p_correct: float
@@ -121,13 +118,6 @@ class ClickProbabilities:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1], got {v!r}")
-
-    @property
-    def p_good_given_click(self) -> float:
-        """Probability that an observed click sits in the signal bin; nan
-        when no click can occur."""
-        total = self.p_correct + self.p_wrong
-        return self.p_correct / total if total > 0.0 else math.nan
 
 
 def click_probs(mu: float, ch: ChannelModel) -> ClickProbabilities:
@@ -207,8 +197,7 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
         if p_c == 0.0 or p_w == 0.0 or pi >= 1.0:
             out[i] = float(_binom_cdf(k // 2 if p_w > 0.0 else 0, k, p_c))
             continue
-        root = math.sqrt(p_c * p_w)
-        z = 1.0 - p_c - p_w + 2.0 * root
+        root, z = _chernoff_base(p_c, p_w)
         log_chernoff = k * math.log(z) if p_c >= p_w else 0.0
         if log_chernoff < _LOG_ROUNDS_TO_ZERO:
             continue
@@ -228,6 +217,13 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
     for (i, *_), total in zip(windows, totals.tolist()):
         out[i] = min(total, 1.0)
     return out
+
+
+def _chernoff_base(p_c: float, p_w: float) -> tuple[float, float]:
+    """sqrt(p_c p_w) and z = 1 - p_c - p_w + 2 sqrt(p_c p_w): where p_c >=
+    p_w, z^k is the Chernoff bound of the k-repetition vote error."""
+    root = math.sqrt(p_c * p_w)
+    return root, 1.0 - p_c - p_w + 2.0 * root
 
 
 def _short_window_sums(k, p_w, pi, a, top, start) -> np.ndarray:
@@ -411,8 +407,8 @@ def _estimate_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> in
 def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     """Smallest repetition count k meeting the message-error target.
 
-    Majority voting converges only when a click is more likely correct
-    than wrong (p_good_given_click > 1/2); otherwise the target is
+    Majority voting converges only when the signal bin clicks more often
+    than the noise bin (p_correct > p_wrong); otherwise the target is
     unreachable and InfeasibleError is raised, as it is when the
     normal-approximation guess exceeds 4 * MAX_REPETITIONS or k =
     MAX_REPETITIONS itself fails, or when p_correct + p_wrong exceeds 1,
@@ -423,8 +419,9 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     probe fails exactly where f(k) > 0. f is nearly linear in k: starting
     from the normal-approximation guess, failing points step upward along
     the slope of the Chernoff exponent, log error ~ -k I - log(k) / 2
-    with I = -log(1 - p + 2 sqrt(p_correct p_wrong)), until a passing k is
-    found; Illinois regula falsi then closes the bracket to an adjacent
+    with I = -log z, z = 1 - p_correct - p_wrong + 2 sqrt(p_correct
+    p_wrong) as _bit_errors forms it, until a passing k is found;
+    Illinois regula falsi then closes the bracket to an adjacent
     (failing, passing) pair. Because an even k can decode slightly worse
     than k - 1 (ties lose), the passing end is finally walked downward
     checking both k - 1 and k - 2, which covers the parity sawtooth
@@ -455,13 +452,12 @@ def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
     check_target_error(target_e)
     if b < 1:
         raise ParameterError(f"b must be >= 1, got {b!r}")
-    p = cp.p_correct + cp.p_wrong
-    if p > 1.0:
+    if cp.p_correct + cp.p_wrong > 1.0:
         raise InfeasibleError(
             "p_correct + p_wrong exceeds 1; the single-click-per-slot model "
             "does not apply"
         )
-    if p == 0.0 or math.isnan(cp.p_good_given_click) or cp.p_good_given_click <= 0.5:
+    if cp.p_correct <= cp.p_wrong:
         raise InfeasibleError(
             "majority vote cannot converge: correct clicks are not more "
             "likely than wrong ones"
@@ -486,7 +482,7 @@ def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
         raise InfeasibleError(
             f"estimated repetitions {guess:.1e} exceed the cap {MAX_REPETITIONS:.1e}"
         )
-    rate = -math.log(max(1.0 - p + 2.0 * math.sqrt(cp.p_correct * cp.p_wrong), 1e-300))
+    rate = -math.log(max(_chernoff_base(cp.p_correct, cp.p_wrong)[1], 1e-300))
     lo, hi, f_hi = 1, None, 0.0
     k = min(max(2, guess), MAX_REPETITIONS)
     side = 0

@@ -228,7 +228,7 @@ def majority_error_double_sum(k: int, cp: ClickProbabilities) -> float:
         lo = max(0, int(k * s - half_s))
     i = np.arange(lo, min(k, math.ceil(k * p + half)) + 1)
     outer = np.clip(_binom_pmf(i, k, p), 0.0, 1.0)
-    wrong_majority = np.clip(_binom_cdf(i // 2, i, cp.p_good_given_click), 0.0, 1.0)
+    wrong_majority = np.clip(_binom_cdf(i // 2, i, cp.p_correct / p), 0.0, 1.0)
     delta = float(np.sum(outer * wrong_majority))
     return min(max(delta, 0.0), 1.0)
 
@@ -377,8 +377,8 @@ def min_repetitions_all_exact(target_e: float, b: int, cp: ClickProbabilities) -
     k for k and InfeasibleError message for message.
 
     Majority voting converges only when a click is more likely correct
-    than wrong (p_good_given_click > 1/2); otherwise the target is
-    unreachable and InfeasibleError is raised, as it is when the
+    than wrong (p_correct / (p_correct + p_wrong) > 1/2); otherwise the
+    target is unreachable and InfeasibleError is raised, as it is when the
     normal-approximation guess exceeds 4 * MAX_REPETITIONS or k =
     MAX_REPETITIONS itself fails.
 
@@ -402,7 +402,7 @@ def min_repetitions_all_exact(target_e: float, b: int, cp: ClickProbabilities) -
     if b < 1:
         raise ParameterError(f"b must be >= 1, got {b!r}")
     p = cp.p_correct + cp.p_wrong
-    if p == 0.0 or math.isnan(cp.p_good_given_click) or cp.p_good_given_click <= 0.5:
+    if p == 0.0 or cp.p_correct / p <= 0.5:
         raise InfeasibleError(
             "majority vote cannot converge: correct clicks are not more "
             "likely than wrong ones"

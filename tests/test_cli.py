@@ -113,11 +113,7 @@ def test_validate_round_trip(fast_config, planned_dir):
     assert rc == EXIT_OK
     report = json.loads((planned_dir / "validate.json").read_text())
     assert report["passed"] is True
-    assert {c["name"] for c in report["checks"]} >= {
-        "detection_bias",
-        "message_error",
-        "running_time",
-    }
+    assert [c["name"] for c in report["checks"]] == ["detection_bias", "message_error"]
 
 
 def test_validate_catches_tampered_plan(fast_config, planned_dir, tmp_path):

@@ -42,8 +42,6 @@ def model_clicks(point) -> ClickProbabilities:
 def test_click_split_is_derived_from_the_two_bins():
     # the split cannot be handed in apart from p_correct and p_wrong
     assert [f.name for f in dataclasses.fields(ClickProbabilities)] == ["p_correct", "p_wrong"]
-    assert ClickProbabilities(0.5, 0.1).p_good_given_click == 0.5 / 0.6
-    assert math.isnan(ClickProbabilities(0.0, 0.0).p_good_given_click)
     with pytest.raises(TypeError):
         ClickProbabilities(0.5, 0.1, 0.9)
 
@@ -52,14 +50,12 @@ def test_click_probs_dark_silent_channel():
     cp = click_probs(0.0, ChannelModel(tau=0.5, n_bar_a=0.0, n_bar_b=0.0))
     assert cp.p_correct == 0.0
     assert cp.p_wrong == 0.0
-    assert math.isnan(cp.p_good_given_click)
 
 
 def test_click_probs_pure_loss_limit():
     cp = click_probs(0.3, ChannelModel(tau=1.0, n_bar_a=0.0, n_bar_b=0.0))
     assert cp.p_correct == pytest.approx(-math.expm1(-0.3), rel=1e-15)
     assert cp.p_wrong == 0.0
-    assert cp.p_good_given_click == 1.0
 
 
 def test_click_probs_frozen_reference_values():
@@ -68,9 +64,6 @@ def test_click_probs_frozen_reference_values():
         p_c, p_w = ref.CLICK_PROBS_MODEL[p.name]
         assert cp.p_correct == pytest.approx(p_c, rel=1e-13)
         assert cp.p_wrong == pytest.approx(p_w, rel=1e-13)
-        assert cp.p_good_given_click == pytest.approx(
-            p_c / (p_c + p_w), rel=1e-13
-        )
 
 
 def test_click_probs_vs_photon_thinning_mc():
@@ -654,6 +647,16 @@ def test_min_repetitions_infeasible_majority():
         min_repetitions(0.01, 35, ClickProbabilities(0.01, 0.01))
     with pytest.raises(InfeasibleError):
         min_repetitions(0.01, 35, ClickProbabilities(0.005, 0.01))
+
+
+def test_min_repetitions_converges_one_ulp_past_the_tie():
+    # p_correct / (p_correct + p_wrong) rounds to exactly 0.5 here, yet the
+    # signal bin clicks more often and one repetition already errs 0.7 <= 0.9
+    cp = ClickProbabilities(math.nextafter(0.3, 1.0), 0.3)
+    assert cp.p_correct / (cp.p_correct + cp.p_wrong) == 0.5
+    assert min_repetitions(0.9, 1, cp) == 1
+    with pytest.raises(InfeasibleError, match="majority vote cannot converge"):
+        min_repetitions(0.9, 1, ClickProbabilities(0.3, 0.3))
 
 
 def test_min_repetitions_refuses_targets_below_the_floor():

@@ -155,7 +155,7 @@ def oracle_bound(n_pairs: int, d: int, mu: float, n_bar: float):
         return mp.sqrt(n_pairs * oracles.kl_divergence_highprec(mu, n_bar, q) / 8)
 
 
-@pytest.mark.parametrize("q", [PLAN_D / PLAN_N, 1.6e-9])
+@pytest.mark.parametrize("q", [PLAN_D / PLAN_N, 1.6e-9], ids=["golden plan q", "1.6e-09"])
 def test_divergence_matches_oracle_to_1e13(q):
     # the plain -rho log1p(q x) sum was low by 1.9e-9 and 1.1e-7 here
     profile = DivergenceProfile.build(PLAN_MU, CQTUSTC.n_bar_a)
