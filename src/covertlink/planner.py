@@ -222,10 +222,6 @@ class CheckResult:
     value: float
     limit: float
 
-    @property
-    def margin(self) -> float:
-        return self.limit - self.value
-
 
 @dataclass(frozen=True)
 class PlanReport:
@@ -382,8 +378,8 @@ def validate_plan(p: ProtocolParams, req: PlanRequest) -> PlanReport:
     A plan whose b, channel, rep_rate_hz, epsilon_target or target_e is
     not the request's raises ParameterError. Otherwise
     ProtocolParams.derive re-forms the bias bound and the message error
-    from the plan's (b, k, N, mu), and each lands in the report with its
-    margin; a plan with no signals hides perfectly and delivers nothing.
+    from the plan's (b, k, N, mu), and each lands in the report beside its
+    limit; a plan with no signals hides perfectly and delivers nothing.
     d, q and the running time need no row: ProtocolParams and
     fileio.params_from_document refuse stored ones that disagree.
     """

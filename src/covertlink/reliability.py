@@ -14,14 +14,15 @@ that split does not apply. bit_error_prob is a batch of one on it, and
 each probe of the inversion is its value against the target, so the k
 returned passes by the very value bit_error_prob reports there.
 
-The inversion is a generator, _repetition_search, that yields each
-probe it needs, and _lockstep runs any number of such searches side by
-side: each round gathers every pending probe into one batched
-_bit_errors call, which places each window on its own but sums every
-window of up to 256 terms in one flat numpy pass. The planner runs the
-searches of 64 grid points at a time this way; min_repetitions runs
-one, as a batch of one. A probe's value is the same double whatever
-shares its batch, so batching changes no probe sequence and no result.
+The inversion is one bracketed Newton loop, a generator,
+_repetition_search, that yields each probe it needs, and _lockstep runs
+any number of such searches side by side: each round gathers every
+pending probe into one batched _bit_errors call, which places each
+window on its own but sums every window of up to 256 terms in one flat
+numpy pass. The planner runs the searches of 64 grid points at a time
+this way; min_repetitions runs one, as a batch of one. A probe's value
+is the same double whatever shares its batch, so batching changes no
+probe sequence and no result.
 
 Conventions baked into the formulas, shared with the simulator: an
 exact vote tie counts as a bit error, and a bit with no clicks at all
@@ -415,18 +416,18 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     where the single-click-per-slot model does not apply. A target below
     MIN_TARGET_ERROR raises ParameterError (check_target_error).
 
-    One search on f(k) = log(message error / target), memoized per k; a
-    probe fails exactly where f(k) > 0. f is nearly linear in k: starting
-    from the normal-approximation guess, failing points step upward along
-    the slope of the Chernoff exponent, log error ~ -k I - log(k) / 2
-    with I = -log z, z = 1 - p_correct - p_wrong + 2 sqrt(p_correct
-    p_wrong) as _bit_errors forms it, until a passing k is found;
-    Illinois regula falsi then closes the bracket to an adjacent
-    (failing, passing) pair. Because an even k can decode slightly worse
-    than k - 1 (ties lose), the passing end is finally walked downward
-    checking both k - 1 and k - 2, which covers the parity sawtooth
-    riding the decreasing envelope. So the smallest passing k is returned
-    as long as odd and even k each decode better as k grows.
+    One bracketed loop on f(k) = log(message error / target), memoized
+    per k, finds k, k - 1 failing (f > 0) and k passing. It starts from
+    the normal-approximation guess; each probe moves one end of the
+    bracket, and the next lands by a Newton step along the Chernoff
+    exponent, log error ~ -k I - log(k) / 2, slope I + 1/(2k) with I =
+    -log z, z = 1 - p_correct - p_wrong + 2 sqrt(p_correct p_wrong) as
+    _bit_errors forms it, rounded and kept strictly inside the bracket.
+    A passing error clamped at MIN_TARGET_ERROR reads f = 0 and gives no
+    slope; the loop bisects there. Because an even k can decode slightly
+    worse than k - 1 (ties lose), the passing end is then walked down
+    two at a time while k - 2 passes. So the smallest passing k is
+    returned as long as odd and even k each decode better as k grows.
 
     Each probe's message error comes from _bit_errors, the evaluator
     bit_error_prob is a batch of one on, and its verdict is that value
@@ -472,8 +473,7 @@ def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
             memo[k] = math.log(max(message_error_prob(delta, b), MIN_TARGET_ERROR)) - log_target
         return memo[k]
 
-    f_lo = yield from log_excess(1)
-    if f_lo <= 0.0:
+    if (yield from log_excess(1)) <= 0.0:
         return 1
     guess = _estimate_repetitions(target_e, b, cp)
     if guess >= 4 * MAX_REPETITIONS:
@@ -483,45 +483,33 @@ def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
             f"estimated repetitions {guess:.1e} exceed the cap {MAX_REPETITIONS:.1e}"
         )
     rate = -math.log(max(_chernoff_base(cp.p_correct, cp.p_wrong)[1], 1e-300))
-    lo, hi, f_hi = 1, None, 0.0
-    k = min(max(2, guess), MAX_REPETITIONS)
-    side = 0
-    while hi is None or hi - lo > 1:
+    # the bracket: f(lo) > 0 >= f(hi), where hi = MAX_REPETITIONS + 1
+    # stands for no passing k probed yet
+    lo, hi = 1, MAX_REPETITIONS + 1
+    k = min(max(guess, lo + 1), hi - 1)
+    while True:
         f_k = yield from log_excess(k)
-        if f_k > 0.0:
-            if k >= MAX_REPETITIONS:
-                raise InfeasibleError(
-                    f"no repetition count up to {MAX_REPETITIONS:.1e} meets the "
-                    f"message-error target {target_e}"
-                )
-            lo, f_lo = k, f_k
-            if side == -1:
-                f_hi *= 0.5
-            side = -1
+        if f_k <= 0.0:
+            hi = k
+        elif k >= MAX_REPETITIONS:
+            raise InfeasibleError(
+                f"no repetition count up to {MAX_REPETITIONS:.1e} meets the "
+                f"message-error target {target_e}"
+            )
         else:
-            hi, f_hi = k, f_k
-            if side == 1:
-                f_lo *= 0.5
-            side = 1
-        if hi is None:
-            est = k + f_k / (rate + 0.5 / k)
-            k = min(max(int(round(est)), k + 1), MAX_REPETITIONS)
-        elif hi - lo > 1:
-            if f_hi < 0.0:
-                est = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-            else:
-                # a passing error clamped at MIN_TARGET_ERROR reads f = 0
-                # exactly and gives no slope to interpolate on: bisect
-                est = 0.5 * (lo + hi)
-            k = min(max(int(round(est)), lo + 1), hi - 1)
-    k = hi
-    while k > 1:
-        if (yield from log_excess(k - 1)) <= 0.0:
-            k -= 1
-        elif k > 2 and (yield from log_excess(k - 2)) <= 0.0:
-            k -= 2
-        else:
+            lo = k
+        if hi - lo <= 1:
             break
+        if f_k == 0.0:
+            # a passing error clamped at MIN_TARGET_ERROR reads f = 0
+            # exactly and gives no slope to step on: bisect
+            est = 0.5 * (lo + hi)
+        else:
+            est = k + f_k / (rate + 0.5 / k)
+        k = min(max(int(round(est)), lo + 1), hi - 1)
+    k = hi
+    while k > 2 and (yield from log_excess(k - 2)) <= 0.0:
+        k -= 2
     return k
 
 

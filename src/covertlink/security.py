@@ -6,12 +6,12 @@ the channel's idle thermal state and its state during covert
 transmission, a mixture of the idle state and the pulse on top of it.
 This module evaluates the bound on D from fock_stats.DivergenceProfile
 and inverts it to find the smallest number of time-bin pairs meeting a
-covertness budget. The inversion is a generator, _pair_search, that
-yields each divergence it needs; in the planner's lockstep rounds
-(reliability._lockstep) the divergences of every pending search are
-formed in one batched pass, fock_stats._divergences, with the same
-doubles as one at a time. min_pairs_for_budget runs one search, as a
-batch of one.
+covertness budget. The inversion is one bracketed Newton loop in log N,
+a generator, _pair_search, that yields each divergence it needs. In the
+planner's lockstep rounds (reliability._lockstep) the divergences of
+every pending search are formed in one batched pass,
+fock_stats._divergences, with the same doubles as one at a time.
+min_pairs_for_budget runs one search, as a batch of one.
 
 Convention: counts here are time-bin PAIRS; each pair contributes
 BINS_PER_PAIR raw time bins when converted to wall-clock duration.
@@ -29,9 +29,7 @@ BINS_PER_PAIR = 2
 
 DEFAULT_PAIR_CEILING = 10**16
 
-# Newton refinement of the square-root-law start: at most this many
-# steps, each moving N by at most a factor e**_MAX_LOG_STEP
-_NEWTON_STEPS = 8
+# a Newton step moves N by at most a factor e**_MAX_LOG_STEP
 _MAX_LOG_STEP = 8.0
 
 
@@ -71,20 +69,20 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
     with N. The computed bound keeps that order at single-pair
     resolution because the profile's D is accurate to a few units in
     the last place (see fock_stats): one pair moves the bound by about
-    1/(2N) relative, which stays above that noise up to N ~ 1e15. The
-    former double-precision sum carried ~1e-9 relative noise, so the
-    computed bound reversed thousands of times near the answer and the
-    returned N depended on the bisection path.
+    1/(2N) relative, which stays above that noise up to N ~ 1e15. Above
+    that, pass and fail can alternate pair by pair; the N returned still
+    has bound(N) <= epsilon < bound(N - 1), which the search checks.
 
-    The search starts from the square-root law: as q -> 0,
-    D(q) = q^2 chi2 / 2, so N0 = d^2 chi2 / (16 epsilon^2). Newton steps
-    on log(D(q)/q) against log q (slope 1 in the quadratic regime, 0
-    where terms saturate) refine N0 to within a pair or two, usually in
-    one step. Galloping outward from there brackets the answer between
-    a failing and a passing N, and bisection closes the bracket. A
-    search costs a handful of divergence evaluations, each at an
-    integer N and kept for reuse; the returned N is verified against
-    N - 1.
+    One bracketed loop finds N, N - 1 failing and N passing. It starts
+    from the square-root law: as q -> 0, D(q) = q^2 chi2 / 2, so N0 =
+    d^2 chi2 / (16 epsilon^2). Each probe moves one end of the bracket,
+    and the next lands by a Newton step on log(D(q)/q) against log q
+    (slope 1 in the quadratic regime, 0 where terms saturate), rounded
+    up and kept strictly inside the bracket. Where that slope is not
+    positive (on a vacuum background D/q is flat) the loop doubles N
+    until a passing N is known, and bisects from then on. A search
+    costs a handful of divergence evaluations, each at an integer N and
+    kept for reuse.
 
     The search is _pair_search, which the planner runs in lockstep with
     the other grid points' searches; here it runs alone, as a batch of
@@ -128,7 +126,6 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
         )
 
     profile = DivergenceProfile.build(mu, n_bar_a)
-    floor = d_signals
     divergences: dict[int, float] = {}
 
     def divergence_at(n_pairs: int):
@@ -136,11 +133,13 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
             divergences[n_pairs] = yield _divergences, (profile, d_signals / n_pairs)
         return divergences[n_pairs]
 
-    def bound(n_pairs: int):
-        return detection_bias_bound(n_pairs, (yield from divergence_at(n_pairs)))
+    # the bracket: bound(lo) > epsilon >= bound(hi), where lo = d - 1 stands
+    # for every allowed N below hi, and hi = DEFAULT_PAIR_CEILING + 1 for
+    # no passing N probed yet
+    lo, hi = d_signals - 1, DEFAULT_PAIR_CEILING + 1
 
-    def clamp(n_pairs: float) -> int:
-        return int(min(max(math.ceil(n_pairs), floor), DEFAULT_PAIR_CEILING))
+    def inside(n_pairs: float) -> int:
+        return math.ceil(min(max(n_pairs, lo + 1), hi - 1))
 
     if profile.uncovered > 0.0:
         limit = math.sqrt(d_signals * profile.uncovered / 8.0)
@@ -151,55 +150,36 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
                 "no square-root law holds, and the bound only falls to "
                 f"{limit:.3g} >= budget {epsilon} for d={d_signals}, mu={mu}"
             )
-        n = floor
-    elif profile.chi2 == 0.0:
-        n = floor
+        n = d_signals
     else:
-        target = 8.0 * epsilon**2 / d_signals  # the answer has D(q)/q = target
-        n = clamp(d_signals**2 * profile.chi2 / (16.0 * epsilon**2))
-        for _ in range(_NEWTON_STEPS):
-            q = d_signals / n
-            d_mode = yield from divergence_at(n)
-            if d_mode == 0.0:
-                break
-            # slope of log(D/q) against log q
-            slope = q * profile.slope(q) / d_mode - 1.0
-            if not slope > 0.0:
-                break
-            step = (math.log(d_mode / q) - math.log(target)) / slope
-            new_n = clamp(n * math.exp(min(max(step, -_MAX_LOG_STEP), _MAX_LOG_STEP)))
-            if abs(new_n - n) <= 1:
-                n = new_n
-                break
-            n = new_n
-
-    # gallop outward from n to a bracket: bound(lo) > epsilon >= bound(hi);
-    # lo = floor - 1 stands for "every allowed N below hi"
-    if (yield from bound(n)) <= epsilon:
-        hi, step = n, 1
-        lo = hi - step
-        while lo >= floor and (yield from bound(lo)) <= epsilon:
-            hi, step = lo, 2 * step
-            lo = hi - step
-        lo = max(lo, floor - 1)
-    else:
-        lo, step = n, 1
-        while True:
-            hi = min(lo + step, DEFAULT_PAIR_CEILING)
-            if (yield from bound(hi)) <= epsilon:
-                break
-            if hi >= DEFAULT_PAIR_CEILING:
-                raise InfeasibleError(
-                    f"no pair count up to {DEFAULT_PAIR_CEILING:.3g} meets detection-bias budget "
-                    f"{epsilon} for d={d_signals}, mu={mu}"
-                )
-            lo, step = hi, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if (yield from bound(mid)) > epsilon:
-            lo = mid
+        n = inside(d_signals**2 * profile.chi2 / (16.0 * epsilon**2))
+    target = 8.0 * epsilon**2 / d_signals  # the answer has D(q)/q = target
+    while True:
+        d_mode = yield from divergence_at(n)
+        if detection_bias_bound(n, d_mode) <= epsilon:
+            hi = n
+        elif n >= DEFAULT_PAIR_CEILING:
+            raise InfeasibleError(
+                f"no pair count up to {DEFAULT_PAIR_CEILING:.3g} meets detection-bias budget "
+                f"{epsilon} for d={d_signals}, mu={mu}"
+            )
         else:
-            hi = mid
-    if (yield from bound(hi)) > epsilon or (hi > floor and (yield from bound(hi - 1)) <= epsilon):
-        raise InfeasibleError("bisection postcondition failed; bound not monotone here")
+            lo = n
+        if hi - lo <= 1:
+            break
+        q = d_signals / n
+        slope = 0.0  # of log(D/q) against log q; D/q is flat on a vacuum background
+        if d_mode > 0.0 and profile.uncovered == 0.0:
+            slope = q * profile.slope(q) / d_mode - 1.0
+        if slope > 0.0:
+            step = (math.log(d_mode / q) - math.log(target)) / slope
+            n = inside(n * math.exp(min(max(step, -_MAX_LOG_STEP), _MAX_LOG_STEP)))
+        elif hi > DEFAULT_PAIR_CEILING:
+            n = inside(2 * n)
+        else:
+            n = (lo + hi) // 2
+    if hi > d_signals:
+        d_below = yield from divergence_at(hi - 1)
+        if detection_bias_bound(hi - 1, d_below) <= epsilon:
+            raise InfeasibleError("search postcondition failed; bound not monotone here")
     return hi

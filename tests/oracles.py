@@ -371,15 +371,16 @@ class _Probe:
 def min_repetitions_all_exact(target_e: float, b: int, cp: ClickProbabilities) -> int:
     """Smallest repetition count k meeting the message-error target.
 
-    The repetition search as it was before its probes were bounded: every
-    probe runs the double sum majority_error_double_sum, the exact sum of
-    that time. Kept verbatim as the reference the search must agree with,
-    k for k and InfeasibleError message for message.
+    The repetition search as it was before its probes were bounded, and
+    before one bracketed Newton loop replaced its Illinois regula falsi:
+    every probe runs the double sum majority_error_double_sum, the exact
+    sum of that time. Kept as the independent reference the search must
+    agree with, k for k and InfeasibleError message for message.
 
     Majority voting converges only when a click is more likely correct
-    than wrong (p_correct / (p_correct + p_wrong) > 1/2); otherwise the
-    target is unreachable and InfeasibleError is raised, as it is when the
-    normal-approximation guess exceeds 4 * MAX_REPETITIONS or k =
+    than wrong (p_correct > p_wrong, the library's rule); otherwise the
+    target is unreachable and InfeasibleError is raised, as it is when
+    the normal-approximation guess exceeds 4 * MAX_REPETITIONS or k =
     MAX_REPETITIONS itself fails.
 
     One search on f(k) = log(message error / target), which is nearly
@@ -402,7 +403,7 @@ def min_repetitions_all_exact(target_e: float, b: int, cp: ClickProbabilities) -
     if b < 1:
         raise ParameterError(f"b must be >= 1, got {b!r}")
     p = cp.p_correct + cp.p_wrong
-    if p == 0.0 or cp.p_correct / p <= 0.5:
+    if cp.p_correct <= cp.p_wrong:
         raise InfeasibleError(
             "majority vote cannot converge: correct clicks are not more "
             "likely than wrong ones"

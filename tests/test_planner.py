@@ -245,7 +245,7 @@ def _reported_errors(monkeypatch) -> list[int]:
     return calls
 
 
-@pytest.mark.parametrize("config, most", [("fiber_qpqi.yaml", 1665), ("fiber_cqtustc.yaml", 2435)])
+@pytest.mark.parametrize("config, most", [("fiber_qpqi.yaml", 1665), ("fiber_cqtustc.yaml", 2245)])
 def test_plan_bounded_probe_count(monkeypatch, config, most):
     # every probe of the repetition searches is evaluated once (memoized
     # per k); a search change that adds probes shows here. The searches
@@ -266,8 +266,27 @@ def test_plan_bounded_probe_count(monkeypatch, config, most):
     assert 0 < probes - len(reported) <= most
 
 
+def test_plan_bounded_divergence_count(monkeypatch):
+    # every divergence the pair searches of the 8 bundled plans evaluate
+    # (9,413); a search change that adds evaluations shows here. The
+    # searches yield security._divergences as their evaluator, so every
+    # batch the planner evaluates passes through this wrapper
+    evaluations = 0
+    evaluate = security._divergences
+
+    def counted(batch):
+        nonlocal evaluations
+        evaluations += len(batch)
+        return evaluate(batch)
+
+    monkeypatch.setattr(security, "_divergences", counted)
+    for path in bundled_configs():
+        plan_with_report(request_for(path))
+    assert 0 < evaluations <= 9_413
+
+
 def test_lockstep_batches_equal_the_scalar_references_on_bundled_plans(monkeypatch):
-    # every repetition probe (17,928) and every divergence of the 8
+    # every repetition probe (16,788) and every divergence of the 8
     # bundled plans, evaluated in the planner's lockstep rounds, against
     # the one-probe evaluators kept in oracles: the same doubles, whatever
     # else shares the batch
@@ -297,7 +316,7 @@ def test_lockstep_batches_equal_the_scalar_references_on_bundled_plans(monkeypat
         assert max(len(batch) for batch, _ in batches) > 1
         pairs = [pair for batch, out in batches for pair in zip(batch, out)]
         assert [got for _, got in pairs] == [one(*item) for item, _ in pairs]
-    assert sum(len(batch) for batch, _ in recorded["_bit_errors"]) - len(reported) == 17_928
+    assert sum(len(batch) for batch, _ in recorded["_bit_errors"]) - len(reported) == 16_788
 
 
 @pytest.mark.parametrize("config", ["fiber_cqtustc.yaml", "fiber_qpqi.yaml"])

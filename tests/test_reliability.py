@@ -341,6 +341,33 @@ def test_min_repetitions_random_channels_across_decades():
     assert feasible >= 75
 
 
+def test_min_repetitions_matches_all_exact_on_a_thousand_channels():
+    # the one-loop search against the kept Illinois search, on answers
+    # small enough for the oracle's double sum (k below 3000)
+    rng = np.random.default_rng(20261019)
+    compared = 0
+    while compared < 1000:
+        p_w = 10 ** rng.uniform(-4, math.log10(0.3))
+        p_c = min(p_w * 10 ** rng.uniform(math.log10(1.1), 2), 1.0 - p_w)
+        target = 10 ** rng.uniform(-12, math.log10(0.8))
+        b = int(rng.choice([1, 5, 35]))
+        cp = ClickProbabilities(p_c, p_w)
+        if _estimate_repetitions(target, b, cp) > 2000:
+            continue
+        outcome = _search_outcome(min_repetitions, target, b, cp)
+        assert outcome == _search_outcome(oracles.min_repetitions_all_exact, target, b, cp)
+        assert isinstance(outcome, str) or outcome < 3000
+        compared += 1
+
+
+@pytest.mark.parametrize("target, b", [(0.9, 1), (0.01, 35)])
+@pytest.mark.parametrize("p_c", [math.nextafter(0.3, 1.0), 0.3])
+def test_min_repetitions_matches_all_exact_where_the_click_split_ties(target, b, p_c):
+    # p_c / (p_c + p_w) rounds to 0.5 just above the tie, and is 0.5 at it;
+    # both searches decide convergence by p_correct > p_wrong alone
+    _assert_same_as_all_exact(target, b, ClickProbabilities(p_c, 0.3))
+
+
 QPQI_CHANNEL = ChannelModel(tau=0.18, n_bar_a=0.60, n_bar_b=0.68)
 
 
@@ -675,7 +702,7 @@ def test_min_repetitions_refuses_targets_below_the_floor():
 
 def test_min_repetitions_at_the_floor_bisects_the_bracket(monkeypatch):
     # at target = MIN_TARGET_ERROR every passing probe clamps to f = 0,
-    # which gives regula falsi no slope; the search bisects instead
+    # which gives the Newton step no slope; the search bisects there
     probes = []
     evaluate = reliability._bit_errors
 
@@ -690,8 +717,8 @@ def test_min_repetitions_at_the_floor_bisects_the_bracket(monkeypatch):
     k = min_repetitions(MIN_TARGET_ERROR, 35, cp)
     assert k == oracles.min_repetitions_all_exact(MIN_TARGET_ERROR, 35, cp) == 3087
     assert 0 < len(probes) <= 40
-    # a bracket of about 2000, where the walk halves f_lo to 0 and the
-    # all-exact search ends in a ZeroDivisionError
+    # a bracket of about 2000, where the all-exact search's Illinois walk
+    # halves f_lo to 0 and ends in a ZeroDivisionError
     probes.clear()
     cp = ClickProbabilities(0.1, 0.02)
     k = min_repetitions(MIN_TARGET_ERROR, 35, cp)

@@ -204,3 +204,37 @@ def test_vacuum_background_feasible_below_its_limit():
     assert n > 10
     assert bias_for_protocol(n, 10, 0.1, 0.0) <= 0.35
     assert bias_for_protocol(n - 1, 10, 0.1, 0.0) > 0.35
+
+
+def test_min_pairs_is_the_threshold_on_random_inputs():
+    # the answer is the bound's threshold: bound(N) <= epsilon < bound(N - 1).
+    # Up to N ~ 1e15 the bound keeps its order pair by pair, so that N is
+    # the smallest; above, the search's postcondition still holds. Every
+    # 10th draw has a vacuum background and a budget a little above its
+    # limit, so the search doubles N from d to a bracket
+    rng = np.random.default_rng(20261019)
+    ordered = vacuum = 0
+    for i in range(400):
+        if i % 10 == 0:
+            d = int(10 ** rng.uniform(0, 4))
+            mu, n_bar_a = 10 ** rng.uniform(-6, -1), 0.0
+            # D/q = u + q u^2 / 2 + ..., u = 1 - e^-mu, so N / d is near
+            # u / (4 x) for a budget of limit (1 + x)
+            u = -math.expm1(-mu)
+            limit = math.sqrt(d * u / 8.0)
+            eps = min(limit * (1.0 + u * 10 ** rng.uniform(-3, -1)), 0.49)
+        else:
+            d = int(10 ** rng.uniform(0, 8))
+            mu, n_bar_a = 10 ** rng.uniform(-4, 0), 10 ** rng.uniform(-3, 1)
+            eps = 10 ** rng.uniform(-3, math.log10(0.3))
+        try:
+            n = min_pairs_for_budget(eps, d, mu, n_bar_a)
+        except InfeasibleError:
+            continue
+        assert type(n) is int and n >= d
+        assert bias_for_protocol(n, d, mu, n_bar_a) <= eps
+        if n > d:
+            assert bias_for_protocol(n - 1, d, mu, n_bar_a) > eps
+        ordered += n <= 10**15
+        vacuum += n_bar_a == 0.0 and n > 2 * d
+    assert ordered >= 250 and vacuum >= 20
