@@ -17,12 +17,14 @@ returned passes by the very value bit_error_prob reports there.
 The inversion is one bracketed Newton loop, a generator,
 _repetition_search, that yields each probe it needs, and _lockstep runs
 any number of such searches side by side: each round gathers every
-pending probe into one batched _bit_errors call, which places each
-window on its own but sums every window of up to 256 terms in one flat
-numpy pass. The planner runs the searches of 64 grid points at a time
-this way; min_repetitions runs one, as a batch of one. A probe's value
-is the same double whatever shares its batch, so batching changes no
-probe sequence and no result.
+pending probe into one batched _bit_errors call. That call places each
+window by a few Newton steps to each end's float root and a check of
+the integers beside it, sums every window of up to 256 terms in one
+flat numpy pass, and every longer one in another, its pmfs on anchored
+blocks. The planner runs the searches of 64 grid points at a
+time this way; min_repetitions runs one, as a batch of one. A probe's
+value is the same double whatever shares its batch, so batching changes
+no probe sequence and no result.
 
 Conventions baked into the formulas, shared with the simulator: an
 exact vote tie counts as a bit error, and a bit with no clicks at all
@@ -40,7 +42,6 @@ claim is conservative there.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,14 @@ _LOG_ROUNDS_TO_ZERO = -1075.0 * math.log(2.0)
 # The window sums' pmfs call boost at every _ANCHOR_EVERY-th term of a run
 # and step by exact term ratios between; shorter runs are all boost.
 _ANCHOR_EVERY = 256
+
+# The long windows' anchored pass takes at most this many padded terms at
+# a time (a longer window alone), which bounds its memory.
+_TERM_BUDGET = 2**13
+
+# Newton steps towards each window end's float root before its integer
+# neighbours are checked.
+_NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -184,14 +193,14 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
     2)) with no silent slots (p_correct + p_wrong = 1).
 
     The probes are evaluated together, each with the same arithmetic as
-    alone: windows are placed one probe at a time, every window of at
-    most _ANCHOR_EVERY terms joins one flat pass (boost at every term, the
-    F steps, and a cumulative sum along each window's row of a padded
-    array), and a longer window runs on its own, through _binom_pmf_run
-    (boost at every 256th w, exact term ratios between).
+    alone, in a few numpy passes per batch: once _wrong_vote_window has
+    placed each window, the windows of at most _ANCHOR_EVERY terms join
+    one flat pass (boost at every term, _short_window_sums), and the
+    longer ones another (boost at every _ANCHOR_EVERY-th w, exact term
+    ratios between, _long_window_sums).
     """
     out = [0.0] * len(probes)
-    windows = []
+    rows = []
     for i, (k, cp) in enumerate(probes):
         p_c, p_w = cp.p_correct, cp.p_wrong
         pi = p_c / (1.0 - p_w) if p_w < 1.0 else 1.0
@@ -203,19 +212,19 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
         if log_chernoff < _LOG_ROUNDS_TO_ZERO:
             continue
         nats = _TAIL_NATS + 0.5 * math.log(k) - log_chernoff
-        a, top = _wrong_vote_window(k, p_w, pi, k * root / z, nats)
-        windows.append((i, k, p_w, pi, a, top))
-    if not windows:
+        a, top = _wrong_vote_window(float(k), p_w, pi, k * root / z, nats)
+        rows.append((i, k, p_w, pi, a, top))
+    if not rows:
         return out
-    columns = np.array([window[1:] for window in windows], dtype=float).T
-    starts = _binom_cdf(columns[3], columns[0] - columns[3], columns[2])
-    short = columns[4] - columns[3] < _ANCHOR_EVERY
-    totals = np.empty(len(windows))
-    if np.any(short):
-        totals[short] = _short_window_sums(*columns[:, short], starts[short])
-    for j in np.flatnonzero(~short).tolist():
-        totals[j] = _window_sum(*windows[j][1:], float(starts[j]))
-    for (i, *_), total in zip(windows, totals.tolist()):
+    index, k, p_w, pi, a, top = np.array(rows, dtype=float).T
+    start = _binom_cdf(a, k - a, pi)
+    short = top - a < _ANCHOR_EVERY
+    totals = np.empty(len(rows))
+    for window_sums, rows_of in ((_short_window_sums, short), (_long_window_sums, ~short)):
+        if np.any(rows_of):
+            columns = (k, p_w, pi, a, top, start)
+            totals[rows_of] = window_sums(*(column[rows_of] for column in columns))
+    for i, total in zip(index.astype(int).tolist(), totals.tolist()):
         out[i] = min(total, 1.0)
     return out
 
@@ -227,15 +236,25 @@ def _chernoff_base(p_c: float, p_w: float) -> tuple[float, float]:
     return root, 1.0 - p_c - p_w + 2.0 * root
 
 
+def _f_steps(pmf: np.ndarray, before: np.ndarray, n: np.ndarray, pi) -> np.ndarray:
+    """F(w + 1) - F(w) at each w = before, n = k - 1 - w, from pmf = P(Bin(n, pi) = w);
+    pmf and n are overwritten."""
+    n -= before
+    n *= pi
+    n /= (1.0 - pi) * (before + 1.0)
+    n += pi
+    pmf *= n
+    return pmf
+
+
 def _short_window_sums(k, p_w, pi, a, top, start) -> np.ndarray:
-    """_window_sum of windows of at most _ANCHOR_EVERY terms, in one pass.
+    """sum_w P(W = w) F(w) over windows of at most _ANCHOR_EVERY terms, in one pass.
 
     The windows' terms lie end to end in flat arrays, boost gives every
     pmf term, and each window's cumulative sum runs along its own row of
-    a zero-padded array: every term is the same double as _window_sum's,
-    and each window is summed on its own by np.sum, as there. Arrays are
-    updated in place and dropped once used, which keeps the pass near 60
-    bytes a term.
+    a zero-padded array; each window is summed on its own by np.sum.
+    Arrays are updated in place and dropped once used, which keeps the
+    pass near 60 bytes a term.
     """
     m = (top - a + 1).astype(np.intp)
     first = np.cumsum(m) - m
@@ -247,13 +266,9 @@ def _short_window_sums(k, p_w, pi, a, top, start) -> np.ndarray:
     before = w[inner]
     pi_b = np.repeat(pi, m)[inner]
     n = np.repeat(k - 1.0, m)[inner] - before
-    steps = _binom_pmf(before, n, pi_b)
-    steps[before > n] = 0.0
-    n -= before
-    n *= pi_b
-    n /= (1.0 - pi_b) * (before + 1.0)
-    n += pi_b
-    steps *= n
+    pmf = _binom_pmf(before, n, pi_b)
+    pmf[before > n] = 0.0
+    steps = _f_steps(pmf, before, n, pi_b)
     del before, pi_b, n
     # row r holds 0 and then window r's steps; cumsum along the rows is F - F(a)
     width = np.arange(m.max())
@@ -268,89 +283,205 @@ def _short_window_sums(k, p_w, pi, a, top, start) -> np.ndarray:
     return np.array([np.sum(terms[s : s + n]) for s, n in zip(first.tolist(), m.tolist())])
 
 
-def _window_sum(k: int, p_w: float, pi: float, a: int, top: int, start: float) -> float:
-    """sum_w P(W = w) F(w) over [a, top], F(a) = start, on anchored pmf runs."""
-    w = np.arange(a, top + 1, dtype=float)
-    before = w[:-1]
-    n = k - 1.0 - before
-    pmf = _binom_pmf_run(before, k - 1.0 - a, pi, shrink=True)
-    steps = pmf * (pi + (n - before) * pi / ((1.0 - pi) * (before + 1.0)))
-    f = np.empty_like(w)
-    f[0] = 0.0
-    np.cumsum(steps, out=f[1:])
-    f += start
-    return float(np.sum(_binom_pmf_run(w, k, p_w, shrink=False) * f))
+def _long_window_sums(k, p_w, pi, a, top, start) -> np.ndarray:
+    """sum_w P(W = w) F(w) over windows of more than _ANCHOR_EVERY terms.
 
-
-def _binom_pmf_run(x: np.ndarray, n: float, p: float, shrink: bool) -> np.ndarray:
-    """P(Bin(n_i, p) = x_i) along consecutive x_i = x[0] + i, 0 < p < 1.
-
-    n_i = n throughout, or n - i with shrink. Boost gives every
-    _ANCHOR_EVERY-th term; the terms between follow by the exact ratio
-    of neighbours, (n_i - x_i) / (x_i + 1) p / (1 - p), times (n_i - x_i
-    - 1) / (n_i (1 - p)) with shrink, so each lies at most 255 rounded
-    products (about 2e-13 relative) from a boost value. A run no longer
-    than _ANCHOR_EVERY is all boost, and so is a block whose anchor is
-    subnormal, where the ratios would carry its lost digits. With shrink
-    the terms past x_i > n_i are 0 (boost gives nan there); a fixed-n run
-    takes x_i <= n.
+    Each window is padded to whole blocks of _ANCHOR_EVERY terms and laid
+    end to end with the others, so both of its pmfs come from one flat
+    anchored pass (_binom_pmf_runs): P(W = w) along [a, top], and the F
+    steps' pmf along [a, top - 1] with k - 1 - w trials. Windows are
+    taken _TERM_BUDGET padded terms at a time (a longer window alone),
+    which bounds the pass's memory. Each window's cumulative sum and
+    total run along its own slice, so every window gets the doubles it
+    gets alone, whatever shares its pass.
     """
-    m = len(x)
-    if m <= _ANCHOR_EVERY and not shrink:
-        return _binom_pmf(x, n, p)
-    n_i = n - np.arange(m, dtype=float) if shrink else np.full(m, float(n))
-    if m <= _ANCHOR_EVERY:
-        return _masked_pmf(x, n_i, p)
-    xs, ns = x[:-1], n_i[:-1]
-    ratio = (ns - xs) / (xs + 1.0) * (p / (1.0 - p))
-    if shrink:
-        # 0 from x_i = n_i - 1 on; n_i = 0 makes it 0/0
-        with np.errstate(invalid="ignore"):
-            ratio *= np.maximum(ns - xs - 1.0, 0.0) / (ns * (1.0 - p))
-        ratio[ns <= 0.0] = 0.0
-    blocks = -(-m // _ANCHOR_EVERY)
-    terms = np.ones(blocks * _ANCHOR_EVERY)
-    terms[1:m] = ratio
-    anchors = slice(0, m, _ANCHOR_EVERY)
-    terms[anchors] = _masked_pmf(x[anchors], n_i[anchors], p)
-    terms = np.cumprod(terms.reshape(blocks, _ANCHOR_EVERY), axis=1).ravel()[:m]
+    m = top - a + 1.0
+    span = (np.ceil(m / _ANCHOR_EVERY) * _ANCHOR_EVERY).astype(np.intp)
+    totals = np.empty(m.size)
+    begin, used = 0, 0
+    for j, size in enumerate(span.tolist() + [_TERM_BUDGET + 1]):
+        if used and used + size > _TERM_BUDGET:
+            part = slice(begin, j)
+            columns = (k, p_w, pi, a, m, span, start)
+            totals[part] = _anchored_window_sums(*(column[part] for column in columns))
+            begin, used = j, 0
+        used += size
+    return totals
+
+
+def _anchored_window_sums(k, p_w, pi, a, m, span, start) -> np.ndarray:
+    """_long_window_sums on windows of m terms from a, span padded terms each."""
+    blocks = span // _ANCHOR_EVERY
+    first = np.cumsum(span) - span
+    # each block's window, and its first term's place in that window
+    run = np.repeat(np.arange(span.size), blocks)
+    layout = run, np.arange(run.size) * _ANCHOR_EVERY - first[run]
+    w = np.arange(span.sum(), dtype=float)
+    w -= _per_term(first - a, span)
+    steps = _binom_pmf_runs(w, k - 1.0, pi, m - 1.0, layout, shrink=True)
+    steps = _f_steps(steps, w, _per_term(k - 1.0, span) - w, _per_term(pi, span))
+    # F(w) - F(a), the sum of the steps below w
+    f = np.empty_like(w)
+    windows = list(zip(first.tolist(), m.astype(np.intp).tolist()))
+    for s, size in windows:
+        np.cumsum(steps[s : s + size - 1], out=f[s + 1 : s + size])
+        f[s] = 0.0
+    del steps
+    f += _per_term(start, span)
+    f *= _binom_pmf_runs(w, k, p_w, m, layout, shrink=False)
+    return np.array([np.sum(f[s : s + size]) for s, size in windows])
+
+
+def _per_term(values: np.ndarray, span: np.ndarray):
+    """Each run's value at each of its span terms; one run's as a scalar."""
+    return values[0] if values.size == 1 else np.repeat(values, span)
+
+
+def _binom_pmf_runs(x, trials, p, length, layout, shrink: bool) -> np.ndarray:
+    """P(Bin(n_i, p) = x_i) along runs laid end to end in x, in blocks.
+
+    x holds whole blocks of _ANCHOR_EVERY terms, and layout gives each
+    block's run and its first term's place in that run. Run r holds
+    length[r] terms x_i = x_0 + i from the start of its first block, with
+    probability p[r] and n_i = trials[r], or n_i = trials[r] - x_i with
+    shrink; terms past its end are padding, whose values are left
+    undefined. Boost gives the first term of each block; the terms
+    between follow by the exact ratio of neighbours, (n_i - x_i) / (x_i +
+    1) p / (1 - p), times (n_i - x_i - 1) / (n_i (1 - p)) with shrink, so
+    each lies at most 255 rounded products (about 2e-13 relative) from a
+    boost value. A run no longer than _ANCHOR_EVERY is all boost, and so
+    is a block whose anchor is subnormal, where the ratios would carry its
+    lost digits. With shrink the terms past x_i > n_i are 0 (boost gives
+    nan there); a fixed-n run takes x_i <= n.
+    """
+    run, place = layout
+    span = np.bincount(run, minlength=trials.size) * _ANCHOR_EVERY
+    # each term's ratio to the one below it, at x' = x - 1 with n' trials
+    with np.errstate(all="ignore"):
+        if shrink:
+            below = _per_term(trials + 1.0, span) - x  # n' = n + 1
+            terms = below - x  # n' - x' - 1
+            factor = np.maximum(terms, 0.0)
+            terms += 1.0
+        else:
+            terms = _per_term(trials + 1.0, span) - x  # n' - x'
+        terms /= x
+        terms *= _per_term(p / (1.0 - p), span)
+        if shrink:
+            # times (n' - x' - 1) / (n' (1 - p)): 0 from x' = n' - 1 on;
+            # n' = 0 makes it 0/0
+            zero = below <= 0.0
+            below *= _per_term(1.0 - p, span)
+            factor /= below
+            del below
+            terms *= factor
+            del factor
+            terms[zero] = 0.0
+            del zero
+    anchors = np.arange(0, x.size, _ANCHOR_EVERY)
+    n = trials[run] - x[anchors] if shrink else trials[run]
+    terms[anchors] = _masked_pmf(x[anchors], n, p[run])
+    blocks = terms.reshape(-1, _ANCHOR_EVERY)
+    np.cumprod(blocks, axis=1, out=blocks)
     # a subnormal anchor has lost digits the ratios would carry on
-    lost = (terms[anchors] < np.finfo(float).tiny) & (x[anchors] <= n_i[anchors])
-    for b in np.flatnonzero(lost):
-        run = slice(b * _ANCHOR_EVERY, (b + 1) * _ANCHOR_EVERY)
-        terms[run] = _masked_pmf(x[run], n_i[run], p)
+    whole = (terms[anchors] < np.finfo(float).tiny) & (x[anchors] <= n)
+    whole |= length[run] <= _ANCHOR_EVERY
+    if np.any(whole):
+        held = np.minimum(length[run] - place, _ANCHOR_EVERY)[whole].astype(np.intp)
+        offsets = np.arange(_ANCHOR_EVERY)
+        redo = (anchors[whole, None] + offsets)[offsets < held[:, None]]
+        redo_run = np.repeat(run[whole], held)
+        n = trials[redo_run] - x[redo] if shrink else trials[redo_run]
+        terms[redo] = _masked_pmf(x[redo], n, p[redo_run])
     return terms
 
 
-def _masked_pmf(x: np.ndarray, n, p: float) -> np.ndarray:
+def _masked_pmf(x: np.ndarray, n, p) -> np.ndarray:
     """Boost's binomial pmf, 0 where x > n."""
     return np.where(x <= n, _binom_pmf(x, n, p), 0.0)
 
 
 def _wrong_vote_window(
-    k: int, p_w: float, pi: float, w_star: float, nats: float
-) -> tuple[int, int]:
-    """Narrowest [a, top] around w_star whose two tail bounds are exp(-nats) or less."""
+    k: float, p_w: float, pi: float, w_star: float, nats: float
+) -> tuple[float, float]:
+    """Narrowest [a, top] around w_star whose two tail bounds are exp(-nats) or less.
 
-    def above_ok(m: int) -> bool:  # P(W >= m) <= exp(-nats)
-        return k * _kl(m / k, p_w) >= nats
-
-    def below_fails(a: int) -> bool:  # F(a) P(W < a) > exp(-nats)
-        n = k - a
-        rate = n * _kl(a / n, pi) if a < n * pi else 0.0
-        if a - 1 < k * p_w:
-            rate += k * _kl((a - 1) / k, p_w)
-        return rate < nats
-
-    # first True of each monotone test; the bisection never evaluates the
-    # range's end, so m <= k and a <= cap hold in every test. The upper
-    # Chernoff bound holds from k p_w up; w_star lies above k p_w whenever
-    # p_correct > p_wrong
-    start = math.ceil(max(w_star, k * p_w))
-    top = bisect_left(range(k + 1), True, start, key=above_ok) - 1
+    top + 1 is the first m from ceil(max(w_star, k p_w)) up that passes
+    _above_ok (k + 1 if none), and a + 1 the first a from 1 up to cap =
+    min(floor(w_star), top) that passes _below_fails (cap + 1 if none).
+    Both tests are monotone there, so each end is where a test and its
+    neighbour's disagree: a few Newton steps take each test's rate to its
+    float root, and _walk checks the integers next to it, stepping by one
+    where the check disagrees. The upper Chernoff bound holds from k p_w
+    up; w_star lies above k p_w whenever p_correct > p_wrong.
+    """
+    lam = k * p_w
+    m = _upper_start(k, lam, p_w, nats)
+    for _ in range(_NEWTON_STEPS):
+        m = _upper_step(min(m, k - 0.5), k, lam, nats)
+    top = _walk(_above_ok, m, math.ceil(max(w_star, lam)), k + 1.0, (k, p_w, nats)) - 1.0
     cap = min(math.floor(w_star), top)
-    a = bisect_left(range(cap + 1), True, 1, key=below_fails) - 1
-    return a, top
+    a = 2.0 * w_star - m
+    for _ in range(_NEWTON_STEPS):
+        a = min(max(a, 1.0), max(cap, 1.0))
+        try:
+            a = _lower_step(a, max(a - 1.0, 1e-3), k, lam, pi, nats)
+        except ZeroDivisionError:  # no slope here (or k = 1): walk from this guess
+            break
+    return _walk(_below_fails, a, 1.0, cap + 1.0, (k, p_w, pi, nats)) - 1.0, top
+
+
+def _upper_start(k, lam, p_w, nats):
+    """Where Bernstein's bound on k D(m/k || p_w), lam = k p_w, reaches nats:
+    above the root, since the bound lies below."""
+    return lam + nats / 3.0 + (nats * (nats / 9.0 + 2.0 * lam * (1.0 - p_w))) ** 0.5
+
+
+def _upper_step(m, k, lam, nats):
+    """A Newton step on k D(m/k || p_w) = nats, lam = k p_w, convex in m."""
+    up, down = _log(m / lam), _log((k - m) / (k - lam))
+    return m - (m * up + (k - m) * down - nats) / (up - down)
+
+
+def _lower_step(a, u, k, lam, pi, nats):
+    """A Newton step on _below_fails' rate = nats, its Chernoff exponents of
+    F(a) and of P(W < a) (at u = a - 1) in a."""
+    n = k - a
+    votes, wrong = a < n * pi, u < lam
+    l1, l2 = _log(a / (n * pi)), _log((n - a) / (n * (1.0 - pi)))
+    g1, g2 = _log(u / lam), _log((k - u) / (k - lam))
+    rate = votes * (a * l1 + (n - a) * l2) + wrong * (u * g1 + (k - u) * g2)
+    return a - (rate - nats) / (votes * (l1 - 2.0 * l2) + wrong * (g1 - g2))
+
+
+def _log(x: float) -> float:
+    """math.log, but -inf at 0 and nan below, where a Newton step may land."""
+    return math.log(x) if x > 0.0 else (-math.inf if x == 0.0 else math.nan)
+
+
+def _walk(test, root: float, lo: float, hi: float, args) -> float:
+    """The first j in [lo, hi) passing test(j, *args), hi if none, for a
+    test monotone in j, walked from the integer above root."""
+    j = min(max(math.floor(root) + 1.0, lo), hi) if math.isfinite(root) else lo
+    while j < hi and not test(j, *args):
+        j += 1.0
+    while j > lo and test(j - 1.0, *args):
+        j -= 1.0
+    return j
+
+
+def _above_ok(m, k, p_w, nats):
+    """P(W >= m) <= exp(-nats) by the Chernoff bound, m >= k p_w."""
+    return k * _kl(m / k, p_w) >= nats
+
+
+def _below_fails(a, k, p_w, pi, nats):
+    """F(a) P(W < a) > exp(-nats) by the Chernoff bounds, 1 <= a < k / 2."""
+    n = k - a
+    rate = n * _kl(a / n, pi) if a < n * pi else 0.0
+    if a - 1 < k * p_w:
+        rate += k * _kl((a - 1) / k, p_w)
+    return rate < nats
 
 
 def _kl(x: float, p: float) -> float:
@@ -418,8 +549,10 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
 
     One bracketed loop on f(k) = log(message error / target), memoized
     per k, finds k, k - 1 failing (f > 0) and k passing. It starts from
-    the normal-approximation guess; each probe moves one end of the
-    bracket, and the next lands by a Newton step along the Chernoff
+    the normal-approximation guess, with k = 0 (no votes, which cannot
+    decode) as the failing end, so k = 1 is probed only where the
+    bracket closes on it. Each probe moves one end of the bracket, and
+    the next lands by a Newton step along the Chernoff
     exponent, log error ~ -k I - log(k) / 2, slope I + 1/(2k) with I =
     -log z, z = 1 - p_correct - p_wrong + 2 sqrt(p_correct p_wrong) as
     _bit_errors forms it, rounded and kept strictly inside the bracket.
@@ -473,8 +606,6 @@ def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
             memo[k] = math.log(max(message_error_prob(delta, b), MIN_TARGET_ERROR)) - log_target
         return memo[k]
 
-    if (yield from log_excess(1)) <= 0.0:
-        return 1
     guess = _estimate_repetitions(target_e, b, cp)
     if guess >= 4 * MAX_REPETITIONS:
         # the normal approximation is reliable to a few percent at this
@@ -483,10 +614,11 @@ def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
             f"estimated repetitions {guess:.1e} exceed the cap {MAX_REPETITIONS:.1e}"
         )
     rate = -math.log(max(_chernoff_base(cp.p_correct, cp.p_wrong)[1], 1e-300))
-    # the bracket: f(lo) > 0 >= f(hi), where hi = MAX_REPETITIONS + 1
-    # stands for no passing k probed yet
-    lo, hi = 1, MAX_REPETITIONS + 1
-    k = min(max(guess, lo + 1), hi - 1)
+    # the bracket: f(lo) > 0 >= f(hi), where lo = 0 stands for no failing
+    # k probed yet (no repetitions cannot decode) and hi = MAX_REPETITIONS
+    # + 1 for no passing k probed yet
+    lo, hi = 0, MAX_REPETITIONS + 1
+    k = min(guess, hi - 1)
     while True:
         f_k = yield from log_excess(k)
         if f_k <= 0.0:

@@ -71,7 +71,8 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
     the last place (see fock_stats): one pair moves the bound by about
     1/(2N) relative, which stays above that noise up to N ~ 1e15. Above
     that, pass and fail can alternate pair by pair; the N returned still
-    has bound(N) <= epsilon < bound(N - 1), which the search checks.
+    has bound(N) <= epsilon < bound(N - 1), the two ends of the bracket
+    the search closes.
 
     One bracketed loop finds N, N - 1 failing and N passing. It starts
     from the square-root law: as q -> 0, D(q) = q^2 chi2 / 2, so N0 =
@@ -178,8 +179,4 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
             n = inside(2 * n)
         else:
             n = (lo + hi) // 2
-    if hi > d_signals:
-        d_below = yield from divergence_at(hi - 1)
-        if detection_bias_bound(hi - 1, d_below) <= epsilon:
-            raise InfeasibleError("search postcondition failed; bound not monotone here")
     return hi

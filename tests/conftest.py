@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, settings
 
+import covertlink.reliability as reliability
 import reference_scenarios as ref
 from covertlink.planner import PlanRequest, plan_with_report
 from covertlink.reliability import ChannelModel
@@ -62,3 +63,19 @@ def bundled_plans(fiber_plan_reports):
             made[key] = (req, *plan_with_report(req))
         out[path.name] = made[key]
     return out
+
+
+@pytest.fixture
+def placed_windows(monkeypatch):
+    """A list that collects (k, p_w, pi, w_star, nats, a, top) of every
+    window reliability._bit_errors places during the test."""
+    rows = []
+    place = reliability._wrong_vote_window
+
+    def recorded(*row):
+        a, top = place(*row)
+        rows.append((*row, a, top))
+        return a, top
+
+    monkeypatch.setattr(reliability, "_wrong_vote_window", recorded)
+    return rows

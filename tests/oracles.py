@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 
 import mpmath as mp
 import numpy as np
@@ -17,15 +18,11 @@ import numpy as np
 from covertlink.exceptions import InfeasibleError, ParameterError
 from covertlink.fock_stats import DivergenceProfile, _log1p_gap
 from covertlink.reliability import (
-    _TAIL_NATS,
     MAX_REPETITIONS,
     ClickProbabilities,
     _binom_cdf,
     _binom_pmf,
-    _binom_pmf_run,
     _estimate_repetitions,
-    _kl,
-    _wrong_vote_window,
     message_error_prob,
 )
 
@@ -467,11 +464,13 @@ def error_bounds_one_probe(k: int, cp: ClickProbabilities) -> tuple[float, float
 
     The bounded evaluator as it stood before its probes were batched,
     kept verbatim (its constants inlined) as the scalar reference: one
-    probe, its window summed on anchored pmf runs whatever its length.
-    Wherever it sums a window its estimate is the double the batched
-    reliability._bit_errors gives: None marks the closed-form cases, and
-    an estimate of 0.0 below a Chernoff bound of 1e-300 a probe that
-    reliability sums down to 2^-1075.
+    probe, its window placed by two bisections (wrong_vote_window) and
+    summed on anchored pmf runs (binom_pmf_run) whatever its length. The
+    window and the runs are copies too, so the library is checked against
+    its past, not against itself. Wherever it sums a window its estimate
+    is the double the batched reliability._bit_errors gives: None marks
+    the closed-form cases, and an estimate of 0.0 below a Chernoff bound
+    of 1e-300 a probe that reliability sums down to 2^-1075.
     """
     p_c, p_w = cp.p_correct, cp.p_wrong
     pi = p_c / (1.0 - p_w) if p_w < 1.0 else 0.0
@@ -482,23 +481,103 @@ def error_bounds_one_probe(k: int, cp: ClickProbabilities) -> tuple[float, float
     log_chernoff = k * math.log(z)
     if log_chernoff < math.log(1e-300):
         return 0.0, 0.0, math.exp(log_chernoff)
-    nats = _TAIL_NATS + 0.5 * math.log(k) - log_chernoff
-    a, top = _wrong_vote_window(k, p_w, pi, k * root / z, nats)
+    nats = 30.0 + 0.5 * math.log(k) - log_chernoff
+    a, top = wrong_vote_window(k, p_w, pi, k * root / z, nats)
     w = np.arange(a, top + 1, dtype=float)
     start = float(_binom_cdf(a, k - a, pi))
     before = w[:-1]
     n = k - 1.0 - before
-    pmf = _binom_pmf_run(before, k - 1.0 - a, pi, shrink=True)
+    pmf = binom_pmf_run(before, k - 1.0 - a, pi, shrink=True)
     steps = pmf * (pi + (n - before) * pi / ((1.0 - pi) * (before + 1.0)))
     f = np.empty_like(w)
     f[0] = 0.0
     np.cumsum(steps, out=f[1:])
     f += start
-    total = float(np.sum(_binom_pmf_run(w, k, p_w, shrink=False) * f))
+    total = float(np.sum(binom_pmf_run(w, k, p_w, shrink=False) * f))
     tails = _chernoff(k, top + 1, p_w)
     if a > 0:
         tails += start * (_chernoff(k, a - 1, p_w) if a - 1 < k * p_w else 1.0)
     return total * (1.0 - 1e-10), min(total, 1.0), (total + tails) * (1.0 + 1e-10)
+
+
+def wrong_vote_window(k: int, p_w: float, pi: float, w_star: float, nats: float) -> tuple[int, int]:
+    """Narrowest [a, top] around w_star whose two tail bounds are exp(-nats) or less.
+
+    reliability's window placement as it stood when each probe placed its
+    window alone, kept verbatim: two bisections over range(k + 1).
+    """
+
+    def above_ok(m: int) -> bool:  # P(W >= m) <= exp(-nats)
+        return k * _kl(m / k, p_w) >= nats
+
+    def below_fails(a: int) -> bool:  # F(a) P(W < a) > exp(-nats)
+        n = k - a
+        rate = n * _kl(a / n, pi) if a < n * pi else 0.0
+        if a - 1 < k * p_w:
+            rate += k * _kl((a - 1) / k, p_w)
+        return rate < nats
+
+    # first True of each monotone test; the bisection never evaluates the
+    # range's end, so m <= k and a <= cap hold in every test. The upper
+    # Chernoff bound holds from k p_w up; w_star lies above k p_w whenever
+    # p_correct > p_wrong
+    start = math.ceil(max(w_star, k * p_w))
+    top = bisect_left(range(k + 1), True, start, key=above_ok) - 1
+    cap = min(math.floor(w_star), top)
+    a = bisect_left(range(cap + 1), True, 1, key=below_fails) - 1
+    return a, top
+
+
+def binom_pmf_run(x: np.ndarray, n: float, p: float, shrink: bool) -> np.ndarray:
+    """P(Bin(n_i, p) = x_i) along consecutive x_i = x[0] + i, 0 < p < 1.
+
+    reliability's anchored pmf run as it stood when each long window ran
+    on its own, kept verbatim (its constant inlined). n_i = n throughout,
+    or n - i with shrink. Boost gives every 256th term; the terms between
+    follow by the exact ratio of neighbours, (n_i - x_i) / (x_i + 1) p /
+    (1 - p), times (n_i - x_i - 1) / (n_i (1 - p)) with shrink. A run no
+    longer than 256 is all boost, and so is a block whose anchor is
+    subnormal. With shrink the terms past x_i > n_i are 0; a fixed-n run
+    takes x_i <= n.
+    """
+    m = len(x)
+    if m <= 256 and not shrink:
+        return _binom_pmf(x, n, p)
+    n_i = n - np.arange(m, dtype=float) if shrink else np.full(m, float(n))
+    if m <= 256:
+        return _masked_pmf(x, n_i, p)
+    xs, ns = x[:-1], n_i[:-1]
+    ratio = (ns - xs) / (xs + 1.0) * (p / (1.0 - p))
+    if shrink:
+        # 0 from x_i = n_i - 1 on; n_i = 0 makes it 0/0
+        with np.errstate(invalid="ignore"):
+            ratio *= np.maximum(ns - xs - 1.0, 0.0) / (ns * (1.0 - p))
+        ratio[ns <= 0.0] = 0.0
+    blocks = -(-m // 256)
+    terms = np.ones(blocks * 256)
+    terms[1:m] = ratio
+    anchors = slice(0, m, 256)
+    terms[anchors] = _masked_pmf(x[anchors], n_i[anchors], p)
+    terms = np.cumprod(terms.reshape(blocks, 256), axis=1).ravel()[:m]
+    # a subnormal anchor has lost digits the ratios would carry on
+    lost = (terms[anchors] < np.finfo(float).tiny) & (x[anchors] <= n_i[anchors])
+    for b in np.flatnonzero(lost):
+        run = slice(b * 256, (b + 1) * 256)
+        terms[run] = _masked_pmf(x[run], n_i[run], p)
+    return terms
+
+
+def _masked_pmf(x: np.ndarray, n, p: float) -> np.ndarray:
+    """Boost's binomial pmf, 0 where x > n."""
+    return np.where(x <= n, _binom_pmf(x, n, p), 0.0)
+
+
+def _kl(x: float, p: float) -> float:
+    """Bernoulli relative entropy D(x || p) in nats."""
+    d = x * math.log(x / p) if x > 0.0 else 0.0
+    if x < 1.0:
+        d += (1.0 - x) * math.log((1.0 - x) / (1.0 - p))
+    return d
 
 
 def _chernoff(k: int, m: int, p: float) -> float:

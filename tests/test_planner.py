@@ -286,10 +286,10 @@ def test_plan_bounded_divergence_count(monkeypatch):
 
 
 def test_lockstep_batches_equal_the_scalar_references_on_bundled_plans(monkeypatch):
-    # every repetition probe (16,788) and every divergence of the 8
-    # bundled plans, evaluated in the planner's lockstep rounds, against
-    # the one-probe evaluators kept in oracles: the same doubles, whatever
-    # else shares the batch
+    # every repetition probe (13,406; 16,788 while each search probed k = 1
+    # first) and every divergence of the 8 bundled plans, evaluated in the
+    # planner's lockstep rounds, against the one-probe evaluators kept in
+    # oracles: the same doubles, whatever else shares the batch
     recorded = {}
 
     def recording(module, name):
@@ -316,14 +316,40 @@ def test_lockstep_batches_equal_the_scalar_references_on_bundled_plans(monkeypat
         assert max(len(batch) for batch, _ in batches) > 1
         pairs = [pair for batch, out in batches for pair in zip(batch, out)]
         assert [got for _, got in pairs] == [one(*item) for item, _ in pairs]
-    assert sum(len(batch) for batch, _ in recorded["_bit_errors"]) - len(reported) == 16_788
+    assert sum(len(batch) for batch, _ in recorded["_bit_errors"]) - len(reported) == 13_406
+
+
+def test_bundled_plans_place_the_bisections_windows_with_few_scalar_tests(
+    monkeypatch, placed_windows
+):
+    # every window [a, top] the repetition probes of the 8 bundled plans
+    # sum (13,414) is the one the two bisections kept in oracles place, and
+    # placing them all makes 65,864 _kl calls, about 5 a window, where the
+    # bisections made 171,899 over the four low-noise plans alone; a
+    # placement change that tests more integers shows here
+    calls = 0
+    kl = reliability._kl
+
+    def counted(x, p):
+        nonlocal calls
+        calls += 1
+        return kl(x, p)
+
+    monkeypatch.setattr(reliability, "_kl", counted)
+    for path in bundled_configs():
+        plan_with_report(request_for(path))
+    assert len(placed_windows) == 13_414
+    for k, p_w, pi, w_star, nats, a, top in placed_windows:
+        assert (a, top) == oracles.wrong_vote_window(int(k), p_w, pi, w_star, nats)
+    assert 0 < calls <= 65_864
 
 
 @pytest.mark.parametrize("config", ["fiber_cqtustc.yaml", "fiber_qpqi.yaml"])
 def test_plan_peak_memory(config):
     # the searches of at most _LOCKSTEP_GROUP grid points share a round's
-    # batches (peaks of about 0.6 and 1.1 MB; 2.7 and 2.5 MB when all 400
-    # grid points advanced at once)
+    # batches, and the long windows' anchored pass takes at most
+    # reliability._TERM_BUDGET padded terms at a time (peaks of about 0.7
+    # and 0.8 MB; 2.7 and 2.5 MB when all 400 grid points advanced at once)
     req = request_for(next(p for p in bundled_configs() if p.name == config))
     tracemalloc.start()
     try:

@@ -21,7 +21,6 @@ from covertlink.reliability import (
     bit_error_prob,
     click_probs,
     message_error_prob,
-    _binom_pmf_run,
     _bit_errors,
     _estimate_repetitions,
     min_repetitions,
@@ -449,6 +448,18 @@ def test_error_bounds_bracket_exact_sum_on_loud_channel(k):
         assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (k, mu)
 
 
+def _binom_pmf_run(x: np.ndarray, n: float, p: float, shrink: bool) -> np.ndarray:
+    # P(Bin(n_i, p) = x_i) along consecutive x_i, n_i = n or n - i with
+    # shrink, as one run of the anchored pass laid out alone
+    m = x.size
+    blocks = -(-m // reliability._ANCHOR_EVERY)
+    x = x[0] + np.arange(blocks * reliability._ANCHOR_EVERY, dtype=float)
+    one = np.ones(1)
+    trials = (n + x[0] if shrink else n) * one
+    layout = np.zeros(blocks, np.intp), np.arange(blocks) * reliability._ANCHOR_EVERY
+    return reliability._binom_pmf_runs(x, trials, p * one, m * one, layout, shrink)[:m]
+
+
 def _boost_run(x: np.ndarray, n: float, p: float, shrink: bool) -> np.ndarray:
     # the per-element boost pmf, 0 past n, that _binom_pmf_run stands for
     n_i = n - np.arange(x.size) if shrink else np.full(x.size, n)
@@ -561,32 +572,58 @@ def test_error_bounds_estimate_matches_per_element_boost(monkeypatch):
         assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (k, cp)
 
 
-def test_batched_bounds_equal_the_scalar_reference_on_random_channels(monkeypatch):
-    # 2400 probes in batches of 1 to 128: windows of at most _ANCHOR_EVERY
-    # terms (one flat pass), longer ones (anchored runs), probes with no
-    # wrong clicks or no silent slots (closed forms, None in oracles) and
-    # Chernoff bounds below 1e-300 side by side. Each window sum is the
-    # estimate of the one-probe evaluator kept in oracles, and every value
-    # is the one its probe gets alone
-    rng = np.random.default_rng(23)
+def _probe_mix(rng) -> list:
+    # 2400 probes: 2200 channels with summed windows of every length, and
+    # 200 closed forms (no wrong clicks, or no silent slots)
     probes = _random_probes(rng, 2000, (-0.5, math.log10(650.0)))
     probes += _random_probes(rng, 200, (math.log10(700.0), 5.0))
     for k in rng.integers(1, 10**6, size=100).tolist():
         probes += [(k, ClickProbabilities(0.3, 0.0)), (k, ClickProbabilities(0.6, 0.4))]
     rng.shuffle(probes)
+    return probes
+
+
+def test_windows_equal_the_bisection_on_random_channels(placed_windows):
+    # every window [a, top] of the 2400 probes is the one the two
+    # bisections kept in oracles place. Edge probes add windows with top =
+    # cap = 0 (the first m already passes) and k = 2
+    probes = _probe_mix(np.random.default_rng(23))
+    probes += [(k, ClickProbabilities(0.5, p_w)) for k in (1, 2) for p_w in (1e-20, 0.01)]
+    for start in range(0, len(probes), 300):
+        _bit_errors(probes[start : start + 300])
+    rows = placed_windows
+    assert len(rows) == 2006
+    for k, p_w, pi, w_star, nats, a, top in rows:
+        assert (a, top) == oracles.wrong_vote_window(int(k), p_w, pi, w_star, nats), (k, p_w, pi)
+    # the edges of both ends: no m passing, a = 0, cap = top, k = 1 and k = 2
+    assert any(top == k for k, *_, top in rows)
+    assert any(a == 0.0 for *_, a, _ in rows)
+    assert any(min(math.floor(w_star), top) == top for _, _, _, w_star, _, _, top in rows)
+    assert {1.0, 2.0} <= {k for k, *_ in rows}
+
+
+def test_batched_bounds_equal_the_scalar_reference_on_random_channels(monkeypatch):
+    # 2400 probes in batches of 1 to 128: windows of at most _ANCHOR_EVERY
+    # terms (one flat pass), longer ones (the anchored pass), probes with
+    # no wrong clicks or no silent slots (closed forms, None in oracles) and
+    # Chernoff bounds below 1e-300 side by side. Each window sum is the
+    # estimate of the one-probe evaluator kept in oracles, and every value
+    # is the one its probe gets alone
+    rng = np.random.default_rng(23)
+    probes = _probe_mix(rng)
     windows = []
-    short_sums, long_sum = reliability._short_window_sums, reliability._window_sum
+    short_sums, long_sums = reliability._short_window_sums, reliability._long_window_sums
 
     def short(k, *args):
         windows[-1][0] += len(k)
         return short_sums(k, *args)
 
-    def long(*args):
-        windows[-1][1] += 1
-        return long_sum(*args)
+    def long(k, *args):
+        windows[-1][1] += len(k)
+        return long_sums(k, *args)
 
     monkeypatch.setattr(reliability, "_short_window_sums", short)
-    monkeypatch.setattr(reliability, "_window_sum", long)
+    monkeypatch.setattr(reliability, "_long_window_sums", long)
     kinds = []
     batches = []
     start = 0
@@ -610,6 +647,38 @@ def test_batched_bounds_equal_the_scalar_reference_on_random_channels(monkeypatc
         assert got == [bit_error_prob(k, cp) for k, cp in batch]
     # some batch mixed all four kinds
     assert any(min(kind) > 0 for kind in kinds)
+
+
+@pytest.mark.parametrize("budget", [1, 10_000, reliability._TERM_BUDGET, 2**22])
+def test_long_windows_in_mixed_batches_equal_their_values_alone(monkeypatch, budget):
+    # QPQI's channel at k from 1e6 to 1e7 (windows of 4k to 12k terms)
+    # beside 400 shorter ones: each probe gets the double it gets alone,
+    # whether the anchored pass takes each long window alone (budget 1),
+    # a few at a time (10,000 and the default 8,192 padded terms), or all
+    # at once (2^22)
+    cp = click_probs(0.0031897702154663216, QPQI_CHANNEL)
+    loud = [(k, cp) for k in (2_500_000, 4_000_003, 9_045_475, 10_000_000)]
+    loud += [(k, click_probs(0.05, QPQI_CHANNEL)) for k in (1_000_000, 1_200_001)]
+    short = _random_probes(np.random.default_rng(31), 400, (-0.5, 1.0))
+    batch = loud[:3] + short[:200] + loud[3:] + short[200:]
+    alone = [bit_error_prob(k, cp) for k, cp in batch]
+    passes = []
+    anchored = reliability._anchored_window_sums
+
+    def counted(k, *args):
+        passes.append(len(k))
+        return anchored(k, *args)
+
+    monkeypatch.setattr(reliability, "_anchored_window_sums", counted)
+    monkeypatch.setattr(reliability, "_TERM_BUDGET", budget)
+    assert _bit_errors(batch) == alone
+    assert sum(passes) > len(loud)
+    if budget == 1:
+        assert max(passes) == 1
+    elif budget == 2**22:
+        assert len(passes) == 1
+    else:
+        assert len(passes) > 1 and max(passes) > 1
 
 
 def test_bit_error_prob_sums_nothing_below_the_smallest_double(monkeypatch):

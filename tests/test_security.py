@@ -209,7 +209,7 @@ def test_vacuum_background_feasible_below_its_limit():
 def test_min_pairs_is_the_threshold_on_random_inputs():
     # the answer is the bound's threshold: bound(N) <= epsilon < bound(N - 1).
     # Up to N ~ 1e15 the bound keeps its order pair by pair, so that N is
-    # the smallest; above, the search's postcondition still holds. Every
+    # the smallest; above, the search's closed bracket still gives it. Every
     # 10th draw has a vacuum background and a budget a little above its
     # limit, so the search doubles N from d to a bracket
     rng = np.random.default_rng(20261019)
