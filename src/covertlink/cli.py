@@ -32,6 +32,7 @@ from .reliability import ChannelModel, check_target_error
 from .simulator import (
     SECURITY_CHECK_SIGMAS,
     monitor_interval_count,
+    monitor_pairs_per_interval,
     predicted_vote_error_rate,
     rescale_plan,
     run_distinguisher,
@@ -327,8 +328,10 @@ def cmd_eavesdrop(cfg: dict, out_dir: Path) -> int:
     """Simulate the adversary: monitoring traces plus best-detector error."""
     seed = _require_seed(cfg)
     if "monitor_duration_s" in cfg and "monitor_interval_s" in cfg:
-        # both come from the config: refuse a bad interval count before planning
+        # the times and the rate all come from the config: refuse a bad
+        # interval count or pair count before planning
         monitor_interval_count(cfg["monitor_duration_s"], cfg["monitor_interval_s"])
+        monitor_pairs_per_interval(cfg["rep_rate_hz"], cfg["monitor_interval_s"])
     params, _, _ = _planned_params(cfg)
     duration = cfg.get("monitor_duration_s", params.running_time_s)
     interval = cfg.get("monitor_interval_s", duration / DEFAULT_MONITOR_INTERVALS)

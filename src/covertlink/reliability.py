@@ -19,12 +19,14 @@ _repetition_search, that yields each probe it needs, and _lockstep runs
 any number of such searches side by side: each round gathers every
 pending probe into one batched _bit_errors call. That call places each
 window by a few Newton steps to each end's float root and a check of
-the integers beside it, sums every window of up to 256 terms in one
-flat numpy pass, and every longer one in another, its pmfs on anchored
-blocks. The planner runs the searches of 64 grid points at a
-time this way; min_repetitions runs one, as a batch of one. A probe's
-value is the same double whatever shares its batch, so batching changes
-no probe sequence and no result.
+the integers beside it, then sums the windows in flat numpy passes that
+share one layout, one F tail and one total per window: every window of
+up to 256 terms in one pass, its pmfs from boost at every term, and the
+longer ones a few at a time, their pmfs on anchored blocks. The planner
+runs the searches of 64 grid points at a time this way; min_repetitions
+runs one, as a batch of one. A probe's value is the same double
+whatever shares its batch, so batching changes no probe sequence and no
+result.
 
 Conventions baked into the formulas, shared with the simulator: an
 exact vote tie counts as a bit error, and a bit with no clicks at all
@@ -77,8 +79,8 @@ _LOG_ROUNDS_TO_ZERO = -1075.0 * math.log(2.0)
 # and step by exact term ratios between; shorter runs are all boost.
 _ANCHOR_EVERY = 256
 
-# The long windows' anchored pass takes at most this many padded terms at
-# a time (a longer window alone), which bounds its memory.
+# An anchored window sum pass takes at most this many padded terms at a
+# time (a longer window alone), which bounds its memory.
 _TERM_BUDGET = 2**13
 
 # Newton steps towards each window end's float root before its integer
@@ -139,7 +141,7 @@ def click_probs(mu: float, ch: ChannelModel) -> ClickProbabilities:
     The paired noise-only bin clicks with
         p_wrong = tau * n_bar_b / (1 + tau * n_bar_b).
     """
-    if mu < 0.0:
+    if not mu >= 0.0:
         raise ParameterError(f"mu must be >= 0, got {mu!r}")
     a = ch.tau * mu
     c = ch.tau * ch.n_bar_b
@@ -194,10 +196,10 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
 
     The probes are evaluated together, each with the same arithmetic as
     alone, in a few numpy passes per batch: once _wrong_vote_window has
-    placed each window, the windows of at most _ANCHOR_EVERY terms join
-    one flat pass (boost at every term, _short_window_sums), and the
-    longer ones another (boost at every _ANCHOR_EVERY-th w, exact term
-    ratios between, _long_window_sums).
+    placed each window, _window_sums totals the windows of at most
+    _ANCHOR_EVERY terms in one pass, boost at every term, and the longer
+    ones _TERM_BUDGET padded terms a pass, boost at every
+    _ANCHOR_EVERY-th w and exact term ratios between.
     """
     out = [0.0] * len(probes)
     rows = []
@@ -218,12 +220,24 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
         return out
     index, k, p_w, pi, a, top = np.array(rows, dtype=float).T
     start = _binom_cdf(a, k - a, pi)
-    short = top - a < _ANCHOR_EVERY
+    m = top - a + 1.0
+    anchored = m > _ANCHOR_EVERY
+    span = np.where(anchored, np.ceil(m / _ANCHOR_EVERY) * _ANCHOR_EVERY, m).astype(np.intp)
+    # the short windows in one pass, the anchored ones _TERM_BUDGET padded
+    # terms at a time (a longer window alone)
+    short, long = np.flatnonzero(~anchored), np.flatnonzero(anchored)
+    passes, begin, used = [short], 0, 0
+    for j, size in enumerate(span[long].tolist()):
+        if used and used + size > _TERM_BUDGET:
+            passes.append(long[begin:j])
+            begin, used = j, 0
+        used += size
+    passes.append(long[begin:])
     totals = np.empty(len(rows))
-    for window_sums, rows_of in ((_short_window_sums, short), (_long_window_sums, ~short)):
-        if np.any(rows_of):
-            columns = (k, p_w, pi, a, top, start)
-            totals[rows_of] = window_sums(*(column[rows_of] for column in columns))
+    columns = (k, p_w, pi, a, m, span, start)
+    for part in passes:
+        if part.size:
+            totals[part] = _window_sums(*(column[part] for column in columns))
     for i, total in zip(index.astype(int).tolist(), totals.tolist()):
         out[i] = min(total, 1.0)
     return out
@@ -247,89 +261,52 @@ def _f_steps(pmf: np.ndarray, before: np.ndarray, n: np.ndarray, pi) -> np.ndarr
     return pmf
 
 
-def _short_window_sums(k, p_w, pi, a, top, start) -> np.ndarray:
-    """sum_w P(W = w) F(w) over windows of at most _ANCHOR_EVERY terms, in one pass.
+def _window_sums(k, p_w, pi, a, m, span, start) -> np.ndarray:
+    """sum_w P(W = w) F(w) over windows of m terms from a, F(a) = start, in one pass.
 
-    The windows' terms lie end to end in flat arrays, boost gives every
-    pmf term, and each window's cumulative sum runs along its own row of
-    a zero-padded array; each window is summed on its own by np.sum.
-    Arrays are updated in place and dropped once used, which keeps the
-    pass near 60 bytes a term.
+    The windows' terms lie end to end, span terms each: span = m for
+    windows of at most _ANCHOR_EVERY terms, and whole blocks of
+    _ANCHOR_EVERY terms for longer ones. The windows of one pass are all
+    of one kind, and the kind is where the two pmfs come from: boost at
+    every term of a short window, _binom_pmf_runs (boost at each block's
+    first term, exact ratios between) along an anchored one. Either way
+    one _f_steps forms the F step at each term but a window's last, each
+    window's cumulative sum and total run along its own slice, and so
+    every window gets the doubles it gets alone, whatever shares its pass.
     """
-    m = (top - a + 1).astype(np.intp)
-    first = np.cumsum(m) - m
-    col = np.arange(m.sum(), dtype=float) - np.repeat(first, m)
-    w = np.repeat(a, m) + col
-    # the F steps run from a to top - 1: all but each window's last term
-    inner = col < np.repeat(m - 1, m)
-    del col
-    before = w[inner]
-    pi_b = np.repeat(pi, m)[inner]
-    n = np.repeat(k - 1.0, m)[inner] - before
-    pmf = _binom_pmf(before, n, pi_b)
-    pmf[before > n] = 0.0
-    steps = _f_steps(pmf, before, n, pi_b)
-    del before, pi_b, n
-    # row r holds 0 and then window r's steps; cumsum along the rows is F - F(a)
-    width = np.arange(m.max())
-    padded = np.zeros((m.size, width.size))
-    padded[(width >= 1) & (width < m[:, None])] = steps
-    del steps
-    np.cumsum(padded, axis=1, out=padded)
-    terms = padded[width < m[:, None]]
-    del padded
-    terms += np.repeat(start, m)
-    terms *= _binom_pmf(w, np.repeat(k, m), np.repeat(p_w, m))
-    return np.array([np.sum(terms[s : s + n]) for s, n in zip(first.tolist(), m.tolist())])
-
-
-def _long_window_sums(k, p_w, pi, a, top, start) -> np.ndarray:
-    """sum_w P(W = w) F(w) over windows of more than _ANCHOR_EVERY terms.
-
-    Each window is padded to whole blocks of _ANCHOR_EVERY terms and laid
-    end to end with the others, so both of its pmfs come from one flat
-    anchored pass (_binom_pmf_runs): P(W = w) along [a, top], and the F
-    steps' pmf along [a, top - 1] with k - 1 - w trials. Windows are
-    taken _TERM_BUDGET padded terms at a time (a longer window alone),
-    which bounds the pass's memory. Each window's cumulative sum and
-    total run along its own slice, so every window gets the doubles it
-    gets alone, whatever shares its pass.
-    """
-    m = top - a + 1.0
-    span = (np.ceil(m / _ANCHOR_EVERY) * _ANCHOR_EVERY).astype(np.intp)
-    totals = np.empty(m.size)
-    begin, used = 0, 0
-    for j, size in enumerate(span.tolist() + [_TERM_BUDGET + 1]):
-        if used and used + size > _TERM_BUDGET:
-            part = slice(begin, j)
-            columns = (k, p_w, pi, a, m, span, start)
-            totals[part] = _anchored_window_sums(*(column[part] for column in columns))
-            begin, used = j, 0
-        used += size
-    return totals
-
-
-def _anchored_window_sums(k, p_w, pi, a, m, span, start) -> np.ndarray:
-    """_long_window_sums on windows of m terms from a, span padded terms each."""
-    blocks = span // _ANCHOR_EVERY
     first = np.cumsum(span) - span
-    # each block's window, and its first term's place in that window
-    run = np.repeat(np.arange(span.size), blocks)
-    layout = run, np.arange(run.size) * _ANCHOR_EVERY - first[run]
     w = np.arange(span.sum(), dtype=float)
     w -= _per_term(first - a, span)
-    steps = _binom_pmf_runs(w, k - 1.0, pi, m - 1.0, layout, shrink=True)
+    anchored = m[0] > _ANCHOR_EVERY
+    if anchored:
+        # each block's window, and its first term's place in that window
+        run = np.repeat(np.arange(span.size), span // _ANCHOR_EVERY)
+        layout = run, np.arange(run.size) * _ANCHOR_EVERY - first[run]
+        steps = _binom_pmf_runs(w, k - 1.0, pi, m - 1.0, layout, shrink=True)
+    else:
+        # every term but each window's last, the one step no F uses
+        inner = np.ones(w.size, dtype=bool)
+        inner[first + span - 1] = False
+        x = w[inner]
+        steps = np.zeros_like(w)
+        n = np.repeat(k - 1.0, span - 1) - x
+        steps[inner] = _masked_pmf(x, n, np.repeat(pi, span - 1))
+        del inner, x, n
     steps = _f_steps(steps, w, _per_term(k - 1.0, span) - w, _per_term(pi, span))
     # F(w) - F(a), the sum of the steps below w
     f = np.empty_like(w)
     windows = list(zip(first.tolist(), m.astype(np.intp).tolist()))
     for s, size in windows:
-        np.cumsum(steps[s : s + size - 1], out=f[s + 1 : s + size])
+        steps[s : s + size - 1].cumsum(out=f[s + 1 : s + size])
         f[s] = 0.0
     del steps
     f += _per_term(start, span)
-    f *= _binom_pmf_runs(w, k, p_w, m, layout, shrink=False)
-    return np.array([np.sum(f[s : s + size]) for s, size in windows])
+    f *= (
+        _binom_pmf_runs(w, k, p_w, m, layout, shrink=False)
+        if anchored
+        else _binom_pmf(w, _per_term(k, span), _per_term(p_w, span))
+    )
+    return np.array([f[s : s + size].sum() for s, size in windows])
 
 
 def _per_term(values: np.ndarray, span: np.ndarray):

@@ -40,12 +40,16 @@ def detection_bias_bound(n_pairs: int, d_per_mode: float) -> float:
         n_pairs: number of time-bin pairs available, >= 1.
         d_per_mode: per-mode relative entropy in nats, >= 0.
     """
-    if n_pairs < 1:
-        raise ParameterError(f"n_pairs must be >= 1, got {n_pairs!r}")
+    _check_pairs(n_pairs)
     d_per_mode = float(d_per_mode)
     if not d_per_mode >= 0.0:
         raise ParameterError(f"d_per_mode must be >= 0, got {d_per_mode!r}")
     return math.sqrt(n_pairs * d_per_mode / 8.0)
+
+
+def _check_pairs(n_pairs: int) -> None:
+    if not n_pairs >= 1:
+        raise ParameterError(f"n_pairs must be >= 1, got {n_pairs!r}")
 
 
 def _check_budget(epsilon: float) -> float:
@@ -57,6 +61,7 @@ def _check_budget(epsilon: float) -> float:
 
 def bias_for_protocol(n_pairs: int, d_signals: int, mu: float, n_bar_a: float) -> float:
     """Detection-bias bound for sending d_signals over n_pairs pairs."""
+    _check_pairs(n_pairs)
     q = d_signals / n_pairs
     return detection_bias_bound(n_pairs, per_mode_relative_entropy(mu, n_bar_a, q))
 

@@ -58,6 +58,10 @@ SECURITY_CHECK_SIGMAS = 3.0
 # default asks for 20 intervals
 MAX_MONITOR_INTERVALS = 10**5
 
+# an interval's BINS_PER_PAIR * pairs time bins are a binomial draw's
+# int64 trial count
+MAX_MONITOR_PAIRS = (2**63 - 1) // BINS_PER_PAIR
+
 
 def _rng(seed: int, domain: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(domain,)))
@@ -244,6 +248,27 @@ def monitor_interval_count(duration_s: float, interval_s: float) -> int:
     return n_intervals
 
 
+def monitor_pairs_per_interval(rep_rate_hz: float, interval_s: float) -> int:
+    """Number of time-bin pairs in one monitoring interval, rounded.
+
+    Raises:
+        ParameterError: fewer than one pair, or more than
+            MAX_MONITOR_PAIRS, whose time bins overflow the int64 draws.
+    """
+    pairs = rep_rate_hz * interval_s / BINS_PER_PAIR
+    # round(pairs) > MAX exactly when pairs >= MAX + 1 (an exact float to
+    # int comparison); it also rejects an infinite product
+    if not pairs < MAX_MONITOR_PAIRS + 1:
+        raise ParameterError(
+            f"a monitoring interval of {interval_s:.6g} s at {rep_rate_hz:.6g} Hz holds "
+            f"{pairs:.3g} time-bin pairs; at most {MAX_MONITOR_PAIRS} are allowed"
+        )
+    pairs = int(round(pairs))
+    if pairs < 1:
+        raise ParameterError("interval too short for even one time-bin pair")
+    return pairs
+
+
 def simulate_monitoring(
     p: ProtocolParams,
     communicating: bool,
@@ -262,13 +287,11 @@ def simulate_monitoring(
 
     Raises:
         ParameterError: an interval count refused by monitor_interval_count
-            (checked before anything is allocated), or an interval shorter
-            than one time-bin pair.
+            or a pair count refused by monitor_pairs_per_interval (both
+            checked before anything is allocated or drawn).
     """
     n_intervals = monitor_interval_count(duration_s, interval_s)
-    pairs = int(round(p.rep_rate_hz * interval_s / BINS_PER_PAIR))
-    if pairs < 1:
-        raise ParameterError("interval too short for even one time-bin pair")
+    pairs = monitor_pairs_per_interval(p.rep_rate_hz, interval_s)
     p_idle, p_signal = adversary_click_probs(p)
     q_eff = p.q if communicating else 0.0
     rng = _rng(rng_seed, _DOMAIN_MONITOR)

@@ -403,6 +403,23 @@ def test_eavesdrop_bad_interval_count_refused_before_planning(tmp_path, capsys, 
         assert cause in capsys.readouterr().err
 
 
+def test_eavesdrop_interval_past_the_pair_limit_refused_before_planning(
+    tmp_path, capsys, monkeypatch
+):
+    # 1e29 s at the config's rate holds far more time-bin pairs than the
+    # int64 binomial draws take; with the rate and both times in the
+    # config the pair count is known up front
+    def no_plan(req):
+        raise AssertionError("planner called")
+
+    monkeypatch.setattr(cli, "plan_with_report", no_plan)
+    cfg = tmp_path / "long.yaml"
+    cfg.write_text(FAST_CONFIG + "monitor_duration_s: 1.0e+30\nmonitor_interval_s: 1.0e+29\n")
+    rc = main(["eavesdrop", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert rc == EXIT_CONFIG
+    assert "time-bin pairs; at most 4611686018427387903 are allowed" in capsys.readouterr().err
+
+
 def test_bad_rescale_flag_refused_before_planning(fast_config, tmp_path, capsys, monkeypatch):
     def no_plan(req):
         raise AssertionError("planner called")

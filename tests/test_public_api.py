@@ -1,9 +1,11 @@
-"""The package's exported names stay in step with its code, importing it
-stays light, its import-guard fallback gives the same numbers, and its
-modules parse on the oldest Python it supports."""
+"""The package's exported names stay in step with its code, its entry
+points refuse a bad input by name, importing it stays light, its
+import-guard fallback gives the same numbers, and its modules parse on
+the oldest Python it supports."""
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import covertlink
-from covertlink import reliability
+from covertlink import reliability, security
+from covertlink.exceptions import ParameterError
 
 
 def test_all_names_are_unique():
@@ -35,6 +38,20 @@ def test_modules_parse_with_python_3_10_grammar():
     assert modules
     for path in modules:
         ast.parse(path.read_text("utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize(
+    "entry, args, name",
+    [
+        (security.detection_bias_bound, (math.nan, 1e-16), "n_pairs"),
+        (security.bias_for_protocol, (0, 10, 0.03, 2.3e-3), "n_pairs"),
+        (reliability.click_probs, (math.nan, reliability.ChannelModel(0.18, 0.0, 0.0)), "mu"),
+    ],
+    ids=["detection_bias_bound-nan", "bias_for_protocol-zero", "click_probs-nan"],
+)
+def test_entry_points_refuse_nan_and_zero_inputs_by_name(entry, args, name):
+    with pytest.raises(ParameterError, match=f"^{name} must"):
+        entry(*args)
 
 
 def _run_python(code: str, *args: str) -> str:

@@ -602,35 +602,42 @@ def test_windows_equal_the_bisection_on_random_channels(placed_windows):
     assert {1.0, 2.0} <= {k for k, *_ in rows}
 
 
+def _window_passes(monkeypatch) -> list:
+    # a list that collects [windows, anchored] of every _window_sums pass,
+    # anchored where the pass's pmfs come from _binom_pmf_runs
+    passes = []
+    window_sums, pmf_runs = reliability._window_sums, reliability._binom_pmf_runs
+
+    def runs(*args, **kwargs):
+        passes[-1][1] = True
+        return pmf_runs(*args, **kwargs)
+
+    def counted(k, *args):
+        passes.append([len(k), False])
+        return window_sums(k, *args)
+
+    monkeypatch.setattr(reliability, "_window_sums", counted)
+    monkeypatch.setattr(reliability, "_binom_pmf_runs", runs)
+    return passes
+
+
 def test_batched_bounds_equal_the_scalar_reference_on_random_channels(monkeypatch):
     # 2400 probes in batches of 1 to 128: windows of at most _ANCHOR_EVERY
-    # terms (one flat pass), longer ones (the anchored pass), probes with
+    # terms (boost at every term), longer ones (anchored pmfs), probes with
     # no wrong clicks or no silent slots (closed forms, None in oracles) and
     # Chernoff bounds below 1e-300 side by side. Each window sum is the
     # estimate of the one-probe evaluator kept in oracles, and every value
     # is the one its probe gets alone
     rng = np.random.default_rng(23)
     probes = _probe_mix(rng)
-    windows = []
-    short_sums, long_sums = reliability._short_window_sums, reliability._long_window_sums
-
-    def short(k, *args):
-        windows[-1][0] += len(k)
-        return short_sums(k, *args)
-
-    def long(k, *args):
-        windows[-1][1] += len(k)
-        return long_sums(k, *args)
-
-    monkeypatch.setattr(reliability, "_short_window_sums", short)
-    monkeypatch.setattr(reliability, "_long_window_sums", long)
+    passes = _window_passes(monkeypatch)
     kinds = []
     batches = []
     start = 0
     while start < len(probes):
         batch = probes[start : start + int(rng.integers(1, 129))]
         start += len(batch)
-        windows.append([0, 0])
+        first = len(passes)
         got = _bit_errors(batch)
         batches.append((batch, got))
         scalar = [oracles.error_bounds_one_probe(k, cp) for k, cp in batch]
@@ -639,8 +646,11 @@ def test_batched_bounds_equal_the_scalar_reference_on_random_channels(monkeypatc
         ]
         # below 1e-300 the Chernoff bound z^k stays an upper bound
         assert all(value <= e[2] for value, e in zip(got, scalar) if e and e[1] == 0.0)
+        windows = [0, 0]
+        for count, anchored in passes[first:]:
+            windows[anchored] += count
         kinds.append(
-            (*windows[-1], scalar.count(None), sum(1 for e in scalar if e and e[1] == 0.0))
+            (*windows, scalar.count(None), sum(1 for e in scalar if e and e[1] == 0.0))
         )
     monkeypatch.undo()
     for batch, got in batches:
@@ -653,7 +663,7 @@ def test_batched_bounds_equal_the_scalar_reference_on_random_channels(monkeypatc
 def test_long_windows_in_mixed_batches_equal_their_values_alone(monkeypatch, budget):
     # QPQI's channel at k from 1e6 to 1e7 (windows of 4k to 12k terms)
     # beside 400 shorter ones: each probe gets the double it gets alone,
-    # whether the anchored pass takes each long window alone (budget 1),
+    # whether an anchored pass takes each long window alone (budget 1),
     # a few at a time (10,000 and the default 8,192 padded terms), or all
     # at once (2^22)
     cp = click_probs(0.0031897702154663216, QPQI_CHANNEL)
@@ -662,16 +672,10 @@ def test_long_windows_in_mixed_batches_equal_their_values_alone(monkeypatch, bud
     short = _random_probes(np.random.default_rng(31), 400, (-0.5, 1.0))
     batch = loud[:3] + short[:200] + loud[3:] + short[200:]
     alone = [bit_error_prob(k, cp) for k, cp in batch]
-    passes = []
-    anchored = reliability._anchored_window_sums
-
-    def counted(k, *args):
-        passes.append(len(k))
-        return anchored(k, *args)
-
-    monkeypatch.setattr(reliability, "_anchored_window_sums", counted)
+    window_passes = _window_passes(monkeypatch)
     monkeypatch.setattr(reliability, "_TERM_BUDGET", budget)
     assert _bit_errors(batch) == alone
+    passes = [count for count, anchored in window_passes if anchored]
     assert sum(passes) > len(loud)
     if budget == 1:
         assert max(passes) == 1

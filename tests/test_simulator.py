@@ -26,6 +26,7 @@ from covertlink.reliability import MAX_REPETITIONS, ChannelModel, click_probs
 from covertlink.security import BINS_PER_PAIR, DEFAULT_PAIR_CEILING
 from covertlink.simulator import (
     MAX_MONITOR_INTERVALS,
+    MAX_MONITOR_PAIRS,
     MonitorTrace,
     TransmissionStats,
     adversary_click_probs,
@@ -381,6 +382,21 @@ def test_monitoring_rejects_too_many_intervals():
     for duration, interval in cases:
         with pytest.raises(ParameterError, match="intervals; at most 100000"):
             simulate_monitoring(p, True, duration, interval, rng_seed=1)
+
+
+def test_monitoring_refuses_pairs_past_the_int64_draws():
+    # at 2 Hz an interval of t s holds t pairs: 2^62 pairs make 2^63 time
+    # bins, one past the int64 binomial draws, and are refused before any
+    # draw; the largest double below 2^62 still runs
+    assert MAX_MONITOR_PAIRS == 2**62 - 1
+    p = make_params(35, 1961, 68_635_000, CQTUSTC.mu, CQ_CHANNEL, 2.0)
+    for interval in (2.0**62, 1e29, 1e300):
+        with pytest.raises(ParameterError, match=f"time-bin pairs; at most {2**62 - 1}"):
+            simulate_monitoring(p, True, 10.0 * interval, interval, rng_seed=1)
+    largest = math.nextafter(2.0**62, 0.0)
+    trace = simulate_monitoring(p, True, 10.0 * largest, largest, rng_seed=1)
+    assert trace.pairs_per_interval == 2**62 - 512
+    assert np.all(trace.counts <= BINS_PER_PAIR * trace.pairs_per_interval)
 
 
 def test_monitoring_honest_shift_is_buried_in_noise():
