@@ -19,14 +19,12 @@ _repetition_search, that yields each probe it needs, and _lockstep runs
 any number of such searches side by side: each round gathers every
 pending probe into one batched _bit_errors call. That call places each
 window by a few Newton steps to each end's float root and a check of
-the integers beside it, then sums the windows in flat numpy passes that
-share one layout, one F tail and one total per window: every window of
-up to 256 terms in one pass, its pmfs from boost at every term, and the
-longer ones a few at a time, their pmfs on anchored blocks. The planner
-runs the searches of 64 grid points at a time this way; min_repetitions
-runs one, as a batch of one. A probe's value is the same double
-whatever shares its batch, so batching changes no probe sequence and no
-result.
+the integers beside it, then sums the windows in flat numpy passes:
+every window of up to 256 terms in one pass, and the longer ones a few
+at a time. The planner runs the searches of 64 grid points at a time
+this way; min_repetitions runs one, as a batch of one. A probe's value
+is the same double whatever shares its batch, so batching changes no
+probe sequence and no result.
 
 Conventions baked into the formulas, shared with the simulator: an
 exact vote tie counts as a bit error, and a bit with no clicks at all
@@ -195,11 +193,9 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
     2)) with no silent slots (p_correct + p_wrong = 1).
 
     The probes are evaluated together, each with the same arithmetic as
-    alone, in a few numpy passes per batch: once _wrong_vote_window has
-    placed each window, _window_sums totals the windows of at most
-    _ANCHOR_EVERY terms in one pass, boost at every term, and the longer
-    ones _TERM_BUDGET padded terms a pass, boost at every
-    _ANCHOR_EVERY-th w and exact term ratios between.
+    alone: once _wrong_vote_window has placed each window, one
+    _window_sums pass totals every window of at most _ANCHOR_EVERY terms,
+    and further passes the longer ones, _TERM_BUDGET padded terms a pass.
     """
     out = [0.0] * len(probes)
     rows = []
@@ -250,15 +246,9 @@ def _chernoff_base(p_c: float, p_w: float) -> tuple[float, float]:
     return root, 1.0 - p_c - p_w + 2.0 * root
 
 
-def _f_steps(pmf: np.ndarray, before: np.ndarray, n: np.ndarray, pi) -> np.ndarray:
-    """F(w + 1) - F(w) at each w = before, n = k - 1 - w, from pmf = P(Bin(n, pi) = w);
-    pmf and n are overwritten."""
-    n -= before
-    n *= pi
-    n /= (1.0 - pi) * (before + 1.0)
-    n += pi
-    pmf *= n
-    return pmf
+def _f_steps(pmf: np.ndarray, w: np.ndarray, n: np.ndarray, pi) -> np.ndarray:
+    """F(w + 1) - F(w) at each w, n = k - 1 - w, from pmf = P(Bin(n, pi) = w)."""
+    return pmf * ((n - w) * pi / ((1.0 - pi) * (w + 1.0)) + pi)
 
 
 def _window_sums(k, p_w, pi, a, m, span, start) -> np.ndarray:
@@ -268,15 +258,16 @@ def _window_sums(k, p_w, pi, a, m, span, start) -> np.ndarray:
     windows of at most _ANCHOR_EVERY terms, and whole blocks of
     _ANCHOR_EVERY terms for longer ones. The windows of one pass are all
     of one kind, and the kind is where the two pmfs come from: boost at
-    every term of a short window, _binom_pmf_runs (boost at each block's
-    first term, exact ratios between) along an anchored one. Either way
-    one _f_steps forms the F step at each term but a window's last, each
-    window's cumulative sum and total run along its own slice, and so
-    every window gets the doubles it gets alone, whatever shares its pass.
+    every term of a short window, _binom_pmf_runs along an anchored one.
+    Either way _f_steps forms the F step at every term, a window's last
+    too, which no F uses. Each window's cumulative sum of steps and its
+    total run along its own slice, so every window gets the doubles it
+    gets alone, whatever shares its pass.
     """
     first = np.cumsum(span) - span
-    w = np.arange(span.sum(), dtype=float)
-    w -= _per_term(first - a, span)
+    w = np.arange(span.sum(), dtype=float) - _per_term(first - a, span)
+    n = _per_term(k - 1.0, span) - w
+    pi_w = _per_term(pi, span)
     anchored = m[0] > _ANCHOR_EVERY
     if anchored:
         # each block's window, and its first term's place in that window
@@ -284,22 +275,14 @@ def _window_sums(k, p_w, pi, a, m, span, start) -> np.ndarray:
         layout = run, np.arange(run.size) * _ANCHOR_EVERY - first[run]
         steps = _binom_pmf_runs(w, k - 1.0, pi, m - 1.0, layout, shrink=True)
     else:
-        # every term but each window's last, the one step no F uses
-        inner = np.ones(w.size, dtype=bool)
-        inner[first + span - 1] = False
-        x = w[inner]
-        steps = np.zeros_like(w)
-        n = np.repeat(k - 1.0, span - 1) - x
-        steps[inner] = _masked_pmf(x, n, np.repeat(pi, span - 1))
-        del inner, x, n
-    steps = _f_steps(steps, w, _per_term(k - 1.0, span) - w, _per_term(pi, span))
+        steps = _masked_pmf(w, n, pi_w)
+    steps = _f_steps(steps, w, n, pi_w)
     # F(w) - F(a), the sum of the steps below w
     f = np.empty_like(w)
     windows = list(zip(first.tolist(), m.astype(np.intp).tolist()))
     for s, size in windows:
         steps[s : s + size - 1].cumsum(out=f[s + 1 : s + size])
         f[s] = 0.0
-    del steps
     f += _per_term(start, span)
     f *= (
         _binom_pmf_runs(w, k, p_w, m, layout, shrink=False)
@@ -333,28 +316,20 @@ def _binom_pmf_runs(x, trials, p, length, layout, shrink: bool) -> np.ndarray:
     """
     run, place = layout
     span = np.bincount(run, minlength=trials.size) * _ANCHOR_EVERY
+    odds = _per_term(p / (1.0 - p), span)
     # each term's ratio to the one below it, at x' = x - 1 with n' trials
     with np.errstate(all="ignore"):
         if shrink:
-            below = _per_term(trials + 1.0, span) - x  # n' = n + 1
-            terms = below - x  # n' - x' - 1
-            factor = np.maximum(terms, 0.0)
-            terms += 1.0
+            # n1 = n' = n + 1 and gap = n' - x' - 1: the ratio times gap /
+            # (n' (1 - p)), 0 from x' = n' - 1 on; n' = 0 makes it 0/0, so
+            # it is set to 0 wherever n' <= 0
+            n1 = _per_term(trials + 1.0, span) - x
+            gap = n1 - x
+            shrunk = np.maximum(gap, 0.0) / (n1 * _per_term(1.0 - p, span))
+            terms = (gap + 1.0) / x * odds * shrunk
+            terms[n1 <= 0.0] = 0.0
         else:
-            terms = _per_term(trials + 1.0, span) - x  # n' - x'
-        terms /= x
-        terms *= _per_term(p / (1.0 - p), span)
-        if shrink:
-            # times (n' - x' - 1) / (n' (1 - p)): 0 from x' = n' - 1 on;
-            # n' = 0 makes it 0/0
-            zero = below <= 0.0
-            below *= _per_term(1.0 - p, span)
-            factor /= below
-            del below
-            terms *= factor
-            del factor
-            terms[zero] = 0.0
-            del zero
+            terms = (_per_term(trials + 1.0, span) - x) / x * odds
     anchors = np.arange(0, x.size, _ANCHOR_EVERY)
     n = trials[run] - x[anchors] if shrink else trials[run]
     terms[anchors] = _masked_pmf(x[anchors], n, p[run])

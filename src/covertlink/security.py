@@ -37,7 +37,7 @@ def detection_bias_bound(n_pairs: int, d_per_mode: float) -> float:
     """Upper bound sqrt(n_pairs * d_per_mode / 8) on the adversary's bias.
 
     Args:
-        n_pairs: number of time-bin pairs available, >= 1.
+        n_pairs: number of time-bin pairs available, finite and >= 1.
         d_per_mode: per-mode relative entropy in nats, >= 0.
     """
     _check_pairs(n_pairs)
@@ -48,8 +48,8 @@ def detection_bias_bound(n_pairs: int, d_per_mode: float) -> float:
 
 
 def _check_pairs(n_pairs: int) -> None:
-    if not n_pairs >= 1:
-        raise ParameterError(f"n_pairs must be >= 1, got {n_pairs!r}")
+    if not 1 <= n_pairs < math.inf:
+        raise ParameterError(f"n_pairs must be finite and >= 1, got {n_pairs!r}")
 
 
 def _check_budget(epsilon: float) -> float:
@@ -105,7 +105,7 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
         when there are no signals.
 
     Raises:
-        ParameterError: a bad budget or d_signals < 0.
+        ParameterError: a bad budget, or d_signals < 0 or NaN.
         InfeasibleError: no N in [d, DEFAULT_PAIR_CEILING] satisfies the
             budget (none exists when d exceeds the ceiling), or the
             background is the vacuum and the bound's limit as N grows,
@@ -121,7 +121,7 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
     evaluates, q = d/N, memoized per N, is sent D(q), and returns N.
     """
     epsilon = _check_budget(epsilon)
-    if d_signals < 0:
+    if not d_signals >= 0:
         raise ParameterError(f"d_signals must be >= 0, got {d_signals!r}")
     if d_signals == 0:
         return 1

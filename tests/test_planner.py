@@ -348,8 +348,8 @@ def test_bundled_plans_place_the_bisections_windows_with_few_scalar_tests(
 def test_plan_peak_memory(config):
     # the searches of at most _LOCKSTEP_GROUP grid points share a round's
     # batches, and an anchored window sum pass takes at most
-    # reliability._TERM_BUDGET padded terms at a time (peaks of about 0.63
-    # and 0.79 MB; 2.7 and 2.5 MB when all 400 grid points advanced at once)
+    # reliability._TERM_BUDGET padded terms at a time (peaks of about 0.76
+    # and 0.91 MB; 2.7 and 2.5 MB when all 400 grid points advanced at once)
     req = request_for(next(p for p in bundled_configs() if p.name == config))
     tracemalloc.start()
     try:

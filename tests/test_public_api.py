@@ -46,8 +46,18 @@ def test_modules_parse_with_python_3_10_grammar():
         (security.detection_bias_bound, (math.nan, 1e-16), "n_pairs"),
         (security.bias_for_protocol, (0, 10, 0.03, 2.3e-3), "n_pairs"),
         (reliability.click_probs, (math.nan, reliability.ChannelModel(0.18, 0.0, 0.0)), "mu"),
+        (security.min_pairs_for_budget, (0.01, math.nan, 0.03, 1e-3), "d_signals"),
+        (security.bias_for_protocol, (math.inf, 5, 0.03, 2.3e-3), "n_pairs"),
+        (security.detection_bias_bound, (math.inf, 1e-16), "n_pairs"),
     ],
-    ids=["detection_bias_bound-nan", "bias_for_protocol-zero", "click_probs-nan"],
+    ids=[
+        "detection_bias_bound-nan",
+        "bias_for_protocol-zero",
+        "click_probs-nan",
+        "min_pairs_for_budget-nan",
+        "bias_for_protocol-inf",
+        "detection_bias_bound-inf",
+    ],
 )
 def test_entry_points_refuse_nan_and_zero_inputs_by_name(entry, args, name):
     with pytest.raises(ParameterError, match=f"^{name} must"):

@@ -621,15 +621,25 @@ def _window_passes(monkeypatch) -> list:
     return passes
 
 
-def test_batched_bounds_equal_the_scalar_reference_on_random_channels(monkeypatch):
-    # 2400 probes in batches of 1 to 128: windows of at most _ANCHOR_EVERY
-    # terms (boost at every term), longer ones (anchored pmfs), probes with
-    # no wrong clicks or no silent slots (closed forms, None in oracles) and
-    # Chernoff bounds below 1e-300 side by side. Each window sum is the
-    # estimate of the one-probe evaluator kept in oracles, and every value
-    # is the one its probe gets alone
+# windows of exactly 257 terms, whose F-step run is one all-boost block,
+# and short windows whose top reaches k, whose unused last F step has n = -1
+EDGE_PROBES = [
+    (k, ClickProbabilities(p_c, p_w))
+    for k, p_c, p_w in [(12981, 0.05, 0.01), (7413, 0.1, 0.05), (2511, 0.3, 0.05), (2630, 0.5, 0.2)]
+] + [(k, ClickProbabilities(0.3, 0.05)) for k in range(1, 11)]
+
+
+def test_batched_bounds_equal_the_scalar_reference_on_random_channels(
+    monkeypatch, placed_windows
+):
+    # 2400 probes and the edge probes in batches of 1 to 128: windows of at
+    # most _ANCHOR_EVERY terms (boost at every term), longer ones (anchored
+    # pmfs), probes with no wrong clicks or no silent slots (closed forms,
+    # None in oracles) and Chernoff bounds below 1e-300 side by side. Each
+    # window sum is the estimate of the one-probe evaluator kept in
+    # oracles, and every value is the one its probe gets alone
     rng = np.random.default_rng(23)
-    probes = _probe_mix(rng)
+    probes = _probe_mix(rng) + EDGE_PROBES
     passes = _window_passes(monkeypatch)
     kinds = []
     batches = []
@@ -657,6 +667,12 @@ def test_batched_bounds_equal_the_scalar_reference_on_random_channels(monkeypatc
         assert got == [bit_error_prob(k, cp) for k, cp in batch]
     # some batch mixed all four kinds
     assert any(min(kind) > 0 for kind in kinds)
+    # the edge probes placed the windows they stand for, and were summed
+    assert all(oracles.error_bounds_one_probe(k, cp)[1] > 0.0 for k, cp in EDGE_PROBES)
+    edges = placed_windows[-len(EDGE_PROBES) :]
+    assert [k for k, *_ in edges] == [k for k, _ in EDGE_PROBES]
+    assert [top - a + 1 for *_, a, top in edges[:4]] == [257] * 4
+    assert all(top == k for k, *_, top in edges[4:])
 
 
 @pytest.mark.parametrize("budget", [1, 10_000, reliability._TERM_BUDGET, 2**22])
