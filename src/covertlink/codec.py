@@ -9,12 +9,20 @@ k' = d' // b), and every later position is a dummy carrying a uniformly
 random bit, so the emission statistics stay exactly Bernoulli(q) per
 pair, as the security analysis assumes. A .cvpl file carries a copy of
 the layout, which is checked against the rule when the file is read.
+
+Both directions of the code are whole-array steps: characters become
+bits by shifts of their codes, and bits become characters by one
+matrix product with the place values and one lookup in the alphabet's
+bytes. The receiver's per-bit tallies are named tuples built straight
+from the vote arrays' lists, so a transmission makes no per-bit Python
+work beyond those b records.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +34,10 @@ ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ@ .!?-"
 BITS_PER_CHAR = 5
 
 _CHAR_TO_INDEX = {c: i for i, c in enumerate(ALPHABET)}
+# a code's bits, MSB first, are (code >> _SHIFTS) & 1; _PLACE_VALUES undoes it
+_SHIFTS = np.arange(BITS_PER_CHAR - 1, -1, -1, dtype=np.uint8)
+_PLACE_VALUES = 1 << _SHIFTS.astype(np.intp)
+_ALPHABET_BYTES = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
 
 # per-position click outcomes shared with the simulator
 OUTCOME_NONE = 0
@@ -43,17 +55,13 @@ def encode_message(text: str) -> np.ndarray:
     """Encode text as a uint8 bit array, 5 bits per character, MSB first."""
     if not text:
         raise ParameterError("message must contain at least one character")
-    bits = np.empty(BITS_PER_CHAR * len(text), dtype=np.uint8)
-    for pos, char in enumerate(text):
-        try:
-            code = _CHAR_TO_INDEX[char]
-        except KeyError:
-            raise ParameterError(
-                f"character {char!r} is not in the {len(ALPHABET)}-symbol alphabet"
-            ) from None
-        for j in range(BITS_PER_CHAR):
-            bits[BITS_PER_CHAR * pos + j] = (code >> (BITS_PER_CHAR - 1 - j)) & 1
-    return bits
+    try:
+        codes = np.array(list(map(_CHAR_TO_INDEX.__getitem__, text)), dtype=np.uint8)
+    except KeyError as missing:
+        raise ParameterError(
+            f"character {missing.args[0]!r} is not in the {len(ALPHABET)}-symbol alphabet"
+        ) from None
+    return ((codes[:, None] >> _SHIFTS) & 1).ravel()
 
 
 def decode_bits(bits: np.ndarray) -> str:
@@ -63,13 +71,17 @@ def decode_bits(bits: np.ndarray) -> str:
         raise ParameterError("bit count must be a positive multiple of 5")
     if np.any((bits != 0) & (bits != 1)):
         raise ParameterError("bits must be 0 or 1")
-    chars = []
-    for pos in range(bits.size // BITS_PER_CHAR):
-        code = 0
-        for j in range(BITS_PER_CHAR):
-            code = (code << 1) | int(bits[BITS_PER_CHAR * pos + j])
-        chars.append(ALPHABET[code])
-    return "".join(chars)
+    codes = (bits.reshape(-1, BITS_PER_CHAR) @ _PLACE_VALUES).astype(np.intp, copy=False)
+    return _ALPHABET_BYTES[codes].tobytes().decode("ascii")
+
+
+def _require_whole_characters(b: int) -> None:
+    """Refuse a message of b bits unless it decodes to whole characters."""
+    if b % BITS_PER_CHAR != 0:
+        raise ParameterError(
+            f"a plan of b = {b} message bits does not decode to text: b must be "
+            f"a multiple of BITS_PER_CHAR = {BITS_PER_CHAR}"
+        )
 
 
 @dataclass(frozen=True)
@@ -281,9 +293,12 @@ def choose_positions(
     return PositionPlan(n_pairs=n_pairs, b=b, positions=positions, bit_value=bit_value)
 
 
-@dataclass(frozen=True, eq=False)
-class BitTally:
-    """Per-message-bit vote counts for bar-chart style reporting."""
+class BitTally(NamedTuple):
+    """Per-message-bit vote counts for bar-chart style reporting.
+
+    An immutable named tuple of Python ints and bools: two tallies are
+    equal when their fields are, and a tally unpacks like a tuple.
+    """
 
     bit_index: int
     zero_votes: int
@@ -325,18 +340,25 @@ def majority_decode(
     Votes come from vote_counts. A tie (including zero votes) decodes
     to the sentinel value 0 and is flagged, matching the closed-form
     error convention where ties count as errors. The rule is applied
-    here only; compute_stats sums the tallies made here.
+    here only; compute_stats sums the tallies made here. The decision
+    is made on whole arrays; each tally is a BitTally named tuple made
+    from one row of their lists.
 
     Returns:
         (decoded text, per-bit tallies). Correctness in the tallies is
         judged against the bit values recorded in the plan.
+
+    Raises:
+        ParameterError: b is not a multiple of BITS_PER_CHAR, checked
+            before any vote is counted.
     """
+    _require_whole_characters(plan.b)
     zeros, ones = vote_counts(plan, outcomes)
     sent = plan.message_bits()
     decoded_bits = (ones > zeros).astype(np.uint8)
     ties = zeros == ones
     correct = ~ties & (decoded_bits == sent)
-    # one row per bit, in BitTally's field order after bit_index
-    rows = zip(*(c.tolist() for c in (zeros, ones, decoded_bits, ties, sent, correct)))
-    tallies = tuple(BitTally(i, *row) for i, row in enumerate(rows))
+    # BitTally's fields after bit_index, one list each
+    columns = (c.tolist() for c in (zeros, ones, decoded_bits, ties, sent, correct))
+    tallies = tuple(map(BitTally._make, zip(range(plan.b), *columns)))
     return decode_bits(decoded_bits), tallies

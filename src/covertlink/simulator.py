@@ -38,6 +38,7 @@ from .codec import (
     PositionPlan,
     _block_slices,
     _checked_outcomes,
+    _require_whole_characters,
     majority_decode,
 )
 from .exceptions import ParameterError
@@ -151,9 +152,14 @@ def simulate_transmission(
     probability p_correct and in the paired bin with probability p_wrong;
     simultaneous clicks are recorded and later discarded by the decoder.
     Work is O(d'), independent of the pair count.
+
+    Raises:
+        ParameterError: the plan is not the protocol's, or its b is not a
+            multiple of BITS_PER_CHAR; both are checked before any draw.
     """
     if plan.n_pairs != p.n_pairs or plan.b != p.b:
         raise ParameterError("plan does not match the protocol parameters")
+    _require_whole_characters(plan.b)
     cp = click_probs(p.mu, p.channel)
     rng = _rng(rng_seed, _DOMAIN_TRANSMIT)
     sent = plan.bit_value

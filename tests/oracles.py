@@ -15,6 +15,7 @@ from bisect import bisect_left
 import mpmath as mp
 import numpy as np
 
+from covertlink.codec import _CHAR_TO_INDEX, ALPHABET, BITS_PER_CHAR
 from covertlink.exceptions import InfeasibleError, ParameterError
 from covertlink.fock_stats import DivergenceProfile, _log1p_gap
 from covertlink.reliability import (
@@ -322,6 +323,43 @@ def draw_distinct_indices_loop(rng: np.random.Generator, n_pairs: int, count: in
                 if len(picked) == count:
                     break
     return np.sort(np.asarray(picked, dtype=np.uint64))
+
+
+def encode_message_loop(text: str) -> np.ndarray:
+    """encode_message one character and one bit at a time.
+
+    The loop the encoder was before it took whole-array steps, kept as
+    the reference for its bits and its error text.
+    """
+    if not text:
+        raise ParameterError("message must contain at least one character")
+    bits = np.empty(BITS_PER_CHAR * len(text), dtype=np.uint8)
+    for pos, char in enumerate(text):
+        try:
+            code = _CHAR_TO_INDEX[char]
+        except KeyError:
+            raise ParameterError(
+                f"character {char!r} is not in the {len(ALPHABET)}-symbol alphabet"
+            ) from None
+        for j in range(BITS_PER_CHAR):
+            bits[BITS_PER_CHAR * pos + j] = (code >> (BITS_PER_CHAR - 1 - j)) & 1
+    return bits
+
+
+def decode_bits_loop(bits: np.ndarray) -> str:
+    """decode_bits one character and one bit at a time (the loop it replaced)."""
+    bits = np.asarray(bits)
+    if bits.size == 0 or bits.size % BITS_PER_CHAR != 0:
+        raise ParameterError("bit count must be a positive multiple of 5")
+    if np.any((bits != 0) & (bits != 1)):
+        raise ParameterError("bits must be 0 or 1")
+    chars = []
+    for pos in range(bits.size // BITS_PER_CHAR):
+        code = 0
+        for j in range(BITS_PER_CHAR):
+            code = (code << 1) | int(bits[BITS_PER_CHAR * pos + j])
+        chars.append(ALPHABET[code])
+    return "".join(chars)
 
 
 class ScriptedStream:

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import covertlink.codec
 import oracles
 from covertlink.codec import (
     ALPHABET,
@@ -77,6 +78,40 @@ def test_decode_rejects_bad_input():
         decode_bits(np.array([], dtype=np.uint8))
     with pytest.raises(ParameterError):
         decode_bits(np.array([0, 1, 2, 0, 1], dtype=np.uint8))
+
+
+def test_codec_matches_loop_oracle_on_every_code():
+    for char in ALPHABET:
+        bits = encode_message(char)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, oracles.encode_message_loop(char))
+        assert decode_bits(bits) == oracles.decode_bits_loop(bits) == char
+    # the 32 codes in one message, and every 5-bit pattern decoded at once
+    assert np.array_equal(encode_message(ALPHABET), oracles.encode_message_loop(ALPHABET))
+    patterns = (np.arange(32)[:, None] >> np.arange(4, -1, -1)) & 1
+    assert decode_bits(patterns.ravel()) == oracles.decode_bits_loop(patterns.ravel()) == ALPHABET
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+def test_codec_matches_loop_oracle_on_random_payloads(dtype):
+    rng = np.random.default_rng(2024)
+    for size in (5, 10, 35, 60, 1125, *(5 * rng.integers(1, 226, size=40))):
+        bits = rng.integers(0, 2, size=int(size)).astype(dtype)
+        text = decode_bits(bits)
+        assert text == oracles.decode_bits_loop(bits)
+        assert np.array_equal(encode_message(text), oracles.encode_message_loop(text))
+        assert np.array_equal(encode_message(text), bits.astype(np.uint8))
+
+
+def test_encode_names_the_first_character_outside_the_alphabet():
+    for text in ("lowercase", "A~B", "AB\nC~", "CQTUSTC!?é"):
+        with pytest.raises(ParameterError) as new:
+            encode_message(text)
+        with pytest.raises(ParameterError) as old:
+            oracles.encode_message_loop(text)
+        assert str(new.value) == str(old.value)
+    with pytest.raises(ParameterError, match="'~'"):
+        encode_message("A~B")
 
 
 def test_choose_positions_saturated_q():
@@ -340,6 +375,46 @@ def test_majority_decode_shape_checks():
         outcomes[-1] = bad
         with pytest.raises(ParameterError, match="click code"):
             majority_decode(plan, outcomes)
+
+
+def test_tally_records_are_immutable_value_tuples():
+    bits = encode_message("HI")
+
+    def seeded_run(seed):
+        plan = choose_positions(SharedRandomness(seed=seed), 4_000, 0.05, bits)
+        outcomes = np.random.default_rng(seed).integers(0, 4, size=plan.d_prime).astype(np.uint8)
+        return majority_decode(plan, outcomes)[1]
+
+    tallies = seeded_run(12)
+    fields = ("bit_index", "zero_votes", "one_votes", "decoded", "tie", "sent", "correct")
+    assert type(tallies) is tuple and len(tallies) == bits.size
+    for i, t in enumerate(tallies):
+        assert t._fields == fields
+        assert [type(v) for v in t] == [int, int, int, int, bool, int, bool]
+        bit_index, zero_votes, one_votes, decoded, tie, sent, correct = t
+        assert (bit_index, sent) == (i, bits[i])
+        assert tie == (zero_votes == one_votes) and decoded == int(one_votes > zero_votes)
+        assert correct == (not tie and decoded == sent)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(tallies[0], name, 0)
+    tail = tallies[1:]
+    assert type(tail) is tuple and [t.bit_index for t in tail] == list(range(1, bits.size))
+    # a seeded rerun gives equal, not identical, records
+    again = seeded_run(12)
+    assert again == tallies and again[0] is not tallies[0]
+
+
+def test_majority_decode_refuses_partial_characters_before_counting(monkeypatch):
+    plan = small_plan(np.zeros(7, dtype=np.uint8), k_prime=3)
+    outcomes = np.zeros(plan.d_prime, dtype=np.uint8)
+
+    def no_count(*args):
+        raise AssertionError("votes counted for a plan that cannot decode")
+
+    monkeypatch.setattr(covertlink.codec, "vote_counts", no_count)
+    with pytest.raises(ParameterError, match=r"b = 7 .*BITS_PER_CHAR = 5"):
+        majority_decode(plan, outcomes)
 
 
 def test_majority_decode_matches_closed_form_error_rate():

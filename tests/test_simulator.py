@@ -177,6 +177,21 @@ def test_stats_recomputable_from_outcomes(stats_setup):
         compute_stats(plan, tr.outcomes, tallies[1:])
 
 
+def test_partial_character_plan_refused_before_any_draw(monkeypatch):
+    # every layer before the decoder accepts b = 7; the transmission must
+    # refuse it before drawing a click, not decode 7 bits after the draw
+    p = make_params(7, 40, 28_000, 0.956, ChannelModel(tau=0.18, n_bar_a=0.60, n_bar_b=0.68), 5e8)
+    plan = choose_positions(SharedRandomness(seed=2), p.n_pairs, p.q, np.ones(7, dtype=np.uint8))
+    assert plan.b == 7
+
+    def no_draw(*args):
+        raise AssertionError("clicks drawn for a plan that cannot decode")
+
+    monkeypatch.setattr(covertlink.simulator, "_rng", no_draw)
+    with pytest.raises(ParameterError, match=r"b = 7 .*BITS_PER_CHAR = 5"):
+        simulate_transmission(p, plan, rng_seed=1)
+
+
 def test_votes_tallied_once_per_transmission(stats_setup, monkeypatch):
     p, plan, tr = stats_setup
     calls = []
