@@ -4,11 +4,12 @@ Formats are chosen for byte-level reproducibility: a fixed little-endian
 binary layout for position plans, plain CSV for columnar data, and JSON
 with sorted keys for structured documents. Nothing embeds timestamps.
 All writers go through an atomic temp-then-rename step, one temp file
-per file. The position plan and the integer CSVs (transcript and tally)
-are streamed into it block by block, so no payload of theirs is ever
-held whole in memory; the bytes are the same as one write would give.
-The plan's bit_index column is made from the layout rule a block at a
-time, never as a whole column.
+per file, created with the mode a plain open() gives: 0o666 less the
+process umask. The position plan and the integer CSVs (transcript and
+tally) are streamed into it block by block, so no payload of theirs is
+ever held whole in memory; the bytes are the same as one write would
+give. The plan's bit_index column is made from the layout rule a block
+at a time, never as a whole column.
 
 A .cvpl file is read column by column from its open file: its size is
 checked against the header first, the positions and bit values are read
@@ -16,17 +17,19 @@ into the plan's own arrays, and the bit_index column is checked against
 the layout rule a block at a time and not kept.
 
 The integer CSVs are encoded a block of lines at a time, and within a
-block a column at a time, not a row at a time: each column becomes
-right-aligned ASCII digits in a uint8 matrix through a four-digit lookup
-table, and the matrix is transposed into lines. The digits come from
-uint32 divisions, which cost about a quarter of uint64 ones; a column
-reaching 2**32 first has its low eight digits split off by one uint64
-division. A column's min and max give its width. Only a column holding
-a negative value or a value narrower than its max has its digits
-counted per value and the places left of each value blanked, and only a
-block holding such a column has the blanks dropped from its lines; with
-sorted positions, most blocks of a transcript need neither. The bytes
-are those of str() on each value, joined with commas.
+block a column at a time, not a row at a time. The block is a uint8
+matrix with one row per line, so it is written as it lies: each column
+becomes right-aligned ASCII digits in its own span of places, four
+digits at a time from a lookup table, each four written as one uint32
+wherever in the line they start. The digits come from uint32 divisions,
+which cost about a quarter of uint64 ones; a column reaching 2**32
+first has its low eight digits split off by one uint64 division. A
+column's min and max give its width. Only a column holding a negative
+value or a value narrower than its max has its digits counted per value
+and the places left of each value blanked, and only a block holding
+such a column has the blanks dropped from its lines; with sorted
+positions, most blocks of a transcript need neither. The bytes are
+those of str() on each value, joined with commas.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ import dataclasses
 import json
 import math
 import os
+import secrets
 import struct
-import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import BinaryIO
@@ -56,6 +59,23 @@ DOCUMENT_SCHEMA_VERSION = 1
 
 _PLAN_HEADER = struct.Struct("<4sHxxQIIQ")  # magic, version, n_pairs, b, k', d'
 
+# a new file only, written in binary
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
+
+def _open_temp_beside(path: Path) -> tuple[int, Path]:
+    """Create a new file under a random name beside path; return its fd and name.
+
+    It is created with mode 0o666, which the kernel narrows by the
+    process umask, so the file gets the mode a plain open() would give.
+    """
+    while True:
+        tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}")
+        try:
+            return os.open(tmp, _TEMP_FLAGS, 0o666), tmp
+        except FileExistsError:
+            continue
+
 
 def _atomic_write_blocks(path: Path, blocks: Iterable) -> None:
     """Write byte blocks to a temp file beside path, then rename it onto path.
@@ -66,7 +86,7 @@ def _atomic_write_blocks(path: Path, blocks: Iterable) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    fd, tmp = _open_temp_beside(path)
     try:
         with os.fdopen(fd, "wb") as handle:
             for block in blocks:
@@ -257,37 +277,53 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 _BLANK = 0
 
 
-def _quad_chars(quads: np.ndarray) -> np.ndarray:
-    """The four zero-padded ASCII digits of each value in 0..9999, one row each."""
-    return np.take(_DIGIT_QUADS, quads).view(np.uint8).reshape(-1, 4)
+def _divmod(values: np.ndarray, divisor: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of unsigned values by divisor, in their own dtype.
+
+    A floor division and a multiply-subtract, which run several times
+    faster than np.divmod on the same integers.
+    """
+    quotient = values // values.dtype.type(divisor)
+    return quotient, values - quotient * values.dtype.type(divisor)
 
 
 def _ascii_uint32(magnitude: np.ndarray, out: np.ndarray) -> None:
     """Write uint32 magnitudes as zero-padded decimals filling all of out's places.
 
+    out holds one line per value and one column per character place.
+    Each whole quad of places is written as one uint32 through a view
+    of its four bytes, wherever in the line they start; a leading
+    partial quad of 1 to 3 places is written a byte column at a time.
     Every value must have at most as many digits as out has places.
     """
-    end = out.shape[0]
+    end = out.shape[1]
     while end > 4:
-        magnitude, quad = np.divmod(magnitude, np.uint32(10_000))
-        out[end - 4 : end] = _quad_chars(quad).T
+        magnitude, quad = _divmod(magnitude, 10_000)
+        out[:, end - 4 : end].view(np.uint32)[:, 0] = np.take(_DIGIT_QUADS, quad)
         end -= 4
-    out[:end] = _quad_chars(magnitude)[:, 4 - end :].T
+    # what is left of magnitude fills the leading 1 to 4 places
+    quads = np.take(_DIGIT_QUADS, magnitude)
+    if end == 4:
+        out.view(np.uint32)[:, 0] = quads
+        return
+    chars = quads.view(np.uint8).reshape(-1, 4)
+    for place in range(end):
+        out[:, place] = chars[:, 4 - end + place]
 
 
 def _ascii_column(values: np.ndarray, out: np.ndarray, lo: int, hi: int) -> bool:
-    """Write integers as right-aligned ASCII decimals, one per column of out.
+    """Write integers as right-aligned ASCII decimals, one per line of out.
 
-    out holds one row per character place and is as tall as the widest
-    value, sign included; lo and hi are the values' min and max. The
-    digits are made in uint32, where a division costs about a quarter
-    of a uint64 one: a magnitude of 2**32 or more first has its low
-    eight digits split off by one uint64 division by 10**8. Only when
-    some value is negative or has fewer digits than the widest (lo is
+    out holds one line per value and is as wide as the widest value,
+    sign included; lo and hi are the values' min and max. The digits
+    are made in uint32, where a division costs about a quarter of a
+    uint64 one: a magnitude of 2**32 or more first has its low eight
+    digits split off by one uint64 division by 10**8. Only when some
+    value is negative or has fewer digits than the widest (lo is
     negative or narrower than hi) are digits counted per value and the
     places left of each value set to _BLANK; returns whether they were.
     """
-    width = out.shape[0]
+    width = out.shape[1]
     top = max(hi, -lo)
     digits_max = len(str(top))
     ragged = lo < 0 or len(str(lo)) < digits_max
@@ -298,11 +334,11 @@ def _ascii_column(values: np.ndarray, out: np.ndarray, lo: int, hi: int) -> bool
     end = width
     part = magnitude
     while top >= 2**32:
-        part, low = np.divmod(part.astype(np.uint64, copy=False), np.uint64(10**8))
-        _ascii_uint32(low.astype(np.uint32), out[end - 8 : end])
+        part, low = _divmod(part.astype(np.uint64, copy=False), 10**8)
+        _ascii_uint32(low.astype(np.uint32), out[:, end - 8 : end])
         end -= 8
         top //= 10**8
-    _ascii_uint32(part.astype(np.uint32), out[width - digits_max : end])
+    _ascii_uint32(part.astype(np.uint32), out[:, width - digits_max : end])
     if not ragged:
         return False
     negative = values < 0
@@ -312,51 +348,50 @@ def _ascii_column(values: np.ndarray, out: np.ndarray, lo: int, hi: int) -> bool
     )
     lead = width - digits - negative
     for place in range(int(lead.max())):
-        out[place][lead > place] = _BLANK
-    out[lead[negative], np.flatnonzero(negative)] = ord("-")
+        out[:, place][lead > place] = _BLANK
+    out[np.flatnonzero(negative), lead[negative]] = ord("-")
     return True
 
 
 def _ascii_places(columns: list[np.ndarray]) -> tuple[np.ndarray, bool]:
-    """The CSV lines of integer columns, one blank-padded line per matrix column.
+    """The CSV lines of integer columns, one blank-padded line per matrix row.
 
-    Row j of the matrix holds character place j of every line, so each
-    column of values is formatted whole. A column of single digits needs
-    only the ASCII offset. Each column's min and max set its width and
-    tell whether any of its values is signed or narrower, the one case
-    that needs digits counted per value and blanks; the flag returned
-    says whether any column had such values.
+    Row i of the matrix is line i, newline included, and each column of
+    values is written whole into its own span of places. A column of
+    single digits needs only the ASCII offset. Each column's min and max
+    set its width and tell whether any of its values is signed or
+    narrower, the one case that needs digits counted per value and
+    blanks; the flag returned says whether any column had such values.
     """
     bounds = [(int(c.min()), int(c.max())) for c in columns]
     widths = [len(str(max(hi, -lo))) + (lo < 0) for lo, hi in bounds]
-    places = np.empty((sum(widths) + len(widths), columns[0].size), dtype=np.uint8)
+    lines = np.empty((columns[0].size, sum(widths) + len(widths)), dtype=np.uint8)
     ragged = False
     start = 0
     for column, (lo, hi), width in zip(columns, bounds, widths):
         if width == 1:
-            np.add(column, ord("0"), out=places[start], casting="unsafe")
+            np.add(column, ord("0"), out=lines[:, start], casting="unsafe")
         else:
-            ragged |= _ascii_column(column, places[start : start + width], lo, hi)
-        places[start + width] = ord(",")
+            ragged |= _ascii_column(column, lines[:, start : start + width], lo, hi)
+        lines[:, start + width] = ord(",")
         start += width + 1
-    places[-1] = ord("\n")
-    return places, ragged
+    lines[:, -1] = ord("\n")
+    return lines, ragged
 
 
 def _int_csv_blocks(header: str, blocks: Iterable[list[np.ndarray]]) -> Iterator:
     """CSV bytes of integer columns: the header line, then a block of lines at a time.
 
     blocks yields the columns' next rows, one array per column. Each
-    block is formatted and transposed on its own, so it stays in cache,
-    and stripped of its blanks only if it has any: a block whose values
-    all have their column's width is written as transposed. Joined, the
-    blocks hold the same bytes as joining str() of each value with
-    commas, row by row, however the rows are split into blocks.
+    block is formatted on its own, line-major, so it stays in cache and
+    is written as it lies; it is stripped of its blanks only if it has
+    any. Joined, the blocks hold the same bytes as joining str() of each
+    value with commas, row by row, however the rows are split into
+    blocks.
     """
     yield (header + "\n").encode("ascii")
     for columns in blocks:
-        places, ragged = _ascii_places(columns)
-        lines = places.T.copy()
+        lines, ragged = _ascii_places(columns)
         yield lines[lines != _BLANK] if ragged else lines.ravel()
 
 

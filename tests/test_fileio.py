@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -406,6 +407,27 @@ def test_csv_blocks_match_f_strings_across_block_boundaries():
     assert b"".join(blocks) == f_string_csv(header, columns)
 
 
+@pytest.mark.parametrize("digits", [4, 5, 8, 9, 12, 13])
+@pytest.mark.parametrize("ahead", range(4))
+def test_csv_quads_match_f_strings_at_every_byte_offset(ahead, digits):
+    # a wide column's quads are written as uint32 views of its line: with
+    # 0 to 3 single-digit columns ahead (two bytes each) and 0 or 1 digit
+    # before its first whole quad, the views start at every offset mod 4
+    rows = np.arange(41, dtype=np.uint64)
+    singles = [(rows * (j + 3) % 10).astype(np.uint8) for j in range(ahead)]
+    aligned = 10 ** (digits - 1) + rows * (10 ** (digits - 1) // 41)
+    signed = np.where(rows % 3 == 0, -1, 1) * aligned.astype(np.int64)
+    narrower = aligned // 10 ** (rows % digits)  # 1 to digits digits
+    columns = [*singles, aligned]
+    lines, ragged = _ascii_places(columns)
+    assert lines.shape == (rows.size, 2 * ahead + digits + 1) and not ragged
+    for wide in (aligned, signed, narrower):
+        columns = [*singles, wide, rows % 10]
+        header = ",".join(f"c{i}" for i in range(len(columns)))
+        assert joined_csv(header, columns) == f_string_csv(header, columns)
+    assert _ascii_places([*singles, signed])[1] and _ascii_places([*singles, narrower])[1]
+
+
 INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
 
 
@@ -470,11 +492,13 @@ def traced_peak(write) -> int:
 
 def test_transcript_csv_is_written_in_bounded_memory(wide_transcript, tmp_path):
     # streamed, with bit_index made per block, what stays is one block's
-    # buffers; a d'-long bit_index column adds 4 B, and a whole payload
-    # beside its places matrix is about 75 B
+    # lines, built line-major with no second copy of them: about 6.25 B
+    # per position here. A transposed copy of each block adds about 1.4 B,
+    # a d'-long bit_index column 4 B, and a whole payload beside its
+    # lines is about 50 B
     d_prime = wide_transcript.plan.d_prime
     peak = traced_peak(lambda: write_transcript_csv(tmp_path / "t.csv", wide_transcript))
-    assert peak / d_prime <= 8
+    assert peak / d_prime <= 7
     assert (tmp_path / "t.csv").stat().st_size > 20 * d_prime
 
 
@@ -590,3 +614,19 @@ def test_atomic_overwrite(tmp_path):
         _atomic_write_blocks(path, failing_blocks())
     assert path.read_bytes() == before  # the previous file is intact
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_get_the_umask_mode(tmp_path, umask, mode):
+    # a temp file from tempfile.mkstemp is always 0o600, whatever the umask
+    previous = os.umask(umask)
+    try:
+        write_json_document(tmp_path / "doc.json", "report", {"round": 1})
+        write_plan(tmp_path / "plan.cvpl", sample_plan())
+        write_json_document(tmp_path / "doc.json", "report", {"round": 2})
+    finally:
+        os.umask(previous)
+    for path in tmp_path.iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json", "plan.cvpl"]
