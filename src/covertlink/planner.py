@@ -12,13 +12,15 @@ points carry k and N; ProtocolParams.derive forms both claims, the bias
 bound and the message error, once, at the chosen point.
 
 The searches of _LOCKSTEP_GROUP (64) grid points at a time advance in
-lockstep (reliability._lockstep): each round makes one batched bit-error
-call over every pending repetition probe and one batched divergence
-pass over every pending pair count, and each search is sent exactly the
-values it would get alone, so the batching changes no probe and no
-result. The group size bounds the batches' memory. The golden-section
-and dimmest-within refinements run their points through the same path,
-as batches of one or two.
+lockstep (reliability._lockstep). Each round makes one batched call per
+kind of pending request: the bit errors of every pending repetition
+probe (reliability._bit_errors), the divergence profiles of every pair
+search that starts (fock_stats._profiles), and the divergences with
+their slopes at every pending pair count (fock_stats._divergences).
+Each search is sent exactly the values it would get alone, so the
+batching changes no probe and no result. The group size bounds the
+batches' memory. The golden-section and dimmest-within refinements run
+their points through the same path, as batches of one or two.
 """
 
 from __future__ import annotations

@@ -366,49 +366,39 @@ def _wrong_vote_window(
     float root, and _walk checks the integers next to it, stepping by one
     where the check disagrees. The upper Chernoff bound holds from k p_w
     up; w_star lies above k p_w whenever p_correct > p_wrong.
+
+    The upper steps, on k D(m/k || p_w), lam = k p_w, convex in m, start
+    where Bernstein's bound on it reaches nats: above the root, since the
+    bound lies below. The lower steps are on _below_fails' rate, its
+    Chernoff exponents of F(a) and of P(W < a) (at u = a - 1) in a. Two
+    logs can meet a ratio of 0 or below, m / lam after an upper step from
+    below lam, and (n - a) / (n (1 - pi)), n = k - a, at k = 2; there the
+    log is -inf at 0 and nan below, and a walk from a nan starts at lo.
     """
     lam = k * p_w
-    m = _upper_start(k, lam, p_w, nats)
+    m = lam + nats / 3.0 + (nats * (nats / 9.0 + 2.0 * lam * (1.0 - p_w))) ** 0.5
     for _ in range(_NEWTON_STEPS):
-        m = _upper_step(min(m, k - 0.5), k, lam, nats)
+        m = min(m, k - 0.5)
+        r = m / lam
+        up = math.log(r) if r > 0.0 else (-math.inf if r == 0.0 else math.nan)
+        down = math.log((k - m) / (k - lam))
+        m -= (m * up + (k - m) * down - nats) / (up - down)
     top = _walk(_above_ok, m, math.ceil(max(w_star, lam)), k + 1.0, (k, p_w, nats)) - 1.0
     cap = min(math.floor(w_star), top)
     a = 2.0 * w_star - m
     for _ in range(_NEWTON_STEPS):
         a = min(max(a, 1.0), max(cap, 1.0))
+        n, u = k - a, max(a - 1.0, 1e-3)
+        votes, wrong = a < n * pi, u < lam
         try:
-            a = _lower_step(a, max(a - 1.0, 1e-3), k, lam, pi, nats)
+            l1, r = math.log(a / (n * pi)), (n - a) / (n * (1.0 - pi))
+            l2 = math.log(r) if r > 0.0 else (-math.inf if r == 0.0 else math.nan)
+            g1, g2 = math.log(u / lam), math.log((k - u) / (k - lam))
+            rate = votes * (a * l1 + (n - a) * l2) + wrong * (u * g1 + (k - u) * g2)
+            a -= (rate - nats) / (votes * (l1 - 2.0 * l2) + wrong * (g1 - g2))
         except ZeroDivisionError:  # no slope here (or k = 1): walk from this guess
             break
     return _walk(_below_fails, a, 1.0, cap + 1.0, (k, p_w, pi, nats)) - 1.0, top
-
-
-def _upper_start(k, lam, p_w, nats):
-    """Where Bernstein's bound on k D(m/k || p_w), lam = k p_w, reaches nats:
-    above the root, since the bound lies below."""
-    return lam + nats / 3.0 + (nats * (nats / 9.0 + 2.0 * lam * (1.0 - p_w))) ** 0.5
-
-
-def _upper_step(m, k, lam, nats):
-    """A Newton step on k D(m/k || p_w) = nats, lam = k p_w, convex in m."""
-    up, down = _log(m / lam), _log((k - m) / (k - lam))
-    return m - (m * up + (k - m) * down - nats) / (up - down)
-
-
-def _lower_step(a, u, k, lam, pi, nats):
-    """A Newton step on _below_fails' rate = nats, its Chernoff exponents of
-    F(a) and of P(W < a) (at u = a - 1) in a."""
-    n = k - a
-    votes, wrong = a < n * pi, u < lam
-    l1, l2 = _log(a / (n * pi)), _log((n - a) / (n * (1.0 - pi)))
-    g1, g2 = _log(u / lam), _log((k - u) / (k - lam))
-    rate = votes * (a * l1 + (n - a) * l2) + wrong * (u * g1 + (k - u) * g2)
-    return a - (rate - nats) / (votes * (l1 - 2.0 * l2) + wrong * (g1 - g2))
-
-
-def _log(x: float) -> float:
-    """math.log, but -inf at 0 and nan below, where a Newton step may land."""
-    return math.log(x) if x > 0.0 else (-math.inf if x == 0.0 else math.nan)
 
 
 def _walk(test, root: float, lo: float, hi: float, args) -> float:

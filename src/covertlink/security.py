@@ -7,11 +7,13 @@ transmission, a mixture of the idle state and the pulse on top of it.
 This module evaluates the bound on D from fock_stats.DivergenceProfile
 and inverts it to find the smallest number of time-bin pairs meeting a
 covertness budget. The inversion is one bracketed Newton loop in log N,
-a generator, _pair_search, that yields each divergence it needs. In the
-planner's lockstep rounds (reliability._lockstep) the divergences of
-every pending search are formed in one batched pass,
-fock_stats._divergences, with the same doubles as one at a time.
-min_pairs_for_budget runs one search, as a batch of one.
+a generator, _pair_search, that yields its profile and each divergence
+it needs. In the planner's lockstep rounds (reliability._lockstep) the
+profiles of every search that starts are built in one batched pass,
+fock_stats._profiles, and the divergences of every pending search, each
+with its slope dD/dq, in another, fock_stats._divergences; both give
+the same doubles as one at a time. min_pairs_for_budget runs one
+search, as a batch of one.
 
 Convention: counts here are time-bin PAIRS; each pair contributes
 BINS_PER_PAIR raw time bins when converted to wall-clock duration.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 
 from .exceptions import InfeasibleError, ParameterError
-from .fock_stats import DivergenceProfile, _divergences, per_mode_relative_entropy
+from .fock_stats import _divergences, _profiles, per_mode_relative_entropy
 from .reliability import _lockstep
 
 BINS_PER_PAIR = 2
@@ -117,8 +119,10 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
 def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
     """min_pairs_for_budget's search, as a generator for reliability._lockstep.
 
-    It yields (_divergences, (profile, q)) for each pair count N it
-    evaluates, q = d/N, memoized per N, is sent D(q), and returns N.
+    It yields (_profiles, (mu, n_bar_a)) once and is sent its profile,
+    then (_divergences, (profile, q)) for each pair count N it evaluates,
+    q = d/N, memoized per N, and is sent D(q) with dD/dq, the slope of its
+    next Newton step; it returns N.
     """
     epsilon = _check_budget(epsilon)
     if not d_signals >= 0:
@@ -131,8 +135,8 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
             f"d={d_signals} signals (q = d/N <= 1)"
         )
 
-    profile = DivergenceProfile.build(mu, n_bar_a)
-    divergences: dict[int, float] = {}
+    profile = yield _profiles, (mu, n_bar_a)
+    divergences: dict[int, tuple[float, float]] = {}
 
     def divergence_at(n_pairs: int):
         if n_pairs not in divergences:
@@ -161,7 +165,7 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
         n = inside(d_signals**2 * profile.chi2 / (16.0 * epsilon**2))
     target = 8.0 * epsilon**2 / d_signals  # the answer has D(q)/q = target
     while True:
-        d_mode = yield from divergence_at(n)
+        d_mode, d_slope = yield from divergence_at(n)
         if detection_bias_bound(n, d_mode) <= epsilon:
             hi = n
         elif n >= DEFAULT_PAIR_CEILING:
@@ -176,7 +180,7 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
         q = d_signals / n
         slope = 0.0  # of log(D/q) against log q; D/q is flat on a vacuum background
         if d_mode > 0.0 and profile.uncovered == 0.0:
-            slope = q * profile.slope(q) / d_mode - 1.0
+            slope = q * d_slope / d_mode - 1.0
         if slope > 0.0:
             step = (math.log(d_mode / q) - math.log(target)) / slope
             n = inside(n * math.exp(min(max(step, -_MAX_LOG_STEP), _MAX_LOG_STEP)))

@@ -14,10 +14,11 @@ from bisect import bisect_left
 
 import mpmath as mp
 import numpy as np
+from scipy import special
 
 from covertlink.codec import _CHAR_TO_INDEX, ALPHABET, BITS_PER_CHAR
 from covertlink.exceptions import InfeasibleError, ParameterError
-from covertlink.fock_stats import DivergenceProfile, _log1p_gap
+from covertlink.fock_stats import _TRUNC_TOL, DivergenceProfile, _log1p_gap
 from covertlink.reliability import (
     MAX_REPETITIONS,
     ClickProbabilities,
@@ -631,3 +632,64 @@ def divergence_one_profile(profile: DivergenceProfile, q: float) -> float:
     before divergences were batched."""
     quadratic = math.fsum(profile.rho * _log1p_gap(q * profile.x))
     return max(quadratic - q * (profile.tail_rho - profile.tail_s), 0.0)
+
+
+def slope_one_profile(profile: DivergenceProfile, q: float) -> float:
+    """dD/dq for one profile, as DivergenceProfile.slope formed it before
+    slopes were batched with the divergences."""
+    y = q * profile.x
+    return math.fsum(profile.rho * profile.x * y / (1.0 + y)) - (profile.tail_rho - profile.tail_s)
+
+
+def build_one_profile(mu: float, n_bar_a: float) -> DivergenceProfile:
+    """The profile of one (mu, n_bar_a), as DivergenceProfile.build formed
+    it before profiles were built a pair-search round at a time."""
+    mu = float(mu)
+    if not math.isfinite(mu) or mu < 0.0:
+        raise ParameterError(f"mu must be finite and >= 0, got {mu!r}")
+    n_bar_a = float(n_bar_a)
+    if not math.isfinite(n_bar_a) or n_bar_a < 0.0:
+        raise ParameterError(f"n_bar_a must be finite and >= 0, got {n_bar_a!r}")
+    if n_bar_a == 0.0:
+        n_max, rho, tail_rho = 0, np.array([1.0]), 0.0
+    else:
+        ratio = n_bar_a / (1.0 + n_bar_a)
+        log_ratio = math.log(ratio)
+        n_max = max(0, math.ceil(math.log(_TRUNC_TOL) / log_ratio) - 1)
+        # log rounding can be off by one in either direction
+        while ratio ** (n_max + 1) > _TRUNC_TOL:
+            n_max += 1
+        while n_max > 0 and ratio**n_max <= _TRUNC_TOL:
+            n_max -= 1
+        rho = np.exp(np.arange(n_max + 1) * log_ratio - math.log1p(n_bar_a))
+        tail_rho = ratio ** (n_max + 1)
+    # x_0 = e^-mu - 1; for n >= 1 the j >= 1 part of the partial
+    # exponential sum is added to it, so no term cancels against 1
+    x = np.full(n_max + 1, math.expm1(-mu))
+    if n_max > 0:
+        a = mu * (1.0 + n_bar_a) / n_bar_a
+        with np.errstate(over="ignore"):
+            partial = np.cumsum(np.cumprod(a / np.arange(1, n_max + 1)))
+            x[1:] += math.exp(-mu) * partial
+        if not np.all(np.isfinite(x)):
+            raise ParameterError(
+                f"mu = {mu!r} is too bright against n_bar_a = {n_bar_a!r} "
+                "for the divergence to be represented in doubles"
+            )
+    # tail_s = P(X + Y > n_max), X ~ Poisson(mu), Y ~ thermal, split on
+    # X = j: the j <= n_max thermal tails r^(n_max + 1 - j) sum to
+    # tail_rho * rho_s(n_max) / rho(n_max); X > n_max is the Poisson
+    # tail, a regularized incomplete gamma. Neither piece cancels.
+    tail_s = float(tail_rho * (1.0 + x[-1]) + special.gammainc(n_max + 1, mu))
+    uncovered = -math.expm1(-mu) if n_bar_a == 0.0 else 0.0
+    chi2 = math.inf if uncovered > 0.0 else math.fsum(rho * x * x)
+    return DivergenceProfile(
+        mu=mu,
+        n_bar_a=n_bar_a,
+        rho=rho,
+        x=x,
+        tail_rho=tail_rho,
+        tail_s=tail_s,
+        chi2=chi2,
+        uncovered=uncovered,
+    )

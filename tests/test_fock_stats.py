@@ -3,6 +3,7 @@ the thermal background, the pulse riding on it, and the divergence sum,
 all as DivergenceProfile holds and evaluates them."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath as mp
@@ -12,12 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from covertlink import fock_stats
 from covertlink.exceptions import ParameterError
 from covertlink.fock_stats import (
     _TRUNC_TOL,
     DivergenceProfile,
     _divergences,
     _log1p_gap,
+    _profiles,
     per_mode_relative_entropy,
 )
 
@@ -308,17 +311,103 @@ def test_gibbs_positive_for_distinct_states():
     assert profile.divergence(1e-8) > 0.0
 
 
-def test_batched_divergences_equal_one_profile_at_a_time():
-    # 400 (profile, q) points in batches of 50: the one _log1p_gap pass
-    # over every q x gives each point the D it gets alone, and the one
-    # DivergenceProfile.divergence formed before the batching
+def test_batched_divergences_equal_one_profile_at_a_time(monkeypatch):
+    # 400 (profile, q) points in batches of 50, in passes of at most 1,
+    # 300 and the default budget of terms: a pass over its points' q x
+    # gives each point the D and the dD/dq it gets alone, the ones
+    # DivergenceProfile.divergence and .slope formed before the batching
     rng = np.random.default_rng(5)
     points = []
     for _ in range(400):
         mu, n_bar = 10 ** rng.uniform(-4, 0), 10 ** rng.uniform(-4, 0.5)
         points.append((DivergenceProfile.build(mu, n_bar), float(10 ** rng.uniform(-12, 0))))
-    got = []
-    for start in range(0, len(points), 50):
-        got += _divergences(points[start : start + 50])
-    assert got == [oracles.divergence_one_profile(p, q) for p, q in points]
-    assert got == [p.divergence(q) for p, q in points]
+    alone = [(p.divergence(q), p.slope(q)) for p, q in points]
+    assert alone == [
+        (oracles.divergence_one_profile(p, q), oracles.slope_one_profile(p, q)) for p, q in points
+    ]
+    for budget in (1, 300, fock_stats._TERM_BUDGET):
+        monkeypatch.setattr(fock_stats, "_TERM_BUDGET", budget)
+        got = []
+        for start in range(0, len(points), 50):
+            got += _divergences(points[start : start + 50])
+        assert got == alone, budget
+
+
+def assert_same_profile(got: DivergenceProfile, lone: DivergenceProfile) -> None:
+    assert np.array_equal(got.rho, lone.rho) and np.array_equal(got.x, lone.x)
+    for name in ("mu", "n_bar_a", "tail_rho", "tail_s", "chi2", "uncovered"):
+        assert getattr(got, name) == getattr(lone, name), name
+
+
+@pytest.mark.parametrize("budget", [1, 300, fock_stats._TERM_BUDGET])
+def test_batched_profiles_equal_lone_builds_on_mixed_backgrounds(monkeypatch, budget):
+    # one batch mixing backgrounds, the vacuum and a 6,943-term support
+    # among them, in an order that interleaves them, built in passes of at
+    # most budget terms: each profile is the lone build's, field by field
+    rng = np.random.default_rng(11)
+    n_bars = [0.0, 2.3e-3, 0.6, 100.0]
+    items = [(float(10 ** rng.uniform(-4, 0)), n_bars[i % 4]) for i in range(40)]
+    items += [(0.0, 0.6), (0.0, 0.0)]
+    monkeypatch.setattr(fock_stats, "_TERM_BUDGET", budget)
+    got = _profiles(items)
+    for item, profile in zip(items, got):
+        assert_same_profile(profile, oracles.build_one_profile(*item))
+    assert not got[1].rho.flags.writeable
+    assert all(profile.rho is got[1].rho for profile in got[1:40:4])
+
+
+def test_batched_profiles_name_the_first_too_bright_mu():
+    # at n_bar_a = 20 and 25 the partial exponential sums of these mu
+    # overflow; the batch is refused as the first of them alone is, though
+    # the other background's rows come first
+    items = [(0.1, 20.0), (0.2, 25.0), (740.0, 25.0), (720.0, 20.0), (730.0, 25.0)]
+    with pytest.raises(ParameterError) as lone:
+        oracles.build_one_profile(740.0, 25.0)
+    with pytest.raises(ParameterError) as batch:
+        _profiles(items)
+    assert str(batch.value) == str(lone.value)
+    assert "740.0" in str(batch.value)
+
+
+class _NoArrays:
+    """Stands in for numpy: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the batch was checked")
+
+
+@pytest.mark.parametrize(
+    "bad, name",
+    [
+        ((math.nan, 0.5), "mu"),
+        ((-1e-9, 0.5), "mu"),
+        ((0.1, math.nan), "n_bar_a"),
+        ((0.1, -1.0), "n_bar_a"),
+    ],
+)
+def test_batched_profiles_refuse_a_bad_mean_before_any_array(monkeypatch, bad, name):
+    monkeypatch.setattr(fock_stats, "np", _NoArrays())
+    with pytest.raises(ParameterError, match=f"^{name} must be finite and >= 0"):
+        _profiles([(0.1, 0.5), (0.2, 0.5), bad, (math.inf, 0.5)])
+
+
+def test_batched_profiles_memory_at_a_large_support():
+    # 8 mu at n_bar_a = 1e3, a 69,113-term support: rows of at most
+    # _TERM_BUDGET terms at a time, so one row here, and one rho for all
+    # eight. Built one at a time, the eight profiles peaked at 10,024,369
+    # bytes (tracemalloc); this batch at about 6.15 MB, of which 4.98 MB
+    # is the eight x and the one rho it returns. Beyond those, a pass of
+    # one row holds about two rows of temporaries; all eight rows in one
+    # pass would hold about eight
+    mus = np.geomspace(1e-4, 1.0, 8).tolist()
+    _profiles([(0.1, 1e3)])
+    tracemalloc.start()
+    try:
+        profiles = _profiles([(mu, 1e3) for mu in mus])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = profiles[0].x.nbytes
+    assert profiles[0].x.size > fock_stats._TERM_BUDGET
+    assert peak <= 10_024_369
+    assert peak - 9 * row <= 3 * row

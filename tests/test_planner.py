@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import covertlink.fock_stats as fock_stats
 import covertlink.planner as planner
 import covertlink.reliability as reliability
 import covertlink.security as security
@@ -270,7 +271,10 @@ def test_plan_bounded_divergence_count(monkeypatch):
     # every divergence the pair searches of the 8 bundled plans evaluate
     # (9,413); a search change that adds evaluations shows here. The
     # searches yield security._divergences as their evaluator, so every
-    # batch the planner evaluates passes through this wrapper
+    # batch the planner evaluates passes through this wrapper. Their
+    # profiles come a round at a time, and each plan's claims build one
+    # through DivergenceProfile.build: 255 _profiles calls in all, where
+    # the same plans made 2,901 lone builds
     evaluations = 0
     evaluate = security._divergences
 
@@ -280,16 +284,28 @@ def test_plan_bounded_divergence_count(monkeypatch):
         return evaluate(batch)
 
     monkeypatch.setattr(security, "_divergences", counted)
+    batches = 0
+    build = fock_stats._profiles
+
+    def built(items):
+        nonlocal batches
+        batches += 1
+        return build(items)
+
+    monkeypatch.setattr(security, "_profiles", built)
+    monkeypatch.setattr(fock_stats, "_profiles", built)
     for path in bundled_configs():
         plan_with_report(request_for(path))
     assert 0 < evaluations <= 9_413
+    assert 0 < batches <= 255
 
 
 def test_lockstep_batches_equal_the_scalar_references_on_bundled_plans(monkeypatch):
     # every repetition probe (13,406; 16,788 while each search probed k = 1
-    # first) and every divergence of the 8 bundled plans, evaluated in the
-    # planner's lockstep rounds, against the one-probe evaluators kept in
-    # oracles: the same doubles, whatever else shares the batch
+    # first), every divergence with its slope and every profile of the 8
+    # bundled plans, evaluated in the planner's lockstep rounds, against
+    # the one-point evaluators kept in oracles: the same doubles, whatever
+    # else shares the batch
     recorded = {}
 
     def recording(module, name):
@@ -304,19 +320,36 @@ def test_lockstep_batches_equal_the_scalar_references_on_bundled_plans(monkeypat
 
     recording(reliability, "_bit_errors")
     recording(security, "_divergences")
+    recording(security, "_profiles")
     reported = _reported_errors(monkeypatch)
     for path in bundled_configs():
         plan_with_report(request_for(path))
     for name, one in (
         # every probe's window is summed, so its value is the estimate
         ("_bit_errors", lambda k, cp: oracles.error_bounds_one_probe(k, cp)[1]),
-        ("_divergences", oracles.divergence_one_profile),
+        (
+            "_divergences",
+            lambda p, q: (oracles.divergence_one_profile(p, q), oracles.slope_one_profile(p, q)),
+        ),
     ):
         batches = recorded[name]
         assert max(len(batch) for batch, _ in batches) > 1
         pairs = [pair for batch, out in batches for pair in zip(batch, out)]
         assert [got for _, got in pairs] == [one(*item) for item, _ in pairs]
     assert sum(len(batch) for batch, _ in recorded["_bit_errors"]) - len(reported) == 13_406
+    # each profile of a round's batch is the lone build's, field by field
+    batches = recorded["_profiles"]
+    assert max(len(batch) for batch, _ in batches) > 1
+    for batch, out in batches:
+        for item, got in zip(batch, out):
+            lone = oracles.build_one_profile(*item)
+            assert np.array_equal(got.rho, lone.rho) and np.array_equal(got.x, lone.x)
+            assert (got.tail_rho, got.tail_s, got.chi2, got.uncovered) == (
+                lone.tail_rho,
+                lone.tail_s,
+                lone.chi2,
+                lone.uncovered,
+            )
 
 
 def test_bundled_plans_place_the_bisections_windows_with_few_scalar_tests(
