@@ -103,10 +103,13 @@ class SharedRandomness:
     def generator(self, stream: str) -> np.random.Generator:
         if stream not in self._STREAMS:
             raise ParameterError(f"unknown randomness stream {stream!r}")
-        key = self._STREAMS.index(stream)
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(self._NAMESPACE, key))
-        )
+        return _rng(self.seed, self._NAMESPACE, self._STREAMS.index(stream))
+
+
+def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    """The seeded stream of one spawn key: every Generator the package
+    draws from, the shared streams' and the simulator's, is made here."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
 
 
 @dataclass(frozen=True, eq=False)

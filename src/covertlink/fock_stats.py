@@ -41,6 +41,7 @@ import numpy as np
 from scipy import special
 
 from .exceptions import ParameterError
+from .reliability import _passes
 
 # Tail mass at which the thermal background is truncated: the bound
 # lives at D ~ 1e-16, and a 1e-15 tail would shift its sixth
@@ -50,10 +51,6 @@ _TRUNC_TOL = 1e-30
 # Crude cap on |ln(p/s)| for normal doubles, used only to convert
 # unresolvable truncated mass into an error bar.
 _LOG_CAP = 1500.0
-
-# A batched pass over profiles, their build or their sums, takes at most
-# this many terms at a time (a longer profile alone), which bounds its memory.
-_TERM_BUDGET = 2**13
 
 
 # Below this |y| the term y - log1p(y) is summed as its Taylor series;
@@ -168,10 +165,10 @@ def _profiles(items: list[tuple[float, float]]) -> list[DivergenceProfile]:
     and added to x_0 = e^-mu - 1. Both scalars come from math per mu, as
     a lone build takes them: numpy's exp can differ in the last place.
     tail_s takes one vector gammainc, and chi2 one math.fsum per row.
-    A pass holds at most _TERM_BUDGET terms of x (a longer support
-    alone), which bounds its memory. Every field is the double a build of
-    that (mu, n_bar_a) alone gives: the row-wise accumulations run in the
-    same order as along one row, and the scalars are the same.
+    reliability._passes bounds each pass's terms of x, and so its memory.
+    Every field is the double a build of that (mu, n_bar_a) alone gives:
+    the row-wise accumulations run in the same order as along one row,
+    and the scalars are the same.
 
     Raises:
         ParameterError: a mu or n_bar_a that is negative or not finite,
@@ -257,28 +254,15 @@ def _profiles(items: list[tuple[float, float]]) -> list[DivergenceProfile]:
     return out
 
 
-def _passes(sizes: list[int]):
-    """(begin, end) of each run of sizes that one batched pass takes: at
-    most _TERM_BUDGET in all, or a single larger size alone."""
-    begin, used = 0, 0
-    for end, size in enumerate(sizes):
-        if used and used + size > _TERM_BUDGET:
-            yield begin, end
-            begin, used = end, 0
-        used += size
-    if begin < len(sizes):
-        yield begin, len(sizes)
-
-
 def _sums(points: list[tuple[DivergenceProfile, float]]) -> list[tuple[float, float]]:
     """fsum(rho (y - log1p(y))) and fsum(rho x y / (1 + y)), y = q x, for
     each (profile, q).
 
-    A pass forms both sums' terms for its points' q x, laid end to end,
-    and one math.fsum per point and sum adds them exactly, so each sum is
-    the same double as for that point alone. The sums read the terms
-    through memoryviews, which yield plain floats, far cheaper than
-    numpy scalars.
+    A pass (reliability._passes) forms both sums' terms for its points'
+    q x, laid end to end, and one math.fsum per point and sum adds them
+    exactly, so each sum is the same double as for that point alone. The
+    sums read the terms through memoryviews, which yield plain floats,
+    far cheaper than numpy scalars.
     """
     sizes = [profile.x.size for profile, _ in points]
     out = []

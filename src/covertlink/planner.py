@@ -18,13 +18,15 @@ probe (reliability._bit_errors), the divergence profiles of every pair
 search that starts (fock_stats._profiles), and the divergences with
 their slopes at every pending pair count (fock_stats._divergences).
 Each search is sent exactly the values it would get alone, so the
-batching changes no probe and no result. The group size bounds the
-batches' memory. The golden-section and dimmest-within refinements run
-their points through the same path, as batches of one or two.
+batching changes no probe and no result. The group size and the term
+budget of reliability._passes bound the batches' memory. The
+golden-section and dimmest-within refinements run their points through
+the same path, as batches of one or two.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 import re
@@ -192,6 +194,11 @@ class ProtocolParams:
             epsilon_target=epsilon_target,
             target_e=target_e,
         )
+
+    def rederive(self, **changes) -> "ProtocolParams":
+        """derive's plan from this plan's inputs, those named in changes replaced."""
+        inputs = {name: getattr(self, name) for name in inspect.signature(self.derive).parameters}
+        return self.derive(**{**inputs, **changes})
 
     @property
     def bins_total(self) -> int:
@@ -379,7 +386,7 @@ def validate_plan(p: ProtocolParams, req: PlanRequest) -> PlanReport:
 
     A plan whose b, channel, rep_rate_hz, epsilon_target or target_e is
     not the request's raises ParameterError. Otherwise
-    ProtocolParams.derive re-forms the bias bound and the message error
+    ProtocolParams.rederive re-forms the bias bound and the message error
     from the plan's (b, k, N, mu), and each lands in the report beside its
     limit; a plan with no signals hides perfectly and delivers nothing.
     d, q and the running time need no row: ProtocolParams and
@@ -399,16 +406,7 @@ def validate_plan(p: ProtocolParams, req: PlanRequest) -> PlanReport:
     if p.d == 0:
         eps, err = 0.0, 1.0
     else:
-        derived = ProtocolParams.derive(
-            b=p.b,
-            k=p.k,
-            n_pairs=p.n_pairs,
-            mu=p.mu,
-            channel=p.channel,
-            rep_rate_hz=p.rep_rate_hz,
-            epsilon_target=p.epsilon_target,
-            target_e=p.target_e,
-        )
+        derived = p.rederive()
         eps, err = derived.predicted_epsilon, derived.predicted_e
     return PlanReport(
         (

@@ -77,8 +77,8 @@ _LOG_ROUNDS_TO_ZERO = -1075.0 * math.log(2.0)
 # and step by exact term ratios between; shorter runs are all boost.
 _ANCHOR_EVERY = 256
 
-# An anchored window sum pass takes at most this many padded terms at a
-# time (a longer window alone), which bounds its memory.
+# A batched pass, here or in fock_stats, takes at most this many terms at
+# a time (a longer item alone), which bounds its memory.
 _TERM_BUDGET = 2**13
 
 # Newton steps towards each window end's float root before its integer
@@ -195,7 +195,7 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
     The probes are evaluated together, each with the same arithmetic as
     alone: once _wrong_vote_window has placed each window, one
     _window_sums pass totals every window of at most _ANCHOR_EVERY terms,
-    and further passes the longer ones, _TERM_BUDGET padded terms a pass.
+    and further passes the longer ones, as _passes splits their padded terms.
     """
     out = [0.0] * len(probes)
     rows = []
@@ -219,16 +219,9 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
     m = top - a + 1.0
     anchored = m > _ANCHOR_EVERY
     span = np.where(anchored, np.ceil(m / _ANCHOR_EVERY) * _ANCHOR_EVERY, m).astype(np.intp)
-    # the short windows in one pass, the anchored ones _TERM_BUDGET padded
-    # terms at a time (a longer window alone)
+    # the short windows in one pass, the anchored ones as _passes splits them
     short, long = np.flatnonzero(~anchored), np.flatnonzero(anchored)
-    passes, begin, used = [short], 0, 0
-    for j, size in enumerate(span[long].tolist()):
-        if used and used + size > _TERM_BUDGET:
-            passes.append(long[begin:j])
-            begin, used = j, 0
-        used += size
-    passes.append(long[begin:])
+    passes = [short] + [long[begin:end] for begin, end in _passes(span[long].tolist())]
     totals = np.empty(len(rows))
     columns = (k, p_w, pi, a, m, span, start)
     for part in passes:
@@ -494,10 +487,15 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
     the normal-approximation guess, with k = 0 (no votes, which cannot
     decode) as the failing end, so k = 1 is probed only where the
     bracket closes on it. Each probe moves one end of the bracket, and
-    the next lands by a Newton step along the Chernoff
-    exponent, log error ~ -k I - log(k) / 2, slope I + 1/(2k) with I =
-    -log z, z = 1 - p_correct - p_wrong + 2 sqrt(p_correct p_wrong) as
-    _bit_errors forms it, rounded and kept strictly inside the bracket.
+    the next lands by a Newton step on g(k) = log(delta / delta_t), delta
+    the bit error and delta_t the one meeting the target exactly, which
+    stays nearly linear in k where the message error saturates at 1. Its
+    slope is the Chernoff exponent's, log delta ~ -k I - log(k) / 2 with
+    I = -log z, z = 1 - p_correct - p_wrong + 2 sqrt(p_correct p_wrong)
+    (no log(k) / 2 where p_wrong = 0), or the secant of the last two
+    probes where that is flatter than the exponent's at both: a bit error
+    near 1/2 has not reached the exponent. The next k is rounded and kept
+    strictly inside the bracket.
     A passing error clamped at MIN_TARGET_ERROR reads f = 0 and gives no
     slope; the loop bisects there. Because an even k can decode slightly
     worse than k - 1 (ties lose), the passing end is then walked down
@@ -539,13 +537,19 @@ def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
             "likely than wrong ones"
         )
     log_target = math.log(target_e)
-    memo: dict[int, float] = {}
+    # the bit error at which b bits err with probability target_e exactly
+    log_bit_target = math.log(-math.expm1(math.log1p(-target_e) / b))
+    memo: dict[int, tuple[float, float]] = {}
 
     def log_excess(k: int):
-        """log(message error / target) at k: > 0 fails, <= 0 passes."""
+        """f(k) = log(message error / target), > 0 failing and <= 0 passing,
+        and g(k) = log(bit error / the bit error meeting the target exactly)."""
         if k not in memo:
             delta = yield _bit_errors, (k, cp)
-            memo[k] = math.log(max(message_error_prob(delta, b), MIN_TARGET_ERROR)) - log_target
+            memo[k] = (
+                math.log(max(message_error_prob(delta, b), MIN_TARGET_ERROR)) - log_target,
+                math.log(max(delta, MIN_TARGET_ERROR / b)) - log_bit_target,
+            )
         return memo[k]
 
     guess = _estimate_repetitions(target_e, b, cp)
@@ -561,8 +565,9 @@ def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
     # + 1 for no passing k probed yet
     lo, hi = 0, MAX_REPETITIONS + 1
     k = min(guess, hi - 1)
+    prev = None
     while True:
-        f_k = yield from log_excess(k)
+        f_k, g_k = yield from log_excess(k)
         if f_k <= 0.0:
             hi = k
         elif k >= MAX_REPETITIONS:
@@ -579,10 +584,20 @@ def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
             # exactly and gives no slope to step on: bisect
             est = 0.5 * (lo + hi)
         else:
-            est = k + f_k / (rate + 0.5 / k)
+            # -dg/dk along the Chernoff exponent, or the secant through the
+            # last two steps' probes where it is flatter than that at both
+            model = rate + (0.5 / k if cp.p_wrong > 0.0 else 0.0)
+            slope = model
+            if prev is not None:
+                k0, g0, model0 = prev
+                secant = (g0 - g_k) / (k - k0)
+                if 0.0 < secant < min(model0, model):
+                    slope = secant
+            prev = (k, g_k, model)
+            est = k + g_k / slope if slope > 0.0 else hi
         k = min(max(int(round(est)), lo + 1), hi - 1)
     k = hi
-    while k > 2 and (yield from log_excess(k - 2)) <= 0.0:
+    while k > 2 and (yield from log_excess(k - 2))[0] <= 0.0:
         k -= 2
     return k
 
@@ -614,3 +629,16 @@ def _lockstep(searches: list) -> list:
             values = evaluate([item for _, _, item in group])
             pending += [(i, search, value) for (i, search, _), value in zip(group, values)]
     return results
+
+
+def _passes(sizes: list[int]):
+    """(begin, end) of each run of sizes that one batched pass takes: at
+    most _TERM_BUDGET in all, or a single larger size alone."""
+    begin, used = 0, 0
+    for end, size in enumerate(sizes):
+        if used and used + size > _TERM_BUDGET:
+            yield begin, end
+            begin, used = end, 0
+        used += size
+    if begin < len(sizes):
+        yield begin, len(sizes)

@@ -88,7 +88,9 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
     (slope 1 in the quadratic regime, 0 where terms saturate), rounded
     up and kept strictly inside the bracket. Where that slope is not
     positive (on a vacuum background D/q is flat) the loop doubles N
-    until a passing N is known, and bisects from then on. A search
+    until a passing N is known, and bisects from then on. It bisects, too,
+    once a step lands at or past a probed far end: steps clamped inside
+    each end in turn would close the bracket one pair at a time. A search
     costs a handful of divergence evaluations, each at an integer N and
     kept for reuse.
 
@@ -183,8 +185,16 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
             slope = q * d_slope / d_mode - 1.0
         if slope > 0.0:
             step = (math.log(d_mode / q) - math.log(target)) / slope
-            n = inside(n * math.exp(min(max(step, -_MAX_LOG_STEP), _MAX_LOG_STEP)))
-        elif hi > DEFAULT_PAIR_CEILING:
+            guess = n * math.exp(min(max(step, -_MAX_LOG_STEP), _MAX_LOG_STEP))
+            # the far end, hi from a failing n and lo from a passing one
+            if n == lo:
+                past_far_end = guess >= hi and hi <= DEFAULT_PAIR_CEILING
+            else:
+                past_far_end = guess <= lo and lo >= d_signals
+            if not past_far_end:
+                n = inside(guess)
+                continue
+        if hi > DEFAULT_PAIR_CEILING:
             n = inside(2 * n)
         else:
             n = (lo + hi) // 2

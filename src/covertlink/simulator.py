@@ -14,7 +14,7 @@ binomials, exact for the ~1e11 pairs of a full-scale trial), one
 whole-array draw per family.
 All outputs are pure functions of (inputs, seed): each transmission,
 monitoring trace and distinguisher run takes one generator from its
-own spawn-key domain of the seed.
+own spawn-key domain of the seed, through codec._rng.
 
 The adversary taps the channel at the sender's output with unit
 efficiency (noise mean n_bar_a, no detector penalty), which is strictly
@@ -39,6 +39,7 @@ from .codec import (
     _block_slices,
     _checked_outcomes,
     _require_whole_characters,
+    _rng,
     majority_decode,
 )
 from .exceptions import ParameterError
@@ -62,10 +63,6 @@ MAX_MONITOR_INTERVALS = 10**5
 # an interval's BINS_PER_PAIR * pairs time bins are a binomial draw's
 # int64 trial count
 MAX_MONITOR_PAIRS = (2**63 - 1) // BINS_PER_PAIR
-
-
-def _rng(seed: int, domain: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(domain,)))
 
 
 @dataclass(frozen=True)
@@ -380,7 +377,7 @@ def rescale_plan(p: ProtocolParams, factor: float) -> ProtocolParams:
 
     The repetition count is divided by factor (floored at 1), d follows
     as k * b, and the pair count follows from the preserved q up to
-    integer rounding. ProtocolParams.derive recomputes both predictions
+    integer rounding. ProtocolParams.rederive recomputes both predictions
     at the new scale, so bound comparisons against desk-scale
     simulations stay apples-to-apples.
 
@@ -404,13 +401,4 @@ def rescale_plan(p: ProtocolParams, factor: float) -> ProtocolParams:
                 f"rescale factor {factor:g} gives {name} = {value:.3g}, "
                 f"above the planner's limit {limit_name} = {limit:.0e}"
             )
-    return ProtocolParams.derive(
-        b=p.b,
-        k=k_new,
-        n_pairs=n_new,
-        mu=p.mu,
-        channel=p.channel,
-        rep_rate_hz=p.rep_rate_hz,
-        epsilon_target=p.epsilon_target,
-        target_e=p.target_e,
-    )
+    return p.rederive(k=k_new, n_pairs=n_new)

@@ -48,7 +48,8 @@ def test_plan_matches_golden(fresh, name):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_plan_is_derived_from_its_integers(fresh, name):
     # one rule forms every field and both claims from (b, k, N, mu), and
-    # validate_plan re-derives the same claims
+    # validate_plan re-derives the same claims, as rederive does from the
+    # plan's own inputs
     req, params, _ = fresh[name]
     derived = ProtocolParams.derive(
         b=params.b,
@@ -60,7 +61,7 @@ def test_plan_is_derived_from_its_integers(fresh, name):
         epsilon_target=req.epsilon,
         target_e=req.target_e,
     )
-    assert derived == params
+    assert derived == params == params.rederive()
     checks = {c.name: c.value for c in validate_plan(params, req).checks}
     assert checks["detection_bias"] == params.predicted_epsilon
     assert checks["message_error"] == params.predicted_e

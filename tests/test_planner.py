@@ -269,12 +269,15 @@ def test_plan_bounded_probe_count(monkeypatch, config, most):
 
 def test_plan_bounded_divergence_count(monkeypatch):
     # every divergence the pair searches of the 8 bundled plans evaluate
-    # (9,413); a search change that adds evaluations shows here. The
-    # searches yield security._divergences as their evaluator, so every
-    # batch the planner evaluates passes through this wrapper. Their
+    # (9,411; 9,413 before a step past the bracket's far end bisected it);
+    # a search change that adds evaluations shows here. The searches yield
+    # security._divergences as their evaluator, so every batch the
+    # planner evaluates passes through this wrapper. Their
     # profiles come a round at a time, and each plan's claims build one
-    # through DivergenceProfile.build: 255 _profiles calls in all, where
-    # the same plans made 2,901 lone builds
+    # through DivergenceProfile.build: 251 _profiles calls in all (255
+    # before the repetition searches' steps changed, which shifts the
+    # rounds where pair searches start), where the same plans made 2,901
+    # lone builds
     evaluations = 0
     evaluate = security._divergences
 
@@ -296,13 +299,14 @@ def test_plan_bounded_divergence_count(monkeypatch):
     monkeypatch.setattr(fock_stats, "_profiles", built)
     for path in bundled_configs():
         plan_with_report(request_for(path))
-    assert 0 < evaluations <= 9_413
-    assert 0 < batches <= 255
+    assert 0 < evaluations <= 9_411
+    assert 0 < batches <= 251
 
 
 def test_lockstep_batches_equal_the_scalar_references_on_bundled_plans(monkeypatch):
-    # every repetition probe (13,406; 16,788 while each search probed k = 1
-    # first), every divergence with its slope and every profile of the 8
+    # every repetition probe (13,032; 13,406 before the Newton steps went
+    # by the bit error's excess over its target, and 16,788 while each
+    # search probed k = 1 first), every divergence with its slope and every profile of the 8
     # bundled plans, evaluated in the planner's lockstep rounds, against
     # the one-point evaluators kept in oracles: the same doubles, whatever
     # else shares the batch
@@ -336,7 +340,7 @@ def test_lockstep_batches_equal_the_scalar_references_on_bundled_plans(monkeypat
         assert max(len(batch) for batch, _ in batches) > 1
         pairs = [pair for batch, out in batches for pair in zip(batch, out)]
         assert [got for _, got in pairs] == [one(*item) for item, _ in pairs]
-    assert sum(len(batch) for batch, _ in recorded["_bit_errors"]) - len(reported) == 13_406
+    assert sum(len(batch) for batch, _ in recorded["_bit_errors"]) - len(reported) == 13_032
     # each profile of a round's batch is the lone build's, field by field
     batches = recorded["_profiles"]
     assert max(len(batch) for batch, _ in batches) > 1
@@ -356,10 +360,12 @@ def test_bundled_plans_place_the_bisections_windows_with_few_scalar_tests(
     monkeypatch, placed_windows
 ):
     # every window [a, top] the repetition probes of the 8 bundled plans
-    # sum (13,414) is the one the two bisections kept in oracles place, and
-    # placing them all makes 65,864 _kl calls, about 5 a window, where the
-    # bisections made 171,899 over the four low-noise plans alone; a
-    # placement change that tests more integers shows here
+    # sum (13,040; 13,414 before the repetition search stepped by the bit
+    # error's excess over its target) is the one the two bisections kept in
+    # oracles place, and placing them all makes 63,886 _kl calls (65,864
+    # before), about 5 a
+    # window, where the bisections made 171,899 over the four low-noise
+    # plans alone; a placement change that tests more integers shows here
     calls = 0
     kl = reliability._kl
 
@@ -371,10 +377,10 @@ def test_bundled_plans_place_the_bisections_windows_with_few_scalar_tests(
     monkeypatch.setattr(reliability, "_kl", counted)
     for path in bundled_configs():
         plan_with_report(request_for(path))
-    assert len(placed_windows) == 13_414
+    assert len(placed_windows) == 13_040
     for k, p_w, pi, w_star, nats, a, top in placed_windows:
         assert (a, top) == oracles.wrong_vote_window(int(k), p_w, pi, w_star, nats)
-    assert 0 < calls <= 65_864
+    assert 0 < calls <= 63_886
 
 
 @pytest.mark.parametrize("config", ["fiber_cqtustc.yaml", "fiber_qpqi.yaml"])

@@ -789,17 +789,22 @@ def test_min_repetitions_refuses_targets_below_the_floor():
     assert message_error_prob(bit_error_prob(k_floor - 1, cp), 35) > MIN_TARGET_ERROR
 
 
+def _recorded_probes(monkeypatch) -> list:
+    """The k of every probe the repetition searches hand _bit_errors, in order."""
+    probes = []
+
+    def recorded(batch):
+        probes.extend(k for k, _ in batch)
+        return _bit_errors(batch)
+
+    monkeypatch.setattr(reliability, "_bit_errors", recorded)
+    return probes
+
+
 def test_min_repetitions_at_the_floor_bisects_the_bracket(monkeypatch):
     # at target = MIN_TARGET_ERROR every passing probe clamps to f = 0,
     # which gives the Newton step no slope; the search bisects there
-    probes = []
-    evaluate = reliability._bit_errors
-
-    def counted(batch):
-        probes.extend(k for k, _ in batch)
-        return evaluate(batch)
-
-    monkeypatch.setattr(reliability, "_bit_errors", counted)
+    probes = _recorded_probes(monkeypatch)
     # the all-exact search walks this bracket down one k at a time, in
     # about 600 probes, to the same answer
     cp = ClickProbabilities(0.3, 0.01)
@@ -813,6 +818,48 @@ def test_min_repetitions_at_the_floor_bisects_the_bracket(monkeypatch):
     k = min_repetitions(MIN_TARGET_ERROR, 35, cp)
     assert 0 < len(probes) <= 40
     _assert_threshold(k, MIN_TARGET_ERROR, 35, cp)
+
+
+@pytest.mark.parametrize("target", [0.999, 0.9999, 0.9999999])
+@pytest.mark.parametrize("mu", [1e-3, 1e-2, 0.0348])
+def test_min_repetitions_at_a_saturating_target_takes_few_probes(monkeypatch, target, mu):
+    # near a message error of 1 the log message error falls in k slower
+    # than the bit error's Chernoff exponent, by b delta (1 - delta)^(b - 1)
+    # / error; Newton steps along the exponent alone closed the bracket one
+    # k a probe (3,987 probes at target 0.9999 and mu = 1e-3, k = 27,270).
+    # The answer is the first passing k of a scan of every k up to it
+    probes = _recorded_probes(monkeypatch)
+    b, cp = 35, click_probs(mu, ChannelModel(tau=0.18, n_bar_a=2.3e-3, n_bar_b=3.18e-3))
+    k = min_repetitions(target, b, cp)
+    assert 0 < len(probes) <= 40
+    errors = []
+    for start in range(1, k + 1, 1000):
+        errors += _bit_errors([(j, cp) for j in range(start, min(start + 1000, k + 1))])
+    assert k == next(j for j, e in enumerate(errors, 1) if message_error_prob(e, b) <= target)
+
+
+@pytest.mark.parametrize(
+    "target, b, p_c, p_w",
+    [
+        # no wrong clicks: the bit error is (1 - p_c)^k, with no sqrt(k)
+        # factor, and it must fall to 0.66 before 15 bits meet the target
+        (0.9999999, 15, 8.039361346376017e-08, 0.0),
+        # p_c within 2e-4 of p_w: the bit error stays near 1/2 and falls
+        # as a normal tail in sqrt(k), far slower than the Chernoff slope
+        (0.999, 10, 0.0013899563142064839, 0.0013897051343361422),
+    ],
+)
+def test_min_repetitions_off_the_chernoff_regime_takes_few_probes(
+    monkeypatch, target, b, p_c, p_w
+):
+    # found by the schema sweep: steps along the Chernoff exponent's slope
+    # advanced these searches by a few percent of k a probe, past 1,000
+    # probes for the near tie
+    probes = _recorded_probes(monkeypatch)
+    cp = ClickProbabilities(p_c, p_w)
+    k = min_repetitions(target, b, cp)
+    assert 0 < len(probes) <= 40
+    _assert_threshold(k, target, b, cp)
 
 
 def test_min_repetitions_rejects_more_than_one_click_per_slot():

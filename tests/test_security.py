@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import covertlink.security as security
 from covertlink.exceptions import InfeasibleError, ParameterError
 from covertlink.fock_stats import DivergenceProfile
 from covertlink.planner import default_mu_grid
@@ -238,3 +239,45 @@ def test_min_pairs_is_the_threshold_on_random_inputs():
         ordered += n <= 10**15
         vacuum += n_bar_a == 0.0 and n > 2 * d
     assert ordered >= 250 and vacuum >= 20
+
+
+# (epsilon, d, mu, n_bar_a) where each Newton step in log N landed at or
+# past the far end of the bracket and was clamped one pair inside it, so
+# the two ends closed one pair an evaluation: past 300 evaluations each, and
+# (0.45, 35, 0.1, 1e-5) did not end. Found by a scan of 1,800 grid inputs
+# (epsilon 0.01 to 0.4999999, mu 1e-3 to 1, n_bar_a 1e-6 to 10, d 35 to 1e6)
+_FAR_END_STALLS = [
+    (0.45, 35, 0.1, 1e-5),
+    (0.1, 35, 0.1778279410038923, 1e-6),
+    (0.1, 350, 0.1778279410038923, 1e-5),
+    (0.3, 350, 0.1778279410038923, 1e-5),
+    (0.4, 35000, 0.03162277660168379, 1e-6),
+    (0.4, 350, 0.1778279410038923, 1e-5),
+    (0.4, 35, 1.0, 1e-4),
+    (0.45, 350, 0.1778279410038923, 1e-5),
+    (0.45, 35, 1.0, 1e-4),
+    (0.49, 350, 0.1778279410038923, 1e-5),
+    (0.4999999, 350, 0.1778279410038923, 1e-5),
+]
+
+
+@pytest.mark.parametrize("eps, d, mu, n_bar_a", _FAR_END_STALLS)
+def test_min_pairs_bisects_past_the_far_end(monkeypatch, eps, d, mu, n_bar_a):
+    # a step past a probed far end bisects the bracket instead; each search
+    # ends in few evaluations at the bound's threshold, or is infeasible
+    evaluations = 0
+    evaluate = security._divergences
+
+    def counted(batch):
+        nonlocal evaluations
+        evaluations += len(batch)
+        assert evaluations <= 64
+        return evaluate(batch)
+
+    monkeypatch.setattr(security, "_divergences", counted)
+    try:
+        n = min_pairs_for_budget(eps, d, mu, n_bar_a)
+    except InfeasibleError:
+        return
+    assert bias_for_protocol(n, d, mu, n_bar_a) <= eps
+    assert n == d or bias_for_protocol(n - 1, d, mu, n_bar_a) > eps
