@@ -225,9 +225,7 @@ def _planned_params(cfg: dict) -> tuple[ProtocolParams, PlanRequest, np.ndarray]
         # hardware fault would leave them
         params = dataclasses.replace(params, mu=params.mu * cfg["mu_multiplier"])
     if cfg.get("no_signals", False):
-        params = dataclasses.replace(
-            params, d=0, k=0, q=0.0, predicted_epsilon=0.0, predicted_e=1.0
-        )
+        params = params.rederive(k=0)
     return params, req, bits
 
 

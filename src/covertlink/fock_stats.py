@@ -14,15 +14,14 @@ thermal background of mean n_bar_a:
   below |y| = 0.1), and the linear part -q sum(rho x) is not summed at
   all. Over the whole support it is exactly zero; over a truncated
   support it equals q times the difference of the two laws' tail
-  masses, which is carried analytically;
-- slope(q) sums rho_n x_n y_n / (1 + y_n), dD/dq less the same tail
-  term.
+  masses, which is carried analytically.
 
 Each is a batch of one on a batched evaluator that the planner's
 lockstep rounds call once per round: _profiles builds the profiles of
 every pair search that starts, those of one n_bar_a in one 2-D pass,
-and _divergences forms D and dD/dq together from one y = q x for every
-pending point. A batch gives every value the double it has alone.
+and _divergences forms D together with dD/dq, sum(rho_n x_n y_n / (1 +
+y_n)) less tail_rho - tail_s, from one y = q x for every pending
+point. A batch gives every value the double it has alone.
 
 The result is accurate to a few units in the last place rather than to
 the ~1e-9 the plain -rho log1p(y) terms reach, which is what lets the
@@ -138,14 +137,6 @@ class DivergenceProfile:
         else:
             err = self.tail_s + self.tail_rho * _LOG_CAP
         return err + 2.5e-16 * (quadratic + abs(linear))
-
-    def slope(self, q: float) -> float:
-        """dD/dq: sum(rho x y / (1 + y)) plus the linear tail term.
-
-        _divergences forms it beside D from the same y, as the pair
-        searches' rounds take both at each pair count; here for one q.
-        """
-        return _divergences([(self, _check_weight(q))])[0][1]
 
 
 def _check_weight(q: float) -> float:

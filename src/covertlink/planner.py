@@ -37,6 +37,7 @@ import numpy as np
 from .exceptions import InfeasibleError, ParameterError
 from .reliability import (
     ChannelModel,
+    _check_count,
     _lockstep,
     _repetition_search,
     bit_error_prob,
@@ -87,8 +88,7 @@ class PlanRequest:
 
     def __post_init__(self):
         # ProtocolParams' rules for b and rep_rate_hz, applied before planning
-        if not isinstance(self.b, numbers.Integral) or isinstance(self.b, bool) or self.b < 1:
-            raise ParameterError(f"b must be an integer >= 1, got {self.b!r}")
+        _check_count(self.b, "b", 1)
         if not 0.0 < self.epsilon < 0.5:
             raise ParameterError(f"epsilon must lie in (0, 0.5), got {self.epsilon!r}")
         check_target_error(self.target_e)
@@ -107,9 +107,9 @@ class ProtocolParams:
     """A fully planned parameter set.
 
     d = k * b covert signals are spread over n_pairs time-bin pairs with
-    per-pair send probability q = d / n_pairs. The degenerate d = 0 form
-    (with k = 0, q = 0) is allowed so that no-transmission diagnostics
-    can be represented; the planner itself never emits it.
+    per-pair send probability q = d / n_pairs. The no-signal form d = 0
+    (with k = 0, q = 0) represents no-transmission diagnostics; derive
+    forms it at k = 0, and the planner's searches never choose it.
 
     predicted_epsilon and predicted_e are the planner's claims and must be
     finite reals; whether they still hold for the stored parameters is
@@ -131,12 +131,8 @@ class ProtocolParams:
     target_e: float
 
     def __post_init__(self):
-        for name in ("b", "d", "k", "n_pairs"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.b < 1 or self.n_pairs < 1:
-            raise ParameterError("b and n_pairs must be >= 1")
+        for name, least in (("b", 1), ("d", 0), ("k", 0), ("n_pairs", 1)):
+            _check_count(getattr(self, name), name, least)
         # any finite mu >= 0 may be stored, an inflated-mu attack's too
         if not (_finite_real(self.mu) and self.mu >= 0.0):
             raise ParameterError(f"mu must be a finite real number >= 0, got {self.mu!r}")
@@ -177,9 +173,16 @@ class ProtocolParams:
 
         The one place a plan's fields and both claims are formed from
         (b, k, N, mu): d = k b, q = d / N, the detection-bias bound and
-        the message error.
+        the message error. k = 0 forms the no-signal record, d = 0 and q =
+        0.0, which hides perfectly (bias 0.0) and delivers nothing (message
+        error 1.0) whatever mu is, with neither claim computed.
         """
         d = k * b
+        if k == 0:
+            epsilon, error = 0.0, 1.0
+        else:
+            epsilon = bias_for_protocol(n_pairs, d, mu, channel.n_bar_a)
+            error = message_error_prob(bit_error_prob(k, click_probs(mu, channel)), b)
         return cls(
             b=b,
             d=d,
@@ -187,8 +190,8 @@ class ProtocolParams:
             q=d / n_pairs,
             n_pairs=n_pairs,
             mu=mu,
-            predicted_epsilon=bias_for_protocol(n_pairs, d, mu, channel.n_bar_a),
-            predicted_e=message_error_prob(bit_error_prob(k, click_probs(mu, channel)), b),
+            predicted_epsilon=epsilon,
+            predicted_e=error,
             channel=channel,
             rep_rate_hz=rep_rate_hz,
             epsilon_target=epsilon_target,
@@ -388,7 +391,8 @@ def validate_plan(p: ProtocolParams, req: PlanRequest) -> PlanReport:
     not the request's raises ParameterError. Otherwise
     ProtocolParams.rederive re-forms the bias bound and the message error
     from the plan's (b, k, N, mu), and each lands in the report beside its
-    limit; a plan with no signals hides perfectly and delivers nothing.
+    limit. A plan with no signals re-forms as derive's k = 0 record:
+    bias 0.0, which passes, and message error 1.0, which fails.
     d, q and the running time need no row: ProtocolParams and
     fileio.params_from_document refuse stored ones that disagree.
     """
@@ -403,11 +407,8 @@ def validate_plan(p: ProtocolParams, req: PlanRequest) -> PlanReport:
             raise ParameterError(
                 f"plan document carries {name} = {planned!r} but the config gives {wanted!r}"
             )
-    if p.d == 0:
-        eps, err = 0.0, 1.0
-    else:
-        derived = p.rederive()
-        eps, err = derived.predicted_epsilon, derived.predicted_e
+    derived = p.rederive()
+    eps, err = derived.predicted_epsilon, derived.predicted_e
     return PlanReport(
         (
             CheckResult("detection_bias", eps <= req.epsilon, eps, req.epsilon),

@@ -42,6 +42,7 @@ claim is conservative there.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +150,13 @@ def click_probs(mu: float, ch: ChannelModel) -> ClickProbabilities:
     return ClickProbabilities(p_correct, p_wrong)
 
 
+def _check_count(value, name: str, least: int) -> int:
+    """value as an int, if it is an integer (numpy's too, a bool not) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def bit_error_prob(k: int, cp: ClickProbabilities) -> float:
     """Majority-vote error probability for one bit repeated k times.
 
@@ -159,14 +167,13 @@ def bit_error_prob(k: int, cp: ClickProbabilities) -> float:
         ParameterError: k is not an integer >= 1, or p_correct + p_wrong
             exceeds 1.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ParameterError(f"k must be an integer >= 1, got {k!r}")
+    k = _check_count(k, "k", 1)
     if cp.p_correct + cp.p_wrong > 1.0:
         raise ParameterError(
             "p_correct + p_wrong exceeds 1; the single-click-per-slot model "
             "does not apply"
         )
-    return _bit_errors([(int(k), cp)])[0]
+    return _bit_errors([(k, cp)])[0]
 
 
 def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
@@ -431,8 +438,7 @@ def message_error_prob(delta: float, b: int) -> float:
     """Probability 1 - (1 - delta)^b that any of b bits decodes wrongly."""
     if not 0.0 <= delta <= 1.0:
         raise ParameterError(f"delta must lie in [0, 1], got {delta!r}")
-    if b < 1:
-        raise ParameterError(f"b must be >= 1, got {b!r}")
+    _check_count(b, "b", 1)
     if delta == 1.0:
         return 1.0
     return -math.expm1(b * math.log1p(-delta))
@@ -524,8 +530,7 @@ def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
     k, is sent that probe's bit error, and returns the repetition count.
     """
     check_target_error(target_e)
-    if b < 1:
-        raise ParameterError(f"b must be >= 1, got {b!r}")
+    b = _check_count(b, "b", 1)
     if cp.p_correct + cp.p_wrong > 1.0:
         raise InfeasibleError(
             "p_correct + p_wrong exceeds 1; the single-click-per-slot model "

@@ -25,7 +25,7 @@ import math
 
 from .exceptions import InfeasibleError, ParameterError
 from .fock_stats import _divergences, _profiles, per_mode_relative_entropy
-from .reliability import _lockstep
+from .reliability import _check_count, _lockstep
 
 BINS_PER_PAIR = 2
 
@@ -64,7 +64,7 @@ def _check_budget(epsilon: float) -> float:
 def bias_for_protocol(n_pairs: int, d_signals: int, mu: float, n_bar_a: float) -> float:
     """Detection-bias bound for sending d_signals over n_pairs pairs."""
     _check_pairs(n_pairs)
-    q = d_signals / n_pairs
+    q = _check_count(d_signals, "d_signals", 0) / n_pairs
     return detection_bias_bound(n_pairs, per_mode_relative_entropy(mu, n_bar_a, q))
 
 
@@ -91,8 +91,7 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
     until a passing N is known, and bisects from then on. It bisects, too,
     once a step lands at or past a probed far end: steps clamped inside
     each end in turn would close the bracket one pair at a time. A search
-    costs a handful of divergence evaluations, each at an integer N and
-    kept for reuse.
+    costs a handful of divergence evaluations, each at an integer N.
 
     The search is _pair_search, which the planner runs in lockstep with
     the other grid points' searches; here it runs alone, as a batch of
@@ -109,7 +108,7 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
         when there are no signals.
 
     Raises:
-        ParameterError: a bad budget, or d_signals < 0 or NaN.
+        ParameterError: a bad budget, or d_signals not an integer >= 0.
         InfeasibleError: no N in [d, DEFAULT_PAIR_CEILING] satisfies the
             budget (none exists when d exceeds the ceiling), or the
             background is the vacuum and the bound's limit as N grows,
@@ -123,12 +122,12 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
 
     It yields (_profiles, (mu, n_bar_a)) once and is sent its profile,
     then (_divergences, (profile, q)) for each pair count N it evaluates,
-    q = d/N, memoized per N, and is sent D(q) with dD/dq, the slope of its
-    next Newton step; it returns N.
+    q = d/N, and is sent D(q) with dD/dq, the slope of its next Newton
+    step; it returns N. No N is evaluated twice: each lies strictly
+    inside the bracket (lo, hi) and then becomes one of its ends.
     """
     epsilon = _check_budget(epsilon)
-    if not d_signals >= 0:
-        raise ParameterError(f"d_signals must be >= 0, got {d_signals!r}")
+    d_signals = _check_count(d_signals, "d_signals", 0)
     if d_signals == 0:
         return 1
     if d_signals > DEFAULT_PAIR_CEILING:
@@ -138,13 +137,6 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
         )
 
     profile = yield _profiles, (mu, n_bar_a)
-    divergences: dict[int, tuple[float, float]] = {}
-
-    def divergence_at(n_pairs: int):
-        if n_pairs not in divergences:
-            divergences[n_pairs] = yield _divergences, (profile, d_signals / n_pairs)
-        return divergences[n_pairs]
-
     # the bracket: bound(lo) > epsilon >= bound(hi), where lo = d - 1 stands
     # for every allowed N below hi, and hi = DEFAULT_PAIR_CEILING + 1 for
     # no passing N probed yet
@@ -167,7 +159,7 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
         n = inside(d_signals**2 * profile.chi2 / (16.0 * epsilon**2))
     target = 8.0 * epsilon**2 / d_signals  # the answer has D(q)/q = target
     while True:
-        d_mode, d_slope = yield from divergence_at(n)
+        d_mode, d_slope = yield _divergences, (profile, d_signals / n)
         if detection_bias_bound(n, d_mode) <= epsilon:
             hi = n
         elif n >= DEFAULT_PAIR_CEILING:

@@ -314,14 +314,14 @@ def test_gibbs_positive_for_distinct_states():
 def test_batched_divergences_equal_one_profile_at_a_time(monkeypatch):
     # 400 (profile, q) points in batches of 50, in passes of at most 1,
     # 300 and the default budget of terms: a pass over its points' q x
-    # gives each point the D and the dD/dq it gets alone, the ones
-    # DivergenceProfile.divergence and .slope formed before the batching
+    # gives each point the D and the dD/dq it gets alone, the ones the
+    # one-point references in oracles form
     rng = np.random.default_rng(5)
     points = []
     for _ in range(400):
         mu, n_bar = 10 ** rng.uniform(-4, 0), 10 ** rng.uniform(-4, 0.5)
         points.append((DivergenceProfile.build(mu, n_bar), float(10 ** rng.uniform(-12, 0))))
-    alone = [(p.divergence(q), p.slope(q)) for p, q in points]
+    alone = [_divergences([point])[0] for point in points]
     assert alone == [
         (oracles.divergence_one_profile(p, q), oracles.slope_one_profile(p, q)) for p, q in points
     ]

@@ -1,6 +1,7 @@
 """Planner: optimality contract, tradeoff directions, reference-point
 reproduction, and plan validation."""
 
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -303,6 +304,56 @@ def test_plan_bounded_divergence_count(monkeypatch):
     assert 0 < batches <= 251
 
 
+def _requests_per_search(monkeypatch, name: str) -> list:
+    """A Counter per search of the planner's search generator name, of the
+    evaluators its requests name."""
+    tallies = []
+    make = getattr(planner, name)
+
+    def counted(*args):
+        tally = collections.Counter()
+        tallies.append(tally)
+        search, value = make(*args), None
+        while True:
+            try:
+                request = search.send(value)
+            except StopIteration as done:
+                return done.value
+            tally[request[0].__name__] += 1
+            value = yield request
+
+    monkeypatch.setattr(planner, name, counted)
+    return tallies
+
+
+def test_plan_work_per_search(monkeypatch):
+    # the work of the 8 bundled plans, where test_plan_bounded_divergence_count's
+    # batch count measures how the lockstep rounds line up: 2,901
+    # profiles built (2,893 pair searches and the 8 plans' claims), no
+    # pair search past 20 D evaluations (2,179 of them make 3), and no
+    # repetition search past 5 probes (3,134 of the 3,382 that start
+    # probe at all)
+    profiles = 0
+    build = fock_stats._profiles
+
+    def built(items):
+        nonlocal profiles
+        profiles += len(items)
+        return build(items)
+
+    monkeypatch.setattr(security, "_profiles", built)
+    monkeypatch.setattr(fock_stats, "_profiles", built)
+    pair_searches = _requests_per_search(monkeypatch, "_pair_search")
+    repetition_searches = _requests_per_search(monkeypatch, "_repetition_search")
+    for path in bundled_configs():
+        plan_with_report(request_for(path))
+    assert profiles == 2_901
+    evaluations = [tally["_divergences"] for tally in pair_searches]
+    assert len(evaluations) == 2_893 and 0 < max(evaluations) <= 20
+    probes = [tally["_bit_errors"] for tally in repetition_searches]
+    assert sum(probes) == 13_032 and 0 < max(probes) <= 5
+
+
 def test_lockstep_batches_equal_the_scalar_references_on_bundled_plans(monkeypatch):
     # every repetition probe (13,032; 13,406 before the Newton steps went
     # by the bit error's excess over its target, and 16,788 while each
@@ -488,6 +539,35 @@ def test_validation_of_a_plan_with_no_signals():
         ("message_error", False, 1.0),
     ]
     assert not report.passed
+
+
+def test_the_no_signal_plan_computes_no_claim(monkeypatch, cqtustc_plan):
+    # derive's k = 0 record builds no profile and sums no bit error, so an
+    # over-bright mu cannot make it fail, and validate_plan re-forms it
+    def fail(items):
+        raise AssertionError("a no-signal plan computed a claim")
+
+    monkeypatch.setattr(fock_stats, "_profiles", fail)
+    monkeypatch.setattr(reliability, "_bit_errors", fail)
+    req = reference_request(CQTUSTC)
+    silent = ProtocolParams.derive(
+        b=req.b,
+        k=0,
+        n_pairs=1000,
+        mu=0.01,
+        channel=req.channel,
+        rep_rate_hz=req.rep_rate_hz,
+        epsilon_target=req.epsilon,
+        target_e=req.target_e,
+    )
+    assert (silent.d, silent.q, silent.predicted_epsilon, silent.predicted_e) == (0, 0.0, 0.0, 1.0)
+    bright = dataclasses.replace(cqtustc_plan, mu=1e300).rederive(k=0)
+    assert (bright.mu, bright.d, bright.predicted_e) == (1e300, 0, 1.0)
+    report = validate_plan(silent, req)
+    assert [(c.name, c.passed, c.value) for c in report.checks] == [
+        ("detection_bias", True, 0.0),
+        ("message_error", False, 1.0),
+    ]
 
 
 def test_protocol_params_structural_checks():

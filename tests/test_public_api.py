@@ -11,11 +11,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import covertlink
 from covertlink import reliability, security
 from covertlink.exceptions import ParameterError
+
+# the click probabilities of CQTUSTC's channel at mu = 0.0348
+_CP = reliability.click_probs(0.0348, reliability.ChannelModel(0.18, 2.30e-3, 3.18e-3))
 
 
 def test_all_names_are_unique():
@@ -49,6 +53,13 @@ def test_modules_parse_with_python_3_10_grammar():
         (security.min_pairs_for_budget, (0.01, math.nan, 0.03, 1e-3), "d_signals"),
         (security.bias_for_protocol, (math.inf, 5, 0.03, 2.3e-3), "n_pairs"),
         (security.detection_bias_bound, (math.inf, 1e-16), "n_pairs"),
+        (reliability.min_repetitions, (0.01, 35.5, _CP), "b"),
+        (reliability.min_repetitions, (0.01, True, _CP), "b"),
+        (reliability.message_error_prob, (0.1, 2.5), "b"),
+        (reliability.bit_error_prob, (True, _CP), "k"),
+        (security.min_pairs_for_budget, (0.014, 66570.5, 0.0348, 2.3e-3), "d_signals"),
+        (security.min_pairs_for_budget, (0.014, True, 0.0348, 2.3e-3), "d_signals"),
+        (security.bias_for_protocol, (10**11, 66570.5, 0.0348, 2.3e-3), "d_signals"),
     ],
     ids=[
         "detection_bias_bound-nan",
@@ -57,11 +68,32 @@ def test_modules_parse_with_python_3_10_grammar():
         "min_pairs_for_budget-nan",
         "bias_for_protocol-inf",
         "detection_bias_bound-inf",
+        "min_repetitions-fraction",
+        "min_repetitions-bool",
+        "message_error_prob-fraction",
+        "bit_error_prob-bool",
+        "min_pairs_for_budget-fraction",
+        "min_pairs_for_budget-bool",
+        "bias_for_protocol-fraction",
     ],
 )
 def test_entry_points_refuse_nan_and_zero_inputs_by_name(entry, args, name):
     with pytest.raises(ParameterError, match=f"^{name} must"):
         entry(*args)
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        (reliability.min_repetitions, (0.01, 35, _CP)),
+        (security.min_pairs_for_budget, (0.014, 66570, 0.0348, 2.3e-3)),
+    ],
+    ids=["min_repetitions", "min_pairs_for_budget"],
+)
+def test_entry_points_take_numpy_integer_counts(entry, args):
+    # a count is any integer, numpy's too, with the plain int's answer
+    counted = tuple(np.int64(a) if type(a) is int else a for a in args)
+    assert entry(*counted) == entry(*args)
 
 
 def _run_python(code: str, *args: str) -> str:
