@@ -26,7 +26,7 @@ import yaml
 
 from . import fileio
 from .codec import SharedRandomness, choose_positions, encode_message
-from .exceptions import FormatError, InfeasibleError, ParameterError
+from .exceptions import FormatError, InfeasibleError, ParameterError, _check_real
 from .planner import PlanRequest, ProtocolParams, plan_with_report, validate_plan
 from .reliability import ChannelModel, check_target_error
 from .simulator import (
@@ -59,12 +59,7 @@ def _number(lo: float = 0.0, hi: float = math.inf, lo_ok: bool = False, hi_ok: b
                 f"{name} must be a number (scientific notation "
                 "needs a signed exponent, e.g. 5.0e+8)"
             )
-        value = float(value)
-        above = lo <= value if lo_ok else lo < value
-        below = value <= hi if hi_ok else value < hi
-        if not (above and below):
-            raise ParameterError(f"{name} = {value!r} is out of range")
-        return value
+        return _check_real(value, name, lo, hi, open_lo=not lo_ok, open_hi=not hi_ok)
 
     return rule
 

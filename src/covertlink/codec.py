@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ParameterError
+from .exceptions import ParameterError, _check_count, _check_real
 
 # indices 0-25 are A-Z; the tail covers the special characters needed by
 # short human-readable messages
@@ -108,7 +108,9 @@ class SharedRandomness:
 
 def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
     """The seeded stream of one spawn key: every Generator the package
-    draws from, the shared streams' and the simulator's, is made here."""
+    draws from, the shared streams' and the simulator's, is made here, and
+    every seed is checked here, an integer >= 0."""
+    seed = _check_count(seed, "seed", 0)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
 
 
@@ -147,6 +149,8 @@ class PositionPlan:
                 "a plan needs b >= 1 and at least one position per bit; "
                 f"got b = {self.b} and {positions.size} positions"
             )
+        for name in ("n_pairs", "b"):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, 1))
         if np.any(positions[1:] <= positions[:-1]):
             raise ParameterError("positions must be strictly increasing")
         if int(positions[-1]) >= self.n_pairs:
@@ -269,16 +273,15 @@ def choose_positions(
     randomness yields an identical plan on both sides.
 
     Raises:
-        ParameterError: d' < b, so not even one repetition per bit fits.
+        ParameterError: n_pairs is not an integer >= 1, q lies outside [0,
+            1], or d' < b, so not even one repetition per bit fits.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     b = bits.size
     if b == 0:
         raise ParameterError("bits must be non-empty")
-    if n_pairs < 1:
-        raise ParameterError("n_pairs must be >= 1")
-    if not 0.0 <= q <= 1.0:
-        raise ParameterError(f"q must lie in [0, 1], got {q!r}")
+    n_pairs = _check_count(n_pairs, "n_pairs", 1)
+    _check_real(q, "q", 0.0, 1.0)
     rng = shared.generator("positions")
     d_prime = int(rng.binomial(n_pairs, q))
     if d_prime < b:

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two input rules.
+
+Every numeric input is checked once, where it enters the package, by one
+of two rules: _check_count for counts and seeds, _check_real for real
+numbers. Both refuse by name with a ParameterError, and both take
+numpy's scalars as well as Python's; neither takes a bool.
+"""
+
+import math
+import numbers
 
 
 class CovertLinkError(Exception):
@@ -15,3 +24,39 @@ class InfeasibleError(CovertLinkError):
 
 class FormatError(CovertLinkError):
     """A serialized artifact is malformed or has an unsupported version."""
+
+
+def _check_count(value, name: str, least: int) -> int:
+    """value as an int, if it is an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _check_real(
+    value,
+    name: str,
+    lo: float = -math.inf,
+    hi: float = math.inf,
+    *,
+    open_lo: bool = False,
+    open_hi: bool = False,
+) -> float:
+    """value as a float, if it is a finite real number between lo and hi.
+
+    Each end is included unless it is open; an infinite end only says
+    that side is unbounded.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or not (lo < value if open_lo else lo <= value)
+        or not (value < hi if open_hi else value <= hi)
+    ):
+        if hi == math.inf:
+            span = "" if lo == -math.inf else f" and {'>' if open_lo else '>='} {lo:g}"
+        else:
+            span = f" and in {'(' if open_lo else '['}{lo:g}, {hi:g}{')' if open_hi else ']'}"
+        raise ParameterError(f"{name} must be finite{span}, got {value!r}")
+    return float(value)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .exceptions import ParameterError
+from .exceptions import ParameterError, _check_real
 from .reliability import _passes
 
 # Tail mass at which the thermal background is truncated: the bound
@@ -120,7 +120,7 @@ class DivergenceProfile:
         summation, and the linear part -q (tail_rho - tail_s) is added
         in closed form; _divergences forms it, here for one q.
         """
-        return _divergences([(self, _check_weight(q))])[0][0]
+        return _divergences([(self, _check_real(q, "q", 0.0, 1.0))])[0][0]
 
     def error_bound(self, q: float) -> float:
         """Bound on |divergence(q) - D(q)|, D(q) the untruncated infinite sum.
@@ -129,7 +129,7 @@ class DivergenceProfile:
         tail_rho (-log1p(-q)) (at q = 1, tail_s + tail_rho times the log
         cap), plus the rounding of the sum.
         """
-        q = _check_weight(q)
+        q = _check_real(q, "q", 0.0, 1.0)
         quadratic = _sums([(self, q)])[0][0]
         linear = q * (self.tail_rho - self.tail_s)
         if q < 1.0:
@@ -137,14 +137,6 @@ class DivergenceProfile:
         else:
             err = self.tail_s + self.tail_rho * _LOG_CAP
         return err + 2.5e-16 * (quadratic + abs(linear))
-
-
-def _check_weight(q: float) -> float:
-    """q as a float, if it is a mixing weight in [0, 1]."""
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
-        raise ParameterError(f"q must lie in [0, 1], got {q!r}")
-    return q
 
 
 def _profiles(items: list[tuple[float, float]]) -> list[DivergenceProfile]:
@@ -170,12 +162,7 @@ def _profiles(items: list[tuple[float, float]]) -> list[DivergenceProfile]:
     checked = []
     groups: dict[float, list[int]] = {}
     for mu, n_bar_a in items:
-        mu = float(mu)
-        if not math.isfinite(mu) or mu < 0.0:
-            raise ParameterError(f"mu must be finite and >= 0, got {mu!r}")
-        n_bar_a = float(n_bar_a)
-        if not math.isfinite(n_bar_a) or n_bar_a < 0.0:
-            raise ParameterError(f"n_bar_a must be finite and >= 0, got {n_bar_a!r}")
+        mu, n_bar_a = _check_real(mu, "mu", 0.0), _check_real(n_bar_a, "n_bar_a", 0.0)
         groups.setdefault(n_bar_a, []).append(len(checked))
         checked.append((mu, n_bar_a))
     out: list = [None] * len(checked)

@@ -28,16 +28,14 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InfeasibleError, ParameterError
+from .exceptions import InfeasibleError, ParameterError, _check_count, _check_real
 from .reliability import (
     ChannelModel,
-    _check_count,
     _lockstep,
     _repetition_search,
     bit_error_prob,
@@ -59,10 +57,6 @@ _LOCKSTEP_GROUP = 64
 def default_mu_grid() -> np.ndarray:
     """Logarithmic mu search grid over [1e-4, 1] with 400 points."""
     return np.geomspace(1e-4, 1.0, 400)
-
-
-def _finite_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -87,15 +81,12 @@ class PlanRequest:
     mu_grid: np.ndarray = field(default_factory=default_mu_grid)
 
     def __post_init__(self):
-        # ProtocolParams' rules for b and rep_rate_hz, applied before planning
-        _check_count(self.b, "b", 1)
-        if not 0.0 < self.epsilon < 0.5:
-            raise ParameterError(f"epsilon must lie in (0, 0.5), got {self.epsilon!r}")
+        # checked once, here, for every search of the plan: ProtocolParams'
+        # rules for b and rep_rate_hz, and the searches' for the targets
+        object.__setattr__(self, "b", _check_count(self.b, "b", 1))
+        _check_real(self.epsilon, "epsilon", 0.0, 0.5, open_lo=True, open_hi=True)
         check_target_error(self.target_e)
-        if not (_finite_real(self.rep_rate_hz) and self.rep_rate_hz > 0.0):
-            raise ParameterError(
-                f"rep_rate_hz must be a finite real number > 0, got {self.rep_rate_hz!r}"
-            )
+        _check_real(self.rep_rate_hz, "rep_rate_hz", 0.0, open_lo=True)
         grid = np.atleast_1d(np.asarray(self.mu_grid, dtype=float))
         if grid.size == 0 or np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
             raise ParameterError("mu_grid must be non-empty, finite and > 0")
@@ -134,25 +125,17 @@ class ProtocolParams:
         for name, least in (("b", 1), ("d", 0), ("k", 0), ("n_pairs", 1)):
             _check_count(getattr(self, name), name, least)
         # any finite mu >= 0 may be stored, an inflated-mu attack's too
-        if not (_finite_real(self.mu) and self.mu >= 0.0):
-            raise ParameterError(f"mu must be a finite real number >= 0, got {self.mu!r}")
-        if not (_finite_real(self.rep_rate_hz) and self.rep_rate_hz > 0.0):
-            raise ParameterError(
-                f"rep_rate_hz must be a finite real number > 0, got {self.rep_rate_hz!r}"
-            )
-        for name in ("predicted_epsilon", "predicted_e"):
-            if not _finite_real(getattr(self, name)):
-                raise ParameterError(
-                    f"{name} must be a finite real number, got {getattr(self, name)!r}"
-                )
+        _check_real(self.mu, "mu", 0.0)
+        _check_real(self.rep_rate_hz, "rep_rate_hz", 0.0, open_lo=True)
+        _check_real(self.predicted_epsilon, "predicted_epsilon")
+        _check_real(self.predicted_e, "predicted_e")
         if self.d == 0:
             if self.k != 0 or self.q != 0.0:
                 raise ParameterError("d = 0 requires k = 0 and q = 0")
         else:
             if self.k < 1 or self.d != self.k * self.b:
                 raise ParameterError("d must equal k * b with k >= 1")
-            if not 0.0 < self.q <= 1.0:
-                raise ParameterError(f"q must lie in (0, 1], got {self.q!r}")
+            _check_real(self.q, "q", 0.0, 1.0, open_lo=True)
             if abs(self.q - self.d / self.n_pairs) > 1e-12 * self.q:
                 raise ParameterError("q must equal d / n_pairs")
 

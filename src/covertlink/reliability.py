@@ -42,7 +42,6 @@ claim is conservative there.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,7 @@ except ImportError:  # a scipy without these private names; binom runs the same 
 
     _binom_pmf, _binom_cdf = _binom.pmf, _binom.cdf
 
-from .exceptions import InfeasibleError, ParameterError
+from .exceptions import InfeasibleError, ParameterError, _check_count, _check_real
 
 # Repetition counts above this are rejected as a planning runaway.
 MAX_REPETITIONS = 10**7
@@ -102,14 +101,9 @@ class ChannelModel:
     n_bar_b: float
 
     def __post_init__(self):
-        if not 0.0 <= self.tau <= 1.0:
-            raise ParameterError(f"tau must lie in [0, 1], got {self.tau!r}")
+        _check_real(self.tau, "tau", 0.0, 1.0)
         for name in ("n_bar_a", "n_bar_b"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ParameterError(
-                    f"channel noise mean {name} must be finite and >= 0, got {value!r}"
-                )
+            _check_real(getattr(self, name), f"channel noise mean {name}", 0.0)
 
 
 @dataclass(frozen=True)
@@ -125,10 +119,8 @@ class ClickProbabilities:
     p_wrong: float
 
     def __post_init__(self):
-        for name in ("p_correct", "p_wrong"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1], got {v!r}")
+        _check_real(self.p_correct, "p_correct", 0.0, 1.0)
+        _check_real(self.p_wrong, "p_wrong", 0.0, 1.0)
 
 
 def click_probs(mu: float, ch: ChannelModel) -> ClickProbabilities:
@@ -140,21 +132,13 @@ def click_probs(mu: float, ch: ChannelModel) -> ClickProbabilities:
     The paired noise-only bin clicks with
         p_wrong = tau * n_bar_b / (1 + tau * n_bar_b).
     """
-    if not mu >= 0.0:
-        raise ParameterError(f"mu must be >= 0, got {mu!r}")
+    _check_real(mu, "mu", 0.0)
     a = ch.tau * mu
     c = ch.tau * ch.n_bar_b
     # 1 - e^-a/(1+c) rewritten so tiny a does not cancel against 1
     p_correct = (c - math.expm1(-a)) / (1.0 + c)
     p_wrong = c / (1.0 + c)
     return ClickProbabilities(p_correct, p_wrong)
-
-
-def _check_count(value, name: str, least: int) -> int:
-    """value as an int, if it is an integer (numpy's too, a bool not) >= least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def bit_error_prob(k: int, cp: ClickProbabilities) -> float:
@@ -436,9 +420,12 @@ def _kl(x: float, p: float) -> float:
 
 def message_error_prob(delta: float, b: int) -> float:
     """Probability 1 - (1 - delta)^b that any of b bits decodes wrongly."""
-    if not 0.0 <= delta <= 1.0:
-        raise ParameterError(f"delta must lie in [0, 1], got {delta!r}")
-    _check_count(b, "b", 1)
+    _check_real(delta, "delta", 0.0, 1.0)
+    return _message_error(delta, _check_count(b, "b", 1))
+
+
+def _message_error(delta: float, b: int) -> float:
+    """message_error_prob's formula, for inputs already checked."""
     if delta == 1.0:
         return 1.0
     return -math.expm1(b * math.log1p(-delta))
@@ -450,8 +437,7 @@ def check_target_error(target_e: float, name: str = "target_e") -> float:
     Raises:
         ParameterError: target_e outside (0, 1), or below MIN_TARGET_ERROR.
     """
-    if not 0.0 < target_e < 1.0:
-        raise ParameterError(f"{name} must lie in (0, 1), got {target_e!r}")
+    _check_real(target_e, name, 0.0, 1.0, open_lo=True, open_hi=True)
     if target_e < MIN_TARGET_ERROR:
         raise ParameterError(
             f"{name} = {target_e!r} is below MIN_TARGET_ERROR = {MIN_TARGET_ERROR:g}, "
@@ -515,22 +501,23 @@ def min_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> int:
 
     The search is _repetition_search, which the planner runs in lockstep
     with the other grid points' searches; here it runs alone, as a batch
-    of one.
+    of one. The target and b are checked once, here, before it starts;
+    no probe checks them again.
 
     Returns:
         The repetition count k, a plain int.
     """
-    return _lockstep([_repetition_search(target_e, b, cp)])[0]
+    check_target_error(target_e)
+    return _lockstep([_repetition_search(target_e, _check_count(b, "b", 1), cp)])[0]
 
 
 def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
-    """min_repetitions' search, as a generator for _lockstep.
+    """min_repetitions' search, as a generator for _lockstep, on a checked
+    target and b.
 
     It yields (_bit_errors, (k, cp)) for each k it probes, memoized per
     k, is sent that probe's bit error, and returns the repetition count.
     """
-    check_target_error(target_e)
-    b = _check_count(b, "b", 1)
     if cp.p_correct + cp.p_wrong > 1.0:
         raise InfeasibleError(
             "p_correct + p_wrong exceeds 1; the single-click-per-slot model "
@@ -552,7 +539,7 @@ def _repetition_search(target_e: float, b: int, cp: ClickProbabilities):
         if k not in memo:
             delta = yield _bit_errors, (k, cp)
             memo[k] = (
-                math.log(max(message_error_prob(delta, b), MIN_TARGET_ERROR)) - log_target,
+                math.log(max(_message_error(delta, b), MIN_TARGET_ERROR)) - log_target,
                 math.log(max(delta, MIN_TARGET_ERROR / b)) - log_bit_target,
             )
         return memo[k]

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 
-from .exceptions import InfeasibleError, ParameterError
+from .exceptions import InfeasibleError, _check_count, _check_real
 from .fock_stats import _divergences, _profiles, per_mode_relative_entropy
-from .reliability import _check_count, _lockstep
+from .reliability import _lockstep
 
 BINS_PER_PAIR = 2
 
@@ -39,33 +39,23 @@ def detection_bias_bound(n_pairs: int, d_per_mode: float) -> float:
     """Upper bound sqrt(n_pairs * d_per_mode / 8) on the adversary's bias.
 
     Args:
-        n_pairs: number of time-bin pairs available, finite and >= 1.
-        d_per_mode: per-mode relative entropy in nats, >= 0.
+        n_pairs: number of time-bin pairs available, an integer >= 1.
+        d_per_mode: per-mode relative entropy in nats, finite and >= 0.
     """
-    _check_pairs(n_pairs)
-    d_per_mode = float(d_per_mode)
-    if not d_per_mode >= 0.0:
-        raise ParameterError(f"d_per_mode must be >= 0, got {d_per_mode!r}")
+    n_pairs = _check_count(n_pairs, "n_pairs", 1)
+    return _bias(n_pairs, _check_real(d_per_mode, "d_per_mode", 0.0))
+
+
+def _bias(n_pairs: int, d_per_mode: float) -> float:
+    """detection_bias_bound's formula, for inputs already checked."""
     return math.sqrt(n_pairs * d_per_mode / 8.0)
-
-
-def _check_pairs(n_pairs: int) -> None:
-    if not 1 <= n_pairs < math.inf:
-        raise ParameterError(f"n_pairs must be finite and >= 1, got {n_pairs!r}")
-
-
-def _check_budget(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 0.5:
-        raise ParameterError(f"detection-bias budget must lie in (0, 0.5), got {epsilon!r}")
-    return epsilon
 
 
 def bias_for_protocol(n_pairs: int, d_signals: int, mu: float, n_bar_a: float) -> float:
     """Detection-bias bound for sending d_signals over n_pairs pairs."""
-    _check_pairs(n_pairs)
+    n_pairs = _check_count(n_pairs, "n_pairs", 1)
     q = _check_count(d_signals, "d_signals", 0) / n_pairs
-    return detection_bias_bound(n_pairs, per_mode_relative_entropy(mu, n_bar_a, q))
+    return _bias(n_pairs, per_mode_relative_entropy(mu, n_bar_a, q))
 
 
 def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: float) -> int:
@@ -95,7 +85,8 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
 
     The search is _pair_search, which the planner runs in lockstep with
     the other grid points' searches; here it runs alone, as a batch of
-    one.
+    one. The budget and d_signals are checked once, here, before it
+    starts; mu and n_bar_a when its profile is built.
 
     Args:
         epsilon: covertness budget, in (0, 0.5).
@@ -114,11 +105,14 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
             background is the vacuum and the bound's limit as N grows,
             sqrt(d (1 - e^-mu) / 8), is not below the budget.
     """
+    epsilon = _check_real(epsilon, "epsilon", 0.0, 0.5, open_lo=True, open_hi=True)
+    d_signals = _check_count(d_signals, "d_signals", 0)
     return _lockstep([_pair_search(epsilon, d_signals, mu, n_bar_a)])[0]
 
 
 def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
-    """min_pairs_for_budget's search, as a generator for reliability._lockstep.
+    """min_pairs_for_budget's search, as a generator for reliability._lockstep,
+    on a checked budget and d_signals.
 
     It yields (_profiles, (mu, n_bar_a)) once and is sent its profile,
     then (_divergences, (profile, q)) for each pair count N it evaluates,
@@ -126,8 +120,6 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
     step; it returns N. No N is evaluated twice: each lies strictly
     inside the bracket (lo, hi) and then becomes one of its ends.
     """
-    epsilon = _check_budget(epsilon)
-    d_signals = _check_count(d_signals, "d_signals", 0)
     if d_signals == 0:
         return 1
     if d_signals > DEFAULT_PAIR_CEILING:
@@ -160,7 +152,7 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
     target = 8.0 * epsilon**2 / d_signals  # the answer has D(q)/q = target
     while True:
         d_mode, d_slope = yield _divergences, (profile, d_signals / n)
-        if detection_bias_bound(n, d_mode) <= epsilon:
+        if _bias(n, d_mode) <= epsilon:
             hi = n
         elif n >= DEFAULT_PAIR_CEILING:
             raise InfeasibleError(

@@ -42,7 +42,7 @@ from .codec import (
     _rng,
     majority_decode,
 )
-from .exceptions import ParameterError
+from .exceptions import ParameterError, _check_count, _check_real
 from .planner import ProtocolParams
 from .reliability import MAX_REPETITIONS, ChannelModel, click_probs
 from .security import BINS_PER_PAIR, DEFAULT_PAIR_CEILING
@@ -232,11 +232,10 @@ def monitor_interval_count(duration_s: float, interval_s: float) -> int:
     """Number of whole monitoring intervals of interval_s in duration_s.
 
     Raises:
-        ParameterError: interval_s <= 0, or fewer than 10 or more than
-            MAX_MONITOR_INTERVALS intervals.
+        ParameterError: interval_s not finite and > 0, or fewer than 10 or
+            more than MAX_MONITOR_INTERVALS intervals.
     """
-    if interval_s <= 0.0:
-        raise ParameterError("interval_s must be > 0")
+    _check_real(interval_s, "interval_s", 0.0, open_lo=True)
     ratio = duration_s / interval_s
     # int(ratio) > MAX exactly when ratio >= MAX + 1; the float comparison
     # also rejects an infinite ratio
@@ -326,8 +325,7 @@ def run_distinguisher(p: ProtocolParams, trials: int, rng_seed: int) -> Distingu
     of the two multinomials has a smaller balanced error, so its error
     is the adversary's best.
     """
-    if trials < 100:
-        raise ParameterError("trials must be >= 100")
+    trials = _check_count(trials, "trials", 100)
     p_idle, p_signal = adversary_click_probs(p)
     noise_dist = _pair_click_distribution(p_idle, p_idle)
     signal_dist = _pair_click_distribution(p_signal, p_idle)
@@ -385,8 +383,7 @@ def rescale_plan(p: ProtocolParams, factor: float) -> ProtocolParams:
     MAX_REPETITIONS or N past DEFAULT_PAIR_CEILING, the limits the
     planner itself keeps.
     """
-    if factor <= 0.0 or not math.isfinite(factor):
-        raise ParameterError(f"factor must be finite and > 0, got {factor!r}")
+    _check_real(factor, "factor", 0.0, open_lo=True)
     if p.d == 0:
         raise ParameterError("cannot rescale a plan with no signals")
     k_new = max(1, round(p.k / factor))

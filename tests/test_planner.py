@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import covertlink.exceptions as exceptions
 import covertlink.fock_stats as fock_stats
 import covertlink.planner as planner
 import covertlink.reliability as reliability
@@ -352,6 +353,34 @@ def test_plan_work_per_search(monkeypatch):
     assert len(evaluations) == 2_893 and 0 < max(evaluations) <= 20
     probes = [tally["_bit_errors"] for tally in repetition_searches]
     assert sum(probes) == 13_032 and 0 < max(probes) <= 5
+
+
+def test_plan_checks_each_input_once(monkeypatch):
+    # the two input rules run where an input enters, never per repetition
+    # probe or per D evaluation: over the 8 bundled plans (3,382 grid
+    # points) they run 16,156 times, under five a grid point: click_probs
+    # checks mu and ClickProbabilities its two probabilities, and _profiles
+    # a pair search's mu and n_bar_a
+    calls = collections.Counter()
+
+    def counting(rule):
+        def count(*args, **kwargs):
+            calls[rule.__name__] += 1
+            return rule(*args, **kwargs)
+
+        return count
+
+    rules = ("_check_count", "_check_real")
+    wrappers = {name: counting(getattr(exceptions, name)) for name in rules}
+    for module in (exceptions, reliability, security, fock_stats, planner):
+        for name, wrapper in wrappers.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    searches = _requests_per_search(monkeypatch, "_repetition_search")
+    for path in bundled_configs():
+        plan_with_report(request_for(path))
+    assert len(searches) == 3_382
+    assert dict(calls) == {"_check_count": 72, "_check_real": 16_084}
 
 
 def test_lockstep_batches_equal_the_scalar_references_on_bundled_plans(monkeypatch):

@@ -15,11 +15,26 @@ import numpy as np
 import pytest
 
 import covertlink
-from covertlink import reliability, security
+from covertlink import codec, reliability, security, simulator
 from covertlink.exceptions import ParameterError
+from covertlink.planner import ProtocolParams
 
-# the click probabilities of CQTUSTC's channel at mu = 0.0348
-_CP = reliability.click_probs(0.0348, reliability.ChannelModel(0.18, 2.30e-3, 3.18e-3))
+# CQTUSTC's channel, and its click probabilities at mu = 0.0348
+_CHANNEL = reliability.ChannelModel(0.18, 2.30e-3, 3.18e-3)
+_CP = reliability.click_probs(0.0348, _CHANNEL)
+# a small plan of CQTUSTC's 35 bits, and a position layout for it
+_PARAMS = ProtocolParams.derive(
+    b=35,
+    k=10,
+    n_pairs=10_000,
+    mu=0.0348,
+    channel=_CHANNEL,
+    rep_rate_hz=5e8,
+    epsilon_target=0.014,
+    target_e=0.01,
+)
+_BITS = codec.encode_message("CQTUSTC")
+_LAYOUT = codec.choose_positions(codec.SharedRandomness(1), _PARAMS.n_pairs, _PARAMS.q, _BITS)
 
 
 def test_all_names_are_unique():
@@ -60,6 +75,19 @@ def test_modules_parse_with_python_3_10_grammar():
         (security.min_pairs_for_budget, (0.014, 66570.5, 0.0348, 2.3e-3), "d_signals"),
         (security.min_pairs_for_budget, (0.014, True, 0.0348, 2.3e-3), "d_signals"),
         (security.bias_for_protocol, (10**11, 66570.5, 0.0348, 2.3e-3), "d_signals"),
+        (security.detection_bias_bound, (1000.5, 1e-6), "n_pairs"),
+        (security.detection_bias_bound, (True, 1e-6), "n_pairs"),
+        (security.bias_for_protocol, (1000000.5, 10, 0.03, 2.3e-3), "n_pairs"),
+        (security.bias_for_protocol, (True, 0, 0.03, 2.3e-3), "n_pairs"),
+        (codec.choose_positions, (codec.SharedRandomness(1), 1000.5, 0.5, _BITS), "n_pairs"),
+        (codec.choose_positions, (codec.SharedRandomness(1), True, 0.5, _BITS), "n_pairs"),
+        (simulator.run_distinguisher, (_PARAMS, 100.5, 1), "trials"),
+        (simulator.run_distinguisher, (_PARAMS, 150.0, 1), "trials"),
+        (reliability.click_probs, (math.inf, reliability.ChannelModel(0.18, 0.0, 0.0)), "mu"),
+        (simulator.simulate_transmission, (_PARAMS, _LAYOUT, -1), "seed"),
+        (codec.SharedRandomness(-1).generator, ("positions",), "seed"),
+        (codec.PositionPlan, (10_000.5, 35, _LAYOUT.positions, _LAYOUT.bit_value), "n_pairs"),
+        (codec.PositionPlan, (10_000, 35.0, _LAYOUT.positions, _LAYOUT.bit_value), "b"),
     ],
     ids=[
         "detection_bias_bound-nan",
@@ -75,6 +103,19 @@ def test_modules_parse_with_python_3_10_grammar():
         "min_pairs_for_budget-fraction",
         "min_pairs_for_budget-bool",
         "bias_for_protocol-fraction",
+        "detection_bias_bound-fraction",
+        "detection_bias_bound-bool",
+        "bias_for_protocol-fractional-pairs",
+        "bias_for_protocol-bool",
+        "choose_positions-fraction",
+        "choose_positions-bool",
+        "run_distinguisher-fraction",
+        "run_distinguisher-float",
+        "click_probs-inf",
+        "simulate_transmission-negative-seed",
+        "shared_randomness-negative-seed",
+        "position_plan-fractional-pairs",
+        "position_plan-float-bits",
     ],
 )
 def test_entry_points_refuse_nan_and_zero_inputs_by_name(entry, args, name):

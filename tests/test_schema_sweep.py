@@ -1,16 +1,18 @@
 """Every schema-valid input ends cleanly: a bounded sweep of the config
 schema, drawn across decades and at its edges, through the planner, the
-validator and the plan document."""
+validator and the plan document, and one of the monitoring keys through
+the adversary's traces."""
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertlink import cli, planner
+from covertlink import cli, planner, simulator
 from covertlink.codec import ALPHABET
 from covertlink.exceptions import InfeasibleError, ParameterError
 from covertlink.fileio import params_from_document, params_to_document
@@ -99,3 +101,49 @@ def test_every_schema_valid_config_plans_or_says_why(raw):
             return
     assert planner.validate_plan(params, req).passed
     assert params_from_document(params_to_document(params)) == params
+
+
+@pytest.fixture(scope="module")
+def desk_plan():
+    """fiber_cqtustc's plan at its desk scale (rescale 14), made once."""
+    cfg = cli.load_config(Path(cli.__file__).parent / "configs" / "fiber_cqtustc.yaml")
+    return cli._planned_params({**cfg, "rescale": 14.0})[0]
+
+
+def _monitoring(rate: float, pairs: float, intervals: float) -> tuple[float, float, float]:
+    """(rep_rate_hz, monitor_duration_s, monitor_interval_s) for intervals
+    that each hold about this many pairs at this rate."""
+    interval = 2.0 * pairs / rate
+    return rate, intervals * interval, interval
+
+
+# At 2 Hz an interval of t s holds t pairs: 2^62 - 1 rounds up to 2^62, one
+# past the most allowed, and the double below 2^62 is the most allowed
+_MONITORING = st.builds(
+    _monitoring,
+    _edges_or(2.0, values=_decades(-300, 300)),
+    _edges_or(2**62 - 1, math.nextafter(2.0**62, 0.0), values=_decades(-1, 20)),
+    _edges_or(10, 1e5, 9.99, 100_001, values=_decades(0, 6)),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(drawn=_MONITORING)
+def test_every_schema_valid_monitoring_gives_traces_or_says_why(desk_plan, drawn):
+    # two traces of finite, non-negative counts, one per interval, or a
+    # ParameterError with its reason
+    keys = ("rep_rate_hz", "monitor_duration_s", "monitor_interval_s")
+    try:
+        rate, duration, interval = (cli._RULES[key](value, key) for key, value in zip(keys, drawn))
+        n_intervals = simulator.monitor_interval_count(duration, interval)
+        simulator.monitor_pairs_per_interval(rate, interval)
+        p = dataclasses.replace(desk_plan, rep_rate_hz=rate)
+        traces = [
+            simulator.simulate_monitoring(p, on, duration, interval, 5) for on in (True, False)
+        ]
+    except ParameterError as exc:
+        assert str(exc)
+        return
+    for trace in traces:
+        assert trace.counts.shape == (n_intervals,)
+        assert np.all(np.isfinite(trace.counts)) and np.all(trace.counts >= 0)
