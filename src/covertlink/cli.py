@@ -26,10 +26,12 @@ import yaml
 
 from . import fileio
 from .codec import SharedRandomness, choose_positions, encode_message
-from .exceptions import FormatError, InfeasibleError, ParameterError, _check_real
+from .exceptions import FormatError, InfeasibleError, ParameterError, _check_count, _check_real
 from .planner import PlanRequest, ProtocolParams, plan_with_report, validate_plan
 from .reliability import ChannelModel, check_target_error
 from .simulator import (
+    MAX_TRIALS,
+    MIN_TRIALS,
     SECURITY_CHECK_SIGMAS,
     monitor_interval_count,
     monitor_pairs_per_interval,
@@ -60,17 +62,6 @@ def _number(lo: float = 0.0, hi: float = math.inf, lo_ok: bool = False, hi_ok: b
                 "needs a signed exponent, e.g. 5.0e+8)"
             )
         return _check_real(value, name, lo, hi, open_lo=not lo_ok, open_hi=not hi_ok)
-
-    return rule
-
-
-def _integer(lo: int, hi: float, span: str):
-    """Rule: an integer in [lo, hi), described as span in the message."""
-
-    def rule(value, name: str) -> int:
-        if isinstance(value, bool) or not isinstance(value, int) or not lo <= value < hi:
-            raise ParameterError(f"{name} must be an integer {span}")
-        return value
 
     return rule
 
@@ -121,11 +112,10 @@ _RULES = {
     "target_error": _target_error,
     "channel": _channel,
     "rep_rate_hz": _number(),
-    "seed": _integer(0, 2**64, "in [0, 2^64)"),
+    # the CLI takes 64-bit seeds, [0, 2^64)
+    "seed": lambda value, name: _check_count(value, name, 0, 2**64 - 1),
     "rescale": _number(),
-    # the trials are drawn as whole arrays: 10^6 take under a second and
-    # about 130 MB
-    "trials": _integer(100, 10**6 + 1, "in [100, 10^6]"),
+    "trials": lambda value, name: _check_count(value, name, MIN_TRIALS, MAX_TRIALS),
     "mu_multiplier": _number(),
     "no_signals": _boolean,
     "monitor_duration_s": _number(),
@@ -333,8 +323,7 @@ def cmd_eavesdrop(cfg: dict, out_dir: Path) -> int:
     fileio.write_monitor_csv(out_dir / "monitor_on.csv", trace_on)
     fileio.write_monitor_csv(out_dir / "monitor_off.csv", trace_off)
 
-    trials = cfg.get("trials", DEFAULT_TRIALS)
-    result = run_distinguisher(params, trials, seed)
+    result = run_distinguisher(params, cfg.get("trials", DEFAULT_TRIALS), seed)
     passed = result.security_check()
     ci = 1.96 * result.std_error
     fileio.write_json_document(
@@ -390,7 +379,7 @@ _COMMANDS = {
 _FLAGS = {
     "seed": (int, "master seed (overrides the config; required by simulate/eavesdrop)"),
     "rescale": (float, "desk-scale shrink factor applied to the plan"),
-    "trials": (int, "distinguisher Monte-Carlo trials (100 to 10^6)"),
+    "trials": (int, f"distinguisher Monte-Carlo trials ({MIN_TRIALS} to {MAX_TRIALS})"),
 }
 
 

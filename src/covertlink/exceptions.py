@@ -26,10 +26,12 @@ class FormatError(CovertLinkError):
     """A serialized artifact is malformed or has an unsupported version."""
 
 
-def _check_count(value, name: str, least: int) -> int:
-    """value as an int, if it is an integer >= least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_count(value, name: str, least: int, most: float = math.inf) -> int:
+    """value as an int, if it is an integer in [least, most]."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integer and least <= value <= most):
+        span = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
+        raise ParameterError(f"{name} must be an integer {span}, got {value!r}")
     return int(value)
 
 

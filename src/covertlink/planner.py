@@ -29,12 +29,13 @@ from __future__ import annotations
 import inspect
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .exceptions import InfeasibleError, ParameterError, _check_count, _check_real
 from .reliability import (
+    MAX_REPETITIONS,
     ChannelModel,
     _lockstep,
     _repetition_search,
@@ -43,7 +44,7 @@ from .reliability import (
     click_probs,
     message_error_prob,
 )
-from .security import BINS_PER_PAIR, _pair_search, bias_for_protocol
+from .security import BINS_PER_PAIR, DEFAULT_PAIR_CEILING, _pair_search, bias_for_protocol
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -102,10 +103,14 @@ class ProtocolParams:
     (with k = 0, q = 0) represents no-transmission diagnostics; derive
     forms it at k = 0, and the planner's searches never choose it.
 
-    predicted_epsilon and predicted_e are the planner's claims and must be
-    finite reals; whether they still hold for the stored parameters is
-    validate_plan's job, so constructing an out-of-budget instance (e.g.
-    an inflated-mu attack configuration) is deliberately possible.
+    Every plan, however it is made or read, keeps the planner's limits
+    k <= MAX_REPETITIONS and n_pairs <= DEFAULT_PAIR_CEILING, which bound
+    the arrays of its bit error and its positions. predicted_epsilon and
+    predicted_e are the planner's claims and must be finite reals; whether
+    they still hold for the stored parameters is validate_plan's job, so
+    an out-of-budget instance (e.g. an inflated-mu attack configuration,
+    whose targets may be 1.0) can deliberately be built. Both targets are
+    finite and in (0, 1].
     """
 
     b: int
@@ -122,13 +127,23 @@ class ProtocolParams:
     target_e: float
 
     def __post_init__(self):
-        for name, least in (("b", 1), ("d", 0), ("k", 0), ("n_pairs", 1)):
+        for name, least in (("b", 1), ("k", 0), ("d", 0), ("n_pairs", 1)):
             _check_count(getattr(self, name), name, least)
+        for name, value, limit_name, limit in (
+            ("k", self.k, "MAX_REPETITIONS", MAX_REPETITIONS),
+            ("N", self.n_pairs, "DEFAULT_PAIR_CEILING", DEFAULT_PAIR_CEILING),
+        ):
+            if value > limit:
+                raise ParameterError(
+                    f"{name} = {value:.3g}, above the planner's limit {limit_name} = {limit:.0e}"
+                )
         # any finite mu >= 0 may be stored, an inflated-mu attack's too
         _check_real(self.mu, "mu", 0.0)
         _check_real(self.rep_rate_hz, "rep_rate_hz", 0.0, open_lo=True)
         _check_real(self.predicted_epsilon, "predicted_epsilon")
         _check_real(self.predicted_e, "predicted_e")
+        _check_real(self.epsilon_target, "epsilon_target", 0.0, 1.0, open_lo=True)
+        _check_real(self.target_e, "target_e", 0.0, 1.0, open_lo=True)
         if self.d == 0:
             if self.k != 0 or self.q != 0.0:
                 raise ParameterError("d = 0 requires k = 0 and q = 0")
@@ -156,30 +171,32 @@ class ProtocolParams:
 
         The one place a plan's fields and both claims are formed from
         (b, k, N, mu): d = k b, q = d / N, the detection-bias bound and
-        the message error. k = 0 forms the no-signal record, d = 0 and q =
-        0.0, which hides perfectly (bias 0.0) and delivers nothing (message
-        error 1.0) whatever mu is, with neither claim computed.
+        the message error, once the record's checks (the planner's limits
+        among them) have passed. k = 0 forms the no-signal record, d = 0
+        and q = 0.0, which hides perfectly (bias 0.0) and delivers nothing
+        (message error 1.0) whatever mu is, with neither claim computed.
         """
         d = k * b
-        if k == 0:
-            epsilon, error = 0.0, 1.0
-        else:
-            epsilon = bias_for_protocol(n_pairs, d, mu, channel.n_bar_a)
-            error = message_error_prob(bit_error_prob(k, click_probs(mu, channel)), b)
-        return cls(
+        params = cls(
             b=b,
             d=d,
             k=k,
-            q=d / n_pairs,
+            # a zero n_pairs is refused by name, not by the division
+            q=d / n_pairs if n_pairs else 0.0,
             n_pairs=n_pairs,
             mu=mu,
-            predicted_epsilon=epsilon,
-            predicted_e=error,
+            predicted_epsilon=0.0,
+            predicted_e=1.0,
             channel=channel,
             rep_rate_hz=rep_rate_hz,
             epsilon_target=epsilon_target,
             target_e=target_e,
         )
+        if k == 0:
+            return params
+        epsilon = bias_for_protocol(n_pairs, d, mu, channel.n_bar_a)
+        error = message_error_prob(bit_error_prob(k, click_probs(mu, channel)), b)
+        return replace(params, predicted_epsilon=epsilon, predicted_e=error)
 
     def rederive(self, **changes) -> "ProtocolParams":
         """derive's plan from this plan's inputs, those named in changes replaced."""

@@ -57,7 +57,7 @@ except ImportError:  # a scipy without these private names; binom runs the same 
 
 from .exceptions import InfeasibleError, ParameterError, _check_count, _check_real
 
-# Repetition counts above this are rejected as a planning runaway.
+# The planner's limit on k: no plan (ProtocolParams) repeats a bit more often.
 MAX_REPETITIONS = 10**7
 
 # The smallest message-error target the repetition search resolves: it

@@ -44,8 +44,8 @@ from .codec import (
 )
 from .exceptions import ParameterError, _check_count, _check_real
 from .planner import ProtocolParams
-from .reliability import MAX_REPETITIONS, ChannelModel, click_probs
-from .security import BINS_PER_PAIR, DEFAULT_PAIR_CEILING
+from .reliability import ChannelModel, click_probs
+from .security import BINS_PER_PAIR
 
 # spawn-key domains keeping the three simulation families independent
 _DOMAIN_TRANSMIT = 0
@@ -59,6 +59,11 @@ SECURITY_CHECK_SIGMAS = 3.0
 # bounds the per-interval arrays of one monitoring trace; the bundled
 # default asks for 20 intervals
 MAX_MONITOR_INTERVALS = 10**5
+
+# the distinguisher's trials, drawn as whole arrays: 10^6 take under a
+# second and about 65 MB of arrays
+MIN_TRIALS = 100
+MAX_TRIALS = 10**6
 
 # an interval's BINS_PER_PAIR * pairs time bins are a binomial draw's
 # int64 trial count
@@ -323,9 +328,10 @@ def run_distinguisher(p: ProtocolParams, trials: int, rng_seed: int) -> Distingu
     detector is the exact per-pair likelihood-ratio test for this product
     model at threshold 0, scored on all trials. By Neyman-Pearson no test
     of the two multinomials has a smaller balanced error, so its error
-    is the adversary's best.
+    is the adversary's best. trials must be an integer in [MIN_TRIALS,
+    MAX_TRIALS]; ParameterError says so before any draw.
     """
-    trials = _check_count(trials, "trials", 100)
+    trials = _check_count(trials, "trials", MIN_TRIALS, MAX_TRIALS)
     p_idle, p_signal = adversary_click_probs(p)
     noise_dist = _pair_click_distribution(p_idle, p_idle)
     signal_dist = _pair_click_distribution(p_signal, p_idle)
@@ -346,28 +352,20 @@ def run_distinguisher(p: ProtocolParams, trials: int, rng_seed: int) -> Distingu
     ).T
     # written out rather than as a matmul, so the bytes do not depend on
     # the BLAS build
-    llr = t0 * llr_weight[0] + t1 * llr_weight[1] + t2 * llr_weight[2]
-    empirical_pe, se = _balanced_error(llr > 0.0, labels)
+    present = t0 * llr_weight[0] + t1 * llr_weight[1] + t2 * llr_weight[2] > 0.0
+    # the balanced error: the false-alarm rate over the trials - trials // 2
+    # idle trials and the missed-detection rate over the others, averaged
+    fa = float(np.mean(present[~labels]))
+    md = float(np.mean(~present[labels]))
+    var = fa * (1.0 - fa) / (trials - trials // 2) + md * (1.0 - md) / (trials // 2)
+    empirical_pe = 0.5 * (fa + md)
     return DistinguisherResult(
         empirical_pe=empirical_pe,
         empirical_bias=0.5 - empirical_pe,
-        std_error=se,
+        std_error=0.5 * math.sqrt(var),
         trials=trials,
         bound_epsilon=p.predicted_epsilon,
     )
-
-
-def _balanced_error(
-    declared_present: np.ndarray, labels: np.ndarray
-) -> tuple[float, float]:
-    """(false-alarm rate + missed-detection rate) / 2 and its standard
-    error; both classes must be present in labels."""
-    fa_n = int(np.sum(~labels))
-    md_n = int(np.sum(labels))
-    fa = float(np.mean(declared_present[~labels]))
-    md = float(np.mean(~declared_present[labels]))
-    var = fa * (1.0 - fa) / fa_n + md * (1.0 - md) / md_n
-    return 0.5 * (fa + md), 0.5 * math.sqrt(var)
 
 
 def rescale_plan(p: ProtocolParams, factor: float) -> ProtocolParams:
@@ -379,23 +377,15 @@ def rescale_plan(p: ProtocolParams, factor: float) -> ProtocolParams:
     at the new scale, so bound comparisons against desk-scale
     simulations stay apples-to-apples.
 
-    A factor below 1 grows the plan; it may not grow k past
-    MAX_REPETITIONS or N past DEFAULT_PAIR_CEILING, the limits the
-    planner itself keeps.
+    A factor below 1 grows the plan; past the planner's limits, which
+    ProtocolParams keeps, it is refused with the factor named.
     """
     _check_real(factor, "factor", 0.0, open_lo=True)
     if p.d == 0:
         raise ParameterError("cannot rescale a plan with no signals")
     k_new = max(1, round(p.k / factor))
     d_new = k_new * p.b
-    n_new = max(d_new, round(d_new / p.q))
-    for name, value, limit_name, limit in (
-        ("k", k_new, "MAX_REPETITIONS", MAX_REPETITIONS),
-        ("N", n_new, "DEFAULT_PAIR_CEILING", DEFAULT_PAIR_CEILING),
-    ):
-        if value > limit:
-            raise ParameterError(
-                f"rescale factor {factor:g} gives {name} = {value:.3g}, "
-                f"above the planner's limit {limit_name} = {limit:.0e}"
-            )
-    return p.rederive(k=k_new, n_pairs=n_new)
+    try:
+        return p.rederive(k=k_new, n_pairs=max(d_new, round(d_new / p.q)))
+    except ParameterError as exc:
+        raise ParameterError(f"rescale factor {factor:g} gives {exc}") from exc

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from covertlink import cli
+from covertlink import cli, reliability
 from covertlink.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -18,6 +18,8 @@ from covertlink.cli import (
     EXIT_OK,
     main,
 )
+from covertlink.reliability import MAX_REPETITIONS
+from covertlink.security import DEFAULT_PAIR_CEILING
 from make_cli_golden import bundled_config, cli_record
 from make_plan_golden import bundled_configs, request_key
 
@@ -249,6 +251,38 @@ def test_validate_malformed_plan_is_config_error(
         assert "channel" in err
     if breakage in INTEGER_BREAKAGES:
         assert f"{INTEGER_BREAKAGES[breakage][0]} must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, limit",
+    [
+        ("k", MAX_REPETITIONS + 1, "MAX_REPETITIONS = 1e+07"),
+        ("n_pairs", DEFAULT_PAIR_CEILING + 1, "DEFAULT_PAIR_CEILING = 1e+16"),
+    ],
+    ids=["k", "n_pairs"],
+)
+def test_validate_refuses_a_plan_past_the_planner_limits(
+    fast_config, planned_dir, tmp_path, capsys, monkeypatch, field, value, limit
+):
+    # refused when the file is loaded, before any bit-error sum
+    def no_sum(probes):
+        raise AssertionError("summed the bit error of a plan past the planner's limits")
+
+    monkeypatch.setattr(reliability, "_bit_errors", no_sum)
+    doc = json.loads((planned_dir / "plan.json").read_text())
+    p = doc["params"]
+    p[field] = value
+    # d, q, bins_total and running_time_s recomputed to match
+    p["d"] = p["k"] * p["b"]
+    p["n_pairs"] = max(p["n_pairs"], p["d"])
+    p["q"] = p["d"] / p["n_pairs"]
+    p["bins_total"] = 2 * p["n_pairs"]
+    p["running_time_s"] = p["bins_total"] / p["rep_rate_hz"]
+    (tmp_path / "plan.json").write_text(json.dumps(doc))
+    rc = main(["validate", "--config", str(fast_config), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert f"above the planner's limit {limit}" in capsys.readouterr().err
+    assert not (tmp_path / "validate.json").exists()
 
 
 def test_simulate_outputs(simulated_dir):

@@ -358,9 +358,10 @@ def test_plan_work_per_search(monkeypatch):
 def test_plan_checks_each_input_once(monkeypatch):
     # the two input rules run where an input enters, never per repetition
     # probe or per D evaluation: over the 8 bundled plans (3,382 grid
-    # points) they run 16,156 times, under five a grid point: click_probs
+    # points) they run 16,260 times, under five a grid point: click_probs
     # checks mu and ClickProbabilities its two probabilities, and _profiles
-    # a pair search's mu and n_bar_a
+    # a pair search's mu and n_bar_a. Each plan's ProtocolParams.derive
+    # checks its record twice, before and after the two claims
     calls = collections.Counter()
 
     def counting(rule):
@@ -380,7 +381,7 @@ def test_plan_checks_each_input_once(monkeypatch):
     for path in bundled_configs():
         plan_with_report(request_for(path))
     assert len(searches) == 3_382
-    assert dict(calls) == {"_check_count": 72, "_check_real": 16_084}
+    assert dict(calls) == {"_check_count": 104, "_check_real": 16_156}
 
 
 def test_lockstep_batches_equal_the_scalar_references_on_bundled_plans(monkeypatch):

@@ -4,6 +4,8 @@ import-guard fallback gives the same numbers, and its modules parse on
 the oldest Python it supports."""
 
 import ast
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -35,6 +37,11 @@ _PARAMS = ProtocolParams.derive(
 )
 _BITS = codec.encode_message("CQTUSTC")
 _LAYOUT = codec.choose_positions(codec.SharedRandomness(1), _PARAMS.n_pairs, _PARAMS.q, _BITS)
+
+
+def _replaced(**changes):
+    """A call that builds _PARAMS with the fields in changes replaced."""
+    return functools.partial(dataclasses.replace, _PARAMS, **changes)
 
 
 def test_all_names_are_unique():
@@ -88,6 +95,9 @@ def test_modules_parse_with_python_3_10_grammar():
         (codec.SharedRandomness(-1).generator, ("positions",), "seed"),
         (codec.PositionPlan, (10_000.5, 35, _LAYOUT.positions, _LAYOUT.bit_value), "n_pairs"),
         (codec.PositionPlan, (10_000, 35.0, _LAYOUT.positions, _LAYOUT.bit_value), "b"),
+        (_replaced(epsilon_target=math.nan), (), "epsilon_target"),
+        (_replaced(target_e=math.nan), (), "target_e"),
+        (_replaced(target_e=0.0), (), "target_e"),
     ],
     ids=[
         "detection_bias_bound-nan",
@@ -116,11 +126,41 @@ def test_modules_parse_with_python_3_10_grammar():
         "shared_randomness-negative-seed",
         "position_plan-fractional-pairs",
         "position_plan-float-bits",
+        "protocol_params-nan-epsilon-target",
+        "protocol_params-nan-target-e",
+        "protocol_params-zero-target-e",
     ],
 )
 def test_entry_points_refuse_nan_and_zero_inputs_by_name(entry, args, name):
     with pytest.raises(ParameterError, match=f"^{name} must"):
         entry(*args)
+
+
+def test_distinguisher_refuses_trials_past_its_cap_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew trials past the cap")
+
+    monkeypatch.setattr(simulator, "_rng", no_draw)
+    with pytest.raises(ParameterError, match=r"^trials must be an integer in \[100, 1000000\]"):
+        simulator.run_distinguisher(_PARAMS, 10**6 + 1, 1)
+
+
+def test_derive_refuses_a_plan_past_the_planner_limits_before_its_claims(monkeypatch):
+    def no_sum(probes):
+        raise AssertionError("summed the bit error of a plan past the planner's limits")
+
+    monkeypatch.setattr(reliability, "_bit_errors", no_sum)
+    with pytest.raises(ParameterError, match=r"^k = 1e\+08, .* MAX_REPETITIONS = 1e\+07$"):
+        ProtocolParams.derive(
+            b=35,
+            k=10**8,
+            n_pairs=10**12,
+            mu=0.0348,
+            channel=_CHANNEL,
+            rep_rate_hz=5e8,
+            epsilon_target=0.014,
+            target_e=0.01,
+        )
 
 
 @pytest.mark.parametrize(
