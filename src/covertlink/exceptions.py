@@ -26,12 +26,20 @@ class FormatError(CovertLinkError):
     """A serialized artifact is malformed or has an unsupported version."""
 
 
+def _shown(value, spec: str = "") -> str:
+    """value formatted by spec, or its repr; an integer past the float range
+    as its order of magnitude, which a float format or str() may not give."""
+    if isinstance(value, numbers.Integral) and abs(int(value)).bit_length() > 1024:
+        return f"~10^{int(abs(int(value)).bit_length() * math.log10(2.0))}"
+    return format(value, spec) if spec else repr(value)
+
+
 def _check_count(value, name: str, least: int, most: float = math.inf) -> int:
     """value as an int, if it is an integer in [least, most]."""
     integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not (integer and least <= value <= most):
         span = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
-        raise ParameterError(f"{name} must be an integer {span}, got {value!r}")
+        raise ParameterError(f"{name} must be an integer {span}, got {_shown(value)}")
     return int(value)
 
 
@@ -47,12 +55,12 @@ def _check_real(
     """value as a float, if it is a finite real number between lo and hi.
 
     Each end is included unless it is open; an infinite end only says
-    that side is unbounded.
+    that side is unbounded. An integer past the float range is not finite.
     """
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
+        or not _finite(value)
         or not (lo < value if open_lo else lo <= value)
         or not (value < hi if open_hi else value <= hi)
     ):
@@ -60,5 +68,13 @@ def _check_real(
             span = "" if lo == -math.inf else f" and {'>' if open_lo else '>='} {lo:g}"
         else:
             span = f" and in {'(' if open_lo else '['}{lo:g}, {hi:g}{')' if open_hi else ']'}"
-        raise ParameterError(f"{name} must be finite{span}, got {value!r}")
+        raise ParameterError(f"{name} must be finite{span}, got {_shown(value)}")
     return float(value)
+
+
+def _finite(value: numbers.Real) -> bool:
+    """math.isfinite, False for an integer past the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False

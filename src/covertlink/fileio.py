@@ -213,10 +213,27 @@ def write_json_document(path: Path, kind: str, body: dict) -> None:
     atomic_write_text(path, text)
 
 
+class _LongInteger(str):
+    """The digits of a JSON integer longer than int() converts (Python's
+    limit on integer string conversion); no count or real rule takes it,
+    and it shows as its length."""
+
+    def __repr__(self) -> str:
+        return f"a {len(self.lstrip('-'))}-digit integer"
+
+
+def _json_int(digits: str):
+    """A JSON integer as an int, or as _LongInteger past int()'s digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongInteger(digits)
+
+
 def read_json_document(path: Path, kind: str) -> dict:
     try:
-        document = json.loads(Path(path).read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        document = json.loads(Path(path).read_text("utf-8"), parse_int=_json_int)
+    except (OSError, ValueError) as exc:
         raise FormatError(f"cannot read {kind} document: {exc}") from exc
     if not isinstance(document, dict):
         raise FormatError(f"{path} holds no JSON object, so no {kind} document")

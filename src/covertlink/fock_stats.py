@@ -37,10 +37,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from ._special import _log1p_gap, _passes, _poisson_tail
 from .exceptions import ParameterError, _check_real
-from .reliability import _passes
 
 # Tail mass at which the thermal background is truncated: the bound
 # lives at D ~ 1e-16, and a 1e-15 tail would shift its sixth
@@ -50,29 +49,6 @@ _TRUNC_TOL = 1e-30
 # Crude cap on |ln(p/s)| for normal doubles, used only to convert
 # unresolvable truncated mass into an error bar.
 _LOG_CAP = 1500.0
-
-
-# Below this |y| the term y - log1p(y) is summed as its Taylor series;
-# above it the direct difference keeps ~2e-15 relative accuracy.
-_SERIES_CUTOFF = 0.1
-# coefficients (-1)**j / j of y**j, highest order first; the first
-# omitted term is below 1e-17 of the leading y**2 / 2 at the cutoff
-_SERIES_COEFFS = tuple((-1) ** j / j for j in range(17, 1, -1))
-
-
-def _log1p_gap(y: np.ndarray) -> np.ndarray:
-    """y - log1p(y) elementwise, accurate to a few ulp for every y > -1."""
-    y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    small = np.abs(y) <= _SERIES_CUTOFF
-    ys = y[small]
-    acc = np.full_like(ys, _SERIES_COEFFS[0])
-    for c in _SERIES_COEFFS[1:]:
-        acc = acc * ys + c
-    out[small] = acc * ys * ys
-    yl = y[~small]
-    out[~small] = yl - np.log1p(yl)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +123,8 @@ def _profiles(items: list[tuple[float, float]]) -> list[DivergenceProfile]:
     cumprod and cumsum give the partial exponential sums, scaled by e^-mu
     and added to x_0 = e^-mu - 1. Both scalars come from math per mu, as
     a lone build takes them: numpy's exp can differ in the last place.
-    tail_s takes one vector gammainc, and chi2 one math.fsum per row.
-    reliability._passes bounds each pass's terms of x, and so its memory.
+    tail_s takes one vector _poisson_tail, and chi2 one math.fsum per row.
+    _special._passes bounds each pass's terms of x, and so its memory.
     Every field is the double a build of that (mu, n_bar_a) alone gives:
     the row-wise accumulations run in the same order as along one row,
     and the scalars are the same.
@@ -207,9 +183,8 @@ def _profiles(items: list[tuple[float, float]]) -> list[DivergenceProfile]:
             # tail_s = P(X + Y > n_max), X ~ Poisson(mu), Y ~ thermal, split
             # on X = j: the j <= n_max thermal tails r^(n_max + 1 - j) sum
             # to tail_rho * rho_s(n_max) / rho(n_max); X > n_max is the
-            # Poisson tail, a regularized incomplete gamma. Neither piece
-            # cancels.
-            tail_s = tail_rho * (1.0 + x[:, -1]) + special.gammainc(n_max + 1, mus)
+            # Poisson tail. Neither piece cancels.
+            tail_s = tail_rho * (1.0 + x[:, -1]) + _poisson_tail(n_max + 1, mus)
             rows = zip(part, mus, x, tail_s.tolist(), rho * x * x)
             for i, mu, x_row, tail, chi2_terms in rows:
                 uncovered = -math.expm1(-mu) if n_bar_a == 0.0 else 0.0
@@ -236,7 +211,7 @@ def _sums(points: list[tuple[DivergenceProfile, float]]) -> list[tuple[float, fl
     """fsum(rho (y - log1p(y))) and fsum(rho x y / (1 + y)), y = q x, for
     each (profile, q).
 
-    A pass (reliability._passes) forms both sums' terms for its points'
+    A pass (_special._passes) forms both sums' terms for its points'
     q x, laid end to end, and one math.fsum per point and sum adds them
     exactly, so each sum is the same double as for that point alone. The
     sums read the terms through memoryviews, which yield plain floats,

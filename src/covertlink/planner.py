@@ -19,7 +19,7 @@ search that starts (fock_stats._profiles), and the divergences with
 their slopes at every pending pair count (fock_stats._divergences).
 Each search is sent exactly the values it would get alone, so the
 batching changes no probe and no result. The group size and the term
-budget of reliability._passes bound the batches' memory. The
+budget of _special._passes bound the batches' memory. The
 golden-section and dimmest-within refinements run their points through
 the same path, as batches of one or two.
 """
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import InfeasibleError, ParameterError, _check_count, _check_real
+from .exceptions import InfeasibleError, ParameterError, _check_count, _check_real, _shown
 from .reliability import (
     MAX_REPETITIONS,
     ChannelModel,
@@ -135,7 +135,8 @@ class ProtocolParams:
         ):
             if value > limit:
                 raise ParameterError(
-                    f"{name} = {value:.3g}, above the planner's limit {limit_name} = {limit:.0e}"
+                    f"{name} = {_shown(value, '.3g')}, above the planner's limit "
+                    f"{limit_name} = {limit:.0e}"
                 )
         # any finite mu >= 0 may be stored, an inflated-mu attack's too
         _check_real(self.mu, "mu", 0.0)

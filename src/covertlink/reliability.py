@@ -8,20 +8,21 @@ and the whole-message error, plus the inversion that finds the smallest
 k meeting a message-error target.
 
 One evaluator, _bit_errors, forms every bit error: a sum over the
-wrong votes on the boost binomial pmf (called once per 256 terms of a
-long window, with exact term ratios between), or a closed form where
-that split does not apply. bit_error_prob is a batch of one on it, and
-each probe of the inversion is its value against the target, so the k
-returned passes by the very value bit_error_prob reports there.
+wrong votes on binomial pmfs that step by exact term ratios from
+Loader's saddle-point pmf (_special._log_binom_pmf) at the first term of
+each window and of each 256-term block of a long one, or a closed form
+where that split does not apply. bit_error_prob is a batch of one on it,
+and each probe of the inversion is its value against the target, so the
+k returned passes by the very value bit_error_prob reports there.
 
 The inversion is one bracketed Newton loop, a generator,
 _repetition_search, that yields each probe it needs, and _lockstep runs
 any number of such searches side by side: each round gathers every
 pending probe into one batched _bit_errors call. That call places each
 window by a few Newton steps to each end's float root and a check of
-the integers beside it, then sums the windows in flat numpy passes:
-every window of up to 256 terms in one pass, and the longer ones a few
-at a time. The planner runs the searches of 64 grid points at a time
+the integers beside it, makes one pmf call for every anchor of the
+batch, then sums the windows in 2-D numpy passes: every window of up to
+256 terms in one pass, a row each, and the longer ones a few at a time. The planner runs the searches of 64 grid points at a time
 this way; min_repetitions runs one, as a batch of one. A probe's value
 is the same double whatever shares its batch, so batching changes no
 probe sequence and no result.
@@ -41,20 +42,12 @@ claim is conservative there.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-
-try:
-    # the boost binomial ufuncs that scipy.stats.binom.pmf and .cdf call
-    from scipy.special._ufuncs import _binom_cdf, _binom_pmf
-except ImportError:  # a scipy without these private names; binom runs the same code
-    from scipy.stats import binom as _binom
-
-    _binom_pmf, _binom_cdf = _binom.pmf, _binom.cdf
-
+from ._special import _binom_cdf, _inverse_normal, _log_binom_pmf, _passes
 from .exceptions import InfeasibleError, ParameterError, _check_count, _check_real
 
 # The planner's limit on k: no plan (ProtocolParams) repeats a bit more often.
@@ -73,13 +66,16 @@ _TAIL_NATS = 30.0
 # A double below 2^-1075 rounds to 0.0.
 _LOG_ROUNDS_TO_ZERO = -1075.0 * math.log(2.0)
 
-# The window sums' pmfs call boost at every _ANCHOR_EVERY-th term of a run
-# and step by exact term ratios between; shorter runs are all boost.
-_ANCHOR_EVERY = 256
+# A pmf run whose first term lies below e^_LOG_NORMAL runs scaled by a power
+# of two (_scaled_exp, _pmf_rows), so that no subnormal term carries its
+# lost digits on.
+_LOG_NORMAL = -700.0
+_LN2 = math.log(2.0)
 
-# A batched pass, here or in fock_stats, takes at most this many terms at
-# a time (a longer item alone), which bounds its memory.
-_TERM_BUDGET = 2**13
+# The window sums' pmfs take Loader's pmf at every _ANCHOR_EVERY-th term of
+# a window and step by exact term ratios between; a window no longer is
+# one block, from its first term.
+_ANCHOR_EVERY = 256
 
 # Newton steps towards each window end's float root before its integer
 # neighbours are checked.
@@ -169,7 +165,9 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
     pi) <= w). F(w + 1) = F(w) + pmf(w; k - w - 1) (pi + (k - 2w - 1) pi /
     ((w + 1)(1 - pi))), so across a window [a, top] F is one exact start
     value F(a) plus a cumulative sum of positive terms: nothing cancels.
-    Both pmfs, P(W = w) and the F step's, come from boost. The window
+    Both pmfs, P(W = w) and the F step's, step by exact term ratios from
+    Loader's pmf at each block's first term, and F(a) is _binom_cdf's; one
+    _log_binom_pmf call gives every such term of the batch. The window
     sits around the dominant w* = k sqrt(p_c p_w) / z, z = 1 - p + 2
     sqrt(p_c p_w), and reaches out until the Chernoff bounds of what it
     leaves out, F(a) P(W < a) below and P(W > top) above, fall _TAIL_NATS
@@ -179,7 +177,7 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
     error rounds to 0.0, and 0.0 is returned without a sum.
 
     Where the split does not apply the vote count is one binomial, and
-    boost's cdf gives the error: 1 with no correct clicks, (1 -
+    its cdf gives the error: 1 with no correct clicks, (1 -
     p_correct)^k with no wrong ones, and P(Bin(k, p_correct) <= floor(k /
     2)) with no silent slots (p_correct + p_wrong = 1).
 
@@ -194,7 +192,7 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
         p_c, p_w = cp.p_correct, cp.p_wrong
         pi = p_c / (1.0 - p_w) if p_w < 1.0 else 1.0
         if p_c == 0.0 or p_w == 0.0 or pi >= 1.0:
-            out[i] = float(_binom_cdf(k // 2 if p_w > 0.0 else 0, k, p_c))
+            out[i] = float(_binom_cdf(k // 2 if p_w > 0.0 else 0, k, p_c)[0])
             continue
         root, z = _chernoff_base(p_c, p_w)
         log_chernoff = k * math.log(z) if p_c >= p_w else 0.0
@@ -205,21 +203,53 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
         rows.append((i, k, p_w, pi, a, top))
     if not rows:
         return out
+    # the short windows first, then the long ones, so that each pass's
+    # blocks lie together; a short window is one block, a long one runs of
+    # _ANCHOR_EVERY terms
+    rows.sort(key=lambda row: row[5] - row[4] >= _ANCHOR_EVERY)
     index, k, p_w, pi, a, top = np.array(rows, dtype=float).T
-    start = _binom_cdf(a, k - a, pi)
-    m = top - a + 1.0
-    anchored = m > _ANCHOR_EVERY
-    span = np.where(anchored, np.ceil(m / _ANCHOR_EVERY) * _ANCHOR_EVERY, m).astype(np.intp)
-    # the short windows in one pass, the anchored ones as _passes splits them
-    short, long = np.flatnonzero(~anchored), np.flatnonzero(anchored)
-    passes = [short] + [long[begin:end] for begin, end in _passes(span[long].tolist())]
-    totals = np.empty(len(rows))
-    columns = (k, p_w, pi, a, m, span, start)
-    for part in passes:
-        if part.size:
-            totals[part] = _window_sums(*(column[part] for column in columns))
-    for i, total in zip(index.astype(int).tolist(), totals.tolist()):
-        out[i] = min(total, 1.0)
+    sizes = [int(row[5] - row[4]) + 1 for row in rows]
+    blocks = [-(-size // _ANCHOR_EVERY) for size in sizes]
+    first = list(itertools.accumulate(blocks, initial=0))
+    # one pmf call gives every anchor: P(W = w) and the F step's pmf,
+    # P(Bin(k - 1 - w, pi) = w), at each block's first term w, and F(a)'s
+    # top term, P(Bin(k - a, pi) = a)
+    size = first[-1]
+    if size == len(rows):
+        w0, k0, p0, pi0 = a, k, p_w, pi
+    else:
+        run = np.repeat(np.arange(len(rows)), blocks)
+        w0 = a[run] + (np.arange(size) - np.array(first[:-1])[run]) * _ANCHOR_EVERY
+        k0, p0, pi0 = k[run], p_w[run], pi[run]
+    logs = _log_binom_pmf(
+        np.concatenate((w0, w0, a)),
+        np.concatenate((k0, k0 - 1.0 - w0, k - a)),
+        np.concatenate((p0, pi0, pi)),
+    )
+    firsts, shifts = _scaled_exp(logs[: 2 * size])
+    start = _binom_cdf(a, k - a, pi, logs[2 * size :])
+    # the short windows in one pass as wide as the longest, the long ones
+    # as _passes splits them
+    short = blocks.count(1) if blocks[0] == 1 else 0
+    passes = [(0, short, max(sizes[:short], default=1))]
+    passes += [
+        (short + begin, short + end, _ANCHOR_EVERY)
+        for begin, end in _passes([count * _ANCHOR_EVERY for count in blocks[short:]])
+    ]
+    for begin, end, width in passes:
+        if end > begin:
+            held = slice(first[begin], first[end])
+            steps = slice(size + first[begin], size + first[end])
+            part = slice(begin, end)
+            sums = _window_sums(
+                (k[part], p_w[part], pi[part], a[part], start[part]),
+                sizes[part],
+                (firsts[held], firsts[steps]),
+                None if shifts is None else (shifts[held], shifts[steps]),
+                width,
+            )
+            for i, total in zip(index[part].astype(int).tolist(), sums):
+                out[i] = min(total, 1.0)
     return out
 
 
@@ -230,111 +260,119 @@ def _chernoff_base(p_c: float, p_w: float) -> tuple[float, float]:
     return root, 1.0 - p_c - p_w + 2.0 * root
 
 
-def _f_steps(pmf: np.ndarray, w: np.ndarray, n: np.ndarray, pi) -> np.ndarray:
-    """F(w + 1) - F(w) at each w, n = k - 1 - w, from pmf = P(Bin(n, pi) = w)."""
-    return pmf * ((n - w) * pi / ((1.0 - pi) * (w + 1.0)) + pi)
-
-
-def _window_sums(k, p_w, pi, a, m, span, start) -> np.ndarray:
+def _window_sums(windows, sizes, firsts, shifts, width) -> list[float]:
     """sum_w P(W = w) F(w) over windows of m terms from a, F(a) = start, in one pass.
 
-    The windows' terms lie end to end, span terms each: span = m for
-    windows of at most _ANCHOR_EVERY terms, and whole blocks of
-    _ANCHOR_EVERY terms for longer ones. The windows of one pass are all
-    of one kind, and the kind is where the two pmfs come from: boost at
-    every term of a short window, _binom_pmf_runs along an anchored one.
-    Either way _f_steps forms the F step at every term, a window's last
-    too, which no F uses. Each window's cumulative sum of steps and its
-    total run along its own slice, so every window gets the doubles it
-    gets alone, whatever shares its pass.
+    windows holds the arrays k, p_w, pi, a and start, one entry a window,
+    and sizes each window's number of terms, m. Each window's terms lie in blocks of width terms, one row
+    each: one block for a window of at most _ANCHOR_EVERY terms, width the
+    pass's longest, and whole blocks of _ANCHOR_EVERY terms for longer
+    ones. firsts holds the two pmfs, P(W = w) and the F step's P(Bin(k - 1
+    - w, pi) = w), at each block's first term, and shifts, unless None,
+    the powers of two they are scaled by (_scaled_exp); _pmf_rows steps
+    from them by exact term ratios. The F step is formed at every term, a
+    window's last too, which no F uses. Each window's cumulative sum of
+    steps and its total run along its own terms in order (a short
+    window's total term by term, a long one's by numpy's sum of its
+    slice), so every window gets the doubles it gets alone, whatever
+    shares its pass. A pass of one window takes its constants as floats,
+    and others as columns: the same doubles either way. Returns the sums
+    as a list.
     """
-    first = np.cumsum(span) - span
-    w = np.arange(span.sum(), dtype=float) - _per_term(first - a, span)
-    n = _per_term(k - 1.0, span) - w
-    pi_w = _per_term(pi, span)
-    anchored = m[0] > _ANCHOR_EVERY
-    if anchored:
-        # each block's window, and its first term's place in that window
-        run = np.repeat(np.arange(span.size), span // _ANCHOR_EVERY)
-        layout = run, np.arange(run.size) * _ANCHOR_EVERY - first[run]
-        steps = _binom_pmf_runs(w, k - 1.0, pi, m - 1.0, layout, shrink=True)
+    blocks = [-(-size // width) for size in sizes]
+    ends = None
+    if len(sizes) == 1:
+        k, p_w, pi, a, start = (float(column[0]) for column in windows)
+        w = (a + np.arange(blocks[0] * width, dtype=float)).reshape(blocks[0], width)
     else:
-        steps = _masked_pmf(w, n, pi_w)
-    steps = _f_steps(steps, w, n, pi_w)
+        k, p_w, pi, a, start = windows
+        if max(blocks) == 1:
+            # P(W = w) past a short window's end is 0, so its total takes none of it
+            ends = np.array(sizes)
+        else:
+            run = np.repeat(np.arange(len(sizes)), blocks)
+            first = np.cumsum(blocks) - blocks
+            k, p_w, pi, a, start = (v[run] for v in (k, p_w, pi, a, start))
+            a = a + (np.arange(run.size) - first[run]) * width
+        k, p_w, pi, a, start = (v[:, None] for v in (k, p_w, pi, a, start))
+        w = a + np.arange(width, dtype=float)
+    pmf_w = _pmf_rows(w, k, p_w, False, firsts[0], None if shifts is None else shifts[0], ends)
+    steps = _pmf_rows(w, k, pi, True, firsts[1], None if shifts is None else shifts[1])
+    # F(w + 1) - F(w) = P(Bin(n, pi) = w) ((n - w) pi / ((1 - pi) (w + 1)) + pi),
+    # n = k - 1 - w
+    factor = k - 1.0 - w
+    factor -= w
+    factor *= pi / (1.0 - pi)
+    factor /= w + 1.0
+    factor += pi
+    steps *= factor
     # F(w) - F(a), the sum of the steps below w
     f = np.empty_like(w)
-    windows = list(zip(first.tolist(), m.astype(np.intp).tolist()))
-    for s, size in windows:
-        steps[s : s + size - 1].cumsum(out=f[s + 1 : s + size])
-        f[s] = 0.0
-    f += _per_term(start, span)
-    f *= (
-        _binom_pmf_runs(w, k, p_w, m, layout, shrink=False)
-        if anchored
-        else _binom_pmf(w, _per_term(k, span), _per_term(p_w, span))
-    )
-    return np.array([f[s : s + size].sum() for s, size in windows])
+    if max(blocks) == 1:
+        f[:, 0] = 0.0
+        np.cumsum(steps[:, :-1], axis=1, out=f[:, 1:])
+        f += start
+        f *= pmf_w
+        return np.cumsum(f, axis=1)[:, -1].tolist()
+    flat_f, flat_steps = f.ravel(), steps.ravel()
+    spans = list(zip(itertools.accumulate([0] + blocks[:-1], lambda s, count: s + count * width), sizes))
+    for s, size in spans:
+        flat_steps[s : s + size - 1].cumsum(out=flat_f[s + 1 : s + size])
+        flat_f[s] = 0.0
+    f += start
+    f *= pmf_w
+    return [float(flat_f[s : s + size].sum()) for s, size in spans]
 
 
-def _per_term(values: np.ndarray, span: np.ndarray):
-    """Each run's value at each of its span terms; one run's as a scalar."""
-    return values[0] if values.size == 1 else np.repeat(values, span)
+def _pmf_rows(w, k, p, shrink: bool, first, shift, ends=None) -> np.ndarray:
+    """P(Bin(n, p) = w) at each term of rows of consecutive w, from each row's first term.
 
-
-def _binom_pmf_runs(x, trials, p, length, layout, shrink: bool) -> np.ndarray:
-    """P(Bin(n_i, p) = x_i) along runs laid end to end in x, in blocks.
-
-    x holds whole blocks of _ANCHOR_EVERY terms, and layout gives each
-    block's run and its first term's place in that run. Run r holds
-    length[r] terms x_i = x_0 + i from the start of its first block, with
-    probability p[r] and n_i = trials[r], or n_i = trials[r] - x_i with
-    shrink; terms past its end are padding, whose values are left
-    undefined. Boost gives the first term of each block; the terms
-    between follow by the exact ratio of neighbours, (n_i - x_i) / (x_i +
-    1) p / (1 - p), times (n_i - x_i - 1) / (n_i (1 - p)) with shrink, so
-    each lies at most 255 rounded products (about 2e-13 relative) from a
-    boost value. A run no longer than _ANCHOR_EVERY is all boost, and so
-    is a block whose anchor is subnormal, where the ratios would carry its
-    lost digits. With shrink the terms past x_i > n_i are 0 (boost gives
-    nan there); a fixed-n run takes x_i <= n.
+    n = k, or k - 1 - w with shrink; k and p are floats or columns. Each
+    term is the one before it times the exact ratio of neighbours: (k + 1
+    - w) / w p / (1 - p) at fixed n; with shrink, n1 = k - w trials at w -
+    1 and gap = n1 - w, (gap + 1) max(gap, 0) / (w n1) p / (1 - p)^2,
+    which is 0 from gap <= 0 on, and set to 0 at n1 <= 0, where it is 0/0.
+    first holds each row's first term, scaled up by 2^shift unless shift
+    is None (_scaled_exp), and such a row is scaled back, exactly, by
+    ldexp at the end. Where ends is given, row i is 0 from column ends[i]
+    on. The ratio at column 0, which first replaces, is never used.
     """
-    run, place = layout
-    span = np.bincount(run, minlength=trials.size) * _ANCHOR_EVERY
-    odds = _per_term(p / (1.0 - p), span)
-    # each term's ratio to the one below it, at x' = x - 1 with n' trials
     with np.errstate(all="ignore"):
         if shrink:
-            # n1 = n' = n + 1 and gap = n' - x' - 1: the ratio times gap /
-            # (n' (1 - p)), 0 from x' = n' - 1 on; n' = 0 makes it 0/0, so
-            # it is set to 0 wherever n' <= 0
-            n1 = _per_term(trials + 1.0, span) - x
-            gap = n1 - x
-            shrunk = np.maximum(gap, 0.0) / (n1 * _per_term(1.0 - p, span))
-            terms = (gap + 1.0) / x * odds * shrunk
-            terms[n1 <= 0.0] = 0.0
+            n1 = k - w
+            gap = n1 - w
+            terms = gap + 1.0
+            terms *= np.maximum(gap, 0.0)
+            terms /= w * n1
+            terms *= p / (1.0 - p) / (1.0 - p)
         else:
-            terms = (_per_term(trials + 1.0, span) - x) / x * odds
-    anchors = np.arange(0, x.size, _ANCHOR_EVERY)
-    n = trials[run] - x[anchors] if shrink else trials[run]
-    terms[anchors] = _masked_pmf(x[anchors], n, p[run])
-    blocks = terms.reshape(-1, _ANCHOR_EVERY)
-    np.cumprod(blocks, axis=1, out=blocks)
-    # a subnormal anchor has lost digits the ratios would carry on
-    whole = (terms[anchors] < np.finfo(float).tiny) & (x[anchors] <= n)
-    whole |= length[run] <= _ANCHOR_EVERY
-    if np.any(whole):
-        held = np.minimum(length[run] - place, _ANCHOR_EVERY)[whole].astype(np.intp)
-        offsets = np.arange(_ANCHOR_EVERY)
-        redo = (anchors[whole, None] + offsets)[offsets < held[:, None]]
-        redo_run = np.repeat(run[whole], held)
-        n = trials[redo_run] - x[redo] if shrink else trials[redo_run]
-        terms[redo] = _masked_pmf(x[redo], n, p[redo_run])
+            terms = k + 1.0 - w
+            terms /= w
+            terms *= p / (1.0 - p)
+    if shrink and np.any(w[:, -1:] >= k):
+        terms[n1 <= 0.0] = 0.0
+    if ends is not None:
+        inside = np.flatnonzero(ends < w.shape[1])
+        terms[inside, ends[inside]] = 0.0
+    terms[:, 0] = first
+    np.cumprod(terms, axis=1, out=terms)
+    if shift is not None:
+        np.ldexp(terms, -shift[:, None], out=terms)
     return terms
 
 
-def _masked_pmf(x: np.ndarray, n, p) -> np.ndarray:
-    """Boost's binomial pmf, 0 where x > n."""
-    return np.where(x <= n, _binom_pmf(x, n, p), 0.0)
+def _scaled_exp(logs: np.ndarray):
+    """exp(logs), and None; or, where a log lies below _LOG_NORMAL, whose
+    exp would be subnormal or 0 and carry its lost digits along a run of
+    ratio products, exp(log + e log 2) with e the power of two that makes
+    it normal (at most 2100, past which every term of its run rounds to
+    0), and the e of each (0 elsewhere)."""
+    low = logs < _LOG_NORMAL
+    if not low.any():
+        return np.exp(logs), None
+    with np.errstate(all="ignore"):
+        shift = np.where(low, np.minimum(np.ceil((_LOG_NORMAL - logs) / _LN2), 2100.0), 0.0)
+    return np.exp(logs + shift * _LN2), shift.astype(np.intp)
 
 
 def _wrong_vote_window(
@@ -454,7 +492,7 @@ def _estimate_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> in
     with mean k * (p_correct - p_wrong) and variance k * (p - mean^2/k^2).
     """
     delta_bit = -math.expm1(math.log1p(-target_e) / b)
-    z = -float(ndtri(min(max(delta_bit, 1e-300), 0.5)))
+    z = -_inverse_normal(min(max(delta_bit, 1e-300), 0.5))
     p = cp.p_correct + cp.p_wrong
     m1 = cp.p_correct - cp.p_wrong
     var = p - m1 * m1
@@ -621,16 +659,3 @@ def _lockstep(searches: list) -> list:
             values = evaluate([item for _, _, item in group])
             pending += [(i, search, value) for (i, search, _), value in zip(group, values)]
     return results
-
-
-def _passes(sizes: list[int]):
-    """(begin, end) of each run of sizes that one batched pass takes: at
-    most _TERM_BUDGET in all, or a single larger size alone."""
-    begin, used = 0, 0
-    for end, size in enumerate(sizes):
-        if used and used + size > _TERM_BUDGET:
-            yield begin, end
-            begin, used = end, 0
-        used += size
-    if begin < len(sizes):
-        yield begin, len(sizes)

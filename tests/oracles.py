@@ -14,16 +14,19 @@ from bisect import bisect_left
 
 import mpmath as mp
 import numpy as np
-from scipy import special
 
+# boost's binomial pmf and cdf, the ones scipy.stats.binom calls: the
+# library's own pmf and cdf are checked against them
+from scipy.special._ufuncs import _binom_cdf as boost_binom_cdf
+from scipy.special._ufuncs import _binom_pmf as boost_binom_pmf
+
+from covertlink._special import _binom_cdf, _log_binom_pmf, _poisson_tail
 from covertlink.codec import _CHAR_TO_INDEX, ALPHABET, BITS_PER_CHAR
 from covertlink.exceptions import InfeasibleError, ParameterError
 from covertlink.fock_stats import _TRUNC_TOL, DivergenceProfile, _log1p_gap
 from covertlink.reliability import (
     MAX_REPETITIONS,
     ClickProbabilities,
-    _binom_cdf,
-    _binom_pmf,
     _estimate_repetitions,
     message_error_prob,
 )
@@ -151,6 +154,31 @@ def binom_pmf_highprec(x: int, n: int, p: float, dps: int = 40) -> "mp.mpf":
         return +mp.exp(log_pmf)
 
 
+def binom_cdf_highprec(x: int, n: int, p: float, dps: int = 50) -> "mp.mpf":
+    """P(Bin(n, p) <= x) at dps digits: the terms below x, or one minus
+    those above it past the mode, summed from the largest until they fall
+    below 10^-(dps + 5) of the sum."""
+    with mp.workdps(dps):
+        p = mp.mpf(p)
+        q = 1 - p
+        below = x + 1 < (n + 1) * p
+        y = x if below else x + 1
+        term = binom_pmf_highprec(y, n, p, dps)
+        total = term
+        floor = mp.mpf(10) ** -(dps + 5)
+        while (y > 0) if below else (y < n):
+            if below:
+                term *= y * q / ((n - y + 1) * p)
+                y -= 1
+            else:
+                term *= (n - y) * p / ((y + 1) * q)
+                y += 1
+            total += term
+            if term < total * floor:
+                break
+        return total if below else 1 - total
+
+
 def majority_error_bruteforce(k: int, p_c: float, p_w: float) -> float:
     """Same quantity by looping over all 3^k outcome strings (k <= 7)."""
     probs = (p_c, p_w, 1.0 - p_c - p_w)
@@ -199,7 +227,8 @@ def majority_error_double_sum(k: int, cp: ClickProbabilities) -> float:
 
     The exact sum bit_error_prob ran before the wrong-vote window sum
     became its one evaluator, kept verbatim (its constants inlined) as a
-    reference formed the other way round: the outer sum runs over the
+    reference formed the other way round, on boost's pmf and cdf: the
+    outer sum runs over the
     number of clicks i ~ Binomial(k, p_correct + p_wrong); given i clicks,
     the bit is decoded wrongly when at most floor(i/2) of them are
     correct (ties and i = 0 both count as errors). The outer sum is
@@ -226,8 +255,8 @@ def majority_error_double_sum(k: int, cp: ClickProbabilities) -> float:
     if lo > k * s - 0.5 * half_s:
         lo = max(0, int(k * s - half_s))
     i = np.arange(lo, min(k, math.ceil(k * p + half)) + 1)
-    outer = np.clip(_binom_pmf(i, k, p), 0.0, 1.0)
-    wrong_majority = np.clip(_binom_cdf(i // 2, i, cp.p_correct / p), 0.0, 1.0)
+    outer = np.clip(boost_binom_pmf(i, k, p), 0.0, 1.0)
+    wrong_majority = np.clip(boost_binom_cdf(i // 2, i, cp.p_correct / p), 0.0, 1.0)
     delta = float(np.sum(outer * wrong_majority))
     return min(max(delta, 0.0), 1.0)
 
@@ -501,15 +530,16 @@ def _log_excess(probe: _Probe, k: int) -> float:
 def error_bounds_one_probe(k: int, cp: ClickProbabilities) -> tuple[float, float, float] | None:
     """(lower, estimate, upper) on the bit error at (k, cp), or None.
 
-    The bounded evaluator as it stood before its probes were batched,
-    kept verbatim (its constants inlined) as the scalar reference: one
-    probe, its window placed by two bisections (wrong_vote_window) and
-    summed on anchored pmf runs (binom_pmf_run) whatever its length. The
-    window and the runs are copies too, so the library is checked against
-    its past, not against itself. Wherever it sums a window its estimate
-    is the double the batched reliability._bit_errors gives: None marks
-    the closed-form cases, and an estimate of 0.0 below a Chernoff bound
-    of 1e-300 a probe that reliability sums down to 2^-1075.
+    The bounded evaluator for one probe, kept as the scalar reference: its
+    window placed by two bisections (wrong_vote_window), F(a) from the
+    library's binomial cdf, and the window summed on pmf runs
+    (binom_pmf_run) that step by exact ratios from the library's pmf at
+    every 256th term. The window and the runs are copies, so the batched
+    evaluator is checked against one probe's sum written out plainly.
+    Wherever it sums a window its estimate is the double the batched
+    reliability._bit_errors gives: None marks the closed-form cases, and
+    an estimate of 0.0 below a Chernoff bound of 1e-300 a probe that
+    reliability sums down to 2^-1075.
     """
     p_c, p_w = cp.p_correct, cp.p_wrong
     pi = p_c / (1.0 - p_w) if p_w < 1.0 else 0.0
@@ -523,20 +553,106 @@ def error_bounds_one_probe(k: int, cp: ClickProbabilities) -> tuple[float, float
     nats = 30.0 + 0.5 * math.log(k) - log_chernoff
     a, top = wrong_vote_window(k, p_w, pi, k * root / z, nats)
     w = np.arange(a, top + 1, dtype=float)
-    start = float(_binom_cdf(a, k - a, pi))
+    start = float(_binom_cdf(float(a), float(k - a), pi)[0])
+    # the F steps, P(Bin(n, pi) = w) ((n - w) pi / ((1 - pi) (w + 1)) + pi)
+    # with n = k - 1 - w, at every w but the last, which no F uses
+    before = w[:-1]
+    factor = (k - 2.0 * before - 1.0) * (pi / (1.0 - pi)) / (before + 1.0) + pi
+    steps = binom_pmf_run(before, k, pi, shrink=True) * factor
+    f = np.empty_like(w)
+    f[0] = 0.0
+    np.cumsum(steps, out=f[1:])
+    f += start
+    terms = binom_pmf_run(w, k, p_w, shrink=False) * f
+    # a short window's total term by term, a long one's by numpy's sum
+    total = float(np.cumsum(terms)[-1] if w.size <= 256 else np.sum(terms))
+    tails = _chernoff(k, top + 1, p_w)
+    if a > 0:
+        tails += start * (_chernoff(k, a - 1, p_w) if a - 1 < k * p_w else 1.0)
+    return total * (1.0 - 1e-10), min(total, 1.0), (total + tails) * (1.0 + 1e-10)
+
+
+def boost_bit_error(k: int, cp: ClickProbabilities, every_term: bool = False) -> float | None:
+    """The bit error at (k, cp) as the library summed it on boost's pmf and
+    cdf, or None for the closed forms.
+
+    The one-probe evaluator of the version that called scipy, kept
+    verbatim as the boost-based reference: the same window
+    (wrong_vote_window), F(a) from boost's cdf, and the window summed on
+    boost_pmf_run, so the library's numpy-only sums are checked against
+    the doubles boost gave; with every_term, on boost's pmf at every term.
+    Below a Chernoff bound of 1e-300 it gives 0.0.
+    """
+    p_c, p_w = cp.p_correct, cp.p_wrong
+    pi = p_c / (1.0 - p_w) if p_w < 1.0 else 0.0
+    if p_w <= 0.0 or not 0.0 < pi < 1.0:
+        return None
+    root = math.sqrt(p_c * p_w)
+    z = 1.0 - p_c - p_w + 2.0 * root
+    log_chernoff = k * math.log(z)
+    if log_chernoff < math.log(1e-300):
+        return 0.0
+    nats = 30.0 + 0.5 * math.log(k) - log_chernoff
+    a, top = wrong_vote_window(k, p_w, pi, k * root / z, nats)
+    w = np.arange(a, top + 1, dtype=float)
+    start = float(boost_binom_cdf(a, k - a, pi))
     before = w[:-1]
     n = k - 1.0 - before
-    pmf = binom_pmf_run(before, k - 1.0 - a, pi, shrink=True)
+    if every_term:
+        pmf = _boost_masked_pmf(before, n, pi)
+        outer = boost_binom_pmf(w, k, p_w)
+    else:
+        pmf = boost_pmf_run(before, k - 1.0 - a, pi, shrink=True)
+        outer = boost_pmf_run(w, k, p_w, shrink=False)
     steps = pmf * (pi + (n - before) * pi / ((1.0 - pi) * (before + 1.0)))
     f = np.empty_like(w)
     f[0] = 0.0
     np.cumsum(steps, out=f[1:])
     f += start
-    total = float(np.sum(binom_pmf_run(w, k, p_w, shrink=False) * f))
-    tails = _chernoff(k, top + 1, p_w)
-    if a > 0:
-        tails += start * (_chernoff(k, a - 1, p_w) if a - 1 < k * p_w else 1.0)
-    return total * (1.0 - 1e-10), min(total, 1.0), (total + tails) * (1.0 + 1e-10)
+    return min(float(np.sum(outer * f)), 1.0)
+
+
+def boost_pmf_run(x: np.ndarray, n: float, p: float, shrink: bool) -> np.ndarray:
+    """P(Bin(n_i, p) = x_i) along consecutive x_i = x[0] + i, 0 < p < 1,
+    as boost_bit_error's version summed it.
+
+    n_i = n throughout, or n - i with shrink. Boost gives every 256th
+    term; the terms between follow by the exact ratio of neighbours, (n_i
+    - x_i) / (x_i + 1) p / (1 - p), times (n_i - x_i - 1) / (n_i (1 - p))
+    with shrink. A run no longer than 256 is all boost, and so is a block
+    whose anchor is subnormal. With shrink the terms past x_i > n_i are 0;
+    a fixed-n run takes x_i <= n.
+    """
+    m = len(x)
+    if m <= 256 and not shrink:
+        return boost_binom_pmf(x, n, p)
+    n_i = n - np.arange(m, dtype=float) if shrink else np.full(m, float(n))
+    if m <= 256:
+        return _boost_masked_pmf(x, n_i, p)
+    xs, ns = x[:-1], n_i[:-1]
+    ratio = (ns - xs) / (xs + 1.0) * (p / (1.0 - p))
+    if shrink:
+        # 0 from x_i = n_i - 1 on; n_i = 0 makes it 0/0
+        with np.errstate(invalid="ignore"):
+            ratio *= np.maximum(ns - xs - 1.0, 0.0) / (ns * (1.0 - p))
+        ratio[ns <= 0.0] = 0.0
+    blocks = -(-m // 256)
+    terms = np.ones(blocks * 256)
+    terms[1:m] = ratio
+    anchors = slice(0, m, 256)
+    terms[anchors] = _boost_masked_pmf(x[anchors], n_i[anchors], p)
+    terms = np.cumprod(terms.reshape(blocks, 256), axis=1).ravel()[:m]
+    # a subnormal anchor has lost digits the ratios would carry on
+    lost = (terms[anchors] < np.finfo(float).tiny) & (x[anchors] <= n_i[anchors])
+    for b in np.flatnonzero(lost):
+        run = slice(b * 256, (b + 1) * 256)
+        terms[run] = _boost_masked_pmf(x[run], n_i[run], p)
+    return terms
+
+
+def _boost_masked_pmf(x: np.ndarray, n, p: float) -> np.ndarray:
+    """Boost's binomial pmf, 0 where x > n."""
+    return np.where(x <= n, boost_binom_pmf(x, n, p), 0.0)
 
 
 def wrong_vote_window(k: int, p_w: float, pi: float, w_star: float, nats: float) -> tuple[int, int]:
@@ -567,48 +683,42 @@ def wrong_vote_window(k: int, p_w: float, pi: float, w_star: float, nats: float)
     return a, top
 
 
-def binom_pmf_run(x: np.ndarray, n: float, p: float, shrink: bool) -> np.ndarray:
+def binom_pmf_run(x: np.ndarray, k: float, p: float, shrink: bool) -> np.ndarray:
     """P(Bin(n_i, p) = x_i) along consecutive x_i = x[0] + i, 0 < p < 1.
 
-    reliability's anchored pmf run as it stood when each long window ran
-    on its own, kept verbatim (its constant inlined). n_i = n throughout,
-    or n - i with shrink. Boost gives every 256th term; the terms between
-    follow by the exact ratio of neighbours, (n_i - x_i) / (x_i + 1) p /
-    (1 - p), times (n_i - x_i - 1) / (n_i (1 - p)) with shrink. A run no
-    longer than 256 is all boost, and so is a block whose anchor is
-    subnormal. With shrink the terms past x_i > n_i are 0; a fixed-n run
-    takes x_i <= n.
+    n_i = k throughout, or k - 1 - x_i with shrink. The library's pmf
+    gives the first term and every 256th after it in a run longer than
+    256 (one that short is one block); the terms between follow by the
+    exact ratio of neighbours: (n + 1 - x) / x p / (1 - p) at fixed n, and
+    with shrink, n1 = k - x and gap = n1 - x, (gap + 1) max(gap, 0) / (x
+    n1) p / (1 - p)^2, 0 from gap <= 0 on and at n1 = 0. A first term
+    below e^-700 is taken scaled up by a power of two and the block
+    scaled back at the end, so its lost digits do not carry on.
     """
     m = len(x)
-    if m <= 256 and not shrink:
-        return _binom_pmf(x, n, p)
-    n_i = n - np.arange(m, dtype=float) if shrink else np.full(m, float(n))
-    if m <= 256:
-        return _masked_pmf(x, n_i, p)
-    xs, ns = x[:-1], n_i[:-1]
-    ratio = (ns - xs) / (xs + 1.0) * (p / (1.0 - p))
-    if shrink:
-        # 0 from x_i = n_i - 1 on; n_i = 0 makes it 0/0
-        with np.errstate(invalid="ignore"):
-            ratio *= np.maximum(ns - xs - 1.0, 0.0) / (ns * (1.0 - p))
-        ratio[ns <= 0.0] = 0.0
-    blocks = -(-m // 256)
-    terms = np.ones(blocks * 256)
-    terms[1:m] = ratio
-    anchors = slice(0, m, 256)
-    terms[anchors] = _masked_pmf(x[anchors], n_i[anchors], p)
-    terms = np.cumprod(terms.reshape(blocks, 256), axis=1).ravel()[:m]
-    # a subnormal anchor has lost digits the ratios would carry on
-    lost = (terms[anchors] < np.finfo(float).tiny) & (x[anchors] <= n_i[anchors])
-    for b in np.flatnonzero(lost):
-        run = slice(b * 256, (b + 1) * 256)
-        terms[run] = _masked_pmf(x[run], n_i[run], p)
-    return terms
-
-
-def _masked_pmf(x: np.ndarray, n, p: float) -> np.ndarray:
-    """Boost's binomial pmf, 0 where x > n."""
-    return np.where(x <= n, _binom_pmf(x, n, p), 0.0)
+    if m == 0:
+        return np.empty(0)
+    block = 256 if m > 256 else m
+    xs = x[0] + np.arange(-(-m // block) * block, dtype=float)
+    with np.errstate(all="ignore"):
+        if shrink:
+            n1 = k - xs
+            gap = n1 - xs
+            ratio = (gap + 1.0) * np.maximum(gap, 0.0) / (xs * n1) * (p / (1.0 - p) / (1.0 - p))
+            ratio[n1 <= 0.0] = 0.0
+        else:
+            ratio = (k + 1.0 - xs) / xs * (p / (1.0 - p))
+    firsts = xs[::block]
+    logs = _log_binom_pmf(firsts, k - 1.0 - firsts if shrink else np.full(firsts.size, float(k)), p)
+    shifts = np.zeros(logs.size, dtype=np.intp)
+    for b, log_first in enumerate(logs.tolist()):
+        if log_first < -700.0:
+            shifts[b] = min(math.ceil((-700.0 - log_first) / math.log(2.0)), 2100)
+    terms = ratio.reshape(-1, block)
+    terms[:, 0] = np.exp(logs + shifts * math.log(2.0))
+    np.cumprod(terms, axis=1, out=terms)
+    terms = np.ldexp(terms, -shifts[:, None]).ravel()
+    return terms[:m]
 
 
 def _kl(x: float, p: float) -> float:
@@ -679,8 +789,8 @@ def build_one_profile(mu: float, n_bar_a: float) -> DivergenceProfile:
     # tail_s = P(X + Y > n_max), X ~ Poisson(mu), Y ~ thermal, split on
     # X = j: the j <= n_max thermal tails r^(n_max + 1 - j) sum to
     # tail_rho * rho_s(n_max) / rho(n_max); X > n_max is the Poisson
-    # tail, a regularized incomplete gamma. Neither piece cancels.
-    tail_s = float(tail_rho * (1.0 + x[-1]) + special.gammainc(n_max + 1, mu))
+    # tail. Neither piece cancels.
+    tail_s = float(tail_rho * (1.0 + x[-1]) + _poisson_tail(n_max + 1, [mu])[0])
     uncovered = -math.expm1(-mu) if n_bar_a == 0.0 else 0.0
     chi2 = math.inf if uncovered > 0.0 else math.fsum(rho * x * x)
     return DivergenceProfile(

@@ -285,6 +285,33 @@ def test_validate_refuses_a_plan_past_the_planner_limits(
     assert not (tmp_path / "validate.json").exists()
 
 
+@pytest.mark.parametrize(
+    "field, digits, message",
+    [
+        ("k", 401, "k = ~10^400, above the planner's limit MAX_REPETITIONS"),
+        ("k", 5000, "k must be an integer >= 0, got a 5000-digit integer"),
+        ("tau", 401, "tau must be finite and in [0, 1], got ~10^400"),
+    ],
+    ids=["k past the float range", "k past int's digit limit", "tau past the float range"],
+)
+def test_validate_refuses_huge_integers_by_name(
+    fast_config, planned_dir, tmp_path, capsys, field, digits, message
+):
+    # an integer past the float range, or longer than int() converts (4300
+    # digits), ends as a config error that names its field, not as an
+    # OverflowError or ValueError traceback
+    doc = json.loads((planned_dir / "plan.json").read_text())
+    params = doc["params"]
+    (params["channel"] if field == "tau" else params)[field] = "HUGE"
+    text = json.dumps(doc).replace('"HUGE"', "1" + "0" * (digits - 1))
+    (tmp_path / "plan.json").write_text(text)
+    rc = main(["validate", "--config", str(fast_config), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}" + (
+        " = 1e+07\n" if field == "k" and digits < 4300 else "\n"
+    )
+
+
 def test_simulate_outputs(simulated_dir):
     for name in SIM_FILES:
         assert (simulated_dir / name).exists()

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from covertlink import fock_stats, reliability
+from covertlink import _special, fock_stats
 from covertlink.exceptions import ParameterError
 from covertlink.fock_stats import (
     _TRUNC_TOL,
@@ -325,8 +325,8 @@ def test_batched_divergences_equal_one_profile_at_a_time(monkeypatch):
     assert alone == [
         (oracles.divergence_one_profile(p, q), oracles.slope_one_profile(p, q)) for p, q in points
     ]
-    for budget in (1, 300, reliability._TERM_BUDGET):
-        monkeypatch.setattr(reliability, "_TERM_BUDGET", budget)
+    for budget in (1, 300, _special._TERM_BUDGET):
+        monkeypatch.setattr(_special, "_TERM_BUDGET", budget)
         got = []
         for start in range(0, len(points), 50):
             got += _divergences(points[start : start + 50])
@@ -339,7 +339,7 @@ def assert_same_profile(got: DivergenceProfile, lone: DivergenceProfile) -> None
         assert getattr(got, name) == getattr(lone, name), name
 
 
-@pytest.mark.parametrize("budget", [1, 300, reliability._TERM_BUDGET])
+@pytest.mark.parametrize("budget", [1, 300, _special._TERM_BUDGET])
 def test_batched_profiles_equal_lone_builds_on_mixed_backgrounds(monkeypatch, budget):
     # one batch mixing backgrounds, the vacuum and a 6,943-term support
     # among them, in an order that interleaves them, built in passes of at
@@ -348,7 +348,7 @@ def test_batched_profiles_equal_lone_builds_on_mixed_backgrounds(monkeypatch, bu
     n_bars = [0.0, 2.3e-3, 0.6, 100.0]
     items = [(float(10 ** rng.uniform(-4, 0)), n_bars[i % 4]) for i in range(40)]
     items += [(0.0, 0.6), (0.0, 0.0)]
-    monkeypatch.setattr(reliability, "_TERM_BUDGET", budget)
+    monkeypatch.setattr(_special, "_TERM_BUDGET", budget)
     got = _profiles(items)
     for item, profile in zip(items, got):
         assert_same_profile(profile, oracles.build_one_profile(*item))
@@ -393,7 +393,7 @@ def test_batched_profiles_refuse_a_bad_mean_before_any_array(monkeypatch, bad, n
 
 def test_batched_profiles_memory_at_a_large_support():
     # 8 mu at n_bar_a = 1e3, a 69,113-term support: rows of at most
-    # reliability._TERM_BUDGET terms at a time, so one row here, and one
+    # _special._TERM_BUDGET terms at a time, so one row here, and one
     # rho for all eight. Built one at a time, the eight profiles peaked at 10,024,369
     # bytes (tracemalloc); this batch at about 6.15 MB, of which 4.98 MB
     # is the eight x and the one rho it returns. Beyond those, a pass of
@@ -408,6 +408,6 @@ def test_batched_profiles_memory_at_a_large_support():
     finally:
         tracemalloc.stop()
     row = profiles[0].x.nbytes
-    assert profiles[0].x.size > reliability._TERM_BUDGET
+    assert profiles[0].x.size > _special._TERM_BUDGET
     assert peak <= 10_024_369
     assert peak - 9 * row <= 3 * row

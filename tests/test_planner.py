@@ -468,7 +468,7 @@ def test_bundled_plans_place_the_bisections_windows_with_few_scalar_tests(
 def test_plan_peak_memory(config):
     # the searches of at most _LOCKSTEP_GROUP grid points share a round's
     # batches, and an anchored window sum pass takes at most
-    # reliability._TERM_BUDGET padded terms at a time (peaks of about 0.76
+    # _special._TERM_BUDGET padded terms at a time (peaks of about 0.76
     # and 0.91 MB; 2.7 and 2.5 MB when all 400 grid points advanced at once)
     req = request_for(next(p for p in bundled_configs() if p.name == config))
     tracemalloc.start()
@@ -484,20 +484,46 @@ def test_plan_peak_memory(config):
     "config, most", [("fiber_qpqi.yaml", 150_000), ("fiber_cqtustc.yaml", 200_000)]
 )
 def test_plan_boost_pmf_terms(monkeypatch, config, most):
-    # the repetition probes call boost at one term in 256 of a long window
-    # and step by exact ratios between (6,116,392 and 605,924 terms when
-    # every term was boost's)
+    # the repetition probes evaluate the binomial pmf itself at three terms
+    # of a short window (the first of each pmf, and F(a)'s top term) and at
+    # one term in 256 of a long one, and step by exact ratios between:
+    # 26,326 and 6,572 terms (6,116,392 and 605,924 when every term was
+    # boost's; these bounds held while boost gave every term of a short
+    # window)
     terms = []
-    boost = reliability._binom_pmf
+    pmf = reliability._log_binom_pmf
 
     def counted(*args):
         terms.append(np.broadcast(*args).size)
-        return boost(*args)
+        return pmf(*args)
 
-    monkeypatch.setattr(reliability, "_binom_pmf", counted)
+    monkeypatch.setattr(reliability, "_log_binom_pmf", counted)
     path = next(p for p in bundled_configs() if p.name == config)
     plan_with_report(request_for(path))
     assert sum(terms) <= most
+
+
+def test_bundled_probes_stay_within_1e_11_of_boost(monkeypatch):
+    # every repetition probe of the 8 bundled plans (13,032, and the
+    # planner's reported errors) against the same window summed on boost's
+    # pmf and cdf, as the library summed it when it called scipy
+    probes = []
+    batched = reliability._bit_errors
+
+    def record(batch):
+        out = batched(batch)
+        probes.extend(zip(batch, out))
+        return out
+
+    monkeypatch.setattr(reliability, "_bit_errors", record)
+    for path in bundled_configs():
+        plan_with_report(request_for(path))
+    assert len(probes) >= 13_032
+    worst = 0.0
+    for (k, cp), got in probes:
+        expected = oracles.boost_bit_error(k, cp)
+        worst = max(worst, abs(got - expected) / expected)
+    assert worst <= 1e-11
 
 
 def test_validation_catches_halved_pair_count(cqtustc_plan):

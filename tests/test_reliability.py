@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import covertlink._special as _special
 import covertlink.reliability as reliability
+from covertlink._special import _binom_pmf, _log_binom_pmf
 from covertlink.exceptions import InfeasibleError, ParameterError
 from covertlink.reliability import (
     MAX_REPETITIONS,
@@ -131,7 +133,7 @@ def test_bit_error_matches_bruteforce_tiny_k():
 def test_bit_error_closed_forms_match_enumeration(p_c, p_w):
     # no wrong clicks: (1 - p_c)^k; no correct ones: 1; no silent slots
     # (p_c + p_w = 1): P(Bin(k, p_c) <= floor(k / 2)). The wrong-vote split
-    # needs all three kinds of slot, so these take boost's binomial cdf
+    # needs all three kinds of slot, so these take the binomial cdf
     for k in range(1, 13):
         got = bit_error_prob(k, ClickProbabilities(p_c, p_w))
         expected = oracles.majority_error_enumeration(k, p_c, p_w)
@@ -450,20 +452,30 @@ def test_error_bounds_bracket_exact_sum_on_loud_channel(k):
 
 def _binom_pmf_run(x: np.ndarray, n: float, p: float, shrink: bool) -> np.ndarray:
     # P(Bin(n_i, p) = x_i) along consecutive x_i, n_i = n or n - i with
-    # shrink, as one run of the anchored pass laid out alone
+    # shrink, as the window sums lay one run out alone: one block of a
+    # short run, blocks of _ANCHOR_EVERY terms of a longer one, each from
+    # the library's pmf at its first term
     m = x.size
-    blocks = -(-m // reliability._ANCHOR_EVERY)
-    x = x[0] + np.arange(blocks * reliability._ANCHOR_EVERY, dtype=float)
-    one = np.ones(1)
-    trials = (n + x[0] if shrink else n) * one
-    layout = np.zeros(blocks, np.intp), np.arange(blocks) * reliability._ANCHOR_EVERY
-    return reliability._binom_pmf_runs(x, trials, p * one, m * one, layout, shrink)[:m]
+    width = m if m <= reliability._ANCHOR_EVERY else reliability._ANCHOR_EVERY
+    blocks = -(-m // width)
+    w = (x[0] + np.arange(blocks * width, dtype=float)).reshape(blocks, width)
+    k = n + 1.0 + x[0] if shrink else n
+    firsts, shifts = reliability._scaled_exp(
+        _log_binom_pmf(w[:, 0], k - 1.0 - w[:, 0] if shrink else k, p)
+    )
+    return reliability._pmf_rows(w, k, p, shrink, firsts, shifts).ravel()[:m]
 
 
 def _boost_run(x: np.ndarray, n: float, p: float, shrink: bool) -> np.ndarray:
-    # the per-element boost pmf, 0 past n, that _binom_pmf_run stands for
+    # boost's pmf at every term, 0 past n, that _binom_pmf_run stands for
     n_i = n - np.arange(x.size) if shrink else np.full(x.size, n)
-    return np.where(x <= n_i, reliability._binom_pmf(x, n_i, p), 0.0)
+    return np.where(x <= n_i, oracles.boost_binom_pmf(x, n_i, p), 0.0)
+
+
+def _own_run(x: np.ndarray, n: float, p: float, shrink: bool) -> np.ndarray:
+    # the library's own pmf at every term, 0 past n
+    n_i = n - np.arange(x.size) if shrink else np.full(x.size, n)
+    return _binom_pmf(x, n_i, p)
 
 
 def _random_run(rng) -> tuple[np.ndarray, float, float, bool]:
@@ -479,9 +491,26 @@ def _random_run(rng) -> tuple[np.ndarray, float, float, bool]:
     return np.arange(x0, x0 + m, dtype=float), n, p, shrink
 
 
+def _assert_steps_by_exact_ratios(rng, x, n, p, shrink, got, block):
+    # a few terms against their block's first by 40-digit ratios: at most
+    # block - 1 rounded ratio products from it
+    for j in rng.integers(0, x.size, 6).tolist():
+        a = j - j % block
+        if min(got[a], got[j]) < 1e-290:
+            continue
+        n_j, n_a = (n - j, n - a) if shrink else (n, n)
+        exact = oracles.binom_pmf_highprec(int(x[j]), int(n_j), p) / oracles.binom_pmf_highprec(
+            int(x[a]), int(n_a), p
+        )
+        assert got[j] / got[a] == pytest.approx(float(exact), rel=3e-13, abs=0.0), (n, p, j)
+
+
 @pytest.mark.parametrize("shrink", [False, True])
 @pytest.mark.parametrize("m", [1, 2, 57, reliability._ANCHOR_EVERY])
 def test_binom_pmf_run_short_runs_are_boost(m, shrink):
+    # a run of at most _ANCHOR_EVERY terms is one block: its first term is
+    # the library's pmf, and the rest step by exact ratios from it, within
+    # boost's own noise of boost's pmf at every term
     rng = np.random.default_rng(m)
     for _ in range(20):
         n = float(int(10 ** rng.uniform(0, 7)) + m)
@@ -490,7 +519,13 @@ def test_binom_pmf_run_short_runs_are_boost(m, shrink):
         x0 = int(rng.uniform(0.0, 1.2) * n * p)
         x = np.arange(m) + float(x0 if shrink else min(x0, n - m + 1))
         got = _binom_pmf_run(x, n, p, shrink)
-        assert np.array_equal(got, _boost_run(x, n, p, shrink)), (n, p, x[0])
+        own, boost = _own_run(x, n, p, shrink), _boost_run(x, n, p, shrink)
+        if own[0] >= 1e-290:
+            assert got[0] == own[0], (n, p, x[0])
+        shown = boost >= 1e-290
+        assert np.all(np.abs(got[shown] - boost[shown]) <= 1e-10 * boost[shown]), (n, p, x[0])
+        assert np.all(got[x > n - np.arange(m) * shrink] == 0.0)
+        _assert_steps_by_exact_ratios(rng, x, n, p, shrink, got, m)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -500,23 +535,16 @@ def test_binom_pmf_run_long_runs_step_by_exact_ratios(seed):
     for _ in range(40):
         x, n, p, shrink = _random_run(rng)
         got = _binom_pmf_run(x, n, p, shrink)
-        boost = _boost_run(x, n, p, shrink)
-        # every _ANCHOR_EVERY-th term is boost's own
-        assert np.array_equal(got[::step], boost[::step])
-        # the terms between are within boost's own noise of it (boost
+        own, boost = _own_run(x, n, p, shrink), _boost_run(x, n, p, shrink)
+        # every _ANCHOR_EVERY-th term is the library pmf's own
+        normal = own[::step] >= 1e-290
+        assert np.array_equal(got[::step][normal], own[::step][normal])
+        # the terms between are within boost's own noise of boost (boost
         # itself lies up to ~3e-11 from 40-digit values at n ~ 1e7)
         shown = boost >= 1e-290
         assert np.all(np.abs(got[shown] - boost[shown]) <= 1e-10 * boost[shown])
         # and 255 rounded ratio products at most from their anchor
-        for j in rng.integers(0, x.size, 6):
-            a = j - j % step
-            if min(boost[a], boost[j]) < 1e-290:
-                continue
-            n_j, n_a = (n - j, n - a) if shrink else (n, n)
-            exact = oracles.binom_pmf_highprec(int(x[j]), int(n_j), p) / oracles.binom_pmf_highprec(
-                int(x[a]), int(n_a), p
-            )
-            assert got[j] / got[a] == pytest.approx(float(exact), rel=3e-13, abs=0.0), (n, p, j)
+        _assert_steps_by_exact_ratios(rng, x, n, p, shrink, got, step)
 
 
 def test_binom_pmf_run_shrinking_past_n_stays_zero():
@@ -535,13 +563,17 @@ def test_binom_pmf_run_shrinking_past_n_stays_zero():
 
 @pytest.mark.parametrize("shrink", [False, True])
 def test_binom_pmf_run_climbs_out_of_underflow(shrink):
-    # boost's pmf at x = 3000 of Bin(1e4, 1/2) is below the smallest
-    # double, yet 255 terms on it reaches 6e-273: that block is all boost
+    # the pmf at x = 3000 of Bin(1e4, 1/2) is below the smallest double,
+    # yet 255 terms on it reaches 6e-273: that block runs scaled up by a
+    # power of two, and its normal terms keep every digit; its subnormal
+    # ones are within one subnormal step of boost's
     x = np.arange(3000.0, 3000.0 + 3 * reliability._ANCHOR_EVERY)
     got = _binom_pmf_run(x, 1e4, 0.5, shrink)
     boost = _boost_run(x, 1e4, 0.5, shrink)
     assert boost[0] == 0.0 and boost[reliability._ANCHOR_EVERY - 1] > 1e-290
-    assert np.all(np.abs(got - boost) <= 1e-10 * boost)
+    step = np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(got - boost) <= 1e-10 * boost + step)
+    assert got[0] == 0.0 and np.array_equal(got > 0.0, boost > 0.0)
 
 
 def _random_probes(rng, count: int, log_exponents: tuple[float, float]) -> list:
@@ -557,15 +589,15 @@ def _random_probes(rng, count: int, log_exponents: tuple[float, float]) -> list:
     return probes
 
 
-def test_error_bounds_estimate_matches_per_element_boost(monkeypatch):
+def test_error_bounds_estimate_matches_per_element_boost():
     # 200 channels, k up to 1e7, each with a Chernoff exponent k I between
     # 0.3 and 650, so that the window is summed: the sum on anchored runs
-    # against the same sum with every pmf term from boost
+    # against the same sum with every pmf term, and F(a), from boost
     cases = _random_probes(np.random.default_rng(21), 200, (-0.5, math.log10(650.0)))
     anchored = [bit_error_prob(k, cp) for k, cp in cases]
-    monkeypatch.setattr(reliability, "_ANCHOR_EVERY", 2 * MAX_REPETITIONS)
     for (k, cp), got in zip(cases, anchored):
-        assert got == pytest.approx(bit_error_prob(k, cp), rel=2e-12, abs=0.0), (k, cp)
+        expected = oracles.boost_bit_error(k, cp, every_term=True)
+        assert got == pytest.approx(expected, rel=2e-12, abs=0.0), (k, cp)
     # and within 1e-10 relative of the double sum over the click count
     for (k, cp), got in zip(cases[::4], anchored[::4]):
         expected = oracles.majority_error_double_sum(k, cp)
@@ -604,25 +636,21 @@ def test_windows_equal_the_bisection_on_random_channels(placed_windows):
 
 def _window_passes(monkeypatch) -> list:
     # a list that collects [windows, anchored] of every _window_sums pass,
-    # anchored where the pass's pmfs come from _binom_pmf_runs
+    # anchored where the pass's windows run in blocks of _ANCHOR_EVERY terms
     passes = []
-    window_sums, pmf_runs = reliability._window_sums, reliability._binom_pmf_runs
+    window_sums = reliability._window_sums
 
-    def runs(*args, **kwargs):
-        passes[-1][1] = True
-        return pmf_runs(*args, **kwargs)
-
-    def counted(k, *args):
-        passes.append([len(k), False])
-        return window_sums(k, *args)
+    def counted(windows, sizes, *args):
+        passes.append([len(sizes), max(sizes) > reliability._ANCHOR_EVERY])
+        return window_sums(windows, sizes, *args)
 
     monkeypatch.setattr(reliability, "_window_sums", counted)
-    monkeypatch.setattr(reliability, "_binom_pmf_runs", runs)
     return passes
 
 
-# windows of exactly 257 terms, whose F-step run is one all-boost block,
-# and short windows whose top reaches k, whose unused last F step has n = -1
+# windows of exactly 257 terms, whose F-step run fills one block of
+# _ANCHOR_EVERY terms, and short windows whose top reaches k, whose unused
+# last F step has n = -1
 EDGE_PROBES = [
     (k, ClickProbabilities(p_c, p_w))
     for k, p_c, p_w in [(12981, 0.05, 0.01), (7413, 0.1, 0.05), (2511, 0.3, 0.05), (2630, 0.5, 0.2)]
@@ -633,8 +661,8 @@ def test_batched_bounds_equal_the_scalar_reference_on_random_channels(
     monkeypatch, placed_windows
 ):
     # 2400 probes and the edge probes in batches of 1 to 128: windows of at
-    # most _ANCHOR_EVERY terms (boost at every term), longer ones (anchored
-    # pmfs), probes with no wrong clicks or no silent slots (closed forms,
+    # most _ANCHOR_EVERY terms (one block each), longer ones (anchored
+    # blocks), probes with no wrong clicks or no silent slots (closed forms,
     # None in oracles) and Chernoff bounds below 1e-300 side by side. Each
     # window sum is the estimate of the one-probe evaluator kept in
     # oracles, and every value is the one its probe gets alone
@@ -675,7 +703,7 @@ def test_batched_bounds_equal_the_scalar_reference_on_random_channels(
     assert all(top == k for k, *_, top in edges[4:])
 
 
-@pytest.mark.parametrize("budget", [1, 10_000, reliability._TERM_BUDGET, 2**22])
+@pytest.mark.parametrize("budget", [1, 10_000, _special._TERM_BUDGET, 2**22])
 def test_long_windows_in_mixed_batches_equal_their_values_alone(monkeypatch, budget):
     # QPQI's channel at k from 1e6 to 1e7 (windows of 4k to 12k terms)
     # beside 400 shorter ones: each probe gets the double it gets alone,
@@ -689,7 +717,7 @@ def test_long_windows_in_mixed_batches_equal_their_values_alone(monkeypatch, bud
     batch = loud[:3] + short[:200] + loud[3:] + short[200:]
     alone = [bit_error_prob(k, cp) for k, cp in batch]
     window_passes = _window_passes(monkeypatch)
-    monkeypatch.setattr(reliability, "_TERM_BUDGET", budget)
+    monkeypatch.setattr(_special, "_TERM_BUDGET", budget)
     assert _bit_errors(batch) == alone
     passes = [count for count, anchored in window_passes if anchored]
     assert sum(passes) > len(loud)
@@ -705,13 +733,13 @@ def test_bit_error_prob_sums_nothing_below_the_smallest_double(monkeypatch):
     # QPQI's channel at its planned mu: z^k = 5e-126860 at k = 1e7
     cp = click_probs(0.956, QPQI_CHANNEL)
     calls = []
-    boost = reliability._binom_pmf
+    pmf = reliability._log_binom_pmf
 
     def counted(*args):
         calls.append(args)
-        return boost(*args)
+        return pmf(*args)
 
-    monkeypatch.setattr(reliability, "_binom_pmf", counted)
+    monkeypatch.setattr(reliability, "_log_binom_pmf", counted)
     assert bit_error_prob(10**7, cp) == 0.0
     assert calls == []
 
