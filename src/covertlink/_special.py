@@ -87,6 +87,9 @@ _SUM_NATS = 54.0 * math.log(2.0)
 _ASYMPTOTIC_MIN = 100.0
 _ASYMPTOTIC_SPAN = 0.03
 _ASYMPTOTIC_MAX_EXPONENT = 600.0
+# a ratio sum costs about a tenth of a microsecond a term in a batch, and
+# the expansion some tens of microseconds: it takes only longer sums
+_ASYMPTOTIC_TERMS = 2048
 
 # Below |y| = 0.1, y - log1p(y) is summed as its Taylor series: the
 # coefficients (-1)**j / j of y**j, highest order first; the first omitted
@@ -223,87 +226,96 @@ def _binom_cdf(x, n, p, log_top=None) -> np.ndarray:
     Below the mode, x < (n + 1) p - 1, it is the pmf at x times a sum of
     exact term ratios down from x (_descending_sums); above it, one minus
     the same sum on the upper tail, read as P(Bin(n, 1 - p) <= n - x - 1).
-    Near the bulk, where both parameters of the incomplete beta, n - x
-    and x + 1, exceed 100 and x lies within 3 % of the smaller of (n + 1)
-    p - 1, the ratio sum would run to thousands of terms, and _basym's
-    expansion gives the value in a few; so do x outside [0, n) and p at 0
-    or 1, one at a time.
+    Near the bulk the ratio sum runs to thousands of terms, and _basym's
+    expansion gives the value in a few: where both parameters of the
+    incomplete beta, n - x and x + 1, exceed 100, x lies within 3 % of the
+    smaller of (n + 1) p - 1, and the sum would run past
+    _ASYMPTOTIC_TERMS terms, about the cost of one expansion.
     """
     x, n, p = _flat(x, n, p)
+    # x <= 0 leaves the pmf: its one term, or 0 below it
     out = np.exp(_log_binom_pmf(x, n, p) if log_top is None else log_top)
     rows = np.flatnonzero(x > 0.0)
     if rows.size == 0:
         return out
     if rows.size < x.size:
         x, n, p = x[rows], n[rows], p[rows]
+    edge = (x >= n) | (p <= 0.0) | (p >= 1.0)
+    if edge.any():
+        for i in np.flatnonzero(edge).tolist():
+            out[rows[i]] = 1.0 if x[i] >= n[i] or p[i] <= 0.0 else 0.0
+        inside = ~edge
+        rows, x, n, p = rows[inside], x[inside], n[inside], p[inside]
+        if rows.size == 0:
+            return out
     top = out[rows]
+    q = 1.0 - p
     lam = (n + 1.0) * p - (x + 1.0)
+    upper = lam <= 0.0
+    if upper.any():
+        # the upper tail's first term, P(X = x + 1), by the exact ratio; p
+        # and q swap there, since 1 - (1 - p) would round away p's digits
+        top = np.where(upper, top * ((n - x) * p) / ((x + 1.0) * q), top)
+        x, p, q = np.where(upper, n - x - 1.0, x), np.where(upper, q, p), np.where(upper, p, q)
+    odds = q / p
+    lengths = _descending_lengths(x, n, odds)
     smaller = np.minimum(n - x, x + 1.0)
-    alone = (smaller > _ASYMPTOTIC_MIN) & (np.abs(lam) <= _ASYMPTOTIC_SPAN * smaller)
-    alone |= (x >= n) | (p <= 0.0) | (p >= 1.0)
-    if alone.any():
-        summed = ~alone
-        for i in np.flatnonzero(alone).tolist():
-            value = _cdf_alone(float(x[i]), float(n[i]), float(p[i]))
+    near = (smaller > _ASYMPTOTIC_MIN) & (np.abs(lam) <= _ASYMPTOTIC_SPAN * smaller)
+    near &= lengths > _ASYMPTOTIC_TERMS
+    if near.any():
+        summed = ~near
+        for i in np.flatnonzero(near).tolist():
+            # I_{1-p}(n - x, x + 1) in the frame of the lower tail, reflected back
+            value = _basym(float(n[i] - x[i]), float(x[i] + 1.0), float(abs(lam[i])))
             if value is None:
                 summed[i] = True
             else:
-                out[rows[i]] = value
-        rows, x, n, p, top, lam = rows[summed], x[summed], n[summed], p[summed], top[summed], lam[summed]
+                out[rows[i]] = 1.0 - value if upper[i] else value
+        rows, x, n, odds, lengths, top, upper = (
+            v[summed] for v in (rows, x, n, odds, lengths, top, upper)
+        )
         if rows.size == 0:
             return out
-    q = 1.0 - p
-    upper = lam <= 0.0
-    if not upper.any():
-        out[rows] = top * _descending_sums(x, n, p, q)
-        return out
-    # the upper tail's first term, P(X = x + 1), by the exact ratio; p and q
-    # swap there, since 1 - (1 - p) would round away p's digits
-    top = np.where(upper, top * ((n - x) * p) / ((x + 1.0) * q), top)
-    tail = top * _descending_sums(
-        np.where(upper, n - x - 1.0, x), n, np.where(upper, q, p), np.where(upper, p, q)
-    )
-    out[rows] = np.where(upper, 1.0 - tail, tail)
+    tail = top * _descending_sums(x, n, odds, lengths)
+    out[rows] = np.where(upper, 1.0 - tail, tail) if upper.any() else tail
     return out
 
 
-def _cdf_alone(x: float, n: float, p: float) -> float | None:
-    """P(Bin(n, p) <= x), x > 0, where _binom_cdf takes it alone: 1 or 0
-    at the edges, else _asymptotic_cdf's value, None where that declines."""
-    if x >= n or p <= 0.0:
-        return 1.0
-    if p >= 1.0:
-        return 0.0
-    return _asymptotic_cdf(x, n, p)
-
-
-def _sum_lengths(rho, scale) -> np.ndarray:
+def _sum_lengths(rho, scale, most) -> np.ndarray:
     """How many terms, at most, of ratio sums whose term j is below rho^j
     exp(-j (j - 1) / (2 scale)) reach 2^-54 of the first, 1: the integer
     above the root of j^2 / (2 scale) + g j = _SUM_NATS, g = -log(rho) - 1
-    / (2 scale), taken in a form that does not cancel, and at most scale,
+    / (2 scale), taken in a form that does not cancel, and at most most,
     plus one."""
     with np.errstate(all="ignore"):
         g = -np.log(rho) - 0.5 / scale
         root = 2.0 * _SUM_NATS / (g + np.sqrt(g * g + 2.0 * _SUM_NATS / scale))
-    # fmin takes scale where the root is nan, as at rho = 0
-    return np.ceil(np.fmin(root, scale)) + 1.0
+    # fmin takes most where the root is nan, as at rho = 0
+    return np.ceil(np.fmin(root, most)) + 1.0
 
 
-def _descending_sums(x, n, p, q) -> np.ndarray:
-    """sum_{y <= x} P(Bin(n, p) = y) / P(Bin(n, p) = x) for each x below its mode, q = 1 - p.
-
-    Term j is the product of the ratios y q / ((n + 1 - y) p), y = x .. x
-    - j + 1, each at most (y / x) times the first, rho; so _sum_lengths
-    bounds the terms each sum needs, at most x + 1, and the terms past y =
-    0 are 0. The sums run in 2-D passes, each as wide as its longest and
-    each row's terms added in order: one pass where the rows fit in
-    _TERM_BUDGET terms, else the rows by length as _passes splits them.
-    """
-    odds = q / p
+def _descending_lengths(x, n, odds) -> np.ndarray:
+    """The terms _descending_sums needs for x below the mode of Bin(n, p),
+    odds = (1 - p) / p: term j is the product of the ratios y / (n + 1 -
+    y) odds, y = x .. x - j + 1, and with y = x - i + 1 the ratio is the
+    first, rho, times (1 - (i - 1) / x) (n + 1 - x) / (n + i - x), at most
+    rho exp(-(i - 1) (1 / x + 1 / (n + 1))); so _sum_lengths bounds them,
+    at most x + 1, past which the terms are 0."""
     with np.errstate(all="ignore"):
         rho = x / (n + 1.0 - x) * odds
-    lengths = _sum_lengths(rho, x)
+        scale = x * (n + 1.0) / (x + n + 1.0)
+    return _sum_lengths(rho, scale, x)
+
+
+def _descending_sums(x, n, odds, lengths) -> np.ndarray:
+    """sum_{y <= x} P(Bin(n, p) = y) / P(Bin(n, p) = x) for each x below its
+    mode, odds = (1 - p) / p, to the lengths _descending_lengths gives.
+
+    The sums run in 2-D passes, each as wide as its longest and each row's
+    terms added in order, so a row's terms past its length, below half an
+    ulp of its sum, change nothing: one pass where the rows fit in
+    _TERM_BUDGET terms, else the rows by length as _passes splits them.
+    """
     width = int(lengths.max())
     if width * x.size <= _TERM_BUDGET:
         return _ratio_sums(x, n + 1.0, odds, width)
@@ -325,18 +337,6 @@ def _ratio_sums(x, top, odds, width) -> np.ndarray:
     terms[:, 1:] *= odds[:, None]
     np.cumprod(terms, axis=1, out=terms)
     return np.cumsum(terms, axis=1, out=terms)[:, -1]
-
-
-def _asymptotic_cdf(x: float, n: float, p: float) -> float | None:
-    """P(Bin(n, p) <= x) = I_{1-p}(n - x, x + 1) near the bulk, by _basym;
-    None where _basym's exponent is past its cap."""
-    a, b = n - x, x + 1.0
-    lam = (n + 1.0) * p - b
-    if lam >= 0.0:
-        return _basym(a, b, lam)
-    # I_x(a, b) = 1 - I_y(b, a), whose lambda is -lam
-    value = _basym(b, a, -lam)
-    return None if value is None else 1.0 - value
 
 
 def _basym(a: float, b: float, lam: float) -> float | None:

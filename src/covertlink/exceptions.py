@@ -57,10 +57,13 @@ def _check_real(
     Each end is included unless it is open; an infinite end only says
     that side is unbounded. An integer past the float range is not finite.
     """
+    try:
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        finite = False
     if (
         isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not _finite(value)
+        or not finite
         or not (lo < value if open_lo else lo <= value)
         or not (value < hi if open_hi else value <= hi)
     ):
@@ -71,10 +74,3 @@ def _check_real(
         raise ParameterError(f"{name} must be finite{span}, got {_shown(value)}")
     return float(value)
 
-
-def _finite(value: numbers.Real) -> bool:
-    """math.isfinite, False for an integer past the float range."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
