@@ -1,6 +1,8 @@
-"""Binomial and Poisson probabilities and the inverse normal, on numpy alone.
+"""Binomial and Poisson probabilities on numpy alone.
 
-The planner's sums take four special functions, all here:
+The planner's sums take three special functions, all here (the fourth,
+the inverse normal that seeds the repetition search, is the standard
+library's NormalDist().inv_cdf, Wichura's AS241):
 
 - _log_binom_pmf and _binom_pmf: Loader's saddle-point binomial pmf, its
   log formed from stirlerr and bd0 as R's dbinom forms it (C. Loader,
@@ -11,9 +13,9 @@ The planner's sums take four special functions, all here:
   pmf's top term in the tails, and Temme's uniform asymptotic expansion
   (TOMS 708's basym, DiDonato and Morris 1992) near the bulk;
 - _poisson_tail: P(Poisson(mu) >= n), a sum of exact term ratios off its
-  top term;
-- _inverse_normal: the standard library's NormalDist().inv_cdf, Wichura's
-  AS241 (Applied Statistics 37(3), 1988).
+  top term.
+
+_passes splits every batched pass of the package by one term budget.
 
 Every value is elementwise: an element's double is the same whatever
 array it comes in. The ratio sums add their terms in order, largest
@@ -25,7 +27,6 @@ nothing.
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 
@@ -98,8 +99,6 @@ _ASYMPTOTIC_TERMS = 2048
 _SERIES_CUTOFF = 0.1
 _SERIES_COEFFS = tuple((-1) ** j / j for j in range(17, 1, -1))
 
-_STANDARD_NORMAL = NormalDist()
-
 # A batched pass, here, in reliability or in fock_stats, takes at most
 # this many terms at a time (a longer item alone), which bounds its memory.
 _TERM_BUDGET = 2**13
@@ -123,13 +122,15 @@ def _log1p_gap(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stirlerr(n: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """log(n!) - log(sqrt(2 pi n) (n / e)^n) at integers n >= 1, inverse = 1 / n.
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """log(n!) - log(sqrt(2 pi n) (n / e)^n) at integers n >= 1.
 
     The asymptotic series, with the table's difference from it added at n
     <= 15 (0 beyond), which the series alone does not reach.
     """
-    return _stirling_series(inverse) + _STIRLERR_FIX.take(np.minimum(n, 16.0).astype(np.intp), mode="clip")
+    return _stirling_series(1.0 / n) + _STIRLERR_FIX.take(
+        np.minimum(n, 16.0).astype(np.intp), mode="clip"
+    )
 
 
 def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -189,7 +190,7 @@ def _log_binom_pmf(x, n, p) -> np.ndarray:
     counts = np.concatenate((n, x, rest))
     with np.errstate(all="ignore"):
         logs = np.log(counts)
-        errs = _stirlerr(counts, 1.0 / counts)
+        errs = _stirlerr(counts)
         bds = _bd0(np.concatenate((x, rest)), np.concatenate((n * p, n * (1.0 - p))))
         out = errs[:size] - errs[size : 2 * size]
         out -= errs[2 * size :]
@@ -482,8 +483,8 @@ def _poisson_head(n: int, mu) -> np.ndarray:
 
 
 def _stirlerr_at(n: float) -> float:
-    """stirlerr at one integer n >= 1."""
-    return float(_STIRLERR_SMALL[int(n)]) if n <= 15 else _stirling_series(1.0 / n)
+    """_stirlerr at one integer n >= 1, by the same arithmetic."""
+    return _stirling_series(1.0 / n) + float(_STIRLERR_FIX[min(int(n), 16)])
 
 
 def _sum_length(rho: float, scale: float) -> int:
@@ -493,11 +494,6 @@ def _sum_length(rho: float, scale: float) -> int:
     g = -math.log(rho) - 0.5 / scale
     root = 2.0 * _SUM_NATS / (g + math.sqrt(g * g + 2.0 * _SUM_NATS / scale))
     return math.ceil(min(root, scale)) + 1
-
-
-def _inverse_normal(p: float) -> float:
-    """The standard normal quantile at p, 0 < p < 1 (Wichura's AS241)."""
-    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def _passes(sizes: list[int]):

@@ -22,8 +22,9 @@ pending probe into one batched _bit_errors call. That call places each
 window by a few Newton steps to each end's float root and a check of
 the integers beside it, makes one pmf call for every anchor of the
 batch, then sums the windows in 2-D numpy passes: every window of up to
-256 terms in one pass, a row each, and the longer ones a few at a time. The planner runs the searches of 64 grid points at a time
-this way; min_repetitions runs one, as a batch of one. A probe's value
+256 terms in one pass, a row each, and the longer ones a few at a time.
+The planner runs the searches of 64 grid points at a time this way;
+min_repetitions runs one, as a batch of one. A probe's value
 is the same double whatever shares its batch, so batching changes no
 probe sequence and no result.
 
@@ -45,9 +46,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from ._special import _binom_cdf, _inverse_normal, _log_binom_pmf, _passes
+from ._special import _binom_cdf, _log_binom_pmf, _passes
 from .exceptions import InfeasibleError, ParameterError, _check_count, _check_real
 
 # The planner's limit on k: no plan (ProtocolParams) repeats a bit more often.
@@ -238,14 +240,14 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
     ]
     for begin, end, width in passes:
         if end > begin:
-            held = slice(first[begin], first[end])
-            steps = slice(size + first[begin], size + first[end])
+            held_w = slice(first[begin], first[end])
+            held_step = slice(size + first[begin], size + first[end])
             part = slice(begin, end)
             sums = _window_sums(
                 (k[part], p_w[part], pi[part], a[part], start[part]),
                 sizes[part],
-                (firsts[held], firsts[steps]),
-                None if shifts is None else (shifts[held], shifts[steps]),
+                (firsts[held_w], firsts[held_step]),
+                None if shifts is None else (shifts[held_w], shifts[held_step]),
                 width,
             )
             for i, total in zip(index[part].astype(int).tolist(), sums):
@@ -264,10 +266,10 @@ def _window_sums(windows, sizes, firsts, shifts, width) -> list[float]:
     """sum_w P(W = w) F(w) over windows of m terms from a, F(a) = start, in one pass.
 
     windows holds the arrays k, p_w, pi, a and start, one entry a window,
-    and sizes each window's number of terms, m. Each window's terms lie in blocks of width terms, one row
-    each: one block for a window of at most _ANCHOR_EVERY terms, width the
-    pass's longest, and whole blocks of _ANCHOR_EVERY terms for longer
-    ones. firsts holds the two pmfs, P(W = w) and the F step's P(Bin(k - 1
+    and sizes each window's number of terms, m. Each window's terms lie
+    in blocks of width terms, one row each: one block for a window of at
+    most _ANCHOR_EVERY terms, width the pass's longest, and whole blocks
+    of _ANCHOR_EVERY terms for longer ones. firsts holds the two pmfs, P(W = w) and the F step's P(Bin(k - 1
     - w, pi) = w), at each block's first term, and shifts, unless None,
     the powers of two they are scaled by (_scaled_exp); _pmf_rows steps
     from them by exact term ratios. The F step is formed at every term, a
@@ -492,7 +494,8 @@ def _estimate_repetitions(target_e: float, b: int, cp: ClickProbabilities) -> in
     with mean k * (p_correct - p_wrong) and variance k * (p - mean^2/k^2).
     """
     delta_bit = -math.expm1(math.log1p(-target_e) / b)
-    z = -_inverse_normal(min(max(delta_bit, 1e-300), 0.5))
+    # Wichura's AS241 quantile (Applied Statistics 37(3), 1988)
+    z = -NormalDist().inv_cdf(min(max(delta_bit, 1e-300), 0.5))
     p = cp.p_correct + cp.p_wrong
     m1 = cp.p_correct - cp.p_wrong
     var = p - m1 * m1

@@ -1,19 +1,16 @@
-"""The binomial pmf and cdf, the Poisson tail and the inverse normal the
-library computes on numpy alone, against 50-digit mpmath."""
+"""The binomial pmf and cdf and the Poisson tail the library computes on
+numpy alone, and the standard library's inverse normal that seeds its
+repetition search, against 50-digit mpmath."""
 
 import math
+from statistics import NormalDist
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from covertlink._special import (
-    _binom_cdf,
-    _binom_pmf,
-    _inverse_normal,
-    _log_binom_pmf,
-    _poisson_tail,
-)
+from covertlink import _special
+from covertlink._special import _binom_cdf, _binom_pmf, _log_binom_pmf, _poisson_tail
 
 import oracles
 
@@ -79,7 +76,8 @@ def test_pmf_is_zero_off_its_support_and_alone_in_a_batch():
 
 def _cdf_cases(rng) -> list[tuple[int, int, float]]:
     # tails on either side of the mode, from n = 10 to 1e7, and starts near
-    # the bulk whose term ratio at x lies above 0.99, the expansion's
+    # the bulk whose term ratio at x lies above 0.99, some of them the
+    # expansion's
     cases = []
     while len(cases) < 160:
         n = int(10 ** rng.uniform(1.0, 7.0))
@@ -97,10 +95,14 @@ def _cdf_cases(rng) -> list[tuple[int, int, float]]:
     return cases
 
 
-def test_cdf_matches_50_digits_in_the_tails_and_near_the_bulk():
+def test_cdf_matches_50_digits_in_the_tails_and_near_the_bulk(monkeypatch):
     cases = _cdf_cases(np.random.default_rng(38))
+    expansions = []
+    basym = _special._basym
+    monkeypatch.setattr(_special, "_basym", lambda *args: expansions.append(args) or basym(*args))
     x, n, p = np.array(cases, dtype=float).T
     got = _binom_cdf(x, n, p)
+    assert len(expansions) >= 10
     for (xi, ni, pi), value in zip(cases, got.tolist()):
         _assert_close(value, xi, ni, pi, oracles.binom_cdf_highprec(xi, ni, pi), 5e-12)
     # each element is the double it gets alone
@@ -130,6 +132,6 @@ def test_inverse_normal_matches_50_digits_down_to_1e_300():
     ps += (10 ** rng.uniform(-300.0, math.log10(0.5), 100)).tolist()
     with mp.workdps(50):
         for p in ps:
-            z = _inverse_normal(p)
+            z = NormalDist().inv_cdf(p)
             exact = mp.findroot(lambda t: mp.ncdf(t) - p, mp.mpf(z)) if p != 0.5 else mp.mpf(0)
             assert abs(mp.mpf(z) - exact) <= 2e-15 * abs(exact), p
