@@ -91,6 +91,8 @@ _ASYMPTOTIC_MAX_EXPONENT = 600.0
 # a ratio sum costs about a tenth of a microsecond a term in a batch, and
 # the expansion some tens of microseconds: it takes only longer sums
 _ASYMPTOTIC_TERMS = 2048
+# below this x the cdf sums every term, with no length bound to form
+_SHORT_SUM = 64
 
 # Below |y| = 0.1, y - log1p(y) is summed as its Taylor series: the
 # coefficients (-1)**j / j of y**j, highest order first; the first omitted
@@ -259,10 +261,13 @@ def _binom_cdf(x, n, p, log_top=None) -> np.ndarray:
         top = np.where(upper, top * ((n - x) * p) / ((x + 1.0) * q), top)
         x, p, q = np.where(upper, n - x - 1.0, x), np.where(upper, q, p), np.where(upper, p, q)
     odds = q / p
-    lengths = _descending_lengths(x, n, odds)
-    smaller = np.minimum(n - x, x + 1.0)
-    near = (smaller > _ASYMPTOTIC_MIN) & (np.abs(lam) <= _ASYMPTOTIC_SPAN * smaller)
-    near &= lengths > _ASYMPTOTIC_TERMS
+    # a sum of all x + 1 terms is the same double as one cut at its bound,
+    # whose terms past it change nothing; short ones skip the bound
+    lengths = x + 1.0 if x.max() < _SHORT_SUM else _descending_lengths(x, n, odds)
+    near = lengths > _ASYMPTOTIC_TERMS
+    if near.any():
+        smaller = np.minimum(n - x, x + 1.0)
+        near &= (smaller > _ASYMPTOTIC_MIN) & (np.abs(lam) <= _ASYMPTOTIC_SPAN * smaller)
     if near.any():
         summed = ~near
         for i in np.flatnonzero(near).tolist():
