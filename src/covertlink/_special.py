@@ -178,12 +178,8 @@ def _log_binom_pmf(x, n, p) -> np.ndarray:
     x, n, p = _flat(x, n, p)
     if x.size > _PMF_BUDGET:
         # each element alone, so a pass at a time bounds the memory
-        return np.concatenate(
-            [
-                _log_binom_pmf(x[i : i + _PMF_BUDGET], n[i : i + _PMF_BUDGET], p[i : i + _PMF_BUDGET])
-                for i in range(0, x.size, _PMF_BUDGET)
-            ]
-        )
+        parts = [slice(i, i + _PMF_BUDGET) for i in range(0, x.size, _PMF_BUDGET)]
+        return np.concatenate([_log_binom_pmf(x[s], n[s], p[s]) for s in parts])
     rest = n - x
     edge = np.minimum(x, rest) <= 0.0
     if edge.all():

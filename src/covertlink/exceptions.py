@@ -73,4 +73,3 @@ def _check_real(
             span = f" and in {'(' if open_lo else '['}{lo:g}, {hi:g}{')' if open_hi else ']'}"
         raise ParameterError(f"{name} must be finite{span}, got {_shown(value)}")
     return float(value)
-

@@ -266,20 +266,20 @@ def _window_sums(windows, sizes, firsts, shifts, width) -> list[float]:
     """sum_w P(W = w) F(w) over windows of m terms from a, F(a) = start, in one pass.
 
     windows holds the arrays k, p_w, pi, a and start, one entry a window,
-    and sizes each window's number of terms, m. Each window's terms lie
-    in blocks of width terms, one row each: one block for a window of at
-    most _ANCHOR_EVERY terms, width the pass's longest, and whole blocks
-    of _ANCHOR_EVERY terms for longer ones. firsts holds the two pmfs, P(W = w) and the F step's P(Bin(k - 1
-    - w, pi) = w), at each block's first term, and shifts, unless None,
-    the powers of two they are scaled by (_scaled_exp); _pmf_rows steps
-    from them by exact term ratios. The F step is formed at every term, a
-    window's last too, which no F uses. Each window's cumulative sum of
-    steps and its total run along its own terms in order (a short
-    window's total term by term, a long one's by numpy's sum of its
-    slice), so every window gets the doubles it gets alone, whatever
-    shares its pass. A pass of one window takes its constants as floats,
-    and others as columns: the same doubles either way. Returns the sums
-    as a list.
+    and sizes each window's number of terms, m. Each window's terms lie in
+    blocks of width terms, one row each: one block for a window of at most
+    _ANCHOR_EVERY terms, width the pass's longest, and whole blocks of
+    _ANCHOR_EVERY terms for longer ones. firsts holds the two pmfs, P(W =
+    w) and the F step's P(Bin(k - 1 - w, pi) = w), at each block's first
+    term, and shifts, unless None, the powers of two they are scaled by
+    (_scaled_exp); _pmf_rows steps from them by exact term ratios. The F
+    step is formed at every term, a window's last too, which no F uses.
+    Each window's cumulative sum of steps and its total run along its own
+    terms in order (a short window's total term by term, a long one's by
+    numpy's sum of its slice), so every window gets the doubles it gets
+    alone, whatever shares its pass. A pass of one window takes its
+    constants as floats, and others as columns: the same doubles either
+    way. Returns the sums as a list.
     """
     blocks = [-(-size // width) for size in sizes]
     ends = None
@@ -317,7 +317,8 @@ def _window_sums(windows, sizes, firsts, shifts, width) -> list[float]:
         f *= pmf_w
         return np.cumsum(f, axis=1)[:, -1].tolist()
     flat_f, flat_steps = f.ravel(), steps.ravel()
-    spans = list(zip(itertools.accumulate([0] + blocks[:-1], lambda s, count: s + count * width), sizes))
+    starts = itertools.accumulate([0] + blocks[:-1], lambda s, count: s + count * width)
+    spans = list(zip(starts, sizes))
     for s, size in spans:
         flat_steps[s : s + size - 1].cumsum(out=flat_f[s + 1 : s + size])
         flat_f[s] = 0.0

@@ -189,5 +189,8 @@ def _run_python(code: str, *args: str) -> str:
 def test_import_loads_no_scipy(module):
     # the library and its command line run on numpy alone: importing
     # scipy.special alone took 0.16-0.19 s of every command
-    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     assert _run_python(code).strip() == "[]"
