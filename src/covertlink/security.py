@@ -80,8 +80,14 @@ def min_pairs_for_budget(epsilon: float, d_signals: int, mu: float, n_bar_a: flo
     positive (on a vacuum background D/q is flat) the loop doubles N
     until a passing N is known, and bisects from then on. It bisects, too,
     once a step lands at or past a probed far end: steps clamped inside
-    each end in turn would close the bracket one pair at a time. A search
-    costs a handful of divergence evaluations, each at an integer N.
+    each end in turn would close the bracket one pair at a time. Above N
+    ~ 1e15, where D/q is resolved to about a pair, Newton steps shrink to
+    a pair or two; from the fourth such step in a row the search gallops
+    instead, striding 4 pairs from the end it walks from, then 8, 16 and
+    so on, and bisects once the bracket is at most two strides wide. When
+    a stride crosses the threshold, the pair beside the end it set out
+    from is probed next, as a walk pair by pair would. A search costs a
+    handful of divergence evaluations, each at an integer N.
 
     The search is _pair_search, which the planner runs in lockstep with
     the other grid points' searches; here it runs alone, as a batch of
@@ -150,6 +156,9 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
     else:
         n = inside(d_signals**2 * profile.chi2 / (16.0 * epsilon**2))
     target = 8.0 * epsilon**2 / d_signals  # the answer has D(q)/q = target
+    # Newton steps of 2 pairs or fewer in a row, the last stride of the
+    # gallop that follows them, and whether it strides down (or up)
+    creeps, stride, down = 0, 0, None
     while True:
         d_mode, d_slope = yield _divergences, (profile, d_signals / n)
         if _bias(n, d_mode) <= epsilon:
@@ -163,6 +172,11 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
             lo = n
         if hi - lo <= 1:
             break
+        if down is not None and (n == lo) == down:
+            # the gallop crossed the threshold: probe the pair beside the
+            # end it strode from, as a walk pair by pair would
+            n, down = (hi - 1 if down else lo + 1), None
+            continue
         q = d_signals / n
         slope = 0.0  # of log(D/q) against log q; D/q is flat on a vacuum background
         if d_mode > 0.0 and profile.uncovered == 0.0:
@@ -176,8 +190,20 @@ def _pair_search(epsilon: float, d_signals: int, mu: float, n_bar_a: float):
             else:
                 past_far_end = guess <= lo and lo >= d_signals
             if not past_far_end:
-                n = inside(guess)
-                continue
+                move = inside(guess) - n
+                creeps = creeps + 1 if abs(move) <= 2 else 0
+                if creeps <= 3:
+                    stride, down = 0, None
+                    n += move
+                    continue
+                # D/q is resolved to about a pair here: stride away from
+                # this end, 4 pairs and then twice the last stride, while
+                # the bracket is wide, and bisect it once narrow
+                stride = 2 * stride if stride else 4
+                if hi - lo > 2 * stride:
+                    down = n == hi
+                    n = inside(n - stride if down else n + stride)
+                    continue
         if hi > DEFAULT_PAIR_CEILING:
             n = inside(2 * n)
         else:

@@ -5,8 +5,10 @@ Usage (from the repository root):
     python tests/check_cli_digests.py CONFIG COMMAND DIR FILE...
 
 CONFIG is a config key of the golden file (e.g. fiber_cqtustc) and
-COMMAND the output folder its files are recorded under (simulate or
-eavesdrop). Each FILE in DIR must have the sha256 recorded as
+COMMAND the output folder its files are recorded under: plan (plan.json
+and plan.txt from `covertlink plan`, and validate.json from `covertlink
+validate` on the same folder), simulate or eavesdrop. Each FILE in DIR
+must have the sha256 recorded as
 COMMAND/FILE; each digest is printed, and the first one that differs
 ends the run with a non-zero exit and names the file.
 """

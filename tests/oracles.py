@@ -28,6 +28,7 @@ from covertlink.reliability import (
     MAX_REPETITIONS,
     ClickProbabilities,
     _estimate_repetitions,
+    _wrong_vote_window,
     message_error_prob,
 )
 
@@ -531,11 +532,11 @@ def error_bounds_one_probe(k: int, cp: ClickProbabilities) -> tuple[float, float
     """(lower, estimate, upper) on the bit error at (k, cp), or None.
 
     The bounded evaluator for one probe, kept as the scalar reference: its
-    window placed by two bisections (wrong_vote_window), F(a) from the
-    library's binomial cdf, and the window summed on pmf runs
+    window placed in closed form (reliability._wrong_vote_window), F(a)
+    from the library's binomial cdf, and the window summed on pmf runs
     (binom_pmf_run) that step by exact ratios from the library's pmf at
-    every 256th term. The window and the runs are copies, so the batched
-    evaluator is checked against one probe's sum written out plainly.
+    every 256th term. The runs are copies, so the batched evaluator's
+    sums are checked against one probe's sum written out plainly.
     Wherever it sums a window its estimate is the double the batched
     reliability._bit_errors gives: None marks the closed-form cases, and
     an estimate of 0.0 below a Chernoff bound of 1e-300 a probe that
@@ -551,7 +552,7 @@ def error_bounds_one_probe(k: int, cp: ClickProbabilities) -> tuple[float, float
     if log_chernoff < math.log(1e-300):
         return 0.0, 0.0, math.exp(log_chernoff)
     nats = 30.0 + 0.5 * math.log(k) - log_chernoff
-    a, top = wrong_vote_window(k, p_w, pi, k * root / z, nats)
+    a, top = (int(end) for end in _wrong_vote_window(float(k), p_w, pi, k * root / z, nats))
     w = np.arange(a, top + 1, dtype=float)
     start = float(_binom_cdf(float(a), float(k - a), pi)[0])
     # the F steps, P(Bin(n, pi) = w) ((n - w) pi / ((1 - pi) (w + 1)) + pi)
@@ -577,10 +578,11 @@ def boost_bit_error(k: int, cp: ClickProbabilities, every_term: bool = False) ->
     cdf, or None for the closed forms.
 
     The one-probe evaluator of the version that called scipy, kept
-    verbatim as the boost-based reference: the same window
-    (wrong_vote_window), F(a) from boost's cdf, and the window summed on
-    boost_pmf_run, so the library's numpy-only sums are checked against
-    the doubles boost gave; with every_term, on boost's pmf at every term.
+    verbatim as the boost-based reference but for its window, now placed
+    in closed form (reliability._wrong_vote_window): F(a) from boost's
+    cdf, and the window summed on boost_pmf_run, so the library's
+    numpy-only sums are checked against the doubles boost gave; with
+    every_term, on boost's pmf at every term.
     Below a Chernoff bound of 1e-300 it gives 0.0.
     """
     p_c, p_w = cp.p_correct, cp.p_wrong
@@ -593,7 +595,7 @@ def boost_bit_error(k: int, cp: ClickProbabilities, every_term: bool = False) ->
     if log_chernoff < math.log(1e-300):
         return 0.0
     nats = 30.0 + 0.5 * math.log(k) - log_chernoff
-    a, top = wrong_vote_window(k, p_w, pi, k * root / z, nats)
+    a, top = (int(end) for end in _wrong_vote_window(float(k), p_w, pi, k * root / z, nats))
     w = np.arange(a, top + 1, dtype=float)
     start = float(boost_binom_cdf(a, k - a, pi))
     before = w[:-1]
@@ -659,7 +661,8 @@ def wrong_vote_window(k: int, p_w: float, pi: float, w_star: float, nats: float)
     """Narrowest [a, top] around w_star whose two tail bounds are exp(-nats) or less.
 
     reliability's window placement as it stood when each probe placed its
-    window alone, kept verbatim: two bisections over range(k + 1).
+    window alone, kept verbatim: two bisections over range(k + 1). The
+    closed form's window (reliability._wrong_vote_window) contains it.
     """
 
     def above_ok(m: int) -> bool:  # P(W >= m) <= exp(-nats)
@@ -712,7 +715,9 @@ def binom_pmf_run(x: np.ndarray, k: float, p: float, shrink: bool) -> np.ndarray
     logs = _log_binom_pmf(firsts, k - 1.0 - firsts if shrink else np.full(firsts.size, float(k)), p)
     shifts = np.zeros(logs.size, dtype=np.intp)
     for b, log_first in enumerate(logs.tolist()):
-        if log_first < -700.0:
+        if log_first == -math.inf:  # a block that starts past n, all 0
+            shifts[b] = 2100
+        elif log_first < -700.0:
             shifts[b] = min(math.ceil((-700.0 - log_first) / math.log(2.0)), 2100)
     terms = ratio.reshape(-1, block)
     terms[:, 0] = np.exp(logs + shifts * math.log(2.0))
@@ -727,6 +732,26 @@ def _kl(x: float, p: float) -> float:
     if x < 1.0:
         d += (1.0 - x) * math.log((1.0 - x) / (1.0 - p))
     return d
+
+
+def window_tail_rates(k: int, p_w: float, pi: float, a: int, top: int) -> tuple[float, float]:
+    """The Chernoff exponents of what [a, top] leaves out: of F(a) P(W < a)
+    below and of P(W > top) above, each inf where it leaves nothing out.
+
+    -log of _chernoff's bounds, kept as exponents so that a bound below
+    the smallest double still compares: F(a) = P(Bin(k - a, pi) <= a) and
+    W ~ Binomial(k, p_w), each tail bounded by 1 on its mean's side.
+    """
+    below = math.inf
+    if a > 0:
+        n = k - a
+        below = n * _kl(a / n, pi) if a < n * pi else 0.0
+        if a - 1 < k * p_w:
+            below += k * _kl((a - 1) / k, p_w)
+    above = math.inf
+    if top < k:
+        above = k * _kl((top + 1) / k, p_w) if top + 1 >= k * p_w else 0.0
+    return below, above
 
 
 def _chernoff(k: int, m: int, p: float) -> float:

@@ -281,3 +281,25 @@ def test_min_pairs_bisects_past_the_far_end(monkeypatch, eps, d, mu, n_bar_a):
         return
     assert bias_for_protocol(n, d, mu, n_bar_a) <= eps
     assert n == d or bias_for_protocol(n - 1, d, mu, n_bar_a) > eps
+
+
+def test_min_pairs_gallops_where_steps_shrink_to_a_pair(monkeypatch):
+    # a grid point of the fiber_prtysat plan near N = 8.67e15, where D/q is
+    # resolved to about a pair: Newton steps moved N down one pair at a
+    # time from 8,673,770,585,448,151, 20 evaluations in all. Doubling
+    # strides end it in 11 at the same N, whose bound meets the budget
+    # while N - 1's does not
+    eps, d, mu, n_bar_a = 0.055, 4920, 0.615848211066026, 0.0025
+    evaluations = 0
+    evaluate = security._divergences
+
+    def counted(batch):
+        nonlocal evaluations
+        evaluations += len(batch)
+        return evaluate(batch)
+
+    monkeypatch.setattr(security, "_divergences", counted)
+    n = min_pairs_for_budget(eps, d, mu, n_bar_a)
+    assert n == 8_673_770_585_448_136
+    assert evaluations <= 11
+    assert bias_for_protocol(n, d, mu, n_bar_a) <= eps < bias_for_protocol(n - 1, d, mu, n_bar_a)
