@@ -10,8 +10,10 @@ library's NormalDist().inv_cdf, Wichura's AS241):
   within about 1e-12 relative of 50-digit values where the pmf is normal;
   it is 0 (log -inf) off [0, n];
 - _binom_cdf: P(Bin(n, p) <= x), a sum of exact term ratios off the
-  pmf's top term in the tails, and Temme's uniform asymptotic expansion
-  (TOMS 708's basym, DiDonato and Morris 1992) near the bulk;
+  pmf's top term in the tails; near the bulk, where that sum would run
+  past _LONG_SUM terms, it is the hypergeometric series 2F1(-x, 1; n - x
+  + 1; -odds), and Gauss's continued fraction (DLMF 15.7.5) gives it by
+  level 2x + 1 at the latest;
 - _poisson_tail: P(Poisson(mu) >= n), a sum of exact term ratios off its
   top term.
 
@@ -26,6 +28,8 @@ nothing.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -81,16 +85,11 @@ _BD0_COEFFS = tuple(2.0 / (2 * j + 1) for j in range(7, 0, -1))
 # an ulp of any sum >= 1 and more, so no later term changes it
 _SUM_NATS = 54.0 * math.log(2.0)
 
-# Where both incomplete-beta parameters exceed _ASYMPTOTIC_MIN and the
-# point lies within _ASYMPTOTIC_SPAN of the mean, relative to the smaller
-# (TOMS 708's switch to basym), the cdf takes the asymptotic expansion;
-# _ASYMPTOTIC_MAX_EXPONENT keeps its exp(-f) and erfc normal
-_ASYMPTOTIC_MIN = 100.0
-_ASYMPTOTIC_SPAN = 0.03
-_ASYMPTOTIC_MAX_EXPONENT = 600.0
-# a ratio sum costs about a tenth of a microsecond a term in a batch, and
-# the expansion some tens of microseconds: it takes only longer sums
-_ASYMPTOTIC_TERMS = 2048
+# the cdf's ratio sums longer than this take the continued fraction: a
+# ratio sum costs about 0.01 us a term in a batch and the fraction about
+# 0.3 us a level, 22 to 26 levels on the bundled plans' long sums; the
+# shorter sums keep their terms, and so their doubles
+_LONG_SUM = 2048
 # below this x the cdf sums every term, with no length bound to form
 _SHORT_SUM = 64
 
@@ -124,8 +123,9 @@ def _log1p_gap(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stirlerr(n: np.ndarray) -> np.ndarray:
-    """log(n!) - log(sqrt(2 pi n) (n / e)^n) at integers n >= 1.
+def _stirlerr(n):
+    """log(n!) - log(sqrt(2 pi n) (n / e)^n) at integers n >= 1, an array
+    or one float.
 
     The asymptotic series, with the table's difference from it added at n
     <= 15 (0 beyond), which the series alone does not reach.
@@ -222,14 +222,9 @@ def _binom_cdf(x, n, p, log_top=None) -> np.ndarray:
 
     log_top, if given, is _log_binom_pmf(x, n, p), which a caller may
     have formed beside other pmfs. At x = 0 the cdf is that one term.
-    Below the mode, x < (n + 1) p - 1, it is the pmf at x times a sum of
+    Below the mode, x < (n + 1) p - 1, it is the pmf at x times the sum of
     exact term ratios down from x (_descending_sums); above it, one minus
     the same sum on the upper tail, read as P(Bin(n, 1 - p) <= n - x - 1).
-    Near the bulk the ratio sum runs to thousands of terms, and _basym's
-    expansion gives the value in a few: where both parameters of the
-    incomplete beta, n - x and x + 1, exceed 100, x lies within 3 % of the
-    smaller of (n + 1) p - 1, and the sum would run past
-    _ASYMPTOTIC_TERMS terms, about the cost of one expansion.
     """
     x, n, p = _flat(x, n, p)
     # x <= 0 leaves the pmf: its one term, or 0 below it
@@ -249,8 +244,7 @@ def _binom_cdf(x, n, p, log_top=None) -> np.ndarray:
             return out
     top = out[rows]
     q = 1.0 - p
-    lam = (n + 1.0) * p - (x + 1.0)
-    upper = lam <= 0.0
+    upper = (n + 1.0) * p - (x + 1.0) <= 0.0
     if upper.any():
         # the upper tail's first term, P(X = x + 1), by the exact ratio; p
         # and q swap there, since 1 - (1 - p) would round away p's digits
@@ -260,24 +254,6 @@ def _binom_cdf(x, n, p, log_top=None) -> np.ndarray:
     # a sum of all x + 1 terms is the same double as one cut at its bound,
     # whose terms past it change nothing; short ones skip the bound
     lengths = x + 1.0 if x.max() < _SHORT_SUM else _descending_lengths(x, n, odds)
-    near = lengths > _ASYMPTOTIC_TERMS
-    if near.any():
-        smaller = np.minimum(n - x, x + 1.0)
-        near &= (smaller > _ASYMPTOTIC_MIN) & (np.abs(lam) <= _ASYMPTOTIC_SPAN * smaller)
-    if near.any():
-        summed = ~near
-        for i in np.flatnonzero(near).tolist():
-            # I_{1-p}(n - x, x + 1) in the frame of the lower tail, reflected back
-            value = _basym(float(n[i] - x[i]), float(x[i] + 1.0), float(abs(lam[i])))
-            if value is None:
-                summed[i] = True
-            else:
-                out[rows[i]] = 1.0 - value if upper[i] else value
-        rows, x, n, odds, lengths, top, upper = (
-            v[summed] for v in (rows, x, n, odds, lengths, top, upper)
-        )
-        if rows.size == 0:
-            return out
     tail = top * _descending_sums(x, n, odds, lengths)
     out[rows] = np.where(upper, 1.0 - tail, tail) if upper.any() else tail
     return out
@@ -313,18 +289,23 @@ def _descending_sums(x, n, odds, lengths) -> np.ndarray:
     """sum_{y <= x} P(Bin(n, p) = y) / P(Bin(n, p) = x) for each x below its
     mode, odds = (1 - p) / p, to the lengths _descending_lengths gives.
 
-    The sums run in 2-D passes, each as wide as its longest and each row's
-    terms added in order, so a row's terms past its length, below half an
-    ulp of its sum, change nothing: one pass where the rows fit in
-    _TERM_BUDGET terms, else the rows by length as _passes splits them.
+    A sum longer than _LONG_SUM terms, near the bulk, is
+    _ratio_sum_fraction's, one row at a time. The others run in 2-D
+    passes, each as wide as its longest and each row's terms added in
+    order, so a row's terms past its length, below half an ulp of its
+    sum, change nothing: one pass where the rows fit in _TERM_BUDGET
+    terms, else the rows by length as _passes splits them.
     """
     width = int(lengths.max())
-    if width * x.size <= _TERM_BUDGET:
+    if width <= _LONG_SUM and width * x.size <= _TERM_BUDGET:
         return _ratio_sums(x, n + 1.0, odds, width)
     order = np.argsort(lengths, kind="stable")
     sizes = lengths[order].astype(np.intp).tolist()
+    summed = bisect.bisect_right(sizes, _LONG_SUM)
     out = np.empty(x.size)
-    for begin, end in _passes(sizes):
+    for i in order[summed:].tolist():
+        out[i] = _ratio_sum_fraction(float(x[i]), float(n[i]), float(odds[i]))
+    for begin, end in _passes(sizes[:summed]):
         rows = order[begin:end]
         out[rows] = _ratio_sums(x[rows], n[rows] + 1.0, odds[rows], sizes[end - 1])
     return out
@@ -341,99 +322,37 @@ def _ratio_sums(x, top, odds, width) -> np.ndarray:
     return np.cumsum(terms, axis=1, out=terms)[:, -1]
 
 
-def _basym(a: float, b: float, lam: float) -> float | None:
-    """I_x(a, b) for large a and b, lam = (a + b) y - b >= 0, y = 1 - x.
+def _ratio_sum_fraction(x: float, n: float, odds: float) -> float:
+    """sum_{j <= x} prod_{i < j} (x - i) / (n + 1 - x + i) odds, the sum
+    _ratio_sums forms, for integers 0 <= x < n.
 
-    Temme's uniform asymptotic expansion as TOMS 708's basym sums it
-    (DiDonato and Morris, "Significant digit computation of the
-    incomplete beta function ratios", 1992): up to 20 terms, to 1e-14
-    relative. None where f = a rlog1(-lam / a) + b rlog1(lam / b) exceeds
-    _ASYMPTOTIC_MAX_EXPONENT, which keeps exp(-f) and erfc normal.
+    It is 2F1(-x, 1; n - x + 1; -odds), and Gauss's continued fraction
+    (DLMF 15.7.5) gives it as 1 / (1 + a_1 / (1 + a_2 / (1 + ...))), a_j =
+    k_j odds: with m = (j - 1) // 2 and s = n - x + 2m, k_j = (m - x) (n -
+    x + m) / (s (s + 1)) at odd j and (m + 1) (n + m + 1) / ((s + 1) (s +
+    2)) at even j. The modified Lentz method (c and d) takes it level by
+    level, a zero denominator becoming 1e-300, until a step lies within
+    2^-53 of 1; k_{2x+1} = 0 ends it there at the latest.
     """
-    e0 = 2.0 / math.sqrt(math.pi)
-    e1 = 2.0**-1.5
-    if a < b:
-        h = a / b
-        r1 = (b - a) / b
-        w0 = 1.0 / math.sqrt(a * (1.0 + h))
-    else:
-        h = b / a
-        r1 = (b - a) / a
-        w0 = 1.0 / math.sqrt(b * (1.0 + h))
-    r0 = 1.0 / (1.0 + h)
-    f = a * _rlog1(-lam / a) + b * _rlog1(lam / b)
-    if f > _ASYMPTOTIC_MAX_EXPONENT:
-        return None
-    t = math.exp(-f)
-    z0 = math.sqrt(f)
-    z = 0.5 * (z0 / e1)
-    z2 = f + f
-    num = 20
-    a0 = [0.0] * (num + 2)
-    b0 = [0.0] * (num + 2)
-    c = [0.0] * (num + 2)
-    d = [0.0] * (num + 2)
-    a0[1] = (2.0 / 3.0) * r1
-    c[1] = -0.5 * a0[1]
-    d[1] = -c[1]
-    j0 = (0.5 / e0) * math.erfc(z0) * math.exp(f)
-    j1 = e1
-    total = j0 + d[1] * w0 * j1
-    s = 1.0
-    h2 = h * h
-    hn = 1.0
-    w = w0
-    znm1 = z
-    zn = z2
-    for m in range(2, num + 1, 2):
-        hn *= h2
-        a0[m] = 2.0 * r0 * (1.0 + h * hn) / (m + 2.0)
-        s += hn
-        a0[m + 1] = 2.0 * r1 * s / (m + 3.0)
-        for i in (m, m + 1):
-            r = -0.5 * (i + 1.0)
-            rp = r + 1.0
-            b0[1] = r * a0[1]
-            for mm in range(2, i + 1):
-                bsum = 0.0
-                k = mm - 1
-                for j in range(1, mm):
-                    bsum += (j * rp - mm) * a0[j] * b0[k]
-                    k -= 1
-                b0[mm] = r * a0[mm] + bsum / mm
-            c[i] = b0[i] / (i + 1.0)
-            dsum = 0.0
-            for j in range(1, i):
-                dsum += d[i - j] * c[j]
-            d[i] = -(dsum + c[i])
-        j0 = e1 * znm1 + (m - 1.0) * j0
-        j1 = e1 * zn + m * j1
-        znm1 *= z2
-        zn *= z2
-        w *= w0
-        t0 = d[m] * w * j0
-        w *= w0
-        t1 = d[m + 1] * w * j1
-        total += t0 + t1
-        if abs(t0) + abs(t1) <= 1e-14 * total:
-            break
-    u = math.exp(-_bcorr(a, b))
-    return e0 * t * u * total
-
-
-def _rlog1(y: float) -> float:
-    """y - log1p(y) for one float, as _log1p_gap forms it."""
-    if abs(y) > _SERIES_CUTOFF:
-        return y - math.log1p(y)
-    acc = _SERIES_COEFFS[0]
-    for c in _SERIES_COEFFS[1:]:
-        acc = acc * y + c
-    return acc * y * y
-
-
-def _bcorr(a: float, b: float) -> float:
-    """del(a) + del(b) - del(a + b), del = stirlerr, for a, b > 15."""
-    return _stirling_series(1.0 / a) + _stirling_series(1.0 / b) - _stirling_series(1.0 / (a + b))
+    rest = n - x
+    value, c, d = 1.0, 1.0, 0.0
+    for m in itertools.count():
+        s = rest + 2.0 * m
+        for a in (
+            (m - x) * (rest + m) / (s * (s + 1.0)) * odds,
+            (m + 1.0) * (n + m + 1.0) / ((s + 1.0) * (s + 2.0)) * odds,
+        ):
+            d = 1.0 + a * d
+            if d == 0.0:
+                d = 1e-300
+            c = 1.0 + a / c
+            if c == 0.0:
+                c = 1e-300
+            d = 1.0 / d
+            step = c * d
+            value *= step
+            if abs(step - 1.0) <= 2.0**-53:
+                return 1.0 / value
 
 
 def _poisson_tail(n: int, mu) -> np.ndarray:
@@ -461,7 +380,7 @@ def _poisson_tail(n: int, mu) -> np.ndarray:
     np.divide(mu[:, None], np.arange(n + 1.0, n + width), out=terms[:, 1:])
     np.cumprod(terms, axis=1, out=terms)
     with np.errstate(all="ignore"):
-        first = np.exp(-_stirlerr_at(n) - _bd0(float(n), mu)) / math.sqrt(2.0 * math.pi * n)
+        first = np.exp(-_stirlerr(float(n)) - _bd0(float(n), mu)) / math.sqrt(2.0 * math.pi * n)
     return first * np.cumsum(terms, axis=1)[:, -1]
 
 
@@ -479,13 +398,8 @@ def _poisson_head(n: int, mu) -> np.ndarray:
         if top == 0.0:
             first = np.exp(-mu)
         else:
-            first = np.exp(-_stirlerr_at(top) - _bd0(top, mu)) / math.sqrt(2.0 * math.pi * top)
+            first = np.exp(-_stirlerr(top) - _bd0(top, mu)) / math.sqrt(2.0 * math.pi * top)
     return first * np.cumsum(terms, axis=1)[:, -1]
-
-
-def _stirlerr_at(n: float) -> float:
-    """_stirlerr at one integer n >= 1, by the same arithmetic."""
-    return _stirling_series(1.0 / n) + float(_STIRLERR_FIX[min(int(n), 16)])
 
 
 def _sum_length(rho: float, scale: float) -> int:

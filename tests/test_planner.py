@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import covertlink._special as _special
 import covertlink.exceptions as exceptions
 import covertlink.fock_stats as fock_stats
 import covertlink.planner as planner
@@ -496,6 +497,27 @@ def test_plan_boost_pmf_terms(monkeypatch, config, most):
     path = next(p for p in bundled_configs() if p.name == config)
     plan_with_report(request_for(path))
     assert sum(terms) <= most
+
+
+@pytest.mark.parametrize("config", [p.name for p in bundled_configs()])
+def test_plan_continued_fraction_count(monkeypatch, config):
+    # the F(a) starts whose ratio sums would pass _special._LONG_SUM terms
+    # take the continued fraction: 135 of them on fiber_qpqi, 125 on
+    # cw_qpqi, and none on the six other bundled plans
+    calls = []
+    fraction = _special._ratio_sum_fraction
+
+    def counted(*args):
+        calls.append(args)
+        return fraction(*args)
+
+    monkeypatch.setattr(_special, "_ratio_sum_fraction", counted)
+    path = next(p for p in bundled_configs() if p.name == config)
+    plan_with_report(request_for(path))
+    if "qpqi" in config:
+        assert 0 < len(calls) <= 140
+    else:
+        assert calls == []
 
 
 def test_bundled_probes_stay_within_1e_11_of_boost(monkeypatch):

@@ -98,8 +98,8 @@ def _cdf_cases(rng) -> list[tuple[int, int, float]]:
 def test_cdf_matches_50_digits_in_the_tails_and_near_the_bulk(monkeypatch):
     cases = _cdf_cases(np.random.default_rng(38))
     expansions = []
-    basym = _special._basym
-    monkeypatch.setattr(_special, "_basym", lambda *args: expansions.append(args) or basym(*args))
+    cf = _special._ratio_sum_fraction
+    monkeypatch.setattr(_special, "_ratio_sum_fraction", lambda *a: expansions.append(a) or cf(*a))
     x, n, p = np.array(cases, dtype=float).T
     got = _binom_cdf(x, n, p)
     assert len(expansions) >= 10
@@ -107,6 +107,43 @@ def test_cdf_matches_50_digits_in_the_tails_and_near_the_bulk(monkeypatch):
         _assert_close(value, xi, ni, pi, oracles.binom_cdf_highprec(xi, ni, pi), 5e-12)
     # each element is the double it gets alone
     assert got.tolist() == [_binom_cdf(*case)[0] for case in cases]
+
+
+def _mode_cases() -> list[tuple[int, int, float]]:
+    # one below the mode and 2 sd below it, where the continued fraction
+    # runs longest, and the same points reflected above the mode
+    cases = []
+    for n in (10**5, 10**6, 10**7):
+        for p in (1e-4, 0.1, 0.3, 0.5, 0.9):
+            mode = math.floor((n + 1) * p)
+            for below in (1, round(2.0 * math.sqrt(n * p * (1.0 - p)))):
+                cases += [(mode - below, n, p), (mode + below, n, p)]
+    return cases
+
+
+def test_cdf_matches_50_digits_beside_the_mode_and_2_sd_from_it(monkeypatch):
+    cases = _mode_cases()
+    fractions = []
+    cf = _special._ratio_sum_fraction
+    monkeypatch.setattr(_special, "_ratio_sum_fraction", lambda *a: fractions.append(a) or cf(*a))
+    x, n, p = np.array(cases, dtype=float).T
+    got = _binom_cdf(x, n, p)
+    # 33 of the 60 sums are long enough for the fraction, up to 1,880
+    # levels (x = 2,999,999, n = 1e7, p = 0.3)
+    assert len(fractions) >= 30
+    for (xi, ni, pi), value in zip(cases, got.tolist()):
+        _assert_close(value, xi, ni, pi, oracles.binom_cdf_highprec(xi, ni, pi), 5e-12)
+
+
+def test_ratio_sum_fraction_ends_by_its_zero_numerator():
+    # x = 3: k_7 = 0 ends the fraction at its seventh level with the
+    # four-term sum, here well away from any convergence of the steps
+    x, n, odds = 3.0, 5.0, 2.0
+    terms = [1.0]
+    for i in range(3):
+        terms.append(terms[-1] * (x - i) / (n + 1.0 - x + i) * odds)
+    exact = math.fsum(terms)
+    assert abs(_special._ratio_sum_fraction(x, n, odds) - exact) <= 1e-15 * exact
 
 
 def test_cdf_edges():
