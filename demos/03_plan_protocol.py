@@ -42,8 +42,8 @@ print(f"\ngrid: {len(feasible)} of {len(grid)} candidate intensities feasible")
 for g in feasible[:: max(1, len(feasible) // 5)]:
     print(f"  mu = {g.mu:.3e}  k = {g.k:6d}  N = {g.n_pairs:.3e}")
 
-# a flat-bottomed search valley: the planner prefers the dimmest pulse
-# whose cost is within 5% of the optimum (quieter for the same price)
+# a flat-bottomed search valley: the planner prefers the dimmest grid
+# point whose pair count is within 5% of the grid's smallest
 costs = np.array([g.n_pairs for g in feasible], dtype=float)
 print(f"\ncost spread across feasible grid: x{costs.max() / costs.min():.1f}")
 

@@ -4,12 +4,12 @@ For each candidate pulse intensity mu, the planner derives the smallest
 repetition count meeting the message-error target, the resulting signal
 count d, and then the smallest pair count N meeting the covertness
 budget. Each mu is evaluated on its own, as a pure function of the
-request; nothing found at one mu is carried to the next. The returned
-plan is the grid point minimizing N (equivalently the total number of
-time bins, and hence the running time at a fixed repetition rate),
-refined once by golden-section search around the best grid point. Grid
-points carry k and N; ProtocolParams.derive forms both claims, the bias
-bound and the message error, once, at the chosen point.
+request; nothing found at one mu is carried to the next. The smallest
+N over the grid (equivalently the fewest time bins, and hence the
+shortest running time at a fixed repetition rate) is the floor, and the
+returned plan is the dimmest grid point within FLATNESS_TOLERANCE of it.
+Grid points carry k and N; ProtocolParams.derive forms both claims, the
+bias bound and the message error, once, at the chosen point.
 
 The searches of _LOCKSTEP_GROUP (64) grid points at a time advance in
 lockstep (reliability._lockstep). Each round makes one batched call per
@@ -19,15 +19,12 @@ search that starts (fock_stats._profiles), and the divergences with
 their slopes at every pending pair count (fock_stats._divergences).
 Each search is sent exactly the values it would get alone, so the
 batching changes no probe and no result. The group size and the term
-budget of _special._passes bound the batches' memory. The
-golden-section and dimmest-within refinements run their points through
-the same path, as batches of one or two.
+budget of _special._passes bound the batches' memory.
 """
 
 from __future__ import annotations
 
 import inspect
-import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -45,8 +42,6 @@ from .reliability import (
     message_error_prob,
 )
 from .security import BINS_PER_PAIR, DEFAULT_PAIR_CEILING, _pair_search, bias_for_protocol
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # fraction of extra pairs the planner accepts in exchange for a dimmer pulse
 FLATNESS_TOLERANCE = 0.05
@@ -260,62 +255,16 @@ def _mu_search(mu: float, req: PlanRequest):
     return GridPoint(mu=mu, k=k, n_pairs=n_pairs)
 
 
-def _evaluate_mus(mus, req: PlanRequest) -> list[GridPoint]:
-    """Evaluate pulse intensities, the searches of each _LOCKSTEP_GROUP of
-    them advancing in lockstep."""
-    points = []
-    for start in range(0, len(mus), _LOCKSTEP_GROUP):
-        group = mus[start : start + _LOCKSTEP_GROUP]
-        points += _lockstep([_mu_search(float(mu), req) for mu in group])
-    return points
-
-
-def _cost(p: GridPoint) -> tuple[int, float]:
-    """Fewer pairs wins; ties go to the smaller mu."""
-    return (p.n_pairs, p.mu)
-
-
-def _dimmest_within(floor: GridPoint, points: list[GridPoint], req: PlanRequest) -> GridPoint:
-    """Smallest-mu point whose pair count is within the flatness tolerance.
-
-    Starts from the leftmost already-evaluated point under the budget,
-    then bisects (in log mu) against its left neighbor to polish the
-    edge of the acceptable region. New evaluations are appended to
-    points so the report stays complete.
-    """
-    budget = floor.n_pairs * (1.0 + FLATNESS_TOLERANCE)
-    ok = [p for p in points if p.feasible and p.n_pairs <= budget]
-    chosen = min(ok, key=lambda p: p.mu)
-    below = [p.mu for p in points if p.mu < chosen.mu]
-    if not below:
-        return chosen
-    lo = max(below)
-    hi = chosen.mu
-    for _ in range(40):
-        if (hi - lo) <= 1e-4 * hi:
-            break
-        mid = math.sqrt(lo * hi)
-        [p] = _evaluate_mus([mid], req)
-        points.append(p)
-        if p.feasible and p.n_pairs <= budget:
-            chosen, hi = p, mid
-        else:
-            lo = mid
-    return chosen
-
-
 def plan(req: PlanRequest) -> ProtocolParams:
     """Find a cheap, dim operating point subject to both targets.
 
-    Every grid value is evaluated independently and one golden-section
-    refinement pass runs between the best grid point's neighbors, giving
-    the pair-count floor. The floor of this objective sits in a very
-    flat valley: tens of percent in mu move the pair count by only a few
-    percent, so the exact argmin is an artifact of modeling minutiae.
-    The planner therefore returns the dimmest pulse whose pair count
-    stays within FLATNESS_TOLERANCE (5 %) of the floor; a dimmer pulse
-    buys covertness margin against transmitter miscalibration at
-    bounded cost.
+    Every grid value is evaluated independently, once, and the smallest
+    pair count over the grid is the floor. The floor of this objective
+    sits in a very flat valley: tens of percent in mu move the pair
+    count by only a few percent, so the exact argmin is an artifact of
+    modeling minutiae, and no search refines it below the grid's step.
+    The planner returns the dimmest grid point whose pair count stays
+    within FLATNESS_TOLERANCE (5 %) of the floor.
 
     Raises:
         InfeasibleError: every candidate fails reliability or covertness.
@@ -325,8 +274,12 @@ def plan(req: PlanRequest) -> ProtocolParams:
 
 
 def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint, ...]]:
+    """plan()'s choice, with one GridPoint per value of the sorted grid."""
     grid = np.sort(req.mu_grid)
-    points = _evaluate_mus(grid, req)
+    points = []
+    for start in range(0, grid.size, _LOCKSTEP_GROUP):
+        group = grid[start : start + _LOCKSTEP_GROUP]
+        points += _lockstep([_mu_search(float(mu), req) for mu in group])
     feasible = [p for p in points if p.feasible]
     if not feasible:
         # reasons embed point-specific numbers: group them by failure
@@ -341,36 +294,9 @@ def plan_with_report(req: PlanRequest) -> tuple[ProtocolParams, tuple[GridPoint,
             for sample, count in groups.values()
         )
         raise InfeasibleError("no grid point satisfies both targets; causes: " + causes)
-    best = min(feasible, key=_cost)
-
-    # one golden-section refinement between the best point's neighbors
-    idx = int(np.searchsorted(grid, best.mu))
-    lo = float(grid[idx - 1]) if idx > 0 else float(best.mu)
-    hi = float(grid[idx + 1]) if idx + 1 < grid.size else float(best.mu)
-    if hi > lo:
-        a, b_ = lo, hi
-        x1 = b_ - GOLDEN * (b_ - a)
-        x2 = a + GOLDEN * (b_ - a)
-        p1, p2 = _evaluate_mus([x1, x2], req)
-        points.extend((p1, p2))
-        for _ in range(40):
-            f1 = p1.n_pairs if p1.feasible else math.inf
-            f2 = p2.n_pairs if p2.feasible else math.inf
-            if (f1, x1) <= (f2, x2):
-                b_, x2, p2 = x2, x1, p1
-                x1 = b_ - GOLDEN * (b_ - a)
-                [p1] = _evaluate_mus([x1], req)
-                points.append(p1)
-            else:
-                a, x1, p1 = x1, x2, p2
-                x2 = a + GOLDEN * (b_ - a)
-                [p2] = _evaluate_mus([x2], req)
-                points.append(p2)
-            if (b_ - a) <= 1e-4 * b_:
-                break
-        best = min([best, *(p for p in points[len(grid):] if p.feasible)], key=_cost)
-
-    best = _dimmest_within(best, points, req)
+    # feasible keeps the sorted grid's order, so the first within budget is the dimmest
+    floor = min(p.n_pairs for p in feasible)
+    best = next(p for p in feasible if p.n_pairs <= floor * (1.0 + FLATNESS_TOLERANCE))
 
     params = ProtocolParams.derive(
         b=req.b,

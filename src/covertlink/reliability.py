@@ -173,8 +173,11 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
     _TAIL_NATS below the Chernoff bound z^k of the whole error; its ends
     come in closed form (_wrong_vote_window). z^k bounds the error
     only where p_correct >= p_wrong; otherwise the window is placed as if
-    the error were 1. Where p_correct >= p_wrong and z^k < 2^-1075 the
-    error rounds to 0.0, and 0.0 is returned without a sum.
+    the error were 1, and around W's mean k p_w, where the error's mass
+    then lies, instead of w*: where p_wrong nears 1, P(W = w) at w* lies
+    thousands of nats below its peak, past what the scaled pmf runs hold.
+    Where p_correct >= p_wrong and z^k < 2^-1075 the error rounds to 0.0,
+    and 0.0 is returned without a sum.
 
     Where the split does not apply the vote count is one binomial, and
     its cdf gives the error: 1 with no correct clicks, (1 -
@@ -195,11 +198,14 @@ def _bit_errors(probes: list[tuple[int, ClickProbabilities]]) -> list[float]:
             out[i] = float(_binom_cdf(k // 2 if p_w > 0.0 else 0, k, p_c)[0])
             continue
         root, z = _chernoff_base(p_c, p_w)
-        log_chernoff = k * math.log(z) if p_c >= p_w else 0.0
+        if p_c >= p_w:
+            log_chernoff, w_star = k * math.log(z), k * root / z
+        else:
+            log_chernoff, w_star = 0.0, k * p_w
         if log_chernoff < _LOG_ROUNDS_TO_ZERO:
             continue
         nats = _TAIL_NATS + 0.5 * math.log(k) - log_chernoff
-        a, top = _wrong_vote_window(float(k), p_w, pi, k * root / z, nats)
+        a, top = _wrong_vote_window(float(k), p_w, pi, w_star, nats)
         rows.append((i, k, p_w, pi, a, top))
     if not rows:
         return out

@@ -497,7 +497,7 @@ def test_bad_rescale_flag_refused_before_planning(fast_config, tmp_path, capsys,
 
 
 def test_rescale_past_the_planner_limits_is_config_error(tmp_path, capsys, monkeypatch):
-    # --rescale 1e-9 asks for k ~ 1.9e12 and N ~ 8e20 (beyond a C long):
+    # --rescale 1e-9 asks for k ~ 1.88e12 and N ~ 8e20 (beyond a C long):
     # refused once the plan is known, before any draw
     def no_draw(*args):
         raise AssertionError("drew from a plan past the planner's limits")
@@ -512,7 +512,7 @@ def test_rescale_past_the_planner_limits_is_config_error(tmp_path, capsys, monke
         )
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "rescale factor 1e-09 gives k = 1.9e+12" in err
+        assert "rescale factor 1e-09 gives k = 1.88e+12" in err
         assert "MAX_REPETITIONS = 1e+07" in err
         assert not out.exists()
 

@@ -405,6 +405,30 @@ def test_error_bounds_bracket_lgamma_moderate_k(k, p_c, p_w):
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "k, p_c, p_w",
+    [
+        (200, 5e-9, 1.0 - 1e-8),  # P(W = w)'s run overflowed from its scaled start
+        (300, 5e-9, 1.0 - 1e-8),  # that start rounded to 0, and the error summed to 0.0
+    ],
+)
+def test_bit_error_prob_with_nearly_every_vote_wrong(k, p_c, p_w):
+    # p_correct < p_wrong, so the error's mass lies near k p_wrong, not
+    # near w* far below it: a window reaching down to w* (k / 2 here)
+    # began about 2,500 nats below P(W = w)'s peak
+    got = bit_error_prob(k, ClickProbabilities(p_c, p_w))
+    expected = oracles.majority_error_highprec(k, p_c, p_w, k)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_bit_error_prob_with_nearly_every_vote_wrong_at_large_k():
+    # numpy's overflow warning, an error under the suite's filter, was
+    # raised here; the double sum over the click count agrees
+    cp = ClickProbabilities(5e-6, 0.99999)
+    got = bit_error_prob(10**5, cp)
+    assert got == pytest.approx(oracles.majority_error_double_sum(10**5, cp), rel=1e-12, abs=0.0)
+
+
 def test_error_bounds_bracket_exact_sum_in_deep_tail():
     # the error lives far above the typical wrong-vote count (a window of
     # +-16 sd around k p_wrong would give 1.8e-202 here), so the window is
